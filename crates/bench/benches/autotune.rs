@@ -11,10 +11,14 @@
 //! `BENCH_autotune.json` at the repository root (override the path with
 //! `TAWA_BENCH_OUT`). On a multi-core host the report asserts the
 //! parallel multi-class path is actually faster than sequential — that
-//! speedup is an acceptance criterion, not just a number in a table. On a
-//! single-core host (`available_parallelism() == 1`) the parallel path
-//! degenerates to one worker and a speedup is physically impossible, so
-//! the report only bounds the overhead instead.
+//! speedup is an acceptance criterion, not just a number in a table.
+//! Since the engine skips the steady state the 64-class simulation is
+//! well under a millisecond of work, so one busy neighbour core can spoil
+//! a single reading: the speedup is the median ratio over alternating
+//! sequential/parallel rounds and must reach 1.1×. On a single-core host
+//! (`available_parallelism() == 1`) the parallel path degenerates to one
+//! worker and a speedup is physically impossible, so the report only
+//! bounds the overhead instead.
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -156,19 +160,38 @@ fn median_ms(runs: usize, mut f: impl FnMut()) -> f64 {
     samples[samples.len() / 2]
 }
 
+/// Sequential and parallel wall-clock of one multi-class simulation and
+/// their ratio, each the median over alternating rounds (a round times
+/// both paths back to back, so a disturbance hits one round's ratio, not
+/// one path's median).
+fn multiclass_speedup(kernel: &Kernel, device: &Device) -> (f64, f64, f64) {
+    const ROUNDS: usize = 11;
+    let (mut seq, mut par, mut ratio) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..ROUNDS {
+        let s = median_ms(9, || {
+            black_box(simulate_with(kernel, device, &SEQ_OPTS)).ok();
+        });
+        let p = median_ms(9, || {
+            black_box(simulate_with(kernel, device, &PAR_OPTS)).ok();
+        });
+        seq.push(s);
+        par.push(p);
+        ratio.push(s / p);
+    }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    (median(seq), median(par), median(ratio))
+}
+
 fn emit_report() {
     let device = Device::h100_sxm5();
     let kernel = multiclass_kernel(&device);
     let classes = kernel.classes.len();
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
 
-    let seq_ms = median_ms(5, || {
-        black_box(simulate_with(&kernel, &device, &SEQ_OPTS)).ok();
-    });
-    let par_ms = median_ms(5, || {
-        black_box(simulate_with(&kernel, &device, &PAR_OPTS)).ok();
-    });
-    let speedup = seq_ms / par_ms;
+    let (seq_ms, par_ms, speedup) = multiclass_speedup(&kernel, &device);
 
     let mut ex_sims = 0;
     let ex_ms = median_ms(3, || {
@@ -222,10 +245,10 @@ fn emit_report() {
     );
     if cores > 1 {
         assert!(
-            speedup > 1.0,
-            "parallel multi-class simulation must beat sequential on a \
-             {cores}-core host ({classes} classes: {seq_ms:.2} ms sequential \
-             vs {par_ms:.2} ms parallel)"
+            speedup >= 1.1,
+            "parallel multi-class simulation must beat sequential by 1.1x on \
+             a {cores}-core host ({classes} classes: {seq_ms:.2} ms sequential \
+             vs {par_ms:.2} ms parallel, median ratio {speedup:.2})"
         );
     } else {
         // One worker, same work: only the spawn/handoff overhead differs.

@@ -9,10 +9,68 @@
 //! actors. If all actors block with no pending events, the engine reports a
 //! deadlock with a full state dump — the failure mode the paper's `aref`
 //! discipline is designed to rule out.
+//!
+//! # Skipping the steady state
+//!
+//! A software-pipelined kernel spends almost all of its trips in a steady
+//! state: once the aref ring is full, every K-loop trip replays the one
+//! before it, one period later. The engine walks the prologue, a couple of
+//! periods and the epilogue, and jumps over the rest **exactly**.
+//!
+//! The whole machine lives in one struct (`Sm`). At every loop back-edge
+//! of one *anchor* actor (CTA 0's busiest looping warp group,
+//! [`tawa_wsir::period::anchor_warp_group`]) it takes a **signature**: the
+//! state with everything that grows linearly taken out. If the signature
+//! equals one taken earlier, the interval between the two is a period; the
+//! shared detector ([`tawa_wsir::period`]) validates the loop frames and
+//! says how many periods `n` fit before any loop would exit, and
+//! `Sm::advance` moves every clock and counter by `n ×` its change over
+//! the period. Simulation then resumes event by event.
+//!
+//! What is in the signature, and in which form:
+//!
+//! * **times as offsets from now** — pending events in pop order as
+//!   `(time − now, event)`, `tc_free` / `mem_free` saturating at 0 (a
+//!   resource free in the past is just free), `blocked_since` only while
+//!   an actor is blocked, the CUDA pipe's `last_update` (signed) only
+//!   while it has jobs. A `CudaTick` compares as live or stale, not by
+//!   generation number;
+//! * **barrier phases as differences** — an actor's `local_phase[b]`
+//!   enters as `completed_phases(b) − local_phase[b]`, and only for the
+//!   barriers its program waits on: nothing else ever reads it, and for
+//!   any other barrier the difference grows every period. The in-phase
+//!   barrier state (`arrivals`, `tx_expected`, `tx_done`) and the
+//!   `syncthreads` rendezvous counts compare as they are;
+//! * **control state as it is** — status, in-flight WGMMA / cp.async
+//!   counts, and every loop frame's body and `pc`. Processor-sharing job
+//!   remainders compare by `f64::to_bits`: if they never repeat bit for
+//!   bit, there is no skip;
+//! * **trip counters through frame instances** — every pushed frame gets
+//!   an instance id; the detector accepts a moved `remaining` only on the
+//!   same instance at both ends and requires a re-instantiated frame to
+//!   stand at an equal `remaining`, which is what lets one comparison
+//!   cover both the K-loop trips and the whole tiles of a persistent
+//!   kernel.
+//!
+//! Why this is exact: every handler computes with `t + constant`,
+//! `max(t + c, resource_free)`, `now − blocked_since` and
+//! `completed > local` — all unchanged when every time moves by the same
+//! amount and a barrier's two phase counters move together. Loop exits
+//! are the only place an absolute counter steers control, and the skip
+//! stops one trip short of the first of them. So the event sequence after
+//! the jump is the plain run's, shifted; all ten [`EngineStats`] counters
+//! are sums over that sequence and advance linearly. `SimReport`s and
+//! deadlock strings are bit-identical to walking every trip, which is why
+//! [`crate::COST_MODEL_VERSION`] does not mention any of this. A kernel
+//! without an exact period (or with too few trips) simply runs as before;
+//! the cost of looking is bounded by the detector's miss back-off. There
+//! is no switch: the plain walk survives only as the tests' reference
+//! ([`run_sm_reference`]).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use tawa_wsir::period::{anchor_warp_group, waited_barriers, FrameMark, PeriodDetector};
 use tawa_wsir::{CtaClass, Instr, Kernel};
 
 use crate::device::Device;
@@ -55,6 +113,27 @@ pub struct EngineStats {
     pub stall_sync: u64,
 }
 
+impl EngineStats {
+    /// Adds `n ×` the growth since `then` to every running counter.
+    /// `cycles` is not one: it is derived once, when the run ends.
+    fn advance(&mut self, then: &EngineStats, n: u64) {
+        for (cur, then) in [
+            (&mut self.tc_busy, then.tc_busy),
+            (&mut self.cuda_busy, then.cuda_busy),
+            (&mut self.mem_busy, then.mem_busy),
+            (&mut self.bytes_loaded, then.bytes_loaded),
+            (&mut self.bytes_stored, then.bytes_stored),
+            (&mut self.tc_flops, then.tc_flops),
+            (&mut self.stall_barrier, then.stall_barrier),
+            (&mut self.stall_wgmma, then.stall_wgmma),
+            (&mut self.stall_cpasync, then.stall_cpasync),
+            (&mut self.stall_sync, then.stall_sync),
+        ] {
+            *cur += n * (*cur - then);
+        }
+    }
+}
+
 /// Result of simulating one SM-wave.
 #[derive(Debug, Clone)]
 pub struct EngineResult {
@@ -62,6 +141,12 @@ pub struct EngineResult {
     pub stats: EngineStats,
     /// If the kernel deadlocked, a description of the blocked state.
     pub deadlock: Option<String>,
+    /// Events popped from the queue — the engine's unit of host work.
+    /// Deterministic, and deliberately outside [`EngineStats`] so no
+    /// serialized report carries it.
+    pub events: u64,
+    /// Loop trips (over all actors) that were jumped rather than walked.
+    pub fast_forwarded_trips: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,6 +163,8 @@ struct Frame<'k> {
     body: &'k [Instr],
     pc: usize,
     remaining: u64,
+    /// Instance id, unique per push (see the module docs on frames).
+    id: u64,
 }
 
 struct Actor<'k> {
@@ -91,7 +178,21 @@ struct Actor<'k> {
     blocked_since: u64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+impl Actor<'_> {
+    fn is_blocked(&self) -> bool {
+        !matches!(self.status, Status::Running | Status::Done)
+    }
+
+    /// Ends a stall that began at `blocked_since`, charging it to `stalled`.
+    fn unstall(&mut self, now: u64, stalled: &mut u64) {
+        *stalled += now.saturating_sub(self.blocked_since);
+        self.status = Status::Running;
+    }
+}
+
+// `Ord` only so events can sit in the heap entry: `(time, seq)` is unique,
+// so the order on `Event` itself is never consulted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Event {
     /// Execute the next instruction of actor `i`.
     Step(usize),
@@ -104,6 +205,41 @@ enum Event {
     /// Re-evaluate the processor-shared CUDA pipeline (generation-tagged so
     /// stale completions are ignored after rate changes).
     CudaTick(u64),
+}
+
+/// Pending events, popped in `(time, push order)` order.
+#[derive(Default)]
+struct EventQueue {
+    heap: BinaryHeap<Reverse<(u64, u64, Event)>>,
+    seq: u64,
+}
+
+impl EventQueue {
+    fn push(&mut self, t: u64, e: Event) {
+        self.heap.push(Reverse((t, self.seq, e)));
+        self.seq += 1;
+    }
+
+    fn pop(&mut self) -> Option<(u64, Event)> {
+        self.heap.pop().map(|Reverse((t, _, e))| (t, e))
+    }
+
+    /// Moves every pending event `dt` cycles later; a uniform shift keeps
+    /// the pop order.
+    fn shift(&mut self, dt: u64) {
+        let mut entries = std::mem::take(&mut self.heap).into_vec();
+        for Reverse((t, _, _)) in &mut entries {
+            *t += dt;
+        }
+        self.heap = BinaryHeap::from(entries);
+    }
+
+    /// The pending `(time, push order, event)` entries in pop order.
+    fn in_order(&self) -> Vec<(u64, u64, Event)> {
+        let mut entries: Vec<_> = self.heap.iter().map(|Reverse(e)| *e).collect();
+        entries.sort_unstable();
+        entries
+    }
 }
 
 /// The CUDA-core / SFU pipeline as a processor-sharing server: `n`
@@ -160,413 +296,569 @@ impl CudaPs {
     }
 }
 
+/// Absolute clocks and counters at a snapshot: what [`Sm::advance`]
+/// extrapolates from.
+struct Mark {
+    t: u64,
+    stats: EngineStats,
+    /// Every barrier's completed phases, then every actor's `local_phase`.
+    phases: Vec<u64>,
+}
+
+/// One SM with its resident CTAs: the engine's whole state.
+struct Sm<'k> {
+    kernel: &'k Kernel,
+    device: &'k Device,
+    cfg: &'k EngineCfg,
+    residents: &'k [&'k CtaClass],
+    nbars: usize,
+    /// `residents.len() × nbars` barriers, CTA-major.
+    barriers: Vec<Mbarrier>,
+    actors: Vec<Actor<'k>>,
+    queue: EventQueue,
+    tc_free: u64,
+    cuda: CudaPs,
+    mem_free: u64,
+    stats: EngineStats,
+    /// `syncthreads` rendezvous state per CTA.
+    sync_arrived: Vec<u32>,
+    done_count: usize,
+    last_time: u64,
+    next_frame_id: u64,
+    /// Per warp group, the barriers its program waits on.
+    waits: Vec<Vec<usize>>,
+    /// The actor whose back-edges are snapshotted, if any loops.
+    anchor: Option<usize>,
+    events: u64,
+    fast_forwarded_trips: u64,
+}
+
 /// Simulates `residents` CTAs of `kernel` sharing one SM.
 ///
 /// Each entry of `residents` selects the CTA class executed by that
 /// resident. Returns aggregate statistics; `deadlock` is set (instead of
-/// panicking) when no progress is possible.
+/// panicking) when no progress is possible. Periodic stretches of the
+/// instruction stream are skipped exactly (see the module docs).
 pub fn run_sm(
     kernel: &Kernel,
     device: &Device,
     residents: &[&CtaClass],
     cfg: &EngineCfg,
 ) -> EngineResult {
-    let nbars = kernel.barriers.len();
-    let mut barriers: Vec<Mbarrier> = Vec::with_capacity(nbars * residents.len());
-    for _ in residents {
-        for b in &kernel.barriers {
-            barriers.push(Mbarrier::new(b.arrive_count, b.init_phases));
+    Sm::new(kernel, device, residents, cfg).run(true)
+}
+
+/// [`run_sm`] walking every trip of every loop: the reference the
+/// differential tests hold the fast-forwarding engine against. Not a mode
+/// of the product — nothing outside tests calls it.
+#[doc(hidden)]
+pub fn run_sm_reference(
+    kernel: &Kernel,
+    device: &Device,
+    residents: &[&CtaClass],
+    cfg: &EngineCfg,
+) -> EngineResult {
+    Sm::new(kernel, device, residents, cfg).run(false)
+}
+
+impl<'k> Sm<'k> {
+    fn new(
+        kernel: &'k Kernel,
+        device: &'k Device,
+        residents: &'k [&'k CtaClass],
+        cfg: &'k EngineCfg,
+    ) -> Sm<'k> {
+        let nbars = kernel.barriers.len();
+        let mut barriers: Vec<Mbarrier> = Vec::with_capacity(nbars * residents.len());
+        for _ in residents {
+            for b in &kernel.barriers {
+                barriers.push(Mbarrier::new(b.arrive_count, b.init_phases));
+            }
+        }
+
+        let mut actors: Vec<Actor<'_>> = Vec::new();
+        let mut queue = EventQueue::default();
+        for (cta, _) in residents.iter().enumerate() {
+            for (wg, wgp) in kernel.warp_groups.iter().enumerate() {
+                // CTA start cost staggers actor start slightly (descriptor
+                // setup etc).
+                queue.push(device.cta_start_cycles, Event::Step(actors.len()));
+                actors.push(Actor {
+                    cta,
+                    wg,
+                    frames: vec![Frame {
+                        body: &wgp.body,
+                        pc: 0,
+                        remaining: 1,
+                        id: actors.len() as u64,
+                    }],
+                    status: Status::Running,
+                    local_phase: vec![0; nbars],
+                    wgmma_inflight: 0,
+                    cpasync_inflight: 0,
+                    blocked_since: 0,
+                });
+            }
+        }
+
+        Sm {
+            kernel,
+            device,
+            cfg,
+            residents,
+            nbars,
+            barriers,
+            queue,
+            tc_free: 0,
+            cuda: CudaPs::default(),
+            mem_free: 0,
+            stats: EngineStats::default(),
+            sync_arrived: vec![0; residents.len()],
+            done_count: 0,
+            last_time: 0,
+            next_frame_id: actors.len() as u64,
+            waits: kernel
+                .warp_groups
+                .iter()
+                .map(|wg| {
+                    let mut waited = waited_barriers(&wg.body);
+                    waited.retain(|&b| b < nbars);
+                    waited
+                })
+                .collect(),
+            // CTA 0's actors come first, so its warp group index is the
+            // actor index.
+            anchor: residents
+                .first()
+                .and_then(|class| anchor_warp_group(kernel, &class.params)),
+            actors,
+            events: 0,
+            fast_forwarded_trips: 0,
         }
     }
 
-    let mut actors: Vec<Actor<'_>> = Vec::new();
-    for (cta, _) in residents.iter().enumerate() {
-        for (wg, wgp) in kernel.warp_groups.iter().enumerate() {
-            actors.push(Actor {
-                cta,
-                wg,
-                frames: vec![Frame {
-                    body: &wgp.body,
-                    pc: 0,
-                    remaining: 1,
-                }],
-                status: Status::Running,
-                local_phase: vec![0; nbars],
-                wgmma_inflight: 0,
-                cpasync_inflight: 0,
-                blocked_since: 0,
-            });
+    fn run(mut self, fast_forward: bool) -> EngineResult {
+        if !fast_forward {
+            self.anchor = None;
+        }
+        let mut detector = PeriodDetector::default();
+        while let Some((t, event)) = self.queue.pop() {
+            self.events += 1;
+            self.last_time = self.last_time.max(t);
+            match event {
+                Event::TmaDone { gbar, bytes } => {
+                    if self.barriers[gbar].arrive_tx(bytes) {
+                        self.wake_waiters(gbar, t);
+                    }
+                }
+                Event::WgmmaDone(i) => {
+                    let a = &mut self.actors[i];
+                    a.wgmma_inflight -= 1;
+                    if matches!(a.status, Status::BlockedWgmma(p) if a.wgmma_inflight <= p) {
+                        a.unstall(t, &mut self.stats.stall_wgmma);
+                        self.queue
+                            .push(t + self.device.wgmma_drain_cycles, Event::Step(i));
+                    }
+                }
+                Event::CpDone(i) => {
+                    let a = &mut self.actors[i];
+                    a.cpasync_inflight -= 1;
+                    if matches!(a.status, Status::BlockedCp(p) if a.cpasync_inflight <= p) {
+                        a.unstall(t, &mut self.stats.stall_cpasync);
+                        self.queue.push(t, Event::Step(i));
+                    }
+                }
+                Event::CudaTick(gen) => {
+                    // A tick superseded by a rate change is ignored.
+                    if gen == self.cuda.gen {
+                        self.settle_cuda(t);
+                        self.tick_cuda();
+                    }
+                }
+                Event::Step(i) => {
+                    if self.actors[i].status == Status::Running {
+                        self.step(i, t, &mut detector);
+                    }
+                }
+            }
+            if self.done_count == self.actors.len() {
+                break;
+            }
+        }
+
+        let deadlock = (self.done_count != self.actors.len()).then(|| self.describe_deadlock());
+        self.stats.cycles = self
+            .last_time
+            .max(self.mem_free)
+            .max(self.tc_free)
+            .max(self.cuda.last_update);
+        EngineResult {
+            stats: self.stats,
+            deadlock,
+            events: self.events,
+            fast_forwarded_trips: self.fast_forwarded_trips,
         }
     }
 
-    let mut queue: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::new();
-    let mut events: Vec<Event> = Vec::new();
-    let mut seq: u64 = 0;
-    let push = |queue: &mut BinaryHeap<Reverse<(u64, u64, usize)>>,
-                events: &mut Vec<Event>,
-                seq: &mut u64,
-                t: u64,
-                e: Event| {
-        events.push(e);
-        queue.push(Reverse((t, *seq, events.len() - 1)));
-        *seq += 1;
-    };
-
-    // CTA start cost staggers actor start slightly (descriptor setup etc).
-    for i in 0..actors.len() {
-        push(
-            &mut queue,
-            &mut events,
-            &mut seq,
-            device.cta_start_cycles,
-            Event::Step(i),
-        );
-    }
-
-    // Shared SM resources.
-    let mut tc_free: u64 = 0;
-    let mut cuda = CudaPs::default();
-    let mut mem_free: u64 = 0;
-    let mut stats = EngineStats::default();
-    // syncthreads rendezvous state per CTA.
-    let mut sync_arrived: Vec<u32> = vec![0; residents.len()];
-    let wgs_per_cta = kernel.warp_groups.len() as u32;
-    let mut done_count = 0usize;
-    let mut last_time: u64 = 0;
-
-    let issue = device.instr_issue_cycles;
-
-    macro_rules! unstall {
-        ($a:expr, $now:expr, $field:ident) => {{
-            stats.$field += $now.saturating_sub($a.blocked_since);
-            $a.status = Status::Running;
-        }};
-    }
-
-    while let Some(Reverse((t, _, eidx))) = queue.pop() {
-        last_time = last_time.max(t);
-        match events[eidx] {
-            Event::TmaDone { gbar, bytes } => {
-                if barriers[gbar].arrive_tx(bytes) {
-                    // Wake actors blocked on this barrier. Their PC already
-                    // moved past the wait, so consume the phase here.
-                    for (i, a) in actors.iter_mut().enumerate() {
-                        if a.status == Status::BlockedBar(gbar) {
-                            a.local_phase[gbar % nbars] += 1;
-                            unstall!(a, t, stall_barrier);
-                            push(
-                                &mut queue,
-                                &mut events,
-                                &mut seq,
-                                t + device.mbar_wake_cycles,
-                                Event::Step(i),
-                            );
-                        }
-                    }
-                }
-            }
-            Event::WgmmaDone(i) => {
-                actors[i].wgmma_inflight -= 1;
-                if let Status::BlockedWgmma(p) = actors[i].status {
-                    if actors[i].wgmma_inflight <= p {
-                        let a = &mut actors[i];
-                        unstall!(a, t, stall_wgmma);
-                        push(
-                            &mut queue,
-                            &mut events,
-                            &mut seq,
-                            t + device.wgmma_drain_cycles,
-                            Event::Step(i),
-                        );
-                    }
-                }
-            }
-            Event::CpDone(i) => {
-                actors[i].cpasync_inflight -= 1;
-                if let Status::BlockedCp(p) = actors[i].status {
-                    if actors[i].cpasync_inflight <= p {
-                        let a = &mut actors[i];
-                        unstall!(a, t, stall_cpasync);
-                        push(&mut queue, &mut events, &mut seq, t, Event::Step(i));
-                    }
-                }
-            }
-            Event::CudaTick(gen) => {
-                if gen != cuda.gen {
-                    continue; // superseded by a rate change
-                }
-                for a in cuda.update(t, &mut stats.cuda_busy) {
-                    push(&mut queue, &mut events, &mut seq, t, Event::Step(a));
-                }
-                if let Some((tn, g)) = cuda.next_completion() {
-                    push(&mut queue, &mut events, &mut seq, tn, Event::CudaTick(g));
-                }
-            }
-            Event::Step(i) => {
-                if actors[i].status != Status::Running {
-                    continue;
-                }
-                // Fetch next instruction, unwinding finished frames.
-                let instr: Option<&Instr> = loop {
-                    let Some(frame) = actors[i].frames.last_mut() else {
-                        break None;
-                    };
-                    if frame.pc < frame.body.len() {
-                        let ins = &frame.body[frame.pc];
-                        frame.pc += 1;
-                        break Some(ins);
-                    }
-                    if frame.remaining > 1 {
-                        frame.remaining -= 1;
-                        frame.pc = 0;
-                        continue;
-                    }
-                    actors[i].frames.pop();
-                };
-                let Some(instr) = instr else {
-                    actors[i].status = Status::Done;
-                    done_count += 1;
-                    continue;
-                };
-                let cta = actors[i].cta;
-                match *instr {
-                    Instr::Loop { count, ref body } => {
-                        let trips = count.resolve(&residents[cta].params);
-                        if trips > 0 && !body.is_empty() {
-                            actors[i].frames.push(Frame {
-                                body,
-                                pc: 0,
-                                remaining: trips,
-                            });
-                        }
-                        push(
-                            &mut queue,
-                            &mut events,
-                            &mut seq,
-                            t + device.loop_overhead_cycles,
-                            Event::Step(i),
-                        );
-                    }
-                    Instr::TmaLoad { bytes, bar } => {
-                        let gbar = cta * nbars + bar.0 as usize;
-                        barriers[gbar].expect_tx(bytes);
-                        let start = (t + issue).max(mem_free);
-                        let dur = (bytes as f64 / cfg.load_bw).ceil() as u64;
-                        mem_free = start + dur;
-                        stats.mem_busy += dur;
-                        stats.bytes_loaded += bytes;
-                        push(
-                            &mut queue,
-                            &mut events,
-                            &mut seq,
-                            start + dur + device.tma_latency_cycles,
-                            Event::TmaDone { gbar, bytes },
-                        );
-                        push(&mut queue, &mut events, &mut seq, t + issue, Event::Step(i));
-                    }
-                    Instr::TmaStore { bytes } => {
-                        let start = (t + issue).max(mem_free);
-                        let dur = (bytes as f64 / cfg.store_bw).ceil() as u64;
-                        mem_free = start + dur;
-                        stats.mem_busy += dur;
-                        stats.bytes_stored += bytes;
-                        push(&mut queue, &mut events, &mut seq, t + issue, Event::Step(i));
-                    }
-                    Instr::CpAsync { bytes } => {
-                        // Issue occupies the warp group proportionally to size.
-                        let issue_cost = ((bytes as f64 / 2048.0)
-                            * device.cp_async_issue_cycles_per_2kb)
-                            .ceil() as u64;
-                        let bw = cfg.load_bw * device.cp_async_efficiency;
-                        let start = (t + issue_cost).max(mem_free);
-                        let dur = (bytes as f64 / bw).ceil() as u64;
-                        mem_free = start + dur;
-                        stats.mem_busy += dur;
-                        stats.bytes_loaded += bytes;
-                        actors[i].cpasync_inflight += 1;
-                        push(
-                            &mut queue,
-                            &mut events,
-                            &mut seq,
-                            start + dur + device.global_load_latency_cycles,
-                            Event::CpDone(i),
-                        );
-                        push(
-                            &mut queue,
-                            &mut events,
-                            &mut seq,
-                            t + issue_cost,
-                            Event::Step(i),
-                        );
-                    }
-                    Instr::CpAsyncWait { pending } => {
-                        if actors[i].cpasync_inflight <= pending {
-                            push(&mut queue, &mut events, &mut seq, t + issue, Event::Step(i));
-                        } else {
-                            actors[i].status = Status::BlockedCp(pending);
-                            actors[i].blocked_since = t;
-                        }
-                    }
-                    Instr::MbarArrive { bar } => {
-                        let gbar = cta * nbars + bar.0 as usize;
-                        if barriers[gbar].arrive() {
-                            for (j, a) in actors.iter_mut().enumerate() {
-                                if a.status == Status::BlockedBar(gbar) {
-                                    a.local_phase[gbar % nbars] += 1;
-                                    unstall!(a, t, stall_barrier);
-                                    push(
-                                        &mut queue,
-                                        &mut events,
-                                        &mut seq,
-                                        t + device.mbar_wake_cycles,
-                                        Event::Step(j),
-                                    );
-                                }
-                            }
-                        }
-                        push(&mut queue, &mut events, &mut seq, t + issue, Event::Step(i));
-                    }
-                    Instr::MbarWait { bar } => {
-                        let gbar = cta * nbars + bar.0 as usize;
-                        if barriers[gbar].completed_phases() > actors[i].local_phase[bar.0 as usize]
-                        {
-                            actors[i].local_phase[bar.0 as usize] += 1;
-                            push(&mut queue, &mut events, &mut seq, t + issue, Event::Step(i));
-                        } else {
-                            actors[i].status = Status::BlockedBar(gbar);
-                            actors[i].blocked_since = t;
-                        }
-                    }
-                    Instr::WgmmaIssue { m, n, k, dtype } => {
-                        let flops = 2 * m as u64 * n as u64 * k as u64;
-                        let rate = device.tc_flops_per_cycle(dtype);
-                        let start = (t + issue).max(tc_free);
-                        let dur = (flops as f64 / rate).ceil() as u64;
-                        tc_free = start + dur;
-                        stats.tc_busy += dur;
-                        stats.tc_flops += flops;
-                        actors[i].wgmma_inflight += 1;
-                        push(
-                            &mut queue,
-                            &mut events,
-                            &mut seq,
-                            start + dur,
-                            Event::WgmmaDone(i),
-                        );
-                        push(&mut queue, &mut events, &mut seq, t + issue, Event::Step(i));
-                    }
-                    Instr::WgmmaWait { pending } => {
-                        if actors[i].wgmma_inflight <= pending {
-                            push(&mut queue, &mut events, &mut seq, t + issue, Event::Step(i));
-                        } else {
-                            actors[i].status = Status::BlockedWgmma(pending);
-                            actors[i].blocked_since = t;
-                        }
-                    }
-                    Instr::CudaOp { flops, sfu, .. } => {
-                        let work = flops as f64 / device.cuda_flops_per_cycle
-                            + sfu as f64 / device.sfu_ops_per_cycle;
-                        for a in cuda.update(t + issue, &mut stats.cuda_busy) {
-                            push(&mut queue, &mut events, &mut seq, t + issue, Event::Step(a));
-                        }
-                        cuda.jobs.push((i, work.max(1.0)));
-                        if let Some((tn, gen)) = cuda.next_completion() {
-                            push(&mut queue, &mut events, &mut seq, tn, Event::CudaTick(gen));
-                        }
-                        // The actor resumes when its own job completes (via
-                        // CudaTick); no Step is scheduled here.
-                    }
-                    Instr::GlobalStore { bytes } => {
-                        // st.global issue: 512 B/cycle per warp group.
-                        let issue_cost = (bytes as f64 / 512.0).ceil() as u64;
-                        let start = (t + issue_cost).max(mem_free);
-                        let dur = (bytes as f64 / cfg.store_bw).ceil() as u64;
-                        mem_free = start + dur;
-                        stats.mem_busy += dur;
-                        stats.bytes_stored += bytes;
-                        push(
-                            &mut queue,
-                            &mut events,
-                            &mut seq,
-                            t + issue_cost,
-                            Event::Step(i),
-                        );
-                    }
-                    Instr::GlobalLoad { bytes } => {
-                        let start = (t + issue).max(mem_free);
-                        let dur = (bytes as f64 / cfg.load_bw).ceil() as u64;
-                        mem_free = start + dur;
-                        stats.mem_busy += dur;
-                        stats.bytes_loaded += bytes;
-                        // Synchronous: the actor resumes after the data lands.
-                        push(
-                            &mut queue,
-                            &mut events,
-                            &mut seq,
-                            start + dur + device.global_load_latency_cycles,
-                            Event::Step(i),
-                        );
-                    }
-                    Instr::Syncthreads => {
-                        sync_arrived[cta] += 1;
-                        if sync_arrived[cta] == wgs_per_cta {
-                            sync_arrived[cta] = 0;
-                            for (j, a) in actors.iter_mut().enumerate() {
-                                if a.cta == cta && a.status == Status::BlockedSync {
-                                    unstall!(a, t, stall_sync);
-                                    push(
-                                        &mut queue,
-                                        &mut events,
-                                        &mut seq,
-                                        t + issue,
-                                        Event::Step(j),
-                                    );
-                                }
-                            }
-                            push(&mut queue, &mut events, &mut seq, t + issue, Event::Step(i));
-                        } else {
-                            actors[i].status = Status::BlockedSync;
-                            actors[i].blocked_since = t;
-                        }
-                    }
-                    Instr::SetMaxNReg { .. } => {
-                        push(&mut queue, &mut events, &mut seq, t, Event::Step(i));
-                    }
-                    Instr::Delay { cycles } => {
-                        push(
-                            &mut queue,
-                            &mut events,
-                            &mut seq,
-                            t + cycles,
-                            Event::Step(i),
-                        );
-                    }
-                }
+    /// A phase of `gbar` completed at `t`: wake the actors blocked on it.
+    /// Their PC already moved past the wait, so the phase is consumed here.
+    fn wake_waiters(&mut self, gbar: usize, t: u64) {
+        for (i, a) in self.actors.iter_mut().enumerate() {
+            if a.status == Status::BlockedBar(gbar) {
+                a.local_phase[gbar % self.nbars] += 1;
+                a.unstall(t, &mut self.stats.stall_barrier);
+                self.queue
+                    .push(t + self.device.mbar_wake_cycles, Event::Step(i));
             }
         }
-        if done_count == actors.len() {
-            break;
+    }
+
+    /// Brings the CUDA pipe to time `t` and resumes the actors whose jobs
+    /// finished.
+    fn settle_cuda(&mut self, t: u64) {
+        for a in self.cuda.update(t, &mut self.stats.cuda_busy) {
+            self.queue.push(t, Event::Step(a));
         }
     }
 
-    let deadlock = if done_count != actors.len() {
+    /// Schedules the CUDA pipe's next completion under its current rate.
+    fn tick_cuda(&mut self) {
+        if let Some((tn, gen)) = self.cuda.next_completion() {
+            self.queue.push(tn, Event::CudaTick(gen));
+        }
+    }
+
+    /// Occupies the memory channel for `bytes` at `bw` no earlier than
+    /// `ready`; returns when the transfer has left the channel.
+    fn transfer(&mut self, ready: u64, bytes: u64, bw: f64) -> u64 {
+        let start = ready.max(self.mem_free);
+        let dur = (bytes as f64 / bw).ceil() as u64;
+        self.mem_free = start + dur;
+        self.stats.mem_busy += dur;
+        self.mem_free
+    }
+
+    /// Fetches actor `i`'s next instruction, unwinding finished frames and
+    /// taking loop back-edges. At the anchor's back-edges the period
+    /// detector may move the whole machine — `t` included — forward.
+    fn fetch(
+        &mut self,
+        i: usize,
+        t: &mut u64,
+        detector: &mut PeriodDetector<Mark>,
+    ) -> Option<&'k Instr> {
+        loop {
+            let frame = self.actors[i].frames.last_mut()?;
+            if frame.pc < frame.body.len() {
+                let ins = &frame.body[frame.pc];
+                frame.pc += 1;
+                return Some(ins);
+            }
+            if frame.remaining > 1 && self.anchor == Some(i) && detector.due() {
+                self.fast_forward(t, detector);
+            }
+            let frames = &mut self.actors[i].frames;
+            let frame = frames.last_mut()?;
+            if frame.remaining > 1 {
+                frame.remaining -= 1;
+                frame.pc = 0;
+            } else {
+                frames.pop();
+            }
+        }
+    }
+
+    fn step(&mut self, i: usize, mut t: u64, detector: &mut PeriodDetector<Mark>) {
+        let Some(instr) = self.fetch(i, &mut t, detector) else {
+            self.actors[i].status = Status::Done;
+            self.done_count += 1;
+            return;
+        };
+        let device = self.device;
+        let issue = device.instr_issue_cycles;
+        let cta = self.actors[i].cta;
+        match *instr {
+            Instr::Loop { count, ref body } => {
+                let trips = count.resolve(&self.residents[cta].params);
+                if trips > 0 && !body.is_empty() {
+                    self.actors[i].frames.push(Frame {
+                        body,
+                        pc: 0,
+                        remaining: trips,
+                        id: self.next_frame_id,
+                    });
+                    self.next_frame_id += 1;
+                }
+                self.queue
+                    .push(t + device.loop_overhead_cycles, Event::Step(i));
+            }
+            Instr::TmaLoad { bytes, bar } => {
+                let gbar = cta * self.nbars + bar.0 as usize;
+                self.barriers[gbar].expect_tx(bytes);
+                let landed = self.transfer(t + issue, bytes, self.cfg.load_bw);
+                self.stats.bytes_loaded += bytes;
+                self.queue.push(
+                    landed + device.tma_latency_cycles,
+                    Event::TmaDone { gbar, bytes },
+                );
+                self.queue.push(t + issue, Event::Step(i));
+            }
+            Instr::TmaStore { bytes } => {
+                self.transfer(t + issue, bytes, self.cfg.store_bw);
+                self.stats.bytes_stored += bytes;
+                self.queue.push(t + issue, Event::Step(i));
+            }
+            Instr::CpAsync { bytes } => {
+                // Issue occupies the warp group proportionally to size.
+                let issue_cost =
+                    ((bytes as f64 / 2048.0) * device.cp_async_issue_cycles_per_2kb).ceil() as u64;
+                let bw = self.cfg.load_bw * device.cp_async_efficiency;
+                let landed = self.transfer(t + issue_cost, bytes, bw);
+                self.stats.bytes_loaded += bytes;
+                self.actors[i].cpasync_inflight += 1;
+                self.queue
+                    .push(landed + device.global_load_latency_cycles, Event::CpDone(i));
+                self.queue.push(t + issue_cost, Event::Step(i));
+            }
+            Instr::CpAsyncWait { pending } => {
+                if self.actors[i].cpasync_inflight <= pending {
+                    self.queue.push(t + issue, Event::Step(i));
+                } else {
+                    self.actors[i].status = Status::BlockedCp(pending);
+                    self.actors[i].blocked_since = t;
+                }
+            }
+            Instr::MbarArrive { bar } => {
+                let gbar = cta * self.nbars + bar.0 as usize;
+                if self.barriers[gbar].arrive() {
+                    self.wake_waiters(gbar, t);
+                }
+                self.queue.push(t + issue, Event::Step(i));
+            }
+            Instr::MbarWait { bar } => {
+                let b = bar.0 as usize;
+                let gbar = cta * self.nbars + b;
+                let a = &mut self.actors[i];
+                if self.barriers[gbar].completed_phases() > a.local_phase[b] {
+                    a.local_phase[b] += 1;
+                    self.queue.push(t + issue, Event::Step(i));
+                } else {
+                    a.status = Status::BlockedBar(gbar);
+                    a.blocked_since = t;
+                }
+            }
+            Instr::WgmmaIssue { m, n, k, dtype } => {
+                let flops = 2 * m as u64 * n as u64 * k as u64;
+                let rate = device.tc_flops_per_cycle(dtype);
+                let start = (t + issue).max(self.tc_free);
+                let dur = (flops as f64 / rate).ceil() as u64;
+                self.tc_free = start + dur;
+                self.stats.tc_busy += dur;
+                self.stats.tc_flops += flops;
+                self.actors[i].wgmma_inflight += 1;
+                self.queue.push(start + dur, Event::WgmmaDone(i));
+                self.queue.push(t + issue, Event::Step(i));
+            }
+            Instr::WgmmaWait { pending } => {
+                if self.actors[i].wgmma_inflight <= pending {
+                    self.queue.push(t + issue, Event::Step(i));
+                } else {
+                    self.actors[i].status = Status::BlockedWgmma(pending);
+                    self.actors[i].blocked_since = t;
+                }
+            }
+            Instr::CudaOp { flops, sfu, .. } => {
+                let work = flops as f64 / device.cuda_flops_per_cycle
+                    + sfu as f64 / device.sfu_ops_per_cycle;
+                self.settle_cuda(t + issue);
+                self.cuda.jobs.push((i, work.max(1.0)));
+                // The actor resumes when its own job completes (via
+                // CudaTick); no Step is scheduled here.
+                self.tick_cuda();
+            }
+            Instr::GlobalStore { bytes } => {
+                // st.global issue: 512 B/cycle per warp group.
+                let issue_cost = (bytes as f64 / 512.0).ceil() as u64;
+                self.transfer(t + issue_cost, bytes, self.cfg.store_bw);
+                self.stats.bytes_stored += bytes;
+                self.queue.push(t + issue_cost, Event::Step(i));
+            }
+            Instr::GlobalLoad { bytes } => {
+                let landed = self.transfer(t + issue, bytes, self.cfg.load_bw);
+                self.stats.bytes_loaded += bytes;
+                // Synchronous: the actor resumes after the data lands.
+                self.queue
+                    .push(landed + device.global_load_latency_cycles, Event::Step(i));
+            }
+            Instr::Syncthreads => {
+                self.sync_arrived[cta] += 1;
+                if self.sync_arrived[cta] == self.kernel.warp_groups.len() as u32 {
+                    self.sync_arrived[cta] = 0;
+                    for (j, a) in self.actors.iter_mut().enumerate() {
+                        if a.cta == cta && a.status == Status::BlockedSync {
+                            a.unstall(t, &mut self.stats.stall_sync);
+                            self.queue.push(t + issue, Event::Step(j));
+                        }
+                    }
+                    self.queue.push(t + issue, Event::Step(i));
+                } else {
+                    self.actors[i].status = Status::BlockedSync;
+                    self.actors[i].blocked_since = t;
+                }
+            }
+            Instr::SetMaxNReg { .. } => self.queue.push(t, Event::Step(i)),
+            Instr::Delay { cycles } => self.queue.push(t + cycles, Event::Step(i)),
+        }
+    }
+
+    /// The state at time `t` with everything linear taken out (module
+    /// docs), plus every live loop frame in actor order.
+    fn signature(&self, t: u64) -> (Vec<u64>, Vec<FrameMark>) {
+        let mut sig = Vec::with_capacity(128);
+        let mut frames = Vec::with_capacity(2 * self.actors.len());
+        for a in &self.actors {
+            let (tag, arg) = match a.status {
+                Status::Running => (0, 0),
+                Status::BlockedBar(gbar) => (1, gbar as u64),
+                Status::BlockedWgmma(p) => (2, p as u64),
+                Status::BlockedCp(p) => (3, p as u64),
+                Status::BlockedSync => (4, 0),
+                Status::Done => (5, 0),
+            };
+            let stalled_for = if a.is_blocked() {
+                t - a.blocked_since
+            } else {
+                0
+            };
+            sig.extend([
+                tag,
+                arg,
+                stalled_for,
+                a.wgmma_inflight as u64,
+                a.cpasync_inflight as u64,
+                a.frames.len() as u64,
+            ]);
+            for f in &a.frames {
+                sig.extend([f.body.as_ptr() as u64, f.pc as u64]);
+                frames.push(FrameMark {
+                    id: f.id,
+                    remaining: f.remaining,
+                });
+            }
+            for &b in &self.waits[a.wg] {
+                let completed = self.barriers[a.cta * self.nbars + b].completed_phases();
+                sig.push(completed - a.local_phase[b]);
+            }
+        }
+        for b in &self.barriers {
+            sig.extend(b.in_phase_state());
+        }
+        sig.extend(self.sync_arrived.iter().map(|&n| n as u64));
+        sig.extend([
+            self.tc_free.saturating_sub(t),
+            self.mem_free.saturating_sub(t),
+            self.cuda.jobs.len() as u64,
+        ]);
+        for &(actor, rem) in &self.cuda.jobs {
+            sig.extend([actor as u64, rem.to_bits()]);
+        }
+        if !self.cuda.jobs.is_empty() {
+            sig.push(self.cuda.last_update.wrapping_sub(t));
+        }
+        let pending = self.queue.in_order();
+        sig.push(pending.len() as u64);
+        for (time, _, event) in pending {
+            let (tag, a, b) = match event {
+                Event::Step(i) => (0, i as u64, 0),
+                Event::TmaDone { gbar, bytes } => (1, gbar as u64, bytes),
+                Event::WgmmaDone(i) => (2, i as u64, 0),
+                Event::CpDone(i) => (3, i as u64, 0),
+                Event::CudaTick(gen) => (4, (gen == self.cuda.gen) as u64, 0),
+            };
+            sig.extend([time - t, tag, a, b]);
+        }
+        (sig, frames)
+    }
+
+    fn mark(&self, t: u64) -> Mark {
+        let completed = self.barriers.iter().map(Mbarrier::completed_phases);
+        let local = self
+            .actors
+            .iter()
+            .flat_map(|a| a.local_phase.iter().copied());
+        Mark {
+            t,
+            stats: self.stats.clone(),
+            phases: completed.chain(local).collect(),
+        }
+    }
+
+    /// At an anchor back-edge at time `*t`: if this state was seen before,
+    /// jump as many whole periods as fit.
+    fn fast_forward(&mut self, t: &mut u64, detector: &mut PeriodDetector<Mark>) {
+        let (sig, frames) = self.signature(*t);
+        if let Some(skip) = detector.observe(sig, frames, self.mark(*t)) {
+            self.advance(skip.then, skip.periods, &skip.frame_deltas, t);
+            self.fast_forwarded_trips += skip.trips(skip.periods);
+        }
+    }
+
+    /// Moves the machine `n` periods forward, a period being what happened
+    /// between `then` and now (`*t`): every clock by `n ×` the period's
+    /// length, every counter by `n ×` its growth, every loop frame by `n ×`
+    /// its trips. Plain arithmetic throughout, so a run long enough to
+    /// overflow a counter fails the same way walking it would.
+    fn advance(&mut self, then: &Mark, n: u64, frame_deltas: &[u64], t: &mut u64) {
+        let shift = n * (*t - then.t);
+        self.queue.shift(shift);
+        *t += shift;
+        self.last_time = *t;
+        // A resource time in the past stays in the past: moving it along is
+        // as unobservable as leaving it.
+        self.tc_free += shift;
+        self.mem_free += shift;
+        self.cuda.last_update += shift;
+        self.stats.advance(&then.stats, n);
+
+        let mut then_phases = then.phases.iter();
+        for (b, was) in self.barriers.iter_mut().zip(&mut then_phases) {
+            b.advance_phases(n * (b.completed_phases() - was));
+        }
+        let mut deltas = frame_deltas.iter();
+        for a in &mut self.actors {
+            if a.is_blocked() {
+                a.blocked_since += shift;
+            }
+            for (cur, was) in a.local_phase.iter_mut().zip(&mut then_phases) {
+                *cur += n * (*cur - was);
+            }
+            for (f, delta) in a.frames.iter_mut().zip(&mut deltas) {
+                f.remaining = (n.checked_mul(*delta))
+                    .and_then(|trips| f.remaining.checked_sub(trips))
+                    .filter(|&left| left > 0)
+                    .expect("the detector leaves every moved frame its last trip");
+            }
+        }
+    }
+
+    fn describe_deadlock(&self) -> String {
         let mut desc = String::from("deadlock: ");
-        for a in &actors {
+        for a in &self.actors {
             if a.status == Status::Done {
                 continue;
             }
             // Name the barrier and its phase state so dynamic reports
             // cross-reference the static `analyze` lints.
             if let Status::BlockedBar(gbar) = a.status {
-                let b = gbar % nbars;
-                let bar = &barriers[gbar];
+                let b = gbar % self.nbars;
+                let bar = &self.barriers[gbar];
                 desc.push_str(&format!(
                     "[cta{} wg{} BlockedBar({} \"{}\" waiting phase {}, {}/{} arrivals, \
                      {} completed, {} tx bytes pending) since {}] ",
                     a.cta,
                     a.wg,
                     tawa_wsir::BarId(b as u32),
-                    kernel.barriers[b].name,
+                    self.kernel.barriers[b].name,
                     a.local_phase[b],
                     bar.arrivals(),
                     bar.arrive_count,
@@ -581,13 +873,8 @@ pub fn run_sm(
                 ));
             }
         }
-        Some(desc)
-    } else {
-        None
-    };
-
-    stats.cycles = last_time.max(mem_free).max(tc_free).max(cuda.last_update);
-    EngineResult { stats, deadlock }
+        desc
+    }
 }
 
 #[cfg(test)]
@@ -778,6 +1065,162 @@ mod tests {
         assert!(two.stats.cycles > one.stats.cycles);
         assert!(two.stats.cycles < one.stats.cycles * 23 / 10);
         assert_eq!(two.stats.tc_flops, 2 * one.stats.tc_flops);
+    }
+
+    /// Runs both walkers and requires the same result from the
+    /// fast-forwarding one; returns (fast, reference).
+    fn both(k: &Kernel, residents: &[&CtaClass]) -> (EngineResult, EngineResult) {
+        let dev = Device::h100_sxm5();
+        let fast = run_sm(k, &dev, residents, &cfg());
+        let plain = run_sm_reference(k, &dev, residents, &cfg());
+        assert_eq!(fast.stats, plain.stats, "{}", k.name);
+        assert_eq!(fast.deadlock, plain.deadlock, "{}", k.name);
+        assert_eq!(plain.fast_forwarded_trips, 0);
+        (fast, plain)
+    }
+
+    #[test]
+    fn steady_state_is_skipped_exactly() {
+        let class = one_class();
+        for depth in 1..=4 {
+            for residents in [&[&class][..], &[&class, &class][..]] {
+                let (fast, plain) = both(&ws_kernel(2400, depth), residents);
+                assert!(
+                    fast.events * 20 < plain.events,
+                    "D={depth}: {} vs {} events",
+                    fast.events,
+                    plain.events
+                );
+                assert!(fast.fast_forwarded_trips > 0);
+            }
+        }
+        // Too few trips to repeat: nothing is skipped, nothing changes.
+        let (fast, plain) = both(&ws_kernel(4, 2), &[&class]);
+        assert_eq!(fast.events, plain.events);
+    }
+
+    #[test]
+    fn deadlocks_past_a_long_loop_are_reported_identically() {
+        // The consumer waits for `extra` more tiles than the producer ever
+        // loads: the hang comes 1..7 waits after 600 skipped trips, and its
+        // report (phases, arrivals, `since` times) must not show the jump.
+        let class = one_class();
+        for extra in 1..=7 {
+            let mut k = ws_kernel(600, 1);
+            let full = tawa_wsir::BarId(0);
+            let empty = tawa_wsir::BarId(1);
+            for _ in 0..extra {
+                k.warp_groups[1].body.extend([
+                    Instr::MbarArrive { bar: empty },
+                    Instr::MbarWait { bar: full },
+                ]);
+            }
+            k.warp_groups[0].body.push(Instr::loop_const(
+                extra - 1,
+                vec![
+                    Instr::MbarWait { bar: empty },
+                    Instr::TmaLoad {
+                        bytes: 32768,
+                        bar: full,
+                    },
+                ],
+            ));
+            let (fast, plain) = both(&k, &[&class, &class]);
+            assert!(fast.deadlock.is_some(), "extra={extra}");
+            assert!(fast.events * 5 < plain.events, "extra={extra}");
+        }
+    }
+
+    #[test]
+    fn nested_and_param_loops_skip_at_both_levels() {
+        // A persistent-kernel shape: `$p1` outer trips of a `$p0`-trip
+        // K-loop plus an epilogue store, trip counts from the CTA class.
+        let mut k = ws_kernel(2, 1);
+        let tiles = |body: Vec<Instr>, tail: Vec<Instr>| {
+            let mut tile = vec![Instr::loop_param(0, body)];
+            tile.extend(tail);
+            vec![Instr::loop_param(1, tile)]
+        };
+        let Instr::Loop { body: pbody, .. } = k.warp_groups[0].body[0].clone() else {
+            unreachable!()
+        };
+        let Instr::Loop { body: cbody, .. } = k.warp_groups[1].body[0].clone() else {
+            unreachable!()
+        };
+        k.warp_groups[0].body = tiles(pbody, vec![]);
+        k.warp_groups[1].body = tiles(cbody, vec![Instr::GlobalStore { bytes: 32768 }]);
+        let class = CtaClass {
+            params: vec![96, 40],
+            multiplicity: 1,
+        };
+        let (fast, plain) = both(&k, &[&class]);
+        assert_eq!(plain.stats.bytes_loaded, 96 * 40 * 32768);
+        // Inner skips alone would leave ≥ 40 tiles' prologues to walk.
+        assert!(
+            fast.events * 40 < plain.events,
+            "{} vs {} events",
+            fast.events,
+            plain.events
+        );
+    }
+
+    #[test]
+    fn a_cuda_pipe_share_without_an_exact_period_falls_back() {
+        // Two looping warp groups share the CUDA pipe with a third whose one
+        // long job outlasts them: its processor-sharing remainder shrinks
+        // all the way through, so no two back-edges agree bit for bit and
+        // the engine must walk every trip rather than guess.
+        let mut k = Kernel::new("share3");
+        k.uniform_grid(1);
+        let cuda = |flops| Instr::CudaOp {
+            flops,
+            sfu: 7,
+            label: "softmax",
+        };
+        k.add_warp_group(Role::Consumer, 64, vec![cuda(256 * 100_000)]);
+        for (flops, gap) in [(1000, 3), (1700, 5)] {
+            k.add_warp_group(
+                Role::Consumer,
+                64,
+                vec![Instr::loop_const(
+                    300,
+                    vec![cuda(flops), Instr::Delay { cycles: gap }],
+                )],
+            );
+        }
+        let class = one_class();
+        let (fast, plain) = both(&k, &[&class]);
+        assert!(plain.deadlock.is_none());
+        assert_eq!(fast.fast_forwarded_trips, 0);
+        assert_eq!(fast.events, plain.events);
+    }
+
+    #[test]
+    fn phase_locked_cuda_sharing_is_skipped_bit_for_bit() {
+        // Three loops at different paces lock into a common rhythm on the
+        // shared pipe; the remainders then do repeat, and the skip is exact.
+        let mut k = Kernel::new("share3-locked");
+        k.uniform_grid(1);
+        for (flops, sfu, gap) in [(1000, 7, 3), (1700, 11, 5), (2900, 13, 7)] {
+            k.add_warp_group(
+                Role::Consumer,
+                64,
+                vec![Instr::loop_const(
+                    300,
+                    vec![
+                        Instr::CudaOp {
+                            flops,
+                            sfu,
+                            label: "softmax",
+                        },
+                        Instr::Delay { cycles: gap },
+                    ],
+                )],
+            );
+        }
+        let class = one_class();
+        let (fast, _) = both(&k, &[&class]);
+        assert!(fast.fast_forwarded_trips > 0);
     }
 
     #[test]

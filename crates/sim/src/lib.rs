@@ -14,7 +14,8 @@
 //!   calculator,
 //! * [`mbarrier`] — transaction-barrier hardware semantics,
 //! * [`engine`] — the per-SM event engine executing WSIR warp-group
-//!   programs (detects deadlocks rather than hanging),
+//!   programs (detects deadlocks rather than hanging, and skips the
+//!   periodic steady state of every loop exactly),
 //! * [`run`] — wave-level scheduling, persistent-kernel handling and
 //!   report generation,
 //! * [`report_serde`] — the stable, versioned text serialization of
@@ -79,9 +80,10 @@ pub mod run;
 /// only the serialization syntax, and from
 /// [`analytic::ANALYTIC_MODEL_VERSION`], which covers only the analytic
 /// ranking model. *How* a simulation executes is also out of scope: the
-/// parallel per-class path ([`run::SimOptions`]) folds engine results in
-/// class order and is bit-identical to the sequential reference, so it
-/// needs no bump here.
+/// engine's exact steady-state skip ([`engine`]) and the parallel
+/// per-class path ([`run::SimOptions`]) both produce reports bit-identical
+/// to walking every trip of every class in order, so neither needs a bump
+/// here.
 pub const COST_MODEL_VERSION: u32 = 1;
 
 pub use analytic::{estimate, perf_model, AnalyticEstimate, BoundKind, ANALYTIC_MODEL_VERSION};

@@ -47,6 +47,19 @@ impl Mbarrier {
         self.tx_expected.saturating_sub(self.tx_done)
     }
 
+    /// The state inside the current phase — `[arrivals, tx_expected,
+    /// tx_done]` — which the engine's period detection compares as it is.
+    pub(crate) fn in_phase_state(&self) -> [u64; 3] {
+        [self.arrivals as u64, self.tx_expected, self.tx_done]
+    }
+
+    /// Completes `phases` further phases at once, leaving the in-phase
+    /// state untouched: the barrier's share of an engine fast-forward over
+    /// whole periods, each of which ends where it began within a phase.
+    pub(crate) fn advance_phases(&mut self, phases: u64) {
+        self.completed_phases += phases;
+    }
+
     /// Announces `bytes` of expected transaction data for the current
     /// phase (issued together with a TMA load).
     pub fn expect_tx(&mut self, bytes: u64) {
@@ -128,6 +141,18 @@ mod tests {
             assert!(b.arrive_tx(100));
             assert_eq!(b.completed_phases(), phase);
         }
+    }
+
+    #[test]
+    fn advancing_phases_keeps_the_in_phase_state() {
+        let mut b = Mbarrier::new(2, 1);
+        b.expect_tx(64);
+        assert!(!b.arrive());
+        b.advance_phases(10);
+        assert_eq!(b.completed_phases(), 11);
+        assert_eq!(b.in_phase_state(), [1, 64, 0]);
+        assert!(b.arrive_tx(64));
+        assert_eq!(b.completed_phases(), 12);
     }
 
     #[test]

@@ -197,19 +197,15 @@ pub fn simulate(kernel: &Kernel, device: &Device) -> Result<SimReport, SimError>
     simulate_with(kernel, device, &SimOptions::default())
 }
 
-/// Simulates `kernel` on `device` with explicit execution options.
-///
-/// The report is bit-identical for every option combination (see
-/// [`SimOptions`]); benchmarks use the sequential path as the reference
-/// when measuring parallel speedup.
+/// What every engine run of one launch shares: the occupancy the kernel
+/// reaches and the bandwidth each SM is provisioned with. Public only so
+/// the differential tests can drive [`run_sm`] exactly as [`simulate`]
+/// does; not part of the product's surface.
 ///
 /// # Errors
-/// Same contract as [`simulate`].
-pub fn simulate_with(
-    kernel: &Kernel,
-    device: &Device,
-    opts: &SimOptions,
-) -> Result<SimReport, SimError> {
+/// [`SimError::Invalid`] and [`SimError::DoesNotFit`], as [`simulate`].
+#[doc(hidden)]
+pub fn wave_setup(kernel: &Kernel, device: &Device) -> Result<(u32, EngineCfg), SimError> {
     validate(kernel).map_err(SimError::Invalid)?;
     let occ = device.occupancy(kernel);
     if occ == 0 {
@@ -231,6 +227,23 @@ pub fn simulate_with(
             * l2_bonus,
         store_bw: device.hbm_bytes_per_cycle / active_sms,
     };
+    Ok((occ, cfg))
+}
+
+/// Simulates `kernel` on `device` with explicit execution options.
+///
+/// The report is bit-identical for every option combination (see
+/// [`SimOptions`]); benchmarks use the sequential path as the reference
+/// when measuring parallel speedup.
+///
+/// # Errors
+/// Same contract as [`simulate`].
+pub fn simulate_with(
+    kernel: &Kernel,
+    device: &Device,
+    opts: &SimOptions,
+) -> Result<SimReport, SimError> {
+    let (occ, cfg) = wave_setup(kernel, device)?;
 
     let slots_per_wave = device.sms as u64 * occ as u64;
     let mut total_cycles: u64 = 0;

@@ -18,6 +18,13 @@
 //! interleaving of the real machine can avoid the deadlock — the verdict
 //! is definite, not heuristic.
 //!
+//! The interpreter does not walk every trip of a long loop: once the
+//! rounds repeat — the abstract counterpart of a pipeline's steady state —
+//! it recognises the repeated state at a loop back-edge and advances its
+//! counters over the remaining periods at once, exactly (see [`Machine`]
+//! and [`crate::period`]). Lints, and the step on which the budget runs
+//! out, are those of the full walk.
+//!
 //! The shared-memory tile ownership map is recovered from the aref
 //! discipline the code generator emits (paper Fig. 4): a barrier written
 //! by TMA (`full`) is paired with the credit-initialized barrier its
@@ -30,14 +37,22 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use super::{InstrPath, Lint, LintKind};
 use crate::instr::{BarId, Instr, Role};
 use crate::kernel::Kernel;
+use crate::period::{anchor_warp_group, waited_barriers, FrameMark, PeriodDetector};
 
-pub(super) fn check(k: &Kernel, fuel: u64) -> Vec<Lint> {
+/// `fast_forward = false` walks every trip of every loop: the reference
+/// the differential tests hold the skipping interpreter against.
+pub(super) fn check(k: &Kernel, fuel: u64, fast_forward: bool) -> Vec<Lint> {
     let mut lints = Vec::new();
     scan_static(k, &mut lints);
     let pairs = derive_pairs(k);
+    let reach: Vec<Reach> = k
+        .warp_groups
+        .iter()
+        .map(|wg| Reach::of(&wg.body, &pairs))
+        .collect();
     let mut seen: HashSet<String> = HashSet::new();
     for ci in 0..k.classes.len() {
-        for lint in interp_class(k, ci, &pairs, fuel) {
+        for lint in interp_class(k, ci, &pairs, &reach, fuel, fast_forward) {
             if seen.insert(dedup_key(&lint)) {
                 lints.push(lint);
             }
@@ -253,6 +268,9 @@ struct Frame<'a> {
     body: &'a [Instr],
     idx: usize,
     trips_left: u64,
+    /// Instance id, unique per push: lets the period detector tell a frame
+    /// that moved from one that was left and re-entered.
+    id: u64,
 }
 
 struct Actor<'a> {
@@ -277,22 +295,85 @@ struct SlotState {
     gens: VecDeque<u64>,
 }
 
+/// What an actor's program can reach, scanned once: the absolute counters
+/// the interpreter compares enter a period signature only as the
+/// differences this actor can ever evaluate.
+#[derive(Default)]
+struct Reach {
+    /// Barriers it waits on.
+    waits: Vec<usize>,
+    /// Slot pairs `(data, guard)` it loads into (the overwrite check).
+    loads_into: Vec<(usize, usize)>,
+    /// Slot pairs `(guard, data)` it releases (the unordered-read check).
+    releases: Vec<(usize, usize)>,
+}
+
+impl Reach {
+    fn of(body: &[Instr], pairs: &Pairs) -> Reach {
+        fn scan(body: &[Instr], pairs: &Pairs, r: &mut Reach) {
+            for i in body {
+                match i {
+                    Instr::TmaLoad { bar, .. } => {
+                        let f = bar.0 as usize;
+                        if let Some(&e) = pairs.guard_of.get(&f) {
+                            r.loads_into.push((f, e));
+                        }
+                    }
+                    Instr::MbarArrive { bar } => {
+                        let e = bar.0 as usize;
+                        if let Some(&f) = pairs.data_of.get(&e) {
+                            r.releases.push((e, f));
+                        }
+                    }
+                    Instr::Loop { body, .. } => scan(body, pairs, r),
+                    _ => {}
+                }
+            }
+        }
+        let mut r = Reach {
+            waits: waited_barriers(body),
+            ..Reach::default()
+        };
+        scan(body, pairs, &mut r);
+        for list in [&mut r.loads_into, &mut r.releases] {
+            list.sort_unstable();
+            list.dedup();
+        }
+        r
+    }
+}
+
+/// The interpreter's absolute counters at a snapshot: what
+/// [`Machine::fast_forward`] extrapolates from.
+struct Mark {
+    fuel: u64,
+    /// Per barrier `completed`; per actor `local_phase` then `releases`;
+    /// per slot `loads`.
+    counters: Vec<u64>,
+}
+
+/// What the actor's program yields next.
+enum Next<'a> {
+    Instr(&'a Instr),
+    /// The top frame finished a trip and has more (only reported for the
+    /// actor whose back-edges are watched; taken by [`end_trip`]).
+    BackEdge,
+    End,
+}
+
 /// Resolves the actor's next blocking-relevant instruction, descending
-/// into loops. Returns `None` when the program is exhausted. The returned
-/// reference borrows the kernel, not the actor.
-fn peek<'a>(actor: &mut Actor<'a>, params: &[u64]) -> Option<&'a Instr> {
+/// into loops and — unless `pause` asks for them to be reported — taking
+/// back-edges. The returned reference borrows the kernel, not the actor.
+fn next<'a>(actor: &mut Actor<'a>, params: &[u64], ids: &mut u64, pause: bool) -> Next<'a> {
     loop {
-        let frame = actor.stack.last_mut()?;
+        let Some(frame) = actor.stack.last_mut() else {
+            return Next::End;
+        };
         if frame.idx >= frame.body.len() {
-            if frame.trips_left > 1 {
-                frame.trips_left -= 1;
-                frame.idx = 0;
-                continue;
+            if pause && frame.trips_left > 1 {
+                return Next::BackEdge;
             }
-            actor.stack.pop();
-            if let Some(parent) = actor.stack.last_mut() {
-                parent.idx += 1;
-            }
+            end_trip(actor);
             continue;
         }
         let body = frame.body;
@@ -307,10 +388,27 @@ fn peek<'a>(actor: &mut Actor<'a>, params: &[u64]) -> Option<&'a Instr> {
                 body: lb,
                 idx: 0,
                 trips_left: n,
+                id: *ids,
             });
+            *ids += 1;
             continue;
         }
-        return Some(instr);
+        return Next::Instr(instr);
+    }
+}
+
+/// The top frame reached the end of its body: start its next trip, or
+/// leave it and step its parent past the loop.
+fn end_trip(actor: &mut Actor<'_>) {
+    let Some(frame) = actor.stack.last_mut() else {
+        return;
+    };
+    if frame.trips_left > 1 {
+        frame.trips_left -= 1;
+        frame.idx = 0;
+    } else {
+        actor.stack.pop();
+        advance(actor);
     }
 }
 
@@ -327,254 +425,474 @@ fn path_of(actor: &Actor<'_>, wg: usize) -> InstrPath {
     }
 }
 
-fn interp_class(k: &Kernel, ci: usize, pairs: &Pairs, fuel_budget: u64) -> Vec<Lint> {
-    let params: &[u64] = &k.classes[ci].params;
-    let mut bars: Vec<AbsBar> = k
-        .barriers
-        .iter()
-        .map(|b| AbsBar {
-            arrive_count: b.arrive_count.max(1),
-            arrivals: 0,
-            completed: b.init_phases as u64,
-        })
-        .collect();
-    let nb = bars.len();
-    let mut actors: Vec<Actor> = k
-        .warp_groups
-        .iter()
-        .map(|wg| Actor {
-            role: wg.role,
-            stack: vec![Frame {
-                body: &wg.body,
-                idx: 0,
-                trips_left: 1,
-            }],
-            local_phase: vec![0; nb],
-            releases: vec![0; nb],
-            in_sync: false,
-            done: false,
-        })
-        .collect();
-    let n = actors.len();
-    let mut sync_count = 0usize;
-    let mut slots: HashMap<usize, SlotState> = pairs
-        .guard_of
-        .keys()
-        .map(|f| (*f, SlotState::default()))
-        .collect();
-    let mut in_flight: u64 = 0;
-    let mut max_in_flight: u64 = 0;
-    let mut resident: HashSet<(usize, Vec<usize>)> = HashSet::new();
-    let mut race_flagged: HashSet<(usize, bool)> = HashSet::new();
-    let mut lints = Vec::new();
-    let mut fuel = fuel_budget.max(1);
+/// The abstract machine interpreting one CTA class.
+///
+/// Warp groups run round-robin, each until it blocks; a round in which
+/// nobody moved is a deadlock. The loop bodies of a pipelined kernel make
+/// every round after the ring fills a copy of the one before, so the
+/// machine skips them the way the simulator engine does (see
+/// [`crate::period`]): at the back-edges of one anchor warp group it
+/// takes a signature of its state with the linear counters taken out,
+/// and on a repeat advances those counters by whole periods.
+///
+/// In the signature: the round's `progressed` flag, the rendezvous count,
+/// `in_flight`, `max_in_flight`, the number of lints and of resident
+/// sites (so a period in which any of the three moved is no period),
+/// every actor's flags and frames, every barrier's in-phase `arrivals`,
+/// every slot's position inside its generation and its staged bytes; and,
+/// as differences, exactly the comparisons the interpreter makes —
+/// `completed − local_phase` for barriers the actor waits on, and the two
+/// race-check margins for slots it loads into or releases. Advanced
+/// linearly: `completed`, `local_phase`, `releases`, `loads`, trip
+/// counters, and the fuel, with the skip capped so the budget runs out on
+/// the identical step.
+struct Machine<'a> {
+    k: &'a Kernel,
+    ci: usize,
+    params: &'a [u64],
+    pairs: &'a Pairs,
+    /// Per warp group; the same for every class.
+    reach: &'a [Reach],
+    bars: Vec<AbsBar>,
+    actors: Vec<Actor<'a>>,
+    sync_count: usize,
+    /// Slot state per data barrier (`None` for unpaired barriers).
+    slots: Vec<Option<SlotState>>,
+    in_flight: u64,
+    max_in_flight: u64,
+    resident: HashSet<(usize, Vec<usize>)>,
+    race_flagged: HashSet<(usize, bool)>,
+    lints: Vec<Lint>,
+    fuel: u64,
+    /// Whether any actor moved in the current round.
+    progressed: bool,
+    next_frame_id: u64,
+}
 
-    loop {
-        let mut progressed = false;
-        for ai in 0..n {
-            loop {
-                if actors[ai].done {
-                    break;
+fn interp_class(
+    k: &Kernel,
+    ci: usize,
+    pairs: &Pairs,
+    reach: &[Reach],
+    fuel_budget: u64,
+    fast_forward: bool,
+) -> Vec<Lint> {
+    let nb = k.barriers.len();
+    let mut m = Machine {
+        k,
+        ci,
+        params: &k.classes[ci].params,
+        pairs,
+        reach,
+        bars: k
+            .barriers
+            .iter()
+            .map(|b| AbsBar {
+                arrive_count: b.arrive_count.max(1),
+                arrivals: 0,
+                completed: b.init_phases as u64,
+            })
+            .collect(),
+        actors: k
+            .warp_groups
+            .iter()
+            .enumerate()
+            .map(|(wi, wg)| Actor {
+                role: wg.role,
+                stack: vec![Frame {
+                    body: &wg.body,
+                    idx: 0,
+                    trips_left: 1,
+                    id: wi as u64,
+                }],
+                local_phase: vec![0; nb],
+                releases: vec![0; nb],
+                in_sync: false,
+                done: false,
+            })
+            .collect(),
+        sync_count: 0,
+        slots: (0..nb)
+            .map(|f| pairs.guard_of.contains_key(&f).then(SlotState::default))
+            .collect(),
+        in_flight: 0,
+        max_in_flight: 0,
+        resident: HashSet::new(),
+        race_flagged: HashSet::new(),
+        lints: Vec::new(),
+        fuel: fuel_budget.max(1),
+        progressed: false,
+        next_frame_id: k.warp_groups.len() as u64,
+    };
+    let anchor = if fast_forward {
+        anchor_warp_group(k, m.params)
+    } else {
+        None
+    };
+    if !m.run(anchor) {
+        m.lints.push(Lint::new(LintKind::AnalysisBudget {
+            class: ci,
+            budget: fuel_budget,
+        }));
+    }
+    m.lints
+}
+
+impl<'a> Machine<'a> {
+    /// Interprets the class to its verdict; `false` when the fuel ran out
+    /// first.
+    fn run(&mut self, anchor: Option<usize>) -> bool {
+        let mut detector = PeriodDetector::default();
+        loop {
+            self.progressed = false;
+            for ai in 0..self.actors.len() {
+                if !self.run_actor(ai, anchor == Some(ai), &mut detector) {
+                    return false;
                 }
-                let Some(instr) = peek(&mut actors[ai], params) else {
-                    actors[ai].done = true;
-                    progressed = true;
-                    break;
-                };
-                match instr {
-                    Instr::MbarWait { bar } => {
-                        let b = bar.0 as usize;
-                        if bars[b].completed > actors[ai].local_phase[b] {
-                            actors[ai].local_phase[b] += 1;
-                            advance(&mut actors[ai]);
-                        } else {
-                            break; // blocked: revisited next round
-                        }
-                    }
-                    Instr::Syncthreads => {
-                        if !actors[ai].in_sync {
-                            actors[ai].in_sync = true;
-                            sync_count += 1;
-                        }
-                        if sync_count == n {
-                            sync_count = 0;
-                            for a in actors.iter_mut() {
-                                if a.in_sync {
-                                    a.in_sync = false;
-                                    advance(a);
-                                }
-                            }
-                        } else {
-                            break; // blocked at the rendezvous
-                        }
-                    }
-                    Instr::TmaLoad { bytes, bar } => {
-                        let f = bar.0 as usize;
-                        if let Some(&e) = pairs.guard_of.get(&f) {
-                            let st = slots.get_mut(&f).unwrap();
-                            let per_phase = bars[f].arrive_count as u64;
-                            let g = st.loads / per_phase;
-                            let init_e = k.barriers[e].init_phases as u64;
-                            // Overwriting generation `g` is ordered only if
-                            // the writer consumed a guard credit covering
-                            // the release of generation `g - init`.
-                            if g >= init_e
-                                && actors[ai].local_phase[e] < g + 1
-                                && race_flagged.insert((f, true))
-                            {
-                                let mut lint = Lint::at(
-                                    LintKind::SharedMemRace {
-                                        data: BarId(f as u32),
-                                        name: k.barriers[f].name.clone(),
-                                        guard: BarId(e as u32),
-                                        role: actors[ai].role,
-                                        generation: g,
-                                        write: true,
-                                    },
-                                    path_of(&actors[ai], ai),
-                                );
-                                lint.loc =
-                                    k.bar_loc(BarId(f as u32)).or(k.bar_loc(BarId(e as u32)));
-                                lints.push(lint);
-                            }
-                            st.loads += 1;
-                            st.gen_bytes += bytes;
-                            in_flight += bytes;
-                            max_in_flight = max_in_flight.max(in_flight);
-                            if bars[f].arrive() {
-                                let full = st.gen_bytes;
-                                st.gen_bytes = 0;
-                                st.gens.push_back(full);
-                            }
-                        } else {
-                            // Unpaired loads (prologue tiles, sync-barrier
-                            // feeds) stay resident; count each site once.
-                            let key = (ai, path_of(&actors[ai], ai).indices);
-                            if resident.insert(key) {
-                                in_flight += bytes;
-                                max_in_flight = max_in_flight.max(in_flight);
-                            }
-                            bars[f].arrive();
-                        }
-                        advance(&mut actors[ai]);
-                    }
-                    Instr::MbarArrive { bar } => {
-                        let e = bar.0 as usize;
-                        if let Some(&f) = pairs.data_of.get(&e) {
-                            let j = actors[ai].releases[e];
-                            let init_f = k.barriers[f].init_phases as u64;
-                            // Releasing read `j` is ordered only if the
-                            // reader consumed the data phase it read.
-                            if actors[ai].local_phase[f] + init_f < j + 1
-                                && race_flagged.insert((f, false))
-                            {
-                                let mut lint = Lint::at(
-                                    LintKind::SharedMemRace {
-                                        data: BarId(f as u32),
-                                        name: k.barriers[f].name.clone(),
-                                        guard: BarId(e as u32),
-                                        role: actors[ai].role,
-                                        generation: j,
-                                        write: false,
-                                    },
-                                    path_of(&actors[ai], ai),
-                                );
-                                lint.loc =
-                                    k.bar_loc(BarId(f as u32)).or(k.bar_loc(BarId(e as u32)));
-                                lints.push(lint);
-                            }
-                        }
-                        actors[ai].releases[e] += 1;
-                        if bars[e].arrive() {
-                            if let Some(&f) = pairs.data_of.get(&e) {
-                                if let Some(freed) = slots.get_mut(&f).unwrap().gens.pop_front() {
-                                    in_flight = in_flight.saturating_sub(freed);
-                                }
-                            }
-                        }
-                        advance(&mut actors[ai]);
-                    }
-                    // Pure timing: WGMMA / CUDA / copies / stores / delays
-                    // never gate liveness (their completions always fire).
-                    _ => advance(&mut actors[ai]),
-                }
-                progressed = true;
-                fuel -= 1;
-                if fuel == 0 {
-                    lints.push(Lint::new(LintKind::AnalysisBudget {
-                        class: ci,
-                        budget: fuel_budget,
-                    }));
-                    return lints;
-                }
+            }
+            if self.actors.iter().all(|a| a.done) {
+                self.report_leftovers();
+                return true;
+            }
+            if !self.progressed {
+                // Fixpoint with blocked actors: a definite deadlock in every
+                // interleaving (see module docs on monotonicity).
+                self.report_deadlock();
+                return true;
             }
         }
+    }
 
-        if actors.iter().all(|a| a.done) {
-            for (b, bar) in bars.iter().enumerate() {
-                if bar.arrivals > 0 {
-                    let mut lint = Lint::new(LintKind::DoubleArrive {
-                        bar: BarId(b as u32),
-                        name: k.barriers[b].name.clone(),
-                        residue: bar.arrivals,
-                    });
-                    lint.loc = k.bar_loc(BarId(b as u32));
-                    lints.push(lint);
-                }
+    /// Runs actor `ai` until it blocks or ends; `false` when the fuel ran
+    /// out.
+    fn run_actor(&mut self, ai: usize, watched: bool, detector: &mut PeriodDetector<Mark>) -> bool {
+        let k = self.k;
+        let pairs = self.pairs;
+        loop {
+            if self.actors[ai].done {
+                return true;
             }
-            if k.smem_bytes > 0 && max_in_flight > k.smem_bytes {
-                lints.push(Lint::new(LintKind::SmemOverflow {
-                    max_in_flight,
-                    smem_bytes: k.smem_bytes,
-                }));
-            }
-            return lints;
-        }
-
-        if !progressed {
-            // Fixpoint with blocked actors: a definite deadlock in every
-            // interleaving (see module docs on monotonicity).
-            for (ai, actor) in actors.iter_mut().enumerate() {
-                if actor.done {
+            let instr = match next(
+                &mut self.actors[ai],
+                self.params,
+                &mut self.next_frame_id,
+                watched,
+            ) {
+                Next::Instr(instr) => instr,
+                Next::BackEdge => {
+                    if detector.due() {
+                        self.fast_forward(detector);
+                    }
+                    // (A skip may have left the frame on its last trip.)
+                    end_trip(&mut self.actors[ai]);
                     continue;
                 }
-                let path = path_of(actor, ai);
-                let role = actor.role;
-                match peek(actor, params) {
-                    Some(Instr::MbarWait { bar }) => {
-                        let b = bar.0 as usize;
-                        let mut lint = Lint::at(
-                            LintKind::StaticDeadlock {
-                                class: ci,
-                                role,
-                                bar: *bar,
-                                name: k.barriers[b].name.clone(),
-                                waiting_phase: actor.local_phase[b],
-                                completed_phases: bars[b].completed,
-                                arrivals: bars[b].arrivals,
-                                arrive_count: bars[b].arrive_count,
-                            },
-                            path,
-                        );
-                        lint.loc = k.bar_loc(*bar);
-                        lints.push(lint);
-                    }
-                    Some(Instr::Syncthreads) => {
-                        lints.push(Lint::at(
-                            LintKind::SyncDeadlock {
-                                class: ci,
-                                role,
-                                arrived: sync_count,
-                                expected: n,
-                            },
-                            path,
-                        ));
-                    }
-                    _ => {}
+                Next::End => {
+                    self.actors[ai].done = true;
+                    self.progressed = true;
+                    return true;
                 }
+            };
+            match instr {
+                Instr::MbarWait { bar } => {
+                    let b = bar.0 as usize;
+                    if self.bars[b].completed > self.actors[ai].local_phase[b] {
+                        self.actors[ai].local_phase[b] += 1;
+                        advance(&mut self.actors[ai]);
+                    } else {
+                        return true; // blocked: revisited next round
+                    }
+                }
+                Instr::Syncthreads => {
+                    if !self.actors[ai].in_sync {
+                        self.actors[ai].in_sync = true;
+                        self.sync_count += 1;
+                    }
+                    if self.sync_count == self.actors.len() {
+                        self.sync_count = 0;
+                        for a in self.actors.iter_mut() {
+                            if a.in_sync {
+                                a.in_sync = false;
+                                advance(a);
+                            }
+                        }
+                    } else {
+                        return true; // blocked at the rendezvous
+                    }
+                }
+                Instr::TmaLoad { bytes, bar } => {
+                    let f = bar.0 as usize;
+                    if let Some(&e) = pairs.guard_of.get(&f) {
+                        let st = self.slots[f].as_mut().expect("paired barriers have slots");
+                        let per_phase = self.bars[f].arrive_count as u64;
+                        let g = st.loads / per_phase;
+                        let init_e = k.barriers[e].init_phases as u64;
+                        // Overwriting generation `g` is ordered only if
+                        // the writer consumed a guard credit covering
+                        // the release of generation `g - init`.
+                        if g >= init_e
+                            && self.actors[ai].local_phase[e] < g + 1
+                            && self.race_flagged.insert((f, true))
+                        {
+                            let mut lint = Lint::at(
+                                LintKind::SharedMemRace {
+                                    data: BarId(f as u32),
+                                    name: k.barriers[f].name.clone(),
+                                    guard: BarId(e as u32),
+                                    role: self.actors[ai].role,
+                                    generation: g,
+                                    write: true,
+                                },
+                                path_of(&self.actors[ai], ai),
+                            );
+                            lint.loc = k.bar_loc(BarId(f as u32)).or(k.bar_loc(BarId(e as u32)));
+                            self.lints.push(lint);
+                        }
+                        st.loads += 1;
+                        st.gen_bytes += bytes;
+                        self.in_flight += bytes;
+                        self.max_in_flight = self.max_in_flight.max(self.in_flight);
+                        if self.bars[f].arrive() {
+                            let full = st.gen_bytes;
+                            st.gen_bytes = 0;
+                            st.gens.push_back(full);
+                        }
+                    } else {
+                        // Unpaired loads (prologue tiles, sync-barrier
+                        // feeds) stay resident; count each site once.
+                        let key = (ai, path_of(&self.actors[ai], ai).indices);
+                        if self.resident.insert(key) {
+                            self.in_flight += bytes;
+                            self.max_in_flight = self.max_in_flight.max(self.in_flight);
+                        }
+                        self.bars[f].arrive();
+                    }
+                    advance(&mut self.actors[ai]);
+                }
+                Instr::MbarArrive { bar } => {
+                    let e = bar.0 as usize;
+                    let data = pairs.data_of.get(&e).copied();
+                    if let Some(f) = data {
+                        let j = self.actors[ai].releases[e];
+                        let init_f = k.barriers[f].init_phases as u64;
+                        // Releasing read `j` is ordered only if the
+                        // reader consumed the data phase it read.
+                        if self.actors[ai].local_phase[f] + init_f < j + 1
+                            && self.race_flagged.insert((f, false))
+                        {
+                            let mut lint = Lint::at(
+                                LintKind::SharedMemRace {
+                                    data: BarId(f as u32),
+                                    name: k.barriers[f].name.clone(),
+                                    guard: BarId(e as u32),
+                                    role: self.actors[ai].role,
+                                    generation: j,
+                                    write: false,
+                                },
+                                path_of(&self.actors[ai], ai),
+                            );
+                            lint.loc = k.bar_loc(BarId(f as u32)).or(k.bar_loc(BarId(e as u32)));
+                            self.lints.push(lint);
+                        }
+                    }
+                    self.actors[ai].releases[e] += 1;
+                    if self.bars[e].arrive() {
+                        if let Some(slot) = data.and_then(|f| self.slots[f].as_mut()) {
+                            if let Some(freed) = slot.gens.pop_front() {
+                                self.in_flight = self.in_flight.saturating_sub(freed);
+                            }
+                        }
+                    }
+                    advance(&mut self.actors[ai]);
+                }
+                // Pure timing: WGMMA / CUDA / copies / stores / delays
+                // never gate liveness (their completions always fire).
+                _ => advance(&mut self.actors[ai]),
             }
-            return lints;
+            self.progressed = true;
+            self.fuel -= 1;
+            if self.fuel == 0 {
+                return false;
+            }
         }
+    }
+
+    /// All actors ran to completion: report what they left behind.
+    fn report_leftovers(&mut self) {
+        let k = self.k;
+        for (b, bar) in self.bars.iter().enumerate() {
+            if bar.arrivals > 0 {
+                let mut lint = Lint::new(LintKind::DoubleArrive {
+                    bar: BarId(b as u32),
+                    name: k.barriers[b].name.clone(),
+                    residue: bar.arrivals,
+                });
+                lint.loc = k.bar_loc(BarId(b as u32));
+                self.lints.push(lint);
+            }
+        }
+        if k.smem_bytes > 0 && self.max_in_flight > k.smem_bytes {
+            self.lints.push(Lint::new(LintKind::SmemOverflow {
+                max_in_flight: self.max_in_flight,
+                smem_bytes: k.smem_bytes,
+            }));
+        }
+    }
+
+    /// Nobody can move: one lint per stuck actor.
+    fn report_deadlock(&mut self) {
+        let k = self.k;
+        let expected = self.actors.len();
+        for (ai, actor) in self.actors.iter_mut().enumerate() {
+            if actor.done {
+                continue;
+            }
+            let path = path_of(actor, ai);
+            let role = actor.role;
+            match next(actor, self.params, &mut self.next_frame_id, false) {
+                Next::Instr(Instr::MbarWait { bar }) => {
+                    let b = bar.0 as usize;
+                    let mut lint = Lint::at(
+                        LintKind::StaticDeadlock {
+                            class: self.ci,
+                            role,
+                            bar: *bar,
+                            name: k.barriers[b].name.clone(),
+                            waiting_phase: actor.local_phase[b],
+                            completed_phases: self.bars[b].completed,
+                            arrivals: self.bars[b].arrivals,
+                            arrive_count: self.bars[b].arrive_count,
+                        },
+                        path,
+                    );
+                    lint.loc = k.bar_loc(*bar);
+                    self.lints.push(lint);
+                }
+                Next::Instr(Instr::Syncthreads) => {
+                    self.lints.push(Lint::at(
+                        LintKind::SyncDeadlock {
+                            class: self.ci,
+                            role,
+                            arrived: self.sync_count,
+                            expected,
+                        },
+                        path,
+                    ));
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// The state with every linear counter taken out (see the type docs),
+    /// plus every live loop frame in actor order.
+    fn signature(&self) -> (Vec<u64>, Vec<FrameMark>) {
+        let mut sig = Vec::with_capacity(96);
+        let mut frames = Vec::with_capacity(2 * self.actors.len());
+        sig.extend([
+            self.progressed as u64,
+            self.sync_count as u64,
+            self.in_flight,
+            self.max_in_flight,
+            self.lints.len() as u64,
+            self.resident.len() as u64,
+        ]);
+        for (a, reach) in self.actors.iter().zip(self.reach) {
+            sig.extend([
+                a.done as u64 | (a.in_sync as u64) << 1,
+                a.stack.len() as u64,
+            ]);
+            for f in &a.stack {
+                sig.extend([f.body.as_ptr() as u64, f.idx as u64]);
+                frames.push(FrameMark {
+                    id: f.id,
+                    remaining: f.trips_left,
+                });
+            }
+            for &b in &reach.waits {
+                sig.push(self.bars[b].completed.wrapping_sub(a.local_phase[b]));
+            }
+            for &(f, e) in &reach.loads_into {
+                sig.push(a.local_phase[e].wrapping_sub(self.generation(f)));
+            }
+            for &(e, f) in &reach.releases {
+                sig.push(a.local_phase[f].wrapping_sub(a.releases[e]));
+            }
+        }
+        sig.extend(self.bars.iter().map(|b| b.arrivals as u64));
+        for (f, slot) in self.slots.iter().enumerate() {
+            let Some(slot) = slot else { continue };
+            let e = self.pairs.guard_of[&f];
+            sig.extend([
+                slot.loads % self.bars[f].arrive_count as u64,
+                // The overwrite check only asks whether the generation is
+                // past the guard's initial credits.
+                self.generation(f)
+                    .min(self.k.barriers[e].init_phases as u64),
+                slot.gen_bytes,
+                slot.gens.len() as u64,
+            ]);
+            sig.extend(&slot.gens);
+        }
+        (sig, frames)
+    }
+
+    /// Generation of slot `f` the next load writes.
+    fn generation(&self, f: usize) -> u64 {
+        let loads = self.slots[f].as_ref().map_or(0, |s| s.loads);
+        loads / self.bars[f].arrive_count as u64
+    }
+
+    fn counters(&self) -> impl Iterator<Item = u64> + '_ {
+        let bars = self.bars.iter().map(|b| b.completed);
+        let actors = self
+            .actors
+            .iter()
+            .flat_map(|a| a.local_phase.iter().chain(&a.releases).copied());
+        let slots = self.slots.iter().flatten().map(|s| s.loads);
+        bars.chain(actors).chain(slots)
+    }
+
+    /// At a watched back-edge: if this state was seen before, jump as many
+    /// whole periods as the loops and the fuel allow.
+    fn fast_forward(&mut self, detector: &mut PeriodDetector<Mark>) {
+        let (sig, frames) = self.signature();
+        let mark = Mark {
+            fuel: self.fuel,
+            counters: self.counters().collect(),
+        };
+        let Some(skip) = detector.observe(sig, frames, mark) else {
+            return;
+        };
+        // The budget must run out on the step it would have: keep at least
+        // one unit of fuel for the walk to spend.
+        let spent = skip.then.fuel - self.fuel;
+        let n = match spent {
+            0 => skip.periods,
+            _ => skip.periods.min((self.fuel - 1) / spent),
+        };
+        self.fuel -= n * spent;
+        let mut then = skip.then.counters.iter();
+        let mut deltas = skip.frame_deltas.iter();
+        let mut grow = |cur: &mut u64| {
+            let was = then.next().expect("marks list the same counters");
+            *cur += n * (*cur - was);
+        };
+        self.bars.iter_mut().for_each(|b| grow(&mut b.completed));
+        for a in &mut self.actors {
+            a.local_phase.iter_mut().for_each(&mut grow);
+            a.releases.iter_mut().for_each(&mut grow);
+            for (f, delta) in a.stack.iter_mut().zip(&mut deltas) {
+                f.trips_left = (n.checked_mul(*delta))
+                    .and_then(|trips| f.trips_left.checked_sub(trips))
+                    .filter(|&left| left > 0)
+                    .expect("the detector leaves every moved frame its last trip");
+            }
+        }
+        self.slots
+            .iter_mut()
+            .flatten()
+            .for_each(|s| grow(&mut s.loads));
     }
 }
 

@@ -647,11 +647,24 @@ pub fn analyze(k: &Kernel) -> Vec<Lint> {
 /// that exhausts `fuel` abstract steps reports
 /// [`LintKind::AnalysisBudget`] carrying the budget instead of a verdict.
 pub fn analyze_with_budget(k: &Kernel, fuel: u64) -> Vec<Lint> {
+    analyze_impl(k, fuel, true)
+}
+
+/// [`analyze_with_budget`] with the interpreter walking every trip of
+/// every loop instead of skipping its steady state: the reference the
+/// differential tests hold the shipped analyzer against. Not a mode of
+/// the product — nothing outside tests calls it.
+#[doc(hidden)]
+pub fn analyze_reference(k: &Kernel, fuel: u64) -> Vec<Lint> {
+    analyze_impl(k, fuel, false)
+}
+
+fn analyze_impl(k: &Kernel, fuel: u64, fast_forward: bool) -> Vec<Lint> {
     let mut lints = structural(k);
     if lints.iter().any(|l| l.severity() == Severity::Error) {
         return lints;
     }
-    lints.extend(interp::check(k, fuel));
+    lints.extend(interp::check(k, fuel, fast_forward));
     lints.sort_by_key(|l| std::cmp::Reverse(l.severity()));
     lints
 }

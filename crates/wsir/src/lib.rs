@@ -57,6 +57,7 @@
 pub mod analyze;
 pub mod instr;
 pub mod kernel;
+pub mod period;
 pub mod print;
 pub mod serialize;
 
