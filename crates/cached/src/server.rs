@@ -15,11 +15,11 @@
 //! decode, because the store only ever persists what `wsir 1` /
 //! sim-outcome deserialization accepted.
 
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -27,62 +27,23 @@ use gpu_sim::COST_MODEL_VERSION;
 use tawa_core::cache::{decode_sim_outcome, encode_sim_outcome, CacheKey};
 use tawa_core::remote::{
     check_hello, err_line, hello_line, protocol_err, read_line, read_payload, DaemonStats,
-    RemoteAddr, IO_TIMEOUT,
+    RemoteAddr, Socket,
 };
+use tawa_core::tier::{KernelSlot, Tier};
 use tawa_wsir::{deserialize_kernel, serialize_kernel};
 
 use crate::store::ShardedStore;
 
-/// Server-side lifetime counters, reported in the `stats` response.
-#[derive(Debug, Default)]
-struct Counters {
-    connections: AtomicU64,
-    requests: AtomicU64,
-    errors: AtomicU64,
-}
-
-/// One accepted connection of either transport.
-enum Conn {
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl Conn {
-    fn set_timeouts(&self) -> io::Result<()> {
-        match self {
-            Conn::Unix(s) => {
-                s.set_read_timeout(Some(IO_TIMEOUT))?;
-                s.set_write_timeout(Some(IO_TIMEOUT))
-            }
-            Conn::Tcp(s) => {
-                s.set_read_timeout(Some(IO_TIMEOUT))?;
-                s.set_write_timeout(Some(IO_TIMEOUT))
-            }
+tawa_core::counters! {
+    /// Server-side lifetime counters, reported in the `stats` response.
+    struct ConnectionStats / Counters {
+        counters {
+            connections,
+            requests,
+            errors,
         }
-    }
-}
-
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Conn::Unix(s) => s.read(buf),
-            Conn::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Conn::Unix(s) => s.write(buf),
-            Conn::Tcp(s) => s.write(buf),
-        }
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Conn::Unix(s) => s.flush(),
-            Conn::Tcp(s) => s.flush(),
-        }
+        gauges {}
+        nested {}
     }
 }
 
@@ -92,11 +53,11 @@ enum Listener {
 }
 
 impl Listener {
-    fn accept(&self) -> io::Result<Conn> {
-        match self {
-            Listener::Unix(l) => l.accept().map(|(s, _)| Conn::Unix(s)),
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
-        }
+    fn accept(&self) -> io::Result<Box<dyn Socket>> {
+        Ok(match self {
+            Listener::Unix(l) => Box::new(l.accept()?.0),
+            Listener::Tcp(l) => Box::new(l.accept()?.0),
+        })
     }
 }
 
@@ -214,7 +175,7 @@ pub fn spawn(store: ShardedStore, addr: &RemoteAddr) -> io::Result<ServerHandle>
                 return;
             }
             let Ok(conn) = conn else { continue };
-            counters.connections.fetch_add(1, Ordering::Relaxed);
+            counters.connections.add(1);
             let store = store.clone();
             let counters = counters.clone();
             let handle = std::thread::spawn(move || serve_connection(conn, &store, &counters));
@@ -235,6 +196,7 @@ pub fn spawn(store: ShardedStore, addr: &RemoteAddr) -> io::Result<ServerHandle>
 
 fn daemon_stats(store: &ShardedStore, counters: &Counters) -> DaemonStats {
     let s = store.stats();
+    let c = counters.snapshot();
     DaemonStats {
         entries: s.entries as u64,
         bytes: s.bytes,
@@ -249,23 +211,23 @@ fn daemon_stats(store: &ShardedStore, counters: &Counters) -> DaemonStats {
         invalidations: s.invalidations,
         evictions: s.evictions,
         sweep_log_errors: s.sweep_log_errors,
-        connections: counters.connections.load(Ordering::Relaxed),
-        requests: counters.requests.load(Ordering::Relaxed),
-        errors: counters.errors.load(Ordering::Relaxed),
+        connections: c.connections,
+        requests: c.requests,
+        errors: c.errors,
     }
 }
 
 /// Serves one connection to completion. Failures end the connection
 /// with a best-effort `err` reply and count toward the daemon's error
 /// counter; they never touch any other connection.
-fn serve_connection(conn: Conn, store: &ShardedStore, counters: &Counters) {
+fn serve_connection(conn: Box<dyn Socket>, store: &ShardedStore, counters: &Counters) {
     if conn.set_timeouts().is_err() {
-        counters.errors.fetch_add(1, Ordering::Relaxed);
+        counters.errors.add(1);
         return;
     }
     let mut conn = BufReader::new(conn);
     if let Err(e) = serve_requests(&mut conn, store, counters) {
-        counters.errors.fetch_add(1, Ordering::Relaxed);
+        counters.errors.add(1);
         let reply = format!("{}\n", err_line(&e.to_string()));
         let _ = conn.get_mut().write_all(reply.as_bytes());
         let _ = conn.get_mut().flush();
@@ -273,7 +235,7 @@ fn serve_connection(conn: Conn, store: &ShardedStore, counters: &Counters) {
 }
 
 fn serve_requests(
-    conn: &mut BufReader<Conn>,
+    conn: &mut BufReader<Box<dyn Socket>>,
     store: &ShardedStore,
     counters: &Counters,
 ) -> io::Result<()> {
@@ -286,7 +248,7 @@ fn serve_requests(
         let Some(line) = read_line(conn)? else {
             return Ok(());
         };
-        counters.requests.fetch_add(1, Ordering::Relaxed);
+        counters.requests.add(1);
         let (status, payload) = execute(&line, conn, store, counters)?;
         let mut reply = status;
         reply.push('\n');
@@ -318,37 +280,34 @@ fn parse_count(text: &str, what: &str) -> io::Result<u64> {
 /// optional payload. Any `Err` ends the connection with an `err` reply.
 fn execute(
     line: &str,
-    conn: &mut BufReader<Conn>,
+    conn: &mut BufReader<Box<dyn Socket>>,
     store: &ShardedStore,
     counters: &Counters,
 ) -> io::Result<(String, Option<String>)> {
     let tokens: Vec<&str> = line.split_whitespace().collect();
     match tokens.as_slice() {
-        ["get-kernel", m, e] => {
-            let key = parse_key(m, e)?;
-            // The infeasibility verdict wins, mirroring the session's
-            // tier order: a negatively cached key has no kernel.
-            if let Some(msg) = store.get_infeasible(&key) {
-                Ok((format!("negative {}", msg.len()), Some(msg)))
-            } else if let Some(kernel) = store.get_kernel(&key) {
+        ["get-kernel", m, e] => Ok(match store.get_kernel_slot(&parse_key(m, e)?) {
+            // The slot answers with the infeasibility verdict first: a
+            // negatively cached key has no kernel.
+            Some(KernelSlot::Infeasible(msg)) => (format!("negative {}", msg.len()), Some(msg)),
+            Some(KernelSlot::Kernel(kernel)) => {
                 let text = serialize_kernel(&kernel);
-                Ok((format!("kernel {}", text.len()), Some(text)))
-            } else {
-                Ok(("miss".to_string(), None))
+                (format!("kernel {}", text.len()), Some(text))
             }
-        }
+            None => ("miss".to_string(), None),
+        }),
         ["put-kernel", m, e, n] => {
             let key = parse_key(m, e)?;
             let payload = read_payload(conn, parse_count(n, "payload length")?)?;
             let kernel = deserialize_kernel(&payload)
                 .map_err(|err| protocol_err(format!("undecodable kernel payload: {err}")))?;
-            store.put_kernel(&key, &kernel);
+            store.put_kernel_slot(&key, &KernelSlot::Kernel(Arc::new(kernel)));
             Ok(("ok".to_string(), None))
         }
         ["put-negative", m, e, n] => {
             let key = parse_key(m, e)?;
             let payload = read_payload(conn, parse_count(n, "payload length")?)?;
-            store.put_infeasible(&key, &payload);
+            store.put_kernel_slot(&key, &KernelSlot::Infeasible(payload));
             Ok(("ok".to_string(), None))
         }
         ["get-sim", m, e, v] => {
@@ -359,7 +318,7 @@ fn execute(
             if parse_count(v, "cost-model version")? != u64::from(COST_MODEL_VERSION) {
                 return Ok(("miss".to_string(), None));
             }
-            match store.get_sim(&key) {
+            match store.get_sim_slot(&key) {
                 Some(outcome) => {
                     let text = encode_sim_outcome(&outcome);
                     Ok((format!("sim {}", text.len()), Some(text)))
@@ -379,7 +338,7 @@ fn execute(
             }
             let outcome = decode_sim_outcome(&payload)
                 .ok_or_else(|| protocol_err("undecodable sim payload"))?;
-            store.put_sim(&key, &outcome);
+            store.put_sim_slot(&key, &outcome);
             Ok(("ok".to_string(), None))
         }
         ["stats"] => Ok((daemon_stats(store, counters).to_line(), None)),

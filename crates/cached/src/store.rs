@@ -12,12 +12,11 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use tawa_core::cache::{CacheKey, DiskCache, DiskCacheStats, SimOutcome};
-use tawa_wsir::Kernel;
+use tawa_core::tier::{shard_index, KernelSlot, Tier, SHARDS};
 
-/// Shard count. Power of two so the selector is a mask; sixteen matches
-/// the session's in-memory shard count and keeps per-shard directories
-/// small.
-pub const STORE_SHARDS: usize = 16;
+/// Shard count: the session's in-memory shard count, which keeps
+/// per-shard directories small.
+pub const STORE_SHARDS: usize = SHARDS;
 
 /// The daemon's cache directory: [`STORE_SHARDS`] independent
 /// [`DiskCache`] shards selected by key fingerprint.
@@ -46,67 +45,17 @@ impl ShardedStore {
         &self.root
     }
 
-    /// The shard owning `key`. Same splitmix64-style finalizer as the
-    /// session's in-memory shards: raw FNV fingerprints of near-identical
-    /// inputs (one sweep's option strings) cluster in any fixed bit
-    /// window without it.
+    /// The shard owning `key`, selected like the session's in-memory
+    /// shards ([`shard_index`]).
     fn shard(&self, key: &CacheKey) -> &DiskCache {
-        let mut h = key.module_fp ^ key.env_fp.rotate_left(32);
-        h ^= h >> 30;
-        h = h.wrapping_mul(0xbf58476d1ce4e5b9);
-        h ^= h >> 27;
-        h = h.wrapping_mul(0x94d049bb133111eb);
-        h ^= h >> 31;
-        &self.shards[h as usize % STORE_SHARDS]
-    }
-
-    /// Looks up the kernel stored under `key`.
-    pub fn get_kernel(&self, key: &CacheKey) -> Option<Kernel> {
-        self.shard(key).load(key)
-    }
-
-    /// Stores a kernel under `key`.
-    pub fn put_kernel(&self, key: &CacheKey, kernel: &Kernel) {
-        self.shard(key).store(key, kernel);
-    }
-
-    /// Looks up the infeasibility verdict stored under `key`.
-    pub fn get_infeasible(&self, key: &CacheKey) -> Option<String> {
-        self.shard(key).load_infeasible(key)
-    }
-
-    /// Stores an infeasibility verdict under `key`.
-    pub fn put_infeasible(&self, key: &CacheKey, message: &str) {
-        self.shard(key).store_infeasible(key, message);
-    }
-
-    /// Looks up the sim outcome stored under `(key, COST_MODEL_VERSION)`.
-    pub fn get_sim(&self, key: &CacheKey) -> Option<SimOutcome> {
-        self.shard(key).load_sim(key)
-    }
-
-    /// Stores a sim outcome under `(key, COST_MODEL_VERSION)`.
-    pub fn put_sim(&self, key: &CacheKey, outcome: &SimOutcome) {
-        self.shard(key).store_sim_outcome(key, outcome);
+        &self.shards[shard_index(key)]
     }
 
     /// Aggregate statistics summed across all shards.
     pub fn stats(&self) -> DiskCacheStats {
         let mut total = DiskCacheStats::default();
         for shard in &self.shards {
-            let s = shard.stats();
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.negative_hits += s.negative_hits;
-            total.sim_hits += s.sim_hits;
-            total.sim_negative_hits += s.sim_negative_hits;
-            total.static_rejections += s.static_rejections;
-            total.writes += s.writes;
-            total.invalidations += s.invalidations;
-            total.evictions += s.evictions;
-            total.sweep_log_errors += s.sweep_log_errors;
-            total.entries += s.entries;
-            total.bytes += s.bytes;
+            total.add(&shard.stats());
         }
         total
     }
@@ -139,6 +88,22 @@ impl ShardedStore {
     }
 }
 
+/// The store is a [`Tier`]: each slot lives in the shard owning its key.
+impl Tier for ShardedStore {
+    fn get_kernel_slot(&self, key: &CacheKey) -> Option<KernelSlot> {
+        self.shard(key).get_kernel_slot(key)
+    }
+    fn put_kernel_slot(&self, key: &CacheKey, slot: &KernelSlot) {
+        self.shard(key).put_kernel_slot(key, slot);
+    }
+    fn get_sim_slot(&self, key: &CacheKey) -> Option<SimOutcome> {
+        self.shard(key).get_sim_slot(key)
+    }
+    fn put_sim_slot(&self, key: &CacheKey, outcome: &SimOutcome) {
+        self.shard(key).put_sim_slot(key, outcome);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,13 +127,13 @@ mod tests {
     fn keys_spread_across_shards_and_round_trip() {
         let store = tmp_store("spread");
         for i in 0..64 {
-            store.put_infeasible(&key(i, i), &format!("verdict {i}"));
+            store.put_kernel_slot(&key(i, i), &KernelSlot::Infeasible(format!("verdict {i}")));
         }
         let mut used = HashSet::new();
         for i in 0..64 {
             assert_eq!(
-                store.get_infeasible(&key(i, i)).as_deref(),
-                Some(format!("verdict {i}").as_str())
+                store.get_kernel_slot(&key(i, i)),
+                Some(KernelSlot::Infeasible(format!("verdict {i}")))
             );
             let shard = store.shard(&key(i, i)) as *const DiskCache;
             used.insert(shard as usize);
@@ -190,7 +155,8 @@ mod tests {
     fn gc_splits_the_budget_across_shards() {
         let store = tmp_store("gc");
         for i in 0..64 {
-            store.put_infeasible(&key(i, 0), "some verdict text for sizing");
+            let verdict = KernelSlot::Infeasible("some verdict text for sizing".into());
+            store.put_kernel_slot(&key(i, 0), &verdict);
         }
         let evicted = store.gc(0);
         assert_eq!(evicted, 64, "a zero budget clears every shard");

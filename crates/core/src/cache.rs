@@ -70,11 +70,14 @@ use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, SystemTime};
 
 use gpu_sim::{deserialize_report, serialize_report, SimReport, COST_MODEL_VERSION};
 use tawa_wsir::serialize::{quote, tokenize, unquote};
 use tawa_wsir::{deserialize_kernel, serialize_kernel, Kernel};
+
+use crate::tier::{KernelSlot, Tier};
 
 /// Version of the on-disk entry layout. Bumped on any incompatible change
 /// to the header, the filename scheme, the key derivation or the embedded
@@ -219,70 +222,48 @@ fn parse_sim_body(body: &str) -> Option<SimOutcome> {
     decode_sim_outcome(rest)
 }
 
-/// Counters of one [`DiskCache`]'s activity, plus a point-in-time scan of
-/// the directory (`entries`, `bytes`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DiskCacheStats {
-    /// Positive entries served from disk.
-    pub hits: u64,
-    /// Lookups that found no usable entry (includes invalidations).
-    pub misses: u64,
-    /// Negative (infeasible) entries served from disk.
-    pub negative_hits: u64,
-    /// Simulation reports served from disk (`.sim` entries recording a
-    /// successful simulation).
-    pub sim_hits: u64,
-    /// Simulation *failure* verdicts served from disk (`.sim` entries
-    /// recording a deterministic simulation error).
-    pub sim_negative_hits: u64,
-    /// Static-analysis rejection verdicts served from disk (`.sim`
-    /// entries recorded by the [`tawa_wsir::analyze()`] gate — the
-    /// simulator was never involved in these).
-    pub static_rejections: u64,
-    /// Entries written (kernels, negative verdicts and sim outcomes).
-    pub writes: u64,
-    /// Entries discarded as unreadable, version-mismatched or corrupt.
-    pub invalidations: u64,
-    /// Entries removed by size/LRU eviction.
-    pub evictions: u64,
-    /// Sweep-log appends that failed ([`DiskCache::record_sweep`] is
-    /// best-effort, but silence would make `tawa-cache stats` quietly
-    /// under-report what pruning saved — the failures are counted so the
-    /// gap is visible).
-    pub sweep_log_errors: u64,
-    /// Entry files currently in the directory.
-    pub entries: usize,
-    /// Total size of entry files in bytes.
-    pub bytes: u64,
-}
-
-impl DiskCacheStats {
-    /// Counter movement since `baseline` (see
-    /// [`crate::CacheStats::delta`]): monotone counters are subtracted
-    /// saturating; the point-in-time gauges (`entries`, `bytes`) are
-    /// reported as-is from `self`.
-    #[must_use]
-    pub fn delta(&self, baseline: &DiskCacheStats) -> DiskCacheStats {
-        DiskCacheStats {
-            hits: self.hits.saturating_sub(baseline.hits),
-            misses: self.misses.saturating_sub(baseline.misses),
-            negative_hits: self.negative_hits.saturating_sub(baseline.negative_hits),
-            sim_hits: self.sim_hits.saturating_sub(baseline.sim_hits),
-            sim_negative_hits: self
-                .sim_negative_hits
-                .saturating_sub(baseline.sim_negative_hits),
-            static_rejections: self
-                .static_rejections
-                .saturating_sub(baseline.static_rejections),
-            writes: self.writes.saturating_sub(baseline.writes),
-            invalidations: self.invalidations.saturating_sub(baseline.invalidations),
-            evictions: self.evictions.saturating_sub(baseline.evictions),
-            sweep_log_errors: self
-                .sweep_log_errors
-                .saturating_sub(baseline.sweep_log_errors),
-            entries: self.entries,
-            bytes: self.bytes,
+crate::counters! {
+    /// Counters of one [`DiskCache`]'s activity, plus a point-in-time scan
+    /// of the directory (`entries`, `bytes`).
+    pub struct DiskCacheStats / DiskCounters {
+        counters {
+            /// Positive entries served from disk.
+            hits,
+            /// Lookups that found no usable entry (includes invalidations).
+            misses,
+            /// Negative (infeasible) entries served from disk.
+            negative_hits,
+            /// Simulation reports served from disk (`.sim` entries
+            /// recording a successful simulation).
+            sim_hits,
+            /// Simulation *failure* verdicts served from disk (`.sim`
+            /// entries recording a deterministic simulation error).
+            sim_negative_hits,
+            /// Static-analysis rejection verdicts served from disk (`.sim`
+            /// entries recorded by the [`tawa_wsir::analyze()`] gate — the
+            /// simulator was never involved in these).
+            static_rejections,
+            /// Entries written (kernels, negative verdicts and sim
+            /// outcomes).
+            writes,
+            /// Entries discarded as unreadable, version-mismatched or
+            /// corrupt.
+            invalidations,
+            /// Entries removed by size/LRU eviction.
+            evictions,
+            /// Sweep-log appends that failed ([`DiskCache::record_sweep`]
+            /// is best-effort, but silence would make `tawa-cache stats`
+            /// quietly under-report what pruning saved — the failures are
+            /// counted so the gap is visible).
+            sweep_log_errors,
         }
+        gauges {
+            /// Entry files currently in the directory.
+            entries: usize,
+            /// Total size of entry files in bytes.
+            bytes: u64,
+        }
+        nested {}
     }
 }
 
@@ -323,16 +304,7 @@ pub struct DiskCache {
     /// write path O(1) in directory size until the budget is actually
     /// approached.
     bytes_estimate: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    negative_hits: AtomicU64,
-    sim_hits: AtomicU64,
-    sim_negative_hits: AtomicU64,
-    static_rejections: AtomicU64,
-    writes: AtomicU64,
-    invalidations: AtomicU64,
-    evictions: AtomicU64,
-    sweep_log_errors: AtomicU64,
+    counters: DiskCounters,
 }
 
 /// Process-global sequence for temp-file names. Deliberately **not**
@@ -370,16 +342,7 @@ impl DiskCache {
             root,
             max_bytes: 0,
             bytes_estimate: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            negative_hits: AtomicU64::new(0),
-            sim_hits: AtomicU64::new(0),
-            sim_negative_hits: AtomicU64::new(0),
-            static_rejections: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            sweep_log_errors: AtomicU64::new(0),
+            counters: DiskCounters::default(),
         })
     }
 
@@ -404,25 +367,11 @@ impl DiskCache {
 
     /// Current counters plus a directory scan (entry count, total bytes).
     pub fn stats(&self) -> DiskCacheStats {
-        let mut entries = 0usize;
-        let mut bytes = 0u64;
-        for (_, len, _) in self.scan_entries() {
-            entries += 1;
-            bytes += len;
-        }
+        let scan = self.scan_entries();
         DiskCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            negative_hits: self.negative_hits.load(Ordering::Relaxed),
-            sim_hits: self.sim_hits.load(Ordering::Relaxed),
-            sim_negative_hits: self.sim_negative_hits.load(Ordering::Relaxed),
-            static_rejections: self.static_rejections.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            sweep_log_errors: self.sweep_log_errors.load(Ordering::Relaxed),
-            entries,
-            bytes,
+            entries: scan.len(),
+            bytes: scan.iter().map(|(_, len, _)| len).sum(),
+            ..self.counters.snapshot()
         }
     }
 
@@ -432,30 +381,9 @@ impl DiskCache {
     /// corrupted body — is a miss; defective entries are deleted so they
     /// are not re-parsed on every lookup.
     pub fn load(&self, key: &CacheKey) -> Option<Kernel> {
-        let path = self.entry_path(key, "wsir");
-        let text = match fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(_) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        };
-        let Some(body) = self.validate_entry(&text, key, &path) else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        };
-        match deserialize_kernel(body) {
-            Ok(kernel) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                touch(&path);
-                Some(kernel)
-            }
-            Err(_) => {
-                self.invalidate(&path);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let kernel = self.load_entry(key, "wsir", |body| deserialize_kernel(body).ok())?;
+        self.counters.hits.add(1);
+        Some(kernel)
     }
 
     /// Stores a compiled kernel under `key` (atomic write; best-effort).
@@ -473,7 +401,7 @@ impl DiskCache {
         let path = self.entry_path(key, "neg");
         let text = fs::read_to_string(&path).ok()?;
         let body = self.validate_entry(&text, key, &path)?;
-        self.negative_hits.fetch_add(1, Ordering::Relaxed);
+        self.counters.negative_hits.add(1);
         touch(&path);
         Some(body.trim_end_matches('\n').to_string())
     }
@@ -497,79 +425,48 @@ impl DiskCache {
     /// invalidates *only* this `.sim` entry: the kernel entry under the
     /// same key keeps serving, because the compiler did not change.
     pub fn load_sim(&self, key: &CacheKey) -> Option<SimOutcome> {
-        let path = self.entry_path(key, "sim");
-        let text = match fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(_) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        };
-        let Some(body) = self.validate_entry(&text, key, &path) else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        };
-        match parse_sim_body(body) {
-            Some(SimOutcome::Report(report)) => {
-                self.sim_hits.fetch_add(1, Ordering::Relaxed);
-                touch(&path);
-                Some(SimOutcome::Report(report))
-            }
-            Some(SimOutcome::Failed(msg)) => {
-                self.sim_negative_hits.fetch_add(1, Ordering::Relaxed);
-                touch(&path);
-                Some(SimOutcome::Failed(msg))
-            }
-            Some(SimOutcome::StaticRejection(msg)) => {
-                self.static_rejections.fetch_add(1, Ordering::Relaxed);
-                touch(&path);
-                Some(SimOutcome::StaticRejection(msg))
-            }
-            None => {
-                self.invalidate(&path);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Stores a simulation report under `(key, COST_MODEL_VERSION)`
-    /// (atomic write; best-effort).
-    pub fn store_sim_report(&self, key: &CacheKey, report: &SimReport) {
-        let mut doc = self.sim_header(key);
-        doc.push_str(&serialize_report(report));
-        self.write_entry(self.entry_path(key, "sim"), &doc);
-    }
-
-    /// Records that simulating `key` fails deterministically under the
-    /// current cost model (deadlock, unplaceable kernel), so warm sweeps
-    /// skip the doomed simulation too (atomic write; best-effort).
-    pub fn store_sim_failure(&self, key: &CacheKey, message: &str) {
-        let mut doc = self.sim_header(key);
-        doc.push_str(&format!("sim-error {}\n", quote(message)));
-        self.write_entry(self.entry_path(key, "sim"), &doc);
-    }
-
-    /// Records that the static analyzer proved `key`'s kernel deadlocks
-    /// — the simulator was never invoked, and warm sweeps skip it too
-    /// (atomic write; best-effort). Stored in the `.sim` slot: the
-    /// verdict gates the same stage a simulator-discovered failure does,
-    /// it just costs zero simulated cycles to reach.
-    pub fn store_static_rejection(&self, key: &CacheKey, message: &str) {
-        let mut doc = self.sim_header(key);
-        doc.push_str(&format!("static-error {}\n", quote(message)));
-        self.write_entry(self.entry_path(key, "sim"), &doc);
-    }
-
-    /// Stores any [`SimOutcome`] under `(key, COST_MODEL_VERSION)` —
-    /// the entry point the session's remote-promotion path and the
-    /// `tawa-cached` daemon use, dispatching to the per-kind stores.
-    pub fn store_sim_outcome(&self, key: &CacheKey, outcome: &SimOutcome) {
+        let outcome = self.load_entry(key, "sim", parse_sim_body)?;
         match outcome {
-            SimOutcome::Report(report) => self.store_sim_report(key, report),
-            SimOutcome::Failed(msg) => self.store_sim_failure(key, msg),
-            SimOutcome::StaticRejection(msg) => self.store_static_rejection(key, msg),
+            SimOutcome::Report(_) => self.counters.sim_hits.add(1),
+            SimOutcome::Failed(_) => self.counters.sim_negative_hits.add(1),
+            SimOutcome::StaticRejection(_) => self.counters.static_rejections.add(1),
         }
+        Some(outcome)
+    }
+
+    /// Stores a [`SimOutcome`] under `(key, COST_MODEL_VERSION)` (atomic
+    /// write; best-effort): a report, a deterministic simulator failure
+    /// (deadlock, unplaceable kernel) or the static gate's rejection —
+    /// whichever it is, warm sweeps skip the simulator.
+    pub fn store_sim_outcome(&self, key: &CacheKey, outcome: &SimOutcome) {
+        let mut doc = self.sim_header(key);
+        doc.push_str(&encode_sim_outcome(outcome));
+        self.write_entry(self.entry_path(key, "sim"), &doc);
+    }
+
+    /// The lookup kernel and sim entries share: reads the `ext` entry
+    /// under `key`, checks header and key echo, parses the body. Any
+    /// defect is a counted miss (and deletes the entry); a hit refreshes
+    /// the LRU mtime and is counted by the caller, by what was found.
+    fn load_entry<T>(
+        &self,
+        key: &CacheKey,
+        ext: &str,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> Option<T> {
+        let path = self.entry_path(key, ext);
+        let value = fs::read_to_string(&path).ok().and_then(|text| {
+            let value = parse(self.validate_entry(&text, key, &path)?);
+            if value.is_none() {
+                self.invalidate(&path);
+            }
+            value
+        });
+        match value {
+            Some(_) => touch(&path),
+            None => self.counters.misses.add(1),
+        }
+        value
     }
 
     /// Removes every entry file. Counters are kept.
@@ -601,7 +498,7 @@ impl DiskCache {
             .open(self.root.join(SWEEP_LOG))
             .and_then(|mut f| std::io::Write::write_all(&mut f, line.as_bytes()));
         if appended.is_err() {
-            self.sweep_log_errors.fetch_add(1, Ordering::Relaxed);
+            self.counters.sweep_log_errors.add(1);
         }
     }
 
@@ -644,12 +541,7 @@ impl DiskCache {
     /// `None` for non-kernel entries and for anything a lookup would
     /// invalidate (but leaves the file alone).
     pub fn peek_kernel(&self, entry: &CacheEntry) -> Option<Kernel> {
-        if entry.kind != EntryKind::Kernel {
-            return None;
-        }
-        let text = fs::read_to_string(&entry.path).ok()?;
-        let body = text.strip_prefix(&self.header(&entry.key))?;
-        deserialize_kernel(body).ok()
+        deserialize_kernel(&self.peek_body(entry, EntryKind::Kernel)?).ok()
     }
 
     /// Classifies a `.sim` entry — report, simulator failure or static
@@ -657,12 +549,17 @@ impl DiskCache {
     /// label `tawa-cache ls` prints). Returns `None` for non-sim
     /// entries and for anything a lookup would invalidate.
     pub fn peek_sim(&self, entry: &CacheEntry) -> Option<SimOutcome> {
-        if entry.kind != EntryKind::SimReport {
+        parse_sim_body(&self.peek_body(entry, EntryKind::SimReport)?)
+    }
+
+    /// The body of `entry` if it is of `kind` and carries the right
+    /// header; the file is left alone either way.
+    fn peek_body(&self, entry: &CacheEntry, kind: EntryKind) -> Option<String> {
+        if entry.kind != kind {
             return None;
         }
         let text = fs::read_to_string(&entry.path).ok()?;
-        let body = text.strip_prefix(&self.header(&entry.key))?;
-        parse_sim_body(body)
+        Some(text.strip_prefix(&self.header(&entry.key))?.to_string())
     }
 
     /// Enumerates the entries currently in the directory, keys recovered
@@ -709,28 +606,18 @@ impl DiskCache {
         let Some(body) = self.validate_entry(&text, &entry.key, &path) else {
             return false;
         };
-        match entry.kind {
+        let sound = match entry.kind {
             EntryKind::Infeasible => true,
-            EntryKind::Kernel => {
-                if deserialize_kernel(body).is_ok() {
-                    true
-                } else {
-                    self.invalidate(&path);
-                    false
-                }
-            }
-            EntryKind::SimReport => {
-                // A stale cost-model echo is a defect too: this binary
-                // can never serve the entry, so `verify` reclaims it just
-                // like a lookup would.
-                if parse_sim_body(body).is_some() {
-                    true
-                } else {
-                    self.invalidate(&path);
-                    false
-                }
-            }
+            EntryKind::Kernel => deserialize_kernel(body).is_ok(),
+            // A stale cost-model echo is a defect too: this binary can
+            // never serve the entry, so `verify` reclaims it just like a
+            // lookup would.
+            EntryKind::SimReport => parse_sim_body(body).is_some(),
+        };
+        if !sound {
+            self.invalidate(&path);
         }
+        sound
     }
 
     /// Evicts least-recently-used entries until the directory fits
@@ -738,9 +625,9 @@ impl DiskCache {
     /// [`DiskCache::with_max_bytes`]). Returns the number of entries
     /// removed. `max_bytes = 0` empties the directory.
     pub fn gc(&self, max_bytes: u64) -> u64 {
-        let before = self.evictions.load(Ordering::Relaxed);
+        let before = self.counters.evictions.get();
         self.evict_to(max_bytes);
-        self.evictions.load(Ordering::Relaxed) - before
+        self.counters.evictions.get() - before
     }
 
     fn entry_path(&self, key: &CacheKey, ext: &str) -> PathBuf {
@@ -777,7 +664,7 @@ impl DiskCache {
     }
 
     fn invalidate(&self, path: &Path) {
-        self.invalidations.fetch_add(1, Ordering::Relaxed);
+        self.counters.invalidations.add(1);
         let _ = fs::remove_file(path);
     }
 
@@ -792,12 +679,14 @@ impl DiskCache {
             .and_then(|()| fs::rename(&tmp, &path))
             .is_ok();
         if ok {
-            self.writes.fetch_add(1, Ordering::Relaxed);
+            self.counters.writes.add(1);
             if self.max_bytes != 0 {
                 let written = doc.len() as u64;
                 let estimate = self.bytes_estimate.fetch_add(written, Ordering::Relaxed) + written;
+                // Only past the budget, so the directory scan amortizes
+                // over many writes.
                 if estimate > self.max_bytes {
-                    self.evict_to_budget();
+                    self.evict_to(self.max_bytes);
                 }
             }
         } else {
@@ -828,14 +717,6 @@ impl DiskCache {
         out
     }
 
-    /// Removes least-recently-used entries until the directory fits the
-    /// write-path size budget. Only called when the running estimate
-    /// exceeds the budget, so the directory scan amortizes over many
-    /// writes.
-    fn evict_to_budget(&self) {
-        self.evict_to(self.max_bytes);
-    }
-
     /// Removes least-recently-used entries until the directory fits
     /// `budget` bytes, then corrects the byte estimate toward the exact
     /// total.
@@ -850,7 +731,7 @@ impl DiskCache {
                     break;
                 }
                 if fs::remove_file(&path).is_ok() {
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
+                    self.counters.evictions.add(1);
                     total = total.saturating_sub(len);
                 }
             }
@@ -871,6 +752,27 @@ impl DiskCache {
             self.bytes_estimate
                 .fetch_add(total - estimate_at_scan, Ordering::Relaxed);
         }
+    }
+}
+
+impl Tier for DiskCache {
+    fn get_kernel_slot(&self, key: &CacheKey) -> Option<KernelSlot> {
+        // The `.neg` probe comes first: within a tier the negative
+        // verdict wins over a kernel.
+        let infeasible = self.load_infeasible(key).map(KernelSlot::Infeasible);
+        infeasible.or_else(|| self.load(key).map(|k| KernelSlot::Kernel(Arc::new(k))))
+    }
+    fn put_kernel_slot(&self, key: &CacheKey, slot: &KernelSlot) {
+        match slot {
+            KernelSlot::Kernel(kernel) => self.store(key, kernel),
+            KernelSlot::Infeasible(message) => self.store_infeasible(key, message),
+        }
+    }
+    fn get_sim_slot(&self, key: &CacheKey) -> Option<SimOutcome> {
+        self.load_sim(key)
+    }
+    fn put_sim_slot(&self, key: &CacheKey, outcome: &SimOutcome) {
+        self.store_sim_outcome(key, outcome);
     }
 }
 
@@ -1089,6 +991,51 @@ mod tests {
     }
 
     #[test]
+    fn store_sim_outcome_writes_the_documents_older_builds_wrote() {
+        // Byte-for-byte what `store_sim_report` / `store_sim_failure` /
+        // `store_static_rejection` produced before `store_sim_outcome`
+        // replaced them (captured from that commit): cache directories
+        // and daemon stores written by older builds keep serving, and
+        // entries written now serve older builds.
+        let dir = tmp_dir("sim-outcome-pin");
+        let cache = DiskCache::open(&dir).unwrap();
+        let header = |env_fp: u64| {
+            format!(
+                "tawa-kernel-cache 1\nkey 00000000000000ab {env_fp:016x}\n\
+                 cost-model {COST_MODEL_VERSION}\n"
+            )
+        };
+        let cases = [
+            (
+                SimOutcome::Report(sample_report(7)),
+                "sim-report 1\nreport \"k7\" total_time_us=0x4033800000000000 \
+                 kernel_time_us=0x4026800000000000 tflops=0x4082C00000000000 \
+                 tc_utilization=0x3FEC000000000000 occupancy=2 waves=10 cycles=8000 \
+                 bytes_loaded=1048576 bytes_stored=16384 tc_flops=1073741824\n\
+                 wave cycles=900 tc_busy=800 cuda_busy=0 mem_busy=0 bytes_loaded=0 \
+                 bytes_stored=0 tc_flops=0 stall_barrier=0 stall_wgmma=0 stall_cpasync=0 \
+                 stall_sync=0\n",
+            ),
+            (
+                SimOutcome::Failed("deadlock: [cta0 wg1 BlockedBar(0) since 42]".to_string()),
+                "sim-error \"deadlock: [cta0 wg1 BlockedBar(0) since 42]\"\n",
+            ),
+            (
+                SimOutcome::StaticRejection(
+                    "static deadlock: wg0 waits on bar0 \"full\"".to_string(),
+                ),
+                "static-error \"static deadlock: wg0 waits on bar0 \\\"full\\\"\"\n",
+            ),
+        ];
+        for (env_fp, (outcome, body)) in (0xcd_u64..).zip(&cases) {
+            cache.store_sim_outcome(&key(0xab, env_fp), outcome);
+            let path = dir.join(format!("k-{:016x}-{env_fp:016x}.sim", 0xab));
+            let written = fs::read_to_string(path).unwrap();
+            assert_eq!(written, format!("{}{body}", header(env_fp)));
+        }
+    }
+
+    #[test]
     fn stats_delta_subtracts_counters_and_keeps_gauges() {
         let cache = DiskCache::open(tmp_dir("stats-delta")).unwrap();
         let k = sample_kernel(3);
@@ -1162,12 +1109,15 @@ mod tests {
     fn sim_outcomes_round_trip() {
         let cache = DiskCache::open(tmp_dir("sim-roundtrip")).unwrap();
         assert_eq!(cache.load_sim(&key(1, 1)), None);
-        cache.store_sim_report(&key(1, 1), &sample_report(7));
+        cache.store_sim_outcome(&key(1, 1), &SimOutcome::Report(sample_report(7)));
         assert_eq!(
             cache.load_sim(&key(1, 1)),
             Some(SimOutcome::Report(sample_report(7)))
         );
-        cache.store_sim_failure(&key(2, 2), "deadlock: [cta0 wg1 BlockedBar(0) since 42]");
+        cache.store_sim_outcome(
+            &key(2, 2),
+            &SimOutcome::Failed("deadlock: [cta0 wg1 BlockedBar(0) since 42]".to_string()),
+        );
         assert_eq!(
             cache.load_sim(&key(2, 2)),
             Some(SimOutcome::Failed(
@@ -1186,7 +1136,10 @@ mod tests {
     fn static_rejections_round_trip_and_peek_without_counting() {
         let cache = DiskCache::open(tmp_dir("static-neg")).unwrap();
         let verdict = "static deadlock: wg0 waits on bar0 \"full\"";
-        cache.store_static_rejection(&key(3, 3), verdict);
+        cache.store_sim_outcome(
+            &key(3, 3),
+            &SimOutcome::StaticRejection(verdict.to_string()),
+        );
         assert_eq!(
             cache.load_sim(&key(3, 3)),
             Some(SimOutcome::StaticRejection(verdict.to_string()))
@@ -1222,7 +1175,7 @@ mod tests {
         let cache = DiskCache::open(&dir).unwrap();
         let k = key(4, 4);
         cache.store(&k, &sample_kernel(1));
-        cache.store_sim_report(&k, &sample_report(1));
+        cache.store_sim_outcome(&k, &SimOutcome::Report(sample_report(1)));
         // Rewrite the cost-model echo, simulating an entry written by a
         // build with a different timing model.
         let path = dir.join(format!("k-{:016x}-{:016x}.sim", 4, 4));
@@ -1246,8 +1199,8 @@ mod tests {
     fn corrupt_sim_entries_are_invalidated_and_verified_away() {
         let dir = tmp_dir("sim-verify");
         let cache = DiskCache::open(&dir).unwrap();
-        cache.store_sim_report(&key(1, 1), &sample_report(1));
-        cache.store_sim_failure(&key(2, 2), "deadlock");
+        cache.store_sim_outcome(&key(1, 1), &SimOutcome::Report(sample_report(1)));
+        cache.store_sim_outcome(&key(2, 2), &SimOutcome::Failed("deadlock".to_string()));
         for e in cache.entries() {
             assert_eq!(e.kind, EntryKind::SimReport);
             assert!(cache.verify_entry(&e), "{e:?}");
@@ -1260,7 +1213,7 @@ mod tests {
         assert_eq!(cache.load_sim(&key(1, 1)), None);
         assert!(!path.exists(), "corrupt sim entry must be deleted");
         // verify repairs defects the same way lookups do.
-        cache.store_sim_report(&key(1, 1), &sample_report(1));
+        cache.store_sim_outcome(&key(1, 1), &SimOutcome::Report(sample_report(1)));
         let path = dir.join(format!("k-{:016x}-{:016x}.sim", 1, 1));
         let text = fs::read_to_string(&path).unwrap();
         fs::write(&path, format!("{}sim-error unquoted", &text[..header_len])).unwrap();

@@ -61,6 +61,7 @@ pub mod partition;
 pub mod pipeline;
 pub mod remote;
 pub mod session;
+pub mod tier;
 
 pub use cache::{CacheEntry, DiskCache, DiskCacheStats, EntryKind, SimOutcome, SweepTotals};
 pub use compile::{compile, compile_and_simulate};
@@ -71,4 +72,5 @@ pub use session::{
     CacheStats, CompileJob, CompileSession, PerfSummary, ANALYZE_FUEL_ENV, COMPILE_WORKERS_ENV,
     DISK_CACHE_ENV,
 };
+pub use tier::{KernelSlot, Tier};
 pub mod interp;

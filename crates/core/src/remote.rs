@@ -55,7 +55,8 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use gpu_sim::COST_MODEL_VERSION;
@@ -63,6 +64,7 @@ use tawa_wsir::serialize::{quote, tokenize, Fields};
 use tawa_wsir::{deserialize_kernel, serialize_kernel, Kernel};
 
 use crate::cache::{decode_sim_outcome, encode_sim_outcome, CacheKey, SimOutcome};
+use crate::tier::{KernelSlot, Tier};
 
 /// Protocol name, echoed in both hello lines.
 pub const REMOTE_PROTOCOL: &str = "tawa-cached";
@@ -175,113 +177,74 @@ impl fmt::Display for RemoteAddr {
     }
 }
 
-/// A connected client or server stream of either transport.
-enum Stream {
-    Unix(UnixStream),
-    Tcp(TcpStream),
+/// A connected socket of either transport, as both ends of the protocol
+/// hold it: the client dials one, the daemon accepts them.
+pub trait Socket: Read + Write + Send {
+    /// Bounds every read and write by [`IO_TIMEOUT`].
+    fn set_timeouts(&self) -> io::Result<()>;
 }
 
-impl Stream {
-    fn connect(addr: &RemoteAddr) -> io::Result<Stream> {
-        let stream = match addr {
-            RemoteAddr::Unix(path) => Stream::Unix(UnixStream::connect(path)?),
-            RemoteAddr::Tcp(addr) => Stream::Tcp(TcpStream::connect(addr.as_str())?),
-        };
-        match &stream {
-            Stream::Unix(s) => {
-                s.set_read_timeout(Some(IO_TIMEOUT))?;
-                s.set_write_timeout(Some(IO_TIMEOUT))?;
-            }
-            Stream::Tcp(s) => {
-                s.set_read_timeout(Some(IO_TIMEOUT))?;
-                s.set_write_timeout(Some(IO_TIMEOUT))?;
-            }
-        }
-        Ok(stream)
+impl Socket for UnixStream {
+    fn set_timeouts(&self) -> io::Result<()> {
+        self.set_read_timeout(Some(IO_TIMEOUT))?;
+        self.set_write_timeout(Some(IO_TIMEOUT))
     }
 }
 
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Stream::Unix(s) => s.read(buf),
-            Stream::Tcp(s) => s.read(buf),
-        }
+impl Socket for TcpStream {
+    fn set_timeouts(&self) -> io::Result<()> {
+        self.set_read_timeout(Some(IO_TIMEOUT))?;
+        self.set_write_timeout(Some(IO_TIMEOUT))
     }
 }
 
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Stream::Unix(s) => s.write(buf),
-            Stream::Tcp(s) => s.write(buf),
-        }
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Stream::Unix(s) => s.flush(),
-            Stream::Tcp(s) => s.flush(),
-        }
-    }
+/// Connects to the daemon at `addr`, timeouts set.
+fn dial(addr: &RemoteAddr) -> io::Result<Box<dyn Socket>> {
+    let socket: Box<dyn Socket> = match addr {
+        RemoteAddr::Unix(path) => Box::new(UnixStream::connect(path)?),
+        RemoteAddr::Tcp(addr) => Box::new(TcpStream::connect(addr.as_str())?),
+    };
+    socket.set_timeouts()?;
+    Ok(socket)
 }
 
-/// A `get-kernel` hit: either the compiled kernel or the cached
-/// infeasibility verdict for that key.
-#[derive(Clone, Debug, PartialEq)]
-pub enum RemoteKernel {
-    /// The key's compiled kernel, deserialized from its `wsir 1` payload.
-    Kernel(Kernel),
-    /// The key is negatively cached: compilation is known-infeasible.
-    Infeasible(String),
-}
-
-/// Client-side traffic counters for the remote tier. All monotone; the
-/// session folds them into
-/// [`CacheStats`](crate::session::CacheStats).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RemoteCacheStats {
-    /// `get-kernel` requests answered with a kernel payload.
-    pub kernel_hits: u64,
-    /// `get-kernel` requests answered with an infeasibility verdict.
-    pub negative_hits: u64,
-    /// `get-sim` requests answered with a successful simulation report.
-    pub sim_hits: u64,
-    /// `get-sim` requests answered with a cached failure or static
-    /// rejection.
-    pub sim_negative_hits: u64,
-    /// Get requests the daemon answered `miss`.
-    pub misses: u64,
-    /// Put requests the daemon acknowledged.
-    pub puts: u64,
-    /// Failed operations: transport errors, version mismatches,
-    /// protocol violations, rejected puts.
-    pub errors: u64,
-    /// Round trips attempted (every request that reached the wire,
-    /// successful or not).
-    pub roundtrips: u64,
+crate::counters! {
+    /// Client-side traffic counters for the remote tier. All monotone;
+    /// the session folds them into
+    /// [`CacheStats`](crate::session::CacheStats).
+    pub struct RemoteCacheStats / RemoteCounters {
+        counters {
+            /// `get-kernel` requests answered with a kernel payload.
+            kernel_hits,
+            /// `get-kernel` requests answered with an infeasibility
+            /// verdict.
+            negative_hits,
+            /// `get-sim` requests answered with a successful simulation
+            /// report.
+            sim_hits,
+            /// `get-sim` requests answered with a cached failure or static
+            /// rejection.
+            sim_negative_hits,
+            /// Get requests the daemon answered `miss`.
+            misses,
+            /// Put requests the daemon acknowledged.
+            puts,
+            /// Failed operations: transport errors, version mismatches,
+            /// protocol violations, rejected puts.
+            errors,
+            /// Round trips attempted (every request that reached the
+            /// wire, successful or not).
+            roundtrips,
+        }
+        gauges {}
+        nested {}
+    }
 }
 
 impl RemoteCacheStats {
     /// Total hits across all four get classes.
     pub fn hits(&self) -> u64 {
         self.kernel_hits + self.negative_hits + self.sim_hits + self.sim_negative_hits
-    }
-
-    /// Counter increments since `baseline` (saturating, so a stale
-    /// baseline reads as zero rather than wrapping).
-    pub fn delta(&self, baseline: &RemoteCacheStats) -> RemoteCacheStats {
-        RemoteCacheStats {
-            kernel_hits: self.kernel_hits.saturating_sub(baseline.kernel_hits),
-            negative_hits: self.negative_hits.saturating_sub(baseline.negative_hits),
-            sim_hits: self.sim_hits.saturating_sub(baseline.sim_hits),
-            sim_negative_hits: self
-                .sim_negative_hits
-                .saturating_sub(baseline.sim_negative_hits),
-            misses: self.misses.saturating_sub(baseline.misses),
-            puts: self.puts.saturating_sub(baseline.puts),
-            errors: self.errors.saturating_sub(baseline.errors),
-            roundtrips: self.roundtrips.saturating_sub(baseline.roundtrips),
-        }
     }
 }
 
@@ -321,49 +284,36 @@ pub struct DaemonStats {
     pub errors: u64,
 }
 
-impl DaemonStats {
-    const FIELDS: [&'static str; 14] = [
-        "entries",
-        "bytes",
-        "hits",
-        "misses",
-        "writes",
-        "negative_hits",
-        "sim_hits",
-        "sim_negative_hits",
-        "invalidations",
-        "evictions",
-        "sweep_log_errors",
-        "connections",
-        "requests",
-        "errors",
-    ];
+/// Accessor of one [`DaemonStats`] field: read through it to render,
+/// written through it to parse.
+type DaemonField = fn(&mut DaemonStats) -> &mut u64;
 
-    fn field(&self, name: &str) -> u64 {
-        match name {
-            "entries" => self.entries,
-            "bytes" => self.bytes,
-            "hits" => self.hits,
-            "misses" => self.misses,
-            "writes" => self.writes,
-            "negative_hits" => self.negative_hits,
-            "sim_hits" => self.sim_hits,
-            "sim_negative_hits" => self.sim_negative_hits,
-            "invalidations" => self.invalidations,
-            "evictions" => self.evictions,
-            "sweep_log_errors" => self.sweep_log_errors,
-            "connections" => self.connections,
-            "requests" => self.requests,
-            "errors" => self.errors,
-            _ => unreachable!("unknown daemon-stats field {name}"),
-        }
-    }
+impl DaemonStats {
+    /// Every wire field, in line order, with its accessor — the one list
+    /// [`DaemonStats::to_line`] and [`DaemonStats::parse`] both walk.
+    const FIELDS: [(&'static str, DaemonField); 14] = [
+        ("entries", |s| &mut s.entries),
+        ("bytes", |s| &mut s.bytes),
+        ("hits", |s| &mut s.hits),
+        ("misses", |s| &mut s.misses),
+        ("writes", |s| &mut s.writes),
+        ("negative_hits", |s| &mut s.negative_hits),
+        ("sim_hits", |s| &mut s.sim_hits),
+        ("sim_negative_hits", |s| &mut s.sim_negative_hits),
+        ("invalidations", |s| &mut s.invalidations),
+        ("evictions", |s| &mut s.evictions),
+        ("sweep_log_errors", |s| &mut s.sweep_log_errors),
+        ("connections", |s| &mut s.connections),
+        ("requests", |s| &mut s.requests),
+        ("errors", |s| &mut s.errors),
+    ];
 
     /// Renders the `stats ...` response line (without the newline).
     pub fn to_line(&self) -> String {
+        let mut stats = *self;
         let mut line = String::from("stats");
-        for name in Self::FIELDS {
-            line.push_str(&format!(" {name}={}", self.field(name)));
+        for (name, field) in Self::FIELDS {
+            line.push_str(&format!(" {name}={}", field(&mut stats)));
         }
         line
     }
@@ -377,22 +327,11 @@ impl DaemonStats {
             return None;
         }
         let fields = Fields::new(rest, 1);
-        Some(DaemonStats {
-            entries: fields.u64("entries").ok()?,
-            bytes: fields.u64("bytes").ok()?,
-            hits: fields.u64("hits").ok()?,
-            misses: fields.u64("misses").ok()?,
-            writes: fields.u64("writes").ok()?,
-            negative_hits: fields.u64("negative_hits").ok()?,
-            sim_hits: fields.u64("sim_hits").ok()?,
-            sim_negative_hits: fields.u64("sim_negative_hits").ok()?,
-            invalidations: fields.u64("invalidations").ok()?,
-            evictions: fields.u64("evictions").ok()?,
-            sweep_log_errors: fields.u64("sweep_log_errors").ok()?,
-            connections: fields.u64("connections").ok()?,
-            requests: fields.u64("requests").ok()?,
-            errors: fields.u64("errors").ok()?,
-        })
+        let mut stats = DaemonStats::default();
+        for (name, field) in Self::FIELDS {
+            *field(&mut stats) = fields.u64(name).ok()?;
+        }
+        Some(stats)
     }
 }
 
@@ -419,14 +358,7 @@ pub struct RemoteCache {
     addr: RemoteAddr,
     down: AtomicBool,
     warned: AtomicBool,
-    kernel_hits: AtomicU64,
-    negative_hits: AtomicU64,
-    sim_hits: AtomicU64,
-    sim_negative_hits: AtomicU64,
-    misses: AtomicU64,
-    puts: AtomicU64,
-    errors: AtomicU64,
-    roundtrips: AtomicU64,
+    counters: RemoteCounters,
 }
 
 impl fmt::Debug for RemoteCache {
@@ -448,14 +380,7 @@ impl RemoteCache {
             addr,
             down: AtomicBool::new(false),
             warned: AtomicBool::new(false),
-            kernel_hits: AtomicU64::new(0),
-            negative_hits: AtomicU64::new(0),
-            sim_hits: AtomicU64::new(0),
-            sim_negative_hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            puts: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            roundtrips: AtomicU64::new(0),
+            counters: RemoteCounters::default(),
         }
     }
 
@@ -471,21 +396,12 @@ impl RemoteCache {
 
     /// Point-in-time snapshot of the client's traffic counters.
     pub fn stats(&self) -> RemoteCacheStats {
-        RemoteCacheStats {
-            kernel_hits: self.kernel_hits.load(Ordering::Relaxed),
-            negative_hits: self.negative_hits.load(Ordering::Relaxed),
-            sim_hits: self.sim_hits.load(Ordering::Relaxed),
-            sim_negative_hits: self.sim_negative_hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            puts: self.puts.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            roundtrips: self.roundtrips.load(Ordering::Relaxed),
-        }
+        self.counters.snapshot()
     }
 
     /// Latches the client down, counting the failure and warning once.
     fn fail(&self, context: &str, err: impl fmt::Display) {
-        self.errors.fetch_add(1, Ordering::Relaxed);
+        self.counters.errors.add(1);
         self.down.store(true, Ordering::Relaxed);
         if !self.warned.swap(true, Ordering::Relaxed) {
             eprintln!(
@@ -496,17 +412,11 @@ impl RemoteCache {
         }
     }
 
-    /// Counts a rejected request without latching: the daemon is alive
-    /// and speaking the protocol, it just refused this payload.
-    fn rejected(&self) {
-        self.errors.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Dials the daemon, exchanges hellos, sends one request (plus
     /// optional payload) and reads the response.
     fn transact(&self, request: &str, payload: Option<&str>) -> io::Result<Response> {
-        self.roundtrips.fetch_add(1, Ordering::Relaxed);
-        let mut conn = BufReader::new(Stream::connect(&self.addr)?);
+        self.counters.roundtrips.add(1);
+        let mut conn = BufReader::new(dial(&self.addr)?);
         let greeting =
             read_line(&mut conn)?.ok_or_else(|| protocol_err("closed before greeting"))?;
         check_hello(&greeting)?;
@@ -530,190 +440,162 @@ impl RemoteCache {
         Ok(Response { status, payload })
     }
 
-    /// Looks up the compiled kernel (or cached infeasibility verdict)
-    /// for `key`. `None` is a miss — or a down client, which is
-    /// indistinguishable by design.
-    pub fn get_kernel(&self, key: &CacheKey) -> Option<RemoteKernel> {
+    /// One request/response exchange — the path every operation takes.
+    /// A down client answers `None` without dialling; a transport error,
+    /// or a response `read` does not accept, latches the client down.
+    fn exchange<T>(
+        &self,
+        context: &str,
+        request: &str,
+        payload: Option<&str>,
+        read: impl FnOnce(&Response) -> Option<T>,
+    ) -> Option<T> {
         if self.is_down() {
             return None;
         }
-        let req = format!("get-kernel {:016x} {:016x}", key.module_fp, key.env_fp);
-        let resp = match self.transact(&req, None) {
-            Ok(resp) => resp,
-            Err(e) => {
-                self.fail("get-kernel", e);
-                return None;
-            }
-        };
-        match (resp.head(), &resp.payload) {
-            ("kernel", Some(text)) => match deserialize_kernel(text) {
-                Ok(kernel) => {
-                    self.kernel_hits.fetch_add(1, Ordering::Relaxed);
-                    Some(RemoteKernel::Kernel(kernel))
-                }
-                Err(e) => {
-                    self.fail("get-kernel", format!("undecodable kernel payload: {e}"));
-                    None
-                }
-            },
-            ("negative", Some(text)) => {
-                self.negative_hits.fetch_add(1, Ordering::Relaxed);
-                Some(RemoteKernel::Infeasible(text.clone()))
-            }
-            ("miss", None) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            _ => {
-                self.fail("get-kernel", unexpected(&resp));
+        let answer = self.transact(request, payload).map_err(|e| e.to_string());
+        match answer.and_then(|resp| read(&resp).ok_or_else(|| unexpected(&resp))) {
+            Ok(value) => Some(value),
+            Err(why) => {
+                self.fail(context, why);
                 None
             }
         }
+    }
+
+    /// A `get-*` exchange: `decode` turns a `(status, payload)` hit into
+    /// a value; `miss` is counted and `None`, anything undecodable
+    /// latches the client down.
+    fn get<T>(
+        &self,
+        context: &str,
+        request: &str,
+        decode: impl FnOnce(&str, &str) -> Option<T>,
+    ) -> Option<T> {
+        let hit = self.exchange(context, request, None, |resp| {
+            match (resp.head(), &resp.payload) {
+                ("miss", None) => Some(None),
+                (kind, Some(text)) => decode(kind, text).map(Some),
+                _ => None,
+            }
+        })?;
+        if hit.is_none() {
+            self.counters.misses.add(1);
+        }
+        hit
+    }
+
+    /// Looks up the compiled kernel (or cached infeasibility verdict)
+    /// for `key`. `None` is a miss — or a down client, which is
+    /// indistinguishable by design.
+    pub fn get_kernel(&self, key: &CacheKey) -> Option<KernelSlot> {
+        let request = format!("get-kernel {}", key_text(key));
+        let slot = self.get("get-kernel", &request, |kind, text| match kind {
+            "kernel" => Some(KernelSlot::Kernel(Arc::new(deserialize_kernel(text).ok()?))),
+            "negative" => Some(KernelSlot::Infeasible(text.to_string())),
+            _ => None,
+        })?;
+        match slot {
+            KernelSlot::Kernel(_) => self.counters.kernel_hits.add(1),
+            KernelSlot::Infeasible(_) => self.counters.negative_hits.add(1),
+        }
+        Some(slot)
     }
 
     /// Publishes a compiled kernel for `key` (write-back after a cold
     /// compile). Best-effort: failures are counted, never surfaced.
     pub fn put_kernel(&self, key: &CacheKey, kernel: &Kernel) {
-        let payload = serialize_kernel(kernel);
-        let req = format!(
-            "put-kernel {:016x} {:016x} {}",
-            key.module_fp,
-            key.env_fp,
-            payload.len()
-        );
-        self.put(req, &payload, "put-kernel");
+        self.put("put-kernel", key_text(key), &serialize_kernel(kernel));
     }
 
     /// Publishes an infeasibility verdict for `key`.
     pub fn put_infeasible(&self, key: &CacheKey, message: &str) {
-        let req = format!(
-            "put-negative {:016x} {:016x} {}",
-            key.module_fp,
-            key.env_fp,
-            message.len()
-        );
-        self.put(req, message, "put-negative");
+        self.put("put-negative", key_text(key), message);
     }
 
     /// Looks up the simulation outcome for `(key, COST_MODEL_VERSION)`.
     pub fn get_sim(&self, key: &CacheKey) -> Option<SimOutcome> {
-        if self.is_down() {
-            return None;
+        let request = format!("get-sim {} {COST_MODEL_VERSION}", key_text(key));
+        let outcome = self.get("get-sim", &request, |kind, text| {
+            decode_sim_outcome(text).filter(|_| kind == "sim")
+        })?;
+        match outcome {
+            SimOutcome::Report(_) => self.counters.sim_hits.add(1),
+            _ => self.counters.sim_negative_hits.add(1),
         }
-        let req = format!(
-            "get-sim {:016x} {:016x} {COST_MODEL_VERSION}",
-            key.module_fp, key.env_fp
-        );
-        let resp = match self.transact(&req, None) {
-            Ok(resp) => resp,
-            Err(e) => {
-                self.fail("get-sim", e);
-                return None;
-            }
-        };
-        match (resp.head(), &resp.payload) {
-            ("sim", Some(text)) => match decode_sim_outcome(text) {
-                Some(outcome) => {
-                    let counter = match &outcome {
-                        SimOutcome::Report(_) => &self.sim_hits,
-                        _ => &self.sim_negative_hits,
-                    };
-                    counter.fetch_add(1, Ordering::Relaxed);
-                    Some(outcome)
-                }
-                None => {
-                    self.fail("get-sim", "undecodable sim payload");
-                    None
-                }
-            },
-            ("miss", None) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            _ => {
-                self.fail("get-sim", unexpected(&resp));
-                None
-            }
-        }
+        Some(outcome)
     }
 
     /// Publishes a simulation outcome for `(key, COST_MODEL_VERSION)`.
     pub fn put_sim(&self, key: &CacheKey, outcome: &SimOutcome) {
-        let payload = encode_sim_outcome(outcome);
-        let req = format!(
-            "put-sim {:016x} {:016x} {COST_MODEL_VERSION} {}",
-            key.module_fp,
-            key.env_fp,
-            payload.len()
-        );
-        self.put(req, &payload, "put-sim");
+        let target = format!("{} {COST_MODEL_VERSION}", key_text(key));
+        self.put("put-sim", target, &encode_sim_outcome(outcome));
     }
 
-    fn put(&self, request: String, payload: &str, context: &str) {
-        if self.is_down() {
+    /// A `put-*` exchange of `payload` under `target` (the key, plus the
+    /// cost-model version for sim outcomes). `ok` counts a put; `err`
+    /// counts a rejection without latching — the daemon is alive and
+    /// speaking the protocol, it just refused this payload.
+    fn put(&self, verb: &str, target: String, payload: &str) {
+        if !self.is_down() && payload.len() as u64 > MAX_PAYLOAD_BYTES {
+            self.counters.errors.add(1);
             return;
         }
-        if payload.len() as u64 > MAX_PAYLOAD_BYTES {
-            self.rejected();
-            return;
-        }
-        match self.transact(&request, Some(payload)) {
-            Ok(resp) if resp.head() == "ok" => {
-                self.puts.fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(resp) if resp.head() == "err" => self.rejected(),
-            Ok(resp) => self.fail(context, unexpected(&resp)),
-            Err(e) => self.fail(context, e),
+        let request = format!("{verb} {target} {}", payload.len());
+        let accepted = self.exchange(verb, &request, Some(payload), |resp| match resp.head() {
+            "ok" => Some(true),
+            "err" => Some(false),
+            _ => None,
+        });
+        match accepted {
+            Some(true) => self.counters.puts.add(1),
+            Some(false) => self.counters.errors.add(1),
+            None => {}
         }
     }
 
     /// Fetches the daemon's aggregate counters (`tawa-cache stats
     /// --remote`). `None` if the daemon is unreachable or mis-speaking.
     pub fn fetch_stats(&self) -> Option<DaemonStats> {
-        if self.is_down() {
-            return None;
-        }
-        match self.transact("stats", None) {
-            Ok(resp) => {
-                let parsed = DaemonStats::parse(&resp.status.join(" "));
-                if parsed.is_none() {
-                    self.fail("stats", unexpected(&resp));
-                }
-                parsed
-            }
-            Err(e) => {
-                self.fail("stats", e);
-                None
-            }
-        }
+        self.exchange("stats", "stats", None, |resp| {
+            DaemonStats::parse(&resp.status.join(" "))
+        })
     }
 
     /// Asks the daemon to evict LRU entries down to `max_bytes`,
     /// returning how many entries went.
     pub fn evict(&self, max_bytes: u64) -> Option<u64> {
-        if self.is_down() {
-            return None;
-        }
-        match self.transact(&format!("evict {max_bytes}"), None) {
-            Ok(resp) => match resp.status.as_slice() {
-                [ok, field] if ok == "ok" => {
-                    let n = field.strip_prefix("evicted=")?.parse::<u64>().ok();
-                    if n.is_none() {
-                        self.fail("evict", unexpected(&resp));
-                    }
-                    n
-                }
-                _ => {
-                    self.fail("evict", unexpected(&resp));
-                    None
-                }
-            },
-            Err(e) => {
-                self.fail("evict", e);
-                None
+        let request = format!("evict {max_bytes}");
+        self.exchange("evict", &request, None, |resp| {
+            match resp.status.as_slice() {
+                [ok, field] if ok == "ok" => field.strip_prefix("evicted=")?.parse::<u64>().ok(),
+                _ => None,
             }
+        })
+    }
+}
+
+impl Tier for RemoteCache {
+    fn get_kernel_slot(&self, key: &CacheKey) -> Option<KernelSlot> {
+        self.get_kernel(key)
+    }
+    fn put_kernel_slot(&self, key: &CacheKey, slot: &KernelSlot) {
+        match slot {
+            KernelSlot::Kernel(kernel) => self.put_kernel(key, kernel),
+            KernelSlot::Infeasible(message) => self.put_infeasible(key, message),
         }
     }
+    fn get_sim_slot(&self, key: &CacheKey) -> Option<SimOutcome> {
+        self.get_sim(key)
+    }
+    fn put_sim_slot(&self, key: &CacheKey, outcome: &SimOutcome) {
+        self.put_sim(key, outcome);
+    }
+}
+
+/// A key's two fingerprints as they travel on request lines.
+fn key_text(key: &CacheKey) -> String {
+    format!("{:016x} {:016x}", key.module_fp, key.env_fp)
 }
 
 fn unexpected(resp: &Response) -> String {

@@ -6,24 +6,24 @@
 //! * the [`PassRegistry`] with the Tawa passes registered
 //!   (`warp-specialize`, `fine-grained-pipeline`, `coarse-pipeline`, plus
 //!   the generic `const-fold`/`dce` cleanups),
-//! * a **content-addressed kernel cache** keyed by (module fingerprint,
-//!   [`CompileOptions`], launch spec, device) with hit/miss counters,
+//! * a **content-addressed cache** keyed by (module fingerprint,
+//!   [`CompileOptions`], launch spec, device), holding per key a *kernel
+//!   slot* (the compiled kernel, or the verdict that the configuration
+//!   is [`CompileError::Infeasible`]) and a *sim slot* (the simulation
+//!   report, a deterministic simulator failure — deadlock, unplaceable
+//!   kernel — or the static gate's rejection), so repeated sweeps skip
+//!   the compiler and the simulator, and a doomed configuration costs
+//!   one run, not one per retry,
 //! * a **cleanup-prefix cache**: the options-independent
 //!   `fixpoint(const-fold,dce)` front of the pipeline runs once per
 //!   distinct input module and is shared by every configuration the
-//!   autotuner tries,
-//! * a simulation-report cache so repeated sweeps skip the simulator too
-//!   (simulation *failures* — deadlocks, unplaceable kernels — are
-//!   remembered in the negative tier alongside infeasibility verdicts,
-//!   so a doomed configuration is simulated once, not once per retry),
-//!   and
-//! * optionally a **persistent on-disk cache**
-//!   ([`crate::cache::DiskCache`]) behind the in-memory tiers, so
-//!   compiled kernels, simulation outcomes (keyed by
-//!   [`gpu_sim::COST_MODEL_VERSION`]) and negative
-//!   [`CompileError::Infeasible`] verdicts survive process restarts —
-//!   a restart-warm autotune sweep replays without invoking the
-//!   compiler *or* the simulator.
+//!   autotuner tries, and
+//! * optionally, behind the in-memory tier, a **persistent on-disk
+//!   tier** ([`crate::cache::DiskCache`]) and a **remote tier**
+//!   ([`crate::remote::RemoteCache`], the `tawa-cached` daemon), so both
+//!   slots survive process restarts and are shared by a fleet — a
+//!   restart-warm or fleet-warm autotune sweep replays without invoking
+//!   the compiler *or* the simulator.
 //!
 //! ## Cache key derivation
 //!
@@ -41,25 +41,46 @@
 //!
 //! ## Lookup order and invalidation
 //!
-//! [`CompileSession::compile`] consults, in order: the in-memory kernel
-//! cache, the in-memory negative cache, the disk cache's negative then
-//! positive entries (each promoted into memory on hit), and finally the
-//! compiler. [`CompileSession::compile_and_simulate`] prepends the
-//! report tiers: the in-memory report cache, the in-memory negative
-//! cache (simulation-failure verdicts), and the disk cache's `.sim`
-//! entries — so a warm lookup can skip the simulator without even
-//! touching the kernel tiers. Kernels that do reach the simulation
-//! stage first pass the **static analysis gate** ([`tawa_wsir::analyze()`]):
-//! a definite-deadlock verdict becomes a negative entry without a single
-//! simulated cycle (see [`CacheStats::static_rejections`]).
-//! Successful compiles, simulation outcomes
-//! and infeasibility verdicts propagate back down to disk. Disk entries
-//! that are corrupt, truncated or carry a different
-//! [`crate::cache::DISK_FORMAT_VERSION`] / [`tawa_wsir::FORMAT_VERSION`]
-//! / [`gpu_sim::COST_MODEL_VERSION`] are silently invalidated and
-//! recomputed — a damaged cache directory can cost time, never
-//! correctness.
-//! [`CompileSession::clear_cache`] drops the in-memory tiers only; use
+//! There is **one cascade** ([`crate::tier`]). The session keeps an
+//! ordered tier list — memory, then disk, then the remote daemon, as
+//! attached — and both entry points walk it the same way:
+//! [`lookup`] asks each tier for the key's slot,
+//! the first hit wins and is *promoted* into every faster tier (never
+//! published downward), and on a miss everywhere the value is computed
+//! and [`publish`]ed — *written back* — to every
+//! tier. [`CompileSession::compile`] is "kernel slot, else run the
+//! compiler"; [`CompileSession::compile_and_simulate`] is "sim slot,
+//! else the kernel slot as above, then the **static analysis gate**
+//! ([`tawa_wsir::analyze()`] — a definite-deadlock verdict fills the sim
+//! slot without a single simulated cycle, see
+//! [`CacheStats::static_rejections`]), then the simulator". A sim-slot
+//! hit therefore skips the compiler too.
+//!
+//! Four rules ride on the cascade, each stated once in the code:
+//!
+//! 1. `compile_and_simulate` asks the *memory* kernel slot for an
+//!    infeasibility verdict before any lower tier's sim slot: a sweep
+//!    retries infeasible points, and a retry must not cost a `.sim`
+//!    probe or a daemon round trip.
+//! 2. Only memory hits move [`CacheStats::kernel_hits`] /
+//!    [`CacheStats::sim_hits`]; the lower tiers count their own
+//!    ([`CacheStats::disk`], [`CacheStats::remote`]).
+//!    [`CacheStats::kernel_misses`] / [`CacheStats::sim_misses`] count
+//!    compiler / simulator *runs* — a hit in any tier is not a miss, and
+//!    neither is a static rejection.
+//! 3. Within one tier's kernel slot the infeasibility verdict wins over
+//!    a kernel (the disk tier probes `.neg` before `.wsir`, the daemon's
+//!    `get-kernel` answers likewise).
+//! 4. [`CompileSession::cache_stats`] is O(1) in cached entries: the
+//!    memory tier counts its entries as it inserts them.
+//!
+//! Every tier is best-effort: a sick one answers "miss" and drops
+//! writes, it never fails a compile. Disk entries that are corrupt,
+//! truncated or carry a different [`crate::cache::DISK_FORMAT_VERSION`]
+//! / [`tawa_wsir::FORMAT_VERSION`] / [`gpu_sim::COST_MODEL_VERSION`] are
+//! silently invalidated and recomputed — a damaged cache directory can
+//! cost time, never correctness.
+//! [`CompileSession::clear_cache`] drops the in-memory tier only; use
 //! [`crate::cache::DiskCache::clear`] to wipe the directory.
 //!
 //! [`CompileSession::compile_batch`] fans a set of jobs out across OS
@@ -70,7 +91,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use gpu_sim::{Device, SimReport};
 use tawa_frontend::dsl::Program;
@@ -87,7 +108,8 @@ use crate::envcfg::CacheEnv;
 use crate::lower::{lower_simt, lower_ws, CompileError, CompileOptions};
 use crate::partition::WarpSpecialize;
 use crate::pipeline::{CoarsePipeline, FineGrainedPipeline};
-use crate::remote::{RemoteAddr, RemoteCache, RemoteCacheStats, RemoteKernel};
+use crate::remote::{RemoteAddr, RemoteCache, RemoteCacheStats};
+use crate::tier::{lock, lookup, publish, Counter, KernelSlot, MemoryTier, Slot, Tier};
 
 /// The options-independent cleanup prefix every compilation starts with.
 pub const CLEANUP_PIPELINE: &str = "fixpoint(const-fold,dce)";
@@ -119,70 +141,6 @@ pub const ANALYZE_FUEL_ENV: &str = "TAWA_ANALYZE_FUEL";
 /// [`CompileSession::with_workers`] nor [`COMPILE_WORKERS_ENV`] set one.
 const DEFAULT_WORKER_CAP: usize = 8;
 
-/// Shard count for the hot in-memory cache maps. Sixteen shards keep the
-/// probability of two of (up to) sixteen batch workers colliding on one
-/// lock low, while the per-shard `HashMap`s stay dense enough to be
-/// cache-friendly. Power of two so the index is a mask.
-const CACHE_SHARDS: usize = 16;
-
-/// A [`CacheKey`]-addressed hash map split across [`CACHE_SHARDS`]
-/// independently locked shards.
-///
-/// The session's hot tiers (kernels, negatives, reports) are consulted on
-/// *every* compile and simulate call; behind a single `Mutex` they
-/// serialize high-`TAWA_COMPILE_WORKERS` batches even though the work
-/// between lookups is perfectly parallel. Sharding by key hash narrows
-/// each lock to 1/16th of the key space; operations on one key still
-/// observe a consistent map because a key lives in exactly one shard.
-/// Aggregates ([`Sharded::len`], [`Sharded::clear`]) lock shard-by-shard
-/// — they are maintenance/statistics paths where a momentarily torn view
-/// across shards is acceptable.
-struct Sharded<V> {
-    shards: Vec<Mutex<HashMap<CacheKey, V>>>,
-}
-
-impl<V> Sharded<V> {
-    fn new() -> Sharded<V> {
-        Sharded {
-            shards: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-        }
-    }
-
-    /// Locks and returns the shard owning `key`. Both fingerprint halves
-    /// feed the index: keys from one module compiled under many options
-    /// differ only in `env_fp`, and keys from many modules under one
-    /// option set differ only in `module_fp`. The combined value is run
-    /// through a splitmix64-style finalizer before the modulo — raw
-    /// FNV-1a fingerprints of near-identical inputs (an autotune sweep's
-    /// option strings) cluster badly in any fixed 4-bit window.
-    fn shard(&self, key: &CacheKey) -> std::sync::MutexGuard<'_, HashMap<CacheKey, V>> {
-        let mut h = key.module_fp ^ key.env_fp.rotate_left(32);
-        h ^= h >> 30;
-        h = h.wrapping_mul(0xbf58476d1ce4e5b9);
-        h ^= h >> 27;
-        h = h.wrapping_mul(0x94d049bb133111eb);
-        h ^= h >> 31;
-        self.shards[h as usize % CACHE_SHARDS]
-            .lock()
-            .expect("cache shard poisoned")
-    }
-
-    fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").len())
-            .sum()
-    }
-
-    fn clear(&self) {
-        for s in &self.shards {
-            s.lock().expect("cache shard poisoned").clear();
-        }
-    }
-}
-
 fn env_fingerprint(spec: &LaunchSpec, opts: &CompileOptions, device: &Device) -> u64 {
     // `CompileOptions`, `LaunchSpec` and `Device` are plain data with
     // derived Debug; their debug form is a canonical serialization of
@@ -194,41 +152,52 @@ fn env_fingerprint(spec: &LaunchSpec, opts: &CompileOptions, device: &Device) ->
     fnv1a(format!("{opts:?}|{spec:?}|{device:?}").as_bytes())
 }
 
-/// Hit/miss counters of a session's caches.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Kernel-cache hits.
-    pub kernel_hits: u64,
-    /// Kernel-cache misses (cold compiles).
-    pub kernel_misses: u64,
-    /// Simulation-report cache hits.
-    pub sim_hits: u64,
-    /// Simulation-report cache misses (simulator runs).
-    pub sim_misses: u64,
-    /// Cached kernels.
-    pub kernel_entries: usize,
-    /// Cached cleaned modules (shared pipeline prefixes).
-    pub module_entries: usize,
-    /// Cached simulation reports.
-    pub report_entries: usize,
-    /// In-memory negative entries: configurations known infeasible plus
-    /// configurations whose simulation fails deterministically.
-    pub negative_entries: usize,
-    /// Kernels rejected by the static analyzer
-    /// ([`tawa_wsir::analyze()`]) before the simulator was ever invoked:
-    /// each is a compile that succeeded but carried a definite-deadlock
-    /// verdict, converted straight into the negative tier.
-    pub static_rejections: u64,
-    /// Autotune candidates pruned by the analytic cost model
-    /// (`gpu_sim::analytic`) — each is a simulator run avoided without
-    /// compiling a verdict into any cache tier: the analytic model only
-    /// orders and prunes, it never persists results (see
-    /// [`CompileSession::note_analytic_pruned`]).
-    pub analytic_pruned: u64,
-    /// Disk-cache counters (all zero when no disk cache is attached).
-    pub disk: DiskCacheStats,
-    /// Remote-tier counters (all zero when no remote cache is attached).
-    pub remote: RemoteCacheStats,
+crate::counters! {
+    /// Hit/miss counters of a session's caches.
+    pub struct CacheStats / SessionCounters {
+        counters {
+            /// Kernel-slot hits in the memory tier.
+            kernel_hits,
+            /// Compiler runs (cold compiles).
+            kernel_misses,
+            /// Sim-slot hits in the memory tier.
+            sim_hits,
+            /// Simulator runs.
+            sim_misses,
+            /// Kernels rejected by the static analyzer
+            /// ([`tawa_wsir::analyze()`]) before the simulator was ever
+            /// invoked: each is a compile that succeeded but carried a
+            /// definite-deadlock verdict, published straight into the sim
+            /// slot.
+            static_rejections,
+            /// Autotune candidates pruned by the analytic cost model
+            /// (`gpu_sim::analytic`) — each is a simulator run avoided
+            /// without compiling a verdict into any cache tier: the
+            /// analytic model only orders and prunes, it never persists
+            /// results (see [`CompileSession::note_analytic_pruned`]).
+            analytic_pruned,
+        }
+        gauges {
+            /// Kernels cached in memory.
+            kernel_entries: usize,
+            /// Cached cleaned modules (shared pipeline prefixes).
+            module_entries: usize,
+            /// Simulation reports cached in memory.
+            report_entries: usize,
+            /// In-memory negative entries: configurations known
+            /// infeasible plus configurations whose simulation fails
+            /// deterministically or was rejected by the static gate.
+            negative_entries: usize,
+        }
+        nested {
+            /// Disk-cache counters (all zero when no disk cache is
+            /// attached).
+            disk: DiskCacheStats,
+            /// Remote-tier counters (all zero when no remote cache is
+            /// attached).
+            remote: RemoteCacheStats,
+        }
+    }
 }
 
 impl CacheStats {
@@ -250,57 +219,6 @@ impl CacheStats {
     pub fn misses(&self) -> u64 {
         self.kernel_misses + self.sim_misses
     }
-
-    /// Counter movement since `baseline` (an earlier
-    /// [`CompileSession::cache_stats`] snapshot of the same session):
-    /// every field is subtracted saturating, so a caller bracketing a
-    /// unit of work gets the cache outcomes attributable to exactly that
-    /// work — the per-request breadcrumbs `tawa_serve`'s replay
-    /// aggregates into fleet accounting. The `*_entries` gauges (point-in-
-    /// time sizes, not monotone counters) are reported as-is from `self`.
-    #[must_use]
-    pub fn delta(&self, baseline: &CacheStats) -> CacheStats {
-        CacheStats {
-            kernel_hits: self.kernel_hits.saturating_sub(baseline.kernel_hits),
-            kernel_misses: self.kernel_misses.saturating_sub(baseline.kernel_misses),
-            sim_hits: self.sim_hits.saturating_sub(baseline.sim_hits),
-            sim_misses: self.sim_misses.saturating_sub(baseline.sim_misses),
-            kernel_entries: self.kernel_entries,
-            module_entries: self.module_entries,
-            report_entries: self.report_entries,
-            negative_entries: self.negative_entries,
-            static_rejections: self
-                .static_rejections
-                .saturating_sub(baseline.static_rejections),
-            analytic_pruned: self
-                .analytic_pruned
-                .saturating_sub(baseline.analytic_pruned),
-            disk: self.disk.delta(&baseline.disk),
-            remote: self.remote.delta(&baseline.remote),
-        }
-    }
-}
-
-/// One verdict in the in-memory negative tier: the configuration is
-/// known-doomed, and rerunning the work would reproduce the same error.
-///
-/// The two kinds gate different stages — an `Infeasible` entry
-/// short-circuits [`CompileSession::compile`], while a `Simulation`
-/// entry only short-circuits
-/// [`CompileSession::compile_and_simulate`]: the kernel itself compiled
-/// fine and must stay obtainable.
-#[derive(Debug, Clone)]
-enum Negative {
-    /// Compilation was pruned as [`CompileError::Infeasible`].
-    Infeasible(String),
-    /// Compilation succeeded but simulation failed deterministically
-    /// ([`CompileError::Simulation`]: deadlock, unplaceable kernel).
-    Simulation(String),
-    /// Compilation succeeded but the static analyzer proved the kernel
-    /// deadlocks ([`tawa_wsir::deadlock_verdict`]); the simulator was
-    /// never invoked. Gates the same stage as `Simulation`, tracked
-    /// separately so [`CacheStats::static_rejections`] can attribute it.
-    StaticRejection(String),
 }
 
 /// Performance-lint findings for one compiled kernel: the IR-level
@@ -378,25 +296,20 @@ pub struct CompileJob<'a> {
 pub struct CompileSession {
     device: Device,
     registry: PassRegistry,
-    // The three per-key hot tiers are sharded (see [`Sharded`]) so
-    // concurrent batch workers do not serialize on one map lock. The
-    // cleaned-prefix cache stays a single Mutex on purpose: holding its
-    // lock across the cleanup run is what deduplicates concurrent
-    // cold-prefix work (see `cleaned_module`).
-    kernels: Sharded<Arc<Kernel>>,
-    negatives: Sharded<Negative>,
+    /// The fastest tier, also reachable as `tiers[0]`.
+    memory: Arc<MemoryTier>,
+    // A single Mutex on purpose: holding its lock across the cleanup run
+    // is what deduplicates concurrent cold-prefix work (see
+    // `cleaned_module`).
     cleaned: Mutex<HashMap<u64, Arc<Module>>>,
-    reports: Sharded<SimReport>,
-    disk: Option<DiskCache>,
-    remote: Option<RemoteCache>,
+    disk: Option<Arc<DiskCache>>,
+    remote: Option<Arc<RemoteCache>>,
+    /// The cascade, fastest first: memory, then disk and the remote
+    /// daemon when attached. Rebuilt by [`CompileSession::retiered`].
+    tiers: Vec<Arc<dyn Tier>>,
     workers: Option<usize>,
     analyze_fuel: u64,
-    kernel_hits: AtomicU64,
-    kernel_misses: AtomicU64,
-    sim_hits: AtomicU64,
-    sim_misses: AtomicU64,
-    static_rejections: AtomicU64,
-    analytic_pruned: AtomicU64,
+    counters: SessionCounters,
 }
 
 impl std::fmt::Debug for CompileSession {
@@ -423,9 +336,20 @@ impl CompileSession {
     pub fn new(device: &Device) -> CompileSession {
         let env = CacheEnv::from_env();
         let mut session = Self::in_memory(device);
-        session.disk = default_disk_cache(env.disk);
-        session.remote = env.remote.map(RemoteCache::new);
-        session
+        session.disk = default_disk_cache(env.disk).map(Arc::new);
+        session.remote = env.remote.map(|addr| Arc::new(RemoteCache::new(addr)));
+        session.retiered()
+    }
+
+    /// Rebuilds the cascade in its one order — memory → disk → remote —
+    /// after a constructor attached or replaced a lower tier.
+    fn retiered(mut self) -> CompileSession {
+        self.tiers = vec![self.memory.clone() as Arc<dyn Tier>];
+        self.tiers
+            .extend(self.disk.clone().map(|d| d as Arc<dyn Tier>));
+        self.tiers
+            .extend(self.remote.clone().map(|r| r as Arc<dyn Tier>));
+        self
     }
 
     /// Resolves the [`ANALYZE_FUEL_ENV`] override through [`CacheEnv`],
@@ -440,23 +364,18 @@ impl CompileSession {
     /// [`DISK_CACHE_ENV`] and [`crate::remote::REMOTE_CACHE_ENV`] (the
     /// [`COMPILE_WORKERS_ENV`] worker override still applies).
     pub fn in_memory(device: &Device) -> CompileSession {
+        let memory = Arc::new(MemoryTier::new());
         CompileSession {
             device: device.clone(),
             registry: tawa_pass_registry(),
-            kernels: Sharded::new(),
-            negatives: Sharded::new(),
+            tiers: vec![memory.clone()],
+            memory,
             cleaned: Mutex::new(HashMap::new()),
-            reports: Sharded::new(),
             disk: None,
             remote: None,
             workers: workers_from_env(std::env::var(COMPILE_WORKERS_ENV).ok()),
             analyze_fuel: Self::analyze_fuel_from_env(),
-            kernel_hits: AtomicU64::new(0),
-            kernel_misses: AtomicU64::new(0),
-            sim_hits: AtomicU64::new(0),
-            sim_misses: AtomicU64::new(0),
-            static_rejections: AtomicU64::new(0),
-            analytic_pruned: AtomicU64::new(0),
+            counters: SessionCounters::default(),
         }
     }
 
@@ -516,13 +435,13 @@ impl CompileSession {
     /// budget from [`DiskCache::with_max_bytes`]).
     #[must_use]
     pub fn with_disk(mut self, cache: DiskCache) -> CompileSession {
-        self.disk = Some(cache);
-        self
+        self.disk = Some(Arc::new(cache));
+        self.retiered()
     }
 
     /// The attached disk cache, if any.
     pub fn disk_cache(&self) -> Option<&DiskCache> {
-        self.disk.as_ref()
+        self.disk.as_deref()
     }
 
     /// Attaches a remote `tawa-cached` tier at `addr` (replacing any
@@ -533,13 +452,13 @@ impl CompileSession {
     /// tiers — no compile ever fails because of the remote.
     #[must_use]
     pub fn with_remote_cache(mut self, addr: RemoteAddr) -> CompileSession {
-        self.remote = Some(RemoteCache::new(addr));
-        self
+        self.remote = Some(Arc::new(RemoteCache::new(addr)));
+        self.retiered()
     }
 
     /// The attached remote-cache client, if any.
     pub fn remote_cache(&self) -> Option<&RemoteCache> {
-        self.remote.as_ref()
+        self.remote.as_deref()
     }
 
     /// The device this session compiles for.
@@ -582,26 +501,27 @@ impl CompileSession {
         PipelineSpec::parse(&text)
     }
 
-    /// Current cache statistics (in-memory tiers plus, when attached, the
-    /// disk cache's counters).
+    /// Current cache statistics: the session's counters, the memory
+    /// tier's entry gauges (kept by the tier as it inserts — never by
+    /// walking its maps) and each attached lower tier's own counters.
     pub fn cache_stats(&self) -> CacheStats {
+        let (kernel_entries, report_entries, negative_entries) = self.memory.entries();
         CacheStats {
-            kernel_hits: self.kernel_hits.load(Ordering::Relaxed),
-            kernel_misses: self.kernel_misses.load(Ordering::Relaxed),
-            sim_hits: self.sim_hits.load(Ordering::Relaxed),
-            sim_misses: self.sim_misses.load(Ordering::Relaxed),
-            kernel_entries: self.kernels.len(),
-            module_entries: self.cleaned.lock().unwrap().len(),
-            report_entries: self.reports.len(),
-            negative_entries: self.negatives.len(),
-            static_rejections: self.static_rejections.load(Ordering::Relaxed),
-            analytic_pruned: self.analytic_pruned.load(Ordering::Relaxed),
-            disk: self.disk.as_ref().map(DiskCache::stats).unwrap_or_default(),
+            kernel_entries,
+            module_entries: lock(&self.cleaned).len(),
+            report_entries,
+            negative_entries,
+            disk: self
+                .disk
+                .as_deref()
+                .map(DiskCache::stats)
+                .unwrap_or_default(),
             remote: self
                 .remote
-                .as_ref()
+                .as_deref()
                 .map(RemoteCache::stats)
                 .unwrap_or_default(),
+            ..self.counters.snapshot()
         }
     }
 
@@ -610,10 +530,8 @@ impl CompileSession {
     /// session's lifetime), and the disk tier is untouched — wipe it with
     /// [`DiskCache::clear`] via [`CompileSession::disk_cache`].
     pub fn clear_cache(&self) {
-        self.kernels.clear();
-        self.negatives.clear();
-        self.cleaned.lock().unwrap().clear();
-        self.reports.clear();
+        self.memory.clear();
+        lock(&self.cleaned).clear();
     }
 
     /// Records `n` autotune candidates pruned by the analytic cost model
@@ -622,7 +540,7 @@ impl CompileSession {
     /// [`CacheStats::analytic_pruned`] next to the other avoided-work
     /// counters (sim hits, static rejections).
     pub fn note_analytic_pruned(&self, n: u64) {
-        self.analytic_pruned.fetch_add(n, Ordering::Relaxed);
+        self.counters.analytic_pruned.add(n);
     }
 
     /// Compiles a module for the given launch, consulting the kernel cache.
@@ -644,13 +562,42 @@ impl CompileSession {
         spec: &LaunchSpec,
         opts: &CompileOptions,
     ) -> Result<Arc<Kernel>, CompileError> {
-        let key = CacheKey {
-            module_fp: module_fingerprint(module),
-            env_fp: env_fingerprint(spec, opts, &self.device),
-        };
-        self.compile_keyed(key, module, spec, opts)
+        self.compile_keyed(self.key(module, spec, opts), module, spec, opts)
     }
 
+    /// The address of one compilation in every tier (see the module docs'
+    /// "Cache key derivation").
+    fn key(&self, module: &Module, spec: &LaunchSpec, opts: &CompileOptions) -> CacheKey {
+        CacheKey {
+            module_fp: module_fingerprint(module),
+            env_fp: env_fingerprint(spec, opts, &self.device),
+        }
+    }
+
+    /// The cascade, once for both slots: look `key` up through the tiers
+    /// (promoting a hit into the faster ones), else `compute` the value
+    /// and publish it to all of them.
+    fn through_tiers<S: Slot>(
+        &self,
+        key: &CacheKey,
+        memory_hits: &Counter,
+        compute: impl FnOnce() -> Result<S, CompileError>,
+    ) -> Result<S, CompileError> {
+        if let Some((depth, hit)) = lookup::<S>(&self.tiers, key) {
+            // Only a memory hit is the session's hit: lower tiers count
+            // their own, and a hit in any of them is not a miss either —
+            // `kernel_misses` / `sim_misses` count compiler / simulator
+            // runs, which `compute` reports.
+            memory_hits.add(u64::from(depth == 0));
+            return Ok(hit);
+        }
+        let value = compute()?;
+        publish(&self.tiers, key, &value);
+        Ok(value)
+    }
+
+    /// The kernel slot through the cascade: a cold key is compiled, and
+    /// the kernel — or the infeasibility verdict — published.
     fn compile_keyed(
         &self,
         key: CacheKey,
@@ -658,83 +605,17 @@ impl CompileSession {
         spec: &LaunchSpec,
         opts: &CompileOptions,
     ) -> Result<Arc<Kernel>, CompileError> {
-        if let Some(kernel) = self.kernels.shard(&key).get(&key) {
-            self.kernel_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(kernel.clone());
-        }
-        // Only infeasibility verdicts gate compilation; a cached
-        // *simulation* failure under the same key means the kernel itself
-        // compiled fine and must stay obtainable.
-        if let Some(Negative::Infeasible(msg)) = self.negatives.shard(&key).get(&key) {
-            self.kernel_hits.fetch_add(1, Ordering::Relaxed);
-            return Err(CompileError::Infeasible(msg.clone()));
-        }
-        if let Some(disk) = &self.disk {
-            if let Some(msg) = disk.load_infeasible(&key) {
-                self.negatives
-                    .shard(&key)
-                    .insert(key, Negative::Infeasible(msg.clone()));
-                return Err(CompileError::Infeasible(msg));
+        let slot = self.through_tiers(&key, &self.counters.kernel_hits, || {
+            self.counters.kernel_misses.add(1);
+            match self.compile_uncached(key.module_fp, module, spec, opts) {
+                Ok(kernel) => Ok(KernelSlot::Kernel(Arc::new(kernel))),
+                Err(CompileError::Infeasible(msg)) => Ok(KernelSlot::Infeasible(msg)),
+                Err(uncacheable) => Err(uncacheable),
             }
-            if let Some(kernel) = disk.load(&key) {
-                let kernel = Arc::new(kernel);
-                self.kernels.shard(&key).insert(key, kernel.clone());
-                return Ok(kernel);
-            }
-        }
-        // Remote tier: another session in the fleet may have already paid
-        // this compile. A hit is promoted into the local tiers (disk +
-        // memory) so the next lookup never leaves the process; it is not
-        // a kernel miss — no compile happens.
-        if let Some(remote) = &self.remote {
-            match remote.get_kernel(&key) {
-                Some(RemoteKernel::Kernel(kernel)) => {
-                    let kernel = Arc::new(kernel);
-                    if let Some(disk) = &self.disk {
-                        disk.store(&key, &kernel);
-                    }
-                    self.kernels.shard(&key).insert(key, kernel.clone());
-                    return Ok(kernel);
-                }
-                Some(RemoteKernel::Infeasible(msg)) => {
-                    if let Some(disk) = &self.disk {
-                        disk.store_infeasible(&key, &msg);
-                    }
-                    self.negatives
-                        .shard(&key)
-                        .insert(key, Negative::Infeasible(msg.clone()));
-                    return Err(CompileError::Infeasible(msg));
-                }
-                None => {}
-            }
-        }
-        self.kernel_misses.fetch_add(1, Ordering::Relaxed);
-        match self.compile_uncached(key.module_fp, module, spec, opts) {
-            Ok(kernel) => {
-                let kernel = Arc::new(kernel);
-                if let Some(disk) = &self.disk {
-                    disk.store(&key, &kernel);
-                }
-                if let Some(remote) = &self.remote {
-                    remote.put_kernel(&key, &kernel);
-                }
-                self.kernels.shard(&key).insert(key, kernel.clone());
-                Ok(kernel)
-            }
-            Err(err) => {
-                if let CompileError::Infeasible(msg) = &err {
-                    self.negatives
-                        .shard(&key)
-                        .insert(key, Negative::Infeasible(msg.clone()));
-                    if let Some(disk) = &self.disk {
-                        disk.store_infeasible(&key, msg);
-                    }
-                    if let Some(remote) = &self.remote {
-                        remote.put_infeasible(&key, msg);
-                    }
-                }
-                Err(err)
-            }
+        })?;
+        match slot {
+            KernelSlot::Kernel(kernel) => Ok(kernel),
+            KernelSlot::Infeasible(msg) => Err(CompileError::Infeasible(msg)),
         }
     }
 
@@ -742,7 +623,7 @@ impl CompileSession {
     /// point. The program's module is fingerprinted exactly like a raw
     /// module ([`Program::fingerprint`] over the canonical printed IR,
     /// which source locations never perturb), so DSL programs share every
-    /// cache tier — in-memory, negative and disk — with modules compiled
+    /// cache tier — memory, disk and remote — with modules compiled
     /// through [`CompileSession::compile`], including entries written
     /// before the kernel was ported to the DSL.
     ///
@@ -814,27 +695,27 @@ impl CompileSession {
         PerfSummary { lints }
     }
 
-    /// Compiles and immediately simulates, consulting the report caches:
-    /// the in-memory report and negative tiers first, then (when
-    /// attached) the disk cache's `.sim` entries — keyed by
-    /// [`gpu_sim::COST_MODEL_VERSION`], promoted into memory on hit — and
-    /// only then the compiler and simulator. A disk report hit skips
-    /// *both*: a restart-warm sweep never invokes the simulator.
+    /// Compiles and immediately simulates — the sim slot through the
+    /// cascade (see the module docs): every attached tier is asked for the
+    /// key's [`SimOutcome`] (keyed by [`gpu_sim::COST_MODEL_VERSION`],
+    /// promoted into the faster tiers on a hit), and only a miss in all
+    /// of them reaches the compiler and simulator. A hit skips *both*: a
+    /// restart-warm or fleet-warm sweep never invokes the simulator.
     ///
-    /// Every freshly obtained kernel (cold compile or disk-served) first
-    /// passes the **static analysis gate**: [`tawa_wsir::analyze()`] runs
-    /// the abstract interpreter over the barrier protocol, and a
-    /// definite-deadlock verdict ([`tawa_wsir::deadlock_verdict`]) is
-    /// converted straight into the negative tier — memory and disk —
+    /// Every freshly obtained kernel (cold compile or served by a lower
+    /// tier) first passes the **static analysis gate**:
+    /// [`tawa_wsir::analyze()`] runs the abstract interpreter over the
+    /// barrier protocol, and a definite-deadlock verdict
+    /// ([`tawa_wsir::deadlock_verdict`]) fills the sim slot of every tier
     /// *without invoking the simulator*. Such rejections are counted in
     /// [`CacheStats::static_rejections`] and surface as
     /// [`CompileError::Simulation`], so autotuners treat them exactly
     /// like simulator-discovered deadlocks, only cheaper.
     ///
     /// Simulation failures are deterministic (deadlock, unplaceable
-    /// kernel), so they are cached too — in the negative tier and on
-    /// disk — and a doomed configuration costs one simulator run per
-    /// cost model, not one per retry.
+    /// kernel), so they are published like reports, and a doomed
+    /// configuration costs one simulator run per cost model, not one per
+    /// retry.
     ///
     /// # Errors
     /// Compilation errors from [`CompileSession::compile`]; simulation
@@ -847,128 +728,41 @@ impl CompileSession {
         spec: &LaunchSpec,
         opts: &CompileOptions,
     ) -> Result<SimReport, CompileError> {
-        let key = CacheKey {
-            module_fp: module_fingerprint(module),
-            env_fp: env_fingerprint(spec, opts, &self.device),
-        };
-        if let Some(report) = self.reports.shard(&key).get(&key) {
-            self.sim_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(report.clone());
+        let key = self.key(module, spec, opts);
+        // A point known infeasible in memory is answered before any lower
+        // tier's sim slot is asked: a sweep retries such points, and each
+        // retry must not cost a `.sim` probe or a daemon round trip.
+        if let Some(KernelSlot::Infeasible(msg)) = self.memory.get_kernel_slot(&key) {
+            self.counters.kernel_hits.add(1);
+            return Err(CompileError::Infeasible(msg));
         }
-        // One negative-map lookup handles both verdict kinds: a known
-        // Simulation failure is a report-tier hit, and a known Infeasible
-        // configuration must short-circuit here too — falling through
-        // would probe the disk's (nonexistent) .sim entry on every sweep
-        // retry before compile_keyed finally consulted the same map.
-        match self.negatives.shard(&key).get(&key) {
-            Some(Negative::Simulation(msg) | Negative::StaticRejection(msg)) => {
-                self.sim_hits.fetch_add(1, Ordering::Relaxed);
-                return Err(CompileError::Simulation(msg.clone()));
-            }
-            Some(Negative::Infeasible(msg)) => {
-                self.kernel_hits.fetch_add(1, Ordering::Relaxed);
-                return Err(CompileError::Infeasible(msg.clone()));
-            }
-            None => {}
-        }
-        if let Some(disk) = &self.disk {
-            match disk.load_sim(&key) {
-                Some(SimOutcome::Report(report)) => {
-                    self.reports.shard(&key).insert(key, report.clone());
-                    return Ok(report);
-                }
-                Some(SimOutcome::Failed(msg)) => {
-                    self.negatives
-                        .shard(&key)
-                        .insert(key, Negative::Simulation(msg.clone()));
-                    return Err(CompileError::Simulation(msg));
-                }
-                Some(SimOutcome::StaticRejection(msg)) => {
-                    self.negatives
-                        .shard(&key)
-                        .insert(key, Negative::StaticRejection(msg.clone()));
-                    return Err(CompileError::Simulation(msg));
-                }
-                None => {}
-            }
-        }
-        // Remote tier: a sim outcome another session already paid for —
-        // keyed by the cost-model version, so it prices identically here.
-        // Promoted to disk + memory; neither the compiler nor the
-        // simulator runs, so neither miss counter moves.
-        if let Some(remote) = &self.remote {
-            if let Some(outcome) = remote.get_sim(&key) {
-                if let Some(disk) = &self.disk {
-                    disk.store_sim_outcome(&key, &outcome);
-                }
-                match outcome {
-                    SimOutcome::Report(report) => {
-                        self.reports.shard(&key).insert(key, report.clone());
-                        return Ok(report);
-                    }
-                    SimOutcome::Failed(msg) => {
-                        self.negatives
-                            .shard(&key)
-                            .insert(key, Negative::Simulation(msg.clone()));
-                        return Err(CompileError::Simulation(msg));
-                    }
-                    SimOutcome::StaticRejection(msg) => {
-                        self.negatives
-                            .shard(&key)
-                            .insert(key, Negative::StaticRejection(msg.clone()));
-                        return Err(CompileError::Simulation(msg));
-                    }
-                }
-            }
-        }
-        let kernel = self.compile_keyed(key, module, spec, opts)?;
-        // Static gate: the abstract interpreter proves definite deadlocks
-        // without spending a single simulated cycle. The verdict enters
-        // the negative tier (memory + disk) exactly like a
-        // simulator-discovered failure, so warm sweeps short-circuit
-        // above — but it must not skew `sim_misses`, which counts actual
-        // simulator runs.
-        let lints = tawa_wsir::analyze_with_budget(&kernel, self.analyze_fuel);
-        if let Some(verdict) = tawa_wsir::deadlock_verdict(&lints) {
-            self.static_rejections.fetch_add(1, Ordering::Relaxed);
-            self.negatives
-                .shard(&key)
-                .insert(key, Negative::StaticRejection(verdict.clone()));
-            if let Some(disk) = &self.disk {
-                disk.store_static_rejection(&key, &verdict);
-            }
-            if let Some(remote) = &self.remote {
-                remote.put_sim(&key, &SimOutcome::StaticRejection(verdict.clone()));
-            }
-            return Err(CompileError::Simulation(verdict));
-        }
-        // Counted only once compilation succeeded: a pruned infeasible
-        // point never reaches the simulator and must not skew `sim_misses`.
-        self.sim_misses.fetch_add(1, Ordering::Relaxed);
-        match gpu_sim::simulate(&kernel, &self.device) {
-            Ok(report) => {
-                if let Some(disk) = &self.disk {
-                    disk.store_sim_report(&key, &report);
-                }
-                if let Some(remote) = &self.remote {
-                    remote.put_sim(&key, &SimOutcome::Report(report.clone()));
-                }
-                self.reports.shard(&key).insert(key, report.clone());
-                Ok(report)
-            }
-            Err(e) => {
-                let msg = e.to_string();
-                self.negatives
-                    .shard(&key)
-                    .insert(key, Negative::Simulation(msg.clone()));
-                if let Some(disk) = &self.disk {
-                    disk.store_sim_failure(&key, &msg);
-                }
-                if let Some(remote) = &self.remote {
-                    remote.put_sim(&key, &SimOutcome::Failed(msg.clone()));
-                }
+        let outcome = self.through_tiers(&key, &self.counters.sim_hits, || {
+            let kernel = self.compile_keyed(key, module, spec, opts)?;
+            Ok(self.gate_and_simulate(&kernel))
+        })?;
+        match outcome {
+            SimOutcome::Report(report) => Ok(report),
+            SimOutcome::Failed(msg) | SimOutcome::StaticRejection(msg) => {
                 Err(CompileError::Simulation(msg))
             }
+        }
+    }
+
+    /// What the sim slot of a freshly obtained kernel holds: the static
+    /// gate's rejection if the abstract interpreter proves a deadlock —
+    /// not a single simulated cycle is spent — else the simulator's
+    /// report or its deterministic failure.
+    fn gate_and_simulate(&self, kernel: &Kernel) -> SimOutcome {
+        let lints = tawa_wsir::analyze_with_budget(kernel, self.analyze_fuel);
+        if let Some(verdict) = tawa_wsir::deadlock_verdict(&lints) {
+            // Not a sim miss: `sim_misses` counts simulator runs.
+            self.counters.static_rejections.add(1);
+            return SimOutcome::StaticRejection(verdict);
+        }
+        self.counters.sim_misses.add(1);
+        match gpu_sim::simulate(kernel, &self.device) {
+            Ok(report) => SimOutcome::Report(report),
+            Err(e) => SimOutcome::Failed(e.to_string()),
         }
     }
 
@@ -1018,7 +812,7 @@ impl CompileSession {
                     if i >= jobs.len() {
                         break;
                     }
-                    *slots[i].lock().unwrap() = Some(f(&jobs[i]));
+                    *lock(&slots[i]) = Some(f(&jobs[i]));
                 });
             }
         });
@@ -1026,7 +820,7 @@ impl CompileSession {
             .into_iter()
             .map(|slot| {
                 slot.into_inner()
-                    .unwrap()
+                    .unwrap_or_else(PoisonError::into_inner)
                     .expect("every batch slot is filled by a worker")
             })
             .collect()
@@ -1041,7 +835,7 @@ impl CompileSession {
     /// microseconds-scale, so serializing it is cheaper than duplicating
     /// it across up to eight workers.
     fn cleaned_module(&self, fp: u64, module: &Module) -> Result<Arc<Module>, CompileError> {
-        let mut cleaned = self.cleaned.lock().unwrap();
+        let mut cleaned = lock(&self.cleaned);
         if let Some(m) = cleaned.get(&fp) {
             return Ok(m.clone());
         }
@@ -1776,28 +1570,37 @@ mod tests {
     }
 
     #[test]
-    fn shards_distribute_sweep_shaped_keys() {
-        // Keys from an autotune sweep share module_fp and vary env_fp;
-        // the shard index must spread them instead of piling them onto
-        // one lock.
-        let sharded: Sharded<u32> = Sharded::new();
-        let module_fp = fnv1a(b"module");
-        for i in 0..64u64 {
-            let key = CacheKey {
-                module_fp,
-                env_fp: fnv1a(format!("opts-{i}").as_bytes()),
-            };
-            sharded.shard(&key).insert(key, i as u32);
+    fn a_pass_panicking_once_does_not_poison_the_session() {
+        use std::sync::atomic::AtomicBool;
+        static ARMED: AtomicBool = AtomicBool::new(true);
+        struct PanicsOnce;
+        impl tawa_ir::pass::Pass for PanicsOnce {
+            fn name(&self) -> &str {
+                "dce"
+            }
+            fn run(&self, _m: &mut Module) -> Result<(), Diagnostic> {
+                assert!(!ARMED.swap(false, Ordering::SeqCst), "pass bug");
+                Ok(())
+            }
         }
-        assert_eq!(sharded.len(), 64);
-        let occupied = sharded
-            .shards
-            .iter()
-            .filter(|s| !s.lock().unwrap().is_empty())
-            .count();
-        assert!(occupied > CACHE_SHARDS / 2, "only {occupied} shards used");
-        sharded.clear();
-        assert_eq!(sharded.len(), 0);
+        // Replacing `dce` puts the panic inside the cleanup prefix, i.e.
+        // inside the critical section of the cleaned-module mutex.
+        let mut session = CompileSession::in_memory(&dev());
+        session
+            .registry_mut()
+            .register("dce", |_| Ok(Box::new(PanicsOnce)));
+        let (m, spec) = gemm(&GemmConfig::new(1024, 1024, 512)).into_parts();
+        let opts = CompileOptions::default();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = session.compile(&m, &spec, &opts);
+        }));
+        assert!(unwound.is_err(), "the first compile must hit the pass bug");
+        assert!(session.cleaned.is_poisoned(), "the panic held the lock");
+
+        session.compile(&m, &spec, &opts).unwrap();
+        let stats = session.cache_stats();
+        assert_eq!(stats.kernel_misses, 2, "{stats:?}");
+        assert_eq!((stats.kernel_entries, stats.module_entries), (1, 1));
     }
 
     #[test]

@@ -167,3 +167,42 @@ fn remote_hits_promote_into_the_local_tiers() {
     handle.shutdown();
     let _ = fs::remove_dir_all(&root);
 }
+
+/// Promote-on-hit reaches the *disk* tier, not just memory: after a
+/// replay served by the daemon into an empty local directory, a FRESH
+/// session over that directory with NO remote tier — its memory empty,
+/// the daemon gone — replays with zero compiles and zero simulate calls.
+/// (`remote_hits_promote_into_the_local_tiers` reuses one session, whose
+/// memory tier would mask a lost disk promotion.)
+#[test]
+fn remote_hits_land_on_disk_for_later_sessions_without_the_daemon() {
+    let root = scratch("promote-disk");
+    let handle = daemon(&root);
+    let addr = handle.addr().clone();
+    let trace = mixed_trace();
+
+    let seeder = CompileSession::in_memory(&dev()).with_remote_cache(addr.clone());
+    let cold = replay_trace(&seeder, &trace).unwrap();
+
+    let local = root.join("local");
+    let promoting = CompileSession::in_memory(&dev())
+        .with_disk_cache(&local)
+        .unwrap()
+        .with_remote_cache(addr);
+    let warm = replay_trace(&promoting, &trace).unwrap();
+    assert_eq!(warm.accounting.compiles, 0, "{:?}", warm.accounting);
+    assert!(promoting.cache_stats().disk.writes > 0);
+    handle.shutdown();
+
+    let offline = CompileSession::in_memory(&dev())
+        .with_disk_cache(&local)
+        .unwrap();
+    let replay = replay_trace(&offline, &trace).unwrap();
+    let a = &replay.accounting;
+    assert_eq!(a.compiles, 0, "disk promotion lost a kernel: {a:?}");
+    assert_eq!(a.simulate_calls, 0, "disk promotion lost a report: {a:?}");
+    assert!(a.disk_kernel_hits > 0 && a.disk_sim_hits > 0, "{a:?}");
+    assert!(cold.same_workload(&replay));
+
+    let _ = fs::remove_dir_all(&root);
+}
