@@ -31,6 +31,7 @@
 use std::time::{Duration, Instant};
 
 use gpu_sim::Device;
+use tawa_ir::fingerprint::module_fingerprint;
 use tawa_ir::func::Module;
 use tawa_ir::spec::LaunchSpec;
 
@@ -280,10 +281,12 @@ pub fn autotune_with_session_strategy(
 ) -> TuneResult {
     let start = Instant::now();
     let opts = candidates(base, space);
+    // Every candidate compiles the same module: hash it once per sweep.
+    let module_fp = module_fingerprint(module);
     let mut result = match strategy {
-        SweepStrategy::Exhaustive => sweep_exhaustive(session, module, spec, &opts),
+        SweepStrategy::Exhaustive => sweep_exhaustive(session, module_fp, module, spec, &opts),
         SweepStrategy::ModelGuided { slack } => {
-            sweep_guided(session, module, spec, &opts, slack.max(1.0))
+            sweep_guided(session, module_fp, module, spec, &opts, slack.max(1.0))
         }
     };
     result.stats.candidates = opts.len();
@@ -302,6 +305,7 @@ pub fn autotune_with_session_strategy(
 
 fn sweep_exhaustive(
     session: &CompileSession,
+    module_fp: u64,
     module: &Module,
     spec: &LaunchSpec,
     opts: &[CompileOptions],
@@ -314,7 +318,9 @@ fn sweep_exhaustive(
             opts: o.clone(),
         })
         .collect();
-    let reports = session.compile_and_simulate_batch(&jobs);
+    let reports = session.run_batch(&jobs, |job| {
+        session.compile_and_simulate_fp(module_fp, job.module, job.spec, &job.opts)
+    });
 
     let mut stats = SweepStats {
         simulate_calls: opts.len(),
@@ -346,6 +352,7 @@ fn sweep_exhaustive(
 
 fn sweep_guided(
     session: &CompileSession,
+    module_fp: u64,
     module: &Module,
     spec: &LaunchSpec,
     opts: &[CompileOptions],
@@ -362,7 +369,9 @@ fn sweep_guided(
             opts: o.clone(),
         })
         .collect();
-    let compiled = session.compile_batch(&jobs);
+    let compiled = session.run_batch(&jobs, |job| {
+        session.compile_fp(module_fp, job.module, job.spec, &job.opts)
+    });
 
     // Score the compiled candidates. Infeasible compiles keep score None
     // and are recorded immediately.
@@ -429,7 +438,7 @@ fn sweep_guided(
             }
         }
         stats.simulate_calls += 1;
-        let outcome = session.compile_and_simulate(module, spec, &opts[i]);
+        let outcome = session.compile_and_simulate_fp(module_fp, module, spec, &opts[i]);
         tflops[i] = outcome_tflops(&outcome);
         if let Some(t) = tflops[i] {
             if best_so_far.map(|b| t > b).unwrap_or(true) {

@@ -61,13 +61,14 @@ impl Pass for WarpSpecialize {
         "warp-specialize"
     }
 
-    fn run(&self, module: &mut Module) -> Result<(), Diagnostic> {
+    fn run(&self, module: &mut Module) -> Result<bool, Diagnostic> {
         for f in &mut module.funcs {
             let name = f.name.clone();
             warp_specialize_func(f, self.depth)
                 .map_err(|msg| Diagnostic::error(msg).with_func(name))?;
         }
-        Ok(())
+        // A function is either rewritten into warp groups or an error.
+        Ok(!module.funcs.is_empty())
     }
 }
 

@@ -129,10 +129,11 @@ impl Pass for FineGrainedPipeline {
         "fine-grained-pipeline"
     }
 
-    fn run(&self, module: &mut Module) -> Result<(), Diagnostic> {
+    fn run(&self, module: &mut Module) -> Result<bool, Diagnostic> {
         if self.depth == 0 {
             return Err(Diagnostic::error("MMA pipeline depth must be >= 1"));
         }
+        let mut changed = false;
         for f in &mut module.funcs {
             for wg in consumer_warp_groups(f) {
                 let Some(loop_op) = warp_group_loop(f, wg) else {
@@ -174,9 +175,11 @@ impl Pass for FineGrainedPipeline {
                 f.op_mut(wg)
                     .attrs
                     .set("mma_depth", Attr::Int(self.depth as i64));
+                // A spliced-in `dot_wait` is a new printed line.
+                changed = true;
             }
         }
-        Ok(())
+        Ok(changed)
     }
 }
 
@@ -190,7 +193,8 @@ impl Pass for CoarsePipeline {
         "coarse-pipeline"
     }
 
-    fn run(&self, module: &mut Module) -> Result<(), Diagnostic> {
+    fn run(&self, module: &mut Module) -> Result<bool, Diagnostic> {
+        let mut changed = false;
         for f in &mut module.funcs {
             for wg in consumer_warp_groups(f) {
                 let Some(loop_op) = warp_group_loop(f, wg) else {
@@ -202,20 +206,25 @@ impl Pass for CoarsePipeline {
                 let Some(u) = stages.u_dot else {
                     continue;
                 };
-                f.op_mut(stages.t_dot)
-                    .attrs
-                    .set("stage", Attr::Str("T".into()));
-                f.op_mut(u).attrs.set("stage", Attr::Str("U".into()));
+                changed |= annotate(f, stages.t_dot, "stage", "T");
+                changed |= annotate(f, u, "stage", "U");
                 for c in stages.c_ops {
-                    f.op_mut(c).attrs.set("stage", Attr::Str("C".into()));
+                    changed |= annotate(f, c, "stage", "C");
                 }
-                f.op_mut(wg)
-                    .attrs
-                    .set("pipeline", Attr::Str("coarse".into()));
+                changed |= annotate(f, wg, "pipeline", "coarse");
             }
         }
-        Ok(())
+        Ok(changed)
     }
+}
+
+/// Sets the string attribute `key = value` on `op`; returns whether that
+/// moved it (an already-annotated loop prints the same).
+fn annotate(f: &mut Func, op: OpId, key: &str, value: &str) -> bool {
+    let attrs = &mut f.op_mut(op).attrs;
+    let moved = attrs.str(key) != Some(value);
+    attrs.set(key, Attr::Str(value.into()));
+    moved
 }
 
 #[cfg(test)]

@@ -29,7 +29,12 @@
 //!
 //! Every tier is addressed by the same [`CacheKey`]: `module_fp` is the
 //! FNV-1a fingerprint of the module's canonical printed IR
-//! ([`module_fingerprint`]), and `env_fp` hashes the `Debug` form of the
+//! ([`module_fingerprint`], streamed into the hash — no text is
+//! buffered), computed **once per public call**: the raw-module entry
+//! points hash on entry, the `*_program` ones read the fingerprint the
+//! [`Program`] remembers, an autotune sweep hashes once for all its
+//! candidates, and everything below takes `module_fp` as an argument.
+//! `env_fp` hashes the `Debug` form of the
 //! remaining compilation inputs — [`CompileOptions`] (every knob,
 //! including the [`CompileOptions::pipeline`] override), the
 //! [`LaunchSpec`] and the full [`Device`] (every calibration constant,
@@ -96,7 +101,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use gpu_sim::{Device, SimReport};
 use tawa_frontend::dsl::Program;
 use tawa_ir::diag::Diagnostic;
-use tawa_ir::fingerprint::{fnv1a, module_fingerprint};
+use tawa_ir::fingerprint::{fnv1a_fmt, module_fingerprint};
 use tawa_ir::func::Module;
 use tawa_ir::pass::PassError;
 use tawa_ir::pipeline_spec::{PassRegistry, PipelineSpec};
@@ -148,8 +153,10 @@ fn env_fingerprint(spec: &LaunchSpec, opts: &CompileOptions, device: &Device) ->
     // same-named devices with different calibration constants (a tweaked
     // preset, a test double) produce different kernels and different
     // simulation outcomes, and persisted cache entries keyed by name
-    // alone would serve one device's results to the other.
-    fnv1a(format!("{opts:?}|{spec:?}|{device:?}").as_bytes())
+    // alone would serve one device's results to the other. Runs on every
+    // lookup, memory hits included, so the text goes straight into the
+    // hash.
+    fnv1a_fmt(format_args!("{opts:?}|{spec:?}|{device:?}"))
 }
 
 crate::counters! {
@@ -562,14 +569,27 @@ impl CompileSession {
         spec: &LaunchSpec,
         opts: &CompileOptions,
     ) -> Result<Arc<Kernel>, CompileError> {
-        self.compile_keyed(self.key(module, spec, opts), module, spec, opts)
+        self.compile_fp(module_fingerprint(module), module, spec, opts)
+    }
+
+    /// [`CompileSession::compile`] for a caller that already holds
+    /// `module`'s fingerprint (a [`Program`], a sweep over one module):
+    /// the module is not printed again.
+    pub(crate) fn compile_fp(
+        &self,
+        module_fp: u64,
+        module: &Module,
+        spec: &LaunchSpec,
+        opts: &CompileOptions,
+    ) -> Result<Arc<Kernel>, CompileError> {
+        self.compile_keyed(self.key(module_fp, spec, opts), module, spec, opts)
     }
 
     /// The address of one compilation in every tier (see the module docs'
     /// "Cache key derivation").
-    fn key(&self, module: &Module, spec: &LaunchSpec, opts: &CompileOptions) -> CacheKey {
+    fn key(&self, module_fp: u64, spec: &LaunchSpec, opts: &CompileOptions) -> CacheKey {
         CacheKey {
-            module_fp: module_fingerprint(module),
+            module_fp,
             env_fp: env_fingerprint(spec, opts, &self.device),
         }
     }
@@ -634,7 +654,12 @@ impl CompileSession {
         program: &Program,
         opts: &CompileOptions,
     ) -> Result<Arc<Kernel>, CompileError> {
-        self.compile(program.module(), program.spec(), opts)
+        self.compile_fp(
+            program.fingerprint(),
+            program.module(),
+            program.spec(),
+            opts,
+        )
     }
 
     /// Compiles and simulates a DSL-authored [`Program`]
@@ -647,7 +672,12 @@ impl CompileSession {
         program: &Program,
         opts: &CompileOptions,
     ) -> Result<SimReport, CompileError> {
-        self.compile_and_simulate(program.module(), program.spec(), opts)
+        self.compile_and_simulate_fp(
+            program.fingerprint(),
+            program.module(),
+            program.spec(),
+            opts,
+        )
     }
 
     /// Compiles `module` (through every cache tier) and collects its
@@ -678,7 +708,8 @@ impl CompileSession {
         program: &Program,
         opts: &CompileOptions,
     ) -> Result<PerfSummary, CompileError> {
-        self.perf_summary(program.module(), program.spec(), opts)
+        let kernel = self.compile_program(program, opts)?;
+        Ok(self.perf_summary_of(program.module(), &kernel))
     }
 
     /// The [`PerfSummary`] of an already compiled kernel. `module` must
@@ -728,7 +759,19 @@ impl CompileSession {
         spec: &LaunchSpec,
         opts: &CompileOptions,
     ) -> Result<SimReport, CompileError> {
-        let key = self.key(module, spec, opts);
+        self.compile_and_simulate_fp(module_fingerprint(module), module, spec, opts)
+    }
+
+    /// [`CompileSession::compile_and_simulate`] for a caller that already
+    /// holds `module`'s fingerprint (see [`CompileSession::compile_fp`]).
+    pub(crate) fn compile_and_simulate_fp(
+        &self,
+        module_fp: u64,
+        module: &Module,
+        spec: &LaunchSpec,
+        opts: &CompileOptions,
+    ) -> Result<SimReport, CompileError> {
+        let key = self.key(module_fp, spec, opts);
         // A point known infeasible in memory is answered before any lower
         // tier's sim slot is asked: a sweep retries such points, and each
         // retry must not cost a `.sim` probe or a daemon round trip.
@@ -787,7 +830,11 @@ impl CompileSession {
 
     /// Fans `jobs` out across `std::thread::scope` workers, preserving
     /// input order in the results.
-    fn run_batch<T, F>(&self, jobs: &[CompileJob<'_>], f: F) -> Vec<Result<T, CompileError>>
+    pub(crate) fn run_batch<T, F>(
+        &self,
+        jobs: &[CompileJob<'_>],
+        f: F,
+    ) -> Vec<Result<T, CompileError>>
     where
         T: Send,
         F: Fn(&CompileJob<'_>) -> Result<T, CompileError> + Sync,
@@ -839,10 +886,11 @@ impl CompileSession {
         if let Some(m) = cleaned.get(&fp) {
             return Ok(m.clone());
         }
-        let spec = PipelineSpec::parse(CLEANUP_PIPELINE).expect("cleanup pipeline parses");
-        let mut pm = spec
-            .build(&self.registry)
-            .expect("cleanup passes are registered");
+        // Not an invariant: `registry_mut` lets a caller drop or replace
+        // the cleanup passes.
+        let mut pm = PipelineSpec::parse(CLEANUP_PIPELINE)
+            .and_then(|spec| spec.build(&self.registry))
+            .map_err(pipeline_override_error)?;
         let mut m = module.clone();
         pm.run(&mut m).map_err(CompileError::Pass)?;
         let m = Arc::new(m);
@@ -898,9 +946,10 @@ fn config_tail(opts: &CompileOptions) -> String {
     }
 }
 
-/// Maps a bad [`CompileOptions::pipeline`] override (parse failure or an
-/// unregistered pass) onto [`CompileError::Pass`]. The built-in pipeline
-/// text never takes this path.
+/// Maps a pipeline that cannot be built — a bad
+/// [`CompileOptions::pipeline`] override (parse failure or an unregistered
+/// pass), or a built-in pass missing from a registry the caller edited —
+/// onto [`CompileError::Pass`].
 fn pipeline_override_error(diagnostic: Diagnostic) -> CompileError {
     CompileError::Pass(PassError::Failed {
         pass: "pipeline-override".to_string(),
@@ -1447,8 +1496,8 @@ mod tests {
             fn name(&self) -> &str {
                 "nop-probe"
             }
-            fn run(&self, _m: &mut Module) -> Result<(), Diagnostic> {
-                Ok(())
+            fn run(&self, _m: &mut Module) -> Result<bool, Diagnostic> {
+                Ok(false)
             }
         }
         let mut session = CompileSession::in_memory(&dev());
@@ -1578,9 +1627,9 @@ mod tests {
             fn name(&self) -> &str {
                 "dce"
             }
-            fn run(&self, _m: &mut Module) -> Result<(), Diagnostic> {
+            fn run(&self, _m: &mut Module) -> Result<bool, Diagnostic> {
                 assert!(!ARMED.swap(false, Ordering::SeqCst), "pass bug");
-                Ok(())
+                Ok(false)
             }
         }
         // Replacing `dce` puts the panic inside the cleanup prefix, i.e.
@@ -1625,5 +1674,72 @@ mod tests {
         assert_eq!(stats.kernel_entries, 0);
         assert_eq!(stats.module_entries, 0);
         assert_eq!(stats.kernel_misses, 1);
+    }
+
+    #[test]
+    fn env_fingerprint_is_the_parents() {
+        // Literals captured from the commit that still hashed
+        // `format!("{opts:?}|{spec:?}|{device:?}")`: together with the
+        // module pins in `tests/fingerprint_pins.rs` they show that no
+        // existing cache key moved.
+        use tawa_ir::spec::ParamValue;
+        let spec = LaunchSpec::uniform(
+            vec![
+                ParamValue::Int(8192),
+                ParamValue::Global {
+                    shape: vec![8192, 512],
+                    dtype: tawa_ir::types::DType::F16,
+                },
+            ],
+            4096,
+            1.5e12,
+        );
+        let default = CompileOptions::default();
+        assert_eq!(env_fingerprint(&spec, &default, &dev()), 0xd53254714f250ed8);
+        let persistent = CompileOptions {
+            persistent: true,
+            cooperative: 2,
+            ..CompileOptions::default()
+        };
+        assert_eq!(
+            env_fingerprint(&spec, &persistent, &dev()),
+            0x62f1ae9607fad87e
+        );
+        assert_eq!(
+            env_fingerprint(&spec, &default, &dev()),
+            tawa_ir::fingerprint::fnv1a(format!("{default:?}|{spec:?}|{:?}", dev()).as_bytes())
+        );
+    }
+
+    #[test]
+    fn a_registry_without_dce_is_an_error_not_a_panic() {
+        let mut session = CompileSession::in_memory(&dev());
+        let opts = CompileOptions::default();
+        let (served, served_spec) = gemm(&GemmConfig::new(1024, 1024, 512)).into_parts();
+        session.compile(&served, &served_spec, &opts).unwrap();
+
+        // The caller owns the registry: nothing stops it from dropping a
+        // cleanup pass.
+        let mut without_dce = PassRegistry::new();
+        without_dce.register("const-fold", |_| {
+            Ok(Box::new(tawa_ir::transforms::ConstFold))
+        });
+        *session.registry_mut() = without_dce;
+
+        let (cold, cold_spec) =
+            gemm(&GemmConfig::new(1024, 1024, 512).with_dtype(tawa_ir::types::DType::F8E4M3))
+                .into_parts();
+        let err = session.compile(&cold, &cold_spec, &opts).unwrap_err();
+        let CompileError::Pass(err) = err else {
+            panic!("expected a pass error, got {err}");
+        };
+        assert!(err.to_string().contains("dce"), "{err}");
+
+        // Cached work is still served, and the cold module compiles once
+        // the registry is whole again.
+        session.compile(&served, &served_spec, &opts).unwrap();
+        assert_eq!(session.cache_stats().kernel_hits, 1);
+        *session.registry_mut() = tawa_pass_registry();
+        session.compile(&cold, &cold_spec, &opts).unwrap();
     }
 }

@@ -79,6 +79,8 @@ mod value;
 pub use builder::KernelBuilder;
 pub use value::{Addrs, Carried, Desc, GlobalPtr, Join, Scalar, ScopeId, TileExpr, Value};
 
+use std::sync::OnceLock;
+
 use tawa_ir::fingerprint::module_fingerprint;
 use tawa_ir::func::Module;
 use tawa_ir::spec::LaunchSpec;
@@ -92,6 +94,9 @@ use tawa_ir::spec::LaunchSpec;
 pub struct Program {
     module: Module,
     spec: LaunchSpec,
+    // The module is immutable behind `module()`, so its fingerprint is
+    // computed at most once and travels with clones.
+    fingerprint: OnceLock<u64>,
 }
 
 impl Program {
@@ -99,7 +104,11 @@ impl Program {
     /// harnesses that re-specialize one kernel body for a different
     /// launch, e.g. grouped GEMM re-binding the fused GEMM module).
     pub fn from_parts(module: Module, spec: LaunchSpec) -> Program {
-        Program { module, spec }
+        Program {
+            module,
+            spec,
+            fingerprint: OnceLock::new(),
+        }
     }
 
     /// The tile-IR module.
@@ -138,8 +147,11 @@ impl Program {
     /// over the canonical printed IR, which source locations never
     /// perturb). Two programs with equal fingerprints share every cache
     /// tier, including entries written before they were authored in the
-    /// DSL.
+    /// DSL. Computed on first use and remembered — across clones and
+    /// [`Program::with_launch`], which keep the module.
     pub fn fingerprint(&self) -> u64 {
-        module_fingerprint(&self.module)
+        *self
+            .fingerprint
+            .get_or_init(|| module_fingerprint(&self.module))
     }
 }

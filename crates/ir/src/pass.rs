@@ -4,17 +4,22 @@
 //! pass infrastructure).
 //!
 //! Failures are reported as structured [`Diagnostic`]s rather than bare
-//! strings. The manager fingerprints the module around every pass
-//! ([`crate::fingerprint::module_fingerprint`]) to record whether each pass
-//! actually changed anything; verification is skipped for passes that left
-//! the module untouched, and [`PassManager::add_fixpoint`] groups iterate
-//! until the fingerprint stabilises (e.g. const-fold + DCE to fixpoint).
+//! strings. **Change detection is the pass's job**: [`Pass::run`] returns
+//! whether it changed the module, and the manager takes that answer for
+//! [`PassStat::changed`], skips verification after a pass that left the
+//! module untouched, and ends an [`PassManager::add_fixpoint`] group at
+//! the first round in which no pass changed anything (e.g. const-fold +
+//! DCE to fixpoint). A release build never prints or hashes the module
+//! here. A debug build — every `cargo test` — also fingerprints the
+//! module around each pass
+//! ([`crate::fingerprint::module_fingerprint`]) and panics when the
+//! fingerprint moved under a pass that said "unchanged", so the test
+//! suite polices every pass, custom ones included.
 
 use std::fmt;
 use std::time::Instant;
 
 use crate::diag::Diagnostic;
-use crate::fingerprint::module_fingerprint;
 use crate::func::Module;
 use crate::verify::{verify_module, VerifyError};
 
@@ -95,13 +100,20 @@ pub trait Pass {
     /// Stable pass name for diagnostics and statistics.
     fn name(&self) -> &str;
 
-    /// Runs the transformation on `module`.
+    /// Runs the transformation on `module` and returns whether it changed
+    /// it — `true` iff the module would now print differently.
+    ///
+    /// Report precisely. Saying `true` for an untouched module is safe
+    /// but costs a re-verification and, inside a fixpoint group, another
+    /// round; saying `false` after a mutation is a bug — the manager would
+    /// skip verification and stop a fixpoint early — which debug builds
+    /// catch by panicking.
     ///
     /// # Errors
     /// Returns a [`Diagnostic`] if the pass cannot be applied (precondition
     /// violations, unsupported constructs). The manager attributes the
     /// diagnostic to the pass if the pass did not do so itself.
-    fn run(&self, module: &mut Module) -> Result<(), Diagnostic>;
+    fn run(&self, module: &mut Module) -> Result<bool, Diagnostic>;
 }
 
 /// Timing/result record for one executed pass.
@@ -111,7 +123,9 @@ pub struct PassStat {
     pub name: String,
     /// Wall-clock duration.
     pub micros: u128,
-    /// Whether the pass changed the module (fingerprint moved).
+    /// Whether the pass changed the module, as reported by the pass
+    /// (`false` for a pass that failed); cross-checked against the
+    /// fingerprint in debug builds.
     pub changed: bool,
 }
 
@@ -197,34 +211,33 @@ impl PassManager {
 
     /// Runs the pipeline over `module`.
     ///
-    /// The module is fingerprinted around every pass: a pass whose
-    /// fingerprint did not move is recorded as `changed = false` and skips
-    /// re-verification. [`PassManager::stats`] reflects every pass that
-    /// actually ran — including, on failure, the failing pass itself.
+    /// A pass that reports the module unchanged is recorded as
+    /// `changed = false` and skips re-verification; a fixpoint group ends
+    /// after the first round in which every pass reported so.
+    /// [`PassManager::stats`] reflects every pass that actually ran —
+    /// including, on failure, the failing pass itself.
     ///
     /// # Errors
     /// Stops at the first failing pass or failed verification.
+    ///
+    /// # Panics
+    /// In debug builds, when a pass reports the module unchanged and its
+    /// fingerprint moved.
     pub fn run(&mut self, module: &mut Module) -> Result<(), PassError> {
         self.stats.clear();
-        let mut fp = module_fingerprint(module);
         for item in &self.items {
             match item {
                 Item::Single(pass) => {
-                    fp = run_one(pass.as_ref(), module, fp, self.verify_each, &mut self.stats)?;
+                    run_one(pass.as_ref(), module, self.verify_each, &mut self.stats)?;
                 }
                 Item::Fixpoint { passes, max_iters } => {
                     for _round in 0..*max_iters {
-                        let before = fp;
+                        let mut changed = false;
                         for pass in passes {
-                            fp = run_one(
-                                pass.as_ref(),
-                                module,
-                                fp,
-                                self.verify_each,
-                                &mut self.stats,
-                            )?;
+                            changed |=
+                                run_one(pass.as_ref(), module, self.verify_each, &mut self.stats)?;
                         }
-                        if fp == before {
+                        if !changed {
                             break;
                         }
                     }
@@ -242,20 +255,25 @@ impl PassManager {
 }
 
 /// Runs one pass, records its stat (even on failure), verifies if the
-/// module changed, and returns the post-pass fingerprint.
+/// pass changed the module, and returns whether it did.
 fn run_one(
     pass: &dyn Pass,
     module: &mut Module,
-    fp_before: u64,
     verify: bool,
     stats: &mut Vec<PassStat>,
-) -> Result<u64, PassError> {
+) -> Result<bool, PassError> {
     let name = pass.name().to_string();
+    #[cfg(debug_assertions)]
+    let fp_before = crate::fingerprint::module_fingerprint(module);
     let start = Instant::now();
     let result = pass.run(module);
     let micros = start.elapsed().as_micros();
-    let fp_after = module_fingerprint(module);
-    let changed = fp_after != fp_before;
+    let changed = matches!(result, Ok(true));
+    #[cfg(debug_assertions)]
+    assert!(
+        result.is_err() || changed || crate::fingerprint::module_fingerprint(module) == fp_before,
+        "pass `{name}` reported the module unchanged, but its fingerprint moved"
+    );
     stats.push(PassStat {
         name: name.clone(),
         micros,
@@ -284,7 +302,7 @@ fn run_one(
             return Err(PassError::VerifyFailed { pass: name, errors });
         }
     }
-    Ok(fp_after)
+    Ok(changed)
 }
 
 #[cfg(test)]
@@ -300,9 +318,10 @@ mod tests {
             self.0
         }
 
-        fn run(&self, module: &mut Module) -> Result<(), Diagnostic> {
+        fn run(&self, module: &mut Module) -> Result<bool, Diagnostic> {
+            let changed = module.attrs.bool(self.0) != Some(true);
             module.attrs.set(self.0, Attr::Bool(true));
-            Ok(())
+            Ok(changed)
         }
     }
 
@@ -313,8 +332,8 @@ mod tests {
             "nop"
         }
 
-        fn run(&self, _m: &mut Module) -> Result<(), Diagnostic> {
-            Ok(())
+        fn run(&self, _m: &mut Module) -> Result<bool, Diagnostic> {
+            Ok(false)
         }
     }
 
@@ -325,7 +344,7 @@ mod tests {
             "fail"
         }
 
-        fn run(&self, _m: &mut Module) -> Result<(), Diagnostic> {
+        fn run(&self, _m: &mut Module) -> Result<bool, Diagnostic> {
             Err(Diagnostic::error("nope"))
         }
     }
@@ -337,7 +356,7 @@ mod tests {
             "corrupt"
         }
 
-        fn run(&self, m: &mut Module) -> Result<(), Diagnostic> {
+        fn run(&self, m: &mut Module) -> Result<bool, Diagnostic> {
             // Introduce a const_int without its required value attr.
             let f = &mut m.funcs[0];
             let b = f.body_block();
@@ -348,7 +367,7 @@ mod tests {
                 vec![crate::types::Type::i32()],
                 crate::op::AttrMap::new(),
             );
-            Ok(())
+            Ok(true)
         }
     }
 
@@ -361,12 +380,12 @@ mod tests {
             "count-to"
         }
 
-        fn run(&self, m: &mut Module) -> Result<(), Diagnostic> {
+        fn run(&self, m: &mut Module) -> Result<bool, Diagnostic> {
             let cur = m.attrs.int("count").unwrap_or(0);
             if cur < self.0 {
                 m.attrs.set("count", Attr::Int(cur + 1));
             }
-            Ok(())
+            Ok(cur < self.0)
         }
     }
 
@@ -472,5 +491,58 @@ mod tests {
         pm.add_fixpoint(vec![Box::new(CountTo(100))], 2);
         pm.run(&mut m).unwrap();
         assert_eq!(m.attrs.int("count"), Some(2), "capped at 2 rounds");
+    }
+
+    /// Mutates the module and reports it unchanged.
+    struct LyingPass;
+
+    impl Pass for LyingPass {
+        fn name(&self) -> &str {
+            "liar"
+        }
+
+        fn run(&self, m: &mut Module) -> Result<bool, Diagnostic> {
+            m.attrs.set("touched", Attr::Bool(true));
+            Ok(false)
+        }
+    }
+
+    /// Touches nothing and reports a change every time.
+    struct CryWolf;
+
+    impl Pass for CryWolf {
+        fn name(&self) -> &str {
+            "cry-wolf"
+        }
+
+        fn run(&self, _m: &mut Module) -> Result<bool, Diagnostic> {
+            Ok(true)
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "pass `liar` reported the module unchanged")]
+    fn under_reporting_pass_trips_the_debug_cross_check() {
+        let mut m = build_module("f", &[], |_, _| {});
+        let mut pm = PassManager::new();
+        pm.add(Box::new(LyingPass));
+        let _ = pm.run(&mut m);
+    }
+
+    #[test]
+    fn over_reporting_pass_stops_at_the_iteration_cap() {
+        let mut m = build_module("f", &[], |b, _| {
+            let _ = b.const_i32(1);
+        });
+        let before = crate::print::print_module(&m);
+        let mut pm = PassManager::new();
+        pm.add_fixpoint(vec![Box::new(CryWolf), Box::new(NopPass)], 3);
+        pm.run(&mut m).unwrap();
+        // Over-reporting is safe, only slow: every round runs (and
+        // re-verifies), none is cut short, the module is intact.
+        let changed: Vec<bool> = pm.stats().iter().map(|s| s.changed).collect();
+        assert_eq!(changed, [true, false, true, false, true, false]);
+        assert_eq!(crate::print::print_module(&m), before);
     }
 }

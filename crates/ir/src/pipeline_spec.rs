@@ -488,9 +488,9 @@ mod tests {
             fn name(&self) -> &str {
                 "depth-probe"
             }
-            fn run(&self, m: &mut crate::func::Module) -> Result<(), Diagnostic> {
+            fn run(&self, m: &mut crate::func::Module) -> Result<bool, Diagnostic> {
                 m.attrs.set("probed-depth", Attr::Int(self.0));
-                Ok(())
+                Ok(true)
             }
         }
         let mut reg = registry();

@@ -20,7 +20,7 @@
 //! by brace-delimited regions. [`crate::parse`] accepts exactly this format;
 //! `print → parse → print` is a fixpoint (covered by property tests).
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write};
 
 use crate::func::{Func, Module};
 use crate::op::{AttrMap, BlockId, OpId, RegionId, ValueId};
@@ -28,23 +28,32 @@ use crate::op::{AttrMap, BlockId, OpId, RegionId, ValueId};
 /// Pretty-prints a module.
 pub fn print_module(m: &Module) -> String {
     let mut out = String::new();
-    if m.attrs.is_empty() {
-        out.push_str("module {\n");
-    } else {
-        let _ = writeln!(out, "module attributes {} {{", fmt_attrs(&m.attrs));
-    }
-    for f in &m.funcs {
-        print_func_into(f, 1, &mut out);
-    }
-    out.push_str("}\n");
+    let _ = write_module(m, &mut out);
     out
 }
 
 /// Pretty-prints a single function (without a module wrapper).
 pub fn print_func(f: &Func) -> String {
     let mut out = String::new();
-    print_func_into(f, 0, &mut out);
+    let _ = write_func(f, 0, &mut out);
     out
+}
+
+/// Writes the canonical text of `m` into any sink: a `String` for
+/// [`print_module`], the hash itself for
+/// [`crate::fingerprint::module_fingerprint`]. Fails only if the sink does.
+pub(crate) fn write_module<W: Write>(m: &Module, out: &mut W) -> fmt::Result {
+    if m.attrs.is_empty() {
+        out.write_str("module {\n")?;
+    } else {
+        out.write_str("module attributes ")?;
+        write_attrs(&m.attrs, out)?;
+        out.write_str(" {\n")?;
+    }
+    for f in &m.funcs {
+        write_func(f, 1, out)?;
+    }
+    out.write_str("}\n")
 }
 
 struct Namer<'f> {
@@ -64,156 +73,159 @@ impl<'f> Namer<'f> {
         }
     }
 
-    fn name(&mut self, v: ValueId) -> String {
-        if let Some(n) = &self.names[v.0 as usize] {
-            return n.clone();
-        }
-        let base = self.func.value(v).name_hint.clone();
-        let name = match base {
-            Some(hint) if !self.used.contains(&hint) => hint,
-            Some(hint) => {
-                let mut i = 1;
-                loop {
-                    let cand = format!("{hint}_{i}");
+    /// The printed name of `v`, assigned on first use.
+    fn name(&mut self, v: ValueId) -> &str {
+        let slot = v.0 as usize;
+        if self.names[slot].is_none() {
+            let name = match &self.func.value(v).name_hint {
+                Some(hint) if !self.used.contains(hint) => hint.clone(),
+                Some(hint) => {
+                    let mut i = 1;
+                    loop {
+                        let cand = format!("{hint}_{i}");
+                        if !self.used.contains(&cand) {
+                            break cand;
+                        }
+                        i += 1;
+                    }
+                }
+                None => loop {
+                    let cand = self.next.to_string();
+                    self.next += 1;
                     if !self.used.contains(&cand) {
                         break cand;
                     }
-                    i += 1;
-                }
-            }
-            None => loop {
-                let cand = format!("{}", self.next);
-                self.next += 1;
-                if !self.used.contains(&cand) {
-                    break cand;
-                }
-            },
-        };
-        self.used.insert(name.clone());
-        self.names[v.0 as usize] = Some(name.clone());
-        name
-    }
-}
-
-fn fmt_attrs(attrs: &AttrMap) -> String {
-    let mut s = String::from("{");
-    for (i, (k, v)) in attrs.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
+                },
+            };
+            self.used.insert(name.clone());
+            self.names[slot] = Some(name);
         }
-        let _ = write!(s, "{k} = {v}");
+        self.names[slot].as_deref().unwrap_or_default()
     }
-    s.push('}');
-    s
 }
 
-fn print_func_into(f: &Func, indent: usize, out: &mut String) {
+fn write_indent<W: Write>(indent: usize, out: &mut W) -> fmt::Result {
+    (0..indent).try_for_each(|_| out.write_str("  "))
+}
+
+/// Writes `items` separated by `", "`.
+fn write_list<W: Write, T>(
+    items: impl IntoIterator<Item = T>,
+    out: &mut W,
+    mut each: impl FnMut(T, &mut W) -> fmt::Result,
+) -> fmt::Result {
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.write_str(", ")?;
+        }
+        each(item, out)?;
+    }
+    Ok(())
+}
+
+fn write_attrs<W: Write>(attrs: &AttrMap, out: &mut W) -> fmt::Result {
+    out.write_char('{')?;
+    write_list(attrs.iter(), out, |(k, v), out| write!(out, "{k} = {v}"))?;
+    out.write_char('}')
+}
+
+fn write_func<W: Write>(f: &Func, indent: usize, out: &mut W) -> fmt::Result {
     let mut namer = Namer::new(f);
-    let pad = "  ".repeat(indent);
-    let _ = write!(out, "{pad}func @{}(", f.name);
-    let params = f.params().to_vec();
-    for (i, &p) in params.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
+    write_indent(indent, out)?;
+    write!(out, "func @{}(", f.name)?;
+    write_list(f.params().iter().enumerate(), out, |(i, &p), out| {
         // Default param names: arg0, arg1, ... unless hinted.
         if f.value(p).name_hint.is_none() {
             let n = format!("arg{i}");
             namer.used.insert(n.clone());
             namer.names[p.0 as usize] = Some(n);
         }
-        let _ = write!(out, "%{}: {}", namer.name(p), f.ty(p));
-    }
-    out.push(')');
+        write!(out, "%{}: {}", namer.name(p), f.ty(p))
+    })?;
+    out.write_char(')')?;
     if !f.attrs.is_empty() {
-        let _ = write!(out, " attributes {}", fmt_attrs(&f.attrs));
+        out.write_str(" attributes ")?;
+        write_attrs(&f.attrs, out)?;
     }
-    out.push_str(" {\n");
-    print_block_ops(f, f.body_block(), indent + 1, &mut namer, out);
-    let _ = writeln!(out, "{pad}}}");
+    out.write_str(" {\n")?;
+    write_block_ops(f, f.body_block(), indent + 1, &mut namer, out)?;
+    write_indent(indent, out)?;
+    out.write_str("}\n")
 }
 
-fn print_block_ops(
+fn write_block_ops<W: Write>(
     f: &Func,
     block: BlockId,
     indent: usize,
     namer: &mut Namer<'_>,
-    out: &mut String,
-) {
+    out: &mut W,
+) -> fmt::Result {
     for &op in &f.block(block).ops {
-        if f.op(op).dead {
-            continue;
+        if !f.op(op).dead {
+            write_op(f, op, indent, namer, out)?;
         }
-        print_op(f, op, indent, namer, out);
     }
+    Ok(())
 }
 
-fn print_region(
+fn write_region<W: Write>(
     f: &Func,
     region: RegionId,
     indent: usize,
     namer: &mut Namer<'_>,
-    out: &mut String,
-) {
-    let pad = "  ".repeat(indent);
-    out.push_str(" {\n");
+    out: &mut W,
+) -> fmt::Result {
+    out.write_str(" {\n")?;
     for &block in &f.region(region).blocks {
-        let _ = write!(out, "{pad}  ^bb(");
-        for (i, &a) in f.block(block).args.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "%{}: {}", namer.name(a), f.ty(a));
-        }
-        out.push_str("):\n");
-        print_block_ops(f, block, indent + 2, namer, out);
+        write_indent(indent + 1, out)?;
+        out.write_str("^bb(")?;
+        write_list(&f.block(block).args, out, |&a, out| {
+            write!(out, "%{}: {}", namer.name(a), f.ty(a))
+        })?;
+        out.write_str("):\n")?;
+        write_block_ops(f, block, indent + 2, namer, out)?;
     }
-    let _ = write!(out, "{pad}}}");
+    write_indent(indent, out)?;
+    out.write_char('}')
 }
 
-fn print_op(f: &Func, op: OpId, indent: usize, namer: &mut Namer<'_>, out: &mut String) {
-    let pad = "  ".repeat(indent);
-    out.push_str(&pad);
+fn write_op<W: Write>(
+    f: &Func,
+    op: OpId,
+    indent: usize,
+    namer: &mut Namer<'_>,
+    out: &mut W,
+) -> fmt::Result {
+    write_indent(indent, out)?;
     let data = f.op(op);
     if !data.results.is_empty() {
-        for (i, &r) in data.results.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "%{}", namer.name(r));
-        }
-        out.push_str(" = ");
+        write_list(&data.results, out, |&r, out| {
+            write!(out, "%{}", namer.name(r))
+        })?;
+        out.write_str(" = ")?;
     }
-    let _ = write!(out, "{}(", data.kind);
-    for (i, &o) in data.operands.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "%{}", namer.name(o));
-    }
-    out.push(')');
+    write!(out, "{}(", data.kind)?;
+    write_list(&data.operands, out, |&o, out| {
+        write!(out, "%{}", namer.name(o))
+    })?;
+    out.write_char(')')?;
     if !data.attrs.is_empty() {
-        let _ = write!(out, " {}", fmt_attrs(&data.attrs));
+        out.write_char(' ')?;
+        write_attrs(&data.attrs, out)?;
     }
-    if !data.results.is_empty() {
-        out.push_str(" : ");
-        if data.results.len() == 1 {
-            let _ = write!(out, "{}", f.ty(data.results[0]));
-        } else {
-            out.push('(');
-            for (i, &r) in data.results.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "{}", f.ty(r));
-            }
-            out.push(')');
+    match data.results.as_slice() {
+        [] => {}
+        [one] => write!(out, " : {}", f.ty(*one))?,
+        many => {
+            out.write_str(" : (")?;
+            write_list(many, out, |&r, out| write!(out, "{}", f.ty(r)))?;
+            out.write_char(')')?;
         }
     }
     for &region in &data.regions {
-        print_region(f, region, indent, namer, out);
+        write_region(f, region, indent, namer, out)?;
     }
-    out.push('\n');
+    out.write_char('\n')
 }
 
 #[cfg(test)]

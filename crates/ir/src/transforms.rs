@@ -21,11 +21,10 @@ impl Pass for Dce {
         "dce"
     }
 
-    fn run(&self, module: &mut Module) -> Result<(), Diagnostic> {
-        for f in &mut module.funcs {
-            run_dce(f);
-        }
-        Ok(())
+    fn run(&self, module: &mut Module) -> Result<bool, Diagnostic> {
+        // Every erased op is a printed line gone.
+        let erased: usize = module.funcs.iter_mut().map(run_dce).sum();
+        Ok(erased > 0)
     }
 }
 
@@ -85,11 +84,11 @@ impl Pass for ConstFold {
         "const-fold"
     }
 
-    fn run(&self, module: &mut Module) -> Result<(), Diagnostic> {
-        for f in &mut module.funcs {
-            run_const_fold(f);
-        }
-        Ok(())
+    fn run(&self, module: &mut Module) -> Result<bool, Diagnostic> {
+        // Every fold erases an op (replacing it by a constant or by one of
+        // its operands).
+        let folds: usize = module.funcs.iter_mut().map(run_const_fold).sum();
+        Ok(folds > 0)
     }
 }
 

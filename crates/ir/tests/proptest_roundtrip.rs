@@ -1,13 +1,18 @@
 //! Property tests: random well-typed modules must verify, print, re-parse
-//! and re-print to a fixpoint, preserving structure.
+//! and re-print to a fixpoint, preserving structure; the streamed module
+//! hash must equal the hash of the printed text; and the cleanup passes
+//! must report `changed` exactly.
 
 use proptest::prelude::*;
 
 use tawa_ir::builder::Builder;
+use tawa_ir::fingerprint::{fnv1a, module_fingerprint};
 use tawa_ir::func::{Func, Module};
-use tawa_ir::op::{Attr, CmpPred};
+use tawa_ir::op::{Attr, CmpPred, ValueId};
 use tawa_ir::parse::parse_module;
+use tawa_ir::pass::Pass;
 use tawa_ir::print::print_module;
+use tawa_ir::transforms::{ConstFold, Dce};
 use tawa_ir::types::Type;
 use tawa_ir::verify::verify_module;
 
@@ -118,6 +123,199 @@ fn build_random_module(steps: &[Step], attrs: &[(String, i64)]) -> Module {
     m
 }
 
+/// The printer as it was before it became generic over `fmt::Write` —
+/// kept verbatim (it built one `String`, cloning every value name) as the
+/// byte-for-byte reference for the streaming one.
+mod reference {
+    use std::fmt::Write as _;
+
+    use tawa_ir::func::{Func, Module};
+    use tawa_ir::op::{AttrMap, BlockId, OpId, RegionId, ValueId};
+
+    pub fn print_module(m: &Module) -> String {
+        let mut out = String::new();
+        if m.attrs.is_empty() {
+            out.push_str("module {\n");
+        } else {
+            let _ = writeln!(out, "module attributes {} {{", fmt_attrs(&m.attrs));
+        }
+        for f in &m.funcs {
+            print_func_into(f, 1, &mut out);
+        }
+        out.push_str("}\n");
+        out
+    }
+
+    struct Namer<'f> {
+        func: &'f Func,
+        names: Vec<Option<String>>,
+        used: std::collections::HashSet<String>,
+        next: usize,
+    }
+
+    impl<'f> Namer<'f> {
+        fn new(func: &'f Func) -> Namer<'f> {
+            Namer {
+                func,
+                names: vec![None; func.num_values()],
+                used: std::collections::HashSet::new(),
+                next: 0,
+            }
+        }
+
+        fn name(&mut self, v: ValueId) -> String {
+            if let Some(n) = &self.names[v.0 as usize] {
+                return n.clone();
+            }
+            let base = self.func.value(v).name_hint.clone();
+            let name = match base {
+                Some(hint) if !self.used.contains(&hint) => hint,
+                Some(hint) => {
+                    let mut i = 1;
+                    loop {
+                        let cand = format!("{hint}_{i}");
+                        if !self.used.contains(&cand) {
+                            break cand;
+                        }
+                        i += 1;
+                    }
+                }
+                None => loop {
+                    let cand = format!("{}", self.next);
+                    self.next += 1;
+                    if !self.used.contains(&cand) {
+                        break cand;
+                    }
+                },
+            };
+            self.used.insert(name.clone());
+            self.names[v.0 as usize] = Some(name.clone());
+            name
+        }
+    }
+
+    fn fmt_attrs(attrs: &AttrMap) -> String {
+        let mut s = String::from("{");
+        for (i, (k, v)) in attrs.iter().enumerate() {
+            if i > 0 {
+                s.push_str(", ");
+            }
+            let _ = write!(s, "{k} = {v}");
+        }
+        s.push('}');
+        s
+    }
+
+    fn print_func_into(f: &Func, indent: usize, out: &mut String) {
+        let mut namer = Namer::new(f);
+        let pad = "  ".repeat(indent);
+        let _ = write!(out, "{pad}func @{}(", f.name);
+        let params = f.params().to_vec();
+        for (i, &p) in params.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            // Default param names: arg0, arg1, ... unless hinted.
+            if f.value(p).name_hint.is_none() {
+                let n = format!("arg{i}");
+                namer.used.insert(n.clone());
+                namer.names[p.0 as usize] = Some(n);
+            }
+            let _ = write!(out, "%{}: {}", namer.name(p), f.ty(p));
+        }
+        out.push(')');
+        if !f.attrs.is_empty() {
+            let _ = write!(out, " attributes {}", fmt_attrs(&f.attrs));
+        }
+        out.push_str(" {\n");
+        print_block_ops(f, f.body_block(), indent + 1, &mut namer, out);
+        let _ = writeln!(out, "{pad}}}");
+    }
+
+    fn print_block_ops(
+        f: &Func,
+        block: BlockId,
+        indent: usize,
+        namer: &mut Namer<'_>,
+        out: &mut String,
+    ) {
+        for &op in &f.block(block).ops {
+            if f.op(op).dead {
+                continue;
+            }
+            print_op(f, op, indent, namer, out);
+        }
+    }
+
+    fn print_region(
+        f: &Func,
+        region: RegionId,
+        indent: usize,
+        namer: &mut Namer<'_>,
+        out: &mut String,
+    ) {
+        let pad = "  ".repeat(indent);
+        out.push_str(" {\n");
+        for &block in &f.region(region).blocks {
+            let _ = write!(out, "{pad}  ^bb(");
+            for (i, &a) in f.block(block).args.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                let _ = write!(out, "%{}: {}", namer.name(a), f.ty(a));
+            }
+            out.push_str("):\n");
+            print_block_ops(f, block, indent + 2, namer, out);
+        }
+        let _ = write!(out, "{pad}}}");
+    }
+
+    fn print_op(f: &Func, op: OpId, indent: usize, namer: &mut Namer<'_>, out: &mut String) {
+        let pad = "  ".repeat(indent);
+        out.push_str(&pad);
+        let data = f.op(op);
+        if !data.results.is_empty() {
+            for (i, &r) in data.results.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                let _ = write!(out, "%{}", namer.name(r));
+            }
+            out.push_str(" = ");
+        }
+        let _ = write!(out, "{}(", data.kind);
+        for (i, &o) in data.operands.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            let _ = write!(out, "%{}", namer.name(o));
+        }
+        out.push(')');
+        if !data.attrs.is_empty() {
+            let _ = write!(out, " {}", fmt_attrs(&data.attrs));
+        }
+        if !data.results.is_empty() {
+            out.push_str(" : ");
+            if data.results.len() == 1 {
+                let _ = write!(out, "{}", f.ty(data.results[0]));
+            } else {
+                out.push('(');
+                for (i, &r) in data.results.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(", ");
+                    }
+                    let _ = write!(out, "{}", f.ty(r));
+                }
+                out.push(')');
+            }
+        }
+        for &region in &data.regions {
+            print_region(f, region, indent, namer, out);
+        }
+        out.push('\n');
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -140,6 +338,44 @@ proptest! {
         // Parsed module must also verify and preserve op count.
         prop_assert!(verify_module(&reparsed).is_ok());
         prop_assert_eq!(m.funcs[0].walk().len(), reparsed.funcs[0].walk().len());
+    }
+
+    #[test]
+    fn streamed_hash_and_generic_printer_match_the_buffered_original(
+        steps in prop::collection::vec(step_strategy(2), 1..24),
+        attr in 0i64..100,
+        hints in prop::collection::vec((0usize..256, 0usize..4), 0..6),
+    ) {
+        let mut m = build_random_module(&steps, &[("num_warps".to_string(), attr)]);
+        // Hints that collide with each other, with the automatic numbering
+        // and with the default parameter names.
+        let f = &mut m.funcs[0];
+        for (v, h) in hints {
+            let v = ValueId((v % f.num_values()) as u32);
+            f.set_name_hint(v, ["acc", "0", "7", "arg1"][h]);
+        }
+        // The re-parsed module carries a hint on every value.
+        let reparsed = parse_module(&print_module(&m)).expect("reparse printed IR");
+        for m in [&m, &reparsed] {
+            let text = print_module(m);
+            prop_assert_eq!(&text, &reference::print_module(m));
+            prop_assert_eq!(module_fingerprint(m), fnv1a(text.as_bytes()));
+        }
+    }
+
+    #[test]
+    fn cleanup_passes_report_changed_exactly(
+        steps in prop::collection::vec(step_strategy(2), 1..24),
+    ) {
+        let mut m = build_random_module(&steps, &[]);
+        let mut fp = module_fingerprint(&m);
+        let passes: [&dyn Pass; 4] = [&ConstFold, &Dce, &ConstFold, &Dce];
+        for pass in passes {
+            let reported = pass.run(&mut m).expect("cleanup passes never fail");
+            let after = module_fingerprint(&m);
+            prop_assert_eq!(reported, after != fp, "{}", pass.name());
+            fp = after;
+        }
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! order. The first time a shape appears (identified by its canonical
 //! request line — see [`Request::to_line`]) the replay runs a
 //! model-guided autotune sweep over the family's tune space and memoizes
-//! the winning [`CompileOptions`]; every repeat reuses the memoized
-//! winner, and the compile + simulate behind it resolves through the
+//! the winning [`CompileOptions`] next to the shape's built [`Program`];
+//! every repeat reuses both — nothing is rebuilt, re-printed or re-hashed
+//! — and the compile + simulate behind it resolves through the
 //! session's cache tiers — in-memory first, then disk when a
 //! [`TAWA_DISK_CACHE`](tawa_core::DISK_CACHE_ENV) directory is attached.
 //!
@@ -153,7 +154,9 @@ fn base_options(request: &Request) -> CompileOptions {
     base
 }
 
-/// Builds the zoo program for a request.
+/// Builds the zoo program for a request — a pure function of the
+/// request's canonical line, which is what lets [`Replay`] keep one
+/// program per shape key.
 fn program_for(request: &Request) -> Program {
     match request {
         Request::Prefill(cfg) => {
@@ -173,6 +176,9 @@ fn program_for(request: &Request) -> Program {
 pub struct Replay<'s> {
     session: &'s CompileSession,
     winners: HashMap<String, CompileOptions>,
+    // Each shape's program, built on first sight; it carries its module
+    // fingerprint, so a repeat is a map lookup plus a memory-tier hit.
+    programs: HashMap<String, Program>,
     // Perf-lint ids of each shape's winning kernel, memoized alongside
     // the winner so repeats cost no analysis (deterministic either way).
     perf: HashMap<String, Vec<&'static str>>,
@@ -187,6 +193,7 @@ impl<'s> Replay<'s> {
         Replay {
             session,
             winners: HashMap::new(),
+            programs: HashMap::new(),
             perf: HashMap::new(),
             outcomes: Vec::new(),
         }
@@ -239,7 +246,11 @@ impl<'s> Replay<'s> {
     fn run_one(&mut self, index: usize, request: &Request) -> Result<(), ReplayError> {
         let shape_key = request.to_line();
         let before = self.session.cache_stats();
-        let program = program_for(request);
+        if !self.programs.contains_key(&shape_key) {
+            self.programs
+                .insert(shape_key.clone(), program_for(request));
+        }
+        let program = &self.programs[&shape_key];
         let mut tuned = false;
         let opts = match self.winners.get(&shape_key) {
             Some(opts) => opts.clone(),
@@ -265,7 +276,7 @@ impl<'s> Replay<'s> {
         };
         let report = self
             .session
-            .compile_and_simulate_program(&program, &opts)
+            .compile_and_simulate_program(program, &opts)
             .map_err(|source| ReplayError::Compile {
                 request: shape_key.clone(),
                 source,
@@ -278,7 +289,7 @@ impl<'s> Replay<'s> {
             None => {
                 let summary =
                     self.session
-                        .perf_summary_program(&program, &opts)
+                        .perf_summary_program(program, &opts)
                         .map_err(|source| ReplayError::Compile {
                             request: shape_key.clone(),
                             source,
@@ -387,5 +398,47 @@ mod tests {
             assert!(p.p50_us > 0.0 && p.p99_us >= p.p50_us);
             assert!(p.tflops > 0.0);
         }
+    }
+
+    #[test]
+    fn equal_request_lines_build_equal_programs() {
+        // What the per-shape program memo rests on: the canonical line
+        // carries every field `program_for` reads, so a request parsed
+        // back from its line builds the same module and launch.
+        use crate::trace::{deserialize_trace, serialize_trace};
+        let trace = quick_trace();
+        let reparsed = deserialize_trace(&serialize_trace(&trace)).unwrap();
+        for (a, b) in trace.requests.iter().zip(&reparsed.requests) {
+            assert_eq!(a.to_line(), b.to_line());
+            let (pa, pb) = (program_for(a), program_for(b));
+            assert_eq!(pa.fingerprint(), pb.fingerprint(), "{}", a.to_line());
+            assert_eq!(pa.spec(), pb.spec(), "{}", a.to_line());
+        }
+    }
+
+    #[test]
+    fn a_repeated_single_request_trace_is_one_memory_sim_hit() {
+        let device = Device::h100_sxm5();
+        let session = CompileSession::in_memory(&device);
+        let request = quick_trace().requests[0].clone();
+        assert_eq!(
+            request.to_line(),
+            "request prefill m=4096 n=4096 k=4096 batch=1 dtype=f16 \
+             tile_m=128 tile_n=256 tile_k=64"
+        );
+        let one = Trace::from_requests("single", 5, vec![request]);
+        let counters = |c: &CacheStats| (c.kernel_hits, c.kernel_misses, c.sim_hits, c.sim_misses);
+        let mut replay = Replay::new(&session);
+        // The four counters as the replay left them when every request
+        // rebuilt and re-printed its program: the first sight sweeps eight
+        // candidates, the repeat is a single sim-slot hit in memory.
+        let first = replay.run(&one).unwrap();
+        assert_eq!(counters(&session.cache_stats()), (9, 8, 1, 8));
+        let second = replay.run(&one).unwrap();
+        assert_eq!(counters(&session.cache_stats()), (9, 8, 2, 8));
+        assert_eq!(counters(&replay.outcomes()[1].cache), (0, 0, 1, 0));
+        assert!(!replay.outcomes()[1].tuned);
+        assert!(first.same_workload(&second));
+        assert_eq!(replay.winners().len(), 1);
     }
 }
