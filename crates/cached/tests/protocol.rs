@@ -20,6 +20,7 @@ use tawa_core::remote::RemoteAddr;
 use tawa_core::{CompileOptions, CompileSession};
 use tawa_frontend::config::GemmConfig;
 use tawa_frontend::kernels::gemm;
+use tawa_wsir::{serialize_kernel, Kernel};
 
 /// Starts a one-shot fake daemon running `behavior` on the first
 /// accepted connection, returning its address. The thread is detached
@@ -204,6 +205,48 @@ fn server_survives_garbage_clients_and_keeps_serving() {
     let (sound, bad) = handle.store().verify();
     assert_eq!(bad, 0);
     assert!(sound > 0);
+
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_hostile_loop_nest_is_an_err_reply_and_the_daemon_keeps_serving() {
+    // `put-kernel` parses its payload on a 2 MiB handler thread: 5 000
+    // nested loops (45 KB) used to overflow it and abort the daemon.
+    let root =
+        std::env::temp_dir().join(format!("tawa-cached-protocol-nest-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let store = ShardedStore::open(&root).unwrap();
+    let handle = spawn(store, &RemoteAddr::Tcp("127.0.0.1:0".into())).unwrap();
+    let addr = handle.addr().clone();
+
+    let sound = serialize_kernel(&Kernel::new("nest"));
+    let mut hostile = sound.clone();
+    hostile.push_str("warp_group role=producer regs_per_thread=24 {\n");
+    hostile.push_str(&"loop 1 {\n".repeat(5_000));
+    hostile.push_str(&"}\n".repeat(5_001));
+    let put = |text: &str| {
+        let request = format!("tawa-cached 1\nput-kernel 2 2 {}\n{text}", text.len());
+        raw_exchange(&addr, request.as_bytes())
+    };
+
+    let reply = put(&hostile);
+    assert!(reply.starts_with("err "), "{reply:?}");
+    assert!(reply.contains("loop nesting deeper than"), "{reply:?}");
+    let stats = handle.daemon_stats();
+    assert_eq!((stats.errors, stats.writes), (1, 0), "{stats:?}");
+
+    // The same daemon then serves a well-formed put/get pair.
+    assert_eq!(put(&sound), "ok\n");
+    let reply = raw_exchange(&addr, b"tawa-cached 1\nget-kernel 2 2\n");
+    assert_eq!(reply, format!("kernel {}\n{sound}", sound.len()));
+    let stats = handle.daemon_stats();
+    assert_eq!(
+        (stats.errors, stats.writes, stats.hits),
+        (1, 1, 1),
+        "{stats:?}"
+    );
 
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&root);

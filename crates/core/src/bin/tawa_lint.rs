@@ -32,12 +32,13 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use gpu_sim::Device;
-use tawa_core::cache::{DiskCache, EntryKind};
+use tawa_core::cache::{DiskCache, EntryKind, MAGIC};
 use tawa_core::lower::CompileOptions;
 use tawa_core::session::CompileSession;
 use tawa_frontend::config::{AttentionConfig, GemmConfig};
 use tawa_frontend::kernels::{attention, batched_gemm, gemm};
 use tawa_ir::types::DType;
+use tawa_wsir::doc::{json_block, json_string};
 use tawa_wsir::{
     analyze, analyze_ir, analyze_kernel, deserialize_kernel, Kernel, Lint, Severity, ALL_LINT_IDS,
 };
@@ -57,11 +58,6 @@ the tawa-kernel-cache header) or compile-cache directories written by
 CompileSession (TAWA_DISK_CACHE). Exit code 0 means no lint errors (no
 lints at all under --deny warnings, none of the denied ids under
 --deny <id,...>).";
-
-/// Header magic of disk-cache entries; when a `.wsir` file leads with it,
-/// the two header lines (magic + key echo) are stripped before the WSIR
-/// document is parsed.
-const CACHE_MAGIC: &str = "tawa-kernel-cache";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -238,72 +234,45 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
 
 /// Renders the tally as one stable JSON document: totals, a per-id
 /// histogram, and every finding with its kernel label and rendered
-/// message. Hand-rolled like the rest of the repo's serializations — the
-/// shape is flat and the only subtlety is string escaping.
+/// message.
 fn json_document(tally: &Tally) -> String {
     let mut counts: std::collections::BTreeMap<&str, usize> = std::collections::BTreeMap::new();
     for f in &tally.findings {
         *counts.entry(f.id).or_insert(0) += 1;
     }
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"kernels\": {},\n", tally.kernels));
-    out.push_str(&format!("  \"errors\": {},\n", tally.errors));
-    out.push_str(&format!("  \"warnings\": {},\n", tally.warnings));
-    out.push_str("  \"counts\": {");
-    for (i, (id, n)) in counts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\n    \"{id}\": {n}"));
-    }
-    if counts.is_empty() {
-        out.push_str("},\n");
-    } else {
-        out.push_str("\n  },\n");
-    }
-    out.push_str("  \"lints\": [");
-    for (i, f) in tally.findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"kernel\": \"{}\", \"id\": \"{}\", \"severity\": \"{}\", \"message\": \"{}\"}}",
-            json_escape(&f.kernel),
-            f.id,
-            f.severity,
-            json_escape(&f.message)
-        ));
-    }
-    if tally.findings.is_empty() {
-        out.push_str("]\n}");
-    } else {
-        out.push_str("\n  ]\n}");
-    }
-    out
-}
-
-/// Escapes a string for embedding in a JSON double-quoted literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+    let counts: Vec<String> = counts
+        .iter()
+        .map(|(id, n)| format!("\"{id}\": {n}"))
+        .collect();
+    let lints: Vec<String> = tally
+        .findings
+        .iter()
+        .map(|f| {
+            format!(
+                "{{\"kernel\": {}, \"id\": \"{}\", \"severity\": \"{}\", \"message\": {}}}",
+                json_string(&f.kernel),
+                f.id,
+                f.severity,
+                json_string(&f.message)
+            )
+        })
+        .collect();
+    format!(
+        "{{\n  \"kernels\": {},\n  \"errors\": {},\n  \"warnings\": {},\n  \"counts\": {},\n  \
+         \"lints\": {}\n}}",
+        tally.kernels,
+        tally.errors,
+        tally.warnings,
+        json_block('{', &counts, '}'),
+        json_block('[', &lints, ']'),
+    )
 }
 
 /// Lints one `.wsir` file: a raw serialized kernel, or a cache entry
-/// whose two header lines (magic + key echo) are stripped first.
+/// whose two header lines ([`MAGIC`] + key echo) are stripped first.
 fn lint_file(tally: &mut Tally, path: &str, perf_device: Option<&Device>) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let body = if text.starts_with(CACHE_MAGIC) {
+    let body = if text.starts_with(MAGIC) {
         let mut lines = text.splitn(3, '\n');
         let _magic = lines.next();
         let _key = lines.next();

@@ -32,7 +32,10 @@
 //! `tawa-kernel-cache <DISK_FORMAT_VERSION>` followed by a `key` echo
 //! line; kernel entries then carry the kernel in the versioned WSIR
 //! serialization format ([`tawa_wsir::serialize`]), negative entries the
-//! infeasibility message. [`DISK_FORMAT_VERSION`] is bumped whenever the
+//! infeasibility message. The header is compared as an exact prefix; the
+//! lines after it — the `cost-model` echo, the verdict lines, the sweep
+//! log — are read with the shared document toolkit ([`tawa_wsir::doc`]),
+//! which also owns their quoting. [`DISK_FORMAT_VERSION`] is bumped whenever the
 //! entry layout, the key derivation or the WSIR format changes
 //! incompatibly.
 //!
@@ -74,7 +77,7 @@ use std::sync::Arc;
 use std::time::{Duration, SystemTime};
 
 use gpu_sim::{deserialize_report, serialize_report, SimReport, COST_MODEL_VERSION};
-use tawa_wsir::serialize::{quote, tokenize, unquote};
+use tawa_wsir::doc::{complete_lines, quote, Line};
 use tawa_wsir::{deserialize_kernel, serialize_kernel, Kernel};
 
 use crate::tier::{KernelSlot, Tier};
@@ -85,7 +88,10 @@ use crate::tier::{KernelSlot, Tier};
 pub const DISK_FORMAT_VERSION: u32 = 1;
 
 /// Magic leading the header line of every cache entry.
-const MAGIC: &str = "tawa-kernel-cache";
+pub const MAGIC: &str = "tawa-kernel-cache";
+
+/// What [`tawa_wsir::DocError`]s call the lines of a `.sim` entry body.
+const SIM_BODY: &str = "sim-entry";
 
 /// Content-addressed cache key: module content fingerprint × environment
 /// fingerprint (options, launch spec, device). See the module docs for
@@ -186,15 +192,15 @@ pub fn encode_sim_outcome(outcome: &SimOutcome) -> String {
 pub fn decode_sim_outcome(text: &str) -> Option<SimOutcome> {
     let trimmed = text.trim();
     if trimmed.starts_with("sim-error") || trimmed.starts_with("static-error") {
-        let tokens = tokenize(trimmed, 1).ok()?;
+        let line = Line::parse(SIM_BODY, 1, trimmed).ok()?;
         // Exactly the `sim-error "<msg>"` / `static-error "<msg>"` shape;
         // a merely similar first token (corruption) must invalidate, not
         // serve a false verdict.
-        if tokens.len() != 2 {
+        if line.tokens().len() != 2 {
             return None;
         }
-        let msg = unquote(&tokens[1], 1).ok()?;
-        match tokens[0].as_str() {
+        let msg = line.name("message").ok()?;
+        match line.keyword() {
             "sim-error" => Some(SimOutcome::Failed(msg)),
             "static-error" => Some(SimOutcome::StaticRejection(msg)),
             _ => None,
@@ -211,12 +217,11 @@ pub fn decode_sim_outcome(text: &str) -> Option<SimOutcome> {
 /// callers treat both as an invalidating miss.
 fn parse_sim_body(body: &str) -> Option<SimOutcome> {
     let (first, rest) = body.split_once('\n')?;
-    let version = first
-        .strip_prefix("cost-model ")?
-        .trim()
-        .parse::<u32>()
-        .ok()?;
-    if version != COST_MODEL_VERSION {
+    let line = Line::parse(SIM_BODY, 1, first).ok()?;
+    let &["cost-model", version] = line.tokens() else {
+        return None;
+    };
+    if version.parse() != Ok(COST_MODEL_VERSION) {
         return None;
     }
     decode_sim_outcome(rest)
@@ -496,7 +501,7 @@ impl DiskCache {
             .append(true)
             .create(true)
             .open(self.root.join(SWEEP_LOG))
-            .and_then(|mut f| std::io::Write::write_all(&mut f, line.as_bytes()));
+            .and_then(|mut f| f.write_all(line.as_bytes()));
         if appended.is_err() {
             self.counters.sweep_log_errors.add(1);
         }
@@ -512,20 +517,16 @@ impl DiskCache {
         // Only newline-terminated lines count: a concurrent writer's
         // in-flight append can be torn at any byte, and a tear landing
         // mid-number (`sims=91` read as `sims=9`) would otherwise parse
-        // "successfully" with a wrong count. The dropped tail is re-read
-        // complete once the writer's append lands.
-        let complete = match text.rfind('\n') {
-            Some(i) => &text[..=i],
-            None => "",
-        };
-        for line in complete.lines() {
-            let Some(rest) = line.strip_prefix("sweep pruned=") else {
+        // "successfully" with a wrong count.
+        for line in complete_lines(&text).lines() {
+            let Ok(line) = Line::parse(SWEEP_LOG, 0, line) else {
                 continue;
             };
-            let Some((pruned, sims)) = rest.split_once(" sims=") else {
+            if line.keyword() != "sweep" || line.tokens().len() != 3 {
                 continue;
-            };
-            let (Ok(pruned), Ok(sims)) = (pruned.parse::<u64>(), sims.parse::<u64>()) else {
+            }
+            let (Ok(pruned), Ok(sims)) = (line.int::<u64>("pruned"), line.int::<u64>("sims"))
+            else {
                 continue;
             };
             totals.sweeps += 1;
@@ -1238,6 +1239,26 @@ mod tests {
         // The slot is reusable afterwards.
         cache.store(&k, &sample_kernel(2));
         assert_eq!(cache.load(&k), Some(sample_kernel(2)));
+    }
+
+    #[test]
+    fn a_hostile_loop_nest_is_an_invalidated_miss_not_an_abort() {
+        // The cache directory is untrusted input: an entry nesting loops
+        // past `MAX_LOOP_DEPTH` used to overflow the reader's stack.
+        let dir = tmp_dir("deep-nest");
+        let cache = DiskCache::open(&dir).unwrap();
+        let k = key(7, 7);
+        let mut doc = cache.header(&k);
+        doc.push_str(&serialize_kernel(&Kernel::new("nest")));
+        doc.push_str("warp_group role=producer regs_per_thread=24 {\n");
+        doc.push_str(&"loop 1 {\n".repeat(5_000));
+        doc.push_str(&"}\n".repeat(5_001));
+        let path = cache.entry_path(&k, "wsir");
+        fs::write(&path, doc).unwrap();
+        assert_eq!(cache.load(&k), None);
+        assert!(!path.exists(), "the hostile entry must be deleted");
+        let stats = cache.stats();
+        assert_eq!((stats.invalidations, stats.misses, stats.hits), (1, 1, 0));
     }
 
     #[test]

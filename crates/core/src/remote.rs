@@ -60,7 +60,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use gpu_sim::COST_MODEL_VERSION;
-use tawa_wsir::serialize::{quote, tokenize, Fields};
+use tawa_wsir::doc::{quote, Doc, Line, Table, Writer};
 use tawa_wsir::{deserialize_kernel, serialize_kernel, Kernel};
 
 use crate::cache::{decode_sim_outcome, encode_sim_outcome, CacheKey, SimOutcome};
@@ -93,18 +93,16 @@ pub fn hello_line() -> String {
 
 /// Validates a peer's hello line against [`REMOTE_PROTOCOL`] /
 /// [`REMOTE_PROTOCOL_VERSION`].
+///
+/// The hello is a document header — `<name> <version>` — and is checked
+/// as one.
 pub fn check_hello(line: &str) -> io::Result<()> {
-    let tokens: Vec<&str> = line.split_whitespace().collect();
-    let ok = tokens.len() == 2
-        && tokens[0] == REMOTE_PROTOCOL
-        && tokens[1].parse::<u32>() == Ok(REMOTE_PROTOCOL_VERSION);
-    if ok {
-        Ok(())
-    } else {
-        Err(protocol_err(format!(
+    match Doc::open(line, REMOTE_PROTOCOL, REMOTE_PROTOCOL_VERSION) {
+        Ok(_) => Ok(()),
+        Err(_) => Err(protocol_err(format!(
             "expected {:?} hello, got {line:?}",
             hello_line()
-        )))
+        ))),
     }
 }
 
@@ -284,54 +282,41 @@ pub struct DaemonStats {
     pub errors: u64,
 }
 
-/// Accessor of one [`DaemonStats`] field: read through it to render,
-/// written through it to parse.
-type DaemonField = fn(&mut DaemonStats) -> &mut u64;
-
 impl DaemonStats {
-    /// Every wire field, in line order, with its accessor — the one list
+    /// Every wire field, in line order — the one list
     /// [`DaemonStats::to_line`] and [`DaemonStats::parse`] both walk.
-    const FIELDS: [(&'static str, DaemonField); 14] = [
-        ("entries", |s| &mut s.entries),
-        ("bytes", |s| &mut s.bytes),
-        ("hits", |s| &mut s.hits),
-        ("misses", |s| &mut s.misses),
-        ("writes", |s| &mut s.writes),
-        ("negative_hits", |s| &mut s.negative_hits),
-        ("sim_hits", |s| &mut s.sim_hits),
-        ("sim_negative_hits", |s| &mut s.sim_negative_hits),
-        ("invalidations", |s| &mut s.invalidations),
-        ("evictions", |s| &mut s.evictions),
-        ("sweep_log_errors", |s| &mut s.sweep_log_errors),
-        ("connections", |s| &mut s.connections),
-        ("requests", |s| &mut s.requests),
-        ("errors", |s| &mut s.errors),
-    ];
+    const FIELDS: &'static Table<DaemonStats> = &tawa_wsir::field_table!(DaemonStats {
+        entries: U64,
+        bytes: U64,
+        hits: U64,
+        misses: U64,
+        writes: U64,
+        negative_hits: U64,
+        sim_hits: U64,
+        sim_negative_hits: U64,
+        invalidations: U64,
+        evictions: U64,
+        sweep_log_errors: U64,
+        connections: U64,
+        requests: U64,
+        errors: U64,
+    });
 
     /// Renders the `stats ...` response line (without the newline).
     pub fn to_line(&self) -> String {
-        let mut stats = *self;
-        let mut line = String::from("stats");
-        for (name, field) in Self::FIELDS {
-            line.push_str(&format!(" {name}={}", field(&mut stats)));
-        }
-        line
+        let mut w = Writer::default();
+        w.line("stats").fields(Self::FIELDS, self);
+        w.finish()
     }
 
     /// Parses a `stats ...` response line. Unknown fields are ignored
     /// (a newer daemon may report more), missing fields are an error.
     pub fn parse(line: &str) -> Option<DaemonStats> {
-        let tokens = tokenize(line, 1).ok()?;
-        let (head, rest) = tokens.split_first()?;
-        if head != "stats" {
+        let line = Line::parse("stats", 1, line).ok()?;
+        if line.keyword() != "stats" {
             return None;
         }
-        let fields = Fields::new(rest, 1);
-        let mut stats = DaemonStats::default();
-        for (name, field) in Self::FIELDS {
-            *field(&mut stats) = fields.u64(name).ok()?;
-        }
-        Some(stats)
+        line.read(Self::FIELDS).ok()
     }
 }
 

@@ -43,9 +43,9 @@ pub mod trace;
 pub use replay::{replay_trace, Replay, ReplayError, RequestOutcome};
 pub use report::{
     deserialize_fleet_report, serialize_fleet_report, FleetAccounting, FleetReport, PhaseStats,
-    ReportError, FLEET_REPORT_FORMAT_VERSION,
+    FLEET_REPORT_FORMAT_VERSION,
 };
 pub use trace::{
-    deserialize_trace, generate, serialize_trace, Phase, Request, Trace, TraceError, TraceParams,
+    deserialize_trace, generate, serialize_trace, Phase, Request, Trace, TraceParams,
     TRACE_FORMAT_VERSION,
 };

@@ -210,14 +210,17 @@ impl<'s> Replay<'s> {
     /// configuration or whose compile/simulate fails.
     pub fn run(&mut self, trace: &Trace) -> Result<FleetReport, ReplayError> {
         let start = self.outcomes.len();
+        // One snapshot threads through the run: each request's `after` is
+        // the next one's `before`, so the per-request breadcrumbs sum to
+        // the run's accounting by construction (1 + N snapshots, each a
+        // directory scan on a disk-backed session).
         let baseline = self.session.cache_stats();
+        let mut last = baseline;
         for (index, request) in trace.requests.iter().enumerate() {
-            self.run_one(index, request)?;
+            last = self.run_one(index, request, &last)?;
         }
-        let accounting = FleetAccounting::from_stats(
-            trace.requests.len() as u64,
-            &self.session.cache_stats().delta(&baseline),
-        );
+        let accounting =
+            FleetAccounting::from_stats(trace.requests.len() as u64, &last.delta(&baseline));
         let phases = PhaseStats::aggregate(&self.outcomes[start..]);
         // Request-weighted per-lint-id counts: a BTreeMap sums them in
         // id order, so equal traces produce identical sections.
@@ -242,10 +245,16 @@ impl<'s> Replay<'s> {
         })
     }
 
-    /// Replays a single request, appending its outcome breadcrumb.
-    fn run_one(&mut self, index: usize, request: &Request) -> Result<(), ReplayError> {
+    /// Replays a single request, appending its outcome breadcrumb:
+    /// `before` is the session's counters as the previous request left
+    /// them, the return value as this one did.
+    fn run_one(
+        &mut self,
+        index: usize,
+        request: &Request,
+        before: &CacheStats,
+    ) -> Result<CacheStats, ReplayError> {
         let shape_key = request.to_line();
-        let before = self.session.cache_stats();
         if !self.programs.contains_key(&shape_key) {
             self.programs
                 .insert(shape_key.clone(), program_for(request));
@@ -299,6 +308,7 @@ impl<'s> Replay<'s> {
                 ids
             }
         };
+        let after = self.session.cache_stats();
         self.outcomes.push(RequestOutcome {
             index,
             phase: request.phase(),
@@ -307,9 +317,9 @@ impl<'s> Replay<'s> {
             flops: request.flops(),
             tuned,
             perf_lints,
-            cache: self.session.cache_stats().delta(&before),
+            cache: after.delta(before),
         });
-        Ok(())
+        Ok(after)
     }
 
     /// The per-request outcome breadcrumbs, in replay order (across every
@@ -413,6 +423,27 @@ mod tests {
             let (pa, pb) = (program_for(a), program_for(b));
             assert_eq!(pa.fingerprint(), pb.fingerprint(), "{}", a.to_line());
             assert_eq!(pa.spec(), pb.spec(), "{}", a.to_line());
+        }
+    }
+
+    #[test]
+    fn per_request_breadcrumbs_sum_to_the_run_accounting() {
+        // One snapshot threads through a run, so the outcome deltas are
+        // exactly what the report's accounting is made of.
+        let session = CompileSession::in_memory(&Device::h100_sxm5());
+        let trace = quick_trace();
+        let mut replay = Replay::new(&session);
+        for _ in 0..2 {
+            let start = replay.outcomes().len();
+            let report = replay.run(&trace).unwrap();
+            // `add` sums the gauges too; `from_stats` reads counters only.
+            let mut sum = CacheStats::default();
+            for o in &replay.outcomes()[start..] {
+                sum.add(&o.cache);
+            }
+            let expected = FleetAccounting::from_stats(trace.requests.len() as u64, &sum);
+            assert_eq!(report.accounting, expected);
+            assert!(sum.kernel_hits + sum.sim_hits > 0, "the run moved counters");
         }
     }
 

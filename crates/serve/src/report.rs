@@ -15,21 +15,27 @@
 //!
 //! ## Format
 //!
-//! Same lexical conventions as the trace format ([`crate::trace`]):
-//! header `fleet-report <version>`, then one `fleet` metadata line, one
-//! `phase` line per phase that saw traffic (in [`Phase::ALL`] order),
-//! and one `accounting` line. Floats travel as IEEE-754 bit patterns so
-//! "bit-identical report" is checkable with `diff`.
+//! A line-oriented text document on the shared toolkit
+//! ([`tawa_wsir::doc`]: lexical rules, header and version policy, the
+//! [`DocError`] type): header `fleet-report <version>`, then one `fleet`
+//! metadata line, one `phase` line per phase that saw traffic (in
+//! [`Phase::ALL`] order), one `perf-lint` line per lint id tripped, and
+//! last one `accounting` line. Floats travel as IEEE-754 bit patterns so
+//! "bit-identical report" is checkable with `diff`. `PHASE_FIELDS` and
+//! `ACCOUNTING_FIELDS` are the one list each record's text writer, reader
+//! and JSON rendering walk.
 
-use std::fmt;
 use std::fmt::Write as _;
 
 use tawa_core::CacheStats;
-use tawa_wsir::serialize::{f64_bits_text, quote, tokenize, unquote, Fields};
-use tawa_wsir::SerializeError;
+use tawa_wsir::doc::{json_block, json_object, json_string, Doc, DocError, Table, Writer};
+use tawa_wsir::field_table;
 
 use crate::replay::RequestOutcome;
 use crate::trace::Phase;
+
+/// Header keyword of a serialized fleet report.
+const FORMAT: &str = "fleet-report";
 
 /// Current version of the fleet-report serialization format.
 ///
@@ -39,64 +45,8 @@ use crate::trace::Phase;
 /// request-weighted count.
 pub const FLEET_REPORT_FORMAT_VERSION: u32 = 3;
 
-/// Error produced when deserializing a fleet-report document.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReportError {
-    /// The header names a format version this reader does not speak.
-    VersionMismatch {
-        /// Version found in the document header.
-        found: u32,
-        /// Version this reader implements
-        /// ([`FLEET_REPORT_FORMAT_VERSION`]).
-        expected: u32,
-    },
-    /// The document is structurally invalid.
-    Malformed {
-        /// 1-based line number the parser stopped at (0 = end of input).
-        line: usize,
-        /// What went wrong.
-        msg: String,
-    },
-}
-
-impl fmt::Display for ReportError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ReportError::VersionMismatch { found, expected } => write!(
-                f,
-                "fleet-report format version mismatch: document is v{found}, reader speaks \
-                 v{expected}"
-            ),
-            ReportError::Malformed { line, msg } => {
-                write!(f, "malformed fleet-report document at line {line}: {msg}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ReportError {}
-
-impl From<SerializeError> for ReportError {
-    fn from(e: SerializeError) -> ReportError {
-        match e {
-            SerializeError::Malformed { line, msg } => ReportError::Malformed { line, msg },
-            SerializeError::VersionMismatch { found, expected } => ReportError::Malformed {
-                line: 0,
-                msg: format!("unexpected embedded version header (v{found} vs v{expected})"),
-            },
-        }
-    }
-}
-
-fn malformed(line: usize, msg: impl Into<String>) -> ReportError {
-    ReportError::Malformed {
-        line,
-        msg: msg.into(),
-    }
-}
-
 /// Latency/throughput aggregates of one serving phase.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhaseStats {
     /// The phase the aggregates cover.
     pub phase: Phase,
@@ -117,6 +67,17 @@ pub struct PhaseStats {
     /// serving this phase back-to-back, not a mean of per-request rates.
     pub tflops: f64,
 }
+
+/// The `phase` line after the phase name, and the phase's JSON object.
+const PHASE_FIELDS: &Table<PhaseStats> = &field_table!(PhaseStats {
+    requests: U64,
+    p50_us: F64,
+    p95_us: F64,
+    p99_us: F64,
+    total_flops: F64,
+    total_time_us: F64,
+    tflops: F64,
+});
 
 /// Nearest-rank percentile of an ascending-sorted, non-empty slice.
 fn percentile(sorted: &[f64], q: f64) -> f64 {
@@ -164,7 +125,7 @@ impl PhaseStats {
 /// tier hits, summed from the session's [`CacheStats::delta`] across the
 /// replay. All-zero `compiles` and `simulate_calls` is the warm-replay
 /// signature the e2e tests and the CI serve-smoke step assert.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetAccounting {
     /// Cold kernel compiles (in-memory *and* disk missed).
     pub compiles: u64,
@@ -211,6 +172,31 @@ pub struct FleetAccounting {
     /// Remote round trips attempted during the replay.
     pub remote_roundtrips: u64,
 }
+
+/// The `accounting` line, and the accounting JSON object.
+const ACCOUNTING_FIELDS: &Table<FleetAccounting> = &field_table!(FleetAccounting {
+    compiles: U64,
+    simulate_calls: U64,
+    compiles_per_1k: F64,
+    simulate_calls_per_1k: F64,
+    kernel_hits: U64,
+    sim_hits: U64,
+    disk_kernel_hits: U64,
+    disk_negative_hits: U64,
+    disk_sim_hits: U64,
+    disk_sim_negative_hits: U64,
+    disk_static_rejections: U64,
+    analytic_pruned: U64,
+    static_rejections: U64,
+    remote_kernel_hits: U64,
+    remote_negative_hits: U64,
+    remote_sim_hits: U64,
+    remote_sim_negative_hits: U64,
+    remote_misses: U64,
+    remote_puts: U64,
+    remote_errors: U64,
+    remote_roundtrips: U64,
+});
 
 impl FleetAccounting {
     /// Builds the accounting section from a replay-wide cache-stats delta
@@ -291,104 +277,26 @@ impl FleetReport {
     /// JSON has no NaN/Inf — so the *bit-exact* interchange form is
     /// [`serialize_fleet_report`], not this.
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len());
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => {
-                        let _ = write!(out, "\\u{:04x}", c as u32);
-                    }
-                    c => out.push(c),
-                }
-            }
-            out
-        }
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v}")
-            } else {
-                "null".to_string()
-            }
-        }
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"name\": \"{}\",", esc(&self.name));
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "  \"requests\": {},", self.requests);
-        out.push_str("  \"phases\": {\n");
-        for (i, p) in self.phases.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    \"{}\": {{\"requests\": {}, \"p50_us\": {}, \"p95_us\": {}, \
-                 \"p99_us\": {}, \"total_flops\": {}, \"total_time_us\": {}, \"tflops\": {}}}",
-                p.phase,
-                p.requests,
-                num(p.p50_us),
-                num(p.p95_us),
-                num(p.p99_us),
-                num(p.total_flops),
-                num(p.total_time_us),
-                num(p.tflops),
-            );
-            out.push_str(if i + 1 < self.phases.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  },\n");
-        out.push_str("  \"perf_lints\": {");
-        for (i, (id, n)) in self.perf_lints.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    \"{}\": {}", esc(id), n);
-        }
-        if self.perf_lints.is_empty() {
-            out.push_str("},\n");
-        } else {
-            out.push_str("\n  },\n");
-        }
-        let a = &self.accounting;
-        let _ = writeln!(
-            out,
-            "  \"accounting\": {{\"compiles\": {}, \"simulate_calls\": {}, \
-             \"compiles_per_1k\": {}, \"simulate_calls_per_1k\": {}, \"kernel_hits\": {}, \
-             \"sim_hits\": {}, \"disk_kernel_hits\": {}, \"disk_negative_hits\": {}, \
-             \"disk_sim_hits\": {}, \"disk_sim_negative_hits\": {}, \
-             \"disk_static_rejections\": {}, \"analytic_pruned\": {}, \
-             \"static_rejections\": {}, \"remote_kernel_hits\": {}, \
-             \"remote_negative_hits\": {}, \"remote_sim_hits\": {}, \
-             \"remote_sim_negative_hits\": {}, \"remote_misses\": {}, \"remote_puts\": {}, \
-             \"remote_errors\": {}, \"remote_roundtrips\": {}}}",
-            a.compiles,
-            a.simulate_calls,
-            num(a.compiles_per_1k),
-            num(a.simulate_calls_per_1k),
-            a.kernel_hits,
-            a.sim_hits,
-            a.disk_kernel_hits,
-            a.disk_negative_hits,
-            a.disk_sim_hits,
-            a.disk_sim_negative_hits,
-            a.disk_static_rejections,
-            a.analytic_pruned,
-            a.static_rejections,
-            a.remote_kernel_hits,
-            a.remote_negative_hits,
-            a.remote_sim_hits,
-            a.remote_sim_negative_hits,
-            a.remote_misses,
-            a.remote_puts,
-            a.remote_errors,
-            a.remote_roundtrips,
-        );
-        out.push_str("}\n");
-        out
+        let phases: Vec<String> = self
+            .phases
+            .iter()
+            .map(|p| format!("\"{}\": {}", p.phase, json_object(PHASE_FIELDS, p)))
+            .collect();
+        let lints: Vec<String> = self
+            .perf_lints
+            .iter()
+            .map(|(id, n)| format!("{}: {n}", json_string(id)))
+            .collect();
+        format!(
+            "{{\n  \"name\": {},\n  \"seed\": {},\n  \"requests\": {},\n  \"phases\": {},\n  \
+             \"perf_lints\": {},\n  \"accounting\": {}\n}}\n",
+            json_string(&self.name),
+            self.seed,
+            self.requests,
+            json_block('{', &phases, '}'),
+            json_block('{', &lints, '}'),
+            json_object(ACCOUNTING_FIELDS, &self.accounting),
+        )
     }
 
     /// A short human-readable summary (what `tawa-serve run` prints).
@@ -456,190 +364,67 @@ impl FleetReport {
 /// Serializes a fleet report to the versioned text format (see module
 /// docs). Bit-exact: floats travel as IEEE-754 bit patterns.
 pub fn serialize_fleet_report(r: &FleetReport) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "fleet-report {FLEET_REPORT_FORMAT_VERSION}");
-    let _ = writeln!(
-        out,
-        "fleet {} seed={} requests={}",
-        quote(&r.name),
-        r.seed,
-        r.requests
-    );
+    let mut w = Writer::open(FORMAT, FLEET_REPORT_FORMAT_VERSION);
+    w.line("fleet")
+        .quoted(&r.name)
+        .field("seed", r.seed)
+        .field("requests", r.requests)
+        .end();
     for p in &r.phases {
-        let _ = writeln!(
-            out,
-            "phase {} requests={} p50_us={} p95_us={} p99_us={} total_flops={} total_time_us={} \
-             tflops={}",
-            p.phase,
-            p.requests,
-            f64_bits_text(p.p50_us),
-            f64_bits_text(p.p95_us),
-            f64_bits_text(p.p99_us),
-            f64_bits_text(p.total_flops),
-            f64_bits_text(p.total_time_us),
-            f64_bits_text(p.tflops),
-        );
+        w.line("phase").word(p.phase).fields(PHASE_FIELDS, p).end();
     }
     for (id, n) in &r.perf_lints {
-        let _ = writeln!(out, "perf-lint {} count={}", quote(id), n);
+        w.line("perf-lint").quoted(id).field("count", n).end();
     }
-    let a = &r.accounting;
-    let _ = writeln!(
-        out,
-        "accounting compiles={} simulate_calls={} compiles_per_1k={} simulate_calls_per_1k={} \
-         kernel_hits={} sim_hits={} disk_kernel_hits={} disk_negative_hits={} disk_sim_hits={} \
-         disk_sim_negative_hits={} disk_static_rejections={} analytic_pruned={} \
-         static_rejections={} remote_kernel_hits={} remote_negative_hits={} remote_sim_hits={} \
-         remote_sim_negative_hits={} remote_misses={} remote_puts={} remote_errors={} \
-         remote_roundtrips={}",
-        a.compiles,
-        a.simulate_calls,
-        f64_bits_text(a.compiles_per_1k),
-        f64_bits_text(a.simulate_calls_per_1k),
-        a.kernel_hits,
-        a.sim_hits,
-        a.disk_kernel_hits,
-        a.disk_negative_hits,
-        a.disk_sim_hits,
-        a.disk_sim_negative_hits,
-        a.disk_static_rejections,
-        a.analytic_pruned,
-        a.static_rejections,
-        a.remote_kernel_hits,
-        a.remote_negative_hits,
-        a.remote_sim_hits,
-        a.remote_sim_negative_hits,
-        a.remote_misses,
-        a.remote_puts,
-        a.remote_errors,
-        a.remote_roundtrips,
-    );
-    out
+    w.line("accounting")
+        .fields(ACCOUNTING_FIELDS, &r.accounting)
+        .end();
+    w.finish()
 }
 
 /// Deserializes a fleet report from the versioned text format.
 ///
 /// # Errors
-/// [`ReportError::VersionMismatch`] when the header names a different
-/// format version; [`ReportError::Malformed`] for any structural problem.
-pub fn deserialize_fleet_report(text: &str) -> Result<FleetReport, ReportError> {
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty())
-        .map(|(i, l)| (i + 1, l.trim()));
-
-    let (hno, htext) = lines.next().ok_or_else(|| malformed(0, "empty document"))?;
-    let version = htext
-        .strip_prefix("fleet-report ")
-        .and_then(|v| v.trim().parse::<u32>().ok())
-        .ok_or_else(|| malformed(hno, "missing 'fleet-report <version>' header"))?;
-    if version != FLEET_REPORT_FORMAT_VERSION {
-        return Err(ReportError::VersionMismatch {
-            found: version,
-            expected: FLEET_REPORT_FORMAT_VERSION,
-        });
-    }
-
-    let (mno, mtext) = lines
-        .next()
-        .ok_or_else(|| malformed(0, "missing fleet metadata line"))?;
-    let mtokens = tokenize(mtext, mno)?;
-    if mtokens.first().map(String::as_str) != Some("fleet") {
-        return Err(malformed(
-            mno,
-            "expected 'fleet' metadata line after header",
-        ));
-    }
-    let name = mtokens
-        .get(1)
-        .ok_or_else(|| malformed(mno, "fleet line missing trace name"))
-        .and_then(|t| Ok(unquote(t, mno)?))?;
-    let mf = Fields::new(&mtokens, mno);
-    let seed = mf.u64("seed")?;
-    let requests = mf.u64("requests")?;
+/// [`DocError::VersionMismatch`] when the header names a different
+/// format version; [`DocError::Malformed`] for any structural problem.
+pub fn deserialize_fleet_report(text: &str) -> Result<FleetReport, DocError> {
+    let mut doc = Doc::open(text, FORMAT, FLEET_REPORT_FORMAT_VERSION)?;
+    let meta = doc.line("fleet")?;
+    let name = meta.name("trace name")?;
+    let (seed, requests) = (meta.int("seed")?, meta.int("requests")?);
 
     let mut phases = Vec::new();
-    let mut perf_lints: Vec<(String, u64)> = Vec::new();
+    let mut perf_lints = Vec::new();
     let mut accounting = None;
-    for (no, line) in lines {
-        let tokens = tokenize(line, no)?;
-        match tokens.first().map(String::as_str) {
-            Some("perf-lint") => {
-                if accounting.is_some() {
-                    return Err(malformed(no, "perf-lint line after accounting line"));
-                }
-                let id = tokens
-                    .get(1)
-                    .ok_or_else(|| malformed(no, "perf-lint line missing lint id"))
-                    .and_then(|t| Ok(unquote(t, no)?))?;
-                let f = Fields::new(&tokens, no);
-                perf_lints.push((id, f.u64("count")?));
-            }
-            Some("phase") => {
-                if accounting.is_some() {
-                    return Err(malformed(no, "phase line after accounting line"));
-                }
-                let phase_name = tokens
-                    .get(1)
-                    .ok_or_else(|| malformed(no, "phase line missing phase name"))?;
-                let phase = Phase::parse(phase_name)
-                    .ok_or_else(|| malformed(no, format!("unknown phase '{phase_name}'")))?;
-                let f = Fields::new(&tokens, no);
+    while let Some(line) = doc.next_line()? {
+        if accounting.is_some() {
+            let kind = line.keyword();
+            return Err(line.malformed(format!("{kind} line after accounting line")));
+        }
+        match line.keyword() {
+            "perf-lint" => perf_lints.push((line.name("lint id")?, line.int("count")?)),
+            "phase" => {
+                let &[_, name, ..] = line.tokens() else {
+                    return Err(line.malformed("phase line missing phase name"));
+                };
+                let phase = Phase::parse(name)
+                    .ok_or_else(|| line.malformed(format!("unknown phase '{name}'")))?;
                 phases.push(PhaseStats {
                     phase,
-                    requests: f.u64("requests")?,
-                    p50_us: f.f64_bits("p50_us")?,
-                    p95_us: f.f64_bits("p95_us")?,
-                    p99_us: f.f64_bits("p99_us")?,
-                    total_flops: f.f64_bits("total_flops")?,
-                    total_time_us: f.f64_bits("total_time_us")?,
-                    tflops: f.f64_bits("tflops")?,
+                    ..line.read(PHASE_FIELDS)?
                 });
             }
-            Some("accounting") => {
-                if accounting.is_some() {
-                    return Err(malformed(no, "duplicate accounting line"));
-                }
-                let f = Fields::new(&tokens, no);
-                accounting = Some(FleetAccounting {
-                    compiles: f.u64("compiles")?,
-                    simulate_calls: f.u64("simulate_calls")?,
-                    compiles_per_1k: f.f64_bits("compiles_per_1k")?,
-                    simulate_calls_per_1k: f.f64_bits("simulate_calls_per_1k")?,
-                    kernel_hits: f.u64("kernel_hits")?,
-                    sim_hits: f.u64("sim_hits")?,
-                    disk_kernel_hits: f.u64("disk_kernel_hits")?,
-                    disk_negative_hits: f.u64("disk_negative_hits")?,
-                    disk_sim_hits: f.u64("disk_sim_hits")?,
-                    disk_sim_negative_hits: f.u64("disk_sim_negative_hits")?,
-                    disk_static_rejections: f.u64("disk_static_rejections")?,
-                    analytic_pruned: f.u64("analytic_pruned")?,
-                    static_rejections: f.u64("static_rejections")?,
-                    remote_kernel_hits: f.u64("remote_kernel_hits")?,
-                    remote_negative_hits: f.u64("remote_negative_hits")?,
-                    remote_sim_hits: f.u64("remote_sim_hits")?,
-                    remote_sim_negative_hits: f.u64("remote_sim_negative_hits")?,
-                    remote_misses: f.u64("remote_misses")?,
-                    remote_puts: f.u64("remote_puts")?,
-                    remote_errors: f.u64("remote_errors")?,
-                    remote_roundtrips: f.u64("remote_roundtrips")?,
-                });
-            }
-            Some(other) => {
-                return Err(malformed(no, format!("unexpected line kind '{other}'")));
-            }
-            None => unreachable!("blank lines are filtered"),
+            "accounting" => accounting = Some(line.read(ACCOUNTING_FIELDS)?),
+            other => return Err(line.malformed(format!("unexpected line kind '{other}'"))),
         }
     }
-
     Ok(FleetReport {
         name,
         seed,
         requests,
         phases,
         perf_lints,
-        accounting: accounting.ok_or_else(|| malformed(0, "missing accounting line"))?,
+        accounting: accounting.ok_or_else(|| doc.truncated("missing accounting line"))?,
     })
 }
 
@@ -719,9 +504,10 @@ mod tests {
             serialize_fleet_report(&sample()).replacen("fleet-report 3", "fleet-report 9", 1);
         assert!(matches!(
             deserialize_fleet_report(&text),
-            Err(ReportError::VersionMismatch {
+            Err(DocError::VersionMismatch {
                 found: 9,
-                expected: 3
+                expected: 3,
+                ..
             })
         ));
     }
@@ -736,12 +522,12 @@ mod tests {
             .join("\n");
         assert!(matches!(
             deserialize_fleet_report(&without),
-            Err(ReportError::Malformed { .. })
+            Err(DocError::Malformed { .. })
         ));
         let junk = format!("{full}mystery field=1\n");
         assert!(matches!(
             deserialize_fleet_report(&junk),
-            Err(ReportError::Malformed { .. })
+            Err(DocError::Malformed { .. })
         ));
     }
 

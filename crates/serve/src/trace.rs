@@ -12,12 +12,11 @@
 //!
 //! ## Format
 //!
-//! The document is line-oriented UTF-8, built from the same lexical
-//! toolkit as the WSIR kernel format ([`tawa_wsir::serialize`]): quoted
-//! strings with escapes, `key=value` fields, floats as IEEE-754 bit
-//! patterns. The first non-blank line is the **format-version header**
-//! `trace <version>`, then one `trace` metadata line, then one `request`
-//! line per request in arrival order:
+//! A line-oriented text document on the shared toolkit
+//! ([`tawa_wsir::doc`]: lexical rules, header and version policy, the
+//! [`DocError`] type). After the `trace <version>` header come one
+//! `trace` metadata line, then one `request` line per request in arrival
+//! order:
 //!
 //! ```text
 //! trace 1
@@ -37,7 +36,7 @@
 //!
 //! [`TRACE_FORMAT_VERSION`] is bumped whenever the syntax or the meaning
 //! of any field changes incompatibly; readers reject other versions with
-//! [`TraceError::VersionMismatch`]. Round-tripping is bit-exact —
+//! [`DocError::VersionMismatch`]. Round-tripping is bit-exact —
 //! `deserialize ∘ serialize = id`, property-tested over generated traces
 //! in `tests/proptest_trace.rs` (the mix weights are floats, so they
 //! travel as bit patterns like every float in a Tawa text document).
@@ -46,73 +45,22 @@ use std::fmt;
 
 use tawa_frontend::config::{AttentionConfig, GemmConfig, GroupedGemmConfig, Tile};
 use tawa_ir::types::DType;
-use tawa_wsir::serialize::{f64_bits_text, quote, tokenize, unquote, Fields};
-use tawa_wsir::SerializeError;
+use tawa_wsir::doc::{Doc, DocError, Line, Writer};
+
+/// Header keyword of a serialized trace.
+const FORMAT: &str = "trace";
 
 /// Current version of the trace serialization format. Readers accept
 /// exactly this version; see the module docs for the bump policy.
 pub const TRACE_FORMAT_VERSION: u32 = 1;
 
-/// Error produced when deserializing a trace document.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceError {
-    /// The header names a format version this reader does not speak.
-    VersionMismatch {
-        /// Version found in the document header.
-        found: u32,
-        /// Version this reader implements ([`TRACE_FORMAT_VERSION`]).
-        expected: u32,
-    },
-    /// The document is structurally invalid (truncated, corrupted, or not
-    /// a trace document at all).
-    Malformed {
-        /// 1-based line number the parser stopped at (0 = end of input).
-        line: usize,
-        /// What went wrong.
-        msg: String,
-    },
-}
-
-impl fmt::Display for TraceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceError::VersionMismatch { found, expected } => write!(
-                f,
-                "trace format version mismatch: document is v{found}, reader speaks v{expected}"
-            ),
-            TraceError::Malformed { line, msg } => {
-                write!(f, "malformed trace document at line {line}: {msg}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TraceError {}
-
-impl From<SerializeError> for TraceError {
-    fn from(e: SerializeError) -> TraceError {
-        match e {
-            SerializeError::Malformed { line, msg } => TraceError::Malformed { line, msg },
-            SerializeError::VersionMismatch { found, expected } => TraceError::Malformed {
-                line: 0,
-                msg: format!("unexpected embedded version header (v{found} vs v{expected})"),
-            },
-        }
-    }
-}
-
-fn malformed(line: usize, msg: impl Into<String>) -> TraceError {
-    TraceError::Malformed {
-        line,
-        msg: msg.into(),
-    }
-}
-
 /// The serving phase a request belongs to — the unit every fleet-level
 /// aggregate ([`crate::report::FleetReport`]) is broken down by.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Phase {
-    /// Prompt-processing projection GEMMs (compute-bound, large M).
+    /// Prompt-processing projection GEMMs (compute-bound, large M). The
+    /// default, as it is the phase the generator falls back to.
+    #[default]
     Prefill,
     /// Token-generation attention at many batch/seq shapes.
     Decode,
@@ -223,70 +171,62 @@ impl Request {
     }
 }
 
-fn parse_usize(f: &Fields<'_>, key: &str, no: usize) -> Result<usize, TraceError> {
-    let v = f.u64(key)?;
-    usize::try_from(v).map_err(|_| malformed(no, format!("field '{key}' out of range: {v}")))
-}
-
-fn parse_dtype(f: &Fields<'_>, no: usize) -> Result<DType, TraceError> {
+fn parse_dtype(f: &Line<'_>) -> Result<DType, DocError> {
     let text = f.get("dtype")?;
-    DType::parse(text).ok_or_else(|| malformed(no, format!("unknown dtype '{text}'")))
+    DType::parse(text).ok_or_else(|| f.malformed(format!("unknown dtype '{text}'")))
 }
 
-fn parse_tile(f: &Fields<'_>, no: usize) -> Result<Tile, TraceError> {
+fn parse_tile(f: &Line<'_>) -> Result<Tile, DocError> {
     Ok(Tile {
-        m: parse_usize(f, "tile_m", no)?,
-        n: parse_usize(f, "tile_n", no)?,
-        k: parse_usize(f, "tile_k", no)?,
+        m: f.int("tile_m")?,
+        n: f.int("tile_n")?,
+        k: f.int("tile_k")?,
     })
 }
 
 /// Parses one `request …` line (as produced by [`Request::to_line`]).
-fn parse_request(tokens: &[String], no: usize) -> Result<Request, TraceError> {
-    let f = Fields::new(tokens, no);
-    let kind = tokens
-        .get(1)
-        .ok_or_else(|| malformed(no, "request line missing phase"))?;
-    match kind.as_str() {
+fn parse_request(f: &Line<'_>) -> Result<Request, DocError> {
+    let kind = f.tokens().get(1).copied();
+    match kind.ok_or_else(|| f.malformed("request line missing phase"))? {
         "prefill" => Ok(Request::Prefill(GemmConfig {
-            m: parse_usize(&f, "m", no)?,
-            n: parse_usize(&f, "n", no)?,
-            k: parse_usize(&f, "k", no)?,
-            batch: parse_usize(&f, "batch", no)?,
-            dtype: parse_dtype(&f, no)?,
-            tile: parse_tile(&f, no)?,
+            m: f.int("m")?,
+            n: f.int("n")?,
+            k: f.int("k")?,
+            batch: f.int("batch")?,
+            dtype: parse_dtype(f)?,
+            tile: parse_tile(f)?,
         })),
         "decode" => Ok(Request::Decode(AttentionConfig {
-            batch: parse_usize(&f, "batch", no)?,
-            heads: parse_usize(&f, "heads", no)?,
-            seq_len: parse_usize(&f, "seq_len", no)?,
-            head_dim: parse_usize(&f, "head_dim", no)?,
+            batch: f.int("batch")?,
+            heads: f.int("heads")?,
+            seq_len: f.int("seq_len")?,
+            head_dim: f.int("head_dim")?,
             causal: f.bool("causal")?,
-            dtype: parse_dtype(&f, no)?,
-            block_m: parse_usize(&f, "block_m", no)?,
-            block_n: parse_usize(&f, "block_n", no)?,
+            dtype: parse_dtype(f)?,
+            block_m: f.int("block_m")?,
+            block_n: f.int("block_n")?,
         })),
         "moe" => {
             let groups_text = f.get("groups")?;
+            if groups_text.is_empty() {
+                return Err(f.malformed("moe request with no groups"));
+            }
             let mut group_ms = Vec::new();
             for part in groups_text.split(',') {
                 let m = part.parse::<usize>().map_err(|_| {
-                    malformed(no, format!("bad group M '{part}' in groups={groups_text}"))
+                    f.malformed(format!("bad group M '{part}' in groups={groups_text}"))
                 })?;
                 group_ms.push(m);
             }
-            if group_ms.is_empty() {
-                return Err(malformed(no, "moe request with no groups"));
-            }
             Ok(Request::Moe(GroupedGemmConfig {
                 group_ms,
-                n: parse_usize(&f, "n", no)?,
-                k: parse_usize(&f, "k", no)?,
-                dtype: parse_dtype(&f, no)?,
-                tile: parse_tile(&f, no)?,
+                n: f.int("n")?,
+                k: f.int("k")?,
+                dtype: parse_dtype(f)?,
+                tile: parse_tile(f)?,
             }))
         }
-        other => Err(malformed(no, format!("unknown request phase '{other}'"))),
+        other => Err(f.malformed(format!("unknown request phase '{other}'"))),
     }
 }
 
@@ -328,87 +268,47 @@ impl Trace {
 
 /// Serializes a trace to the versioned text format (see module docs).
 pub fn serialize_trace(t: &Trace) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("trace {TRACE_FORMAT_VERSION}\n"));
-    out.push_str(&format!(
-        "trace {} seed={} mix_prefill={} mix_decode={} mix_moe={}\n",
-        quote(&t.name),
-        t.seed,
-        f64_bits_text(t.mix[0]),
-        f64_bits_text(t.mix[1]),
-        f64_bits_text(t.mix[2]),
-    ));
+    let mut w = Writer::open(FORMAT, TRACE_FORMAT_VERSION);
+    let [prefill, decode, moe] = t.mix;
+    w.line("trace")
+        .quoted(&t.name)
+        .field("seed", t.seed)
+        .bits("mix_prefill", prefill)
+        .bits("mix_decode", decode)
+        .bits("mix_moe", moe)
+        .end();
     for r in &t.requests {
-        out.push_str(&r.to_line());
-        out.push('\n');
+        w.line(&r.to_line()).end();
     }
-    out
+    w.finish()
 }
 
 /// Deserializes a trace from the versioned text format.
 ///
 /// # Errors
-/// [`TraceError::VersionMismatch`] when the header names a different
-/// format version; [`TraceError::Malformed`] for any structural problem
+/// [`DocError::VersionMismatch`] when the header names a different
+/// format version; [`DocError::Malformed`] for any structural problem
 /// (truncation, corruption, trailing junk).
-pub fn deserialize_trace(text: &str) -> Result<Trace, TraceError> {
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty())
-        .map(|(i, l)| (i + 1, l.trim()));
-
-    // Header: `trace <version>`.
-    let (hno, htext) = lines.next().ok_or_else(|| malformed(0, "empty document"))?;
-    let version = htext
-        .strip_prefix("trace ")
-        .and_then(|v| v.trim().parse::<u32>().ok())
-        .ok_or_else(|| malformed(hno, "missing 'trace <version>' header"))?;
-    if version != TRACE_FORMAT_VERSION {
-        return Err(TraceError::VersionMismatch {
-            found: version,
-            expected: TRACE_FORMAT_VERSION,
-        });
-    }
-
-    // Metadata: `trace "<name>" seed=… mix_…`.
-    let (mno, mtext) = lines
-        .next()
-        .ok_or_else(|| malformed(0, "missing trace metadata line"))?;
-    let mtokens = tokenize(mtext, mno)?;
-    if mtokens.first().map(String::as_str) != Some("trace") {
-        return Err(malformed(
-            mno,
-            "expected 'trace' metadata line after header",
-        ));
-    }
-    let name = mtokens
-        .get(1)
-        .ok_or_else(|| malformed(mno, "metadata line missing trace name"))
-        .and_then(|t| Ok(unquote(t, mno)?))?;
-    let mf = Fields::new(&mtokens, mno);
-    let seed = mf.u64("seed")?;
-    let mix = [
-        mf.f64_bits("mix_prefill")?,
-        mf.f64_bits("mix_decode")?,
-        mf.f64_bits("mix_moe")?,
-    ];
-
-    let mut requests = Vec::new();
-    for (no, line) in lines {
-        let tokens = tokenize(line, no)?;
-        if tokens.first().map(String::as_str) != Some("request") {
-            return Err(malformed(no, "expected 'request' line"));
+pub fn deserialize_trace(text: &str) -> Result<Trace, DocError> {
+    let mut doc = Doc::open(text, FORMAT, TRACE_FORMAT_VERSION)?;
+    let meta = doc.line("trace")?;
+    let mut trace = Trace {
+        name: meta.name("trace name")?,
+        seed: meta.int("seed")?,
+        mix: [
+            meta.f64_bits("mix_prefill")?,
+            meta.f64_bits("mix_decode")?,
+            meta.f64_bits("mix_moe")?,
+        ],
+        requests: Vec::new(),
+    };
+    while let Some(line) = doc.next_line()? {
+        if line.keyword() != "request" {
+            return Err(line.malformed("expected 'request' line"));
         }
-        requests.push(parse_request(&tokens, no)?);
+        trace.requests.push(parse_request(&line)?);
     }
-
-    Ok(Trace {
-        name,
-        seed,
-        mix,
-        requests,
-    })
+    Ok(trace)
 }
 
 /// Parameters of the seeded trace generator: phase-mix weights plus the
@@ -636,9 +536,10 @@ mod tests {
         text = text.replacen("trace 1\n", "trace 2\n", 1);
         assert!(matches!(
             deserialize_trace(&text),
-            Err(TraceError::VersionMismatch {
+            Err(DocError::VersionMismatch {
                 found: 2,
-                expected: 1
+                expected: 1,
+                ..
             })
         ));
     }
@@ -650,18 +551,36 @@ mod tests {
         let cut = &text[..text.len() - 10];
         assert!(matches!(
             deserialize_trace(cut),
-            Err(TraceError::Malformed { .. })
+            Err(DocError::Malformed { .. })
         ));
         // Foreign line kind.
         let junk = format!("{text}banquet phase=lunch\n");
         assert!(matches!(
             deserialize_trace(&junk),
-            Err(TraceError::Malformed { .. })
+            Err(DocError::Malformed { .. })
         ));
         assert!(matches!(
             deserialize_trace(""),
-            Err(TraceError::Malformed { line: 0, .. })
+            Err(DocError::Malformed { line: 0, .. })
         ));
+    }
+
+    #[test]
+    fn an_authored_moe_request_without_groups_reads_back_as_that_error() {
+        let request = Request::Moe(GroupedGemmConfig {
+            group_ms: Vec::new(),
+            ..GroupedGemmConfig::paper_sweep(2)
+        });
+        let text = serialize_trace(&Trace::from_requests("empty-moe", 1, vec![request]));
+        assert!(text.ends_with(" groups=\n"), "{text:?}");
+        assert_eq!(
+            deserialize_trace(&text),
+            Err(DocError::Malformed {
+                format: "trace",
+                line: 3,
+                msg: "moe request with no groups".to_string(),
+            })
+        );
     }
 
     #[test]

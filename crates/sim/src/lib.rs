@@ -90,7 +90,5 @@ pub use analytic::{estimate, perf_model, AnalyticEstimate, BoundKind, ANALYTIC_M
 pub use device::Device;
 pub use engine::{EngineCfg, EngineResult, EngineStats};
 pub use mbarrier::Mbarrier;
-pub use report_serde::{
-    deserialize_report, serialize_report, ReportSerdeError, REPORT_FORMAT_VERSION,
-};
+pub use report_serde::{deserialize_report, serialize_report, REPORT_FORMAT_VERSION};
 pub use run::{simulate, simulate_with, SimError, SimOptions, SimReport};

@@ -10,11 +10,10 @@
 //!
 //! ## Format
 //!
-//! The document is line-oriented UTF-8, built from the same lexical
-//! toolkit as the WSIR kernel format ([`tawa_wsir::serialize`]): quoted
-//! strings with escapes, `key=value` fields, floats as IEEE-754 bit
-//! patterns. The first non-blank line is the **format-version header**
-//! `sim-report <version>`, followed by exactly two body lines:
+//! A line-oriented text document on the shared toolkit
+//! ([`tawa_wsir::doc`]: lexical rules, header and version policy, the
+//! [`DocError`] type). After the `sim-report <version>` header come
+//! exactly two body lines:
 //!
 //! ```text
 //! sim-report 1
@@ -28,15 +27,17 @@
 //! ```
 //!
 //! (Shown wrapped; each is one physical line.) The `report` line carries
-//! every launch-level field of [`SimReport`]; the `wave` line carries the
-//! representative per-wave [`EngineStats`].
+//! every launch-level field of [`SimReport`] (`REPORT_FIELDS`); the `wave`
+//! line carries the representative per-wave [`EngineStats`]
+//! (`WAVE_FIELDS`). Each table is the one list its line's writer and
+//! reader walk.
 //!
 //! ## Version policy
 //!
 //! [`REPORT_FORMAT_VERSION`] covers the **syntax** of this document and is
 //! bumped whenever a field is added, renamed or re-encoded; readers reject
-//! other versions with [`ReportSerdeError::VersionMismatch`], which caches
-//! treat as a miss.
+//! other versions with [`DocError::VersionMismatch`], which caches treat
+//! as a miss.
 //!
 //! The **meaning** of a report — whether a stored document still describes
 //! what the simulator would produce today — is governed separately by
@@ -44,193 +45,75 @@
 //! it, so refining the engine's timing model invalidates stale reports
 //! without touching this format (or any cached kernels).
 
-use std::fmt;
-
-use tawa_wsir::serialize::{f64_bits_text, quote, tokenize, unquote, Fields};
-use tawa_wsir::SerializeError;
+use tawa_wsir::doc::{Doc, DocError, Table, Writer};
+use tawa_wsir::field_table;
 
 use crate::engine::EngineStats;
 use crate::run::SimReport;
+
+/// Header keyword of a serialized report.
+const FORMAT: &str = "sim-report";
 
 /// Current version of the report serialization format. Readers accept
 /// exactly this version; see the module docs for the bump policy.
 pub const REPORT_FORMAT_VERSION: u32 = 1;
 
-/// Error produced when deserializing a simulation-report document.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReportSerdeError {
-    /// The header names a format version this reader does not speak.
-    VersionMismatch {
-        /// Version found in the document header.
-        found: u32,
-        /// Version this reader implements ([`REPORT_FORMAT_VERSION`]).
-        expected: u32,
-    },
-    /// The document is structurally invalid (truncated, corrupted, or not
-    /// a report document at all).
-    Malformed {
-        /// 1-based line number the parser stopped at (0 = end of input).
-        line: usize,
-        /// What went wrong.
-        msg: String,
-    },
-}
+/// The `report` line after the quoted kernel name.
+const REPORT_FIELDS: &Table<SimReport> = &field_table!(SimReport {
+    total_time_us: F64,
+    kernel_time_us: F64,
+    tflops: F64,
+    tc_utilization: F64,
+    occupancy: U32,
+    waves: U64,
+    cycles: U64,
+    bytes_loaded: U64,
+    bytes_stored: U64,
+    tc_flops: U64,
+});
 
-impl fmt::Display for ReportSerdeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ReportSerdeError::VersionMismatch { found, expected } => write!(
-                f,
-                "sim-report format version mismatch: document is v{found}, reader speaks v{expected}"
-            ),
-            ReportSerdeError::Malformed { line, msg } => {
-                write!(f, "malformed sim-report document at line {line}: {msg}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ReportSerdeError {}
-
-/// The shared lexical helpers report their defects as WSIR
-/// [`SerializeError`]s; fold them into this format's error type.
-impl From<SerializeError> for ReportSerdeError {
-    fn from(e: SerializeError) -> ReportSerdeError {
-        match e {
-            SerializeError::Malformed { line, msg } => ReportSerdeError::Malformed { line, msg },
-            SerializeError::VersionMismatch { found, expected } => ReportSerdeError::Malformed {
-                line: 0,
-                msg: format!("unexpected embedded version header (v{found} vs v{expected})"),
-            },
-        }
-    }
-}
-
-fn malformed(line: usize, msg: impl Into<String>) -> ReportSerdeError {
-    ReportSerdeError::Malformed {
-        line,
-        msg: msg.into(),
-    }
-}
+/// The `wave` line.
+const WAVE_FIELDS: &Table<EngineStats> = &field_table!(EngineStats {
+    cycles: U64,
+    tc_busy: U64,
+    cuda_busy: U64,
+    mem_busy: U64,
+    bytes_loaded: U64,
+    bytes_stored: U64,
+    tc_flops: U64,
+    stall_barrier: U64,
+    stall_wgmma: U64,
+    stall_cpasync: U64,
+    stall_sync: U64,
+});
 
 /// Serializes a report to the versioned text format (see module docs).
 pub fn serialize_report(r: &SimReport) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("sim-report {REPORT_FORMAT_VERSION}\n"));
-    out.push_str(&format!(
-        "report {} total_time_us={} kernel_time_us={} tflops={} tc_utilization={} \
-         occupancy={} waves={} cycles={} bytes_loaded={} bytes_stored={} tc_flops={}\n",
-        quote(&r.kernel),
-        f64_bits_text(r.total_time_us),
-        f64_bits_text(r.kernel_time_us),
-        f64_bits_text(r.tflops),
-        f64_bits_text(r.tc_utilization),
-        r.occupancy,
-        r.waves,
-        r.cycles,
-        r.bytes_loaded,
-        r.bytes_stored,
-        r.tc_flops,
-    ));
-    let w = &r.wave_stats;
-    out.push_str(&format!(
-        "wave cycles={} tc_busy={} cuda_busy={} mem_busy={} bytes_loaded={} bytes_stored={} \
-         tc_flops={} stall_barrier={} stall_wgmma={} stall_cpasync={} stall_sync={}\n",
-        w.cycles,
-        w.tc_busy,
-        w.cuda_busy,
-        w.mem_busy,
-        w.bytes_loaded,
-        w.bytes_stored,
-        w.tc_flops,
-        w.stall_barrier,
-        w.stall_wgmma,
-        w.stall_cpasync,
-        w.stall_sync,
-    ));
-    out
+    let mut w = Writer::open(FORMAT, REPORT_FORMAT_VERSION);
+    w.line("report")
+        .quoted(&r.kernel)
+        .fields(REPORT_FIELDS, r)
+        .end();
+    w.line("wave").fields(WAVE_FIELDS, &r.wave_stats).end();
+    w.finish()
 }
 
 /// Deserializes a report from the versioned text format.
 ///
 /// # Errors
-/// [`ReportSerdeError::VersionMismatch`] when the header names a different
-/// format version; [`ReportSerdeError::Malformed`] for any structural
-/// problem (truncation, corruption, trailing junk). Callers that use this
-/// behind a cache must treat both as a miss, not a failure.
-pub fn deserialize_report(text: &str) -> Result<SimReport, ReportSerdeError> {
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty())
-        .map(|(i, l)| (i + 1, l.trim()));
-
-    // Header: `sim-report <version>`.
-    let (hno, htext) = lines.next().ok_or_else(|| malformed(0, "empty document"))?;
-    let version = htext
-        .strip_prefix("sim-report ")
-        .and_then(|v| v.trim().parse::<u32>().ok())
-        .ok_or_else(|| malformed(hno, "missing 'sim-report <version>' header"))?;
-    if version != REPORT_FORMAT_VERSION {
-        return Err(ReportSerdeError::VersionMismatch {
-            found: version,
-            expected: REPORT_FORMAT_VERSION,
-        });
-    }
-
-    // `report …` line.
-    let (rno, rtext) = lines
-        .next()
-        .ok_or_else(|| malformed(0, "missing 'report' line"))?;
-    let rtokens = tokenize(rtext, rno)?;
-    if rtokens.first().map(String::as_str) != Some("report") {
-        return Err(malformed(rno, "expected 'report' line after header"));
-    }
-    let kernel = rtokens
-        .get(1)
-        .ok_or_else(|| malformed(rno, "report line missing kernel name"))
-        .and_then(|t| Ok(unquote(t, rno)?))?;
-    let rf = Fields::new(&rtokens, rno);
-
-    // `wave …` line.
-    let (wno, wtext) = lines
-        .next()
-        .ok_or_else(|| malformed(0, "missing 'wave' line"))?;
-    let wtokens = tokenize(wtext, wno)?;
-    if wtokens.first().map(String::as_str) != Some("wave") {
-        return Err(malformed(wno, "expected 'wave' line after 'report'"));
-    }
-    let wf = Fields::new(&wtokens, wno);
-
-    if let Some((no, _)) = lines.next() {
-        return Err(malformed(no, "trailing content after 'wave' line"));
-    }
-
+/// [`DocError::VersionMismatch`] when the header names a different
+/// format version; [`DocError::Malformed`] for any structural problem
+/// (truncation, corruption, trailing junk). Callers that use this behind
+/// a cache must treat both as a miss, not a failure.
+pub fn deserialize_report(text: &str) -> Result<SimReport, DocError> {
+    let mut doc = Doc::open(text, FORMAT, REPORT_FORMAT_VERSION)?;
+    let report_line = doc.line("report")?;
+    let wave_line = doc.line("wave")?;
+    doc.finish()?;
     Ok(SimReport {
-        kernel,
-        total_time_us: rf.f64_bits("total_time_us")?,
-        kernel_time_us: rf.f64_bits("kernel_time_us")?,
-        tflops: rf.f64_bits("tflops")?,
-        tc_utilization: rf.f64_bits("tc_utilization")?,
-        occupancy: rf.u32("occupancy")?,
-        waves: rf.u64("waves")?,
-        cycles: rf.u64("cycles")?,
-        bytes_loaded: rf.u64("bytes_loaded")?,
-        bytes_stored: rf.u64("bytes_stored")?,
-        tc_flops: rf.u64("tc_flops")?,
-        wave_stats: EngineStats {
-            cycles: wf.u64("cycles")?,
-            tc_busy: wf.u64("tc_busy")?,
-            cuda_busy: wf.u64("cuda_busy")?,
-            mem_busy: wf.u64("mem_busy")?,
-            bytes_loaded: wf.u64("bytes_loaded")?,
-            bytes_stored: wf.u64("bytes_stored")?,
-            tc_flops: wf.u64("tc_flops")?,
-            stall_barrier: wf.u64("stall_barrier")?,
-            stall_wgmma: wf.u64("stall_wgmma")?,
-            stall_cpasync: wf.u64("stall_cpasync")?,
-            stall_sync: wf.u64("stall_sync")?,
-        },
+        kernel: report_line.name("kernel name")?,
+        wave_stats: wave_line.read(WAVE_FIELDS)?,
+        ..report_line.read(REPORT_FIELDS)?
     })
 }
 
@@ -306,7 +189,9 @@ mod tests {
             1,
         );
         match deserialize_report(&bumped) {
-            Err(ReportSerdeError::VersionMismatch { found, expected }) => {
+            Err(DocError::VersionMismatch {
+                found, expected, ..
+            }) => {
                 assert_eq!(found, REPORT_FORMAT_VERSION + 1);
                 assert_eq!(expected, REPORT_FORMAT_VERSION);
             }

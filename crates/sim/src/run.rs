@@ -69,7 +69,7 @@ impl std::error::Error for SimError {}
 /// semantics, so a report containing NaN never equals itself — compare
 /// via [`f64::to_bits`] where bit-exact identity matters (as the
 /// serialization tests do).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimReport {
     /// Kernel name.
     pub kernel: String,

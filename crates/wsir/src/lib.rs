@@ -23,7 +23,9 @@
 //! document with a `wsir <version>` header, and [`deserialize_kernel`]
 //! reads it back exactly (`deserialize ∘ serialize = id`, including float
 //! bit patterns). Version mismatches and corrupted documents are reported
-//! as typed [`SerializeError`]s so caches can fall back to recompiling.
+//! as typed [`DocError`]s so caches can fall back to recompiling. The
+//! document toolkit under that format — and under every other versioned
+//! Tawa text document — is [`doc`].
 //!
 //! ## Example
 //!
@@ -55,6 +57,7 @@
 #![warn(missing_docs)]
 
 pub mod analyze;
+pub mod doc;
 pub mod instr;
 pub mod kernel;
 pub mod period;
@@ -66,7 +69,8 @@ pub use analyze::{
     analyze, analyze_with_budget, deadlock_verdict, validate, InstrPath, Lint, LintKind, Severity,
     ALL_LINT_IDS, DEFAULT_ANALYSIS_FUEL,
 };
+pub use doc::DocError;
 pub use instr::{BarId, Count, Instr, MmaDtype, Role};
 pub use kernel::{BarrierDecl, CtaClass, Kernel, SrcLoc, WarpGroup};
 pub use print::print_kernel;
-pub use serialize::{deserialize_kernel, serialize_kernel, SerializeError, FORMAT_VERSION};
+pub use serialize::{deserialize_kernel, serialize_kernel, FORMAT_VERSION};

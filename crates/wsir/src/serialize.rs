@@ -6,11 +6,12 @@
 //! serialize = id`, property-tested in `tests/proptest_serialize.rs` and
 //! across all four kernel families in the workspace e2e suite).
 //!
-//! ## Format
+//! Everything a `wsir 1` document shares with the other Tawa text
+//! documents — the lexical rules, the `wsir <version>` header and its
+//! version policy, the [`DocError`] type — lives in [`crate::doc`]; this
+//! module states only what is WSIR: the section and instruction grammar.
 //!
-//! The document is line-oriented UTF-8. The first non-blank line is the
-//! **format-version header** `wsir <version>`; everything after it
-//! describes one kernel:
+//! ## Format
 //!
 //! ```text
 //! wsir 1
@@ -25,33 +26,18 @@
 //! }
 //! ```
 //!
-//! * Strings are double-quoted with `\\`, `\"`, `\n` and `\t` escapes, so
-//!   names containing spaces, quotes or newlines round-trip.
-//! * `useful_flops` is encoded as the IEEE-754 bit pattern
-//!   (`f64::to_bits`, hexadecimal), so every float — including NaN
-//!   payloads and signed zeros — round-trips exactly.
+//! * One `kernel` line, then `class`, `barrier` and `warp_group` sections
+//!   in any order; a `warp_group` body is one instruction per line up to
+//!   its closing `}`.
 //! * Loop trip counts print as either a bare integer (`loop 8 {`) or a
-//!   CTA-class parameter reference (`loop $p0 {`), mirroring the
-//!   [`Count`] display syntax.
-//! * Indentation is cosmetic; the parser ignores leading whitespace.
-//!
-//! ## Version policy
+//!   CTA-class parameter reference (`loop $p0 {`) — the [`Count`] display
+//!   syntax; roles and MMA dtypes are their display names too.
+//! * Loops nest at most [`MAX_LOOP_DEPTH`] deep.
 //!
 //! [`FORMAT_VERSION`] is bumped whenever the syntax or the meaning of any
 //! field changes incompatibly — adding an instruction, renaming a field,
-//! changing an encoding. Readers reject any other version with
-//! [`SerializeError::VersionMismatch`]; persistent caches treat that as a
-//! cache miss and recompile, never as an error. There is deliberately no
-//! in-place migration: cache entries are cheap to regenerate.
-//!
-//! ## Shared document toolkit
-//!
-//! The lexical layer of this format — [`quote`]/[`unquote`] string
-//! escaping, [`tokenize`] line splitting, [`Fields`] key-value access and
-//! the [`f64_bits_text`] float-bit encoding — is public and shared by the
-//! other versioned Tawa text documents: the cache entry headers in
-//! `tawa-core` and the simulation-report format in `gpu_sim`
-//! (`report_serde`). One implementation, one set of quoting rules.
+//! changing an encoding; persistent caches treat the resulting
+//! [`DocError::VersionMismatch`] as a miss and recompile.
 //!
 //! ## `&'static str` labels
 //!
@@ -65,56 +51,32 @@
 //! cannot grow process memory without bound.
 
 use std::collections::BTreeSet;
-use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
+use crate::doc::{Doc, DocError, Line, Quoted, Writer};
 use crate::instr::{BarId, Count, Instr, MmaDtype, Role};
 use crate::kernel::{BarrierDecl, CtaClass, Kernel, WarpGroup};
+
+/// Header keyword of a serialized kernel.
+const FORMAT: &str = "wsir";
 
 /// Current version of the serialization format. Readers accept exactly
 /// this version; see the module docs for the bump policy.
 pub const FORMAT_VERSION: u32 = 1;
 
-/// Error produced when deserializing a WSIR document.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SerializeError {
-    /// The header names a format version this reader does not speak.
-    VersionMismatch {
-        /// Version found in the document header.
-        found: u32,
-        /// Version this reader implements ([`FORMAT_VERSION`]).
-        expected: u32,
-    },
-    /// The document is structurally invalid (truncated, corrupted, or not
-    /// a WSIR document at all).
-    Malformed {
-        /// 1-based line number the parser stopped at (0 = end of input).
-        line: usize,
-        /// What went wrong.
-        msg: String,
-    },
-}
-
-impl fmt::Display for SerializeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SerializeError::VersionMismatch { found, expected } => write!(
-                f,
-                "wsir format version mismatch: document is v{found}, reader speaks v{expected}"
-            ),
-            SerializeError::Malformed { line, msg } => {
-                write!(f, "malformed wsir document at line {line}: {msg}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SerializeError {}
-
 /// Ceiling on distinct interned `cuda.op` labels per process. The
 /// compiler's own vocabulary is a handful of strings; the cap only
 /// exists so a corrupt or hostile document cannot leak unbounded memory.
 pub const MAX_INTERNED_LABELS: usize = 4096;
+
+/// Ceiling on `loop` nesting in a document. The reader recurses once per
+/// nested loop, and so does everything that later walks the kernel, so
+/// without a bound a few kilobytes of `loop 1 {` lines from an untrusted
+/// cache directory or a `put-kernel` payload overflow the stack — an
+/// abort, not an error. The compiler nests at most two deep (the
+/// persistent tile loop of `lower.rs` and `templates.rs` around a
+/// pipelined K or KV loop; `tests/e2e_documents.rs` measures it).
+pub const MAX_LOOP_DEPTH: usize = 64;
 
 /// Placeholder returned once the interner is full.
 const LABEL_OVERFLOW: &str = "<label>";
@@ -123,7 +85,9 @@ const LABEL_OVERFLOW: &str = "<label>";
 /// up to [`MAX_INTERNED_LABELS`].
 fn intern_label(s: &str) -> &'static str {
     static LABELS: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
-    let mut set = LABELS.lock().unwrap();
+    // The set is consistent after any single insert, so a panic elsewhere
+    // while the lock was held must not poison every later deserialize.
+    let mut set = LABELS.lock().unwrap_or_else(PoisonError::into_inner);
     if let Some(&existing) = set.get(s) {
         return existing;
     }
@@ -135,456 +99,163 @@ fn intern_label(s: &str) -> &'static str {
     leaked
 }
 
-/// Renders `s` as a double-quoted token with `\\`, `\"`, `\n` and `\t`
-/// escapes — the string syntax shared by every Tawa text document
-/// (WSIR kernels, cache entry headers, simulation reports).
-pub fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            _ => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn role_name(role: Role) -> &'static str {
-    match role {
-        Role::Producer => "producer",
-        Role::Consumer => "consumer",
-        Role::Uniform => "uniform",
-    }
-}
-
-fn count_text(count: Count) -> String {
-    match count {
-        Count::Const(c) => c.to_string(),
-        Count::Param(i) => format!("$p{i}"),
-    }
-}
-
-fn write_instrs(instrs: &[Instr], indent: usize, out: &mut String) {
-    let pad = "  ".repeat(indent);
+fn write_instrs(instrs: &[Instr], depth: usize, w: &mut Writer) {
     for i in instrs {
+        w.indent(depth);
         match i {
             Instr::TmaLoad { bytes, bar } => {
-                out.push_str(&format!("{pad}tma.load bytes={bytes} bar={}\n", bar.0));
+                w.line("tma.load").field("bytes", bytes).field("bar", bar.0)
             }
-            Instr::TmaStore { bytes } => {
-                out.push_str(&format!("{pad}tma.store bytes={bytes}\n"));
-            }
-            Instr::CpAsync { bytes } => {
-                out.push_str(&format!("{pad}cp.async bytes={bytes}\n"));
-            }
-            Instr::CpAsyncWait { pending } => {
-                out.push_str(&format!("{pad}cp.async.wait pending={pending}\n"));
-            }
-            Instr::MbarArrive { bar } => {
-                out.push_str(&format!("{pad}mbar.arrive bar={}\n", bar.0));
-            }
-            Instr::MbarWait { bar } => {
-                out.push_str(&format!("{pad}mbar.wait bar={}\n", bar.0));
-            }
-            Instr::WgmmaIssue { m, n, k, dtype } => {
-                out.push_str(&format!(
-                    "{pad}wgmma.issue m={m} n={n} k={k} dtype={dtype}\n"
-                ));
-            }
-            Instr::WgmmaWait { pending } => {
-                out.push_str(&format!("{pad}wgmma.wait pending={pending}\n"));
-            }
-            Instr::CudaOp { flops, sfu, label } => {
-                out.push_str(&format!(
-                    "{pad}cuda.op flops={flops} sfu={sfu} label={}\n",
-                    quote(label)
-                ));
-            }
-            Instr::GlobalStore { bytes } => {
-                out.push_str(&format!("{pad}st.global bytes={bytes}\n"));
-            }
-            Instr::GlobalLoad { bytes } => {
-                out.push_str(&format!("{pad}ld.global bytes={bytes}\n"));
-            }
-            Instr::Syncthreads => {
-                out.push_str(&format!("{pad}bar.sync\n"));
-            }
+            Instr::TmaStore { bytes } => w.line("tma.store").field("bytes", bytes),
+            Instr::CpAsync { bytes } => w.line("cp.async").field("bytes", bytes),
+            Instr::CpAsyncWait { pending } => w.line("cp.async.wait").field("pending", pending),
+            Instr::MbarArrive { bar } => w.line("mbar.arrive").field("bar", bar.0),
+            Instr::MbarWait { bar } => w.line("mbar.wait").field("bar", bar.0),
+            Instr::WgmmaIssue { m, n, k, dtype } => w
+                .line("wgmma.issue")
+                .field("m", m)
+                .field("n", n)
+                .field("k", k)
+                .field("dtype", dtype),
+            Instr::WgmmaWait { pending } => w.line("wgmma.wait").field("pending", pending),
+            Instr::CudaOp { flops, sfu, label } => w
+                .line("cuda.op")
+                .field("flops", flops)
+                .field("sfu", sfu)
+                .field("label", Quoted(label)),
+            Instr::GlobalStore { bytes } => w.line("st.global").field("bytes", bytes),
+            Instr::GlobalLoad { bytes } => w.line("ld.global").field("bytes", bytes),
+            Instr::Syncthreads => w.line("bar.sync"),
             Instr::Loop { count, body } => {
-                out.push_str(&format!("{pad}loop {} {{\n", count_text(*count)));
-                write_instrs(body, indent + 1, out);
-                out.push_str(&format!("{pad}}}\n"));
+                w.line("loop").word(count).word("{").end();
+                write_instrs(body, depth + 1, w);
+                w.indent(depth).line("}")
             }
-            Instr::SetMaxNReg { regs } => {
-                out.push_str(&format!("{pad}setmaxnreg regs={regs}\n"));
-            }
-            Instr::Delay { cycles } => {
-                out.push_str(&format!("{pad}delay cycles={cycles}\n"));
-            }
+            Instr::SetMaxNReg { regs } => w.line("setmaxnreg").field("regs", regs),
+            Instr::Delay { cycles } => w.line("delay").field("cycles", cycles),
         }
+        .end();
     }
 }
 
 /// Serializes a kernel to the versioned text format (see module docs).
 pub fn serialize_kernel(k: &Kernel) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("wsir {FORMAT_VERSION}\n"));
-    out.push_str(&format!(
-        "kernel {} persistent={} smem_bytes={} launch_overhead_ns={} useful_flops={}\n",
-        quote(&k.name),
-        k.persistent,
-        k.smem_bytes,
-        k.launch_overhead_ns,
-        f64_bits_text(k.useful_flops)
-    ));
+    let mut w = Writer::open(FORMAT, FORMAT_VERSION);
+    w.line("kernel")
+        .quoted(&k.name)
+        .field("persistent", k.persistent)
+        .field("smem_bytes", k.smem_bytes)
+        .field("launch_overhead_ns", k.launch_overhead_ns)
+        .bits("useful_flops", k.useful_flops)
+        .end();
     for c in &k.classes {
         let params: Vec<String> = c.params.iter().map(u64::to_string).collect();
-        out.push_str(&format!(
-            "class multiplicity={} params=[{}]\n",
-            c.multiplicity,
-            params.join(",")
-        ));
+        w.line("class")
+            .field("multiplicity", c.multiplicity)
+            .field("params", format_args!("[{}]", params.join(",")))
+            .end();
     }
     for b in &k.barriers {
-        out.push_str(&format!(
-            "barrier {} arrive_count={} init_phases={}\n",
-            quote(&b.name),
-            b.arrive_count,
-            b.init_phases
-        ));
+        w.line("barrier")
+            .quoted(&b.name)
+            .field("arrive_count", b.arrive_count)
+            .field("init_phases", b.init_phases)
+            .end();
     }
     for wg in &k.warp_groups {
-        out.push_str(&format!(
-            "warp_group role={} regs_per_thread={} {{\n",
-            role_name(wg.role),
-            wg.regs_per_thread
-        ));
-        write_instrs(&wg.body, 1, &mut out);
-        out.push_str("}\n");
+        w.line("warp_group")
+            .field("role", wg.role)
+            .field("regs_per_thread", wg.regs_per_thread)
+            .word("{")
+            .end();
+        write_instrs(&wg.body, 1, &mut w);
+        w.line("}").end();
     }
-    out
+    w.finish()
 }
 
-/// One line of the document: 1-based number plus trimmed content.
-struct Line<'a> {
-    no: usize,
-    text: &'a str,
+fn parse_count(line: &Line<'_>, text: &str) -> Result<Count, DocError> {
+    let count = match text.strip_prefix("$p") {
+        Some(p) => p.parse().ok().map(Count::Param),
+        None => text.parse().ok().map(Count::Const),
+    };
+    count.ok_or_else(|| line.malformed(format!("bad loop count '{text}'")))
 }
 
-/// Cursor over the non-blank lines of the document.
-struct Lines<'a> {
-    lines: Vec<Line<'a>>,
-    pos: usize,
-}
-
-impl<'a> Lines<'a> {
-    fn new(text: &'a str) -> Lines<'a> {
-        let lines = text
-            .lines()
-            .enumerate()
-            .filter_map(|(i, l)| {
-                let t = l.trim();
-                if t.is_empty() {
-                    None
-                } else {
-                    Some(Line { no: i + 1, text: t })
-                }
-            })
-            .collect();
-        Lines { lines, pos: 0 }
-    }
-
-    fn peek(&self) -> Option<&Line<'a>> {
-        self.lines.get(self.pos)
-    }
-
-    fn next(&mut self) -> Option<&Line<'a>> {
-        let line = self.lines.get(self.pos);
-        if line.is_some() {
-            self.pos += 1;
-        }
-        line
-    }
-}
-
-fn malformed(line: usize, msg: impl Into<String>) -> SerializeError {
-    SerializeError::Malformed {
-        line,
-        msg: msg.into(),
-    }
-}
-
-/// Splits a line into whitespace-separated tokens, keeping quoted strings
-/// (with escapes) as single tokens. `no` is the 1-based line number used
-/// in [`SerializeError::Malformed`] reports.
-pub fn tokenize(line: &str, no: usize) -> Result<Vec<String>, SerializeError> {
-    let mut tokens = Vec::new();
-    let mut chars = line.chars().peekable();
-    while let Some(&c) = chars.peek() {
-        if c.is_whitespace() {
-            chars.next();
-            continue;
-        }
-        // A token is either a quoted string (possibly prefixed by `key=`)
-        // or a bare word. Accumulate until whitespace outside quotes.
-        let mut tok = String::new();
-        let mut in_quotes = false;
-        while let Some(&c) = chars.peek() {
-            if !in_quotes && c.is_whitespace() {
-                break;
-            }
-            chars.next();
-            if in_quotes {
-                if c == '\\' {
-                    let esc = chars
-                        .next()
-                        .ok_or_else(|| malformed(no, "dangling escape in string"))?;
-                    tok.push('\\');
-                    tok.push(esc);
-                } else {
-                    if c == '"' {
-                        in_quotes = false;
-                    }
-                    tok.push(c);
-                }
-            } else {
-                if c == '"' {
-                    in_quotes = true;
-                }
-                tok.push(c);
-            }
-        }
-        if in_quotes {
-            return Err(malformed(no, "unterminated string"));
-        }
-        tokens.push(tok);
-    }
-    Ok(tokens)
-}
-
-/// Decodes a quoted token produced by [`tokenize`] back into its string.
-///
-/// # Errors
-/// [`SerializeError::Malformed`] (at line `no`) when the token is not a
-/// quoted string or contains an unknown escape.
-pub fn unquote(tok: &str, no: usize) -> Result<String, SerializeError> {
-    let inner = tok
-        .strip_prefix('"')
-        .and_then(|t| t.strip_suffix('"'))
-        .ok_or_else(|| malformed(no, format!("expected quoted string, got '{tok}'")))?;
-    let mut out = String::with_capacity(inner.len());
-    let mut chars = inner.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            match chars.next() {
-                Some('\\') => out.push('\\'),
-                Some('"') => out.push('"'),
-                Some('n') => out.push('\n'),
-                Some('t') => out.push('\t'),
-                other => {
-                    return Err(malformed(
-                        no,
-                        format!("invalid escape '\\{}'", other.unwrap_or(' ')),
-                    ))
-                }
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    Ok(out)
-}
-
-/// Renders a float as its IEEE-754 bit pattern (`0x` + 16 hex digits),
-/// the encoding every Tawa text document uses so floats — NaN payloads
-/// and signed zeros included — round-trip exactly.
-pub fn f64_bits_text(v: f64) -> String {
-    format!("0x{:016X}", v.to_bits())
-}
-
-/// Key-value field access over a tokenized line (`key=value` tokens as
-/// produced by [`tokenize`]).
-pub struct Fields<'a> {
-    tokens: &'a [String],
-    no: usize,
-}
-
-impl<'a> Fields<'a> {
-    /// Wraps a tokenized line; `no` is the 1-based line number used in
-    /// [`SerializeError::Malformed`] reports.
-    pub fn new(tokens: &'a [String], no: usize) -> Fields<'a> {
-        Fields { tokens, no }
-    }
-
-    /// The raw text of field `key`.
-    ///
-    /// # Errors
-    /// [`SerializeError::Malformed`] when the line has no `key=` field.
-    pub fn get(&self, key: &str) -> Result<&'a str, SerializeError> {
-        for t in self.tokens {
-            if let Some(v) = t.strip_prefix(key) {
-                if let Some(v) = v.strip_prefix('=') {
-                    return Ok(v);
-                }
-            }
-        }
-        Err(malformed(self.no, format!("missing field '{key}'")))
-    }
-
-    /// Field `key` parsed as a `u64`.
-    ///
-    /// # Errors
-    /// [`SerializeError::Malformed`] when missing or not an integer.
-    pub fn u64(&self, key: &str) -> Result<u64, SerializeError> {
-        let v = self.get(key)?;
-        v.parse::<u64>()
-            .map_err(|_| malformed(self.no, format!("field '{key}' is not an integer: '{v}'")))
-    }
-
-    /// Field `key` parsed as a `u32`.
-    ///
-    /// # Errors
-    /// [`SerializeError::Malformed`] when missing or not an integer.
-    pub fn u32(&self, key: &str) -> Result<u32, SerializeError> {
-        let v = self.get(key)?;
-        v.parse::<u32>()
-            .map_err(|_| malformed(self.no, format!("field '{key}' is not an integer: '{v}'")))
-    }
-
-    /// Field `key` parsed as a float from the [`f64_bits_text`] bit-pattern
-    /// encoding — bit-exact, including NaN payloads and signed zeros.
-    ///
-    /// # Errors
-    /// [`SerializeError::Malformed`] when missing or not `0x` + hex bits.
-    pub fn f64_bits(&self, key: &str) -> Result<f64, SerializeError> {
-        let v = self.get(key)?;
-        v.strip_prefix("0x")
-            .and_then(|h| u64::from_str_radix(h, 16).ok())
-            .map(f64::from_bits)
-            .ok_or_else(|| malformed(self.no, format!("field '{key}' is not float bits: '{v}'")))
-    }
-
-    /// Field `key` parsed as a boolean (`true` / `false`).
-    ///
-    /// # Errors
-    /// [`SerializeError::Malformed`] when missing or not a boolean.
-    pub fn bool(&self, key: &str) -> Result<bool, SerializeError> {
-        match self.get(key)? {
-            "true" => Ok(true),
-            "false" => Ok(false),
-            v => Err(malformed(
-                self.no,
-                format!("field '{key}' is not a boolean: '{v}'"),
-            )),
-        }
-    }
-
-    /// Field `key` decoded from a quoted-string token.
-    ///
-    /// # Errors
-    /// [`SerializeError::Malformed`] when missing or not a quoted string.
-    pub fn string(&self, key: &str) -> Result<String, SerializeError> {
-        unquote(self.get(key)?, self.no)
-    }
-}
-
-fn parse_count(text: &str, no: usize) -> Result<Count, SerializeError> {
-    if let Some(p) = text.strip_prefix("$p") {
-        let i = p
-            .parse::<usize>()
-            .map_err(|_| malformed(no, format!("bad loop parameter '{text}'")))?;
-        Ok(Count::Param(i))
-    } else {
-        let c = text
-            .parse::<u64>()
-            .map_err(|_| malformed(no, format!("bad loop count '{text}'")))?;
-        Ok(Count::Const(c))
-    }
-}
-
-/// Parses instruction lines until the closing `}` of the enclosing block.
-fn parse_body(lines: &mut Lines<'_>) -> Result<Vec<Instr>, SerializeError> {
+/// Parses instruction lines until the closing `}` of the enclosing block;
+/// `depth` is the number of loops already open around it.
+fn parse_body(doc: &mut Doc<'_>, depth: usize) -> Result<Vec<Instr>, DocError> {
     let mut body = Vec::new();
     loop {
-        let (no, text) = match lines.peek() {
-            Some(l) => (l.no, l.text),
-            None => return Err(malformed(0, "unterminated block: expected '}'")),
+        let Some(f) = doc.next_line()? else {
+            return Err(doc.truncated("unterminated block: expected '}'"));
         };
-        if text == "}" {
-            lines.next();
-            return Ok(body);
-        }
-        lines.next();
-        let tokens = tokenize(text, no)?;
-        let f = Fields {
-            tokens: &tokens,
-            no,
-        };
-        let head = tokens[0].as_str();
-        let instr = match head {
+        let instr = match f.keyword() {
+            "}" if f.tokens().len() == 1 => return Ok(body),
             "tma.load" => Instr::TmaLoad {
-                bytes: f.u64("bytes")?,
-                bar: BarId(f.u32("bar")?),
+                bytes: f.int("bytes")?,
+                bar: BarId(f.int("bar")?),
             },
             "tma.store" => Instr::TmaStore {
-                bytes: f.u64("bytes")?,
+                bytes: f.int("bytes")?,
             },
             "cp.async" => Instr::CpAsync {
-                bytes: f.u64("bytes")?,
+                bytes: f.int("bytes")?,
             },
             "cp.async.wait" => Instr::CpAsyncWait {
-                pending: f.u32("pending")?,
+                pending: f.int("pending")?,
             },
             "mbar.arrive" => Instr::MbarArrive {
-                bar: BarId(f.u32("bar")?),
+                bar: BarId(f.int("bar")?),
             },
             "mbar.wait" => Instr::MbarWait {
-                bar: BarId(f.u32("bar")?),
+                bar: BarId(f.int("bar")?),
             },
             "wgmma.issue" => Instr::WgmmaIssue {
-                m: f.u32("m")?,
-                n: f.u32("n")?,
-                k: f.u32("k")?,
+                m: f.int("m")?,
+                n: f.int("n")?,
+                k: f.int("k")?,
                 dtype: match f.get("dtype")? {
                     "f16" => MmaDtype::F16,
                     "f8" => MmaDtype::F8,
-                    other => return Err(malformed(no, format!("unknown dtype '{other}'"))),
+                    other => return Err(f.malformed(format!("unknown dtype '{other}'"))),
                 },
             },
             "wgmma.wait" => Instr::WgmmaWait {
-                pending: f.u32("pending")?,
+                pending: f.int("pending")?,
             },
             "cuda.op" => Instr::CudaOp {
-                flops: f.u64("flops")?,
-                sfu: f.u64("sfu")?,
+                flops: f.int("flops")?,
+                sfu: f.int("sfu")?,
                 label: intern_label(&f.string("label")?),
             },
             "st.global" => Instr::GlobalStore {
-                bytes: f.u64("bytes")?,
+                bytes: f.int("bytes")?,
             },
             "ld.global" => Instr::GlobalLoad {
-                bytes: f.u64("bytes")?,
+                bytes: f.int("bytes")?,
             },
             "bar.sync" => Instr::Syncthreads,
             "loop" => {
-                if tokens.len() != 3 || tokens[2] != "{" {
-                    return Err(malformed(no, "loop syntax is 'loop <count> {'"));
+                let &[_, count, "{"] = f.tokens() else {
+                    return Err(f.malformed("loop syntax is 'loop <count> {'"));
+                };
+                if depth == MAX_LOOP_DEPTH {
+                    let msg = format!("loop nesting deeper than {MAX_LOOP_DEPTH}");
+                    return Err(f.malformed(msg));
                 }
-                let count = parse_count(&tokens[1], no)?;
-                let inner = parse_body(lines)?;
-                Instr::Loop { count, body: inner }
+                Instr::Loop {
+                    count: parse_count(&f, count)?,
+                    body: parse_body(doc, depth + 1)?,
+                }
             }
             "setmaxnreg" => Instr::SetMaxNReg {
-                regs: f.u32("regs")?,
+                regs: f.int("regs")?,
             },
             "delay" => Instr::Delay {
-                cycles: f.u64("cycles")?,
+                cycles: f.int("cycles")?,
             },
-            other => return Err(malformed(no, format!("unknown instruction '{other}'"))),
+            other => return Err(f.malformed(format!("unknown instruction '{other}'"))),
         };
         body.push(instr);
     }
@@ -593,52 +264,22 @@ fn parse_body(lines: &mut Lines<'_>) -> Result<Vec<Instr>, SerializeError> {
 /// Deserializes a kernel from the versioned text format.
 ///
 /// # Errors
-/// [`SerializeError::VersionMismatch`] when the header names a different
-/// format version; [`SerializeError::Malformed`] for any structural
-/// problem (truncation, corruption, unknown instructions). Callers that
-/// use this behind a cache must treat both as a miss, not a failure.
-pub fn deserialize_kernel(text: &str) -> Result<Kernel, SerializeError> {
-    let mut lines = Lines::new(text);
-
-    // Header: `wsir <version>`.
-    let header = lines.next().ok_or_else(|| malformed(0, "empty document"))?;
-    let (hno, htext) = (header.no, header.text);
-    let version = htext
-        .strip_prefix("wsir ")
-        .and_then(|v| v.trim().parse::<u32>().ok())
-        .ok_or_else(|| malformed(hno, "missing 'wsir <version>' header"))?;
-    if version != FORMAT_VERSION {
-        return Err(SerializeError::VersionMismatch {
-            found: version,
-            expected: FORMAT_VERSION,
-        });
-    }
-
-    // Kernel line.
-    let kline = lines
-        .next()
-        .ok_or_else(|| malformed(0, "missing 'kernel' line"))?;
-    let (kno, ktext) = (kline.no, kline.text);
-    let ktokens = tokenize(ktext, kno)?;
-    if ktokens.first().map(String::as_str) != Some("kernel") {
-        return Err(malformed(kno, "expected 'kernel' line after header"));
-    }
-    let kf = Fields {
-        tokens: &ktokens,
-        no: kno,
-    };
-    let name = ktokens
-        .get(1)
-        .ok_or_else(|| malformed(kno, "kernel line missing name"))
-        .and_then(|t| unquote(t, kno))?;
+/// [`DocError::VersionMismatch`] when the header names a different
+/// format version; [`DocError::Malformed`] for any structural problem
+/// (truncation, corruption, unknown instructions, loops nested deeper
+/// than [`MAX_LOOP_DEPTH`]). Callers that use this behind a cache must
+/// treat both as a miss, not a failure.
+pub fn deserialize_kernel(text: &str) -> Result<Kernel, DocError> {
+    let mut doc = Doc::open(text, FORMAT, FORMAT_VERSION)?;
+    let kf = doc.line("kernel")?;
     let mut kernel = Kernel {
-        name,
+        name: kf.name("name")?,
         classes: Vec::new(),
-        smem_bytes: kf.u64("smem_bytes")?,
+        smem_bytes: kf.int("smem_bytes")?,
         barriers: Vec::new(),
         warp_groups: Vec::new(),
         persistent: kf.bool("persistent")?,
-        launch_overhead_ns: kf.u64("launch_overhead_ns")?,
+        launch_overhead_ns: kf.int("launch_overhead_ns")?,
         useful_flops: kf.f64_bits("useful_flops")?,
         // Source spans are a diagnostic side channel and are not part of
         // the serialized form.
@@ -646,73 +287,53 @@ pub fn deserialize_kernel(text: &str) -> Result<Kernel, SerializeError> {
     };
 
     // Body sections, dispatched on the leading keyword.
-    while let Some(line) = lines.peek() {
-        let (no, text) = (line.no, line.text);
-        let tokens = tokenize(text, no)?;
-        let f = Fields {
-            tokens: &tokens,
-            no,
-        };
-        match tokens[0].as_str() {
+    while let Some(f) = doc.next_line()? {
+        match f.keyword() {
             "class" => {
-                lines.next();
-                let params_text = f.get("params")?;
-                let inner = params_text
+                let inner = f
+                    .get("params")?
                     .strip_prefix('[')
                     .and_then(|t| t.strip_suffix(']'))
-                    .ok_or_else(|| malformed(no, "params is not a [..] list"))?;
-                let params = if inner.is_empty() {
-                    Vec::new()
-                } else {
-                    inner
+                    .ok_or_else(|| f.malformed("params is not a [..] list"))?;
+                let params = match inner {
+                    "" => Vec::new(),
+                    _ => inner
                         .split(',')
                         .map(|p| {
-                            p.parse::<u64>()
-                                .map_err(|_| malformed(no, format!("bad param '{p}'")))
+                            p.parse()
+                                .map_err(|_| f.malformed(format!("bad param '{p}'")))
                         })
-                        .collect::<Result<Vec<_>, _>>()?
+                        .collect::<Result<_, _>>()?,
                 };
                 kernel.classes.push(CtaClass {
                     params,
-                    multiplicity: f.u64("multiplicity")?,
+                    multiplicity: f.int("multiplicity")?,
                 });
             }
-            "barrier" => {
-                lines.next();
-                let name = tokens
-                    .get(1)
-                    .ok_or_else(|| malformed(no, "barrier line missing name"))
-                    .and_then(|t| unquote(t, no))?;
-                kernel.barriers.push(BarrierDecl {
-                    name,
-                    arrive_count: f.u32("arrive_count")?,
-                    init_phases: f.u32("init_phases")?,
-                });
-            }
+            "barrier" => kernel.barriers.push(BarrierDecl {
+                name: f.name("name")?,
+                arrive_count: f.int("arrive_count")?,
+                init_phases: f.int("init_phases")?,
+            }),
             "warp_group" => {
-                lines.next();
-                if tokens.last().map(String::as_str) != Some("{") {
-                    return Err(malformed(no, "warp_group line must end with '{'"));
+                if f.tokens().last() != Some(&"{") {
+                    return Err(f.malformed("warp_group line must end with '{'"));
                 }
                 let role = match f.get("role")? {
                     "producer" => Role::Producer,
                     "consumer" => Role::Consumer,
                     "uniform" => Role::Uniform,
-                    other => return Err(malformed(no, format!("unknown role '{other}'"))),
+                    other => return Err(f.malformed(format!("unknown role '{other}'"))),
                 };
-                let regs_per_thread = f.u32("regs_per_thread")?;
-                let body = parse_body(&mut lines)?;
                 kernel.warp_groups.push(WarpGroup {
                     role,
-                    regs_per_thread,
-                    body,
+                    regs_per_thread: f.int("regs_per_thread")?,
+                    body: parse_body(&mut doc, 0)?,
                 });
             }
             other => {
-                return Err(malformed(
-                    no,
-                    format!("unknown section '{other}' (expected class/barrier/warp_group)"),
-                ));
+                let expected = "(expected class/barrier/warp_group)";
+                return Err(f.malformed(format!("unknown section '{other}' {expected}")));
             }
         }
     }
@@ -822,7 +443,9 @@ mod tests {
             1,
         );
         match deserialize_kernel(&bumped) {
-            Err(SerializeError::VersionMismatch { found, expected }) => {
+            Err(DocError::VersionMismatch {
+                found, expected, ..
+            }) => {
                 assert_eq!(found, FORMAT_VERSION + 1);
                 assert_eq!(expected, FORMAT_VERSION);
             }
@@ -850,5 +473,39 @@ mod tests {
         let a = intern_label("dynamic-label-1");
         let b = intern_label("dynamic-label-1");
         assert!(std::ptr::eq(a, b), "same label must intern to one string");
+    }
+
+    /// A kernel document whose one warp group nests `depth` loops.
+    fn nested_loops(depth: usize) -> String {
+        let mut text = serialize_kernel(&Kernel::new("nest"));
+        text.push_str("warp_group role=producer regs_per_thread=24 {\n");
+        text.push_str(&"loop 1 {\n".repeat(depth));
+        text.push_str(&"}\n".repeat(depth + 1));
+        text
+    }
+
+    #[test]
+    fn loop_nesting_is_bounded_not_a_stack_overflow() {
+        // On the 2 MiB stack the daemon's handler threads run on: 5 000
+        // nested loops (45 KB) used to abort the process.
+        let on_small_stack = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let deepest = deserialize_kernel(&nested_loops(MAX_LOOP_DEPTH)).unwrap();
+                let reread = deserialize_kernel(&serialize_kernel(&deepest)).unwrap();
+                assert_eq!(reread, deepest, "the deepest legal nest round-trips");
+                for depth in [MAX_LOOP_DEPTH + 1, 5_000, 100_000] {
+                    match deserialize_kernel(&nested_loops(depth)) {
+                        Err(DocError::Malformed { line, msg, .. }) => {
+                            // The line of the first loop too many.
+                            assert_eq!(line, 4 + MAX_LOOP_DEPTH, "depth {depth}");
+                            assert_eq!(msg, format!("loop nesting deeper than {MAX_LOOP_DEPTH}"));
+                        }
+                        other => panic!("depth {depth}: expected Malformed, got {other:?}"),
+                    }
+                }
+            })
+            .unwrap();
+        on_small_stack.join().unwrap();
     }
 }

@@ -1,0 +1,45 @@
+#!/usr/bin/env bash
+# No-panic gate for the code that takes outside bytes: the non-test part
+# of each file below (above its first `#[cfg(test)]`, as code_lines.sh
+# cuts it) may not contain `unwrap()`, `expect(`, `panic!`, `unreachable!`
+# or `todo!` outside comments. These are the first rows of the allow-list
+# ROADMAP direction 4 asks for; extend FILES as more parsers qualify.
+# Run from anywhere; CI's docs job fails on any hit.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+FILES=(
+    crates/wsir/src/doc.rs
+    crates/wsir/src/serialize.rs
+    crates/sim/src/report_serde.rs
+    crates/serve/src/trace.rs
+    crates/serve/src/report.rs
+)
+
+# Allowed exceptions: one `file:pattern` row each (an extended regex
+# matched against the offending line), with the reason in a comment.
+ALLOW=(
+)
+
+fail=0
+for f in "${FILES[@]}"; do
+    [ -f "$f" ] || { echo "error: $f is listed but does not exist" >&2; exit 1; }
+    hits=$(awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+                /^[[:space:]]*\/\// { next }
+                /unwrap\(\)|expect\(|panic!|unreachable!|todo!/ { print FILENAME ":" FNR ": " $0 }' "$f")
+    while IFS= read -r hit; do
+        [ -n "$hit" ] || continue
+        allowed=0
+        for row in ${ALLOW[@]+"${ALLOW[@]}"}; do
+            if [ "${row%%:*}" = "$f" ] && echo "$hit" | grep -Eq "${row#*:}"; then
+                allowed=1
+            fi
+        done
+        if [ "$allowed" -eq 0 ]; then
+            echo "error: may panic on outside bytes: $hit" >&2
+            fail=1
+        fi
+    done <<< "$hits"
+done
+[ "$fail" -eq 0 ] || exit 1
+echo "no unwrap/expect/panic!/unreachable!/todo! in the non-test code of ${#FILES[@]} files"
