@@ -65,13 +65,38 @@
 //! without an exact period (or with too few trips) simply runs as before;
 //! the cost of looking is bounded by the detector's miss back-off. There
 //! is no switch: the plain walk survives only as the tests' reference
-//! ([`run_sm_reference`]).
+//! ([`run_sm_reference`]). A jump is computed with checked arithmetic: a
+//! run long enough to take a clock or a counter past `u64::MAX` ends as
+//! [`EngineResult::overflow`], where walking it would eventually have
+//! wrapped.
+//!
+//! # Walking a kernel's classes as one family
+//!
+//! The CTA classes of a kernel differ only in their trip counts, and a
+//! trip count is read only where a loop is pushed and where a back-edge
+//! asks `remaining > 1`. [`run_classes`] — what `simulate` calls — walks
+//! them through one [`tawa_wsir::period::Family`]: at its first skip a
+//! class offers a clone of the whole `Sm` (before the jump) as a
+//! checkpoint; a later class whose params provably give every question
+//! asked so far the same answer starts from that clone, its live frames
+//! lowered, and takes the interrupted step again; and right after a skip
+//! a class standing where one that finished cleanly once stood adds that
+//! one's recorded tail — cycles to the end, the ten counters — instead of
+//! walking it. Per class the result is bit-identical to [`run_sm`]; only
+//! [`EngineResult::events`] differs, counting what was walked for that
+//! class alone. What a footprint is, why admission and tail reuse are
+//! exact, and the walk order live with the detector in
+//! [`tawa_wsir::period`].
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::rc::Rc;
 
-use tawa_wsir::period::{anchor_warp_group, waited_barriers, FrameMark, PeriodDetector};
-use tawa_wsir::{CtaClass, Instr, Kernel};
+use tawa_wsir::period::{
+    anchor_warp_group, extrapolate, lowered, waited_barriers, Family, Footprint, FrameMark,
+    PeriodDetector, TailKey,
+};
+use tawa_wsir::{Count, CtaClass, Instr, Kernel};
 
 use crate::device::Device;
 use crate::mbarrier::Mbarrier;
@@ -114,23 +139,25 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Adds `n ×` the growth since `then` to every running counter.
-    /// `cycles` is not one: it is derived once, when the run ends.
-    fn advance(&mut self, then: &EngineStats, n: u64) {
-        for (cur, then) in [
-            (&mut self.tc_busy, then.tc_busy),
-            (&mut self.cuda_busy, then.cuda_busy),
-            (&mut self.mem_busy, then.mem_busy),
-            (&mut self.bytes_loaded, then.bytes_loaded),
-            (&mut self.bytes_stored, then.bytes_stored),
-            (&mut self.tc_flops, then.tc_flops),
-            (&mut self.stall_barrier, then.stall_barrier),
-            (&mut self.stall_wgmma, then.stall_wgmma),
-            (&mut self.stall_cpasync, then.stall_cpasync),
-            (&mut self.stall_sync, then.stall_sync),
+    /// Sets each of the ten running counters to `f(it, its value in
+    /// other)`; `None` as soon as one `f` is. `cycles` is not a running
+    /// counter: it is derived once, when the run ends.
+    fn combine(&mut self, other: &EngineStats, f: impl Fn(u64, u64) -> Option<u64>) -> Option<()> {
+        for (cur, other) in [
+            (&mut self.tc_busy, other.tc_busy),
+            (&mut self.cuda_busy, other.cuda_busy),
+            (&mut self.mem_busy, other.mem_busy),
+            (&mut self.bytes_loaded, other.bytes_loaded),
+            (&mut self.bytes_stored, other.bytes_stored),
+            (&mut self.tc_flops, other.tc_flops),
+            (&mut self.stall_barrier, other.stall_barrier),
+            (&mut self.stall_wgmma, other.stall_wgmma),
+            (&mut self.stall_cpasync, other.stall_cpasync),
+            (&mut self.stall_sync, other.stall_sync),
         ] {
-            *cur += n * (*cur - then);
+            *cur = f(*cur, other)?;
         }
+        Some(())
     }
 }
 
@@ -147,6 +174,9 @@ pub struct EngineResult {
     pub events: u64,
     /// Loop trips (over all actors) that were jumped rather than walked.
     pub fast_forwarded_trips: u64,
+    /// A jump would have taken a clock or a counter past `u64::MAX`, as
+    /// walking every trip eventually would: `stats` mean nothing.
+    pub overflow: bool,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,14 +189,18 @@ enum Status {
     Done,
 }
 
+#[derive(Clone)]
 struct Frame<'k> {
     body: &'k [Instr],
     pc: usize,
     remaining: u64,
     /// Instance id, unique per push (see the module docs on frames).
     id: u64,
+    /// The `Count::Param` the trip count came from, if it was one.
+    param: Option<usize>,
 }
 
+#[derive(Clone)]
 struct Actor<'k> {
     cta: usize,
     wg: usize,
@@ -208,7 +242,7 @@ enum Event {
 }
 
 /// Pending events, popped in `(time, push order)` order.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct EventQueue {
     heap: BinaryHeap<Reverse<(u64, u64, Event)>>,
     seq: u64,
@@ -225,13 +259,14 @@ impl EventQueue {
     }
 
     /// Moves every pending event `dt` cycles later; a uniform shift keeps
-    /// the pop order.
-    fn shift(&mut self, dt: u64) {
+    /// the pop order. `None` when a time would overflow.
+    fn shift(&mut self, dt: u64) -> Option<()> {
         let mut entries = std::mem::take(&mut self.heap).into_vec();
         for Reverse((t, _, _)) in &mut entries {
-            *t += dt;
+            *t = t.checked_add(dt)?;
         }
         self.heap = BinaryHeap::from(entries);
+        Some(())
     }
 
     /// The pending `(time, push order, event)` entries in pop order.
@@ -248,7 +283,7 @@ impl EventQueue {
 /// keeps two cooperative consumer warp groups phase-locked when both run
 /// softmax simultaneously — the effect FlashAttention-3's ping-pong
 /// scheduling (and Tawa's coarse pipeline) is designed to break.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct CudaPs {
     /// Active jobs: `(actor, remaining full-rate cycles)`.
     jobs: Vec<(usize, f64)>,
@@ -298,6 +333,7 @@ impl CudaPs {
 
 /// Absolute clocks and counters at a snapshot: what [`Sm::advance`]
 /// extrapolates from.
+#[derive(Clone)]
 struct Mark {
     t: u64,
     stats: EngineStats,
@@ -305,12 +341,30 @@ struct Mark {
     phases: Vec<u64>,
 }
 
+/// What a class added to its clocks and counters walking from a
+/// [`TailKey`] to a clean end: `cycles` is the end's distance from the key's
+/// time, the running counters their growth.
+struct Tail(EngineStats);
+
+/// Why a run ended before its queue did.
+#[derive(Clone, Copy, PartialEq)]
+enum Halt {
+    /// An earlier class's tail stands in for the rest (and has been added).
+    TailReused,
+    Overflow,
+}
+
+/// A kernel's classes as the engine walks them: the checkpoint is the whole
+/// machine plus the time of the step (the anchor's) it was taken in.
+type Classes<'k> = Family<'k, (Sm<'k>, u64), Tail>;
+
 /// One SM with its resident CTAs: the engine's whole state.
+#[derive(Clone)]
 struct Sm<'k> {
     kernel: &'k Kernel,
     device: &'k Device,
     cfg: &'k EngineCfg,
-    residents: &'k [&'k CtaClass],
+    residents: Vec<&'k CtaClass>,
     nbars: usize,
     /// `residents.len() × nbars` barriers, CTA-major.
     barriers: Vec<Mbarrier>,
@@ -326,9 +380,17 @@ struct Sm<'k> {
     last_time: u64,
     next_frame_id: u64,
     /// Per warp group, the barriers its program waits on.
-    waits: Vec<Vec<usize>>,
+    waits: Rc<[Vec<usize>]>,
     /// The actor whose back-edges are snapshotted, if any loops.
     anchor: Option<usize>,
+    detector: PeriodDetector<Mark>,
+    /// Every answer a trip count has given so far — kept until the first
+    /// skip, and only while a later class might start from this one.
+    footprint: Option<Footprint>,
+    /// The states this class stood in right after each skip, with its time
+    /// and counters then.
+    skips: Vec<(TailKey, u64, EngineStats)>,
+    halt: Option<Halt>,
     events: u64,
     fast_forwarded_trips: u64,
 }
@@ -345,7 +407,7 @@ pub fn run_sm(
     residents: &[&CtaClass],
     cfg: &EngineCfg,
 ) -> EngineResult {
-    Sm::new(kernel, device, residents, cfg).run(true)
+    Sm::new(kernel, device, residents.to_vec(), cfg, true, false).run(&mut Family::default())
 }
 
 /// [`run_sm`] walking every trip of every loop: the reference the
@@ -358,19 +420,60 @@ pub fn run_sm_reference(
     residents: &[&CtaClass],
     cfg: &EngineCfg,
 ) -> EngineResult {
-    Sm::new(kernel, device, residents, cfg).run(false)
+    Sm::new(kernel, device, residents.to_vec(), cfg, false, false).run(&mut Family::default())
+}
+
+/// Simulates one SM-wave of every CTA class of `kernel`, `occ` residents
+/// of the class each, and returns the results in class order — what
+/// [`run_sm`] returns per class, except that `events` and
+/// `fast_forwarded_trips` count only what was walked and jumped *for* that
+/// class: the classes run as one family (module docs), so a class that
+/// starts from another's checkpoint does not count the shared prefix, and
+/// one that reuses a known tail does not count the tail.
+pub fn run_classes(
+    kernel: &Kernel,
+    device: &Device,
+    occ: u32,
+    cfg: &EngineCfg,
+) -> Vec<EngineResult> {
+    let mut family: Classes<'_> = Family::of(kernel);
+    let mut results: Vec<Option<EngineResult>> = vec![None; kernel.classes.len()];
+    while let Some(ci) = family.next_class() {
+        let class = &kernel.classes[ci];
+        let result = match family.admit(&class.params) {
+            Some(((checkpoint, t), lower_by)) => {
+                // Take the interrupted step again, then the queue.
+                let (mut sm, t) = (checkpoint.resumed(class, &lower_by), *t);
+                if let Some(anchor) = sm.anchor {
+                    sm.step(anchor, t, &mut family);
+                }
+                sm.run(&mut family)
+            }
+            None => {
+                let residents = (0..occ).map(|_| class).collect();
+                let track = family.has_pending();
+                Sm::new(kernel, device, residents, cfg, true, track).run(&mut family)
+            }
+        };
+        results[ci] = Some(result);
+    }
+    results.into_iter().flatten().collect()
 }
 
 impl<'k> Sm<'k> {
+    /// The machine at launch. `fast_forward = false` walks every trip;
+    /// `track` keeps a [`Footprint`] so a later class may start from here.
     fn new(
         kernel: &'k Kernel,
         device: &'k Device,
-        residents: &'k [&'k CtaClass],
+        residents: Vec<&'k CtaClass>,
         cfg: &'k EngineCfg,
+        fast_forward: bool,
+        track: bool,
     ) -> Sm<'k> {
         let nbars = kernel.barriers.len();
         let mut barriers: Vec<Mbarrier> = Vec::with_capacity(nbars * residents.len());
-        for _ in residents {
+        for _ in &residents {
             for b in &kernel.barriers {
                 barriers.push(Mbarrier::new(b.arrive_count, b.init_phases));
             }
@@ -391,6 +494,7 @@ impl<'k> Sm<'k> {
                         pc: 0,
                         remaining: 1,
                         id: actors.len() as u64,
+                        param: None,
                     }],
                     status: Status::Running,
                     local_phase: vec![0; nbars],
@@ -401,11 +505,17 @@ impl<'k> Sm<'k> {
             }
         }
 
+        // CTA 0's actors come first, so its warp group index is the actor
+        // index.
+        let anchor = residents
+            .first()
+            .filter(|_| fast_forward)
+            .and_then(|class| anchor_warp_group(kernel, &class.params));
+        let nparams = residents.first().map_or(0, |class| class.params.len());
         Sm {
             kernel,
             device,
             cfg,
-            residents,
             nbars,
             barriers,
             queue,
@@ -426,23 +536,39 @@ impl<'k> Sm<'k> {
                     waited
                 })
                 .collect(),
-            // CTA 0's actors come first, so its warp group index is the
-            // actor index.
-            anchor: residents
-                .first()
-                .and_then(|class| anchor_warp_group(kernel, &class.params)),
+            anchor,
+            detector: PeriodDetector::default(),
+            footprint: (track && anchor.is_some()).then(|| Footprint::new(nparams)),
+            skips: Vec::new(),
+            halt: None,
+            residents,
             actors,
             events: 0,
             fast_forwarded_trips: 0,
         }
     }
 
-    fn run(mut self, fast_forward: bool) -> EngineResult {
-        if !fast_forward {
-            self.anchor = None;
+    /// This checkpoint as the machine of `class`, whose params are lower
+    /// than the checkpointed class's by `lower_by` and otherwise ask nothing
+    /// the prefix has not answered the same way: every live frame (here and
+    /// in the detector's history) stands that much lower.
+    fn resumed(&self, class: &'k CtaClass, lower_by: &[u64]) -> Sm<'k> {
+        let mut sm = self.clone();
+        sm.residents.fill(class);
+        sm.events = 0;
+        sm.fast_forwarded_trips = 0;
+        for f in sm.actors.iter_mut().flat_map(|a| &mut a.frames) {
+            f.remaining -= lowered(f.param, lower_by);
         }
-        let mut detector = PeriodDetector::default();
-        while let Some((t, event)) = self.queue.pop() {
+        sm.detector.lower(lower_by);
+        sm
+    }
+
+    fn run(mut self, family: &mut Classes<'k>) -> EngineResult {
+        while self.halt.is_none() && self.done_count != self.actors.len() {
+            let Some((t, event)) = self.queue.pop() else {
+                break;
+            };
             self.events += 1;
             self.last_time = self.last_time.max(t);
             match event {
@@ -477,26 +603,39 @@ impl<'k> Sm<'k> {
                 }
                 Event::Step(i) => {
                     if self.actors[i].status == Status::Running {
-                        self.step(i, t, &mut detector);
+                        self.step(i, t, family);
                     }
                 }
             }
-            if self.done_count == self.actors.len() {
-                break;
-            }
         }
 
-        let deadlock = (self.done_count != self.actors.len()).then(|| self.describe_deadlock());
-        self.stats.cycles = self
-            .last_time
-            .max(self.mem_free)
-            .max(self.tc_free)
-            .max(self.cuda.last_update);
+        let overflow = self.halt == Some(Halt::Overflow);
+        let mut deadlock = None;
+        if self.halt.is_none() {
+            deadlock = (self.done_count != self.actors.len()).then(|| self.describe_deadlock());
+            self.stats.cycles = self
+                .last_time
+                .max(self.mem_free)
+                .max(self.tc_free)
+                .max(self.cuda.last_update);
+        }
+        // A clean end: what this class added since each of its skips is
+        // what any class standing at an equal key will add.
+        if !overflow && deadlock.is_none() && family.has_pending() {
+            for (key, t, at) in std::mem::take(&mut self.skips) {
+                let mut tail = self.stats.clone();
+                tail.cycles = tail.cycles.saturating_sub(t);
+                if tail.combine(&at, u64::checked_sub).is_some() {
+                    family.record(key, Tail(tail));
+                }
+            }
+        }
         EngineResult {
             stats: self.stats,
             deadlock,
             events: self.events,
             fast_forwarded_trips: self.fast_forwarded_trips,
+            overflow,
         }
     }
 
@@ -540,13 +679,9 @@ impl<'k> Sm<'k> {
 
     /// Fetches actor `i`'s next instruction, unwinding finished frames and
     /// taking loop back-edges. At the anchor's back-edges the period
-    /// detector may move the whole machine — `t` included — forward.
-    fn fetch(
-        &mut self,
-        i: usize,
-        t: &mut u64,
-        detector: &mut PeriodDetector<Mark>,
-    ) -> Option<&'k Instr> {
+    /// detector may move the whole machine — `t` included — forward, or end
+    /// the run (`halt`).
+    fn fetch(&mut self, i: usize, t: &mut u64, family: &mut Classes<'k>) -> Option<&'k Instr> {
         loop {
             let frame = self.actors[i].frames.last_mut()?;
             if frame.pc < frame.body.len() {
@@ -554,11 +689,17 @@ impl<'k> Sm<'k> {
                 frame.pc += 1;
                 return Some(ins);
             }
-            if frame.remaining > 1 && self.anchor == Some(i) && detector.due() {
-                self.fast_forward(t, detector);
+            if frame.remaining > 1 && self.anchor == Some(i) && self.detector.due() {
+                self.fast_forward(t, family);
+                if self.halt.is_some() {
+                    return None;
+                }
             }
             let frames = &mut self.actors[i].frames;
             let frame = frames.last_mut()?;
+            if let (Some(footprint), Some(p)) = (&mut self.footprint, frame.param) {
+                footprint.tested(p, frame.remaining);
+            }
             if frame.remaining > 1 {
                 frame.remaining -= 1;
                 frame.pc = 0;
@@ -568,10 +709,12 @@ impl<'k> Sm<'k> {
         }
     }
 
-    fn step(&mut self, i: usize, mut t: u64, detector: &mut PeriodDetector<Mark>) {
-        let Some(instr) = self.fetch(i, &mut t, detector) else {
-            self.actors[i].status = Status::Done;
-            self.done_count += 1;
+    fn step(&mut self, i: usize, mut t: u64, family: &mut Classes<'k>) {
+        let Some(instr) = self.fetch(i, &mut t, family) else {
+            if self.halt.is_none() {
+                self.actors[i].status = Status::Done;
+                self.done_count += 1;
+            }
             return;
         };
         let device = self.device;
@@ -580,12 +723,20 @@ impl<'k> Sm<'k> {
         match *instr {
             Instr::Loop { count, ref body } => {
                 let trips = count.resolve(&self.residents[cta].params);
+                let param = match count {
+                    Count::Param(p) if !body.is_empty() => Some(p),
+                    _ => None,
+                };
+                if let (Some(footprint), Some(p)) = (&mut self.footprint, param) {
+                    footprint.resolved(p, trips);
+                }
                 if trips > 0 && !body.is_empty() {
                     self.actors[i].frames.push(Frame {
                         body,
                         pc: 0,
                         remaining: trips,
                         id: self.next_frame_id,
+                        param,
                     });
                     self.next_frame_id += 1;
                 }
@@ -715,7 +866,6 @@ impl<'k> Sm<'k> {
     /// docs), plus every live loop frame in actor order.
     fn signature(&self, t: u64) -> (Vec<u64>, Vec<FrameMark>) {
         let mut sig = Vec::with_capacity(128);
-        let mut frames = Vec::with_capacity(2 * self.actors.len());
         for a in &self.actors {
             let (tag, arg) = match a.status {
                 Status::Running => (0, 0),
@@ -740,10 +890,6 @@ impl<'k> Sm<'k> {
             ]);
             for f in &a.frames {
                 sig.extend([f.body.as_ptr() as u64, f.pc as u64]);
-                frames.push(FrameMark {
-                    id: f.id,
-                    remaining: f.remaining,
-                });
             }
             for &b in &self.waits[a.wg] {
                 let completed = self.barriers[a.cta * self.nbars + b].completed_phases();
@@ -777,7 +923,24 @@ impl<'k> Sm<'k> {
             };
             sig.extend([time - t, tag, a, b]);
         }
-        (sig, frames)
+        (sig, self.frame_marks())
+    }
+
+    /// Every live loop frame in actor order.
+    fn frame_marks(&self) -> Vec<FrameMark> {
+        (self.actors.iter().flat_map(|a| &a.frames))
+            .map(|f| FrameMark {
+                id: f.id,
+                remaining: f.remaining,
+                param: f.param,
+            })
+            .collect()
+    }
+
+    /// The trip counts of the class being walked (CTA 0's: a family's
+    /// residents all run one class).
+    fn params(&self) -> &'k [u64] {
+        self.residents.first().map_or(&[], |class| &class.params)
     }
 
     fn mark(&self, t: u64) -> Mark {
@@ -794,51 +957,88 @@ impl<'k> Sm<'k> {
     }
 
     /// At an anchor back-edge at time `*t`: if this state was seen before,
-    /// jump as many whole periods as fit.
-    fn fast_forward(&mut self, t: &mut u64, detector: &mut PeriodDetector<Mark>) {
+    /// jump as many whole periods as fit — and, standing where an earlier
+    /// class stood, add its tail instead of walking it.
+    fn fast_forward(&mut self, t: &mut u64, family: &mut Classes<'k>) {
         let (sig, frames) = self.signature(*t);
-        if let Some(skip) = detector.observe(sig, frames, self.mark(*t)) {
-            self.advance(skip.then, skip.periods, &skip.frame_deltas, t);
-            self.fast_forwarded_trips += skip.trips(skip.periods);
+        let Some(skip) = self.detector.observe(sig, frames, self.mark(*t)) else {
+            return;
+        };
+        // The first skip: what comes before it is what classes can share.
+        if let Some(footprint) = self.footprint.take() {
+            family.offer(&footprint, self.params(), || (self.clone(), *t));
+        }
+        if self
+            .advance(&skip.then, skip.periods, &skip.frame_deltas, t)
+            .is_none()
+        {
+            self.halt = Some(Halt::Overflow);
+            return;
+        }
+        self.fast_forwarded_trips += skip.trips(skip.periods);
+        if !family.is_family() {
+            return;
+        }
+
+        let key = family.tail_key(
+            skip.sig,
+            &self.frame_marks(),
+            self.params(),
+            self.residents.len(),
+        );
+        match family.tail(&key) {
+            Some(Tail(tail)) => {
+                let cycles = (self.stats.combine(tail, u64::checked_add))
+                    .and_then(|()| t.checked_add(tail.cycles));
+                self.stats.cycles = cycles.unwrap_or_default();
+                self.halt = Some(match cycles {
+                    Some(_) => Halt::TailReused,
+                    None => Halt::Overflow,
+                });
+            }
+            None if family.has_pending() => self.skips.push((key, *t, self.stats.clone())),
+            None => {}
         }
     }
 
     /// Moves the machine `n` periods forward, a period being what happened
     /// between `then` and now (`*t`): every clock by `n ×` the period's
     /// length, every counter by `n ×` its growth, every loop frame by `n ×`
-    /// its trips. Plain arithmetic throughout, so a run long enough to
-    /// overflow a counter fails the same way walking it would.
-    fn advance(&mut self, then: &Mark, n: u64, frame_deltas: &[u64], t: &mut u64) {
-        let shift = n * (*t - then.t);
-        self.queue.shift(shift);
-        *t += shift;
+    /// its trips. `None` when a clock or a counter would overflow, which is
+    /// where walking every trip would have — the machine is then half
+    /// moved and good for nothing.
+    fn advance(&mut self, then: &Mark, n: u64, frame_deltas: &[u64], t: &mut u64) -> Option<()> {
+        let shift = n.checked_mul(*t - then.t)?;
+        self.queue.shift(shift)?;
+        *t = t.checked_add(shift)?;
         self.last_time = *t;
         // A resource time in the past stays in the past: moving it along is
         // as unobservable as leaving it.
-        self.tc_free += shift;
-        self.mem_free += shift;
-        self.cuda.last_update += shift;
-        self.stats.advance(&then.stats, n);
+        self.tc_free = self.tc_free.checked_add(shift)?;
+        self.mem_free = self.mem_free.checked_add(shift)?;
+        self.cuda.last_update = self.cuda.last_update.checked_add(shift)?;
+        (self.stats).combine(&then.stats, |cur, was| extrapolate(cur, was, n))?;
 
         let mut then_phases = then.phases.iter();
         for (b, was) in self.barriers.iter_mut().zip(&mut then_phases) {
-            b.advance_phases(n * (b.completed_phases() - was));
+            b.advance_phases(n.checked_mul(b.completed_phases() - was)?)?;
         }
         let mut deltas = frame_deltas.iter();
         for a in &mut self.actors {
             if a.is_blocked() {
-                a.blocked_since += shift;
+                a.blocked_since = a.blocked_since.checked_add(shift)?;
             }
             for (cur, was) in a.local_phase.iter_mut().zip(&mut then_phases) {
-                *cur += n * (*cur - was);
+                *cur = extrapolate(*cur, *was, n)?;
             }
             for (f, delta) in a.frames.iter_mut().zip(&mut deltas) {
+                // The detector leaves every moved frame its last trip.
                 f.remaining = (n.checked_mul(*delta))
                     .and_then(|trips| f.remaining.checked_sub(trips))
-                    .filter(|&left| left > 0)
-                    .expect("the detector leaves every moved frame its last trip");
+                    .filter(|&left| left > 0)?;
             }
         }
+        Some(())
     }
 
     fn describe_deadlock(&self) -> String {
@@ -1221,6 +1421,87 @@ mod tests {
         let class = one_class();
         let (fast, _) = both(&k, &[&class]);
         assert!(fast.fast_forwarded_trips > 0);
+    }
+
+    /// `ws_kernel(_, 2)` with both loops reading `$p0`, one class per entry
+    /// of `trips`.
+    fn ws_param_kernel(trips: &[u64]) -> Kernel {
+        let mut k = ws_kernel(2, 2);
+        for wg in &mut k.warp_groups {
+            let Instr::Loop { body, .. } = wg.body.remove(0) else {
+                unreachable!()
+            };
+            wg.body.push(Instr::loop_param(0, body));
+        }
+        k.classes = (trips.iter())
+            .map(|&t| CtaClass {
+                params: vec![t],
+                multiplicity: 1,
+            })
+            .collect();
+        k
+    }
+
+    #[test]
+    fn a_jump_past_u64_is_an_overflow_not_a_report() {
+        // Release builds wrap silently where debug builds panic, and a
+        // wrapped counter used to be published as a report: 2^56 trips of
+        // two 32 KiB loads do not fit `bytes_loaded`. On the direct path ...
+        let dev = Device::h100_sxm5();
+        let class = one_class();
+        let r = run_sm(&ws_kernel(1 << 41, 2), &dev, &[&class], &cfg());
+        assert!(!r.overflow && r.deadlock.is_none());
+        assert_eq!(r.stats.bytes_loaded, (1 << 41) * 32768);
+        assert_eq!(r.stats.tc_flops, (1 << 41) * 2 * 128 * 128 * 64);
+        assert!(r.events < 400, "{} events", r.events);
+        for iters in [1 << 57, u64::MAX] {
+            let r = run_sm(&ws_kernel(iters, 2), &dev, &[&class, &class], &cfg());
+            assert!(r.overflow, "{iters} trips: {:?}", r.stats);
+        }
+        // ... and in a class that starts from another's checkpoint: the
+        // second class of each kernel is three trips short of the first.
+        for (trips, overflow) in [(1 << 40, false), (1 << 56, true), (u64::MAX, true)] {
+            let k = ws_param_kernel(&[trips, trips - 3]);
+            let results = run_classes(&k, &dev, 1, &cfg());
+            assert!(results[1].events < results[0].events, "not resumed");
+            for (r, trips) in results.iter().zip([trips, trips - 3]) {
+                assert_eq!(r.overflow, overflow, "{trips} trips: {:?}", r.stats);
+                if !overflow {
+                    assert_eq!(r.stats.bytes_loaded, trips * 2 * 32768);
+                    assert_eq!(r.stats.tc_flops, trips * 2 * 2 * 128 * 128 * 64);
+                }
+            }
+        }
+        // A class that overflows leaves the ones that do not their results.
+        let k = ws_param_kernel(&[1 << 56, 1000, u64::MAX, 997]);
+        let results = run_classes(&k, &dev, 1, &cfg());
+        let overflowed: Vec<bool> = results.iter().map(|r| r.overflow).collect();
+        assert_eq!(overflowed, [true, false, true, false]);
+        for (ci, class) in k.classes.iter().enumerate().filter(|(ci, _)| ci % 2 == 1) {
+            let own = run_sm_reference(&k, &dev, &[class], &cfg());
+            assert_eq!(results[ci].stats, own.stats);
+        }
+    }
+
+    #[test]
+    fn classes_of_one_family_get_their_own_results() {
+        // Five classes two trips apart, one duplicate, one too short to be
+        // admitted anywhere, in shuffled order: each equals its own plain
+        // walk; those that start from the first one's checkpoint walk less,
+        // and the duplicate of a finished class walks nothing at all.
+        let dev = Device::h100_sxm5();
+        let k = ws_param_kernel(&[394, 400, 2, 398, 400, 396]);
+        for occ in [1, 2] {
+            let results = run_classes(&k, &dev, occ, &cfg());
+            for (class, r) in k.classes.iter().zip(&results) {
+                let residents = vec![class; occ as usize];
+                let own = run_sm_reference(&k, &dev, &residents, &cfg());
+                assert_eq!((&r.stats, &r.deadlock), (&own.stats, &own.deadlock));
+            }
+            let events: Vec<u64> = results.iter().map(|r| r.events).collect();
+            assert!(events[0] < events[1] && events[3] < events[1], "{events:?}");
+            assert_eq!(events[4], 0, "{events:?}");
+        }
     }
 
     #[test]

@@ -80,10 +80,10 @@ pub mod run;
 /// only the serialization syntax, and from
 /// [`analytic::ANALYTIC_MODEL_VERSION`], which covers only the analytic
 /// ranking model. *How* a simulation executes is also out of scope: the
-/// engine's exact steady-state skip ([`engine`]) and the parallel
-/// per-class path ([`run::SimOptions`]) both produce reports bit-identical
-/// to walking every trip of every class in order, so neither needs a bump
-/// here.
+/// engine's exact steady-state skip ([`engine`]) and its walking the CTA
+/// classes of a kernel as one family ([`engine::run_classes`]) both
+/// produce reports bit-identical to walking every trip of every class on
+/// its own, so neither needs a bump here.
 pub const COST_MODEL_VERSION: u32 = 1;
 
 pub use analytic::{estimate, perf_model, AnalyticEstimate, BoundKind, ANALYTIC_MODEL_VERSION};

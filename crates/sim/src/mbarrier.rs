@@ -56,8 +56,10 @@ impl Mbarrier {
     /// Completes `phases` further phases at once, leaving the in-phase
     /// state untouched: the barrier's share of an engine fast-forward over
     /// whole periods, each of which ends where it began within a phase.
-    pub(crate) fn advance_phases(&mut self, phases: u64) {
-        self.completed_phases += phases;
+    /// `None` (and no change) when the count would overflow.
+    pub(crate) fn advance_phases(&mut self, phases: u64) -> Option<()> {
+        self.completed_phases = self.completed_phases.checked_add(phases)?;
+        Some(())
     }
 
     /// Announces `bytes` of expected transaction data for the current

@@ -8,21 +8,20 @@
 //! grid-scheduler dispatch gap. Persistent kernels pre-collapse their grid
 //! to one resident wave whose CTAs loop over tiles, so they pay the wave
 //! machinery exactly once — which is where their advantage comes from
-//! (paper §IV-B).
+//! (paper §IV-B). The wave count is taken **per CTA class** and the
+//! classes' costs add up, so two launches whose classes each fit one wave
+//! (32 and 128 CTAs on 132 slots, say) report equal cycles and differ only
+//! in bytes, FLOPs and throughput.
+//!
+//! The classes themselves are simulated by [`crate::engine::run_classes`]
+//! as one family, on the calling thread, and folded in class order.
 
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
-use tawa_wsir::{validate, CtaClass, Kernel, Lint};
+use tawa_wsir::{validate, Kernel, Lint};
 
 use crate::device::Device;
-use crate::engine::{run_sm, EngineCfg, EngineResult, EngineStats};
-
-/// Cap on simulation worker threads (same discipline as the compile
-/// pipeline's `DEFAULT_WORKER_CAP`): beyond this, per-SM engine runs are
-/// memory-bandwidth-bound on the host and extra threads only contend.
-const MAX_SIM_WORKERS: usize = 8;
+use crate::engine::{run_classes, EngineCfg, EngineStats};
 
 /// Simulation failure.
 #[derive(Debug)]
@@ -40,6 +39,9 @@ pub enum SimError {
     },
     /// The kernel deadlocked; the payload describes the blocked actors.
     Deadlock(String),
+    /// The run is so long that a cycle, byte or FLOP count does not fit 64
+    /// bits. Deterministic, like a deadlock: no report exists.
+    Overflow,
 }
 
 impl fmt::Display for SimError {
@@ -57,6 +59,10 @@ impl fmt::Display for SimError {
                 "kernel does not fit on an SM (smem {smem} B, {regs} regs/CTA)"
             ),
             SimError::Deadlock(d) => write!(f, "{d}"),
+            SimError::Overflow => write!(
+                f,
+                "overflow: the run is too long for 64-bit cycle, byte and FLOP counters"
+            ),
         }
     }
 }
@@ -123,16 +129,17 @@ fn grid_total(total: u64, multiplicity: u64, occ: u32) -> u64 {
 }
 
 /// Options controlling how a simulation *executes* — never what it
-/// computes. Every option produces reports bit-identical to the
-/// sequential reference path, which is why [`crate::COST_MODEL_VERSION`]
-/// does not mention them.
+/// computes, which is why [`crate::COST_MODEL_VERSION`] does not mention
+/// them.
 #[derive(Debug, Clone)]
 pub struct SimOptions {
-    /// Simulate independent CTA classes on scoped worker threads. Each
-    /// class's engine run is a pure function of `(kernel, device, class,
-    /// occupancy)`; results are folded in class order with the same
-    /// arithmetic as the sequential loop, so the report is bit-identical
-    /// either way. Defaults to `true`; single-class kernels never spawn.
+    /// No effect. CTA classes once simulated on scoped worker threads when
+    /// this was set; they now run as one family on the calling thread
+    /// ([`crate::engine::run_classes`]), which leaves too little work per
+    /// class for a thread to pay for its spawn. The field stays, with its
+    /// old default, because the frozen benchmark's
+    /// `sim.engine.parallel_classes_speedup` probe and the parallel ≡
+    /// sequential tests construct it; both values give the same report.
     pub parallel_classes: bool,
 }
 
@@ -144,62 +151,20 @@ impl Default for SimOptions {
     }
 }
 
-/// Runs the per-SM engine for every CTA class on scoped worker threads
-/// and returns the results in class order. Work is handed out via an
-/// atomic cursor (the `compile_batch` discipline); each worker writes its
-/// own slot, so folding downstream observes exactly the sequence the
-/// sequential loop would have produced.
-fn run_classes_parallel(
-    kernel: &Kernel,
-    device: &Device,
-    occ: u32,
-    cfg: &EngineCfg,
-) -> Vec<EngineResult> {
-    let n = kernel.classes.len();
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(n)
-        .min(MAX_SIM_WORKERS);
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<EngineResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let class = &kernel.classes[i];
-                let residents: Vec<&CtaClass> = (0..occ).map(|_| class).collect();
-                let result = run_sm(kernel, device, &residents, cfg);
-                *slots[i].lock().expect("slot lock poisoned") = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("slot lock poisoned")
-                .expect("worker filled every slot")
-        })
-        .collect()
-}
-
 /// Simulates `kernel` on `device` with default [`SimOptions`].
 ///
 /// # Errors
 /// Returns [`SimError::Invalid`] for malformed kernels,
-/// [`SimError::DoesNotFit`] when occupancy is zero, and
-/// [`SimError::Deadlock`] when forward progress stops.
+/// [`SimError::DoesNotFit`] when occupancy is zero,
+/// [`SimError::Deadlock`] when forward progress stops and
+/// [`SimError::Overflow`] when a count outgrows 64 bits.
 pub fn simulate(kernel: &Kernel, device: &Device) -> Result<SimReport, SimError> {
     simulate_with(kernel, device, &SimOptions::default())
 }
 
 /// What every engine run of one launch shares: the occupancy the kernel
 /// reaches and the bandwidth each SM is provisioned with. Public only so
-/// the differential tests can drive [`run_sm`] exactly as [`simulate`]
+/// the differential tests can drive the engine exactly as [`simulate`]
 /// does; not part of the product's surface.
 ///
 /// # Errors
@@ -230,18 +195,15 @@ pub fn wave_setup(kernel: &Kernel, device: &Device) -> Result<(u32, EngineCfg), 
     Ok((occ, cfg))
 }
 
-/// Simulates `kernel` on `device` with explicit execution options.
-///
-/// The report is bit-identical for every option combination (see
-/// [`SimOptions`]); benchmarks use the sequential path as the reference
-/// when measuring parallel speedup.
+/// Simulates `kernel` on `device` with explicit execution options, none
+/// of which changes the report (see [`SimOptions`]).
 ///
 /// # Errors
 /// Same contract as [`simulate`].
 pub fn simulate_with(
     kernel: &Kernel,
     device: &Device,
-    opts: &SimOptions,
+    _opts: &SimOptions,
 ) -> Result<SimReport, SimError> {
     let (occ, cfg) = wave_setup(kernel, device)?;
 
@@ -251,38 +213,33 @@ pub fn simulate_with(
     let mut bytes_loaded: u64 = 0;
     let mut bytes_stored: u64 = 0;
     let mut tc_flops: u64 = 0;
-    let mut wave_stats: Option<EngineStats> = None;
-    let mut wave_weight: u128 = 0;
+    // The representative wave and its weight (see `SimReport::wave_stats`).
+    let mut dominant: Option<(u128, EngineStats)> = None;
     let mut persistent_max: u64 = 0;
 
-    // Engine runs are pure per class; execute them (possibly in
-    // parallel), then fold the results in class order with the exact
-    // arithmetic of the historical sequential loop. A deadlock in any
-    // class surfaces as the first one in class order — the same error
-    // the sequential path would have returned.
-    let results: Vec<EngineResult> = if opts.parallel_classes && kernel.classes.len() > 1 {
-        run_classes_parallel(kernel, device, occ, &cfg)
-    } else {
-        kernel
-            .classes
-            .iter()
-            .map(|class| {
-                let residents: Vec<&CtaClass> = (0..occ).map(|_| class).collect();
-                run_sm(kernel, device, &residents, &cfg)
-            })
-            .collect()
-    };
-
-    for (class, result) in kernel.classes.iter().zip(results) {
+    // One engine result per class, folded in class order: a failure in any
+    // class surfaces as the first one in class order.
+    for (class, result) in kernel
+        .classes
+        .iter()
+        .zip(run_classes(kernel, device, occ, &cfg))
+    {
         if let Some(d) = result.deadlock {
             return Err(SimError::Deadlock(d));
+        }
+        if result.overflow {
+            return Err(SimError::Overflow);
         }
         let stats = result.stats;
         // Engine simulated `occ` CTAs of this class on one SM; scale the
         // totals to the class's whole-grid contribution.
-        bytes_loaded += grid_total(stats.bytes_loaded, class.multiplicity, occ);
-        bytes_stored += grid_total(stats.bytes_stored, class.multiplicity, occ);
-        tc_flops += grid_total(stats.tc_flops, class.multiplicity, occ);
+        let add = |total: &mut u64, per_wave: u64| {
+            *total = total.checked_add(grid_total(per_wave, class.multiplicity, occ))?;
+            Some(())
+        };
+        add(&mut bytes_loaded, stats.bytes_loaded).ok_or(SimError::Overflow)?;
+        add(&mut bytes_stored, stats.bytes_stored).ok_or(SimError::Overflow)?;
+        add(&mut tc_flops, stats.tc_flops).ok_or(SimError::Overflow)?;
 
         if kernel.persistent {
             // Persistent classes run concurrently on disjoint SM slots;
@@ -291,27 +248,30 @@ pub fn simulate_with(
             waves_total = 1;
         } else {
             let waves = class.multiplicity.div_ceil(slots_per_wave);
-            total_cycles +=
-                waves * stats.cycles + waves.saturating_sub(1) * device.cta_dispatch_gap_cycles;
-            waves_total += waves;
+            let gaps = waves.saturating_sub(1);
+            total_cycles = (waves.checked_mul(stats.cycles))
+                .and_then(|c| c.checked_add(gaps.checked_mul(device.cta_dispatch_gap_cycles)?))
+                .and_then(|c| c.checked_add(total_cycles))
+                .ok_or(SimError::Overflow)?;
+            waves_total = waves_total.checked_add(waves).ok_or(SimError::Overflow)?;
         }
         // Representative wave: the dominant class by total device time
         // (multiplicity × per-wave cycles), ties keeping the earlier
         // class — not blindly the first class, which misreports kernels
         // whose leading class is a small remainder or epilogue.
         let weight = stats.cycles as u128 * class.multiplicity as u128;
-        if wave_stats.is_none() || weight > wave_weight {
-            wave_weight = weight;
-            wave_stats = Some(stats);
+        if dominant.as_ref().is_none_or(|(w, _)| weight > *w) {
+            dominant = Some((weight, stats));
         }
     }
     if kernel.persistent {
         total_cycles = persistent_max;
     }
+    // (`validate` rejects a kernel without classes.)
+    let (_, wave_stats) = dominant.unwrap_or_default();
 
     let kernel_time_ns = device.cycles_to_ns(total_cycles as f64);
     let total_time_ns = kernel_time_ns + kernel.launch_overhead_ns as f64;
-    let wave_stats = wave_stats.expect("at least one class");
     let tc_utilization = if wave_stats.cycles > 0 {
         wave_stats.tc_busy as f64 / wave_stats.cycles as f64
     } else {
@@ -389,7 +349,7 @@ mod tests {
             bytes: 128 * 128 * 2,
         });
         k.add_warp_group(Role::Consumer, 232, consumer);
-        k.useful_flops = (grid * iters * 2 * 128 * 128 * 64) as f64;
+        k.useful_flops = grid as f64 * iters as f64 * (2 * 128 * 128 * 64) as f64;
         k
     }
 
@@ -462,6 +422,29 @@ mod tests {
             ],
         );
         assert!(matches!(simulate(&k, &dev), Err(SimError::Deadlock(_))));
+    }
+
+    #[test]
+    fn counts_that_outgrow_64_bits_are_an_error_not_a_report() {
+        let dev = Device::h100_sxm5();
+        // 2^40 K-steps: long, and every total still exact.
+        let r = simulate(&ws_gemm_kernel(1, 1 << 40, false), &dev).unwrap();
+        assert_eq!(r.tc_flops, (1 << 40) * 2 * 128 * 128 * 64);
+        assert_eq!(r.bytes_loaded, (1 << 40) * 2 * 128 * 64 * 2);
+        // 2^57 and 2^64 - 1: the per-wave byte and FLOP counts wrap. This
+        // was `Ok(SimReport { tc_flops: 0, bytes_loaded: 0, .. })` in a
+        // release build, published to every cache tier.
+        for iters in [1 << 57, u64::MAX] {
+            for persistent in [false, true] {
+                let k = ws_gemm_kernel(132, iters, persistent);
+                assert!(matches!(simulate(&k, &dev), Err(SimError::Overflow)));
+            }
+        }
+        assert!(SimError::Overflow.to_string().starts_with("overflow:"));
+        // Per-wave counts that fit but whose sum over the waves does not.
+        let mut k = ws_gemm_kernel(132, 1 << 50, false);
+        k.classes[0].multiplicity = 1 << 40;
+        assert!(matches!(simulate(&k, &dev), Err(SimError::Overflow)));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Protocol tier: abstract interpretation of the mbarrier parity
 //! discipline.
 //!
-//! Each CTA class is interpreted separately (its `Count::Param` trip
-//! counts resolve differently). All warp groups of one CTA are co-executed
+//! Each CTA class gets its own verdict (its `Count::Param` trip counts
+//! resolve differently). All warp groups of one CTA are co-executed
 //! over an abstract machine that models exactly the liveness-relevant
 //! state: per-barrier phase/arrival counters (the lattice the Hopper
 //! mbarrier steps through) and per-warp-group phase parities, with `Loop`
@@ -25,6 +25,15 @@
 //! and [`crate::period`]). Lints, and the step on which the budget runs
 //! out, are those of the full walk.
 //!
+//! Nor does it walk every class from nothing. The classes of a kernel are
+//! one [`Family`]: at its first skip a class offers a clone of its machine
+//! as a checkpoint, a later class whose trip counts answer every question
+//! asked so far the same way starts from the clone, and a class that comes
+//! to stand where an earlier one walked to a clean end without a new lint
+//! (and with fuel to spare) takes that tail as walked. Classes are walked
+//! largest first; their lints are folded and deduplicated in class order,
+//! each exactly what interpreting that class alone gives.
+//!
 //! The shared-memory tile ownership map is recovered from the aref
 //! discipline the code generator emits (paper Fig. 4): a barrier written
 //! by TMA (`full`) is paired with the credit-initialized barrier its
@@ -35,13 +44,18 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use super::{InstrPath, Lint, LintKind};
-use crate::instr::{BarId, Instr, Role};
+use crate::instr::{BarId, Count, Instr, Role};
 use crate::kernel::Kernel;
-use crate::period::{anchor_warp_group, waited_barriers, FrameMark, PeriodDetector};
+use crate::period::{
+    anchor_warp_group, lowered, waited_barriers, Family, Footprint, FrameMark, PeriodDetector,
+    TailKey,
+};
 
-/// `fast_forward = false` walks every trip of every loop: the reference
-/// the differential tests hold the skipping interpreter against.
-pub(super) fn check(k: &Kernel, fuel: u64, fast_forward: bool) -> Vec<Lint> {
+/// The lints of the protocol tier and the abstract steps executed to find
+/// them. `fast_forward = false` walks every trip of every loop of every
+/// class: the reference the differential tests hold the skipping
+/// interpreter against.
+pub(super) fn check(k: &Kernel, fuel: u64, fast_forward: bool) -> (Vec<Lint>, u64) {
     let mut lints = Vec::new();
     scan_static(k, &mut lints);
     let pairs = derive_pairs(k);
@@ -50,15 +64,23 @@ pub(super) fn check(k: &Kernel, fuel: u64, fast_forward: bool) -> Vec<Lint> {
         .iter()
         .map(|wg| Reach::of(&wg.body, &pairs))
         .collect();
+    // Classes are walked as one family, largest first; their findings are
+    // folded in class order.
+    let mut family = Family::of(k);
+    let mut per_class = vec![Vec::new(); k.classes.len()];
+    let mut steps = 0;
+    while let Some(ci) = family.next_class() {
+        let (found, walked) = interp_class(k, ci, &pairs, &reach, fuel, fast_forward, &mut family);
+        steps += walked;
+        per_class[ci] = found;
+    }
     let mut seen: HashSet<String> = HashSet::new();
-    for ci in 0..k.classes.len() {
-        for lint in interp_class(k, ci, &pairs, &reach, fuel, fast_forward) {
-            if seen.insert(dedup_key(&lint)) {
-                lints.push(lint);
-            }
+    for lint in per_class.into_iter().flatten() {
+        if seen.insert(dedup_key(&lint)) {
+            lints.push(lint);
         }
     }
-    lints
+    (lints, steps)
 }
 
 /// Collapses per-class noise so the same finding reported from several CTA
@@ -242,6 +264,7 @@ pub(super) fn derive_pairs(k: &Kernel) -> Pairs {
 /// Abstract mbarrier: Hopper phase semantics with transaction bytes folded
 /// into arrivals (completions are delivered immediately, so `tx` can delay
 /// but never gate a phase — exactly the simulator's liveness behavior).
+#[derive(Clone)]
 struct AbsBar {
     arrive_count: u32,
     arrivals: u32,
@@ -264,6 +287,7 @@ impl AbsBar {
 
 /// One iteration scope: a body, the next instruction index, and the trips
 /// left (including the current one).
+#[derive(Clone)]
 struct Frame<'a> {
     body: &'a [Instr],
     idx: usize,
@@ -271,8 +295,11 @@ struct Frame<'a> {
     /// Instance id, unique per push: lets the period detector tell a frame
     /// that moved from one that was left and re-entered.
     id: u64,
+    /// The `Count::Param` the trip count came from, if it was one.
+    param: Option<usize>,
 }
 
+#[derive(Clone)]
 struct Actor<'a> {
     role: Role,
     stack: Vec<Frame<'a>>,
@@ -285,7 +312,7 @@ struct Actor<'a> {
 }
 
 /// Per tile-slot bookkeeping for race and occupancy checks.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct SlotState {
     /// TMA loads issued into the data barrier so far.
     loads: u64,
@@ -345,6 +372,7 @@ impl Reach {
 
 /// The interpreter's absolute counters at a snapshot: what
 /// [`Machine::fast_forward`] extrapolates from.
+#[derive(Clone)]
 struct Mark {
     fuel: u64,
     /// Per barrier `completed`; per actor `local_phase` then `releases`;
@@ -361,10 +389,20 @@ enum Next<'a> {
     End,
 }
 
+/// What walking a program reads and writes besides the actor: the class's
+/// trip counts, the frame-instance counter, and — while a checkpoint may
+/// still be offered — the record of every answer a trip count gave.
+#[derive(Clone)]
+struct Trips<'a> {
+    params: &'a [u64],
+    next_frame_id: u64,
+    footprint: Option<Footprint>,
+}
+
 /// Resolves the actor's next blocking-relevant instruction, descending
 /// into loops and — unless `pause` asks for them to be reported — taking
 /// back-edges. The returned reference borrows the kernel, not the actor.
-fn next<'a>(actor: &mut Actor<'a>, params: &[u64], ids: &mut u64, pause: bool) -> Next<'a> {
+fn next<'a>(actor: &mut Actor<'a>, trips: &mut Trips<'_>, pause: bool) -> Next<'a> {
     loop {
         let Some(frame) = actor.stack.last_mut() else {
             return Next::End;
@@ -373,14 +411,25 @@ fn next<'a>(actor: &mut Actor<'a>, params: &[u64], ids: &mut u64, pause: bool) -
             if pause && frame.trips_left > 1 {
                 return Next::BackEdge;
             }
-            end_trip(actor);
+            end_trip(actor, trips);
             continue;
         }
         let body = frame.body;
         let instr = &body[frame.idx];
         if let Instr::Loop { count, body: lb } = instr {
-            let n = count.resolve(params);
-            if n == 0 || lb.is_empty() {
+            if lb.is_empty() {
+                frame.idx += 1;
+                continue;
+            }
+            let n = count.resolve(trips.params);
+            let param = match *count {
+                Count::Param(p) => Some(p),
+                Count::Const(_) => None,
+            };
+            if let (Some(fp), Some(p)) = (&mut trips.footprint, param) {
+                fp.resolved(p, n);
+            }
+            if n == 0 {
                 frame.idx += 1;
                 continue;
             }
@@ -388,9 +437,10 @@ fn next<'a>(actor: &mut Actor<'a>, params: &[u64], ids: &mut u64, pause: bool) -
                 body: lb,
                 idx: 0,
                 trips_left: n,
-                id: *ids,
+                id: trips.next_frame_id,
+                param,
             });
-            *ids += 1;
+            trips.next_frame_id += 1;
             continue;
         }
         return Next::Instr(instr);
@@ -399,10 +449,13 @@ fn next<'a>(actor: &mut Actor<'a>, params: &[u64], ids: &mut u64, pause: bool) -
 
 /// The top frame reached the end of its body: start its next trip, or
 /// leave it and step its parent past the loop.
-fn end_trip(actor: &mut Actor<'_>) {
+fn end_trip(actor: &mut Actor<'_>, trips: &mut Trips<'_>) {
     let Some(frame) = actor.stack.last_mut() else {
         return;
     };
+    if let (Some(fp), Some(p)) = (&mut trips.footprint, frame.param) {
+        fp.tested(p, frame.trips_left);
+    }
     if frame.trips_left > 1 {
         frame.trips_left -= 1;
         frame.idx = 0;
@@ -446,10 +499,18 @@ fn path_of(actor: &Actor<'_>, wg: usize) -> InstrPath {
 /// linearly: `completed`, `local_phase`, `releases`, `loads`, trip
 /// counters, and the fuel, with the skip capped so the budget runs out on
 /// the identical step.
+///
+/// A class need not start from nothing: at its first skip the machine
+/// offers itself to the [`Family`] as a checkpoint, a later class that
+/// provably walked the same rounds so far starts from the clone
+/// ([`Machine::resumed`]), and a class that reaches a state from which an
+/// earlier one walked to a clean end without a new lint stops there
+/// ([`Tail`]). See [`crate::period`] on families.
+#[derive(Clone)]
 struct Machine<'a> {
     k: &'a Kernel,
     ci: usize,
-    params: &'a [u64],
+    trips: Trips<'a>,
     pairs: &'a Pairs,
     /// Per warp group; the same for every class.
     reach: &'a [Reach],
@@ -466,89 +527,168 @@ struct Machine<'a> {
     fuel: u64,
     /// Whether any actor moved in the current round.
     progressed: bool,
-    next_frame_id: u64,
+    /// The warp group whose back-edges are snapshotted, if any loops.
+    anchor: Option<usize>,
+    detector: PeriodDetector<Mark>,
+    /// The actor whose turn it is: where a round is picked up again when
+    /// this machine is a checkpoint.
+    turn: usize,
+    /// The states this class stood in right after each skip, with the fuel
+    /// and the number of lints it had then.
+    skips: Vec<(TailKey, u64, usize)>,
+    /// An earlier class's tail stands in for the rest of this walk.
+    reused_tail: bool,
+    /// Instructions executed: the interpreter's unit of host work.
+    steps: u64,
 }
 
-fn interp_class(
-    k: &Kernel,
+/// What a class spent walking from a [`TailKey`] to its end, raising no
+/// lint on the way.
+struct Tail {
+    fuel: u64,
+}
+
+type Classes<'a> = Family<'a, Machine<'a>, Tail>;
+
+fn interp_class<'a>(
+    k: &'a Kernel,
     ci: usize,
-    pairs: &Pairs,
-    reach: &[Reach],
+    pairs: &'a Pairs,
+    reach: &'a [Reach],
     fuel_budget: u64,
     fast_forward: bool,
-) -> Vec<Lint> {
-    let nb = k.barriers.len();
-    let mut m = Machine {
-        k,
-        ci,
-        params: &k.classes[ci].params,
-        pairs,
-        reach,
-        bars: k
-            .barriers
-            .iter()
-            .map(|b| AbsBar {
-                arrive_count: b.arrive_count.max(1),
-                arrivals: 0,
-                completed: b.init_phases as u64,
-            })
-            .collect(),
-        actors: k
-            .warp_groups
-            .iter()
-            .enumerate()
-            .map(|(wi, wg)| Actor {
-                role: wg.role,
-                stack: vec![Frame {
-                    body: &wg.body,
-                    idx: 0,
-                    trips_left: 1,
-                    id: wi as u64,
-                }],
-                local_phase: vec![0; nb],
-                releases: vec![0; nb],
-                in_sync: false,
-                done: false,
-            })
-            .collect(),
-        sync_count: 0,
-        slots: (0..nb)
-            .map(|f| pairs.guard_of.contains_key(&f).then(SlotState::default))
-            .collect(),
-        in_flight: 0,
-        max_in_flight: 0,
-        resident: HashSet::new(),
-        race_flagged: HashSet::new(),
-        lints: Vec::new(),
-        fuel: fuel_budget.max(1),
-        progressed: false,
-        next_frame_id: k.warp_groups.len() as u64,
+    family: &mut Classes<'a>,
+) -> (Vec<Lint>, u64) {
+    let params = &k.classes[ci].params;
+    let mut m = match family.admit(params) {
+        Some((checkpoint, lower_by)) => checkpoint.resumed(ci, params, &lower_by),
+        None => {
+            let anchor = fast_forward.then(|| anchor_warp_group(k, params)).flatten();
+            let track = anchor.is_some() && family.has_pending();
+            Machine::new(k, ci, pairs, reach, fuel_budget, anchor, track)
+        }
     };
-    let anchor = if fast_forward {
-        anchor_warp_group(k, m.params)
-    } else {
-        None
-    };
-    if !m.run(anchor) {
+    if !m.run(family) {
         m.lints.push(Lint::new(LintKind::AnalysisBudget {
             class: ci,
             budget: fuel_budget,
         }));
+    } else if family.has_pending() {
+        for (key, fuel, lints) in std::mem::take(&mut m.skips) {
+            if lints == m.lints.len() {
+                family.record(
+                    key,
+                    Tail {
+                        fuel: fuel - m.fuel,
+                    },
+                );
+            }
+        }
     }
-    m.lints
+    (m.lints, m.steps)
 }
 
 impl<'a> Machine<'a> {
+    /// The machine about to interpret class `ci` from its first
+    /// instruction; `track` when a later class might start from it.
+    fn new(
+        k: &'a Kernel,
+        ci: usize,
+        pairs: &'a Pairs,
+        reach: &'a [Reach],
+        fuel_budget: u64,
+        anchor: Option<usize>,
+        track: bool,
+    ) -> Machine<'a> {
+        let nb = k.barriers.len();
+        let params = &k.classes[ci].params;
+        Machine {
+            k,
+            ci,
+            trips: Trips {
+                params,
+                next_frame_id: k.warp_groups.len() as u64,
+                footprint: track.then(|| Footprint::new(params.len())),
+            },
+            pairs,
+            reach,
+            bars: k
+                .barriers
+                .iter()
+                .map(|b| AbsBar {
+                    arrive_count: b.arrive_count.max(1),
+                    arrivals: 0,
+                    completed: b.init_phases as u64,
+                })
+                .collect(),
+            actors: k
+                .warp_groups
+                .iter()
+                .enumerate()
+                .map(|(wi, wg)| Actor {
+                    role: wg.role,
+                    stack: vec![Frame {
+                        body: &wg.body,
+                        idx: 0,
+                        trips_left: 1,
+                        id: wi as u64,
+                        param: None,
+                    }],
+                    local_phase: vec![0; nb],
+                    releases: vec![0; nb],
+                    in_sync: false,
+                    done: false,
+                })
+                .collect(),
+            sync_count: 0,
+            slots: (0..nb)
+                .map(|f| pairs.guard_of.contains_key(&f).then(SlotState::default))
+                .collect(),
+            in_flight: 0,
+            max_in_flight: 0,
+            resident: HashSet::new(),
+            race_flagged: HashSet::new(),
+            lints: Vec::new(),
+            fuel: fuel_budget.max(1),
+            progressed: false,
+            anchor,
+            detector: PeriodDetector::default(),
+            turn: 0,
+            skips: Vec::new(),
+            reused_tail: false,
+            steps: 0,
+        }
+    }
+
+    /// This checkpoint as the machine of class `ci`, whose `params` are
+    /// lower than the checkpointed class's by `lower_by` and otherwise ask
+    /// nothing the prefix has not answered the same way: every live frame
+    /// (here and in the detector's history) stands that much lower, and the
+    /// interrupted turn is taken again.
+    fn resumed(&self, ci: usize, params: &'a [u64], lower_by: &[u64]) -> Machine<'a> {
+        let mut m = self.clone();
+        m.ci = ci;
+        m.trips.params = params;
+        m.steps = 0;
+        for f in m.actors.iter_mut().flat_map(|a| &mut a.stack) {
+            f.trips_left -= lowered(f.param, lower_by);
+        }
+        m.detector.lower(lower_by);
+        m
+    }
+
     /// Interprets the class to its verdict; `false` when the fuel ran out
     /// first.
-    fn run(&mut self, anchor: Option<usize>) -> bool {
-        let mut detector = PeriodDetector::default();
+    fn run(&mut self, family: &mut Classes<'a>) -> bool {
         loop {
-            self.progressed = false;
-            for ai in 0..self.actors.len() {
-                if !self.run_actor(ai, anchor == Some(ai), &mut detector) {
+            while self.turn < self.actors.len() {
+                if !self.run_actor(self.turn, family) {
                     return false;
                 }
+                if self.reused_tail {
+                    return true;
+                }
+                self.turn += 1;
             }
             if self.actors.iter().all(|a| a.done) {
                 self.report_leftovers();
@@ -560,31 +700,32 @@ impl<'a> Machine<'a> {
                 self.report_deadlock();
                 return true;
             }
+            self.progressed = false;
+            self.turn = 0;
         }
     }
 
-    /// Runs actor `ai` until it blocks or ends; `false` when the fuel ran
-    /// out.
-    fn run_actor(&mut self, ai: usize, watched: bool, detector: &mut PeriodDetector<Mark>) -> bool {
+    /// Runs actor `ai` until it blocks or ends (or a known tail ends the
+    /// walk); `false` when the fuel ran out.
+    fn run_actor(&mut self, ai: usize, family: &mut Classes<'a>) -> bool {
         let k = self.k;
         let pairs = self.pairs;
+        let watched = self.anchor == Some(ai);
         loop {
             if self.actors[ai].done {
                 return true;
             }
-            let instr = match next(
-                &mut self.actors[ai],
-                self.params,
-                &mut self.next_frame_id,
-                watched,
-            ) {
+            let instr = match next(&mut self.actors[ai], &mut self.trips, watched) {
                 Next::Instr(instr) => instr,
                 Next::BackEdge => {
-                    if detector.due() {
-                        self.fast_forward(detector);
+                    if self.detector.due() {
+                        self.fast_forward(family);
+                        if self.reused_tail {
+                            return true;
+                        }
                     }
                     // (A skip may have left the frame on its last trip.)
-                    end_trip(&mut self.actors[ai]);
+                    end_trip(&mut self.actors[ai], &mut self.trips);
                     continue;
                 }
                 Next::End => {
@@ -710,6 +851,7 @@ impl<'a> Machine<'a> {
                 _ => advance(&mut self.actors[ai]),
             }
             self.progressed = true;
+            self.steps += 1;
             self.fuel -= 1;
             if self.fuel == 0 {
                 return false;
@@ -749,7 +891,7 @@ impl<'a> Machine<'a> {
             }
             let path = path_of(actor, ai);
             let role = actor.role;
-            match next(actor, self.params, &mut self.next_frame_id, false) {
+            match next(actor, &mut self.trips, false) {
                 Next::Instr(Instr::MbarWait { bar }) => {
                     let b = bar.0 as usize;
                     let mut lint = Lint::at(
@@ -788,7 +930,6 @@ impl<'a> Machine<'a> {
     /// plus every live loop frame in actor order.
     fn signature(&self) -> (Vec<u64>, Vec<FrameMark>) {
         let mut sig = Vec::with_capacity(96);
-        let mut frames = Vec::with_capacity(2 * self.actors.len());
         sig.extend([
             self.progressed as u64,
             self.sync_count as u64,
@@ -804,10 +945,6 @@ impl<'a> Machine<'a> {
             ]);
             for f in &a.stack {
                 sig.extend([f.body.as_ptr() as u64, f.idx as u64]);
-                frames.push(FrameMark {
-                    id: f.id,
-                    remaining: f.trips_left,
-                });
             }
             for &b in &reach.waits {
                 sig.push(self.bars[b].completed.wrapping_sub(a.local_phase[b]));
@@ -834,7 +971,18 @@ impl<'a> Machine<'a> {
             ]);
             sig.extend(&slot.gens);
         }
-        (sig, frames)
+        (sig, self.frame_marks())
+    }
+
+    /// Every live loop frame in actor order.
+    fn frame_marks(&self) -> Vec<FrameMark> {
+        (self.actors.iter().flat_map(|a| &a.stack))
+            .map(|f| FrameMark {
+                id: f.id,
+                remaining: f.trips_left,
+                param: f.param,
+            })
+            .collect()
     }
 
     /// Generation of slot `f` the next load writes.
@@ -854,18 +1002,24 @@ impl<'a> Machine<'a> {
     }
 
     /// At a watched back-edge: if this state was seen before, jump as many
-    /// whole periods as the loops and the fuel allow.
-    fn fast_forward(&mut self, detector: &mut PeriodDetector<Mark>) {
+    /// whole periods as the loops and the fuel allow — and, standing where
+    /// an earlier class stood, take its tail as walked.
+    fn fast_forward(&mut self, family: &mut Classes<'a>) {
         let (sig, frames) = self.signature();
         let mark = Mark {
             fuel: self.fuel,
             counters: self.counters().collect(),
         };
-        let Some(skip) = detector.observe(sig, frames, mark) else {
+        let Some(skip) = self.detector.observe(sig, frames, mark) else {
             return;
         };
+        // The first skip: what comes before it is what classes can share.
+        if let Some(footprint) = self.trips.footprint.take() {
+            family.offer(&footprint, self.trips.params, || self.clone());
+        }
         // The budget must run out on the step it would have: keep at least
-        // one unit of fuel for the walk to spend.
+        // one unit of fuel for the walk to spend. Every counter below grows
+        // by at most one per unit of fuel, so the budget also bounds them.
         let spent = skip.then.fuel - self.fuel;
         let n = match spent {
             0 => skip.periods,
@@ -893,6 +1047,41 @@ impl<'a> Machine<'a> {
             .iter_mut()
             .flatten()
             .for_each(|s| grow(&mut s.loads));
+        if !family.is_family() {
+            return;
+        }
+
+        let key = self.tail_key(skip.sig, family);
+        match family.tail(&key) {
+            // The tail raised no lint and fits the fuel: the verdict is the
+            // lints so far. (Short of fuel, walk it: the budget must fire
+            // on its own step.)
+            Some(tail) if tail.fuel < self.fuel => {
+                self.fuel -= tail.fuel;
+                self.reused_tail = true;
+            }
+            _ if family.has_pending() => self.skips.push((key, self.fuel, self.lints.len())),
+            _ => {}
+        }
+    }
+
+    /// The key of the state right after a skip that matched `sig`. The two
+    /// sets a signature holds only by size join it in full: within one walk
+    /// equal sizes a period apart mean equal sets, across classes they need
+    /// not.
+    fn tail_key(&self, mut sig: Vec<u64>, family: &Classes<'a>) -> TailKey {
+        let mut flagged: Vec<u64> = (self.race_flagged.iter())
+            .map(|&(f, write)| (f as u64) << 1 | write as u64)
+            .collect();
+        flagged.sort_unstable();
+        sig.extend(flagged);
+        let mut resident: Vec<_> = self.resident.iter().collect();
+        resident.sort_unstable();
+        for (ai, path) in resident {
+            sig.extend([*ai as u64, path.len() as u64]);
+            sig.extend(path.iter().map(|&i| i as u64));
+        }
+        family.tail_key(sig, &self.frame_marks(), self.trips.params, 1)
     }
 }
 

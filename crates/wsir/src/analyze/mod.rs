@@ -647,6 +647,14 @@ pub fn analyze(k: &Kernel) -> Vec<Lint> {
 /// that exhausts `fuel` abstract steps reports
 /// [`LintKind::AnalysisBudget`] carrying the budget instead of a verdict.
 pub fn analyze_with_budget(k: &Kernel, fuel: u64) -> Vec<Lint> {
+    analyze_counted(k, fuel).0
+}
+
+/// [`analyze_with_budget`], also returning the abstract steps the
+/// interpreter executed over all classes — its deterministic unit of host
+/// work, which the tests pin. Not part of the product's surface.
+#[doc(hidden)]
+pub fn analyze_counted(k: &Kernel, fuel: u64) -> (Vec<Lint>, u64) {
     analyze_impl(k, fuel, true)
 }
 
@@ -656,17 +664,18 @@ pub fn analyze_with_budget(k: &Kernel, fuel: u64) -> Vec<Lint> {
 /// the product — nothing outside tests calls it.
 #[doc(hidden)]
 pub fn analyze_reference(k: &Kernel, fuel: u64) -> Vec<Lint> {
-    analyze_impl(k, fuel, false)
+    analyze_impl(k, fuel, false).0
 }
 
-fn analyze_impl(k: &Kernel, fuel: u64, fast_forward: bool) -> Vec<Lint> {
+fn analyze_impl(k: &Kernel, fuel: u64, fast_forward: bool) -> (Vec<Lint>, u64) {
     let mut lints = structural(k);
     if lints.iter().any(|l| l.severity() == Severity::Error) {
-        return lints;
+        return (lints, 0);
     }
-    lints.extend(interp::check(k, fuel, fast_forward));
+    let (protocol, steps) = interp::check(k, fuel, fast_forward);
+    lints.extend(protocol);
     lints.sort_by_key(|l| std::cmp::Reverse(l.severity()));
-    lints
+    (lints, steps)
 }
 
 /// Summarizes definite-deadlock lints into one message, or `None` if the

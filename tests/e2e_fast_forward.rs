@@ -11,6 +11,13 @@
 //! kernels, random DSL programs and random WSIR kernels, at occupancy 1
 //! and 2 — and they count engine events, the deterministic number the
 //! skip is judged by.
+//!
+//! The same holds one level up: `simulate` and `analyze` walk a kernel's
+//! CTA classes as one family (`run_classes`; shared prefix checkpoints and
+//! known continuations, `tawa_wsir::period`), and every class's result
+//! must equal the plain walk of that class on its own. The deterministic
+//! work of both walkers — engine events, the gate's executed steps — is
+//! pinned as literals at the bottom.
 
 use proptest::prelude::*;
 
@@ -21,10 +28,10 @@ use tawa::frontend::kernels::{attention, batched_gemm, gemm, grouped_gemm};
 use tawa::frontend::Program;
 use tawa::ir::types::DType;
 use tawa::kernels::templates::{ws_attention, ws_gemm, AttentionStrategy, GemmStrategy};
-use tawa::sim::engine::{run_sm, run_sm_reference, EngineCfg};
+use tawa::sim::engine::{run_classes, run_sm, run_sm_reference, EngineCfg};
 use tawa::sim::run::wave_setup;
 use tawa::sim::Device;
-use tawa::wsir::analyze::analyze_reference;
+use tawa::wsir::analyze::{analyze_counted, analyze_reference};
 use tawa::wsir::{
     analyze, analyze_with_budget, validate, BarId, Count, CtaClass, Instr, Kernel, MmaDtype, Role,
     DEFAULT_ANALYSIS_FUEL,
@@ -35,15 +42,19 @@ fn dev() -> Device {
     Device::h100_sxm5()
 }
 
-/// Engine events of one kernel: (fast-forwarding, plain).
+/// Engine events of one kernel, summed over its classes: walked as one
+/// family (what `simulate` does), each class fast-forwarding on its own,
+/// and plain.
 #[derive(Debug, Clone, Copy, Default)]
 struct Events {
+    family: u64,
     fast: u64,
     plain: u64,
 }
 
 impl std::ops::AddAssign for Events {
     fn add_assign(&mut self, o: Events) {
+        self.family += o.family;
         self.fast += o.fast;
         self.plain += o.plain;
     }
@@ -62,6 +73,7 @@ fn assert_exact(kernel: &Kernel, what: &str) -> Result<Events, String> {
     // As `simulate` runs it. A kernel that does not fit never reaches the
     // engine.
     if let Ok((occ, cfg)) = wave_setup(kernel, &device) {
+        let family = run_classes(kernel, &device, occ, &cfg);
         for (ci, class) in kernel.classes.iter().enumerate() {
             let residents: Vec<&CtaClass> = (0..occ).map(|_| class).collect();
             let f = run_sm(kernel, &device, &residents, &cfg);
@@ -72,10 +84,24 @@ fn assert_exact(kernel: &Kernel, what: &str) -> Result<Events, String> {
                     f.stats, f.deadlock, p.stats, p.deadlock
                 ));
             }
+            let g = &family[ci];
+            if g.stats != p.stats || g.deadlock != p.deadlock || g.overflow {
+                return Err(format!(
+                    "{what}: class {ci} diverged in the family\n family {:?} {:?}\n plain  {:?} {:?}",
+                    g.stats, g.deadlock, p.stats, p.deadlock
+                ));
+            }
             events += Events {
+                family: g.events,
                 fast: f.events,
                 plain: p.events,
             };
+        }
+        // One class is no family: the same walk, and no checkpoint taken.
+        if kernel.classes.len() == 1 && events.family != events.fast {
+            return Err(format!(
+                "{what}: a single class walked differently: {events:?}"
+            ));
         }
     }
 
@@ -94,6 +120,24 @@ fn assert_exact(kernel: &Kernel, what: &str) -> Result<Events, String> {
             return Err(format!(
                 "{what}: class {ci} ×2 residents diverged\n fast  {:?} {:?}\n plain {:?} {:?}",
                 f.stats, f.deadlock, p.stats, p.deadlock
+            ));
+        }
+    }
+    // The family with two residents: every class against its own walk
+    // (the plain one, except past the four classes checked above).
+    let family = run_classes(kernel, &device, 2, &cfg);
+    for (ci, class) in kernel.classes.iter().enumerate() {
+        let residents: [&CtaClass; 2] = [class, class];
+        let own = if ci < 4 {
+            run_sm_reference(kernel, &device, &residents, &cfg)
+        } else {
+            run_sm(kernel, &device, &residents, &cfg)
+        };
+        let g = &family[ci];
+        if g.stats != own.stats || g.deadlock != own.deadlock || g.overflow {
+            return Err(format!(
+                "{what}: class {ci} ×2 residents diverged in the family\n family {:?} {:?}\n own    {:?} {:?}",
+                g.stats, g.deadlock, own.stats, own.deadlock
             ));
         }
     }
@@ -193,6 +237,48 @@ fn zoo_kernels_are_exact_and_the_long_gemm_needs_20x_fewer_events() {
                 "{what}: {events:?} — the steady state must be skipped"
             );
         }
+        assert!(
+            events.family <= events.fast,
+            "{what}: {events:?} — walking the classes as a family may not cost events"
+        );
+    }
+}
+
+/// Family engine events and gate steps of one kernel, as `simulate` and
+/// `analyze` spend them.
+fn work(kernel: &Kernel) -> (u64, u64) {
+    let device = dev();
+    let (occ, cfg) = wave_setup(kernel, &device).unwrap();
+    let events = run_classes(kernel, &device, occ, &cfg)
+        .iter()
+        .map(|r| r.events)
+        .sum();
+    (events, analyze_counted(kernel, DEFAULT_ANALYSIS_FUEL).1)
+}
+
+/// The deterministic work of both walkers on the benchmark's long zoo,
+/// pinned: (engine events, gate steps) may fall, not rise. At the parent
+/// of the family walk the two causal-attention kernels cost 17 034 and
+/// 34 858 events (one prologue and one detection per class).
+#[test]
+fn long_zoo_work_is_pinned() {
+    let session = CompileSession::in_memory(&dev());
+    let pins = [
+        ("gemm K=8192 F16 persistent", 632, 528),
+        ("gemm K=16384 F16 persistent", 574, 528),
+        ("gemm K=8192 F8E4M3 persistent", 785, 528),
+        ("gemm K=16384 F8E4M3 persistent", 778, 528),
+        ("attention L=8192 causal=true", 1855, 1093),
+        ("attention L=16384 causal=true", 1855, 1093),
+        ("grouped gemm, 6 experts", 574, 528),
+    ];
+    let zoo = zoo();
+    for (what, max_events, max_steps) in pins {
+        let (_, program, opts) = zoo.iter().find(|(w, _, _)| w == what).unwrap();
+        let kernel = session.compile_program(program, opts).unwrap();
+        let (events, steps) = work(&kernel);
+        assert!(events <= max_events, "{what}: {events} engine events");
+        assert!(steps <= max_steps, "{what}: {steps} gate steps");
     }
 }
 
@@ -254,6 +340,7 @@ fn fig11_sweeps() -> Vec<(String, Program, bool)> {
 fn every_fig11_candidate_is_exact_and_guided_sweeps_need_5x_fewer_events() {
     let device = dev();
     let mut guided = Events::default();
+    let mut guided_steps = 0;
     for (what, program, persistent) in fig11_sweeps() {
         let session = CompileSession::in_memory(&device);
         let (module, spec) = program.into_parts();
@@ -274,9 +361,11 @@ fn every_fig11_candidate_is_exact_and_guided_sweeps_need_5x_fewer_events() {
             };
             let label = format!("{what} D={} P={}", p.aref_depth, p.mma_depth);
             let events = assert_exact(&kernel, &label).unwrap();
+            assert!(events.family <= events.fast, "{label}: {events:?}");
             // What the guided sweep actually simulated.
             if p.tflops.is_some() {
                 guided += events;
+                guided_steps += analyze_counted(&kernel, DEFAULT_ANALYSIS_FUEL).1;
             }
         }
     }
@@ -285,6 +374,9 @@ fn every_fig11_candidate_is_exact_and_guided_sweeps_need_5x_fewer_events() {
         guided.fast * 5 <= guided.plain,
         "the five guided sweeps must need ≥ 5× fewer engine events: {guided:?}"
     );
+    // Pinned: the work `simulate` and the gate do over the five sweeps.
+    assert!(guided.family <= 10_567, "{guided:?}");
+    assert!(guided_steps <= 7_095, "{guided_steps} gate steps");
 }
 
 #[test]
@@ -563,6 +655,169 @@ fn random_kernels() -> impl Strategy<Value = Kernel> {
         })
 }
 
+/// What a random multi-class kernel varies: the shapes the admission rule
+/// of a class family has to tell apart (see `family_kernel`).
+#[derive(Debug, Clone)]
+struct FamilyCase {
+    depth: usize,
+    /// The main loops sit inside `loop $p1 { .. }` tiles: `$p0` frames are
+    /// re-instantiated per outer trip.
+    nested: bool,
+    /// The consumer's main loop reads `$p3`, not `$p0`: a class whose two
+    /// differ hangs a few trips after the shorter loop ends.
+    split: bool,
+    /// The producer starts with `loop $p2 { delay }`, which exits long
+    /// before the first skip.
+    early: bool,
+    /// Both sides end with a `loop $p2 { .. }` over slot 0 (often zero
+    /// trips).
+    remainder: bool,
+    softmax_flops: u64,
+    /// `[$p0, $p1, $p2, $p3]` per class.
+    classes: Vec<[u64; 4]>,
+}
+
+fn family_cases() -> impl Strategy<Value = FamilyCase> {
+    // Classes close to a common base (so that they share prefixes, some
+    // larger than the one walked first), far from it, equal to it.
+    let class = (
+        prop_oneof![Just(0u64), Just(0), 0u64..8, 0u64..150],
+        prop_oneof![Just(0u64), Just(0), 0u64..4],
+        prop_oneof![Just(None), (0u64..3).prop_map(Some)],
+        prop_oneof![Just(0i64), Just(0), Just(0), -2i64..4],
+    );
+    (
+        (1usize..4, 0u8..2, 0u8..2, 0u8..2, 0u8..2),
+        prop_oneof![Just(0u64), 1u64..40_000],
+        (0u64..150, 1u64..5, 0u64..3),
+        prop::collection::vec(class, 2..7),
+    )
+        .prop_map(
+            |((depth, nested, split, early, remainder), softmax_flops, (p0, p1, p2), classes)| {
+                let classes = classes
+                    .into_iter()
+                    .map(|(below, fewer_tiles, other_p2, consumer)| {
+                        let p0 = p0.saturating_sub(below);
+                        let p3 = p0.saturating_add_signed(if split == 1 { consumer } else { 0 });
+                        [
+                            p0,
+                            p1.saturating_sub(fewer_tiles).max(1),
+                            other_p2.unwrap_or(p2),
+                            p3,
+                        ]
+                    })
+                    .collect();
+                FamilyCase {
+                    depth,
+                    nested: nested == 1,
+                    split: split == 1,
+                    early: early == 1,
+                    remainder: remainder == 1,
+                    softmax_flops,
+                    classes,
+                }
+            },
+        )
+}
+
+/// A producer/consumer pipeline over a `depth`-slot ring whose trip counts
+/// all come from the CTA class: `$p0` feeds the main loop of both sides (or
+/// `$p3` the consumer's), `$p1` the tile loop around them, `$p2` a loop that
+/// exits early and a remainder loop.
+fn family_kernel(c: &FamilyCase) -> Kernel {
+    let mut k = Kernel::new("family");
+    k.smem_bytes = 200 * 1024;
+    k.classes = (c.classes.iter().enumerate())
+        .map(|(i, params)| CtaClass {
+            params: params.to_vec(),
+            multiplicity: 10 + i as u64,
+        })
+        .collect();
+    let mut full = Vec::new();
+    let mut empty = Vec::new();
+    for s in 0..c.depth {
+        full.push(k.add_barrier(&format!("full{s}"), 1));
+        empty.push(k.add_barrier_init(&format!("empty{s}"), 1, 1));
+    }
+    let produce = |s: usize| {
+        vec![
+            Instr::MbarWait { bar: empty[s] },
+            Instr::TmaLoad {
+                bytes: 16 * 1024,
+                bar: full[s],
+            },
+        ]
+    };
+    let consume = |s: usize| {
+        let mut stage = vec![
+            Instr::MbarWait { bar: full[s] },
+            Instr::WgmmaIssue {
+                m: 64,
+                n: 128,
+                k: 64,
+                dtype: MmaDtype::F16,
+            },
+            Instr::WgmmaWait { pending: 0 },
+        ];
+        if c.softmax_flops > 0 {
+            stage.push(Instr::CudaOp {
+                flops: c.softmax_flops,
+                sfu: c.softmax_flops / 16,
+                label: "softmax",
+            });
+        }
+        stage.push(Instr::MbarArrive { bar: empty[s] });
+        stage
+    };
+    let program = |main: usize, stage: &dyn Fn(usize) -> Vec<Instr>, tail: Vec<Instr>| {
+        let mut body = vec![Instr::loop_param(
+            main,
+            (0..c.depth).flat_map(stage).collect(),
+        )];
+        body.extend(tail);
+        if c.nested {
+            body = vec![Instr::loop_param(1, body)];
+        }
+        if c.remainder {
+            body.push(Instr::loop_param(2, stage(0)));
+        }
+        body
+    };
+    let mut producer = program(0, &produce, vec![]);
+    if c.early {
+        producer.insert(0, Instr::loop_param(2, vec![Instr::Delay { cycles: 7 }]));
+    }
+    k.add_warp_group(Role::Producer, 24, producer);
+    let main = if c.split { 3 } else { 0 };
+    let store = vec![Instr::GlobalStore { bytes: 8 * 1024 }];
+    k.add_warp_group(Role::Consumer, 160, program(main, &consume, store));
+    k.useful_flops = 1e12;
+    k
+}
+
+/// The generator above is not vacuous: classes that differ by a few trips
+/// do start from the first one's checkpoint, and a class that must not
+/// (its early loop ran a different number of trips) still gets its own
+/// result — which `assert_exact` checks.
+#[test]
+fn close_classes_share_a_prefix_and_pinned_ones_do_not() {
+    let case = |early, p2_of_last| FamilyCase {
+        depth: 2,
+        nested: false,
+        split: false,
+        early,
+        remainder: true,
+        softmax_flops: 0,
+        classes: vec![[90, 1, 1, 90], [120, 1, 1, 120], [117, 1, p2_of_last, 117]],
+    };
+    let shared = assert_exact(&family_kernel(&case(false, 2)), "shared").unwrap();
+    assert!(shared.family < shared.fast, "{shared:?}");
+    // `$p2` exited inside the prefix: a class with another value walks alone.
+    let same = assert_exact(&family_kernel(&case(true, 1)), "same").unwrap();
+    let pinned = assert_exact(&family_kernel(&case(true, 2)), "pinned").unwrap();
+    assert!(same.family < pinned.family, "{same:?} {pinned:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -606,6 +861,23 @@ proptest! {
     #[test]
     fn analysis_budget_fires_identically(p in pipelines(), fuel in 1u64..6000) {
         let k = pipeline_kernel(&p);
+        prop_assert_eq!(analyze_with_budget(&k, fuel), analyze_reference(&k, fuel));
+    }
+
+    /// Class families: every class of a random multi-class kernel gets the
+    /// result of its own plain walk, whichever classes it shared a prefix
+    /// or a tail with.
+    #[test]
+    fn random_class_families_are_exact(c in family_cases()) {
+        assert_exact(&family_kernel(&c), &format!("{c:?}"))?;
+    }
+
+    /// ... and the budget fires on the identical step of the identical
+    /// class, also in a class that started from another's checkpoint or
+    /// would have reused its tail.
+    #[test]
+    fn analysis_budget_fires_identically_in_a_family(c in family_cases(), fuel in 1u64..6000) {
+        let k = family_kernel(&c);
         prop_assert_eq!(analyze_with_budget(&k, fuel), analyze_reference(&k, fuel));
     }
 }
