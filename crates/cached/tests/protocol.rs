@@ -10,13 +10,21 @@
 //! Server side: a daemon fed the same classes of garbage must stay up,
 //! count the errors, answer `err` where a reply is still possible, and
 //! keep serving well-behaved clients on subsequent connections.
+//!
+//! Held connections: a client reuses its streams across requests and
+//! redials once when the daemon has closed one; the daemon joins its
+//! finished handlers as it goes and closes live connections on shutdown.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 use gpu_sim::{Device, SimReport};
 use tawa_cached::{spawn, ShardedStore};
-use tawa_core::remote::RemoteAddr;
+use tawa_core::cache::CacheKey;
+use tawa_core::remote::{RemoteAddr, RemoteCache};
+use tawa_core::tier::KernelSlot;
 use tawa_core::{CompileOptions, CompileSession};
 use tawa_frontend::config::GemmConfig;
 use tawa_frontend::kernels::gemm;
@@ -248,6 +256,194 @@ fn a_hostile_loop_nest_is_an_err_reply_and_the_daemon_keeps_serving() {
         "{stats:?}"
     );
 
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A unique, pre-cleaned scratch directory under the system temp dir.
+fn scratch(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "tawa-cached-protocol-{name}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn key(i: u64) -> CacheKey {
+    CacheKey {
+        module_fp: 0x1000 + i,
+        env_fp: 0x2000 + i,
+    }
+}
+
+#[test]
+fn sequential_connections_do_not_accumulate_handler_threads() {
+    let root = scratch("reap");
+    let handle = spawn(
+        ShardedStore::open(&root).unwrap(),
+        &RemoteAddr::Tcp("127.0.0.1:0".into()),
+    )
+    .unwrap();
+    let addr = handle.addr().clone();
+    let mut peak = 0;
+    for _ in 0..2_000 {
+        assert!(raw_exchange(&addr, b"tawa-cached 1\nstats\n").starts_with("stats "));
+        peak = peak.max(handle.handler_threads());
+    }
+    assert!(peak <= 8, "{peak} handler threads left unjoined");
+    let stats = handle.daemon_stats();
+    assert_eq!((stats.connections, stats.requests), (2_000, 2_000));
+    assert_eq!(stats.errors, 0, "EOF between requests is a clean close");
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn shutdown_closes_a_connection_a_session_still_holds() {
+    let root = scratch("shutdown");
+    let handle = spawn(
+        ShardedStore::open(root.join("store")).unwrap(),
+        &RemoteAddr::Unix(root.join("d.sock")),
+    )
+    .unwrap();
+    let session =
+        CompileSession::in_memory(&Device::h100_sxm5()).with_remote_cache(handle.addr().clone());
+    session
+        .compile_and_simulate_program(
+            &gemm(&GemmConfig::new(512, 512, 512)),
+            &CompileOptions::default(),
+        )
+        .unwrap();
+    assert_eq!(handle.handler_threads(), 1, "the session holds one stream");
+    let start = Instant::now();
+    handle.shutdown();
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+    drop(session);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_restarted_daemon_costs_one_redial_and_no_latch() {
+    let root = scratch("restart");
+    let addr = RemoteAddr::Unix(root.join("d.sock"));
+    let open = || ShardedStore::open(root.join("store")).unwrap();
+    let first = spawn(open(), &addr).unwrap();
+    let client = RemoteCache::new(addr.clone());
+    client.put_infeasible(&key(1), "doomed");
+    assert_eq!(client.stats().roundtrips, 1);
+    first.shutdown();
+
+    // Same path, same store: the client's pooled stream is dead.
+    let second = spawn(open(), &addr).unwrap();
+    assert_eq!(
+        client.get_kernel(&key(1)),
+        Some(KernelSlot::Infeasible("doomed".to_string()))
+    );
+    assert!(!client.is_down());
+    assert_eq!(client.get_kernel(&key(2)), None);
+    let stats = client.stats();
+    assert_eq!((stats.roundtrips, stats.errors), (3, 0), "{stats:?}");
+    assert_eq!(
+        second.daemon_stats().connections,
+        1,
+        "one redial, then reuse"
+    );
+    second.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Reads the hello and one request (with its framed payload, if the
+/// request line ends in a byte count) from a fake daemon's client.
+fn read_request(conn: &mut BufReader<TcpStream>) -> Vec<String> {
+    let mut lines = Vec::new();
+    for _ in 0..2 {
+        let mut line = String::new();
+        conn.read_line(&mut line).unwrap();
+        lines.push(line.trim_end().to_string());
+    }
+    let len = lines[1].rsplit(' ').next().unwrap().parse::<usize>();
+    if let (Ok(len), true) = (len, lines[1].starts_with("put-")) {
+        let mut payload = vec![0u8; len];
+        conn.read_exact(&mut payload).unwrap();
+    }
+    lines
+}
+
+#[test]
+fn an_err_reply_drops_the_stream_without_latching() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = RemoteAddr::Tcp(listener.local_addr().unwrap().to_string());
+    let fake = std::thread::spawn(move || {
+        // First connection: reject the put and half-close, as the daemon
+        // closes after every `err`; record anything sent after it.
+        let (conn, _) = listener.accept().unwrap();
+        let mut conn = BufReader::new(conn);
+        conn.get_mut().write_all(b"tawa-cached 1\n").unwrap();
+        let put = read_request(&mut conn);
+        conn.get_mut().write_all(b"err \"rejected\"\n").unwrap();
+        conn.get_mut().shutdown(std::net::Shutdown::Write).unwrap();
+        let mut after_err = Vec::new();
+        let _ = conn.read_to_end(&mut after_err);
+        // Second connection: a miss.
+        let (conn, _) = listener.accept().unwrap();
+        let mut conn = BufReader::new(conn);
+        conn.get_mut().write_all(b"tawa-cached 1\n").unwrap();
+        let get = read_request(&mut conn);
+        conn.get_mut().write_all(b"miss\n").unwrap();
+        (put, after_err, get)
+    });
+
+    let client = RemoteCache::new(addr);
+    client.put_infeasible(&key(1), "verdict");
+    let stats = client.stats();
+    assert_eq!((stats.errors, stats.puts, stats.roundtrips), (1, 0, 1));
+    assert!(!client.is_down(), "a rejection is not a latch");
+    assert_eq!(client.get_kernel(&key(1)), None);
+    assert!(!client.is_down());
+    let stats = client.stats();
+    assert_eq!((stats.errors, stats.misses, stats.roundtrips), (1, 1, 2));
+
+    let (put, after_err, get) = fake.join().unwrap();
+    assert_eq!(put[0], "tawa-cached 1");
+    assert!(put[1].starts_with("put-negative "), "{put:?}");
+    assert!(after_err.is_empty(), "the err'd stream was reused");
+    assert_eq!(get[0], "tawa-cached 1", "the next request dials fresh");
+    assert!(get[1].starts_with("get-kernel "), "{get:?}");
+}
+
+#[test]
+fn two_threads_share_one_client_over_at_most_two_connections() {
+    let root = scratch("shared");
+    let handle = spawn(
+        ShardedStore::open(&root).unwrap(),
+        &RemoteAddr::Tcp("127.0.0.1:0".into()),
+    )
+    .unwrap();
+    let seeder = RemoteCache::new(handle.addr().clone());
+    for i in (0..32).step_by(2) {
+        seeder.put_infeasible(&key(i), &format!("verdict {i}"));
+    }
+    let lookups = |client: &RemoteCache| -> Vec<Option<KernelSlot>> {
+        (0..32).map(|i| client.get_kernel(&key(i))).collect()
+    };
+    let serial = lookups(&seeder);
+    assert_eq!(serial.iter().filter(|slot| slot.is_some()).count(), 16);
+
+    let before = handle.daemon_stats().connections;
+    let shared = RemoteCache::new(handle.addr().clone());
+    let (a, b) = std::thread::scope(|scope| {
+        let a = scope.spawn(|| lookups(&shared));
+        let b = scope.spawn(|| lookups(&shared));
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    assert_eq!(a, serial);
+    assert_eq!(b, serial);
+    let opened = handle.daemon_stats().connections - before;
+    assert!((1..=2).contains(&opened), "{opened} connections");
+    let stats = shared.stats();
+    assert_eq!((stats.roundtrips, stats.errors), (64, 0), "{stats:?}");
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }

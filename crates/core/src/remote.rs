@@ -37,7 +37,9 @@
 //!
 //! Fingerprints are 16-digit lowercase hex; byte counts are decimal and
 //! capped at [`MAX_PAYLOAD_BYTES`]. A connection carries any number of
-//! requests after the single hello exchange. Sim payloads are the
+//! requests after the single hello exchange, and the client holds its
+//! connections open across requests (see [`RemoteCache`]); either side
+//! may close one between requests. Sim payloads are the
 //! [`encode_sim_outcome`] body *without* the local tier's `cost-model`
 //! header — the version rides on the request line instead, so a daemon
 //! never serves an outcome priced by a different timing model.
@@ -51,12 +53,12 @@
 //! [`RemoteCacheStats`].
 
 use std::fmt;
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use gpu_sim::COST_MODEL_VERSION;
@@ -64,7 +66,7 @@ use tawa_wsir::doc::{quote, Doc, Line, Table, Writer};
 use tawa_wsir::{deserialize_kernel, serialize_kernel, Kernel};
 
 use crate::cache::{decode_sim_outcome, encode_sim_outcome, CacheKey, SimOutcome};
-use crate::tier::{KernelSlot, Tier};
+use crate::tier::{lock, KernelSlot, Tier};
 
 /// Protocol name, echoed in both hello lines.
 pub const REMOTE_PROTOCOL: &str = "tawa-cached";
@@ -83,7 +85,9 @@ pub const REMOTE_CACHE_ENV: &str = "TAWA_CACHED";
 pub const MAX_PAYLOAD_BYTES: u64 = 64 << 20;
 
 /// Per-operation socket read/write timeout. A wedged daemon must stall
-/// a compile by at most this long, once, before the client latches down.
+/// a compile by at most this long, once, before the client latches down;
+/// a daemon closes a connection that stays idle this long between
+/// requests.
 pub const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// The hello/greeting line (without the trailing newline).
@@ -180,12 +184,26 @@ impl fmt::Display for RemoteAddr {
 pub trait Socket: Read + Write + Send {
     /// Bounds every read and write by [`IO_TIMEOUT`].
     fn set_timeouts(&self) -> io::Result<()>;
+    /// A second handle on the same connection. The daemon keeps one per
+    /// connection so that shutting down can close a connection whose
+    /// handler is blocked reading it.
+    fn duplicate(&self) -> io::Result<Box<dyn Socket>>;
+    /// Shuts both directions down, best effort: the peer reads EOF even
+    /// while a [`Socket::duplicate`] stays open, and a read blocked on
+    /// any handle of the connection returns.
+    fn close(&self);
 }
 
 impl Socket for UnixStream {
     fn set_timeouts(&self) -> io::Result<()> {
         self.set_read_timeout(Some(IO_TIMEOUT))?;
         self.set_write_timeout(Some(IO_TIMEOUT))
+    }
+    fn duplicate(&self) -> io::Result<Box<dyn Socket>> {
+        Ok(Box::new(self.try_clone()?))
+    }
+    fn close(&self) {
+        let _ = self.shutdown(Shutdown::Both);
     }
 }
 
@@ -194,16 +212,55 @@ impl Socket for TcpStream {
         self.set_read_timeout(Some(IO_TIMEOUT))?;
         self.set_write_timeout(Some(IO_TIMEOUT))
     }
+    fn duplicate(&self) -> io::Result<Box<dyn Socket>> {
+        Ok(Box::new(self.try_clone()?))
+    }
+    fn close(&self) {
+        let _ = self.shutdown(Shutdown::Both);
+    }
 }
 
-/// Connects to the daemon at `addr`, timeouts set.
-fn dial(addr: &RemoteAddr) -> io::Result<Box<dyn Socket>> {
+/// A dialled connection whose greeting has been checked, buffered for
+/// reading.
+type Conn = BufReader<Box<dyn Socket>>;
+
+/// Connects to the daemon at `addr`, sets the timeouts and checks the
+/// daemon's greeting. The client's hello rides on the first request.
+fn dial(addr: &RemoteAddr) -> io::Result<Conn> {
     let socket: Box<dyn Socket> = match addr {
         RemoteAddr::Unix(path) => Box::new(UnixStream::connect(path)?),
         RemoteAddr::Tcp(addr) => Box::new(TcpStream::connect(addr.as_str())?),
     };
     socket.set_timeouts()?;
-    Ok(socket)
+    let mut conn = BufReader::new(socket);
+    let greeting = read_line(&mut conn)?.ok_or_else(|| protocol_err("closed before greeting"))?;
+    check_hello(&greeting)?;
+    Ok(conn)
+}
+
+/// Sends `out` (a request line and its payload) on `conn` and reads the
+/// status line back. `Ok(None)` means the peer had closed the stream
+/// before answering: EOF before any byte of a status line, a reset or a
+/// broken pipe. A timeout or a torn line is an error.
+fn request_status(conn: &mut Conn, out: &str) -> io::Result<Option<String>> {
+    let sent = conn.get_mut().write_all(out.as_bytes());
+    match sent
+        .and_then(|()| conn.get_mut().flush())
+        .and_then(|()| read_line(conn))
+    {
+        Err(e)
+            if matches!(
+                e.kind(),
+                ErrorKind::BrokenPipe
+                    | ErrorKind::ConnectionReset
+                    | ErrorKind::ConnectionAborted
+                    | ErrorKind::NotConnected
+            ) =>
+        {
+            Ok(None)
+        }
+        other => other,
+    }
 }
 
 crate::counters! {
@@ -335,12 +392,23 @@ impl Response {
 
 /// Client for a `tawa-cached` daemon — the session's fourth tier.
 ///
-/// Thread-safe and connectionless: every operation dials, performs the
-/// hello exchange, and runs one request, so concurrent batch workers
-/// never serialize on a shared stream. After any failure the client
-/// latches down (see the module docs) and all methods return instantly.
+/// Thread-safe, and holds its connections: an operation takes an idle,
+/// already-greeted stream from the client's pool (or dials one), runs
+/// one request on it, and returns it to the pool after a clean response.
+/// A stream that answered `err` is dropped, because the daemon closes
+/// after every `err`. Concurrent batch workers each hold their own
+/// stream, so the pool never grows past the number of callers at once
+/// and needs no size limit.
+///
+/// A pooled stream the daemon has closed while it sat idle (a restart,
+/// its idle timeout) fails before a status line comes back; that request
+/// is retried exactly once on a fresh dial. Any other failure, and any
+/// failure on a fresh dial, latches the client down (see the module
+/// docs) and all methods return instantly.
 pub struct RemoteCache {
     addr: RemoteAddr,
+    /// Idle streams, each greeted and between requests.
+    idle: Mutex<Vec<Conn>>,
     down: AtomicBool,
     warned: AtomicBool,
     counters: RemoteCounters,
@@ -363,6 +431,7 @@ impl RemoteCache {
     pub fn new(addr: RemoteAddr) -> RemoteCache {
         RemoteCache {
             addr,
+            idle: Mutex::new(Vec::new()),
             down: AtomicBool::new(false),
             warned: AtomicBool::new(false),
             counters: RemoteCounters::default(),
@@ -384,10 +453,12 @@ impl RemoteCache {
         self.counters.snapshot()
     }
 
-    /// Latches the client down, counting the failure and warning once.
+    /// Latches the client down, counting the failure, closing the idle
+    /// streams and warning once.
     fn fail(&self, context: &str, err: impl fmt::Display) {
         self.counters.errors.add(1);
         self.down.store(true, Ordering::Relaxed);
+        lock(&self.idle).clear();
         if !self.warned.swap(true, Ordering::Relaxed) {
             eprintln!(
                 "tawa-cached: remote cache {} unavailable ({context}: {err}); \
@@ -397,21 +468,34 @@ impl RemoteCache {
         }
     }
 
-    /// Dials the daemon, exchanges hellos, sends one request (plus
-    /// optional payload) and reads the response.
+    /// Sends one request (plus optional payload) on an idle stream or a
+    /// fresh dial and reads the response. A pooled stream found closed
+    /// is retried once on a fresh dial; the stream goes back to the pool
+    /// after a clean response.
     fn transact(&self, request: &str, payload: Option<&str>) -> io::Result<Response> {
         self.counters.roundtrips.add(1);
-        let mut conn = BufReader::new(dial(&self.addr)?);
-        let greeting =
-            read_line(&mut conn)?.ok_or_else(|| protocol_err("closed before greeting"))?;
-        check_hello(&greeting)?;
-        let mut out = format!("{}\n{request}\n", hello_line());
+        // The hello leads the request on a fresh dial only.
+        let hello = hello_line();
+        let mut out = format!("{hello}\n{request}\n");
         if let Some(payload) = payload {
             out.push_str(payload);
         }
-        conn.get_mut().write_all(out.as_bytes())?;
-        conn.get_mut().flush()?;
-        let status = read_line(&mut conn)?.ok_or_else(|| protocol_err("closed before response"))?;
+        let pooled = lock(&self.idle).pop();
+        let answered = match pooled {
+            Some(mut conn) => {
+                request_status(&mut conn, &out[hello.len() + 1..])?.map(|status| (conn, status))
+            }
+            None => None,
+        };
+        let (mut conn, status) = match answered {
+            Some(answered) => answered,
+            None => {
+                let mut conn = dial(&self.addr)?;
+                let status = request_status(&mut conn, &out)?
+                    .ok_or_else(|| protocol_err("closed before response"))?;
+                (conn, status)
+            }
+        };
         let status: Vec<String> = status.split_whitespace().map(str::to_string).collect();
         let payload = match status.as_slice() {
             [kind, len] if matches!(kind.as_str(), "kernel" | "negative" | "sim") => {
@@ -422,7 +506,12 @@ impl RemoteCache {
             }
             _ => None,
         };
-        Ok(Response { status, payload })
+        let response = Response { status, payload };
+        // Bytes past the response would be read as the next one's.
+        if response.head() != "err" && conn.buffer().is_empty() {
+            lock(&self.idle).push(conn);
+        }
+        Ok(response)
     }
 
     /// One request/response exchange — the path every operation takes.

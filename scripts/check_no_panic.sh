@@ -6,7 +6,8 @@
 # ROADMAP direction 4 asks for; extend FILES as more parsers qualify.
 # `period.rs`, `engine.rs` and `run.rs` walk kernels that may come from a
 # cache directory or a daemon: the class-family logic, the engine and the
-# fold over classes.
+# fold over classes. `remote.rs` and `server.rs` are the two ends of the
+# `tawa-cached 1` protocol and parse bytes from a peer.
 # Run from anywhere; CI's docs job fails on any hit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -20,6 +21,8 @@ FILES=(
     crates/sim/src/run.rs
     crates/serve/src/trace.rs
     crates/serve/src/report.rs
+    crates/core/src/remote.rs
+    crates/cached/src/server.rs
 )
 
 # Allowed exceptions: one `file:pattern` row each (an extended regex

@@ -206,3 +206,35 @@ fn remote_hits_land_on_disk_for_later_sessions_without_the_daemon() {
 
     let _ = fs::remove_dir_all(&root);
 }
+
+/// Held connections: a warm replay through one session reuses its
+/// streams, so the daemon sees at most one connection per batch worker,
+/// and the phases are the cold run's, bit for bit.
+#[test]
+fn a_warm_replay_opens_at_most_one_connection_per_worker() {
+    let root = scratch("held");
+    let handle = daemon(&root);
+    let addr = handle.addr().clone();
+    let trace = mixed_trace();
+    let cold_session = CompileSession::in_memory(&dev()).with_remote_cache(addr.clone());
+    let cold = replay_trace(&cold_session, &trace).unwrap();
+
+    let workers = 2;
+    let before = handle.daemon_stats().connections;
+    let session = CompileSession::in_memory(&dev())
+        .with_workers(workers)
+        .with_remote_cache(addr);
+    let warm = replay_trace(&session, &trace).unwrap();
+    let opened = handle.daemon_stats().connections - before;
+    let a = &warm.accounting;
+    assert_eq!((a.compiles, a.simulate_calls, a.remote_errors), (0, 0, 0));
+    assert!(
+        (1..=workers as u64).contains(&opened),
+        "{opened} connections for {} round trips",
+        a.remote_roundtrips
+    );
+    assert!(cold.same_workload(&warm));
+
+    handle.shutdown();
+    let _ = fs::remove_dir_all(&root);
+}
