@@ -22,8 +22,6 @@
 //! software pipelining executed by uniform warp groups (§II-B), which is
 //! what Triton emits without this work.
 
-use std::collections::HashMap;
-
 use gpu_sim::Device;
 use tawa_ir::analysis::loop_info;
 use tawa_ir::func::{Func, Module, ValueDef};
@@ -318,8 +316,6 @@ fn analyse_ws(f: &Func) -> Result<WsAnalysis, CompileError> {
             _ => unreachable!("aref type"),
         })
         .collect();
-    let aref_index: HashMap<ValueId, usize> =
-        aref_vals.iter().enumerate().map(|(i, &v)| (v, i)).collect();
 
     let wgs: Vec<OpId> = f
         .block(body)
@@ -380,7 +376,8 @@ fn analyse_ws(f: &Func) -> Result<WsAnalysis, CompileError> {
             }
             if let ValueDef::OpResult { op, .. } = f.value(v).def {
                 if f.op(op).kind == OpKind::ArefGet {
-                    return aref_index.get(&f.op(op).operands[0]).copied();
+                    let aref = f.op(op).operands[0];
+                    return aref_vals.iter().position(|&a| a == aref);
                 }
                 if matches!(
                     f.op(op).kind,

@@ -24,8 +24,6 @@
 //!    `(iv - lo)/step mod D`. The epilogue is attached to the consumer so
 //!    output writes occur exactly once.
 
-use std::collections::{HashMap, HashSet, VecDeque};
-
 use tawa_ir::analysis::{loop_info, top_level_loops, LoopInfo};
 use tawa_ir::diag::Diagnostic;
 use tawa_ir::func::{Func, Module, ValueDef};
@@ -99,29 +97,14 @@ pub fn warp_specialize_func(f: &mut Func, depth: usize) -> Result<PartitionRepor
     // ---- 1+2. semantic tagging + graph cut ------------------------------
     let body = f.entry_block(f.op(main_loop).regions[0]);
     let body_ops: Vec<OpId> = info.body_ops.clone();
-    let body_set: HashSet<OpId> = body_ops.iter().copied().collect();
+    // Op sets below are dense tables over the ops that exist now.
+    let n_ops = f.num_ops();
+    let body_set = op_set(n_ops, &body_ops);
     let in_body = |f: &Func, v: ValueId| -> Option<OpId> {
         match f.value(v).def {
-            ValueDef::OpResult { op, .. } if body_set.contains(&op) => Some(op),
+            ValueDef::OpResult { op, .. } if contains(&body_set, op) => Some(op),
             _ => None,
         }
-    };
-
-    // Backward closure helper within the loop body.
-    let closure = |f: &Func, roots: &[OpId]| -> HashSet<OpId> {
-        let mut seen: HashSet<OpId> = HashSet::new();
-        let mut queue: VecDeque<OpId> = roots.iter().copied().collect();
-        while let Some(op) = queue.pop_front() {
-            if !seen.insert(op) {
-                continue;
-            }
-            for &v in &f.op(op).operands {
-                if let Some(def) = in_body(f, v) {
-                    queue.push_back(def);
-                }
-            }
-        }
-        seen
     };
 
     let loads: Vec<OpId> = body_ops
@@ -135,21 +118,18 @@ pub fn warp_specialize_func(f: &mut Func, depth: usize) -> Result<PartitionRepor
 
     // Producer slice: loads + address computation, iterated to a fixpoint
     // over loop-carried update chains (o_k += Kt).
-    let mut p_slice = closure(f, &loads);
+    let mut p_slice = vec![false; n_ops];
+    close(f, &body_set, &mut p_slice, &loads, true);
     loop {
         let mut grew = false;
         for (i, &arg) in info.iter_args.iter().enumerate() {
             let used_by_producer = f
                 .uses(arg)
                 .iter()
-                .any(|&(op, _)| p_slice.contains(&op) && body_set.contains(&op));
+                .any(|&(op, _)| contains(&p_slice, op) && contains(&body_set, op));
             if used_by_producer {
                 if let Some(def) = in_body(f, info.yields[i]) {
-                    if !p_slice.contains(&def) {
-                        for op in closure(f, &[def]) {
-                            grew |= p_slice.insert(op);
-                        }
-                    }
+                    grew |= close(f, &body_set, &mut p_slice, &[def], true);
                 }
             }
         }
@@ -163,11 +143,11 @@ pub fn warp_specialize_func(f: &mut Func, depth: usize) -> Result<PartitionRepor
     let c_roots: Vec<OpId> = body_ops
         .iter()
         .copied()
-        .filter(|o| !p_slice.contains(o))
+        .filter(|&o| !contains(&p_slice, o))
         .collect();
-    let mut c_slice = closure(f, &c_roots);
-    c_slice.retain(|o| f.op(*o).kind != OpKind::TmaLoad);
-    let duplicated: HashSet<OpId> = p_slice.intersection(&c_slice).copied().collect();
+    let mut c_slice = vec![false; n_ops];
+    close(f, &body_set, &mut c_slice, &c_roots, false);
+    let duplicated_ops = (0..n_ops).filter(|&i| p_slice[i] && c_slice[i]).count();
 
     // ---- iter-arg assignment ------------------------------------------------
     #[derive(Clone, Copy, PartialEq)]
@@ -182,10 +162,10 @@ pub fn warp_specialize_func(f: &mut Func, depth: usize) -> Result<PartitionRepor
             .uses(arg)
             .iter()
             .map(|&(op, _)| op)
-            .filter(|op| body_set.contains(op))
+            .filter(|&op| contains(&body_set, op))
             .collect();
-        let in_p = users.iter().any(|u| p_slice.contains(u));
-        let in_c = users.iter().any(|u| c_slice.contains(u));
+        let in_p = users.iter().any(|&u| contains(&p_slice, u));
+        let in_c = users.iter().any(|&u| contains(&c_slice, u));
         let side = match (in_p, in_c) {
             (true, true) => ArgSide::Both,
             (true, false) => ArgSide::Producer,
@@ -200,11 +180,7 @@ pub fn warp_specialize_func(f: &mut Func, depth: usize) -> Result<PartitionRepor
         // if the consumer also carries it, its chain must be in c_slice too.
         if matches!(side, ArgSide::Both) {
             if let Some(def) = in_body(f, info.yields[i]) {
-                for op in closure(f, &[def]) {
-                    if f.op(op).kind != OpKind::TmaLoad {
-                        c_slice.insert(op);
-                    }
-                }
+                close(f, &body_set, &mut c_slice, &[def], false);
             }
         }
         arg_sides.push(side);
@@ -221,7 +197,7 @@ pub fn warp_specialize_func(f: &mut Func, depth: usize) -> Result<PartitionRepor
                 return None;
             }
             for (user, _) in f.uses(v) {
-                if !body_set.contains(&user) {
+                if !contains(&body_set, user) {
                     continue;
                 }
                 match f.op(user).kind {
@@ -250,46 +226,21 @@ pub fn warp_specialize_func(f: &mut Func, depth: usize) -> Result<PartitionRepor
     let loop_pos = all_body
         .iter()
         .position(|&o| o == main_loop)
-        .expect("main loop in body");
+        .ok_or_else(|| "main loop is not in the function body".to_string())?;
     let prologue: Vec<OpId> = all_body[..loop_pos].to_vec();
     let epilogue: Vec<OpId> = all_body[loop_pos + 1..].to_vec();
 
     // External deps of a set of body/epilogue ops that live in the prologue.
-    let prologue_set: HashSet<OpId> = prologue.iter().copied().collect();
-    let prologue_closure = |f: &Func, roots: &[ValueId]| -> HashSet<OpId> {
-        let mut seen = HashSet::new();
-        let mut queue: VecDeque<OpId> = roots
-            .iter()
-            .filter_map(|&v| match f.value(v).def {
-                ValueDef::OpResult { op, .. } if prologue_set.contains(&op) => Some(op),
-                _ => None,
-            })
+    let prologue_set = op_set(n_ops, &prologue);
+    let prologue_closure = |f: &Func, slice: &[bool], extra: &[ValueId]| -> Vec<bool> {
+        // Values the partition reads from outside the loop body.
+        let reads = body_ops.iter().filter(|&&o| contains(slice, o));
+        let roots: Vec<OpId> = (reads.flat_map(|&o| &f.op(o).operands).chain(extra))
+            .filter_map(|&v| f.defining_op(v))
             .collect();
-        while let Some(op) = queue.pop_front() {
-            if !seen.insert(op) {
-                continue;
-            }
-            for &v in &f.op(op).operands {
-                if let ValueDef::OpResult { op: def, .. } = f.value(v).def {
-                    if prologue_set.contains(&def) {
-                        queue.push_back(def);
-                    }
-                }
-            }
-        }
-        seen
-    };
-
-    // Values each partition reads from outside the loop body.
-    let collect_external = |f: &Func, ops: &HashSet<OpId>, extra: &[ValueId]| -> Vec<ValueId> {
-        let mut out: Vec<ValueId> = Vec::new();
-        for &op in ops {
-            for &v in &f.op(op).operands {
-                out.push(v);
-            }
-        }
-        out.extend_from_slice(extra);
-        out
+        let mut set = vec![false; n_ops];
+        close(f, &prologue_set, &mut set, &roots, true);
+        set
     };
     let p_extra: Vec<ValueId> = {
         let mut v = vec![info.lo, info.hi, info.step];
@@ -314,8 +265,8 @@ pub fn warp_specialize_func(f: &mut Func, depth: usize) -> Result<PartitionRepor
         }
         v
     };
-    let p_prologue = prologue_closure(f, &collect_external(f, &p_slice, &p_extra));
-    let c_prologue = prologue_closure(f, &collect_external(f, &c_slice, &c_extra));
+    let p_prologue = prologue_closure(f, &p_slice, &p_extra);
+    let c_prologue = prologue_closure(f, &c_slice, &c_extra);
 
     // Allocate arefs (shared between the two warp groups).
     let mut aref_vals: Vec<ValueId> = Vec::new();
@@ -336,9 +287,9 @@ pub fn warp_specialize_func(f: &mut Func, depth: usize) -> Result<PartitionRepor
     }
 
     let report = PartitionReport {
-        producer_ops: p_slice.len(),
-        consumer_ops: c_slice.len(),
-        duplicated_ops: duplicated.len(),
+        producer_ops: p_slice.iter().filter(|&&m| m).count(),
+        consumer_ops: c_slice.iter().filter(|&&m| m).count(),
+        duplicated_ops,
         arefs: groups.len(),
         payload_tensors: groups.iter().map(|(_, g)| g.len()).sum(),
     };
@@ -359,7 +310,7 @@ pub fn warp_specialize_func(f: &mut Func, depth: usize) -> Result<PartitionRepor
         &p_prologue,
         &info,
         &body_ops,
-        |op, _f| p_slice.contains(&op),
+        |op, _f| contains(&p_slice, op),
         &arg_sides
             .iter()
             .map(|s| matches!(s, ArgSide::Producer | ArgSide::Both))
@@ -368,7 +319,7 @@ pub fn warp_specialize_func(f: &mut Func, depth: usize) -> Result<PartitionRepor
         &aref_groups,
         false,
         depth_i,
-    );
+    )?;
 
     // --- consumer warp group ---------------------------------------------------
     build_warp_group(
@@ -380,7 +331,7 @@ pub fn warp_specialize_func(f: &mut Func, depth: usize) -> Result<PartitionRepor
         &c_prologue,
         &info,
         &body_ops,
-        |op, f2| c_slice.contains(&op) && f2.op(op).kind != OpKind::TmaLoad,
+        |op, f2| contains(&c_slice, op) && f2.op(op).kind != OpKind::TmaLoad,
         &arg_sides
             .iter()
             .map(|s| matches!(s, ArgSide::Consumer | ArgSide::Both))
@@ -389,7 +340,7 @@ pub fn warp_specialize_func(f: &mut Func, depth: usize) -> Result<PartitionRepor
         &aref_groups,
         true,
         depth_i,
-    );
+    )?;
 
     // ---- erase the original (now fully duplicated) program -----------------
     for &op in all_body.iter().rev() {
@@ -411,6 +362,10 @@ pub fn warp_specialize_func(f: &mut Func, depth: usize) -> Result<PartitionRepor
 /// result before the tile statements are cloned; a `tawa.consumed` per aref
 /// closes each iteration. The producer instead emits one `tawa.put` per
 /// aref after its cloned loads.
+///
+/// # Errors
+/// Fails when an aref is not aref-typed or a load it carries was not
+/// cloned into the producer.
 #[allow(clippy::too_many_arguments)]
 fn build_warp_group(
     f: &mut Func,
@@ -418,7 +373,7 @@ fn build_warp_group(
     partition: usize,
     role: &str,
     prologue: &[OpId],
-    prologue_keep: &HashSet<OpId>,
+    prologue_keep: &[bool],
     info: &LoopInfo,
     body_ops: &[OpId],
     keep: impl Fn(OpId, &Func) -> bool,
@@ -427,22 +382,29 @@ fn build_warp_group(
     aref_groups: &[(ValueId, Vec<OpId>)],
     is_consumer: bool,
     depth: i64,
-) {
+) -> Result<(), String> {
     let mut attrs = AttrMap::new();
     attrs.set("partition", Attr::Int(partition as i64));
     attrs.set("role", Attr::Str(role.to_string()));
     let wg = f.push_op(body_block, OpKind::WarpGroup, vec![], vec![], attrs);
     let (_, wg_block) = f.add_region(wg);
 
-    let mut vmap: HashMap<ValueId, ValueId> = HashMap::new();
+    // The value map is indexed by the original value's id.
+    let mut vmap: Vec<Option<ValueId>> = vec![None; f.num_values()];
+    let lookup = |vmap: &[Option<ValueId>], v: ValueId| vmap.get(v.0 as usize).copied().flatten();
+    let map_v = |vmap: &[Option<ValueId>], v: ValueId| lookup(vmap, v).unwrap_or(v);
+    let bind = |vmap: &mut [Option<ValueId>], from: ValueId, to: ValueId| {
+        if let Some(slot) = vmap.get_mut(from.0 as usize) {
+            *slot = Some(to);
+        }
+    };
     // Clone the needed prologue ops in original order.
     for &op in prologue {
-        if prologue_keep.contains(&op) {
+        if contains(prologue_keep, op) {
             f.clone_op_into(op, wg_block, &mut vmap);
         }
     }
     // Build the distributed loop.
-    let map_v = |vmap: &HashMap<ValueId, ValueId>, v: ValueId| *vmap.get(&v).unwrap_or(&v);
     let lo = map_v(&vmap, info.lo);
     let hi = map_v(&vmap, info.hi);
     let step = map_v(&vmap, info.step);
@@ -467,10 +429,10 @@ fn build_warp_group(
     );
     let (_, loop_block) = f.add_region(for_op);
     let iv = f.add_block_arg(loop_block, Type::i32());
-    vmap.insert(info.iv, iv);
+    bind(&mut vmap, info.iv, iv);
     for (&i, ty) in kept_args.iter().zip(result_types.iter()) {
         let arg = f.add_block_arg(loop_block, ty.clone());
-        vmap.insert(info.iter_args[i], arg);
+        bind(&mut vmap, info.iter_args[i], arg);
     }
 
     // Slot index: (iv - lo) / step mod D.
@@ -509,7 +471,7 @@ fn build_warp_group(
         for (aref, group) in aref_groups {
             let payload_types: Vec<Type> = match f.ty(*aref) {
                 Type::Aref(_, p) => p.clone(),
-                _ => unreachable!("create_aref result is aref"),
+                t => return Err(format!("aref {aref} has type {t}, not an aref")),
             };
             let get = f.push_op(
                 loop_block,
@@ -520,8 +482,7 @@ fn build_warp_group(
             );
             let got = f.results(get).to_vec();
             for (&load, &g) in group.iter().zip(got.iter()) {
-                let orig_res = f.result(load);
-                vmap.insert(orig_res, g);
+                bind(&mut vmap, f.result(load), g);
             }
         }
     }
@@ -546,8 +507,9 @@ fn build_warp_group(
         for (aref, group) in aref_groups {
             let mut operands = vec![*aref, slot];
             for &load in group {
-                let orig = f.result(load);
-                operands.push(*vmap.get(&orig).expect("load cloned into producer"));
+                let cloned = lookup(&vmap, f.result(load))
+                    .ok_or_else(|| format!("load {load} was not cloned into the producer"))?;
+                operands.push(cloned);
             }
             f.push_op(
                 loop_block,
@@ -570,17 +532,64 @@ fn build_warp_group(
     // clone the epilogue (consumer only).
     let new_results = f.results(for_op).to_vec();
     for (j, &i) in kept_args.iter().enumerate() {
-        let orig_res = f.results(info.op)[i];
-        vmap.insert(orig_res, new_results[j]);
+        bind(&mut vmap, f.results(info.op)[i], new_results[j]);
     }
     for &op in epilogue {
         f.clone_op_into(op, wg_block, &mut vmap);
     }
+    Ok(())
+}
+
+/// A dense op set over `n_ops` ids holding `ops`.
+pub(crate) fn op_set(n_ops: usize, ops: &[OpId]) -> Vec<bool> {
+    let mut set = vec![false; n_ops];
+    for &op in ops {
+        insert(&mut set, op);
+    }
+    set
+}
+
+/// Membership in a dense op set; an id past its end is absent.
+pub(crate) fn contains(set: &[bool], op: OpId) -> bool {
+    set.get(op.0 as usize).copied().unwrap_or(false)
+}
+
+/// Adds `op` to a dense op set; true if it was absent (and in range).
+pub(crate) fn insert(set: &mut [bool], op: OpId) -> bool {
+    match set.get_mut(op.0 as usize) {
+        Some(member) if !*member => {
+            *member = true;
+            true
+        }
+        _ => false,
+    }
+}
+
+/// Adds to `set` the ops of `domain` that `roots` reach backwards through
+/// operands, the roots included; true if `set` grew. Without `loads` it
+/// walks through the TMA loads but leaves them out (the consumer's side).
+fn close(f: &Func, domain: &[bool], set: &mut [bool], roots: &[OpId], loads: bool) -> bool {
+    let mut grew = false;
+    let mut stack: Vec<OpId> = roots.to_vec();
+    while let Some(op) = stack.pop() {
+        if !contains(domain, op) {
+            continue;
+        }
+        if loads || f.op(op).kind != OpKind::TmaLoad {
+            if !insert(set, op) {
+                continue;
+            }
+            grew = true;
+        }
+        stack.extend(f.op(op).operands.iter().filter_map(|&v| f.defining_op(v)));
+    }
+    grew
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
     use tawa_frontend::config::{AttentionConfig, GemmConfig};
     use tawa_frontend::kernels::{attention, gemm};
     use tawa_ir::types::DType;

@@ -19,13 +19,13 @@
 //!   are annotated on the IR; the code generator then emits the
 //!   prologue/steady-state/epilogue assembly line of Algorithm 1.
 
-use std::collections::HashSet;
-
 use tawa_ir::analysis::loop_info;
 use tawa_ir::diag::Diagnostic;
 use tawa_ir::func::{Func, Module};
 use tawa_ir::op::{Attr, AttrMap, OpId, OpKind};
 use tawa_ir::pass::Pass;
+
+use crate::partition::{contains, insert, op_set};
 
 /// Identified pipeline stages of a consumer loop body.
 #[derive(Debug, Clone)]
@@ -74,16 +74,16 @@ pub fn identify_stages(f: &Func, loop_op: OpId) -> Option<Stages> {
     let t_dot = *dots.first()?;
     let u_dot = dots.get(1).copied();
     // C: ops reachable forward from T's result, stopping at U.
-    let body_set: HashSet<OpId> = info.body_ops.iter().copied().collect();
+    let body_set = op_set(f.num_ops(), &info.body_ops);
     let mut c_ops = Vec::new();
     let mut frontier = vec![f.results(t_dot)[0]];
-    let mut seen: HashSet<OpId> = HashSet::new();
+    let mut seen = vec![false; f.num_ops()];
     while let Some(v) = frontier.pop() {
         for (user, _) in f.uses(v) {
-            if !body_set.contains(&user) || Some(user) == u_dot || user == t_dot {
+            if !contains(&body_set, user) || Some(user) == u_dot || user == t_dot {
                 continue;
             }
-            if !seen.insert(user) {
+            if !insert(&mut seen, user) {
                 continue;
             }
             let k = f.op(user).kind;

@@ -1526,6 +1526,51 @@ mod tests {
     }
 
     #[test]
+    fn a_pass_emitting_a_foreign_value_id_fails_verification() {
+        // `push_op` takes any id; the verifier must report it rather than
+        // index the value arena with it.
+        struct ForeignOperand;
+        impl tawa_ir::pass::Pass for ForeignOperand {
+            fn name(&self) -> &str {
+                "foreign-operand"
+            }
+            fn run(&self, m: &mut Module) -> Result<bool, Diagnostic> {
+                let f = &mut m.funcs[0];
+                let b = f.body_block();
+                let one = f.const_int(b, 1, tawa_ir::types::Type::i32());
+                f.push_op(
+                    b,
+                    tawa_ir::op::OpKind::Add,
+                    vec![tawa_ir::op::ValueId(u32::MAX), one],
+                    vec![tawa_ir::types::Type::i32()],
+                    tawa_ir::op::AttrMap::new(),
+                );
+                Ok(true)
+            }
+        }
+        let mut session = CompileSession::in_memory(&dev());
+        session
+            .registry_mut()
+            .register("foreign-operand", |_| Ok(Box::new(ForeignOperand)));
+        let (m, spec) = gemm(&GemmConfig::new(1024, 1024, 512)).into_parts();
+        let opts = CompileOptions {
+            pipeline: Some("foreign-operand,warp-specialize{depth=2}".to_string()),
+            ..CompileOptions::default()
+        };
+        match session.compile(&m, &spec, &opts) {
+            Err(CompileError::Pass(PassError::VerifyFailed { pass, errors })) => {
+                assert_eq!(pass, "foreign-operand");
+                let msgs: Vec<&str> = errors.iter().map(|e| e.msg.as_str()).collect();
+                assert_eq!(
+                    msgs,
+                    ["operand %4294967295 is not a value of this function"]
+                );
+            }
+            other => panic!("expected a verifier error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn compile_program_shares_cache_keys_with_raw_modules() {
         // A DSL Program and its decomposed (module, spec) must address the
         // SAME cache entry: compiling one then the other is a hit, not a

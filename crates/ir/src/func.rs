@@ -7,8 +7,6 @@
 //! stable across transformations — passes must not traverse dead ops, and
 //! the printer and verifier skip them.
 
-use std::collections::HashMap;
-
 use crate::loc::Loc;
 use crate::op::{Attr, AttrMap, BlockId, OpId, OpKind, RegionId, ValueId};
 use crate::types::Type;
@@ -396,8 +394,9 @@ impl Func {
     }
 
     /// Clones op `src` (without regions) into `dst_block`, remapping
-    /// operands through `vmap`; operands absent from `vmap` are kept as-is.
-    /// The clone's results are registered in `vmap` (old → new).
+    /// operands through `vmap`, which is indexed by value id; operands it
+    /// does not map are kept as-is. The clone's results are registered in
+    /// `vmap` (old → new), which grows to cover every value `src` reaches.
     ///
     /// Region-carrying ops are cloned recursively: nested blocks, block
     /// arguments and ops are duplicated and remapped.
@@ -405,31 +404,30 @@ impl Func {
         &mut self,
         src: OpId,
         dst_block: BlockId,
-        vmap: &mut HashMap<ValueId, ValueId>,
+        vmap: &mut Vec<Option<ValueId>>,
     ) -> OpId {
-        let data = self.ops[src.0 as usize].clone();
+        if vmap.len() < self.values.len() {
+            vmap.resize(self.values.len(), None);
+        }
+        let data = &self.ops[src.0 as usize];
+        let (kind, attrs, loc) = (data.kind, data.attrs.clone(), data.loc);
+        let (old_results, src_regions) = (data.results.clone(), data.regions.clone());
         let operands: Vec<ValueId> = data
             .operands
             .iter()
-            .map(|v| *vmap.get(v).unwrap_or(v))
+            .map(|&v| vmap.get(v.0 as usize).copied().flatten().unwrap_or(v))
             .collect();
-        let result_types: Vec<Type> = data
-            .results
+        let result_types: Vec<Type> = old_results
             .iter()
             .map(|&r| self.values[r.0 as usize].ty.clone())
             .collect();
-        let new_op = self.push_op(dst_block, data.kind, operands, result_types, data.attrs);
-        self.ops[new_op.0 as usize].loc = data.loc;
-        for (&old_r, &new_r) in data
-            .results
-            .iter()
-            .zip(self.ops[new_op.0 as usize].results.clone().iter())
-        {
-            vmap.insert(old_r, new_r);
-            let hint = self.values[old_r.0 as usize].name_hint.clone();
-            self.values[new_r.0 as usize].name_hint = hint;
+        let new_op = self.push_op(dst_block, kind, operands, result_types, attrs);
+        self.ops[new_op.0 as usize].loc = loc;
+        for (i, &old_r) in old_results.iter().enumerate() {
+            let new_r = self.ops[new_op.0 as usize].results[i];
+            self.map_value(vmap, old_r, new_r);
         }
-        for src_region in data.regions {
+        for src_region in src_regions {
             let (_, new_block) = self.add_region(new_op);
             let src_blocks = self.regions[src_region.0 as usize].blocks.clone();
             // Structured IR: single-block regions.
@@ -438,9 +436,7 @@ impl Func {
                 for a in args {
                     let ty = self.values[a.0 as usize].ty.clone();
                     let new_a = self.add_block_arg(new_block, ty);
-                    let hint = self.values[a.0 as usize].name_hint.clone();
-                    self.values[new_a.0 as usize].name_hint = hint;
-                    vmap.insert(a, new_a);
+                    self.map_value(vmap, a, new_a);
                 }
                 let ops = self.blocks[src_block.0 as usize].ops.clone();
                 for o in ops {
@@ -449,6 +445,16 @@ impl Func {
             }
         }
         new_op
+    }
+
+    /// Records `old → new` in a clone's value map and carries the
+    /// printer's name hint over.
+    fn map_value(&mut self, vmap: &mut [Option<ValueId>], old: ValueId, new: ValueId) {
+        if let Some(slot) = vmap.get_mut(old.0 as usize) {
+            *slot = Some(new);
+        }
+        let hint = self.values[old.0 as usize].name_hint.clone();
+        self.values[new.0 as usize].name_hint = hint;
     }
 
     /// Walks all live ops in `region` recursively, pre-order, invoking `f`.
@@ -663,7 +669,7 @@ mod tests {
         let dv = f.result(dbl);
         f.push_op(body, OpKind::Yield, vec![dv], vec![], AttrMap::new());
 
-        let mut vmap = HashMap::new();
+        let mut vmap = Vec::new();
         let clone = f.clone_op_into(for_op, b, &mut vmap);
         assert_eq!(f.op(clone).kind, OpKind::For);
         assert_eq!(f.op(clone).regions.len(), 1);

@@ -12,6 +12,10 @@
 //! types    := type | '(' type (',' type)* ')'
 //! attrs    := '{' IDENT '=' attr (',' IDENT '=' attr)* '}'
 //! ```
+//!
+//! A function name may also contain `-` and `.`, and a string attribute
+//! is read back from the `{:?}` form the printer writes, escapes and
+//! UTF-8 included.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -90,7 +94,7 @@ fn lex(src: &str) -> Result<Vec<(Tok, usize)>, ParseError> {
             '@' => {
                 i += 1;
                 let start = i;
-                while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
+                while i < b.len() && (b[i].is_ascii_alphanumeric() || b"_-.".contains(&b[i])) {
                     i += 1;
                 }
                 toks.push((Tok::Symbol(src[start..i].to_string()), line));
@@ -104,28 +108,11 @@ fn lex(src: &str) -> Result<Vec<(Tok, usize)>, ParseError> {
                 toks.push((Tok::Caret, line));
             }
             '"' => {
-                i += 1;
-                let mut s = String::new();
-                while i < b.len() && b[i] != b'"' {
-                    if b[i] == b'\\' && i + 1 < b.len() {
-                        i += 1;
-                        match b[i] {
-                            b'n' => s.push('\n'),
-                            b't' => s.push('\t'),
-                            other => s.push(other as char),
-                        }
-                    } else {
-                        s.push(b[i] as char);
-                    }
-                    i += 1;
-                }
-                if i >= b.len() {
-                    return Err(ParseError {
-                        line,
-                        msg: "unterminated string".into(),
-                    });
-                }
-                i += 1;
+                let (s, len) = unescape(&src[i + 1..]).map_err(|msg| ParseError {
+                    line,
+                    msg: msg.into(),
+                })?;
+                i += 1 + len;
                 toks.push((Tok::Str(s), line));
             }
             '-' | '0'..='9' => {
@@ -198,6 +185,40 @@ fn lex(src: &str) -> Result<Vec<(Tok, usize)>, ParseError> {
     }
     toks.push((Tok::Eof, line));
     Ok(toks)
+}
+
+/// Decodes a string literal's body as `{:?}` writes it, through the
+/// closing quote; returns the text and the bytes consumed. An escape it
+/// does not name (`\\`, `\"`, `\'`) stands for its character.
+fn unescape(body: &str) -> Result<(String, usize), &'static str> {
+    let mut out = String::new();
+    let mut chars = body.chars();
+    loop {
+        match chars.next().ok_or("unterminated string")? {
+            '"' => return Ok((out, body.len() - chars.as_str().len())),
+            '\\' => match chars.next().ok_or("unterminated string")? {
+                'n' => out.push('\n'),
+                't' => out.push('\t'),
+                'r' => out.push('\r'),
+                '0' => out.push('\0'),
+                'u' => {
+                    let (hex, rest) = chars
+                        .as_str()
+                        .strip_prefix('{')
+                        .and_then(|r| r.split_once('}'))
+                        .ok_or("bad \\u escape")?;
+                    let c = u32::from_str_radix(hex, 16)
+                        .ok()
+                        .and_then(char::from_u32)
+                        .ok_or("bad \\u escape")?;
+                    out.push(c);
+                    chars = rest.chars();
+                }
+                other => out.push(other),
+            },
+            c => out.push(c),
+        }
+    }
 }
 
 impl Lexer {
@@ -707,6 +728,54 @@ mod tests {
             T::tensor(vec![8], crate::types::DType::I32)
         );
         assert!(matches!(f.ty(f.params()[2]), T::Aref(2, _)));
+    }
+
+    /// Prints a module whose function `name` carries string attr `s`,
+    /// parses it back, and returns the text and the attr it read.
+    fn str_attr_roundtrip(name: &str, s: &str) -> (String, String, Option<String>) {
+        let mut m = build_module(name, &[], |_, _| {});
+        m.funcs[0].attrs.set("note", Attr::Str(s.to_string()));
+        let printed = print_module(&m);
+        let back = parse_module(&printed).expect("parse");
+        let note = back.funcs[0].attrs.str("note").map(str::to_string);
+        (printed, print_module(&back), note)
+    }
+
+    #[test]
+    fn string_escapes_roundtrip() {
+        for s in [
+            "a\rb",
+            "a\0b",
+            "é",
+            "tab\there \"q\" \\ '",
+            "del\u{7f}",
+            "\u{200b}",
+        ] {
+            let (printed, reprinted, note) = str_attr_roundtrip("f", s);
+            assert_eq!(note.as_deref(), Some(s), "{printed}");
+            assert_eq!(reprinted, printed);
+        }
+    }
+
+    #[test]
+    fn function_names_with_dashes_and_dots_roundtrip() {
+        for name in ["my-kernel", "k.v2"] {
+            let (printed, reprinted, _) = str_attr_roundtrip(name, "x");
+            assert_eq!(reprinted, printed);
+            assert_eq!(parse_module(&printed).unwrap().funcs[0].name, name);
+        }
+    }
+
+    #[test]
+    fn bad_string_escapes_are_errors() {
+        for src in [
+            r#"module attributes {a = "\u{110000}"} { }"#,
+            r#"module attributes {a = "\u{zz}"} { }"#,
+            r#"module attributes {a = "\u{41"} { }"#,
+            r#"module attributes {a = "open"#,
+        ] {
+            assert!(parse_module(src).is_err(), "{src}");
+        }
     }
 
     #[test]

@@ -3,11 +3,9 @@
 //! keep the IR small (node duplication in the partitioner intentionally
 //! creates redundancy that folding/DCE then tidies per partition).
 
-use std::collections::HashSet;
-
 use crate::diag::Diagnostic;
 use crate::func::{Func, Module, ValueDef};
-use crate::op::{Attr, OpId, OpKind};
+use crate::op::{Attr, OpId, OpKind, ValueId};
 use crate::pass::Pass;
 
 /// Dead code elimination: deletes pure ops whose results are all unused,
@@ -32,14 +30,17 @@ impl Pass for Dce {
 pub fn run_dce(f: &mut Func) -> usize {
     let mut erased = 0;
     loop {
-        let mut used: HashSet<_> = HashSet::new();
-        for op in f.walk() {
+        let live = f.walk();
+        let mut used = vec![false; f.num_values()];
+        for &op in &live {
             for &v in &f.op(op).operands {
-                used.insert(v);
+                if let Some(u) = used.get_mut(v.0 as usize) {
+                    *u = true;
+                }
             }
         }
         let mut to_erase: Vec<OpId> = Vec::new();
-        for op in f.walk() {
+        for op in live {
             let data = f.op(op);
             if data.kind.has_side_effect() {
                 continue;
@@ -58,7 +59,8 @@ pub fn run_dce(f: &mut Func) -> usize {
                     continue;
                 }
             }
-            if data.results.iter().all(|r| !used.contains(r)) {
+            let is_used = |r: &ValueId| used.get(r.0 as usize).copied().unwrap_or(false);
+            if !data.results.iter().any(is_used) {
                 to_erase.push(op);
             }
         }
@@ -92,7 +94,7 @@ impl Pass for ConstFold {
     }
 }
 
-fn const_int_of(f: &Func, v: crate::op::ValueId) -> Option<i64> {
+fn const_int_of(f: &Func, v: ValueId) -> Option<i64> {
     if let ValueDef::OpResult { op, .. } = f.value(v).def {
         if f.op(op).kind == OpKind::ConstInt && !f.op(op).dead {
             return f.op(op).attrs.int("value");

@@ -2,9 +2,11 @@
 //!
 //! Checks structural invariants (SSA scoping, terminators, region shapes)
 //! and per-op typing rules matching what [`crate::builder`] infers. Run
-//! between passes by the [`crate::pass::PassManager`].
+//! between passes by the [`crate::pass::PassManager`], after every pass
+//! that changed the module, in every build: it borrows from the function
+//! it checks and keeps its scope in a table indexed by value id (an id
+//! past the value arena is reported, never indexed), so that stays cheap.
 
-use std::collections::HashSet;
 use std::fmt;
 
 use crate::func::{Func, Module};
@@ -58,12 +60,13 @@ pub fn verify_func(f: &Func) -> Result<(), Vec<VerifyError>> {
     let mut v = Verifier {
         f,
         errs: Vec::new(),
-        scope: Vec::new(),
-        in_scope: HashSet::new(),
+        defined: Vec::new(),
+        in_scope: vec![false; f.num_values()],
     };
-    v.push_scope(f.params());
+    for &p in f.params() {
+        v.define(p);
+    }
     v.verify_region(f.body, None);
-    v.pop_scope();
     if v.errs.is_empty() {
         Ok(())
     } else {
@@ -74,8 +77,11 @@ pub fn verify_func(f: &Func) -> Result<(), Vec<VerifyError>> {
 struct Verifier<'f> {
     f: &'f Func,
     errs: Vec<VerifyError>,
-    scope: Vec<Vec<ValueId>>,
-    in_scope: HashSet<ValueId>,
+    /// Values defined so far, innermost last; a block truncates it back to
+    /// its length on entry when it ends.
+    defined: Vec<ValueId>,
+    /// `in_scope[v]`: `v` is in `defined`.
+    in_scope: Vec<bool>,
 }
 
 impl<'f> Verifier<'f> {
@@ -88,55 +94,61 @@ impl<'f> Verifier<'f> {
         });
     }
 
-    fn push_scope(&mut self, vals: &[ValueId]) {
-        for &v in vals {
-            self.in_scope.insert(v);
-        }
-        self.scope.push(vals.to_vec());
+    fn is_value(&self, v: ValueId) -> bool {
+        (v.0 as usize) < self.in_scope.len()
     }
 
-    fn pop_scope(&mut self) {
-        if let Some(vals) = self.scope.pop() {
-            for v in vals {
-                self.in_scope.remove(&v);
+    fn visible(&self, v: ValueId) -> bool {
+        self.in_scope.get(v.0 as usize).copied().unwrap_or(false)
+    }
+
+    fn define(&mut self, v: ValueId) {
+        if let Some(seen) = self.in_scope.get_mut(v.0 as usize) {
+            *seen = true;
+            self.defined.push(v);
+        }
+    }
+
+    fn end_scope(&mut self, mark: usize) {
+        for v in self.defined.drain(mark..) {
+            if let Some(seen) = self.in_scope.get_mut(v.0 as usize) {
+                *seen = false;
             }
         }
     }
 
-    fn define(&mut self, v: ValueId) {
-        self.in_scope.insert(v);
-        self.scope.last_mut().expect("scope stack nonempty").push(v);
-    }
-
     fn verify_region(&mut self, region: RegionId, parent_op: Option<OpId>) {
-        let blocks = &self.f.region(region).blocks;
+        let f = self.f;
+        let blocks = &f.region(region).blocks;
         if blocks.is_empty() {
             self.error(parent_op, "region has no blocks".into());
             return;
         }
         for &block in blocks {
-            let args = self.f.block(block).args.clone();
-            self.push_scope(&args);
-            let ops = self.f.block(block).ops.clone();
-            for (i, &op) in ops.iter().enumerate() {
-                if self.f.op(op).dead {
+            let mark = self.defined.len();
+            let block = f.block(block);
+            for &a in &block.args {
+                self.define(a);
+            }
+            for (i, &op) in block.ops.iter().enumerate() {
+                if f.op(op).dead {
                     self.error(Some(op), "dead op still in block list".into());
                     continue;
                 }
-                let is_last = i + 1 == ops.len();
-                if self.f.op(op).kind.is_terminator() && !is_last {
+                let is_last = i + 1 == block.ops.len();
+                if f.op(op).kind.is_terminator() && !is_last {
                     self.error(Some(op), "terminator not at end of block".into());
                 }
                 self.verify_op(op);
-                for &v in self.f.results(op) {
+                for &v in f.results(op) {
                     self.define(v);
                 }
             }
-            self.pop_scope();
+            self.end_scope(mark);
         }
     }
 
-    fn ty(&self, v: ValueId) -> &Type {
+    fn ty(&self, v: ValueId) -> &'f Type {
         self.f.ty(v)
     }
 
@@ -161,12 +173,33 @@ impl<'f> Verifier<'f> {
     }
 
     fn verify_op(&mut self, op: OpId) {
-        let data = self.f.op(op);
+        let f = self.f;
+        let data = f.op(op);
         let kind = data.kind;
-        // SSA scoping: all operands must be visible here.
-        for &o in &data.operands {
-            if !self.in_scope.contains(&o) {
+        let operands = &data.operands[..];
+        let results = &data.results[..];
+        // Ids first: a pass may push any `ValueId`, and the type rules
+        // below index the value arena.
+        let mut foreign = false;
+        for &o in operands {
+            if !self.is_value(o) {
+                foreign = true;
+                self.error(
+                    Some(op),
+                    format!("operand {o} is not a value of this function"),
+                );
+            } else if !self.visible(o) {
+                // SSA scoping: all operands must be visible here.
                 self.error(Some(op), format!("operand {o} does not dominate this use"));
+            }
+        }
+        for &r in results {
+            if !self.is_value(r) {
+                foreign = true;
+                self.error(
+                    Some(op),
+                    format!("result {r} is not a value of this function"),
+                );
             }
         }
         // Region arity.
@@ -180,13 +213,14 @@ impl<'f> Verifier<'f> {
                 ),
             );
         }
-        let operands = data.operands.clone();
-        let results = data.results.clone();
+        if foreign {
+            return;
+        }
         match kind {
             OpKind::ConstInt => {
                 self.check_operand_count(op, 0);
                 if self.check_result_count(op, 1) {
-                    if self.f.op(op).attrs.int("value").is_none() {
+                    if data.attrs.int("value").is_none() {
                         self.error(Some(op), "const_int requires integer `value` attr".into());
                     }
                     let t = self.ty(results[0]);
@@ -198,7 +232,7 @@ impl<'f> Verifier<'f> {
             OpKind::ConstFloat => {
                 self.check_operand_count(op, 0);
                 if self.check_result_count(op, 1) {
-                    if self.f.op(op).attrs.float("value").is_none() {
+                    if data.attrs.float("value").is_none() {
                         self.error(Some(op), "const_float requires float `value` attr".into());
                     }
                     let t = self.ty(results[0]);
@@ -219,7 +253,7 @@ impl<'f> Verifier<'f> {
             OpKind::ProgramId | OpKind::NumPrograms => {
                 self.check_operand_count(op, 0);
                 if self.check_result_count(op, 1) {
-                    let axis = self.f.op(op).attrs.int("axis");
+                    let axis = data.attrs.int("axis");
                     if !matches!(axis, Some(0..=2)) {
                         self.error(Some(op), "axis attr must be 0, 1 or 2".into());
                     }
@@ -229,17 +263,15 @@ impl<'f> Verifier<'f> {
                 && self.check_operand_count(op, 2)
                 && self.check_result_count(op, 1) =>
             {
-                let ta = self.ty(operands[0]).clone();
-                let tb = self.ty(operands[1]).clone();
-                match ta.broadcast_with(&tb) {
+                let ta = self.ty(operands[0]);
+                let tb = self.ty(operands[1]);
+                match ta.broadcast_with(tb) {
                     Some(rt) => {
-                        if *self.ty(results[0]) != rt {
+                        let tr = self.ty(results[0]);
+                        if *tr != rt {
                             self.error(
                                 Some(op),
-                                format!(
-                                    "result type {} does not match inferred {rt}",
-                                    self.ty(results[0])
-                                ),
+                                format!("result type {tr} does not match inferred {rt}"),
                             );
                         }
                     }
@@ -260,7 +292,7 @@ impl<'f> Verifier<'f> {
                 }
             }
             OpKind::Cmp if self.check_operand_count(op, 2) && self.check_result_count(op, 1) => {
-                match self.f.op(op).attrs.str("pred").and_then(CmpPred::parse) {
+                match data.attrs.str("pred").and_then(CmpPred::parse) {
                     Some(_) => {}
                     None => self.error(Some(op), "cmp requires valid `pred` attr".into()),
                 }
@@ -272,18 +304,18 @@ impl<'f> Verifier<'f> {
                     self.error(Some(op), format!("select arms differ: {tt} vs {te}"));
                 }
             }
-            OpKind::Cast if self.check_operand_count(op, 1) && self.check_result_count(op, 1) => {
-                let si = self.ty(operands[0]).shape().cloned();
-                let so = self.ty(results[0]).shape().cloned();
-                if si != so {
-                    self.error(Some(op), "cast must preserve shape".into());
-                }
+            OpKind::Cast
+                if self.check_operand_count(op, 1)
+                    && self.check_result_count(op, 1)
+                    && self.ty(operands[0]).shape() != self.ty(results[0]).shape() =>
+            {
+                self.error(Some(op), "cast must preserve shape".into());
             }
             OpKind::Arange => {
                 self.check_operand_count(op, 0);
                 if self.check_result_count(op, 1) {
-                    let a = self.f.op(op).attrs.int("start");
-                    let b = self.f.op(op).attrs.int("end");
+                    let a = data.attrs.int("start");
+                    let b = data.attrs.int("end");
                     match (a, b, self.ty(results[0]).shape()) {
                         (Some(s), Some(e), Some(shape)) if e > s => {
                             if shape.rank() != 1 || shape.dim(0) != (e - s) as usize {
@@ -315,13 +347,12 @@ impl<'f> Verifier<'f> {
             OpKind::ReduceMax | OpKind::ReduceSum
                 if self.check_operand_count(op, 1) && self.check_result_count(op, 1) =>
             {
-                let axis = self.f.op(op).attrs.int("axis");
-                let si = self.ty(operands[0]).shape().cloned();
-                match (axis, si) {
+                let axis = data.attrs.int("axis");
+                match (axis, self.ty(operands[0]).shape()) {
                     (Some(a), Some(s)) if (a as usize) < s.rank() => {
                         let mut want = s.0.clone();
                         want.remove(a as usize);
-                        if self.ty(results[0]).shape().map(|x| x.0.clone()) != Some(want) {
+                        if self.ty(results[0]).shape().map(|r| &r.0) != Some(&want) {
                             self.error(Some(op), "reduce result shape mismatch".into());
                         }
                     }
@@ -329,9 +360,9 @@ impl<'f> Verifier<'f> {
                 }
             }
             OpKind::Dot if self.check_operand_count(op, 3) && self.check_result_count(op, 1) => {
-                let sa = self.ty(operands[0]).shape().cloned();
-                let sb = self.ty(operands[1]).shape().cloned();
-                let sc = self.ty(operands[2]).shape().cloned();
+                let sa = self.ty(operands[0]).shape();
+                let sb = self.ty(operands[1]).shape();
+                let sc = self.ty(operands[2]).shape();
                 match (sa, sb, sc) {
                     (Some(a), Some(b), Some(c))
                         if a.rank() == 2 && b.rank() == 2 && c.rank() == 2 =>
@@ -381,20 +412,18 @@ impl<'f> Verifier<'f> {
             {
                 self.error(Some(op), "addptr base must be ptr".into());
             }
-            OpKind::Load if self.check_operand_count(op, 1) && self.check_result_count(op, 1) => {
-                let sa = self.ty(operands[0]).shape().cloned();
-                let sr = self.ty(results[0]).shape().cloned();
-                if sa != sr {
-                    self.error(Some(op), "load result shape must match addrs".into());
-                }
+            OpKind::Load
+                if self.check_operand_count(op, 1)
+                    && self.check_result_count(op, 1)
+                    && self.ty(operands[0]).shape() != self.ty(results[0]).shape() =>
+            {
+                self.error(Some(op), "load result shape must match addrs".into());
             }
             OpKind::Store => {
-                if self.check_operand_count(op, 2) {
-                    let sa = self.ty(operands[0]).shape().cloned();
-                    let sv = self.ty(operands[1]).shape().cloned();
-                    if sa != sv {
-                        self.error(Some(op), "store value shape must match addrs".into());
-                    }
+                if self.check_operand_count(op, 2)
+                    && self.ty(operands[0]).shape() != self.ty(operands[1]).shape()
+                {
+                    self.error(Some(op), "store value shape must match addrs".into());
                 }
                 self.check_result_count(op, 0);
             }
@@ -409,9 +438,12 @@ impl<'f> Verifier<'f> {
                             format!("for has {n_iter} iter args but {} results", results.len()),
                         );
                     }
-                    if !data.regions.is_empty() {
-                        let body = self.f.entry_block(data.regions[0]);
-                        let args = self.f.block(body).args.clone();
+                    let body = data
+                        .regions
+                        .first()
+                        .and_then(|&r| f.region(r).blocks.first());
+                    if let Some(&body) = body {
+                        let args = &f.block(body).args;
                         if args.len() != n_iter + 1 {
                             self.error(
                                 Some(op),
@@ -433,9 +465,9 @@ impl<'f> Verifier<'f> {
                             }
                         }
                         // Body must end in a yield of the iter types.
-                        match self.f.block(body).ops.last() {
-                            Some(&last) if self.f.op(last).kind == OpKind::Yield => {
-                                let yops = self.f.op(last).operands.clone();
+                        match f.block(body).ops.last() {
+                            Some(&last) if f.op(last).kind == OpKind::Yield => {
+                                let yops = &f.op(last).operands;
                                 if yops.len() != n_iter {
                                     self.error(
                                         Some(op),
@@ -445,9 +477,10 @@ impl<'f> Verifier<'f> {
                                         ),
                                     );
                                 } else {
-                                    for (i, (&y, &r)) in yops.iter().zip(results.iter()).enumerate()
-                                    {
-                                        if self.ty(y) != self.ty(r) {
+                                    // A foreign yield operand is the
+                                    // yield's own error, reported below.
+                                    for (i, (&y, &r)) in yops.iter().zip(results).enumerate() {
+                                        if self.is_value(y) && self.ty(y) != self.ty(r) {
                                             self.error(
                                                 Some(op),
                                                 format!("yield value {i} type mismatch"),
@@ -461,7 +494,7 @@ impl<'f> Verifier<'f> {
                     }
                 }
                 // verify the nested region with the loop scope
-                for &r in &self.f.op(op).regions.clone() {
+                for &r in &data.regions {
                     self.verify_region(r, Some(op));
                 }
             }
@@ -471,10 +504,9 @@ impl<'f> Verifier<'f> {
             OpKind::CreateAref => {
                 self.check_operand_count(op, 0);
                 if self.check_result_count(op, 1) {
-                    match self.ty(results[0]).clone() {
+                    match self.ty(results[0]) {
                         Type::Aref(depth, payload) => {
-                            let attr_depth = self.f.op(op).attrs.int("depth");
-                            if attr_depth != Some(depth as i64) {
+                            if data.attrs.int("depth") != Some(*depth as i64) {
                                 self.error(
                                     Some(op),
                                     "create_aref depth attr must match type".into(),
@@ -494,7 +526,7 @@ impl<'f> Verifier<'f> {
             OpKind::ArefPut => {
                 if operands.len() < 3 {
                     self.error(Some(op), "put needs (aref, slot, payload...)".into());
-                } else if let Type::Aref(_, payload) = self.ty(operands[0]).clone() {
+                } else if let Type::Aref(_, payload) = self.ty(operands[0]) {
                     let given = &operands[2..];
                     if given.len() != payload.len() {
                         self.error(
@@ -506,7 +538,7 @@ impl<'f> Verifier<'f> {
                             ),
                         );
                     } else {
-                        for (i, (&g, p)) in given.iter().zip(payload.iter()).enumerate() {
+                        for (i, (&g, p)) in given.iter().zip(payload).enumerate() {
                             if self.ty(g) != p {
                                 self.error(Some(op), format!("put payload {i} type mismatch"));
                             }
@@ -517,11 +549,11 @@ impl<'f> Verifier<'f> {
                 }
             }
             OpKind::ArefGet if self.check_operand_count(op, 2) => {
-                if let Type::Aref(_, payload) = self.ty(operands[0]).clone() {
+                if let Type::Aref(_, payload) = self.ty(operands[0]) {
                     if results.len() != payload.len() {
                         self.error(Some(op), "get result arity != aref payload".into());
                     } else {
-                        for (i, (&r, p)) in results.iter().zip(payload.iter()).enumerate() {
+                        for (i, (&r, p)) in results.iter().zip(payload).enumerate() {
                             if self.ty(r) != p {
                                 self.error(Some(op), format!("get result {i} type mismatch"));
                             }
@@ -540,17 +572,17 @@ impl<'f> Verifier<'f> {
             OpKind::WarpGroup => {
                 self.check_operand_count(op, 0);
                 self.check_result_count(op, 0);
-                if self.f.op(op).attrs.int("partition").is_none() {
+                if data.attrs.int("partition").is_none() {
                     self.error(Some(op), "warp_group requires partition attr".into());
                 }
-                for &r in &self.f.op(op).regions.clone() {
+                for &r in &data.regions {
                     self.verify_region(r, Some(op));
                 }
             }
             OpKind::DotWait
                 if self.check_operand_count(op, 1) && self.check_result_count(op, 1) =>
             {
-                if self.f.op(op).attrs.int("pendings").is_none() {
+                if data.attrs.int("pendings").is_none() {
                     self.error(Some(op), "dot_wait requires pendings attr".into());
                 }
                 if self.ty(operands[0]) != self.ty(results[0]) {
@@ -745,5 +777,93 @@ mod tests {
             attrs,
         );
         assert!(verify_func(&f).is_ok());
+    }
+
+    /// Runs the verifier and returns its messages, asserting it failed.
+    fn messages(m: &crate::func::Module) -> Vec<String> {
+        let errs = verify_module(m).unwrap_err();
+        errs.into_iter().map(|e| e.msg).collect()
+    }
+
+    #[test]
+    fn rejects_loop_body_value_used_after_the_loop() {
+        let m = build_module("f", &[], |b, _| {
+            let lo = b.const_i32(0);
+            let mut inner = None;
+            b.for_loop(lo, lo, lo, &[], |b, iv, _| {
+                inner = Some(b.add(iv, iv));
+                vec![]
+            });
+            let inner = inner.unwrap();
+            b.add(inner, lo);
+        });
+        let msgs = messages(&m);
+        assert_eq!(msgs.len(), 1, "{msgs:?}");
+        assert!(msgs[0].contains("does not dominate"), "{msgs:?}");
+    }
+
+    #[test]
+    fn rejects_loop_block_argument_used_outside_the_loop() {
+        let m = build_module("f", &[], |b, _| {
+            let lo = b.const_i32(0);
+            let mut leaked = None;
+            b.for_loop(lo, lo, lo, &[lo], |_, iv, iters| {
+                leaked = Some(iv);
+                vec![iters[0]]
+            });
+            b.add(leaked.unwrap(), lo);
+        });
+        let msgs = messages(&m);
+        assert_eq!(msgs.len(), 1, "{msgs:?}");
+        assert!(msgs[0].contains("does not dominate"), "{msgs:?}");
+    }
+
+    #[test]
+    fn rejects_ssa_edge_between_warp_groups() {
+        // The partitioner's invariant: warp groups talk only through arefs.
+        let m = build_module("f", &[], |b, _| {
+            let mut produced = None;
+            b.warp_group(0, "producer", |b| produced = Some(b.const_i32(1)));
+            b.warp_group(1, "consumer", |b| {
+                let one = b.const_i32(1);
+                b.add(produced.unwrap(), one);
+            });
+        });
+        let msgs = messages(&m);
+        assert_eq!(msgs.len(), 1, "{msgs:?}");
+        assert!(msgs[0].contains("does not dominate"), "{msgs:?}");
+    }
+
+    #[test]
+    fn foreign_value_id_is_reported_not_indexed() {
+        let mut f = Func::new("f", &[]);
+        let b = f.body_block();
+        let x = f.const_int(b, 1, Type::i32());
+        let bogus = ValueId(u32::MAX);
+        f.push_op(
+            b,
+            OpKind::Add,
+            vec![bogus, x],
+            vec![Type::i32()],
+            AttrMap::new(),
+        );
+        let errs = verify_func(&f).unwrap_err();
+        let msgs: Vec<&str> = errs.iter().map(|e| e.msg.as_str()).collect();
+        assert_eq!(
+            msgs,
+            ["operand %4294967295 is not a value of this function"]
+        );
+        // A result id the arena never allocated is reported the same way.
+        let mut f = Func::new("g", &[]);
+        let b = f.body_block();
+        let c = f.const_int(b, 1, Type::i32());
+        let op = f.defining_op(c).unwrap();
+        f.op_mut(op).results = vec![bogus];
+        let errs = verify_func(&f).unwrap_err();
+        assert_eq!(
+            errs[0].msg,
+            "result %4294967295 is not a value of this function"
+        );
+        assert_eq!(errs.len(), 1, "{errs:?}");
     }
 }

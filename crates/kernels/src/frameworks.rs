@@ -17,7 +17,8 @@ use crate::templates::{ws_attention, ws_gemm, AttentionStrategy, GemmStrategy};
 
 /// Documented calibration constants for library maturity differences.
 /// These are the only per-framework fudge factors in the reproduction
-/// (declared in DESIGN.md §6); everything else emerges from scheduling.
+/// (the `tawa_kernels` row of ARCHITECTURE.md's "Crate → paper-section
+/// map": §V baselines); everything else emerges from scheduling.
 pub mod maturity {
     /// Host launch overhead of the closed-source cuBLAS runtime (ns).
     pub const CUBLAS_LAUNCH_NS: u64 = 2_200;

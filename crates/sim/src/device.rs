@@ -2,8 +2,9 @@
 //! occupancy calculator.
 //!
 //! All absolute performance in the reproduction derives from these numbers
-//! (see DESIGN.md §6). They are set once for an H100 SXM5 and are *not*
-//! tuned per framework — relative results emerge from scheduling behaviour.
+//! (see the `gpu_sim` row of ARCHITECTURE.md's "Crate → paper-section
+//! map"). They are set once for an H100 SXM5 and are *not* tuned per
+//! framework — relative results emerge from scheduling behaviour.
 
 use tawa_wsir::{Kernel, MmaDtype};
 

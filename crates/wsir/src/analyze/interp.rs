@@ -41,7 +41,7 @@
 //! releases are then checked for a barrier edge in every parity — a
 //! missing edge is a shared-memory race.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 use super::{InstrPath, Lint, LintKind};
 use crate::instr::{BarId, Count, Instr, Role};
@@ -170,10 +170,11 @@ fn scan_static(k: &Kernel, lints: &mut Vec<Lint>) {
 /// `empty` barrier (credit-initialized guard the writer consumes before
 /// reusing the slot), and its inverse. Shared with the performance tier
 /// ([`super::perf`]), which uses it to tell slot-guarding barrier edges
-/// apart from pure synchronization.
+/// apart from pure synchronization. Both are indexed by barrier; an index
+/// past the end is unpaired.
 pub(super) struct Pairs {
-    pub(super) guard_of: HashMap<usize, usize>,
-    pub(super) data_of: HashMap<usize, usize>,
+    pub(super) guard_of: Vec<Option<usize>>,
+    pub(super) data_of: Vec<Option<usize>>,
 }
 
 /// Recovers slot pairs from the emitted protocol shape. Primary evidence
@@ -187,18 +188,12 @@ pub(super) struct Pairs {
 pub(super) fn derive_pairs(k: &Kernel) -> Pairs {
     let nbars = k.barriers.len();
     let init = |b: usize| k.barriers[b].init_phases;
-    // data -> Some(guard) candidate, None = conflicting evidence.
-    let mut cand: HashMap<usize, Option<usize>> = HashMap::new();
-    let mut writers: HashMap<usize, HashSet<usize>> = HashMap::new();
-
-    let merge = |cand: &mut HashMap<usize, Option<usize>>, f: usize, e: usize| {
-        cand.entry(f)
-            .and_modify(|c| {
-                if *c != Some(e) {
-                    *c = None;
-                }
-            })
-            .or_insert(Some(e));
+    // Per barrier, all indexed by the `< nbars` checks below. `cand[f]`:
+    // no evidence yet, `Some(Some(guard))`, or `Some(None)` = conflicting.
+    let mut cand: Vec<Option<Option<usize>>> = vec![None; nbars];
+    let mut writers: Vec<Vec<usize>> = vec![Vec::new(); nbars];
+    let merge = |cand: &mut [Option<Option<usize>>], f: usize, e: usize| {
+        cand[f] = Some(cand[f].map_or(Some(e), |c| c.filter(|&g| g == e)));
     };
 
     for (wi, wg) in k.warp_groups.iter().enumerate() {
@@ -210,7 +205,9 @@ pub(super) fn derive_pairs(k: &Kernel) -> Pairs {
             }
             Instr::TmaLoad { bar, .. } if (bar.0 as usize) < nbars => {
                 let f = bar.0 as usize;
-                writers.entry(f).or_default().insert(wi);
+                if !writers[f].contains(&wi) {
+                    writers[f].push(wi);
+                }
                 if let Some(e) = last_wait {
                     if e != f && init(e) >= 1 && init(f) == 0 {
                         merge(&mut cand, f, e);
@@ -222,14 +219,13 @@ pub(super) fn derive_pairs(k: &Kernel) -> Pairs {
     }
 
     // Reader-derived fallback for data barriers with no writer evidence.
-    let data_bars: HashSet<usize> = writers.keys().copied().collect();
     for wg in &k.warp_groups {
         let mut fifo: VecDeque<usize> = VecDeque::new();
         let mut path = Vec::new();
         super::visit_with_path(&wg.body, &mut path, &mut |i, _| match i {
             Instr::MbarWait { bar } if (bar.0 as usize) < nbars => {
                 let f = bar.0 as usize;
-                if data_bars.contains(&f) && init(f) == 0 && !cand.contains_key(&f) {
+                if !writers[f].is_empty() && init(f) == 0 && cand[f].is_none() {
                     fifo.push_back(f);
                 }
             }
@@ -245,19 +241,24 @@ pub(super) fn derive_pairs(k: &Kernel) -> Pairs {
         });
     }
 
-    let mut guard_of: HashMap<usize, usize> = HashMap::new();
-    let mut guard_claims: HashMap<usize, usize> = HashMap::new();
-    for (f, c) in &cand {
-        let Some(e) = c else { continue };
-        if writers.get(f).map(HashSet::len).unwrap_or(0) > 1 {
+    let mut guard_of = vec![None; nbars];
+    let mut guard_claims = vec![0usize; nbars];
+    for (f, &c) in cand.iter().enumerate() {
+        let Some(Some(e)) = c else { continue };
+        if writers[f].len() > 1 {
             continue; // multiple writers: ownership unclear
         }
-        *guard_claims.entry(*e).or_insert(0) += 1;
-        guard_of.insert(*f, *e);
+        guard_claims[e] += 1;
+        guard_of[f] = Some(e);
     }
     // A guard claimed by several data barriers is ambiguous; drop all.
-    guard_of.retain(|_, e| guard_claims[e] == 1);
-    let data_of = guard_of.iter().map(|(f, e)| (*e, *f)).collect();
+    let mut data_of = vec![None; nbars];
+    for (f, guard) in guard_of.iter_mut().enumerate() {
+        match *guard {
+            Some(e) if guard_claims[e] == 1 => data_of[e] = Some(f),
+            _ => *guard = None,
+        }
+    }
     Pairs { guard_of, data_of }
 }
 
@@ -342,13 +343,13 @@ impl Reach {
                 match i {
                     Instr::TmaLoad { bar, .. } => {
                         let f = bar.0 as usize;
-                        if let Some(&e) = pairs.guard_of.get(&f) {
+                        if let Some(&Some(e)) = pairs.guard_of.get(f) {
                             r.loads_into.push((f, e));
                         }
                     }
                     Instr::MbarArrive { bar } => {
                         let e = bar.0 as usize;
-                        if let Some(&f) = pairs.data_of.get(&e) {
+                        if let Some(&Some(f)) = pairs.data_of.get(e) {
                             r.releases.push((e, f));
                         }
                     }
@@ -642,7 +643,7 @@ impl<'a> Machine<'a> {
                 .collect(),
             sync_count: 0,
             slots: (0..nb)
-                .map(|f| pairs.guard_of.contains_key(&f).then(SlotState::default))
+                .map(|f| pairs.guard_of[f].map(|_| SlotState::default()))
                 .collect(),
             in_flight: 0,
             max_in_flight: 0,
@@ -763,7 +764,7 @@ impl<'a> Machine<'a> {
                 }
                 Instr::TmaLoad { bytes, bar } => {
                     let f = bar.0 as usize;
-                    if let Some(&e) = pairs.guard_of.get(&f) {
+                    if let Some(&Some(e)) = pairs.guard_of.get(f) {
                         let st = self.slots[f].as_mut().expect("paired barriers have slots");
                         let per_phase = self.bars[f].arrive_count as u64;
                         let g = st.loads / per_phase;
@@ -812,7 +813,7 @@ impl<'a> Machine<'a> {
                 }
                 Instr::MbarArrive { bar } => {
                     let e = bar.0 as usize;
-                    let data = pairs.data_of.get(&e).copied();
+                    let data = pairs.data_of.get(e).copied().flatten();
                     if let Some(f) = data {
                         let j = self.actors[ai].releases[e];
                         let init_f = k.barriers[f].init_phases as u64;
@@ -958,8 +959,9 @@ impl<'a> Machine<'a> {
         }
         sig.extend(self.bars.iter().map(|b| b.arrivals as u64));
         for (f, slot) in self.slots.iter().enumerate() {
-            let Some(slot) = slot else { continue };
-            let e = self.pairs.guard_of[&f];
+            let (Some(slot), Some(&Some(e))) = (slot, self.pairs.guard_of.get(f)) else {
+                continue;
+            };
             sig.extend([
                 slot.loads % self.bars[f].arrive_count as u64,
                 // The overwrite check only asks whether the generation is

@@ -195,7 +195,7 @@ fn single_buffered(k: &Kernel, model: &PerfModel, pairs: &interp::Pairs, lints: 
             let mut slots: BTreeMap<u32, u64> = BTreeMap::new();
             for instr in body {
                 if let Instr::TmaLoad { bytes, bar } = instr {
-                    if pairs.guard_of.contains_key(&(bar.0 as usize)) {
+                    if matches!(pairs.guard_of.get(bar.0 as usize), Some(Some(_))) {
                         *slots.entry(bar.0).or_insert(0) += bytes;
                     }
                 }
@@ -249,7 +249,7 @@ fn over_synchronized(k: &Kernel, pairs: &interp::Pairs, lints: &mut Vec<Lint>) {
         });
     }
     for b in 0..nbars {
-        let guards_slot = pairs.guard_of.contains_key(&b) || pairs.data_of.contains_key(&b);
+        let guards_slot = pairs.guard_of[b].is_some() || pairs.data_of[b].is_some();
         if waited[b] && arrived[b] && !tma_fed[b] && !guards_slot {
             let mut lint = Lint::new(LintKind::OverSynchronized {
                 bar: BarId(b as u32),

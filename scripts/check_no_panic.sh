@@ -7,7 +7,9 @@
 # `period.rs`, `engine.rs` and `run.rs` walk kernels that may come from a
 # cache directory or a daemon: the class-family logic, the engine and the
 # fold over classes. `remote.rs` and `server.rs` are the two ends of the
-# `tawa-cached 1` protocol and parse bytes from a peer.
+# `tawa-cached 1` protocol and parse bytes from a peer. `verify.rs` and
+# `partition.rs` take modules that registered passes may have written:
+# a bad id is a diagnostic or an `Err`, never a panic.
 # Run from anywhere; CI's docs job fails on any hit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -23,6 +25,8 @@ FILES=(
     crates/serve/src/report.rs
     crates/core/src/remote.rs
     crates/cached/src/server.rs
+    crates/ir/src/verify.rs
+    crates/core/src/partition.rs
 )
 
 # Allowed exceptions: one `file:pattern` row each (an extended regex
