@@ -14,32 +14,20 @@
 //! `tests/proptest_aref.rs`) check it is observationally equivalent to the
 //! abstract [`crate::aref::ArefRing`] under arbitrary schedules — the
 //! correctness-by-construction claim of the paper.
+//!
+//! Its barriers are the simulator's and the static gate's
+//! ([`Mbarrier`]), each expecting one arrival per phase: the
+//! single-producer/single-consumer aref protocol.
 
-/// A phase-counting mbarrier (the completion side only; arrival counting
-/// is modelled in `gpu-sim`, which this model mirrors 1:1 for the
-/// single-producer/single-consumer aref protocol).
-#[derive(Debug, Clone, Default)]
-struct PhaseBarrier {
-    completed: u64,
-}
-
-impl PhaseBarrier {
-    fn with_credits(n: u64) -> PhaseBarrier {
-        PhaseBarrier { completed: n }
-    }
-
-    fn arrive(&mut self) {
-        self.completed += 1;
-    }
-}
+use tawa_wsir::walk::Mbarrier;
 
 /// Lowered `D`-slot aref ring: buffers + `full[D]`/`empty[D]` mbarriers +
 /// per-side phase counters.
 #[derive(Debug, Clone)]
 pub struct ParityChannel<T> {
     bufs: Vec<Option<T>>,
-    full: Vec<PhaseBarrier>,
-    empty: Vec<PhaseBarrier>,
+    full: Vec<Mbarrier>,
+    empty: Vec<Mbarrier>,
     /// Producer's consumed-phase counters for `empty[s]`.
     p_phase: Vec<u64>,
     /// Consumer's consumed-phase counters for `full[s]`.
@@ -59,8 +47,8 @@ impl<T: Clone> ParityChannel<T> {
         assert!(depth > 0, "parity channel depth must be positive");
         ParityChannel {
             bufs: vec![None; depth],
-            full: (0..depth).map(|_| PhaseBarrier::default()).collect(),
-            empty: (0..depth).map(|_| PhaseBarrier::with_credits(1)).collect(),
+            full: (0..depth).map(|_| Mbarrier::new(1, 0)).collect(),
+            empty: (0..depth).map(|_| Mbarrier::new(1, 1)).collect(),
             p_phase: vec![0; depth],
             c_phase: vec![0; depth],
             put_iter: 0,
@@ -89,7 +77,7 @@ impl<T: Clone> ParityChannel<T> {
     /// would block (the caller — a simulated warp group — retries later).
     pub fn try_put(&mut self, v: T) -> bool {
         let s = (self.put_iter % self.depth() as u64) as usize;
-        if self.empty[s].completed <= self.p_phase[s] {
+        if self.empty[s].completed_phases() <= self.p_phase[s] {
             return false; // would block on the empty barrier
         }
         self.p_phase[s] += 1;
@@ -103,7 +91,7 @@ impl<T: Clone> ParityChannel<T> {
     /// buffer. Returns `None` if the wait would block.
     pub fn try_get(&mut self) -> Option<T> {
         let s = (self.get_iter % self.depth() as u64) as usize;
-        if self.full[s].completed <= self.c_phase[s] {
+        if self.full[s].completed_phases() <= self.c_phase[s] {
             return None;
         }
         self.c_phase[s] += 1;
@@ -130,13 +118,13 @@ impl<T: Clone> ParityChannel<T> {
     /// True iff a `try_put` would currently succeed.
     pub fn can_put(&self) -> bool {
         let s = (self.put_iter % self.depth() as u64) as usize;
-        self.empty[s].completed > self.p_phase[s]
+        self.empty[s].completed_phases() > self.p_phase[s]
     }
 
     /// True iff a `try_get` would currently succeed.
     pub fn can_get(&self) -> bool {
         let s = (self.get_iter % self.depth() as u64) as usize;
-        self.full[s].completed > self.c_phase[s]
+        self.full[s].completed_phases() > self.c_phase[s]
     }
 }
 

@@ -10,24 +10,23 @@
 //! deadlock with a full state dump — the failure mode the paper's `aref`
 //! discipline is designed to rule out.
 //!
-//! # Skipping the steady state
+//! # What the engine is, and what it borrows
 //!
-//! A software-pipelined kernel spends almost all of its trips in a steady
-//! state: once the aref ring is full, every K-loop trip replays the one
-//! before it, one period later. The engine walks the prologue, a couple of
-//! periods and the epilogue, and jumps over the rest **exactly**.
+//! The engine is its event queue, its three pipes (tensor core, memory
+//! channel, the processor-shared CUDA pipe), the bandwidth it is
+//! provisioned with, the ten [`EngineStats`] counters and the deadlock
+//! report. How actors move through their programs (loop frames, trip
+//! counts), the barriers, skipping a loop's steady state and walking a
+//! kernel's CTA classes as one family are [`tawa_wsir::walk`]'s: the
+//! engine is one [`Walker`], the static gate the other, and what makes a
+//! skip or a shared prefix exact is told in [`tawa_wsir::period`]. An
+//! actor's cursor moves past an instruction as soon as it is fetched, so a
+//! woken waiter has already consumed its wait.
 //!
-//! The whole machine lives in one struct (`Sm`). At every loop back-edge
-//! of one *anchor* actor (CTA 0's busiest looping warp group,
-//! [`tawa_wsir::period::anchor_warp_group`]) it takes a **signature**: the
-//! state with everything that grows linearly taken out. If the signature
-//! equals one taken earlier, the interval between the two is a period; the
-//! shared detector ([`tawa_wsir::period`]) validates the loop frames and
-//! says how many periods `n` fit before any loop would exit, and
-//! `Sm::advance` moves every clock and counter by `n ×` its change over
-//! the period. Simulation then resumes event by event.
+//! # The engine's signature
 //!
-//! What is in the signature, and in which form:
+//! At the anchor's back-edges the walker asks for a signature: the state
+//! with everything that grows linearly taken out. The engine's holds
 //!
 //! * **times as offsets from now** — pending events in pop order as
 //!   `(time − now, event)`, `tc_free` / `mem_free` saturating at 0 (a
@@ -42,64 +41,35 @@
 //!   barrier state (`arrivals`, `tx_expected`, `tx_done`) and the
 //!   `syncthreads` rendezvous counts compare as they are;
 //! * **control state as it is** — status, in-flight WGMMA / cp.async
-//!   counts, and every loop frame's body and `pc`. Processor-sharing job
-//!   remainders compare by `f64::to_bits`: if they never repeat bit for
-//!   bit, there is no skip;
-//! * **trip counters through frame instances** — every pushed frame gets
-//!   an instance id; the detector accepts a moved `remaining` only on the
-//!   same instance at both ends and requires a re-instantiated frame to
-//!   stand at an equal `remaining`, which is what lets one comparison
-//!   cover both the K-loop trips and the whole tiles of a persistent
-//!   kernel.
+//!   counts, and every cursor's frames. Processor-sharing job remainders
+//!   compare by `f64::to_bits`: if they never repeat bit for bit, there is
+//!   no skip.
 //!
-//! Why this is exact: every handler computes with `t + constant`,
-//! `max(t + c, resource_free)`, `now − blocked_since` and
-//! `completed > local` — all unchanged when every time moves by the same
-//! amount and a barrier's two phase counters move together. Loop exits
-//! are the only place an absolute counter steers control, and the skip
-//! stops one trip short of the first of them. So the event sequence after
-//! the jump is the plain run's, shifted; all ten [`EngineStats`] counters
-//! are sums over that sequence and advance linearly. `SimReport`s and
+//! Why a jump of the engine's own clocks and counters is exact: every
+//! handler computes with `t + constant`, `max(t + c, resource_free)`,
+//! `now − blocked_since` and `completed > local` — all unchanged when
+//! every time moves by the same amount and a barrier's two phase counters
+//! move together. So the event sequence after the jump is the plain run's,
+//! shifted, and all ten counters are sums over it. `SimReport`s and
 //! deadlock strings are bit-identical to walking every trip, which is why
-//! [`crate::COST_MODEL_VERSION`] does not mention any of this. A kernel
-//! without an exact period (or with too few trips) simply runs as before;
-//! the cost of looking is bounded by the detector's miss back-off. There
-//! is no switch: the plain walk survives only as the tests' reference
-//! ([`run_sm_reference`]). A jump is computed with checked arithmetic: a
-//! run long enough to take a clock or a counter past `u64::MAX` ends as
-//! [`EngineResult::overflow`], where walking it would eventually have
-//! wrapped.
+//! [`crate::COST_MODEL_VERSION`] does not mention any of this; the plain
+//! walk survives only as the tests' reference ([`run_sm_reference`], a
+//! walk without an anchor).
 //!
-//! # Walking a kernel's classes as one family
-//!
-//! The CTA classes of a kernel differ only in their trip counts, and a
-//! trip count is read only where a loop is pushed and where a back-edge
-//! asks `remaining > 1`. [`run_classes`] — what `simulate` calls — walks
-//! them through one [`tawa_wsir::period::Family`]: at its first skip a
-//! class offers a clone of the whole `Sm` (before the jump) as a
-//! checkpoint; a later class whose params provably give every question
-//! asked so far the same answer starts from that clone, its live frames
-//! lowered, and takes the interrupted step again; and right after a skip
-//! a class standing where one that finished cleanly once stood adds that
-//! one's recorded tail — cycles to the end, the ten counters — instead of
-//! walking it. Per class the result is bit-identical to [`run_sm`]; only
-//! [`EngineResult::events`] differs, counting what was walked for that
-//! class alone. What a footprint is, why admission and tail reuse are
-//! exact, and the walk order live with the detector in
-//! [`tawa_wsir::period`].
+//! Every add the engine makes to a clock, a byte count or a counter is
+//! checked, per event and per jump: a run that would take one past
+//! `u64::MAX` ends as [`EngineResult::overflow`] where walking it would
+//! have wrapped.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
 
-use tawa_wsir::period::{
-    anchor_warp_group, extrapolate, lowered, waited_barriers, Family, Footprint, FrameMark,
-    PeriodDetector, TailKey,
-};
-use tawa_wsir::{Count, CtaClass, Instr, Kernel};
+use tawa_wsir::period::{waited_barriers, Family};
+use tawa_wsir::walk::{walk_classes, Classes, Halt, Mbarrier, Walk, Walker};
+use tawa_wsir::{CtaClass, Instr, Kernel};
 
 use crate::device::Device;
-use crate::mbarrier::Mbarrier;
 
 /// Per-SM bandwidth configuration computed by the scheduler from device
 /// constants and how many SMs are concurrently active.
@@ -139,26 +109,37 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Sets each of the ten running counters to `f(it, its value in
-    /// other)`; `None` as soon as one `f` is. `cycles` is not a running
-    /// counter: it is derived once, when the run ends.
+    /// The ten running counters. `cycles` is not one: it is derived once,
+    /// when the run ends.
+    fn running(&mut self) -> [&mut u64; 10] {
+        [
+            &mut self.tc_busy,
+            &mut self.cuda_busy,
+            &mut self.mem_busy,
+            &mut self.bytes_loaded,
+            &mut self.bytes_stored,
+            &mut self.tc_flops,
+            &mut self.stall_barrier,
+            &mut self.stall_wgmma,
+            &mut self.stall_cpasync,
+            &mut self.stall_sync,
+        ]
+    }
+
+    /// Sets each running counter to `f(it, its value in other)`; `None` as
+    /// soon as one `f` is.
     fn combine(&mut self, other: &EngineStats, f: impl Fn(u64, u64) -> Option<u64>) -> Option<()> {
-        for (cur, other) in [
-            (&mut self.tc_busy, other.tc_busy),
-            (&mut self.cuda_busy, other.cuda_busy),
-            (&mut self.mem_busy, other.mem_busy),
-            (&mut self.bytes_loaded, other.bytes_loaded),
-            (&mut self.bytes_stored, other.bytes_stored),
-            (&mut self.tc_flops, other.tc_flops),
-            (&mut self.stall_barrier, other.stall_barrier),
-            (&mut self.stall_wgmma, other.stall_wgmma),
-            (&mut self.stall_cpasync, other.stall_cpasync),
-            (&mut self.stall_sync, other.stall_sync),
-        ] {
-            *cur = f(*cur, other)?;
+        for (cur, other) in self.running().into_iter().zip(other.clone().running()) {
+            *cur = f(*cur, *other)?;
         }
         Some(())
     }
+}
+
+/// `*counter += by`; `None` on overflow.
+fn add(counter: &mut u64, by: u64) -> Option<()> {
+    *counter = counter.checked_add(by)?;
+    Some(())
 }
 
 /// Result of simulating one SM-wave.
@@ -174,13 +155,14 @@ pub struct EngineResult {
     pub events: u64,
     /// Loop trips (over all actors) that were jumped rather than walked.
     pub fast_forwarded_trips: u64,
-    /// A jump would have taken a clock or a counter past `u64::MAX`, as
-    /// walking every trip eventually would: `stats` mean nothing.
+    /// A clock or a counter would have gone past `u64::MAX`, as walking
+    /// every trip eventually would: `stats` mean nothing.
     pub overflow: bool,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum Status {
+    #[default]
     Running,
     BlockedBar(usize),
     BlockedWgmma(u32),
@@ -189,22 +171,10 @@ enum Status {
     Done,
 }
 
-#[derive(Clone)]
-struct Frame<'k> {
-    body: &'k [Instr],
-    pc: usize,
-    remaining: u64,
-    /// Instance id, unique per push (see the module docs on frames).
-    id: u64,
-    /// The `Count::Param` the trip count came from, if it was one.
-    param: Option<usize>,
-}
-
-#[derive(Clone)]
-struct Actor<'k> {
+#[derive(Clone, Default)]
+struct Actor {
     cta: usize,
     wg: usize,
-    frames: Vec<Frame<'k>>,
     status: Status,
     local_phase: Vec<u64>,
     wgmma_inflight: u32,
@@ -212,15 +182,15 @@ struct Actor<'k> {
     blocked_since: u64,
 }
 
-impl Actor<'_> {
+impl Actor {
     fn is_blocked(&self) -> bool {
         !matches!(self.status, Status::Running | Status::Done)
     }
 
     /// Ends a stall that began at `blocked_since`, charging it to `stalled`.
-    fn unstall(&mut self, now: u64, stalled: &mut u64) {
-        *stalled += now.saturating_sub(self.blocked_since);
+    fn unstall(&mut self, now: u64, stalled: &mut u64) -> Option<()> {
         self.status = Status::Running;
+        add(stalled, now.saturating_sub(self.blocked_since))
     }
 }
 
@@ -293,11 +263,11 @@ struct CudaPs {
 
 impl CudaPs {
     /// Advances all jobs to time `t`, returning actors whose work finished.
-    fn update(&mut self, t: u64, busy: &mut u64) -> Vec<usize> {
+    fn update(&mut self, t: u64, busy: &mut u64) -> Option<Vec<usize>> {
         let elapsed = t.saturating_sub(self.last_update);
         self.last_update = t;
         if !self.jobs.is_empty() && elapsed > 0 {
-            *busy += elapsed;
+            add(busy, elapsed)?;
             let share = elapsed as f64 / self.jobs.len() as f64;
             for job in &mut self.jobs {
                 job.1 -= share;
@@ -312,10 +282,11 @@ impl CudaPs {
                 true
             }
         });
-        done
+        Some(done)
     }
 
-    /// Next completion time under the current sharing rate.
+    /// Next completion, as a distance from `last_update`, under the
+    /// current sharing rate.
     fn next_completion(&mut self) -> Option<(u64, u64)> {
         let min = self
             .jobs
@@ -327,36 +298,9 @@ impl CudaPs {
         }
         self.gen += 1;
         let dt = (min * self.jobs.len() as f64).ceil().max(1.0) as u64;
-        Some((self.last_update + dt, self.gen))
+        Some((dt, self.gen))
     }
 }
-
-/// Absolute clocks and counters at a snapshot: what [`Sm::advance`]
-/// extrapolates from.
-#[derive(Clone)]
-struct Mark {
-    t: u64,
-    stats: EngineStats,
-    /// Every barrier's completed phases, then every actor's `local_phase`.
-    phases: Vec<u64>,
-}
-
-/// What a class added to its clocks and counters walking from a
-/// [`TailKey`] to a clean end: `cycles` is the end's distance from the key's
-/// time, the running counters their growth.
-struct Tail(EngineStats);
-
-/// Why a run ended before its queue did.
-#[derive(Clone, Copy, PartialEq)]
-enum Halt {
-    /// An earlier class's tail stands in for the rest (and has been added).
-    TailReused,
-    Overflow,
-}
-
-/// A kernel's classes as the engine walks them: the checkpoint is the whole
-/// machine plus the time of the step (the anchor's) it was taken in.
-type Classes<'k> = Family<'k, (Sm<'k>, u64), Tail>;
 
 /// One SM with its resident CTAs: the engine's whole state.
 #[derive(Clone)]
@@ -368,7 +312,10 @@ struct Sm<'k> {
     nbars: usize,
     /// `residents.len() × nbars` barriers, CTA-major.
     barriers: Vec<Mbarrier>,
-    actors: Vec<Actor<'k>>,
+    actors: Vec<Actor>,
+    /// One cursor per actor; a tail is what a clean end added to the
+    /// counters, its `cycles` the distance from the key's time.
+    walk: Walk<'k, EngineStats>,
     queue: EventQueue,
     tc_free: u64,
     cuda: CudaPs,
@@ -378,21 +325,11 @@ struct Sm<'k> {
     sync_arrived: Vec<u32>,
     done_count: usize,
     last_time: u64,
-    next_frame_id: u64,
+    /// The time of the step being taken.
+    now: u64,
     /// Per warp group, the barriers its program waits on.
     waits: Rc<[Vec<usize>]>,
-    /// The actor whose back-edges are snapshotted, if any loops.
-    anchor: Option<usize>,
-    detector: PeriodDetector<Mark>,
-    /// Every answer a trip count has given so far — kept until the first
-    /// skip, and only while a later class might start from this one.
-    footprint: Option<Footprint>,
-    /// The states this class stood in right after each skip, with its time
-    /// and counters then.
-    skips: Vec<(TailKey, u64, EngineStats)>,
-    halt: Option<Halt>,
-    events: u64,
-    fast_forwarded_trips: u64,
+    deadlock: Option<String>,
 }
 
 /// Simulates `residents` CTAs of `kernel` sharing one SM.
@@ -407,12 +344,12 @@ pub fn run_sm(
     residents: &[&CtaClass],
     cfg: &EngineCfg,
 ) -> EngineResult {
-    Sm::new(kernel, device, residents.to_vec(), cfg, true, false).run(&mut Family::default())
+    alone(kernel, device, residents, cfg, false)
 }
 
-/// [`run_sm`] walking every trip of every loop: the reference the
-/// differential tests hold the fast-forwarding engine against. Not a mode
-/// of the product — nothing outside tests calls it.
+/// [`run_sm`] walking every trip of every loop (no anchor): the reference
+/// the differential tests hold the fast-forwarding engine against. Not a
+/// mode of the product — nothing outside tests calls it.
 #[doc(hidden)]
 pub fn run_sm_reference(
     kernel: &Kernel,
@@ -420,14 +357,27 @@ pub fn run_sm_reference(
     residents: &[&CtaClass],
     cfg: &EngineCfg,
 ) -> EngineResult {
-    Sm::new(kernel, device, residents.to_vec(), cfg, false, false).run(&mut Family::default())
+    alone(kernel, device, residents, cfg, true)
+}
+
+/// One SM as a family of one class.
+fn alone(
+    kernel: &Kernel,
+    device: &Device,
+    residents: &[&CtaClass],
+    cfg: &EngineCfg,
+    reference: bool,
+) -> EngineResult {
+    let mut sm = Sm::new(kernel, device, residents.to_vec(), cfg, reference, false);
+    let clean = sm.run(&mut Family::default());
+    sm.finish(clean)
 }
 
 /// Simulates one SM-wave of every CTA class of `kernel`, `occ` residents
 /// of the class each, and returns the results in class order — what
 /// [`run_sm`] returns per class, except that `events` and
 /// `fast_forwarded_trips` count only what was walked and jumped *for* that
-/// class: the classes run as one family (module docs), so a class that
+/// class: the classes run as one family ([`walk_classes`]), so a class that
 /// starts from another's checkpoint does not count the shared prefix, and
 /// one that reuses a known tail does not count the tail.
 pub fn run_classes(
@@ -436,88 +386,56 @@ pub fn run_classes(
     occ: u32,
     cfg: &EngineCfg,
 ) -> Vec<EngineResult> {
-    let mut family: Classes<'_> = Family::of(kernel);
-    let mut results: Vec<Option<EngineResult>> = vec![None; kernel.classes.len()];
-    while let Some(ci) = family.next_class() {
-        let class = &kernel.classes[ci];
-        let result = match family.admit(&class.params) {
-            Some(((checkpoint, t), lower_by)) => {
-                // Take the interrupted step again, then the queue.
-                let (mut sm, t) = (checkpoint.resumed(class, &lower_by), *t);
-                if let Some(anchor) = sm.anchor {
-                    sm.step(anchor, t, &mut family);
-                }
-                sm.run(&mut family)
-            }
-            None => {
-                let residents = (0..occ).map(|_| class).collect();
-                let track = family.has_pending();
-                Sm::new(kernel, device, residents, cfg, true, track).run(&mut family)
-            }
-        };
-        results[ci] = Some(result);
-    }
-    results.into_iter().flatten().collect()
+    walk_classes(kernel, |ci, track| {
+        let residents = vec![&kernel.classes[ci]; occ as usize];
+        Sm::new(kernel, device, residents, cfg, false, track)
+    })
 }
 
 impl<'k> Sm<'k> {
-    /// The machine at launch. `fast_forward = false` walks every trip;
-    /// `track` keeps a [`Footprint`] so a later class may start from here.
+    /// The machine at launch. `reference` walks every trip; `track` keeps a
+    /// footprint so a later class may start from here.
     fn new(
         kernel: &'k Kernel,
         device: &'k Device,
         residents: Vec<&'k CtaClass>,
         cfg: &'k EngineCfg,
-        fast_forward: bool,
+        reference: bool,
         track: bool,
     ) -> Sm<'k> {
         let nbars = kernel.barriers.len();
-        let mut barriers: Vec<Mbarrier> = Vec::with_capacity(nbars * residents.len());
-        for _ in &residents {
-            for b in &kernel.barriers {
-                barriers.push(Mbarrier::new(b.arrive_count, b.init_phases));
-            }
-        }
-
-        let mut actors: Vec<Actor<'_>> = Vec::new();
+        let mut barriers = Vec::with_capacity(nbars * residents.len());
+        let mut actors = Vec::new();
         let mut queue = EventQueue::default();
-        for (cta, _) in residents.iter().enumerate() {
-            for (wg, wgp) in kernel.warp_groups.iter().enumerate() {
+        for cta in 0..residents.len() {
+            barriers.extend(
+                (kernel.barriers.iter()).map(|b| Mbarrier::new(b.arrive_count, b.init_phases)),
+            );
+            for wg in 0..kernel.warp_groups.len() {
                 // CTA start cost staggers actor start slightly (descriptor
                 // setup etc).
                 queue.push(device.cta_start_cycles, Event::Step(actors.len()));
                 actors.push(Actor {
                     cta,
                     wg,
-                    frames: vec![Frame {
-                        body: &wgp.body,
-                        pc: 0,
-                        remaining: 1,
-                        id: actors.len() as u64,
-                        param: None,
-                    }],
-                    status: Status::Running,
                     local_phase: vec![0; nbars],
-                    wgmma_inflight: 0,
-                    cpasync_inflight: 0,
-                    blocked_since: 0,
+                    ..Actor::default()
                 });
             }
         }
-
         // CTA 0's actors come first, so its warp group index is the actor
         // index.
-        let anchor = residents
-            .first()
-            .filter(|_| fast_forward)
-            .and_then(|class| anchor_warp_group(kernel, &class.params));
-        let nparams = residents.first().map_or(0, |class| class.params.len());
+        let bodies =
+            (residents.iter()).flat_map(move |_| kernel.warp_groups.iter().map(|wg| &wg.body[..]));
+        let params = residents.first().map_or(&[][..], |&class| &class.params);
+        let walk = Walk::new(kernel, bodies, params, residents.len(), reference, track);
         Sm {
             kernel,
             device,
             cfg,
             nbars,
             barriers,
+            walk,
             queue,
             tc_free: 0,
             cuda: CudaPs::default(),
@@ -526,7 +444,7 @@ impl<'k> Sm<'k> {
             sync_arrived: vec![0; residents.len()],
             done_count: 0,
             last_time: 0,
-            next_frame_id: actors.len() as u64,
+            now: 0,
             waits: kernel
                 .warp_groups
                 .iter()
@@ -536,507 +454,229 @@ impl<'k> Sm<'k> {
                     waited
                 })
                 .collect(),
-            anchor,
-            detector: PeriodDetector::default(),
-            footprint: (track && anchor.is_some()).then(|| Footprint::new(nparams)),
-            skips: Vec::new(),
-            halt: None,
+            deadlock: None,
             residents,
             actors,
-            events: 0,
-            fast_forwarded_trips: 0,
         }
     }
 
-    /// This checkpoint as the machine of `class`, whose params are lower
-    /// than the checkpointed class's by `lower_by` and otherwise ask nothing
-    /// the prefix has not answered the same way: every live frame (here and
-    /// in the detector's history) stands that much lower.
-    fn resumed(&self, class: &'k CtaClass, lower_by: &[u64]) -> Sm<'k> {
-        let mut sm = self.clone();
-        sm.residents.fill(class);
-        sm.events = 0;
-        sm.fast_forwarded_trips = 0;
-        for f in sm.actors.iter_mut().flat_map(|a| &mut a.frames) {
-            f.remaining -= lowered(f.param, lower_by);
+    /// Handles one event popped at `t`; `None` on overflow.
+    fn handle(&mut self, t: u64, event: Event, family: &mut Classes<'k, Self>) -> Option<()> {
+        match event {
+            Event::TmaDone { gbar, bytes } => {
+                if self.barriers[gbar].arrive_tx(bytes)? {
+                    self.wake_waiters(gbar, t)?;
+                }
+            }
+            Event::WgmmaDone(i) => {
+                let a = &mut self.actors[i];
+                a.wgmma_inflight -= 1;
+                if matches!(a.status, Status::BlockedWgmma(p) if a.wgmma_inflight <= p) {
+                    a.unstall(t, &mut self.stats.stall_wgmma)?;
+                    self.at(t, self.device.wgmma_drain_cycles, Event::Step(i))?;
+                }
+            }
+            Event::CpDone(i) => {
+                let a = &mut self.actors[i];
+                a.cpasync_inflight -= 1;
+                if matches!(a.status, Status::BlockedCp(p) if a.cpasync_inflight <= p) {
+                    a.unstall(t, &mut self.stats.stall_cpasync)?;
+                    self.queue.push(t, Event::Step(i));
+                }
+            }
+            Event::CudaTick(gen) => {
+                // A tick superseded by a rate change is ignored.
+                if gen == self.cuda.gen {
+                    self.settle_cuda(t)?;
+                    self.tick_cuda()?;
+                }
+            }
+            Event::Step(i) => {
+                if self.actors[i].status == Status::Running {
+                    self.now = t;
+                    self.step(i, family)?;
+                }
+            }
         }
-        sm.detector.lower(lower_by);
-        sm
+        Some(())
     }
 
-    fn run(mut self, family: &mut Classes<'k>) -> EngineResult {
-        while self.halt.is_none() && self.done_count != self.actors.len() {
-            let Some((t, event)) = self.queue.pop() else {
-                break;
-            };
-            self.events += 1;
-            self.last_time = self.last_time.max(t);
-            match event {
-                Event::TmaDone { gbar, bytes } => {
-                    if self.barriers[gbar].arrive_tx(bytes) {
-                        self.wake_waiters(gbar, t);
-                    }
-                }
-                Event::WgmmaDone(i) => {
-                    let a = &mut self.actors[i];
-                    a.wgmma_inflight -= 1;
-                    if matches!(a.status, Status::BlockedWgmma(p) if a.wgmma_inflight <= p) {
-                        a.unstall(t, &mut self.stats.stall_wgmma);
-                        self.queue
-                            .push(t + self.device.wgmma_drain_cycles, Event::Step(i));
-                    }
-                }
-                Event::CpDone(i) => {
-                    let a = &mut self.actors[i];
-                    a.cpasync_inflight -= 1;
-                    if matches!(a.status, Status::BlockedCp(p) if a.cpasync_inflight <= p) {
-                        a.unstall(t, &mut self.stats.stall_cpasync);
-                        self.queue.push(t, Event::Step(i));
-                    }
-                }
-                Event::CudaTick(gen) => {
-                    // A tick superseded by a rate change is ignored.
-                    if gen == self.cuda.gen {
-                        self.settle_cuda(t);
-                        self.tick_cuda();
-                    }
-                }
-                Event::Step(i) => {
-                    if self.actors[i].status == Status::Running {
-                        self.step(i, t, family);
-                    }
-                }
-            }
-        }
-
-        let overflow = self.halt == Some(Halt::Overflow);
-        let mut deadlock = None;
-        if self.halt.is_none() {
-            deadlock = (self.done_count != self.actors.len()).then(|| self.describe_deadlock());
-            self.stats.cycles = self
-                .last_time
-                .max(self.mem_free)
-                .max(self.tc_free)
-                .max(self.cuda.last_update);
-        }
-        // A clean end: what this class added since each of its skips is
-        // what any class standing at an equal key will add.
-        if !overflow && deadlock.is_none() && family.has_pending() {
-            for (key, t, at) in std::mem::take(&mut self.skips) {
-                let mut tail = self.stats.clone();
-                tail.cycles = tail.cycles.saturating_sub(t);
-                if tail.combine(&at, u64::checked_sub).is_some() {
-                    family.record(key, Tail(tail));
-                }
-            }
-        }
-        EngineResult {
-            stats: self.stats,
-            deadlock,
-            events: self.events,
-            fast_forwarded_trips: self.fast_forwarded_trips,
-            overflow,
-        }
+    /// Schedules `e` at `t + dt`; `None` on overflow.
+    fn at(&mut self, t: u64, dt: u64, e: Event) -> Option<()> {
+        self.queue.push(t.checked_add(dt)?, e);
+        Some(())
     }
 
     /// A phase of `gbar` completed at `t`: wake the actors blocked on it.
-    /// Their PC already moved past the wait, so the phase is consumed here.
-    fn wake_waiters(&mut self, gbar: usize, t: u64) {
-        for (i, a) in self.actors.iter_mut().enumerate() {
+    /// Their cursor already moved past the wait, so the phase is consumed
+    /// here.
+    fn wake_waiters(&mut self, gbar: usize, t: u64) -> Option<()> {
+        for i in 0..self.actors.len() {
+            let a = &mut self.actors[i];
             if a.status == Status::BlockedBar(gbar) {
                 a.local_phase[gbar % self.nbars] += 1;
-                a.unstall(t, &mut self.stats.stall_barrier);
-                self.queue
-                    .push(t + self.device.mbar_wake_cycles, Event::Step(i));
+                a.unstall(t, &mut self.stats.stall_barrier)?;
+                self.at(t, self.device.mbar_wake_cycles, Event::Step(i))?;
             }
         }
+        Some(())
     }
 
     /// Brings the CUDA pipe to time `t` and resumes the actors whose jobs
     /// finished.
-    fn settle_cuda(&mut self, t: u64) {
-        for a in self.cuda.update(t, &mut self.stats.cuda_busy) {
+    fn settle_cuda(&mut self, t: u64) -> Option<()> {
+        for a in self.cuda.update(t, &mut self.stats.cuda_busy)? {
             self.queue.push(t, Event::Step(a));
         }
+        Some(())
     }
 
     /// Schedules the CUDA pipe's next completion under its current rate.
-    fn tick_cuda(&mut self) {
-        if let Some((tn, gen)) = self.cuda.next_completion() {
-            self.queue.push(tn, Event::CudaTick(gen));
+    fn tick_cuda(&mut self) -> Option<()> {
+        if let Some((dt, gen)) = self.cuda.next_completion() {
+            self.at(self.cuda.last_update, dt, Event::CudaTick(gen))?;
         }
+        Some(())
+    }
+
+    /// Actor `i` goes on after the issue cost if `ready`, else blocks as
+    /// `blocked` from now.
+    fn wait(&mut self, i: usize, ready: bool, blocked: Status) -> Option<()> {
+        if ready {
+            return self.at(self.now, self.device.instr_issue_cycles, Event::Step(i));
+        }
+        self.actors[i].status = blocked;
+        self.actors[i].blocked_since = self.now;
+        Some(())
     }
 
     /// Occupies the memory channel for `bytes` at `bw` no earlier than
     /// `ready`; returns when the transfer has left the channel.
-    fn transfer(&mut self, ready: u64, bytes: u64, bw: f64) -> u64 {
+    fn transfer(&mut self, ready: u64, bytes: u64, bw: f64) -> Option<u64> {
         let start = ready.max(self.mem_free);
         let dur = (bytes as f64 / bw).ceil() as u64;
-        self.mem_free = start + dur;
-        self.stats.mem_busy += dur;
-        self.mem_free
+        self.mem_free = start.checked_add(dur)?;
+        add(&mut self.stats.mem_busy, dur)?;
+        Some(self.mem_free)
     }
 
-    /// Fetches actor `i`'s next instruction, unwinding finished frames and
-    /// taking loop back-edges. At the anchor's back-edges the period
-    /// detector may move the whole machine — `t` included — forward, or end
-    /// the run (`halt`).
-    fn fetch(&mut self, i: usize, t: &mut u64, family: &mut Classes<'k>) -> Option<&'k Instr> {
-        loop {
-            let frame = self.actors[i].frames.last_mut()?;
-            if frame.pc < frame.body.len() {
-                let ins = &frame.body[frame.pc];
-                frame.pc += 1;
-                return Some(ins);
-            }
-            if frame.remaining > 1 && self.anchor == Some(i) && self.detector.due() {
-                self.fast_forward(t, family);
-                if self.halt.is_some() {
-                    return None;
-                }
-            }
-            let frames = &mut self.actors[i].frames;
-            let frame = frames.last_mut()?;
-            if let (Some(footprint), Some(p)) = (&mut self.footprint, frame.param) {
-                footprint.tested(p, frame.remaining);
-            }
-            if frame.remaining > 1 {
-                frame.remaining -= 1;
-                frame.pc = 0;
-            } else {
-                frames.pop();
-            }
-        }
-    }
-
-    fn step(&mut self, i: usize, mut t: u64, family: &mut Classes<'k>) {
-        let Some(instr) = self.fetch(i, &mut t, family) else {
-            if self.halt.is_none() {
+    /// Takes actor `i`'s next step at `self.now`; `None` on overflow.
+    fn step(&mut self, i: usize, family: &mut Classes<'k, Self>) -> Option<()> {
+        let Some(instr) = self.fetch(i, family) else {
+            if self.walk.halt.is_none() {
                 self.actors[i].status = Status::Done;
                 self.done_count += 1;
             }
-            return;
+            return Some(());
         };
-        let device = self.device;
+        let (t, device, cta) = (self.now, self.device, self.actors[i].cta);
         let issue = device.instr_issue_cycles;
-        let cta = self.actors[i].cta;
+        if !matches!(instr, Instr::Loop { .. }) {
+            self.walk.cursors[i].advance();
+        }
         match *instr {
             Instr::Loop { count, ref body } => {
-                let trips = count.resolve(&self.residents[cta].params);
-                let param = match count {
-                    Count::Param(p) if !body.is_empty() => Some(p),
-                    _ => None,
-                };
-                if let (Some(footprint), Some(p)) = (&mut self.footprint, param) {
-                    footprint.resolved(p, trips);
-                }
-                if trips > 0 && !body.is_empty() {
-                    self.actors[i].frames.push(Frame {
-                        body,
-                        pc: 0,
-                        remaining: trips,
-                        id: self.next_frame_id,
-                        param,
-                    });
-                    self.next_frame_id += 1;
-                }
-                self.queue
-                    .push(t + device.loop_overhead_cycles, Event::Step(i));
+                self.walk.enter(i, count, body, &self.residents[cta].params);
+                self.at(t, device.loop_overhead_cycles, Event::Step(i))?;
             }
             Instr::TmaLoad { bytes, bar } => {
                 let gbar = cta * self.nbars + bar.0 as usize;
-                self.barriers[gbar].expect_tx(bytes);
-                let landed = self.transfer(t + issue, bytes, self.cfg.load_bw);
-                self.stats.bytes_loaded += bytes;
-                self.queue.push(
-                    landed + device.tma_latency_cycles,
-                    Event::TmaDone { gbar, bytes },
-                );
-                self.queue.push(t + issue, Event::Step(i));
+                self.barriers[gbar].expect_tx(bytes)?;
+                let landed = self.transfer(t.checked_add(issue)?, bytes, self.cfg.load_bw)?;
+                add(&mut self.stats.bytes_loaded, bytes)?;
+                let done = Event::TmaDone { gbar, bytes };
+                self.at(landed, device.tma_latency_cycles, done)?;
+                self.at(t, issue, Event::Step(i))?;
             }
             Instr::TmaStore { bytes } => {
-                self.transfer(t + issue, bytes, self.cfg.store_bw);
-                self.stats.bytes_stored += bytes;
-                self.queue.push(t + issue, Event::Step(i));
+                self.transfer(t.checked_add(issue)?, bytes, self.cfg.store_bw)?;
+                add(&mut self.stats.bytes_stored, bytes)?;
+                self.at(t, issue, Event::Step(i))?;
             }
             Instr::CpAsync { bytes } => {
                 // Issue occupies the warp group proportionally to size.
                 let issue_cost =
                     ((bytes as f64 / 2048.0) * device.cp_async_issue_cycles_per_2kb).ceil() as u64;
                 let bw = self.cfg.load_bw * device.cp_async_efficiency;
-                let landed = self.transfer(t + issue_cost, bytes, bw);
-                self.stats.bytes_loaded += bytes;
+                let landed = self.transfer(t.checked_add(issue_cost)?, bytes, bw)?;
+                add(&mut self.stats.bytes_loaded, bytes)?;
                 self.actors[i].cpasync_inflight += 1;
-                self.queue
-                    .push(landed + device.global_load_latency_cycles, Event::CpDone(i));
-                self.queue.push(t + issue_cost, Event::Step(i));
+                self.at(landed, device.global_load_latency_cycles, Event::CpDone(i))?;
+                self.at(t, issue_cost, Event::Step(i))?;
             }
             Instr::CpAsyncWait { pending } => {
-                if self.actors[i].cpasync_inflight <= pending {
-                    self.queue.push(t + issue, Event::Step(i));
-                } else {
-                    self.actors[i].status = Status::BlockedCp(pending);
-                    self.actors[i].blocked_since = t;
-                }
+                let ready = self.actors[i].cpasync_inflight <= pending;
+                self.wait(i, ready, Status::BlockedCp(pending))?;
             }
             Instr::MbarArrive { bar } => {
                 let gbar = cta * self.nbars + bar.0 as usize;
                 if self.barriers[gbar].arrive() {
-                    self.wake_waiters(gbar, t);
+                    self.wake_waiters(gbar, t)?;
                 }
-                self.queue.push(t + issue, Event::Step(i));
+                self.at(t, issue, Event::Step(i))?;
             }
             Instr::MbarWait { bar } => {
                 let b = bar.0 as usize;
                 let gbar = cta * self.nbars + b;
-                let a = &mut self.actors[i];
-                if self.barriers[gbar].completed_phases() > a.local_phase[b] {
-                    a.local_phase[b] += 1;
-                    self.queue.push(t + issue, Event::Step(i));
-                } else {
-                    a.status = Status::BlockedBar(gbar);
-                    a.blocked_since = t;
-                }
+                let ready = self.barriers[gbar].completed_phases() > self.actors[i].local_phase[b];
+                self.actors[i].local_phase[b] += ready as u64;
+                self.wait(i, ready, Status::BlockedBar(gbar))?;
             }
             Instr::WgmmaIssue { m, n, k, dtype } => {
-                let flops = 2 * m as u64 * n as u64 * k as u64;
+                let flops: u64 = (2 * m as u128 * n as u128 * k as u128).try_into().ok()?;
                 let rate = device.tc_flops_per_cycle(dtype);
-                let start = (t + issue).max(self.tc_free);
+                let start = t.checked_add(issue)?.max(self.tc_free);
                 let dur = (flops as f64 / rate).ceil() as u64;
-                self.tc_free = start + dur;
-                self.stats.tc_busy += dur;
-                self.stats.tc_flops += flops;
+                self.tc_free = start.checked_add(dur)?;
+                add(&mut self.stats.tc_busy, dur)?;
+                add(&mut self.stats.tc_flops, flops)?;
                 self.actors[i].wgmma_inflight += 1;
-                self.queue.push(start + dur, Event::WgmmaDone(i));
-                self.queue.push(t + issue, Event::Step(i));
+                self.queue.push(self.tc_free, Event::WgmmaDone(i));
+                self.at(t, issue, Event::Step(i))?;
             }
             Instr::WgmmaWait { pending } => {
-                if self.actors[i].wgmma_inflight <= pending {
-                    self.queue.push(t + issue, Event::Step(i));
-                } else {
-                    self.actors[i].status = Status::BlockedWgmma(pending);
-                    self.actors[i].blocked_since = t;
-                }
+                let ready = self.actors[i].wgmma_inflight <= pending;
+                self.wait(i, ready, Status::BlockedWgmma(pending))?;
             }
             Instr::CudaOp { flops, sfu, .. } => {
                 let work = flops as f64 / device.cuda_flops_per_cycle
                     + sfu as f64 / device.sfu_ops_per_cycle;
-                self.settle_cuda(t + issue);
+                self.settle_cuda(t.checked_add(issue)?)?;
                 self.cuda.jobs.push((i, work.max(1.0)));
                 // The actor resumes when its own job completes (via
                 // CudaTick); no Step is scheduled here.
-                self.tick_cuda();
+                self.tick_cuda()?;
             }
             Instr::GlobalStore { bytes } => {
                 // st.global issue: 512 B/cycle per warp group.
                 let issue_cost = (bytes as f64 / 512.0).ceil() as u64;
-                self.transfer(t + issue_cost, bytes, self.cfg.store_bw);
-                self.stats.bytes_stored += bytes;
-                self.queue.push(t + issue_cost, Event::Step(i));
+                self.transfer(t.checked_add(issue_cost)?, bytes, self.cfg.store_bw)?;
+                add(&mut self.stats.bytes_stored, bytes)?;
+                self.at(t, issue_cost, Event::Step(i))?;
             }
             Instr::GlobalLoad { bytes } => {
-                let landed = self.transfer(t + issue, bytes, self.cfg.load_bw);
-                self.stats.bytes_loaded += bytes;
+                let landed = self.transfer(t.checked_add(issue)?, bytes, self.cfg.load_bw)?;
+                add(&mut self.stats.bytes_loaded, bytes)?;
                 // Synchronous: the actor resumes after the data lands.
-                self.queue
-                    .push(landed + device.global_load_latency_cycles, Event::Step(i));
+                self.at(landed, device.global_load_latency_cycles, Event::Step(i))?;
             }
             Instr::Syncthreads => {
                 self.sync_arrived[cta] += 1;
-                if self.sync_arrived[cta] == self.kernel.warp_groups.len() as u32 {
+                let ready = self.sync_arrived[cta] == self.kernel.warp_groups.len() as u32;
+                if ready {
                     self.sync_arrived[cta] = 0;
-                    for (j, a) in self.actors.iter_mut().enumerate() {
+                    for j in 0..self.actors.len() {
+                        let a = &mut self.actors[j];
                         if a.cta == cta && a.status == Status::BlockedSync {
-                            a.unstall(t, &mut self.stats.stall_sync);
-                            self.queue.push(t + issue, Event::Step(j));
+                            a.unstall(t, &mut self.stats.stall_sync)?;
+                            self.at(t, issue, Event::Step(j))?;
                         }
                     }
-                    self.queue.push(t + issue, Event::Step(i));
-                } else {
-                    self.actors[i].status = Status::BlockedSync;
-                    self.actors[i].blocked_since = t;
                 }
+                self.wait(i, ready, Status::BlockedSync)?;
             }
             Instr::SetMaxNReg { .. } => self.queue.push(t, Event::Step(i)),
-            Instr::Delay { cycles } => self.queue.push(t + cycles, Event::Step(i)),
-        }
-    }
-
-    /// The state at time `t` with everything linear taken out (module
-    /// docs), plus every live loop frame in actor order.
-    fn signature(&self, t: u64) -> (Vec<u64>, Vec<FrameMark>) {
-        let mut sig = Vec::with_capacity(128);
-        for a in &self.actors {
-            let (tag, arg) = match a.status {
-                Status::Running => (0, 0),
-                Status::BlockedBar(gbar) => (1, gbar as u64),
-                Status::BlockedWgmma(p) => (2, p as u64),
-                Status::BlockedCp(p) => (3, p as u64),
-                Status::BlockedSync => (4, 0),
-                Status::Done => (5, 0),
-            };
-            let stalled_for = if a.is_blocked() {
-                t - a.blocked_since
-            } else {
-                0
-            };
-            sig.extend([
-                tag,
-                arg,
-                stalled_for,
-                a.wgmma_inflight as u64,
-                a.cpasync_inflight as u64,
-                a.frames.len() as u64,
-            ]);
-            for f in &a.frames {
-                sig.extend([f.body.as_ptr() as u64, f.pc as u64]);
-            }
-            for &b in &self.waits[a.wg] {
-                let completed = self.barriers[a.cta * self.nbars + b].completed_phases();
-                sig.push(completed - a.local_phase[b]);
-            }
-        }
-        for b in &self.barriers {
-            sig.extend(b.in_phase_state());
-        }
-        sig.extend(self.sync_arrived.iter().map(|&n| n as u64));
-        sig.extend([
-            self.tc_free.saturating_sub(t),
-            self.mem_free.saturating_sub(t),
-            self.cuda.jobs.len() as u64,
-        ]);
-        for &(actor, rem) in &self.cuda.jobs {
-            sig.extend([actor as u64, rem.to_bits()]);
-        }
-        if !self.cuda.jobs.is_empty() {
-            sig.push(self.cuda.last_update.wrapping_sub(t));
-        }
-        let pending = self.queue.in_order();
-        sig.push(pending.len() as u64);
-        for (time, _, event) in pending {
-            let (tag, a, b) = match event {
-                Event::Step(i) => (0, i as u64, 0),
-                Event::TmaDone { gbar, bytes } => (1, gbar as u64, bytes),
-                Event::WgmmaDone(i) => (2, i as u64, 0),
-                Event::CpDone(i) => (3, i as u64, 0),
-                Event::CudaTick(gen) => (4, (gen == self.cuda.gen) as u64, 0),
-            };
-            sig.extend([time - t, tag, a, b]);
-        }
-        (sig, self.frame_marks())
-    }
-
-    /// Every live loop frame in actor order.
-    fn frame_marks(&self) -> Vec<FrameMark> {
-        (self.actors.iter().flat_map(|a| &a.frames))
-            .map(|f| FrameMark {
-                id: f.id,
-                remaining: f.remaining,
-                param: f.param,
-            })
-            .collect()
-    }
-
-    /// The trip counts of the class being walked (CTA 0's: a family's
-    /// residents all run one class).
-    fn params(&self) -> &'k [u64] {
-        self.residents.first().map_or(&[], |class| &class.params)
-    }
-
-    fn mark(&self, t: u64) -> Mark {
-        let completed = self.barriers.iter().map(Mbarrier::completed_phases);
-        let local = self
-            .actors
-            .iter()
-            .flat_map(|a| a.local_phase.iter().copied());
-        Mark {
-            t,
-            stats: self.stats.clone(),
-            phases: completed.chain(local).collect(),
-        }
-    }
-
-    /// At an anchor back-edge at time `*t`: if this state was seen before,
-    /// jump as many whole periods as fit — and, standing where an earlier
-    /// class stood, add its tail instead of walking it.
-    fn fast_forward(&mut self, t: &mut u64, family: &mut Classes<'k>) {
-        let (sig, frames) = self.signature(*t);
-        let Some(skip) = self.detector.observe(sig, frames, self.mark(*t)) else {
-            return;
-        };
-        // The first skip: what comes before it is what classes can share.
-        if let Some(footprint) = self.footprint.take() {
-            family.offer(&footprint, self.params(), || (self.clone(), *t));
-        }
-        if self
-            .advance(&skip.then, skip.periods, &skip.frame_deltas, t)
-            .is_none()
-        {
-            self.halt = Some(Halt::Overflow);
-            return;
-        }
-        self.fast_forwarded_trips += skip.trips(skip.periods);
-        if !family.is_family() {
-            return;
-        }
-
-        let key = family.tail_key(
-            skip.sig,
-            &self.frame_marks(),
-            self.params(),
-            self.residents.len(),
-        );
-        match family.tail(&key) {
-            Some(Tail(tail)) => {
-                let cycles = (self.stats.combine(tail, u64::checked_add))
-                    .and_then(|()| t.checked_add(tail.cycles));
-                self.stats.cycles = cycles.unwrap_or_default();
-                self.halt = Some(match cycles {
-                    Some(_) => Halt::TailReused,
-                    None => Halt::Overflow,
-                });
-            }
-            None if family.has_pending() => self.skips.push((key, *t, self.stats.clone())),
-            None => {}
-        }
-    }
-
-    /// Moves the machine `n` periods forward, a period being what happened
-    /// between `then` and now (`*t`): every clock by `n ×` the period's
-    /// length, every counter by `n ×` its growth, every loop frame by `n ×`
-    /// its trips. `None` when a clock or a counter would overflow, which is
-    /// where walking every trip would have — the machine is then half
-    /// moved and good for nothing.
-    fn advance(&mut self, then: &Mark, n: u64, frame_deltas: &[u64], t: &mut u64) -> Option<()> {
-        let shift = n.checked_mul(*t - then.t)?;
-        self.queue.shift(shift)?;
-        *t = t.checked_add(shift)?;
-        self.last_time = *t;
-        // A resource time in the past stays in the past: moving it along is
-        // as unobservable as leaving it.
-        self.tc_free = self.tc_free.checked_add(shift)?;
-        self.mem_free = self.mem_free.checked_add(shift)?;
-        self.cuda.last_update = self.cuda.last_update.checked_add(shift)?;
-        (self.stats).combine(&then.stats, |cur, was| extrapolate(cur, was, n))?;
-
-        let mut then_phases = then.phases.iter();
-        for (b, was) in self.barriers.iter_mut().zip(&mut then_phases) {
-            b.advance_phases(n.checked_mul(b.completed_phases() - was)?)?;
-        }
-        let mut deltas = frame_deltas.iter();
-        for a in &mut self.actors {
-            if a.is_blocked() {
-                a.blocked_since = a.blocked_since.checked_add(shift)?;
-            }
-            for (cur, was) in a.local_phase.iter_mut().zip(&mut then_phases) {
-                *cur = extrapolate(*cur, *was, n)?;
-            }
-            for (f, delta) in a.frames.iter_mut().zip(&mut deltas) {
-                // The detector leaves every moved frame its last trip.
-                f.remaining = (n.checked_mul(*delta))
-                    .and_then(|trips| f.remaining.checked_sub(trips))
-                    .filter(|&left| left > 0)?;
-            }
+            Instr::Delay { cycles } => self.at(t, cycles, Event::Step(i))?,
         }
         Some(())
     }
@@ -1074,6 +714,166 @@ impl<'k> Sm<'k> {
             }
         }
         desc
+    }
+}
+
+impl<'k> Walker<'k> for Sm<'k> {
+    type Tail = EngineStats;
+    type Out = EngineResult;
+
+    fn walk(&mut self) -> &mut Walk<'k, EngineStats> {
+        &mut self.walk
+    }
+
+    /// The state at `now` with everything linear taken out (module docs).
+    fn signature(&self) -> Vec<u64> {
+        let t = self.now;
+        let mut sig = Vec::with_capacity(128);
+        for (a, cursor) in self.actors.iter().zip(&self.walk.cursors) {
+            let (tag, arg) = match a.status {
+                Status::Running => (0, 0),
+                Status::BlockedBar(gbar) => (1, gbar as u64),
+                Status::BlockedWgmma(p) => (2, p as u64),
+                Status::BlockedCp(p) => (3, p as u64),
+                Status::BlockedSync => (4, 0),
+                Status::Done => (5, 0),
+            };
+            let stalled_for = a.is_blocked().then(|| t - a.blocked_since);
+            sig.extend([
+                tag,
+                arg,
+                stalled_for.unwrap_or_default(),
+                a.wgmma_inflight as u64,
+                a.cpasync_inflight as u64,
+            ]);
+            cursor.sig(&mut sig);
+            for &b in &self.waits[a.wg] {
+                let completed = self.barriers[a.cta * self.nbars + b].completed_phases();
+                sig.push(completed - a.local_phase[b]);
+            }
+        }
+        for b in &self.barriers {
+            sig.extend(b.in_phase_state());
+        }
+        sig.extend(self.sync_arrived.iter().map(|&n| n as u64));
+        sig.extend([
+            self.tc_free.saturating_sub(t),
+            self.mem_free.saturating_sub(t),
+            self.cuda.jobs.len() as u64,
+        ]);
+        for &(actor, rem) in &self.cuda.jobs {
+            sig.extend([actor as u64, rem.to_bits()]);
+        }
+        if !self.cuda.jobs.is_empty() {
+            sig.push(self.cuda.last_update.wrapping_sub(t));
+        }
+        let pending = self.queue.in_order();
+        sig.push(pending.len() as u64);
+        for (time, _, event) in pending {
+            let (tag, a, b) = match event {
+                Event::Step(i) => (0, i as u64, 0),
+                Event::TmaDone { gbar, bytes } => (1, gbar as u64, bytes),
+                Event::WgmmaDone(i) => (2, i as u64, 0),
+                Event::CpDone(i) => (3, i as u64, 0),
+                Event::CudaTick(gen) => (4, (gen == self.cuda.gen) as u64, 0),
+            };
+            sig.extend([time - t, tag, a, b]);
+        }
+        sig
+    }
+
+    fn clock(&self) -> u64 {
+        self.now
+    }
+
+    /// The ten running statistics, every barrier's completed phases, every
+    /// actor's consumed ones.
+    fn counters(&mut self) -> impl Iterator<Item = &mut u64> {
+        let phases = self.barriers.iter_mut().map(Mbarrier::phases_mut);
+        let local = self.actors.iter_mut().flat_map(|a| &mut a.local_phase);
+        self.stats.running().into_iter().chain(phases).chain(local)
+    }
+
+    /// Every time by `n ×` the period's length: pending events, the pipes'
+    /// clocks, the start of every stall.
+    fn jump(&mut self, then: u64, n: u64) -> Option<()> {
+        let shift = n.checked_mul(self.now - then)?;
+        self.queue.shift(shift)?;
+        self.now = self.now.checked_add(shift)?;
+        self.last_time = self.now;
+        // A resource time in the past stays in the past: moving it along is
+        // as unobservable as leaving it.
+        self.tc_free = self.tc_free.checked_add(shift)?;
+        self.mem_free = self.mem_free.checked_add(shift)?;
+        self.cuda.last_update = self.cuda.last_update.checked_add(shift)?;
+        for a in self.actors.iter_mut().filter(|a| a.is_blocked()) {
+            a.blocked_since = a.blocked_since.checked_add(shift)?;
+        }
+        Some(())
+    }
+
+    /// The counters now, `cycles` standing for the time.
+    fn since(&self) -> EngineStats {
+        EngineStats {
+            cycles: self.now,
+            ..self.stats.clone()
+        }
+    }
+
+    fn tail(&self, since: EngineStats) -> Option<EngineStats> {
+        let mut tail = self.stats.clone();
+        tail.cycles = tail.cycles.saturating_sub(since.cycles);
+        tail.combine(&since, u64::checked_sub)?;
+        Some(tail)
+    }
+
+    fn reuse(&mut self, tail: &EngineStats) -> bool {
+        let cycles = (self.stats.combine(tail, u64::checked_add))
+            .and_then(|()| self.now.checked_add(tail.cycles));
+        self.stats.cycles = cycles.unwrap_or_default();
+        self.walk.halt = Some(cycles.map_or(Halt::Overflow, |_| Halt::TailReused));
+        true
+    }
+
+    /// Takes the anchor's interrupted step again, at the time it was taken.
+    fn resume(&mut self, ci: usize, family: &mut Classes<'k, Self>) {
+        self.residents.fill(&self.kernel.classes[ci]);
+        if let Some(None) = self.walk.anchor.map(|anchor| self.step(anchor, family)) {
+            self.walk.halt = Some(Halt::Overflow);
+        }
+    }
+
+    fn run(&mut self, family: &mut Classes<'k, Self>) -> bool {
+        while self.walk.halt.is_none() && self.done_count != self.actors.len() {
+            let Some((t, event)) = self.queue.pop() else {
+                break;
+            };
+            self.walk.work += 1;
+            self.last_time = self.last_time.max(t);
+            if self.handle(t, event, family).is_none() {
+                self.walk.halt = Some(Halt::Overflow);
+            }
+        }
+        if self.walk.halt.is_none() {
+            self.deadlock =
+                (self.done_count != self.actors.len()).then(|| self.describe_deadlock());
+            self.stats.cycles = self
+                .last_time
+                .max(self.mem_free)
+                .max(self.tc_free)
+                .max(self.cuda.last_update);
+        }
+        self.walk.halt != Some(Halt::Overflow) && self.deadlock.is_none()
+    }
+
+    fn finish(self, _clean: bool) -> EngineResult {
+        EngineResult {
+            stats: self.stats,
+            deadlock: self.deadlock,
+            events: self.walk.work,
+            fast_forwarded_trips: self.walk.jumped_trips,
+            overflow: self.walk.halt == Some(Halt::Overflow),
+        }
     }
 }
 
@@ -1329,6 +1129,41 @@ mod tests {
             assert!(fast.deadlock.is_some(), "extra={extra}");
             assert!(fast.events * 5 < plain.events, "extra={extra}");
         }
+    }
+
+    #[test]
+    fn a_deadlock_past_a_long_loop_reads_as_walked() {
+        // The `extra = 3` kernel above, its report in full: phases, arrivals
+        // and `since` times as walking all 600 trips leaves them.
+        let mut k = ws_kernel(600, 1);
+        let (full, empty) = (tawa_wsir::BarId(0), tawa_wsir::BarId(1));
+        for _ in 0..3 {
+            k.warp_groups[1].body.extend([
+                Instr::MbarArrive { bar: empty },
+                Instr::MbarWait { bar: full },
+            ]);
+        }
+        k.warp_groups[0].body.push(Instr::loop_const(
+            2,
+            vec![
+                Instr::MbarWait { bar: empty },
+                Instr::TmaLoad {
+                    bytes: 32768,
+                    bar: full,
+                },
+            ],
+        ));
+        let class = one_class();
+        let r = run_sm(&k, &Device::h100_sxm5(), &[&class, &class], &cfg());
+        assert_eq!(
+            r.deadlock.as_deref(),
+            Some(
+                "deadlock: [cta0 wg1 BlockedBar(bar0 \"full0\" waiting phase 601, 1/1 arrivals, \
+                 601 completed, 0 tx bytes pending) since 1407130] [cta1 wg1 BlockedBar(bar0 \
+                 \"full0\" waiting phase 601, 1/1 arrivals, 601 completed, 0 tx bytes pending) \
+                 since 1408856] "
+            )
+        );
     }
 
     #[test]

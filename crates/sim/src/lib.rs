@@ -12,10 +12,11 @@
 //!
 //! * [`device`] — calibration constants (H100 SXM5) and the occupancy
 //!   calculator,
-//! * [`mbarrier`] — transaction-barrier hardware semantics,
 //! * [`engine`] — the per-SM event engine executing WSIR warp-group
 //!   programs (detects deadlocks rather than hanging, and skips the
-//!   periodic steady state of every loop exactly),
+//!   periodic steady state of every loop exactly); its loop cursors,
+//!   transaction mbarriers and class-family walk are
+//!   [`tawa_wsir::walk`]'s, shared with the static gate,
 //! * [`run`] — wave-level scheduling, persistent-kernel handling and
 //!   report generation,
 //! * [`report_serde`] — the stable, versioned text serialization of
@@ -61,7 +62,6 @@
 pub mod analytic;
 pub mod device;
 pub mod engine;
-pub mod mbarrier;
 pub mod report_serde;
 pub mod run;
 
@@ -89,6 +89,5 @@ pub const COST_MODEL_VERSION: u32 = 1;
 pub use analytic::{estimate, perf_model, AnalyticEstimate, BoundKind, ANALYTIC_MODEL_VERSION};
 pub use device::Device;
 pub use engine::{EngineCfg, EngineResult, EngineStats};
-pub use mbarrier::Mbarrier;
 pub use report_serde::{deserialize_report, serialize_report, REPORT_FORMAT_VERSION};
 pub use run::{simulate, simulate_with, SimError, SimOptions, SimReport};

@@ -630,4 +630,34 @@ mod tests {
         let long_ratio = rl.total_time_us / rl.kernel_time_us;
         assert!(short_ratio > long_ratio);
     }
+
+    #[test]
+    fn byte_and_cycle_magnitudes_past_u64_are_an_overflow() {
+        use tawa_wsir::{analyze, deserialize_kernel, serialize_kernel};
+        // Two 2^63-byte loads into one barrier of arrive count 2: the
+        // phase's transaction bytes, and `bytes_loaded`, do not fit 64 bits.
+        // Read back from its serialized form, as a cached kernel would be.
+        let mut huge = Kernel::new("huge_tma");
+        huge.uniform_grid(1);
+        let full = huge.add_barrier("full", 2);
+        let load = Instr::TmaLoad {
+            bytes: 1 << 63,
+            bar: full,
+        };
+        huge.add_warp_group(Role::Producer, 24, vec![load.clone(), load]);
+        huge.add_warp_group(Role::Consumer, 240, vec![Instr::MbarWait { bar: full }]);
+        let huge = deserialize_kernel(&serialize_kernel(&huge)).unwrap();
+        // Two delays whose sum does not fit a 64-bit clock.
+        let mut long = Kernel::new("long_delay");
+        long.uniform_grid(1);
+        let delay = |cycles| Instr::Delay { cycles };
+        long.add_warp_group(Role::Uniform, 128, vec![delay(u64::MAX), delay(1)]);
+        let dev = Device::h100_sxm5();
+        for k in [huge, long] {
+            let r = simulate(&k, &dev);
+            assert!(matches!(r, Err(SimError::Overflow)), "{}: {r:?}", k.name);
+            // The static gate saturates where it would have wrapped.
+            analyze(&k);
+        }
+    }
 }

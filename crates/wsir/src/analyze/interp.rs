@@ -18,21 +18,17 @@
 //! interleaving of the real machine can avoid the deadlock — the verdict
 //! is definite, not heuristic.
 //!
-//! The interpreter does not walk every trip of a long loop: once the
-//! rounds repeat — the abstract counterpart of a pipeline's steady state —
-//! it recognises the repeated state at a loop back-edge and advances its
-//! counters over the remaining periods at once, exactly (see [`Machine`]
-//! and [`crate::period`]). Lints, and the step on which the budget runs
-//! out, are those of the full walk.
-//!
-//! Nor does it walk every class from nothing. The classes of a kernel are
-//! one [`Family`]: at its first skip a class offers a clone of its machine
-//! as a checkpoint, a later class whose trip counts answer every question
-//! asked so far the same way starts from the clone, and a class that comes
-//! to stand where an earlier one walked to a clean end without a new lint
-//! (and with fuel to spare) takes that tail as walked. Classes are walked
-//! largest first; their lints are folded and deduplicated in class order,
-//! each exactly what interpreting that class alone gives.
+//! The interpreter is the second [`Walker`] of [`crate::walk`], beside the
+//! simulator engine: cursors, barriers ([`Mbarrier`], driven without
+//! transaction bytes), steady-state skips and the class family are the
+//! walker's (see [`crate::period`] for why they are exact). What is the
+//! gate's own: the slot pairs, what each warp group can reach, the lints,
+//! and the fuel — a skip is capped so the budget runs out on the step it
+//! would have, and a class reuses another's tail only if that one raised no
+//! lint and fits the fuel left. Lints, and the step on which the budget
+//! runs out, are those of walking every trip of every class on its own;
+//! classes are walked largest first and their lints are folded and
+//! deduplicated in class order.
 //!
 //! The shared-memory tile ownership map is recovered from the aref
 //! discipline the code generator emits (paper Fig. 4): a barrier written
@@ -44,17 +40,15 @@
 use std::collections::{HashSet, VecDeque};
 
 use super::{InstrPath, Lint, LintKind};
-use crate::instr::{BarId, Count, Instr, Role};
+use crate::instr::{BarId, Instr, Role};
 use crate::kernel::Kernel;
-use crate::period::{
-    anchor_warp_group, lowered, waited_barriers, Family, Footprint, FrameMark, PeriodDetector,
-    TailKey,
-};
+use crate::period::waited_barriers;
+use crate::walk::{walk_classes, Classes, Halt, Mbarrier, Walk, Walker};
 
 /// The lints of the protocol tier and the abstract steps executed to find
 /// them. `fast_forward = false` walks every trip of every loop of every
-/// class: the reference the differential tests hold the skipping
-/// interpreter against.
+/// class (no anchor): the reference the differential tests hold the
+/// skipping interpreter against.
 pub(super) fn check(k: &Kernel, fuel: u64, fast_forward: bool) -> (Vec<Lint>, u64) {
     let mut lints = Vec::new();
     scan_static(k, &mut lints);
@@ -64,20 +58,17 @@ pub(super) fn check(k: &Kernel, fuel: u64, fast_forward: bool) -> (Vec<Lint>, u6
         .iter()
         .map(|wg| Reach::of(&wg.body, &pairs))
         .collect();
-    // Classes are walked as one family, largest first; their findings are
-    // folded in class order.
-    let mut family = Family::of(k);
-    let mut per_class = vec![Vec::new(); k.classes.len()];
-    let mut steps = 0;
-    while let Some(ci) = family.next_class() {
-        let (found, walked) = interp_class(k, ci, &pairs, &reach, fuel, fast_forward, &mut family);
-        steps += walked;
-        per_class[ci] = found;
-    }
+    let per_class = walk_classes(k, |ci, track| {
+        Machine::new(k, ci, &pairs, &reach, fuel, !fast_forward, track)
+    });
     let mut seen: HashSet<String> = HashSet::new();
-    for lint in per_class.into_iter().flatten() {
-        if seen.insert(dedup_key(&lint)) {
-            lints.push(lint);
+    let mut steps = 0;
+    for (found, walked) in per_class {
+        steps += walked;
+        for lint in found {
+            if seen.insert(dedup_key(&lint)) {
+                lints.push(lint);
+            }
         }
     }
     (lints, steps)
@@ -262,48 +253,9 @@ pub(super) fn derive_pairs(k: &Kernel) -> Pairs {
     Pairs { guard_of, data_of }
 }
 
-/// Abstract mbarrier: Hopper phase semantics with transaction bytes folded
-/// into arrivals (completions are delivered immediately, so `tx` can delay
-/// but never gate a phase — exactly the simulator's liveness behavior).
 #[derive(Clone)]
-struct AbsBar {
-    arrive_count: u32,
-    arrivals: u32,
-    completed: u64,
-}
-
-impl AbsBar {
-    /// Registers one arrival; true if it completed a phase.
-    fn arrive(&mut self) -> bool {
-        self.arrivals += 1;
-        if self.arrivals >= self.arrive_count {
-            self.arrivals -= self.arrive_count;
-            self.completed += 1;
-            true
-        } else {
-            false
-        }
-    }
-}
-
-/// One iteration scope: a body, the next instruction index, and the trips
-/// left (including the current one).
-#[derive(Clone)]
-struct Frame<'a> {
-    body: &'a [Instr],
-    idx: usize,
-    trips_left: u64,
-    /// Instance id, unique per push: lets the period detector tell a frame
-    /// that moved from one that was left and re-entered.
-    id: u64,
-    /// The `Count::Param` the trip count came from, if it was one.
-    param: Option<usize>,
-}
-
-#[derive(Clone)]
-struct Actor<'a> {
+struct Actor {
     role: Role,
-    stack: Vec<Frame<'a>>,
     /// Phases this warp group has consumed per barrier (its parity).
     local_phase: Vec<u64>,
     /// `MbarArrive`s this warp group executed per barrier (its releases).
@@ -338,31 +290,25 @@ struct Reach {
 
 impl Reach {
     fn of(body: &[Instr], pairs: &Pairs) -> Reach {
-        fn scan(body: &[Instr], pairs: &Pairs, r: &mut Reach) {
-            for i in body {
-                match i {
-                    Instr::TmaLoad { bar, .. } => {
-                        let f = bar.0 as usize;
-                        if let Some(&Some(e)) = pairs.guard_of.get(f) {
-                            r.loads_into.push((f, e));
-                        }
-                    }
-                    Instr::MbarArrive { bar } => {
-                        let e = bar.0 as usize;
-                        if let Some(&Some(f)) = pairs.data_of.get(e) {
-                            r.releases.push((e, f));
-                        }
-                    }
-                    Instr::Loop { body, .. } => scan(body, pairs, r),
-                    _ => {}
-                }
-            }
-        }
         let mut r = Reach {
             waits: waited_barriers(body),
             ..Reach::default()
         };
-        scan(body, pairs, &mut r);
+        super::visit_with_path(body, &mut Vec::new(), &mut |i, _| match i {
+            Instr::TmaLoad { bar, .. } => {
+                let f = bar.0 as usize;
+                if let Some(&Some(e)) = pairs.guard_of.get(f) {
+                    r.loads_into.push((f, e));
+                }
+            }
+            Instr::MbarArrive { bar } => {
+                let e = bar.0 as usize;
+                if let Some(&Some(f)) = pairs.data_of.get(e) {
+                    r.releases.push((e, f));
+                }
+            }
+            _ => {}
+        });
         for list in [&mut r.loads_into, &mut r.releases] {
             list.sort_unstable();
             list.dedup();
@@ -371,123 +317,12 @@ impl Reach {
     }
 }
 
-/// The interpreter's absolute counters at a snapshot: what
-/// [`Machine::fast_forward`] extrapolates from.
-#[derive(Clone)]
-struct Mark {
-    fuel: u64,
-    /// Per barrier `completed`; per actor `local_phase` then `releases`;
-    /// per slot `loads`.
-    counters: Vec<u64>,
-}
-
-/// What the actor's program yields next.
-enum Next<'a> {
-    Instr(&'a Instr),
-    /// The top frame finished a trip and has more (only reported for the
-    /// actor whose back-edges are watched; taken by [`end_trip`]).
-    BackEdge,
-    End,
-}
-
-/// What walking a program reads and writes besides the actor: the class's
-/// trip counts, the frame-instance counter, and — while a checkpoint may
-/// still be offered — the record of every answer a trip count gave.
-#[derive(Clone)]
-struct Trips<'a> {
-    params: &'a [u64],
-    next_frame_id: u64,
-    footprint: Option<Footprint>,
-}
-
-/// Resolves the actor's next blocking-relevant instruction, descending
-/// into loops and — unless `pause` asks for them to be reported — taking
-/// back-edges. The returned reference borrows the kernel, not the actor.
-fn next<'a>(actor: &mut Actor<'a>, trips: &mut Trips<'_>, pause: bool) -> Next<'a> {
-    loop {
-        let Some(frame) = actor.stack.last_mut() else {
-            return Next::End;
-        };
-        if frame.idx >= frame.body.len() {
-            if pause && frame.trips_left > 1 {
-                return Next::BackEdge;
-            }
-            end_trip(actor, trips);
-            continue;
-        }
-        let body = frame.body;
-        let instr = &body[frame.idx];
-        if let Instr::Loop { count, body: lb } = instr {
-            if lb.is_empty() {
-                frame.idx += 1;
-                continue;
-            }
-            let n = count.resolve(trips.params);
-            let param = match *count {
-                Count::Param(p) => Some(p),
-                Count::Const(_) => None,
-            };
-            if let (Some(fp), Some(p)) = (&mut trips.footprint, param) {
-                fp.resolved(p, n);
-            }
-            if n == 0 {
-                frame.idx += 1;
-                continue;
-            }
-            actor.stack.push(Frame {
-                body: lb,
-                idx: 0,
-                trips_left: n,
-                id: trips.next_frame_id,
-                param,
-            });
-            trips.next_frame_id += 1;
-            continue;
-        }
-        return Next::Instr(instr);
-    }
-}
-
-/// The top frame reached the end of its body: start its next trip, or
-/// leave it and step its parent past the loop.
-fn end_trip(actor: &mut Actor<'_>, trips: &mut Trips<'_>) {
-    let Some(frame) = actor.stack.last_mut() else {
-        return;
-    };
-    if let (Some(fp), Some(p)) = (&mut trips.footprint, frame.param) {
-        fp.tested(p, frame.trips_left);
-    }
-    if frame.trips_left > 1 {
-        frame.trips_left -= 1;
-        frame.idx = 0;
-    } else {
-        actor.stack.pop();
-        advance(actor);
-    }
-}
-
-fn advance(actor: &mut Actor<'_>) {
-    if let Some(f) = actor.stack.last_mut() {
-        f.idx += 1;
-    }
-}
-
-fn path_of(actor: &Actor<'_>, wg: usize) -> InstrPath {
-    InstrPath {
-        wg,
-        indices: actor.stack.iter().map(|f| f.idx).collect(),
-    }
-}
-
 /// The abstract machine interpreting one CTA class.
 ///
 /// Warp groups run round-robin, each until it blocks; a round in which
 /// nobody moved is a deadlock. The loop bodies of a pipelined kernel make
-/// every round after the ring fills a copy of the one before, so the
-/// machine skips them the way the simulator engine does (see
-/// [`crate::period`]): at the back-edges of one anchor warp group it
-/// takes a signature of its state with the linear counters taken out,
-/// and on a repeat advances those counters by whole periods.
+/// every round after the ring fills a copy of the one before, which the
+/// walker skips.
 ///
 /// In the signature: the round's `progressed` flag, the rendezvous count,
 /// `in_flight`, `max_in_flight`, the number of lints and of resident
@@ -497,26 +332,20 @@ fn path_of(actor: &Actor<'_>, wg: usize) -> InstrPath {
 /// as differences, exactly the comparisons the interpreter makes —
 /// `completed − local_phase` for barriers the actor waits on, and the two
 /// race-check margins for slots it loads into or releases. Advanced
-/// linearly: `completed`, `local_phase`, `releases`, `loads`, trip
-/// counters, and the fuel, with the skip capped so the budget runs out on
-/// the identical step.
-///
-/// A class need not start from nothing: at its first skip the machine
-/// offers itself to the [`Family`] as a checkpoint, a later class that
-/// provably walked the same rounds so far starts from the clone
-/// ([`Machine::resumed`]), and a class that reaches a state from which an
-/// earlier one walked to a clean end without a new lint stops there
-/// ([`Tail`]). See [`crate::period`] on families.
+/// linearly: `completed`, `local_phase`, `releases`, `loads`, and the
+/// fuel, with the skip capped so the budget runs out on the identical
+/// step. A tail is `(fuel, lints)`: right after a skip the fuel left and
+/// the lints raised, at a clean end the fuel the rest took.
 #[derive(Clone)]
 struct Machine<'a> {
     k: &'a Kernel,
     ci: usize,
-    trips: Trips<'a>,
     pairs: &'a Pairs,
     /// Per warp group; the same for every class.
     reach: &'a [Reach],
-    bars: Vec<AbsBar>,
-    actors: Vec<Actor<'a>>,
+    bars: Vec<Mbarrier>,
+    actors: Vec<Actor>,
+    walk: Walk<'a, (u64, usize)>,
     sync_count: usize,
     /// Slot state per data barrier (`None` for unpaired barriers).
     slots: Vec<Option<SlotState>>,
@@ -525,68 +354,14 @@ struct Machine<'a> {
     resident: HashSet<(usize, Vec<usize>)>,
     race_flagged: HashSet<(usize, bool)>,
     lints: Vec<Lint>,
+    /// The fuel the class started with, and what is left of it.
+    budget: u64,
     fuel: u64,
     /// Whether any actor moved in the current round.
     progressed: bool,
-    /// The warp group whose back-edges are snapshotted, if any loops.
-    anchor: Option<usize>,
-    detector: PeriodDetector<Mark>,
     /// The actor whose turn it is: where a round is picked up again when
     /// this machine is a checkpoint.
     turn: usize,
-    /// The states this class stood in right after each skip, with the fuel
-    /// and the number of lints it had then.
-    skips: Vec<(TailKey, u64, usize)>,
-    /// An earlier class's tail stands in for the rest of this walk.
-    reused_tail: bool,
-    /// Instructions executed: the interpreter's unit of host work.
-    steps: u64,
-}
-
-/// What a class spent walking from a [`TailKey`] to its end, raising no
-/// lint on the way.
-struct Tail {
-    fuel: u64,
-}
-
-type Classes<'a> = Family<'a, Machine<'a>, Tail>;
-
-fn interp_class<'a>(
-    k: &'a Kernel,
-    ci: usize,
-    pairs: &'a Pairs,
-    reach: &'a [Reach],
-    fuel_budget: u64,
-    fast_forward: bool,
-    family: &mut Classes<'a>,
-) -> (Vec<Lint>, u64) {
-    let params = &k.classes[ci].params;
-    let mut m = match family.admit(params) {
-        Some((checkpoint, lower_by)) => checkpoint.resumed(ci, params, &lower_by),
-        None => {
-            let anchor = fast_forward.then(|| anchor_warp_group(k, params)).flatten();
-            let track = anchor.is_some() && family.has_pending();
-            Machine::new(k, ci, pairs, reach, fuel_budget, anchor, track)
-        }
-    };
-    if !m.run(family) {
-        m.lints.push(Lint::new(LintKind::AnalysisBudget {
-            class: ci,
-            budget: fuel_budget,
-        }));
-    } else if family.has_pending() {
-        for (key, fuel, lints) in std::mem::take(&mut m.skips) {
-            if lints == m.lints.len() {
-                family.record(
-                    key,
-                    Tail {
-                        fuel: fuel - m.fuel,
-                    },
-                );
-            }
-        }
-    }
-    (m.lints, m.steps)
 }
 
 impl<'a> Machine<'a> {
@@ -597,50 +372,30 @@ impl<'a> Machine<'a> {
         ci: usize,
         pairs: &'a Pairs,
         reach: &'a [Reach],
-        fuel_budget: u64,
-        anchor: Option<usize>,
+        budget: u64,
+        reference: bool,
         track: bool,
     ) -> Machine<'a> {
         let nb = k.barriers.len();
-        let params = &k.classes[ci].params;
+        let bodies = k.warp_groups.iter().map(|wg| &wg.body[..]);
         Machine {
             k,
             ci,
-            trips: Trips {
-                params,
-                next_frame_id: k.warp_groups.len() as u64,
-                footprint: track.then(|| Footprint::new(params.len())),
-            },
             pairs,
             reach,
-            bars: k
-                .barriers
-                .iter()
-                .map(|b| AbsBar {
-                    arrive_count: b.arrive_count.max(1),
-                    arrivals: 0,
-                    completed: b.init_phases as u64,
-                })
+            bars: (k.barriers.iter())
+                .map(|b| Mbarrier::new(b.arrive_count, b.init_phases))
                 .collect(),
-            actors: k
-                .warp_groups
-                .iter()
-                .enumerate()
-                .map(|(wi, wg)| Actor {
+            actors: (k.warp_groups.iter())
+                .map(|wg| Actor {
                     role: wg.role,
-                    stack: vec![Frame {
-                        body: &wg.body,
-                        idx: 0,
-                        trips_left: 1,
-                        id: wi as u64,
-                        param: None,
-                    }],
                     local_phase: vec![0; nb],
                     releases: vec![0; nb],
                     in_sync: false,
                     done: false,
                 })
                 .collect(),
+            walk: Walk::new(k, bodies, &k.classes[ci].params, 1, reference, track),
             sync_count: 0,
             slots: (0..nb)
                 .map(|f| pairs.guard_of[f].map(|_| SlotState::default()))
@@ -650,44 +405,360 @@ impl<'a> Machine<'a> {
             resident: HashSet::new(),
             race_flagged: HashSet::new(),
             lints: Vec::new(),
-            fuel: fuel_budget.max(1),
+            budget,
+            fuel: budget.max(1),
             progressed: false,
-            anchor,
-            detector: PeriodDetector::default(),
             turn: 0,
-            skips: Vec::new(),
-            reused_tail: false,
-            steps: 0,
         }
     }
 
-    /// This checkpoint as the machine of class `ci`, whose `params` are
-    /// lower than the checkpointed class's by `lower_by` and otherwise ask
-    /// nothing the prefix has not answered the same way: every live frame
-    /// (here and in the detector's history) stands that much lower, and the
-    /// interrupted turn is taken again.
-    fn resumed(&self, ci: usize, params: &'a [u64], lower_by: &[u64]) -> Machine<'a> {
-        let mut m = self.clone();
-        m.ci = ci;
-        m.trips.params = params;
-        m.steps = 0;
-        for f in m.actors.iter_mut().flat_map(|a| &mut a.stack) {
-            f.trips_left -= lowered(f.param, lower_by);
+    /// Runs actor `ai` until it blocks or ends (or the walk halts);
+    /// `false` when the fuel ran out.
+    fn run_actor(&mut self, ai: usize, family: &mut Classes<'a, Self>) -> bool {
+        let k = self.k;
+        let pairs = self.pairs;
+        loop {
+            if self.actors[ai].done {
+                return true;
+            }
+            let Some(instr) = self.fetch(ai, family) else {
+                if self.walk.halt.is_none() {
+                    self.actors[ai].done = true;
+                    self.progressed = true;
+                }
+                return true;
+            };
+            match instr {
+                // Entering a loop takes no step.
+                Instr::Loop { count, body } => {
+                    let params = self.walk.params;
+                    self.walk.enter(ai, *count, body, params);
+                    continue;
+                }
+                Instr::MbarWait { bar } => {
+                    let b = bar.0 as usize;
+                    if self.bars[b].completed_phases() > self.actors[ai].local_phase[b] {
+                        self.actors[ai].local_phase[b] += 1;
+                    } else {
+                        return true; // blocked: revisited next round
+                    }
+                }
+                Instr::Syncthreads => {
+                    if !self.actors[ai].in_sync {
+                        self.sync_count += 1;
+                    }
+                    if self.sync_count < self.actors.len() {
+                        self.actors[ai].in_sync = true;
+                        return true; // blocked at the rendezvous
+                    }
+                    // Everyone else waiting steps past; this one below.
+                    self.sync_count = 0;
+                    self.actors[ai].in_sync = false;
+                    for (a, cursor) in self.actors.iter_mut().zip(&mut self.walk.cursors) {
+                        if std::mem::take(&mut a.in_sync) {
+                            cursor.advance();
+                        }
+                    }
+                }
+                Instr::TmaLoad { bytes, bar } => {
+                    let f = bar.0 as usize;
+                    if let Some(&Some(e)) = pairs.guard_of.get(f) {
+                        // Overwriting generation `g` is ordered only if
+                        // the writer consumed a guard credit covering
+                        // the release of generation `g - init`.
+                        let g = self.generation(f);
+                        let init_e = k.barriers[e].init_phases as u64;
+                        if g >= init_e && self.actors[ai].local_phase[e] < g + 1 {
+                            self.race(ai, f, e, g, true);
+                        }
+                    }
+                    // Exactly the paired barriers have slots.
+                    if let Some(st) = self.slots.get_mut(f).and_then(Option::as_mut) {
+                        st.loads += 1;
+                        st.gen_bytes = st.gen_bytes.saturating_add(*bytes);
+                        self.in_flight = self.in_flight.saturating_add(*bytes);
+                        self.max_in_flight = self.max_in_flight.max(self.in_flight);
+                        if self.bars[f].arrive() {
+                            st.gens.push_back(std::mem::take(&mut st.gen_bytes));
+                        }
+                    } else {
+                        // Unpaired loads (prologue tiles, sync-barrier
+                        // feeds) stay resident; count each site once.
+                        let key = (ai, self.walk.cursors[ai].path(ai).indices);
+                        if self.resident.insert(key) {
+                            self.in_flight = self.in_flight.saturating_add(*bytes);
+                            self.max_in_flight = self.max_in_flight.max(self.in_flight);
+                        }
+                        self.bars[f].arrive();
+                    }
+                }
+                Instr::MbarArrive { bar } => {
+                    let e = bar.0 as usize;
+                    let data = pairs.data_of.get(e).copied().flatten();
+                    if let Some(f) = data {
+                        // Releasing read `j` is ordered only if the
+                        // reader consumed the data phase it read.
+                        let j = self.actors[ai].releases[e];
+                        let init_f = k.barriers[f].init_phases as u64;
+                        if self.actors[ai].local_phase[f] + init_f < j + 1 {
+                            self.race(ai, f, e, j, false);
+                        }
+                    }
+                    self.actors[ai].releases[e] += 1;
+                    if self.bars[e].arrive() {
+                        if let Some(slot) = data.and_then(|f| self.slots[f].as_mut()) {
+                            if let Some(freed) = slot.gens.pop_front() {
+                                self.in_flight = self.in_flight.saturating_sub(freed);
+                            }
+                        }
+                    }
+                }
+                // Pure timing: WGMMA / CUDA / copies / stores / delays
+                // never gate liveness (their completions always fire).
+                _ => {}
+            }
+            self.walk.cursors[ai].advance();
+            self.progressed = true;
+            self.walk.work += 1;
+            self.fuel -= 1;
+            if self.fuel == 0 {
+                return false;
+            }
         }
-        m.detector.lower(lower_by);
-        m
+    }
+
+    /// Actor `ai`'s write into (`write`) or release of the slot of data
+    /// barrier `f`, guard `e`, is unordered: a race, reported once per slot
+    /// and direction.
+    fn race(&mut self, ai: usize, f: usize, e: usize, generation: u64, write: bool) {
+        if !self.race_flagged.insert((f, write)) {
+            return;
+        }
+        let (k, data, guard) = (self.k, BarId(f as u32), BarId(e as u32));
+        let kind = LintKind::SharedMemRace {
+            data,
+            name: k.barriers[f].name.clone(),
+            guard,
+            role: self.actors[ai].role,
+            generation,
+            write,
+        };
+        let mut lint = Lint::at(kind, self.walk.cursors[ai].path(ai));
+        lint.loc = k.bar_loc(data).or(k.bar_loc(guard));
+        self.lints.push(lint);
+    }
+
+    /// All actors ran to completion: report what they left behind.
+    fn report_leftovers(&mut self) {
+        let k = self.k;
+        for (b, bar) in self.bars.iter().enumerate() {
+            if bar.arrivals() > 0 {
+                let mut lint = Lint::new(LintKind::DoubleArrive {
+                    bar: BarId(b as u32),
+                    name: k.barriers[b].name.clone(),
+                    residue: bar.arrivals(),
+                });
+                lint.loc = k.bar_loc(BarId(b as u32));
+                self.lints.push(lint);
+            }
+        }
+        if k.smem_bytes > 0 && self.max_in_flight > k.smem_bytes {
+            self.lints.push(Lint::new(LintKind::SmemOverflow {
+                max_in_flight: self.max_in_flight,
+                smem_bytes: k.smem_bytes,
+            }));
+        }
+    }
+
+    /// Nobody can move: one lint per stuck actor, at the instruction its
+    /// cursor stands at.
+    fn report_deadlock(&mut self) {
+        let k = self.k;
+        let expected = self.actors.len();
+        for (ai, (actor, cursor)) in self.actors.iter().zip(&self.walk.cursors).enumerate() {
+            if actor.done {
+                continue;
+            }
+            let (path, role) = (cursor.path(ai), actor.role);
+            match cursor.current() {
+                Some(Instr::MbarWait { bar }) => {
+                    let b = bar.0 as usize;
+                    let mut lint = Lint::at(
+                        LintKind::StaticDeadlock {
+                            class: self.ci,
+                            role,
+                            bar: *bar,
+                            name: k.barriers[b].name.clone(),
+                            waiting_phase: actor.local_phase[b],
+                            completed_phases: self.bars[b].completed_phases(),
+                            arrivals: self.bars[b].arrivals(),
+                            arrive_count: self.bars[b].arrive_count,
+                        },
+                        path,
+                    );
+                    lint.loc = k.bar_loc(*bar);
+                    self.lints.push(lint);
+                }
+                Some(Instr::Syncthreads) => {
+                    self.lints.push(Lint::at(
+                        LintKind::SyncDeadlock {
+                            class: self.ci,
+                            role,
+                            arrived: self.sync_count,
+                            expected,
+                        },
+                        path,
+                    ));
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Generation of slot `f` the next load writes.
+    fn generation(&self, f: usize) -> u64 {
+        let loads = self.slots[f].as_ref().map_or(0, |s| s.loads);
+        loads / self.bars[f].arrive_count as u64
+    }
+}
+
+impl<'a> Walker<'a> for Machine<'a> {
+    type Tail = (u64, usize);
+    type Out = (Vec<Lint>, u64);
+
+    fn walk(&mut self) -> &mut Walk<'a, (u64, usize)> {
+        &mut self.walk
+    }
+
+    /// The state with every linear counter taken out (see the type docs).
+    fn signature(&self) -> Vec<u64> {
+        let mut sig = Vec::with_capacity(96);
+        sig.extend([
+            self.progressed as u64,
+            self.sync_count as u64,
+            self.in_flight,
+            self.max_in_flight,
+            self.lints.len() as u64,
+            self.resident.len() as u64,
+        ]);
+        let actors = self.actors.iter().zip(&self.walk.cursors);
+        for ((a, cursor), reach) in actors.zip(self.reach) {
+            sig.push(a.done as u64 | (a.in_sync as u64) << 1);
+            cursor.sig(&mut sig);
+            for &b in &reach.waits {
+                sig.push(
+                    self.bars[b]
+                        .completed_phases()
+                        .wrapping_sub(a.local_phase[b]),
+                );
+            }
+            for &(f, e) in &reach.loads_into {
+                sig.push(a.local_phase[e].wrapping_sub(self.generation(f)));
+            }
+            for &(e, f) in &reach.releases {
+                sig.push(a.local_phase[f].wrapping_sub(a.releases[e]));
+            }
+        }
+        sig.extend(self.bars.iter().map(|b| b.arrivals() as u64));
+        for (f, slot) in self.slots.iter().enumerate() {
+            let (Some(slot), Some(&Some(e))) = (slot, self.pairs.guard_of.get(f)) else {
+                continue;
+            };
+            sig.extend([
+                slot.loads % self.bars[f].arrive_count as u64,
+                // The overwrite check only asks whether the generation is
+                // past the guard's initial credits.
+                self.generation(f)
+                    .min(self.k.barriers[e].init_phases as u64),
+                slot.gen_bytes,
+                slot.gens.len() as u64,
+            ]);
+            sig.extend(&slot.gens);
+        }
+        sig
+    }
+
+    fn clock(&self) -> u64 {
+        self.fuel
+    }
+
+    /// Per barrier `completed`; per actor `local_phase` then `releases`;
+    /// per slot `loads`.
+    fn counters(&mut self) -> impl Iterator<Item = &mut u64> {
+        let bars = self.bars.iter_mut().map(Mbarrier::phases_mut);
+        let actors =
+            (self.actors.iter_mut()).flat_map(|a| a.local_phase.iter_mut().chain(&mut a.releases));
+        let slots = self.slots.iter_mut().flatten().map(|s| &mut s.loads);
+        bars.chain(actors).chain(slots)
+    }
+
+    /// The budget must run out on the step it would have: keep at least
+    /// one unit of fuel for the walk to spend. Every counter grows by at
+    /// most one per unit of fuel, so the budget also bounds them.
+    fn cap(&self, then: u64, periods: u64) -> u64 {
+        match then - self.fuel {
+            0 => periods,
+            spent => periods.min((self.fuel - 1) / spent),
+        }
+    }
+
+    fn jump(&mut self, then: u64, n: u64) -> Option<()> {
+        self.fuel = self.fuel.checked_sub(n.checked_mul(then - self.fuel)?)?;
+        Some(())
+    }
+
+    /// The race flags and resident sites, which the signature holds only
+    /// by count, in full.
+    fn key(&self, mut sig: Vec<u64>) -> Vec<u64> {
+        let mut flagged: Vec<u64> = (self.race_flagged.iter())
+            .map(|&(f, write)| (f as u64) << 1 | write as u64)
+            .collect();
+        flagged.sort_unstable();
+        sig.extend(flagged);
+        let mut resident: Vec<_> = self.resident.iter().collect();
+        resident.sort_unstable();
+        for (ai, path) in resident {
+            sig.extend([*ai as u64, path.len() as u64]);
+            sig.extend(path.iter().map(|&i| i as u64));
+        }
+        sig
+    }
+
+    fn since(&self) -> (u64, usize) {
+        (self.fuel, self.lints.len())
+    }
+
+    /// A tail that raised no lint: the fuel it took.
+    fn tail(&self, (fuel, lints): (u64, usize)) -> Option<(u64, usize)> {
+        (lints == self.lints.len()).then(|| (fuel - self.fuel, 0))
+    }
+
+    /// The verdict is the lints so far — if the tail fits the fuel. (Short
+    /// of fuel, walk it: the budget must fire on its own step.)
+    fn reuse(&mut self, &(fuel, _): &(u64, usize)) -> bool {
+        let fits = fuel < self.fuel;
+        if fits {
+            self.fuel -= fuel;
+            self.walk.halt = Some(Halt::TailReused);
+        }
+        fits
+    }
+
+    /// The interrupted turn is `turn`, which [`Walker::run`] picks up.
+    fn resume(&mut self, ci: usize, _family: &mut Classes<'a, Self>) {
+        self.ci = ci;
     }
 
     /// Interprets the class to its verdict; `false` when the fuel ran out
-    /// first.
-    fn run(&mut self, family: &mut Classes<'a>) -> bool {
+    /// first. A checkpoint picks up at its interrupted turn.
+    fn run(&mut self, family: &mut Classes<'a, Self>) -> bool {
         loop {
             while self.turn < self.actors.len() {
                 if !self.run_actor(self.turn, family) {
                     return false;
                 }
-                if self.reused_tail {
-                    return true;
+                if let Some(halt) = self.walk.halt {
+                    return halt == Halt::TailReused;
                 }
                 self.turn += 1;
             }
@@ -706,384 +777,14 @@ impl<'a> Machine<'a> {
         }
     }
 
-    /// Runs actor `ai` until it blocks or ends (or a known tail ends the
-    /// walk); `false` when the fuel ran out.
-    fn run_actor(&mut self, ai: usize, family: &mut Classes<'a>) -> bool {
-        let k = self.k;
-        let pairs = self.pairs;
-        let watched = self.anchor == Some(ai);
-        loop {
-            if self.actors[ai].done {
-                return true;
-            }
-            let instr = match next(&mut self.actors[ai], &mut self.trips, watched) {
-                Next::Instr(instr) => instr,
-                Next::BackEdge => {
-                    if self.detector.due() {
-                        self.fast_forward(family);
-                        if self.reused_tail {
-                            return true;
-                        }
-                    }
-                    // (A skip may have left the frame on its last trip.)
-                    end_trip(&mut self.actors[ai], &mut self.trips);
-                    continue;
-                }
-                Next::End => {
-                    self.actors[ai].done = true;
-                    self.progressed = true;
-                    return true;
-                }
-            };
-            match instr {
-                Instr::MbarWait { bar } => {
-                    let b = bar.0 as usize;
-                    if self.bars[b].completed > self.actors[ai].local_phase[b] {
-                        self.actors[ai].local_phase[b] += 1;
-                        advance(&mut self.actors[ai]);
-                    } else {
-                        return true; // blocked: revisited next round
-                    }
-                }
-                Instr::Syncthreads => {
-                    if !self.actors[ai].in_sync {
-                        self.actors[ai].in_sync = true;
-                        self.sync_count += 1;
-                    }
-                    if self.sync_count == self.actors.len() {
-                        self.sync_count = 0;
-                        for a in self.actors.iter_mut() {
-                            if a.in_sync {
-                                a.in_sync = false;
-                                advance(a);
-                            }
-                        }
-                    } else {
-                        return true; // blocked at the rendezvous
-                    }
-                }
-                Instr::TmaLoad { bytes, bar } => {
-                    let f = bar.0 as usize;
-                    if let Some(&Some(e)) = pairs.guard_of.get(f) {
-                        let st = self.slots[f].as_mut().expect("paired barriers have slots");
-                        let per_phase = self.bars[f].arrive_count as u64;
-                        let g = st.loads / per_phase;
-                        let init_e = k.barriers[e].init_phases as u64;
-                        // Overwriting generation `g` is ordered only if
-                        // the writer consumed a guard credit covering
-                        // the release of generation `g - init`.
-                        if g >= init_e
-                            && self.actors[ai].local_phase[e] < g + 1
-                            && self.race_flagged.insert((f, true))
-                        {
-                            let mut lint = Lint::at(
-                                LintKind::SharedMemRace {
-                                    data: BarId(f as u32),
-                                    name: k.barriers[f].name.clone(),
-                                    guard: BarId(e as u32),
-                                    role: self.actors[ai].role,
-                                    generation: g,
-                                    write: true,
-                                },
-                                path_of(&self.actors[ai], ai),
-                            );
-                            lint.loc = k.bar_loc(BarId(f as u32)).or(k.bar_loc(BarId(e as u32)));
-                            self.lints.push(lint);
-                        }
-                        st.loads += 1;
-                        st.gen_bytes += bytes;
-                        self.in_flight += bytes;
-                        self.max_in_flight = self.max_in_flight.max(self.in_flight);
-                        if self.bars[f].arrive() {
-                            let full = st.gen_bytes;
-                            st.gen_bytes = 0;
-                            st.gens.push_back(full);
-                        }
-                    } else {
-                        // Unpaired loads (prologue tiles, sync-barrier
-                        // feeds) stay resident; count each site once.
-                        let key = (ai, path_of(&self.actors[ai], ai).indices);
-                        if self.resident.insert(key) {
-                            self.in_flight += bytes;
-                            self.max_in_flight = self.max_in_flight.max(self.in_flight);
-                        }
-                        self.bars[f].arrive();
-                    }
-                    advance(&mut self.actors[ai]);
-                }
-                Instr::MbarArrive { bar } => {
-                    let e = bar.0 as usize;
-                    let data = pairs.data_of.get(e).copied().flatten();
-                    if let Some(f) = data {
-                        let j = self.actors[ai].releases[e];
-                        let init_f = k.barriers[f].init_phases as u64;
-                        // Releasing read `j` is ordered only if the
-                        // reader consumed the data phase it read.
-                        if self.actors[ai].local_phase[f] + init_f < j + 1
-                            && self.race_flagged.insert((f, false))
-                        {
-                            let mut lint = Lint::at(
-                                LintKind::SharedMemRace {
-                                    data: BarId(f as u32),
-                                    name: k.barriers[f].name.clone(),
-                                    guard: BarId(e as u32),
-                                    role: self.actors[ai].role,
-                                    generation: j,
-                                    write: false,
-                                },
-                                path_of(&self.actors[ai], ai),
-                            );
-                            lint.loc = k.bar_loc(BarId(f as u32)).or(k.bar_loc(BarId(e as u32)));
-                            self.lints.push(lint);
-                        }
-                    }
-                    self.actors[ai].releases[e] += 1;
-                    if self.bars[e].arrive() {
-                        if let Some(slot) = data.and_then(|f| self.slots[f].as_mut()) {
-                            if let Some(freed) = slot.gens.pop_front() {
-                                self.in_flight = self.in_flight.saturating_sub(freed);
-                            }
-                        }
-                    }
-                    advance(&mut self.actors[ai]);
-                }
-                // Pure timing: WGMMA / CUDA / copies / stores / delays
-                // never gate liveness (their completions always fire).
-                _ => advance(&mut self.actors[ai]),
-            }
-            self.progressed = true;
-            self.steps += 1;
-            self.fuel -= 1;
-            if self.fuel == 0 {
-                return false;
-            }
-        }
-    }
-
-    /// All actors ran to completion: report what they left behind.
-    fn report_leftovers(&mut self) {
-        let k = self.k;
-        for (b, bar) in self.bars.iter().enumerate() {
-            if bar.arrivals > 0 {
-                let mut lint = Lint::new(LintKind::DoubleArrive {
-                    bar: BarId(b as u32),
-                    name: k.barriers[b].name.clone(),
-                    residue: bar.arrivals,
-                });
-                lint.loc = k.bar_loc(BarId(b as u32));
-                self.lints.push(lint);
-            }
-        }
-        if k.smem_bytes > 0 && self.max_in_flight > k.smem_bytes {
-            self.lints.push(Lint::new(LintKind::SmemOverflow {
-                max_in_flight: self.max_in_flight,
-                smem_bytes: k.smem_bytes,
+    fn finish(mut self, clean: bool) -> (Vec<Lint>, u64) {
+        if !clean {
+            self.lints.push(Lint::new(LintKind::AnalysisBudget {
+                class: self.ci,
+                budget: self.budget,
             }));
         }
-    }
-
-    /// Nobody can move: one lint per stuck actor.
-    fn report_deadlock(&mut self) {
-        let k = self.k;
-        let expected = self.actors.len();
-        for (ai, actor) in self.actors.iter_mut().enumerate() {
-            if actor.done {
-                continue;
-            }
-            let path = path_of(actor, ai);
-            let role = actor.role;
-            match next(actor, &mut self.trips, false) {
-                Next::Instr(Instr::MbarWait { bar }) => {
-                    let b = bar.0 as usize;
-                    let mut lint = Lint::at(
-                        LintKind::StaticDeadlock {
-                            class: self.ci,
-                            role,
-                            bar: *bar,
-                            name: k.barriers[b].name.clone(),
-                            waiting_phase: actor.local_phase[b],
-                            completed_phases: self.bars[b].completed,
-                            arrivals: self.bars[b].arrivals,
-                            arrive_count: self.bars[b].arrive_count,
-                        },
-                        path,
-                    );
-                    lint.loc = k.bar_loc(*bar);
-                    self.lints.push(lint);
-                }
-                Next::Instr(Instr::Syncthreads) => {
-                    self.lints.push(Lint::at(
-                        LintKind::SyncDeadlock {
-                            class: self.ci,
-                            role,
-                            arrived: self.sync_count,
-                            expected,
-                        },
-                        path,
-                    ));
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// The state with every linear counter taken out (see the type docs),
-    /// plus every live loop frame in actor order.
-    fn signature(&self) -> (Vec<u64>, Vec<FrameMark>) {
-        let mut sig = Vec::with_capacity(96);
-        sig.extend([
-            self.progressed as u64,
-            self.sync_count as u64,
-            self.in_flight,
-            self.max_in_flight,
-            self.lints.len() as u64,
-            self.resident.len() as u64,
-        ]);
-        for (a, reach) in self.actors.iter().zip(self.reach) {
-            sig.extend([
-                a.done as u64 | (a.in_sync as u64) << 1,
-                a.stack.len() as u64,
-            ]);
-            for f in &a.stack {
-                sig.extend([f.body.as_ptr() as u64, f.idx as u64]);
-            }
-            for &b in &reach.waits {
-                sig.push(self.bars[b].completed.wrapping_sub(a.local_phase[b]));
-            }
-            for &(f, e) in &reach.loads_into {
-                sig.push(a.local_phase[e].wrapping_sub(self.generation(f)));
-            }
-            for &(e, f) in &reach.releases {
-                sig.push(a.local_phase[f].wrapping_sub(a.releases[e]));
-            }
-        }
-        sig.extend(self.bars.iter().map(|b| b.arrivals as u64));
-        for (f, slot) in self.slots.iter().enumerate() {
-            let (Some(slot), Some(&Some(e))) = (slot, self.pairs.guard_of.get(f)) else {
-                continue;
-            };
-            sig.extend([
-                slot.loads % self.bars[f].arrive_count as u64,
-                // The overwrite check only asks whether the generation is
-                // past the guard's initial credits.
-                self.generation(f)
-                    .min(self.k.barriers[e].init_phases as u64),
-                slot.gen_bytes,
-                slot.gens.len() as u64,
-            ]);
-            sig.extend(&slot.gens);
-        }
-        (sig, self.frame_marks())
-    }
-
-    /// Every live loop frame in actor order.
-    fn frame_marks(&self) -> Vec<FrameMark> {
-        (self.actors.iter().flat_map(|a| &a.stack))
-            .map(|f| FrameMark {
-                id: f.id,
-                remaining: f.trips_left,
-                param: f.param,
-            })
-            .collect()
-    }
-
-    /// Generation of slot `f` the next load writes.
-    fn generation(&self, f: usize) -> u64 {
-        let loads = self.slots[f].as_ref().map_or(0, |s| s.loads);
-        loads / self.bars[f].arrive_count as u64
-    }
-
-    fn counters(&self) -> impl Iterator<Item = u64> + '_ {
-        let bars = self.bars.iter().map(|b| b.completed);
-        let actors = self
-            .actors
-            .iter()
-            .flat_map(|a| a.local_phase.iter().chain(&a.releases).copied());
-        let slots = self.slots.iter().flatten().map(|s| s.loads);
-        bars.chain(actors).chain(slots)
-    }
-
-    /// At a watched back-edge: if this state was seen before, jump as many
-    /// whole periods as the loops and the fuel allow — and, standing where
-    /// an earlier class stood, take its tail as walked.
-    fn fast_forward(&mut self, family: &mut Classes<'a>) {
-        let (sig, frames) = self.signature();
-        let mark = Mark {
-            fuel: self.fuel,
-            counters: self.counters().collect(),
-        };
-        let Some(skip) = self.detector.observe(sig, frames, mark) else {
-            return;
-        };
-        // The first skip: what comes before it is what classes can share.
-        if let Some(footprint) = self.trips.footprint.take() {
-            family.offer(&footprint, self.trips.params, || self.clone());
-        }
-        // The budget must run out on the step it would have: keep at least
-        // one unit of fuel for the walk to spend. Every counter below grows
-        // by at most one per unit of fuel, so the budget also bounds them.
-        let spent = skip.then.fuel - self.fuel;
-        let n = match spent {
-            0 => skip.periods,
-            _ => skip.periods.min((self.fuel - 1) / spent),
-        };
-        self.fuel -= n * spent;
-        let mut then = skip.then.counters.iter();
-        let mut deltas = skip.frame_deltas.iter();
-        let mut grow = |cur: &mut u64| {
-            let was = then.next().expect("marks list the same counters");
-            *cur += n * (*cur - was);
-        };
-        self.bars.iter_mut().for_each(|b| grow(&mut b.completed));
-        for a in &mut self.actors {
-            a.local_phase.iter_mut().for_each(&mut grow);
-            a.releases.iter_mut().for_each(&mut grow);
-            for (f, delta) in a.stack.iter_mut().zip(&mut deltas) {
-                f.trips_left = (n.checked_mul(*delta))
-                    .and_then(|trips| f.trips_left.checked_sub(trips))
-                    .filter(|&left| left > 0)
-                    .expect("the detector leaves every moved frame its last trip");
-            }
-        }
-        self.slots
-            .iter_mut()
-            .flatten()
-            .for_each(|s| grow(&mut s.loads));
-        if !family.is_family() {
-            return;
-        }
-
-        let key = self.tail_key(skip.sig, family);
-        match family.tail(&key) {
-            // The tail raised no lint and fits the fuel: the verdict is the
-            // lints so far. (Short of fuel, walk it: the budget must fire
-            // on its own step.)
-            Some(tail) if tail.fuel < self.fuel => {
-                self.fuel -= tail.fuel;
-                self.reused_tail = true;
-            }
-            _ if family.has_pending() => self.skips.push((key, self.fuel, self.lints.len())),
-            _ => {}
-        }
-    }
-
-    /// The key of the state right after a skip that matched `sig`. The two
-    /// sets a signature holds only by size join it in full: within one walk
-    /// equal sizes a period apart mean equal sets, across classes they need
-    /// not.
-    fn tail_key(&self, mut sig: Vec<u64>, family: &Classes<'a>) -> TailKey {
-        let mut flagged: Vec<u64> = (self.race_flagged.iter())
-            .map(|&(f, write)| (f as u64) << 1 | write as u64)
-            .collect();
-        flagged.sort_unstable();
-        sig.extend(flagged);
-        let mut resident: Vec<_> = self.resident.iter().collect();
-        resident.sort_unstable();
-        for (ai, path) in resident {
-            sig.extend([*ai as u64, path.len() as u64]);
-            sig.extend(path.iter().map(|&i| i as u64));
-        }
-        family.tail_key(sig, &self.frame_marks(), self.trips.params, 1)
+        (self.lints, self.walk.work)
     }
 }
 
@@ -1374,6 +1075,74 @@ mod tests {
                 .iter()
                 .any(|l| matches!(l.kind, LintKind::SyncDeadlock { .. })),
             "{lints:?}"
+        );
+    }
+
+    #[test]
+    fn a_deadlock_inside_nested_loops_names_its_instruction() {
+        // 100 arrivals for 40 × 3 waits: the 101st wait, in the outer
+        // loop's 34th trip and the inner loop's 2nd, hangs — past the
+        // stretch the interpreter skips.
+        let mut k = Kernel::new("nested");
+        k.uniform_grid(1);
+        let bar = k.add_barrier("ready", 1);
+        k.add_warp_group(
+            Role::Producer,
+            24,
+            vec![Instr::loop_const(100, vec![Instr::MbarArrive { bar }])],
+        );
+        let delay = Instr::Delay { cycles: 1 };
+        k.add_warp_group(
+            Role::Consumer,
+            240,
+            vec![
+                delay.clone(),
+                Instr::loop_const(
+                    40,
+                    vec![
+                        delay.clone(),
+                        delay.clone(),
+                        Instr::loop_const(3, vec![delay, Instr::MbarWait { bar }]),
+                    ],
+                ),
+            ],
+        );
+        let lints = analyze(&k);
+        let deadlock = (lints.iter())
+            .find(|l| matches!(l.kind, LintKind::StaticDeadlock { .. }))
+            .unwrap_or_else(|| panic!("{lints:?}"));
+        assert_eq!(
+            deadlock.to_string(),
+            "error[static-deadlock]: class 0: consumer warp group waits forever on bar0 (ready) \
+             phase 100 — barrier stuck at 100 completed phases with 0/1 arrivals (wg1[1.2.1])"
+        );
+    }
+
+    #[test]
+    fn a_race_inside_a_loop_names_its_instruction() {
+        let mut k = handshake(30, 1);
+        k.warp_groups[0].body = vec![
+            Instr::SetMaxNReg { regs: 24 },
+            Instr::loop_const(
+                30,
+                vec![
+                    Instr::Delay { cycles: 1 },
+                    Instr::TmaLoad {
+                        bytes: 1024,
+                        bar: crate::BarId(0),
+                    },
+                ],
+            ),
+        ];
+        let lints = analyze(&k);
+        let race = (lints.iter())
+            .find(|l| matches!(l.kind, LintKind::SharedMemRace { .. }))
+            .unwrap_or_else(|| panic!("{lints:?}"));
+        assert_eq!(
+            race.to_string(),
+            "error[shared-mem-race]: producer warp group overwrites the tile slot of bar0 (full) \
+             in parity 1 without consuming a release on bar1 — a prior read may still be in \
+             flight (wg0[1.1])"
         );
     }
 

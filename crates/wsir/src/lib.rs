@@ -63,6 +63,7 @@ pub mod kernel;
 pub mod period;
 pub mod print;
 pub mod serialize;
+pub mod walk;
 
 pub use analyze::perf::{analyze_ir, analyze_kernel, PerfModel};
 pub use analyze::{

@@ -10,7 +10,9 @@
 //! depend on the machine: a short history of *signatures* taken at the
 //! back-edges of one anchor warp group, the loop-frame check that makes a
 //! signature match safe to extrapolate, and the number of periods that can
-//! be skipped.
+//! be skipped — and, below, why a kernel's CTA classes can share what they
+//! walk. [`crate::walk`] drives both for the two machines; this module
+//! says what is exact and why.
 //!
 //! The contract with a walker:
 //!
@@ -27,6 +29,11 @@
 //! * a **mark** (`M`) is the walker's own record of its absolute clocks
 //!   and counters at the snapshot; on a match the walker advances each by
 //!   `periods × (now − then)`.
+//!
+//! Loop exits are the only place an absolute trip counter steers control,
+//! and the skip stops one trip short of the first of them: after the jump
+//! every loop still walks its own last trip, so what follows is the plain
+//! walk, shifted.
 //!
 //! # Class families
 //!

@@ -4,9 +4,10 @@
 # cuts it) may not contain `unwrap()`, `expect(`, `panic!`, `unreachable!`
 # or `todo!` outside comments. These are the first rows of the allow-list
 # ROADMAP direction 4 asks for; extend FILES as more parsers qualify.
-# `period.rs`, `engine.rs` and `run.rs` walk kernels that may come from a
-# cache directory or a daemon: the class-family logic, the engine and the
-# fold over classes. `remote.rs` and `server.rs` are the two ends of the
+# `walk.rs`, `period.rs`, `engine.rs`, `interp.rs` and `run.rs` walk
+# kernels that may come from a cache directory or a daemon: the shared
+# cursor, barrier and class-family driver, the period detector, the
+# engine, the static gate and the fold over classes. `remote.rs` and `server.rs` are the two ends of the
 # `tawa-cached 1` protocol and parse bytes from a peer. `verify.rs` and
 # `partition.rs` take modules that registered passes may have written:
 # a bad id is a diagnostic or an `Err`, never a panic.
@@ -18,6 +19,8 @@ FILES=(
     crates/wsir/src/doc.rs
     crates/wsir/src/serialize.rs
     crates/wsir/src/period.rs
+    crates/wsir/src/walk.rs
+    crates/wsir/src/analyze/interp.rs
     crates/sim/src/report_serde.rs
     crates/sim/src/engine.rs
     crates/sim/src/run.rs

@@ -257,9 +257,10 @@ fn work(kernel: &Kernel) -> (u64, u64) {
 }
 
 /// The deterministic work of both walkers on the benchmark's long zoo,
-/// pinned: (engine events, gate steps) may fall, not rise. At the parent
-/// of the family walk the two causal-attention kernels cost 17 034 and
-/// 34 858 events (one prologue and one detection per class).
+/// pinned exactly: (engine events, gate steps). A change that walks more,
+/// or less, shows here. Before the family walk the two causal-attention
+/// kernels cost 17 034 and 34 858 events (one prologue and one detection
+/// per class).
 #[test]
 fn long_zoo_work_is_pinned() {
     let session = CompileSession::in_memory(&dev());
@@ -273,12 +274,12 @@ fn long_zoo_work_is_pinned() {
         ("grouped gemm, 6 experts", 574, 528),
     ];
     let zoo = zoo();
-    for (what, max_events, max_steps) in pins {
+    for (what, pinned_events, pinned_steps) in pins {
         let (_, program, opts) = zoo.iter().find(|(w, _, _)| w == what).unwrap();
         let kernel = session.compile_program(program, opts).unwrap();
         let (events, steps) = work(&kernel);
-        assert!(events <= max_events, "{what}: {events} engine events");
-        assert!(steps <= max_steps, "{what}: {steps} gate steps");
+        assert_eq!(events, pinned_events, "{what}: engine events");
+        assert_eq!(steps, pinned_steps, "{what}: gate steps");
     }
 }
 
@@ -375,8 +376,8 @@ fn every_fig11_candidate_is_exact_and_guided_sweeps_need_5x_fewer_events() {
         "the five guided sweeps must need ≥ 5× fewer engine events: {guided:?}"
     );
     // Pinned: the work `simulate` and the gate do over the five sweeps.
-    assert!(guided.family <= 10_567, "{guided:?}");
-    assert!(guided_steps <= 7_095, "{guided_steps} gate steps");
+    assert_eq!(guided.family, 10_567, "{guided:?}");
+    assert_eq!(guided_steps, 7_095, "gate steps");
 }
 
 #[test]
