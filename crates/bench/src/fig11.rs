@@ -7,7 +7,7 @@
 //! candidate kernels compile through the shared content-addressed cache.
 
 use gpu_sim::Device;
-use tawa_core::autotune::{autotune_with_session_strategy, SweepStrategy, TuneSpace};
+use tawa_core::autotune::{autotune_with_session, TuneSpace};
 use tawa_core::{CompileOptions, CompileSession};
 use tawa_frontend::config::{GemmConfig, Tile};
 use tawa_frontend::kernels::gemm;
@@ -68,16 +68,12 @@ pub fn run_panel_with_session(session: &CompileSession, persistent: bool, scale:
         cooperative: 2,
         ..CompileOptions::default()
     };
-    // Explicitly exhaustive: a heatmap needs every feasible cell
-    // simulated, so the model-guided default (which prunes proven
-    // losers) would leave holes in the figure.
-    let result = autotune_with_session_strategy(
+    let result = autotune_with_session(
         session,
         &module,
         &spec,
         &base,
         &TuneSpace::fig11(persistent),
-        SweepStrategy::Exhaustive,
     );
     let mut values = [[0.0; 3]; 3];
     for p in &result.points {

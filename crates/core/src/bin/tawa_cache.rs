@@ -10,15 +10,10 @@
 //!
 //! ```text
 //! tawa-cache ls <dir>                 list entries (key, kind, size, age)
-//! tawa-cache stats <dir>              per-kind totals + sweep accounting
+//! tawa-cache stats <dir>              per-kind totals + cached sim outcomes
 //! tawa-cache verify <dir>             validate every entry; delete defects
 //! tawa-cache gc <dir> --max-bytes N   evict LRU entries down to N bytes
 //! ```
-//!
-//! `stats` additionally reads the directory's sweep log (written by
-//! model-guided autotune sweeps over a disk-backed session): how many
-//! candidates the analytic model pruned and how many simulator calls the
-//! cached verdicts avoid, alongside the per-kind entry breakdown.
 //!
 //! All subcommands are safe on a live directory: writers publish entries
 //! atomically, and deleting an entry only ever costs a recompile.
@@ -31,7 +26,7 @@ use tawa_core::remote::{RemoteAddr, RemoteCache, REMOTE_CACHE_ENV};
 
 const USAGE: &str = "usage:
   tawa-cache ls <dir>                 list entries (oldest first)
-  tawa-cache stats <dir>              per-kind totals and sweep accounting
+  tawa-cache stats <dir>              per-kind totals and cached sim outcomes
   tawa-cache stats --remote [addr]    query a live tawa-cached daemon
   tawa-cache verify <dir>             validate all entries, deleting defects
   tawa-cache gc <dir> --max-bytes N   evict least-recently-used entries to N bytes
@@ -179,9 +174,7 @@ fn ls(cache: &DiskCache) {
 }
 
 /// Aggregates the directory per entry label, then reports what the cache
-/// saves: every cached sim outcome is a simulator run warm sweeps skip,
-/// and the sweep log records what the analytic model pruned before the
-/// simulator was even consulted.
+/// saves: every cached sim outcome is a simulator run warm sweeps skip.
 fn stats(cache: &DiskCache) {
     let entries = cache.entries();
     let mut by_label: Vec<(&'static str, usize, u64)> = Vec::new();
@@ -207,24 +200,6 @@ fn stats(cache: &DiskCache) {
         .filter(|e| e.kind == EntryKind::SimReport)
         .count();
     println!("\n{sim_cached} cached sim outcomes (simulator runs warm sweeps avoid)");
-
-    let totals = cache.sweep_totals();
-    if totals.sweeps > 0 {
-        println!(
-            "{} autotune sweeps recorded: {} candidates analytically pruned \
-             (sim calls avoided before any lookup), {} simulate calls issued",
-            totals.sweeps, totals.analytic_pruned, totals.simulate_calls
-        );
-    } else {
-        println!("no autotune sweeps recorded");
-    }
-    let sweep_log_errors = cache.stats().sweep_log_errors;
-    if sweep_log_errors > 0 {
-        println!(
-            "warning: {sweep_log_errors} sweep-log appends failed this process \
-             (sweep accounting above undercounts; entries themselves are unaffected)"
-        );
-    }
 }
 
 /// `stats --remote`: asks a live `tawa-cached` daemon for its counters
@@ -248,12 +223,6 @@ fn remote_stats(addr: &str) -> Result<(), String> {
         "  served {} requests over {} connections, {} protocol errors",
         stats.requests, stats.connections, stats.errors
     );
-    if stats.sweep_log_errors > 0 {
-        println!(
-            "  warning: {} sweep-log appends failed on the daemon",
-            stats.sweep_log_errors
-        );
-    }
     Ok(())
 }
 

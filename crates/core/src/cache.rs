@@ -33,9 +33,9 @@
 //! line; kernel entries then carry the kernel in the versioned WSIR
 //! serialization format ([`tawa_wsir::serialize`]), negative entries the
 //! infeasibility message. The header is compared as an exact prefix; the
-//! lines after it — the `cost-model` echo, the verdict lines, the sweep
-//! log — are read with the shared document toolkit ([`tawa_wsir::doc`]),
-//! which also owns their quoting. [`DISK_FORMAT_VERSION`] is bumped whenever the
+//! lines after it — the `cost-model` echo and the verdict lines — are
+//! read with the shared document toolkit ([`tawa_wsir::doc`]), which
+//! also owns their quoting. [`DISK_FORMAT_VERSION`] is bumped whenever the
 //! entry layout, the key derivation or the WSIR format changes
 //! incompatibly.
 //!
@@ -77,7 +77,7 @@ use std::sync::Arc;
 use std::time::{Duration, SystemTime};
 
 use gpu_sim::{deserialize_report, serialize_report, SimReport, COST_MODEL_VERSION};
-use tawa_wsir::doc::{complete_lines, quote, Line};
+use tawa_wsir::doc::{quote, Line};
 use tawa_wsir::{deserialize_kernel, serialize_kernel, Kernel};
 
 use crate::tier::{KernelSlot, Tier};
@@ -256,11 +256,6 @@ crate::counters! {
             invalidations,
             /// Entries removed by size/LRU eviction.
             evictions,
-            /// Sweep-log appends that failed ([`DiskCache::record_sweep`]
-            /// is best-effort, but silence would make `tawa-cache stats`
-            /// quietly under-report what pruning saved — the failures are
-            /// counted so the gap is visible).
-            sweep_log_errors,
         }
         gauges {
             /// Entry files currently in the directory.
@@ -271,25 +266,6 @@ crate::counters! {
         nested {}
     }
 }
-
-/// Accumulated autotune-sweep accounting from a cache directory's sweep
-/// log (see [`DiskCache::record_sweep`]): how much work model-guided
-/// pruning saved across every session that swept against this directory.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SweepTotals {
-    /// Sweeps recorded.
-    pub sweeps: u64,
-    /// Candidates the analytic model pruned — each one a simulator run
-    /// (or a `.sim` lookup) that never happened.
-    pub analytic_pruned: u64,
-    /// Simulate calls the sweeps did issue (cache hits included).
-    pub simulate_calls: u64,
-}
-
-/// Filename of the append-only sweep-accounting log inside a cache
-/// directory. Not an entry: `scan_entries` filters by extension, so the
-/// log is invisible to lookups, `gc`, `verify` and the byte accounting.
-const SWEEP_LOG: &str = "sweeps.log";
 
 /// A persistent kernel cache rooted at one directory. All operations are
 /// best-effort and infallible after [`DiskCache::open`]: I/O problems
@@ -479,61 +455,6 @@ impl DiskCache {
         for (path, _, _) in self.scan_entries() {
             let _ = fs::remove_file(path);
         }
-    }
-
-    /// Appends one autotune sweep's accounting to the directory's sweep
-    /// log (`sweeps.log`, append-only; best-effort). The log is not a
-    /// cache entry — it never affects lookups and [`DiskCache::gc`] /
-    /// `verify` ignore it — it exists so `tawa-cache stats` can report
-    /// what model-guided pruning saved across every session that used
-    /// this directory. Each line is one sweep:
-    /// `sweep pruned=<n> sims=<n>`.
-    ///
-    /// Best-effort like every other write — but *counted* best-effort: a
-    /// failed append bumps [`DiskCacheStats::sweep_log_errors`] so
-    /// `tawa-cache stats` can report that the sweep accounting is
-    /// incomplete instead of silently under-counting.
-    pub fn record_sweep(&self, analytic_pruned: u64, simulate_calls: u64) {
-        let line = format!("sweep pruned={analytic_pruned} sims={simulate_calls}\n");
-        // A single small O_APPEND write lands as one line even with
-        // concurrent writers; a torn line is skipped by the parser.
-        let appended = fs::OpenOptions::new()
-            .append(true)
-            .create(true)
-            .open(self.root.join(SWEEP_LOG))
-            .and_then(|mut f| f.write_all(line.as_bytes()));
-        if appended.is_err() {
-            self.counters.sweep_log_errors.add(1);
-        }
-    }
-
-    /// Sums the directory's sweep log (see [`DiskCache::record_sweep`]).
-    /// Malformed lines are skipped; a missing log reads as all-zero.
-    pub fn sweep_totals(&self) -> SweepTotals {
-        let mut totals = SweepTotals::default();
-        let Ok(text) = fs::read_to_string(self.root.join(SWEEP_LOG)) else {
-            return totals;
-        };
-        // Only newline-terminated lines count: a concurrent writer's
-        // in-flight append can be torn at any byte, and a tear landing
-        // mid-number (`sims=91` read as `sims=9`) would otherwise parse
-        // "successfully" with a wrong count.
-        for line in complete_lines(&text).lines() {
-            let Ok(line) = Line::parse(SWEEP_LOG, 0, line) else {
-                continue;
-            };
-            if line.keyword() != "sweep" || line.tokens().len() != 3 {
-                continue;
-            }
-            let (Ok(pruned), Ok(sims)) = (line.int::<u64>("pruned"), line.int::<u64>("sims"))
-            else {
-                continue;
-            };
-            totals.sweeps += 1;
-            totals.analytic_pruned += pruned;
-            totals.simulate_calls += sims;
-        }
-        totals
     }
 
     /// Reads and deserializes a kernel entry without bumping hit
@@ -856,103 +777,6 @@ mod tests {
             module_fp: m,
             env_fp: e,
         }
-    }
-
-    #[test]
-    fn sweep_log_accumulates_and_stays_invisible_to_entries() {
-        let cache = DiskCache::open(tmp_dir("sweeplog")).unwrap();
-        assert_eq!(cache.sweep_totals(), SweepTotals::default());
-        cache.record_sweep(2, 4);
-        cache.record_sweep(0, 6);
-        let totals = cache.sweep_totals();
-        assert_eq!(totals.sweeps, 2);
-        assert_eq!(totals.analytic_pruned, 2);
-        assert_eq!(totals.simulate_calls, 10);
-        // The log is accounting, not a cache entry: listings, byte
-        // accounting, gc and clear must never see it.
-        assert!(cache.entries().is_empty());
-        assert_eq!(cache.stats().entries, 0);
-        cache.clear();
-        assert_eq!(cache.sweep_totals().sweeps, 2, "clear keeps the log");
-        // A torn or foreign line is skipped, not an error.
-        let _ = fs::OpenOptions::new()
-            .append(true)
-            .open(cache.root().join(SWEEP_LOG))
-            .map(|mut f| std::io::Write::write_all(&mut f, b"garbage\nsweep pruned=1 si"));
-        assert_eq!(cache.sweep_totals().sweeps, 2);
-    }
-
-    #[test]
-    fn sweep_totals_skips_torn_and_partial_lines() {
-        // A concurrent writer can leave the log's last line torn at any
-        // byte boundary, and interleaved writers can leave partial or
-        // malformed fields mid-file. Every such line must be skipped —
-        // never an error, never a miscount of the well-formed lines.
-        let cache = DiskCache::open(tmp_dir("sweeplog-torn")).unwrap();
-        let log = cache.root().join(SWEEP_LOG);
-
-        // A full line torn at every possible prefix length: only the
-        // complete line counts.
-        let full = "sweep pruned=3 sims=9\n";
-        for cut in 0..full.len() {
-            fs::write(&log, format!("{full}{}", &full[..cut])).unwrap();
-            let totals = cache.sweep_totals();
-            assert_eq!(totals.sweeps, 1, "cut at byte {cut}");
-            assert_eq!(totals.analytic_pruned, 3, "cut at byte {cut}");
-            assert_eq!(totals.simulate_calls, 9, "cut at byte {cut}");
-        }
-
-        // Partial/malformed fields anywhere in the file are skipped too:
-        // missing value, missing ` sims=` separator, non-numeric and
-        // overflowing numbers, trailing junk after the count, blank and
-        // foreign lines.
-        fs::write(
-            &log,
-            "sweep pruned=\n\
-             sweep pruned=1\n\
-             sweep pruned=1 sims=\n\
-             sweep pruned=one sims=2\n\
-             sweep pruned=1 sims=two\n\
-             sweep pruned=99999999999999999999999999 sims=1\n\
-             sweep pruned=1 sims=2 extra\n\
-             \n\
-             not a sweep line\n\
-             sweep pruned=5 sims=7\n",
-        )
-        .unwrap();
-        let totals = cache.sweep_totals();
-        assert_eq!(totals.sweeps, 1, "only the final well-formed line counts");
-        assert_eq!(totals.analytic_pruned, 5);
-        assert_eq!(totals.simulate_calls, 7);
-
-        // A log that is nothing but a torn line reads as all-zero.
-        fs::write(&log, "sweep pruned=4 si").unwrap();
-        assert_eq!(cache.sweep_totals(), SweepTotals::default());
-    }
-
-    #[test]
-    fn failed_sweep_appends_are_counted_not_silent() {
-        let cache = DiskCache::open(tmp_dir("sweeplog-errors")).unwrap();
-        assert_eq!(cache.stats().sweep_log_errors, 0);
-        cache.record_sweep(1, 2);
-        assert_eq!(cache.stats().sweep_log_errors, 0, "healthy append");
-        // Make the append fail deterministically: a directory squatting
-        // on the log path defeats O_APPEND|O_CREAT.
-        let log = cache.root().join(SWEEP_LOG);
-        fs::remove_file(&log).unwrap();
-        fs::create_dir(&log).unwrap();
-        cache.record_sweep(3, 4);
-        cache.record_sweep(5, 6);
-        let stats = cache.stats();
-        assert_eq!(stats.sweep_log_errors, 2, "each failed append counts");
-        assert_eq!(cache.sweep_totals(), SweepTotals::default());
-        // delta() treats it as the counter it is.
-        let later = cache.stats();
-        assert_eq!(later.delta(&stats).sweep_log_errors, 0);
-        fs::remove_dir(&log).unwrap();
-        cache.record_sweep(7, 8);
-        assert_eq!(cache.stats().sweep_log_errors, 2, "recovers once writable");
-        assert_eq!(cache.sweep_totals().sweeps, 1);
     }
 
     #[test]
@@ -1418,6 +1242,31 @@ mod tests {
         // gc(0) empties the directory.
         assert_eq!(cache.gc(0) as usize, after.entries);
         assert_eq!(cache.stats().entries, 0);
+    }
+
+    #[test]
+    fn foreign_files_are_invisible_to_entries_stats_gc_and_clear() {
+        // Files an older build or a user left in the directory (logs,
+        // notes) are not entries: listings, byte accounting, gc and
+        // clear never see or remove them.
+        let dir = tmp_dir("foreign");
+        let cache = DiskCache::open(&dir).unwrap();
+        let foreign = [dir.join("notes.log"), dir.join("README")];
+        for path in &foreign {
+            fs::write(path, "not an entry\n").unwrap();
+        }
+        assert!(cache.entries().is_empty());
+        assert_eq!((cache.stats().entries, cache.stats().bytes), (0, 0));
+        cache.store(&key(1, 1), &sample_kernel(1));
+        assert_eq!(cache.entries().len(), 1);
+        assert_eq!(cache.gc(0), 1);
+        cache.store(&key(2, 2), &sample_kernel(2));
+        cache.clear();
+        assert_eq!(cache.stats().entries, 0);
+        for path in &foreign {
+            assert_eq!(fs::read_to_string(path).unwrap(), "not an entry\n");
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

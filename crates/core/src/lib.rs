@@ -63,7 +63,7 @@ pub mod remote;
 pub mod session;
 pub mod tier;
 
-pub use cache::{CacheEntry, DiskCache, DiskCacheStats, EntryKind, SimOutcome, SweepTotals};
+pub use cache::{CacheEntry, DiskCache, DiskCacheStats, EntryKind, SimOutcome};
 pub use compile::{compile, compile_and_simulate};
 pub use envcfg::CacheEnv;
 pub use lower::{CompileError, CompileOptions};

@@ -329,7 +329,8 @@ pub struct DaemonStats {
     pub invalidations: u64,
     /// Entries evicted by `evict`.
     pub evictions: u64,
-    /// Failed sweep-log appends across shards.
+    /// Always 0: there is no sweep log to fail. The field stays on the
+    /// `tawa-cached 1` stats line so the wire format holds.
     pub sweep_log_errors: u64,
     /// Connections accepted since the daemon started.
     pub connections: u64,

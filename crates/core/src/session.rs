@@ -177,12 +177,6 @@ crate::counters! {
             /// definite-deadlock verdict, published straight into the sim
             /// slot.
             static_rejections,
-            /// Autotune candidates pruned by the analytic cost model
-            /// (`gpu_sim::analytic`) — each is a simulator run avoided
-            /// without compiling a verdict into any cache tier: the
-            /// analytic model only orders and prunes, it never persists
-            /// results (see [`CompileSession::note_analytic_pruned`]).
-            analytic_pruned,
         }
         gauges {
             /// Kernels cached in memory.
@@ -539,15 +533,6 @@ impl CompileSession {
     pub fn clear_cache(&self) {
         self.memory.clear();
         lock(&self.cleaned).clear();
-    }
-
-    /// Records `n` autotune candidates pruned by the analytic cost model
-    /// (`gpu_sim::analytic`) without ever reaching the simulator. Each is
-    /// a simulator run avoided, surfaced as
-    /// [`CacheStats::analytic_pruned`] next to the other avoided-work
-    /// counters (sim hits, static rejections).
-    pub fn note_analytic_pruned(&self, n: u64) {
-        self.counters.analytic_pruned.add(n);
     }
 
     /// Compiles a module for the given launch, consulting the kernel cache.

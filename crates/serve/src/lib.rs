@@ -12,7 +12,7 @@
 //!   not code. Generate one with [`generate`] from [`TraceParams`], or
 //!   author one with [`Trace::from_requests`].
 //! - [`Replay`] — resolves each request against one compile session:
-//!   first sight of a shape triggers a model-guided autotune sweep,
+//!   first sight of a shape triggers an autotune sweep,
 //!   repeats hit the memory/disk/sim cache tiers. Strictly sequential,
 //!   so the aggregation is bit-reproducible.
 //! - [`FleetReport`] — p50/p95/p99 simulated latency per phase,

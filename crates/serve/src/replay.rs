@@ -2,9 +2,9 @@
 //!
 //! A [`Replay`] walks the trace **strictly sequentially** in arrival
 //! order. The first time a shape appears (identified by its canonical
-//! request line — see [`Request::to_line`]) the replay runs a
-//! model-guided autotune sweep over the family's tune space and memoizes
-//! the winning [`CompileOptions`] next to the shape's built [`Program`];
+//! request line — see [`Request::to_line`]) the replay runs an autotune
+//! sweep over the family's tune space and memoizes the winning
+//! [`CompileOptions`] next to the shape's built [`Program`];
 //! every repeat reuses both — nothing is rebuilt, re-printed or re-hashed
 //! — and the compile + simulate behind it resolves through the
 //! session's cache tiers — in-memory first, then disk when a
@@ -15,9 +15,9 @@
 //! Replaying equal traces on fresh sessions yields bit-identical
 //! [`FleetReport`] *workload aggregates* (the per-phase latency and
 //! throughput sections), because every contributing piece is
-//! deterministic: trace order is fixed, the autotune ranking is a stable
-//! sort over a deterministic analytic model, the simulator is
-//! bit-reproducible across runs and worker counts, and the f64
+//! deterministic: trace order is fixed, the autotune winner is the first
+//! best point in sweep order, the simulator is bit-reproducible across
+//! runs and worker counts, and the f64
 //! aggregation happens in arrival order on one thread. When both
 //! sessions additionally start from the same warm disk cache, the
 //! *accounting* section is bit-identical too — the whole report compares
@@ -448,6 +448,37 @@ mod tests {
     }
 
     #[test]
+    fn each_memoized_winner_is_a_fresh_sweeps_best() {
+        // The memo holds exactly what one sweep of the shape's space
+        // picks, whatever else the session has cached by then.
+        let device = Device::h100_sxm5();
+        let session = CompileSession::in_memory(&device);
+        let trace = quick_trace();
+        let mut replay = Replay::new(&session);
+        replay.run(&trace).unwrap();
+        assert!(!replay.winners().is_empty());
+        for request in &trace.requests {
+            let key = request.to_line();
+            let program = program_for(request);
+            let base = base_options(request);
+            let fresh = CompileSession::in_memory(&device);
+            let sweep = autotune_with_session(
+                &fresh,
+                program.module(),
+                program.spec(),
+                &base,
+                &tune_space(request),
+            );
+            let best = sweep.best_options(&base).expect("a feasible point");
+            assert_eq!(
+                format!("{:?}", replay.winners()[&key]),
+                format!("{best:?}"),
+                "{key}"
+            );
+        }
+    }
+
+    #[test]
     fn a_repeated_single_request_trace_is_one_memory_sim_hit() {
         let device = Device::h100_sxm5();
         let session = CompileSession::in_memory(&device);
@@ -460,13 +491,14 @@ mod tests {
         let one = Trace::from_requests("single", 5, vec![request]);
         let counters = |c: &CacheStats| (c.kernel_hits, c.kernel_misses, c.sim_hits, c.sim_misses);
         let mut replay = Replay::new(&session);
-        // The four counters as the replay left them when every request
-        // rebuilt and re-printed its program: the first sight sweeps eight
-        // candidates, the repeat is a single sim-slot hit in memory.
+        // The first sight compiles and simulates eight candidates in one
+        // batch, then serves the winner's report from the sim slot (one
+        // sim hit) and its kernel, for the perf lints, from the kernel
+        // slot (one kernel hit); the repeat is a single sim-slot hit.
         let first = replay.run(&one).unwrap();
-        assert_eq!(counters(&session.cache_stats()), (9, 8, 1, 8));
+        assert_eq!(counters(&session.cache_stats()), (1, 8, 1, 8));
         let second = replay.run(&one).unwrap();
-        assert_eq!(counters(&session.cache_stats()), (9, 8, 2, 8));
+        assert_eq!(counters(&session.cache_stats()), (1, 8, 2, 8));
         assert_eq!(counters(&replay.outcomes()[1].cache), (0, 0, 1, 0));
         assert!(!replay.outcomes()[1].tuned);
         assert!(first.same_workload(&second));

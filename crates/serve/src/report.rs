@@ -149,8 +149,8 @@ pub struct FleetAccounting {
     pub disk_sim_negative_hits: u64,
     /// Static-analysis rejection verdicts served from the disk tier.
     pub disk_static_rejections: u64,
-    /// Autotune candidates pruned by the analytic model (simulator runs
-    /// avoided).
+    /// Always 0: autotune sweeps simulate every candidate. The field
+    /// stays in the `fleet-report 3` accounting so the format holds.
     pub analytic_pruned: u64,
     /// Kernels rejected by the static barrier-protocol analyzer.
     pub static_rejections: u64,
@@ -221,7 +221,7 @@ impl FleetAccounting {
             disk_sim_hits: delta.disk.sim_hits,
             disk_sim_negative_hits: delta.disk.sim_negative_hits,
             disk_static_rejections: delta.disk.static_rejections,
-            analytic_pruned: delta.analytic_pruned,
+            analytic_pruned: 0,
             static_rejections: delta.static_rejections,
             remote_kernel_hits: delta.remote.kernel_hits,
             remote_negative_hits: delta.remote.negative_hits,
@@ -570,6 +570,64 @@ mod tests {
         let clean_text = serialize_fleet_report(&clean);
         assert!(!clean_text.contains("perf-lint"));
         assert_eq!(deserialize_fleet_report(&clean_text).unwrap(), clean);
+    }
+
+    #[test]
+    fn from_stats_maps_each_counter_and_writes_analytic_pruned_as_zero() {
+        let mut s = CacheStats {
+            kernel_hits: 1,
+            kernel_misses: 2,
+            sim_hits: 3,
+            sim_misses: 4,
+            static_rejections: 5,
+            ..CacheStats::default()
+        };
+        s.disk.hits = 6;
+        s.disk.negative_hits = 7;
+        s.disk.sim_hits = 8;
+        s.disk.sim_negative_hits = 9;
+        s.disk.static_rejections = 10;
+        s.remote.kernel_hits = 11;
+        s.remote.negative_hits = 12;
+        s.remote.sim_hits = 13;
+        s.remote.sim_negative_hits = 14;
+        s.remote.misses = 15;
+        s.remote.puts = 16;
+        s.remote.errors = 17;
+        s.remote.roundtrips = 18;
+        let a = FleetAccounting::from_stats(8, &s);
+        assert_eq!(
+            a,
+            FleetAccounting {
+                compiles: 2,
+                simulate_calls: 4,
+                compiles_per_1k: 250.0,
+                simulate_calls_per_1k: 500.0,
+                kernel_hits: 1,
+                sim_hits: 3,
+                disk_kernel_hits: 6,
+                disk_negative_hits: 7,
+                disk_sim_hits: 8,
+                disk_sim_negative_hits: 9,
+                disk_static_rejections: 10,
+                analytic_pruned: 0,
+                static_rejections: 5,
+                remote_kernel_hits: 11,
+                remote_negative_hits: 12,
+                remote_sim_hits: 13,
+                remote_sim_negative_hits: 14,
+                remote_misses: 15,
+                remote_puts: 16,
+                remote_errors: 17,
+                remote_roundtrips: 18,
+            }
+        );
+        // No requests: the per-1k rates are zero, not a division by zero.
+        let idle = FleetAccounting::from_stats(0, &s);
+        assert_eq!(
+            (idle.compiles_per_1k, idle.simulate_calls_per_1k),
+            (0.0, 0.0)
+        );
     }
 
     #[test]

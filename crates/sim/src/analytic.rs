@@ -4,14 +4,11 @@
 //! The discrete-event engine ([`crate::engine`]) answers "how fast is
 //! this kernel" exactly; this module answers "how fast *could* it
 //! possibly be" in microseconds of host time instead of milliseconds of
-//! simulation. An autotuner uses the answer two ways (paper §V-E, and
-//! the analytic-optimization direction of *Optimal Software Pipelining
-//! and Warp Specialization for Tensor Core GPUs*):
-//!
-//! * **rank** candidates so the most promising configurations simulate
-//!   first, and
-//! * **prune** candidates whose throughput upper bound cannot beat the
-//!   best simulated result so far.
+//! simulation — a bound, in the analytic-optimization spirit of *Optimal
+//! Software Pipelining and Warp Specialization for Tensor Core GPUs*. It
+//! neither ranks nor prunes autotune candidates (every sweep simulates
+//! every candidate); [`perf_model`] distills it into the facts the
+//! performance lints (`tawa_wsir::analyze::perf`) are judged against.
 //!
 //! The estimate is the max of four *lower bounds on time* (equivalently,
 //! an upper bound on TFLOP/s):
@@ -39,23 +36,23 @@
 //! Every term is *optimistic* (contention, wave dispatch gaps, CTA
 //! start costs and wake latencies are mostly ignored), so the derived
 //! [`AnalyticEstimate::tflops_upper_bound`] dominates the simulated
-//! throughput in practice; autotuners add a configurable slack factor
-//! on top before pruning (see `tawa_core::autotune`).
+//! throughput (checked on every Fig. 11 candidate in
+//! `tests/e2e_fast_forward.rs`).
 //!
 //! ## Versioning
 //!
 //! The model carries its own [`ANALYTIC_MODEL_VERSION`], independent of
-//! [`crate::COST_MODEL_VERSION`]. The analytic estimate only *orders and
-//! prunes* candidates — it never produces a number that is persisted, so
-//! it must **not** feed the `.sim` disk-cache key: refining the analytic
-//! model must not invalidate byte-identical simulation reports.
+//! [`crate::COST_MODEL_VERSION`]. The analytic estimate only bounds — it
+//! never produces a number that is persisted, so it must **not** feed the
+//! `.sim` disk-cache key: refining the analytic model must not invalidate
+//! byte-identical simulation reports.
 
 use tawa_wsir::{BarId, Count, Instr, Kernel, PerfModel, Role};
 
 use crate::device::Device;
 
 /// Version of the analytic cost model. Bump when the estimate changes
-/// enough to alter candidate *ranking or pruning* decisions. Deliberately
+/// enough to alter a bound or a perf-lint verdict. Deliberately
 /// separate from [`crate::COST_MODEL_VERSION`]: the analytic model never
 /// keys persisted simulation outcomes (see the module docs).
 pub const ANALYTIC_MODEL_VERSION: u32 = 1;

@@ -79,7 +79,7 @@ pub mod run;
 /// Distinct from [`report_serde::REPORT_FORMAT_VERSION`], which covers
 /// only the serialization syntax, and from
 /// [`analytic::ANALYTIC_MODEL_VERSION`], which covers only the analytic
-/// ranking model. *How* a simulation executes is also out of scope: the
+/// bound model. *How* a simulation executes is also out of scope: the
 /// engine's exact steady-state skip ([`engine`]) and its walking the CTA
 /// classes of a kernel as one family ([`engine::run_classes`]) both
 /// produce reports bit-identical to walking every trip of every class on

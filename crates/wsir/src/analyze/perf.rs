@@ -20,8 +20,8 @@
 //! Every lint here is [`super::Severity::Warning`]: perf lints **never
 //! gate compilation**. `tawa-core`'s `CompileSession` collects them into a
 //! `PerfSummary` alongside compile results, `tawa-lint --perf` prints
-//! them, and the autotuner attaches them to tune points so a
-//! pruned-vs-winner report can say *why* a configuration lost.
+//! them, and the serving replay counts them per winning configuration in
+//! its fleet report.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -42,14 +42,6 @@
 //! content — is [`DocError::Malformed`] with the line it was found at.
 //! Readers return errors for arbitrary input; they do not panic.
 //!
-//! ## The torn-line rule
-//!
-//! An append-only log (`sweeps.log`) can be read while a writer's line
-//! is half on disk, and a tear landing mid-number would parse
-//! "successfully" with a wrong value. [`complete_lines`] keeps only the
-//! newline-terminated part; the dropped tail is re-read whole once the
-//! append lands.
-//!
 //! ## Why tokens borrow
 //!
 //! A token is always a contiguous substring of its line — escapes are
@@ -225,12 +217,6 @@ pub fn tokenize<'a>(
         tokens.push(&line[s..]);
     }
     Ok(tokens)
-}
-
-/// The newline-terminated prefix of `text` — the torn-line rule of the
-/// module docs. A text with no newline at all has no complete line.
-pub fn complete_lines(text: &str) -> &str {
-    text.rfind('\n').map_or("", |i| &text[..=i])
 }
 
 /// One tokenized line of a document: its keyword, its tokens, and typed
@@ -805,14 +791,6 @@ mod tests {
             json_block('[', &members, ']'),
             "[\n    \"a\": 1,\n    \"b\": 2\n  ]"
         );
-    }
-
-    #[test]
-    fn only_newline_terminated_lines_are_complete() {
-        assert_eq!(complete_lines(""), "");
-        assert_eq!(complete_lines("torn"), "");
-        assert_eq!(complete_lines("a\nb\n"), "a\nb\n");
-        assert_eq!(complete_lines("a\nb\ntor"), "a\nb\n");
     }
 
     #[test]

@@ -7,13 +7,6 @@
 //! and re-running the sweep (as a serving loop would on each traffic
 //! shift) is nearly free — the cache statistics at the end show it.
 //!
-//! By default the sweep is *model-guided*: the analytic cost model
-//! (`gpu_sim::analytic`) ranks candidates by their throughput upper
-//! bound, the simulator runs in rank order, and candidates whose bound
-//! cannot beat the best-so-far are pruned without simulating — same
-//! winner, bit-identical TFLOP/s, fewer simulator runs. Pruned rows show
-//! the analytic bound that condemned them.
-//!
 //! ```sh
 //! cargo run --release --example autotune
 //! ```
@@ -47,32 +40,20 @@ fn main() {
         "D", "P", "coop", "persistent", "TFLOP/s"
     );
     for p in &result.points {
-        match (p.tflops, p.pruned) {
-            (Some(t), _) => println!(
+        match p.tflops {
+            Some(t) => println!(
                 "{:>2} {:>2} {:>5} {:>11} {:>10.0}",
                 p.aref_depth, p.mma_depth, p.cooperative, p.persistent, t
             ),
-            (None, true) => println!(
-                "{:>2} {:>2} {:>5} {:>11} {:>10} (bound {:.0})",
-                p.aref_depth,
-                p.mma_depth,
-                p.cooperative,
-                p.persistent,
-                "pruned",
-                p.analytic_tflops.unwrap_or(0.0)
-            ),
-            (None, false) => println!(
+            None => println!(
                 "{:>2} {:>2} {:>5} {:>11} {:>10}",
                 p.aref_depth, p.mma_depth, p.cooperative, p.persistent, "infeasible"
             ),
         }
     }
     println!(
-        "\nsweep: {} candidates, {} simulated, {} analytically pruned, {} infeasible",
-        result.stats.candidates,
-        result.stats.simulate_calls,
-        result.stats.analytic_pruned,
-        result.stats.infeasible,
+        "\nsweep: {} candidates, {} simulate calls, {} infeasible",
+        result.stats.candidates, result.stats.simulate_calls, result.stats.infeasible,
     );
     if let Some(best) = result.best_options(&base) {
         println!(
@@ -92,12 +73,11 @@ fn main() {
     let stats = session.cache_stats();
     println!(
         "\ncold sweep {:.0} ms, warm re-sweep {:.2} ms ({} cache hits, {} misses, \
-         {} kernels cached, {} candidates pruned without simulating)",
+         {} kernels cached)",
         cold.as_secs_f64() * 1e3,
         warm.as_secs_f64() * 1e3,
         stats.hits(),
         stats.misses(),
         stats.kernel_entries,
-        stats.analytic_pruned,
     );
 }

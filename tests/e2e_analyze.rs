@@ -21,7 +21,7 @@ use std::path::PathBuf;
 
 use proptest::prelude::*;
 
-use tawa::core::autotune::{autotune_with_session_strategy, SweepStrategy, TuneSpace};
+use tawa::core::autotune::{autotune_with_session, TuneSpace};
 use tawa::core::cache::{CacheKey, EntryKind};
 use tawa::core::CompileOptions;
 use tawa::frontend::config::{AttentionConfig, GemmConfig};
@@ -254,19 +254,10 @@ fn static_gate_keeps_autotune_best_config_bit_identical() {
     let space = TuneSpace::fig11(false);
 
     // Unchecked reference: a clean sweep with no disk cache in play.
-    // Exhaustive on both sweeps: this test is about the static gate
-    // catching poisoned kernels, and the model-guided default would
-    // prune the deliberately-worst configurations before the gate
-    // ever saw them.
+    // Every sweep simulates every candidate, so the gate sees the
+    // deliberately-worst configurations too.
     let reference_session = CompileSession::in_memory(&device);
-    let reference = autotune_with_session_strategy(
-        &reference_session,
-        &m,
-        &spec,
-        &base,
-        &space,
-        SweepStrategy::Exhaustive,
-    );
+    let reference = autotune_with_session(&reference_session, &m, &spec, &base, &space);
     let best = reference.best.expect("fig11 has feasible points");
 
     // Seed a disk cache one configuration at a time (compile only — no
@@ -326,8 +317,7 @@ fn static_gate_keeps_autotune_best_config_bit_identical() {
     let swept = CompileSession::in_memory(&device)
         .with_disk_cache(&dir)
         .unwrap();
-    let checked =
-        autotune_with_session_strategy(&swept, &m, &spec, &base, &space, SweepStrategy::Exhaustive);
+    let checked = autotune_with_session(&swept, &m, &spec, &base, &space);
     let stats = swept.cache_stats();
     assert_eq!(stats.static_rejections, 2, "{stats:?}");
     assert_eq!(
@@ -371,8 +361,7 @@ fn static_gate_keeps_autotune_best_config_bit_identical() {
     let warm = CompileSession::in_memory(&device)
         .with_disk_cache(&dir)
         .unwrap();
-    let rerun =
-        autotune_with_session_strategy(&warm, &m, &spec, &base, &space, SweepStrategy::Exhaustive);
+    let rerun = autotune_with_session(&warm, &m, &spec, &base, &space);
     let warm_stats = warm.cache_stats();
     assert_eq!(warm_stats.disk.static_rejections, 2, "{warm_stats:?}");
     assert_eq!(warm_stats.static_rejections, 0, "{warm_stats:?}");

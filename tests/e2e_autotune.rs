@@ -1,21 +1,12 @@
-//! End-to-end tests of the model-guided autotune sweep and the parallel
-//! per-CTA-class simulation path.
-//!
-//! The acceptance bar: on a cold Fig. 11 sweep the guided strategy must
-//! issue at least 30% fewer simulator runs than the exhaustive reference
-//! while returning the same winning configuration and a bit-identical
-//! best TFLOP/s figure. Simulator runs are measured through the session's
-//! `sim_misses` counter, which counts actual engine invocations (cache
-//! hits and compile-time-infeasible candidates never reach it).
+//! End-to-end tests of the autotune sweep and of the parallel
+//! per-CTA-class simulation path: every kernel simulates bit-identically
+//! with and without it.
 
 use proptest::prelude::*;
 
-use tawa::core::autotune::{
-    autotune_with_session, autotune_with_session_strategy, SweepStrategy, TuneSpace,
-    DEFAULT_PRUNE_SLACK,
-};
+use tawa::core::autotune::{autotune_with_session, TuneSpace};
 use tawa::core::CompileOptions;
-use tawa::frontend::config::{AttentionConfig, GemmConfig, Tile};
+use tawa::frontend::config::{AttentionConfig, GemmConfig};
 use tawa::frontend::kernels::gemm;
 use tawa::ir::types::DType;
 use tawa::kernels::templates::{ws_attention, ws_gemm, AttentionStrategy, GemmStrategy};
@@ -24,115 +15,6 @@ use tawa::CompileSession;
 
 fn dev() -> Device {
     Device::h100_sxm5()
-}
-
-fn fig11_base() -> CompileOptions {
-    CompileOptions {
-        cooperative: 2,
-        ..CompileOptions::default()
-    }
-}
-
-/// The headline acceptance test: a cold model-guided Fig. 11 sweep (the
-/// paper's persistent panel at `K = 16384`) runs the simulator on at
-/// most 70% of the candidates the exhaustive sweep does, and still lands
-/// on the same winner with bit-identical TFLOP/s.
-#[test]
-fn guided_fig11_sweep_prunes_thirty_percent_with_identical_winner() {
-    let device = dev();
-    let cfg = GemmConfig::new(8192, 8192, 16384).with_tile(Tile::LARGE);
-    let (module, spec) = gemm(&cfg).into_parts();
-    let base = fig11_base();
-    let space = TuneSpace::fig11(true);
-
-    let ex_session = CompileSession::in_memory(&device);
-    let exhaustive = autotune_with_session_strategy(
-        &ex_session,
-        &module,
-        &spec,
-        &base,
-        &space,
-        SweepStrategy::Exhaustive,
-    );
-    let ex_sims = ex_session.cache_stats().sim_misses;
-
-    let g_session = CompileSession::in_memory(&device);
-    let guided = autotune_with_session(&g_session, &module, &spec, &base, &space);
-    let g_stats = g_session.cache_stats();
-    let g_sims = g_stats.sim_misses;
-
-    // Same winner, bit-identical throughput.
-    assert_eq!(exhaustive.best, guided.best, "winner index diverged");
-    let (ex_best, g_best) = (
-        exhaustive.best_tflops().expect("fig11 has feasible points"),
-        guided.best_tflops().expect("fig11 has feasible points"),
-    );
-    assert_eq!(
-        ex_best.to_bits(),
-        g_best.to_bits(),
-        "best TFLOP/s must be bit-identical: {ex_best} vs {g_best}"
-    );
-
-    // >= 30% fewer simulator runs on the cold sweep.
-    assert!(ex_sims > 0, "exhaustive sweep must simulate something");
-    assert!(
-        g_sims as f64 <= 0.7 * ex_sims as f64,
-        "guided sweep ran {g_sims} simulations vs exhaustive {ex_sims}; \
-         needed at least a 30% reduction"
-    );
-
-    // The sweep's own accounting agrees with the session counter.
-    assert!(guided.stats.analytic_pruned > 0, "{:?}", guided.stats);
-    assert_eq!(
-        g_stats.analytic_pruned, guided.stats.analytic_pruned as u64,
-        "session counter must mirror the sweep stats"
-    );
-    assert_eq!(
-        guided.stats.simulate_calls + guided.stats.analytic_pruned + guided.stats.infeasible,
-        guided.stats.candidates,
-        "every candidate is simulated, pruned, or infeasible: {:?}",
-        guided.stats
-    );
-    // Pruned points are marked as such and carry no throughput, but they
-    // all carry the analytic score that condemned them.
-    for p in guided.points.iter().filter(|p| p.pruned) {
-        assert_eq!(p.tflops, None);
-        assert!(p.analytic_tflops.is_some());
-    }
-}
-
-/// The full default tune space (D × P × coop × persistence, 36 points)
-/// behaves the same: identical winner, bit-identical best, real pruning.
-#[test]
-fn guided_full_space_matches_exhaustive() {
-    let device = dev();
-    let cfg = GemmConfig::new(4096, 4096, 4096).with_tile(Tile::LARGE);
-    let (module, spec) = gemm(&cfg).into_parts();
-    let base = fig11_base();
-    let space = TuneSpace::default();
-
-    let ex_session = CompileSession::in_memory(&device);
-    let exhaustive = autotune_with_session_strategy(
-        &ex_session,
-        &module,
-        &spec,
-        &base,
-        &space,
-        SweepStrategy::Exhaustive,
-    );
-    let g_session = CompileSession::in_memory(&device);
-    let guided = autotune_with_session(&g_session, &module, &spec, &base, &space);
-
-    assert_eq!(exhaustive.best, guided.best);
-    assert_eq!(
-        exhaustive.best_tflops().unwrap().to_bits(),
-        guided.best_tflops().unwrap().to_bits()
-    );
-    assert!(guided.stats.analytic_pruned > 0);
-    assert!(
-        g_session.cache_stats().sim_misses < ex_session.cache_stats().sim_misses,
-        "guided must simulate strictly less than exhaustive"
-    );
 }
 
 /// A sweep-order walk over the zoo's GEMM strategy grid: every feasible
@@ -283,36 +165,49 @@ proptest! {
             (s, p) => return Err(format!("paths diverged: {s:?} vs {p:?}")),
         }
     }
+}
 
-    /// The guided sweep with the default slack returns the same winner
-    /// and bit-identical best TFLOP/s as exhaustive, over random shapes.
+/// Strategy over GEMM shapes and Fig. 11 panels for whole sweeps.
+fn sweep_cases() -> impl Strategy<Value = (GemmConfig, bool)> {
+    (
+        prop_oneof![Just(2048usize), Just(4096), Just(8192)],
+        prop_oneof![Just(2048usize), Just(4096)],
+        prop_oneof![Just(1024usize), Just(4096), Just(16384)],
+        prop_oneof![Just(false), Just(true)],
+    )
+        .prop_map(|(m, n, k, persistent)| (GemmConfig::new(m, n, k), persistent))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The sweep's winner is the first point of the highest simulated
+    /// throughput, and its options, compiled and simulated on a fresh
+    /// session, reproduce that throughput bit for bit.
     #[test]
-    fn guided_sweep_winner_matches_exhaustive(
-        (m, n, k) in (
-            prop_oneof![Just(2048usize), Just(4096)],
-            prop_oneof![Just(2048usize), Just(4096)],
-            prop_oneof![Just(2048usize), Just(4096), Just(8192)],
-        ),
+    fn sweep_winner_is_the_first_best_point_and_reproduces(
+        (cfg, persistent) in sweep_cases(),
     ) {
         let device = dev();
-        let cfg = GemmConfig::new(m, n, k);
+        let session = CompileSession::in_memory(&device);
         let (module, spec) = gemm(&cfg).into_parts();
         let base = CompileOptions::default();
-        let space = TuneSpace::fig11(false);
-
-        let ex = autotune_with_session_strategy(
-            &CompileSession::in_memory(&device), &module, &spec, &base, &space,
-            SweepStrategy::Exhaustive,
-        );
-        let guided = autotune_with_session_strategy(
-            &CompileSession::in_memory(&device), &module, &spec, &base, &space,
-            SweepStrategy::ModelGuided { slack: DEFAULT_PRUNE_SLACK },
-        );
-        prop_assert_eq!(ex.best, guided.best);
-        match (ex.best_tflops(), guided.best_tflops()) {
-            (Some(a), Some(b)) => prop_assert_eq!(a.to_bits(), b.to_bits()),
-            (None, None) => {}
-            (a, b) => return Err(format!("best diverged: {a:?} vs {b:?}")),
+        let r = autotune_with_session(&session, &module, &spec, &base, &TuneSpace::fig11(persistent));
+        prop_assert_eq!(r.points.len(), 9);
+        let Some(best) = r.best else {
+            prop_assert!(r.points.iter().all(|p| p.tflops.is_none()));
+            return Ok(());
+        };
+        let top = r.points[best].tflops.unwrap_or(f64::NAN);
+        for (i, p) in r.points.iter().enumerate() {
+            if let Some(t) = p.tflops {
+                prop_assert!(t <= top, "point {} beats the winner {}", i, best);
+                prop_assert!(i >= best || t < top, "point {} ties the later winner {}", i, best);
+            }
         }
+        let opts = r.best_options(&base).unwrap();
+        let fresh = CompileSession::in_memory(&device);
+        let report = fresh.compile_and_simulate(&module, &spec, &opts);
+        prop_assert_eq!(report.map(|rep| rep.tflops.to_bits()).ok(), Some(top.to_bits()));
     }
 }

@@ -6,7 +6,7 @@
 //!    write the same bytes and read them back.
 //! 2. **Nothing taken from outside panics.** Every reader — `wsir 1`,
 //!    `sim-report 1`, `trace 1`, `fleet-report 3`, the cache's verdict
-//!    lines, the daemon's `stats` line, `sweeps.log` — returns for
+//!    lines, the daemon's `stats` line — returns for
 //!    arbitrary strings and for every single-byte mutation and truncation
 //!    of a valid document, and whatever it accepts re-serializes to a
 //!    document that reads back the same.
@@ -19,7 +19,7 @@ use proptest::prelude::*;
 
 use tawa::core::cache::{decode_sim_outcome, encode_sim_outcome};
 use tawa::core::remote::DaemonStats;
-use tawa::core::{CompileOptions, CompileSession, DiskCache};
+use tawa::core::{CompileOptions, CompileSession};
 use tawa::frontend::config::{AttentionConfig, GemmConfig};
 use tawa::frontend::kernels::{attention, batched_gemm, gemm, grouped_gemm};
 use tawa::frontend::GroupedGemmConfig;
@@ -286,8 +286,6 @@ const FLEET_JSON: &str = r#"{
 
 /// `pinned_daemon_stats().to_line()`, as the parent wrote it.
 const STATS_LINE: &str = r#"stats entries=12 bytes=34567 hits=8 misses=3 writes=12 negative_hits=1 sim_hits=6 sim_negative_hits=2 invalidations=1 evictions=4 sweep_log_errors=1 connections=9 requests=40 errors=2"#;
-/// What `record_sweep(2, 4)` appends to `sweeps.log`, as the parent wrote it.
-const SWEEP_LINE: &str = "sweep pruned=2 sims=4\n";
 
 /// A small `wsir 1` document with every section and instruction kind,
 /// quotes in a name and a nested loop — the sample the mutation sweep
@@ -401,14 +399,6 @@ fn pinned_daemon_stats() -> DaemonStats {
     }
 }
 
-/// A fresh cache directory for one test.
-fn scratch_cache(name: &str) -> DiskCache {
-    let dir =
-        std::env::temp_dir().join(format!("tawa-e2e-documents-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    DiskCache::open(dir).unwrap()
-}
-
 /// `json` with the whitespace between tokens removed: what a JSON parser
 /// sees. Layout may change; keys, nesting, order and value spellings may
 /// not.
@@ -453,12 +443,6 @@ fn documents_the_parent_wrote_are_read_and_rewritten_byte_for_byte() {
     let stats = pinned_daemon_stats();
     assert_eq!(stats.to_line(), STATS_LINE);
     assert_eq!(DaemonStats::parse(STATS_LINE), Some(stats));
-
-    let cache = scratch_cache("sweep-pin");
-    cache.record_sweep(2, 4);
-    let log = std::fs::read_to_string(cache.root().join("sweeps.log")).unwrap();
-    assert_eq!(log, SWEEP_LINE);
-    assert_eq!(cache.sweep_totals().analytic_pruned, 2);
 }
 
 #[test]
@@ -545,10 +529,10 @@ fn accepts_only_what_round_trips<T, E: Debug>(
 /// One reader that takes outside bytes: `(name, valid sample, check)`. A
 /// check panics only when its reader panics or accepts a document that
 /// does not round-trip.
-type Reader<'a> = (&'static str, String, Box<dyn Fn(&str) + 'a>);
+type Reader = (&'static str, String, Box<dyn Fn(&str)>);
 
 /// Every such reader.
-fn readers(cache: &DiskCache) -> Vec<Reader<'_>> {
+fn readers() -> Vec<Reader> {
     let sim_error = "sim-error \"deadlock: [cta0 wg1 BlockedBar(0) since 42]\"\n";
     let static_error = "static-error \"static deadlock: wg0 waits on bar0 \\\"full\\\"\"\n";
     let outcome = |text: &str| {
@@ -607,15 +591,6 @@ fn readers(cache: &DiskCache) -> Vec<Reader<'_>> {
                 )
             }),
         ),
-        (
-            "sweeps.log",
-            format!("{SWEEP_LINE}sweep pruned=0 sims=6\n"),
-            Box::new(|t| {
-                std::fs::write(cache.root().join("sweeps.log"), t).unwrap();
-                let totals = cache.sweep_totals();
-                assert!(totals.sweeps as usize <= t.matches('\n').count(), "{t:?}");
-            }),
-        ),
     ]
 }
 
@@ -655,8 +630,7 @@ fn for_each_mutant(valid: &str, check: &dyn Fn(&str)) {
 
 #[test]
 fn no_reader_panics_on_a_mutated_document_and_accepted_mutants_round_trip() {
-    let cache = scratch_cache("mutants");
-    for (name, valid, check) in readers(&cache) {
+    for (name, valid, check) in readers() {
         // The sample itself is valid, so the sweep starts from an accept.
         check(&valid);
         eprintln!("{name}: sweeping the mutants of {} bytes", valid.len());
@@ -690,8 +664,6 @@ fn fragments() -> impl Strategy<Value = &'static str> {
         Just("sim-error \"m\"\n"),
         Just("static-error "),
         Just("stats entries=1 bytes=2"),
-        Just("sweep pruned=1 sims=2\n"),
-        Just("sweep pruned="),
         Just("report "),
         Just("wave "),
         Just("phase moe "),
@@ -716,9 +688,8 @@ proptest! {
 
     #[test]
     fn no_reader_panics_on_arbitrary_text(pieces in prop::collection::vec(fragments(), 0..12)) {
-        static CACHE: std::sync::OnceLock<DiskCache> = std::sync::OnceLock::new();
         let text = pieces.concat();
-        for (_, _, check) in readers(CACHE.get_or_init(|| scratch_cache("arbitrary"))) {
+        for (_, _, check) in readers() {
             check(&text);
         }
     }
