@@ -92,11 +92,6 @@ pub fn run_panel_with_session(session: &CompileSession, persistent: bool, scale:
     }
 }
 
-/// Runs one panel (persistent or not) over a throwaway session.
-pub fn run_panel(device: &Device, persistent: bool, scale: Scale) -> Heatmap {
-    run_panel_with_session(&CompileSession::new(device), persistent, scale)
-}
-
 /// Both panels over a caller-provided session. With a disk-backed session
 /// (`CompileSession::with_disk_cache`, or `TAWA_DISK_CACHE` in the
 /// environment) a regenerated figure reuses the kernels, the persisted
@@ -111,6 +106,7 @@ pub fn run_with_session(session: &CompileSession, scale: Scale) -> Vec<Heatmap> 
 
 /// Both panels, sharing one compile session (disk-backed when
 /// `TAWA_DISK_CACHE` is set — see [`tawa_core::session::DISK_CACHE_ENV`]).
+/// Kept only for the frozen `benchmark/`; it retires with ROADMAP 1(c).
 pub fn run(device: &Device, scale: Scale) -> Vec<Heatmap> {
     run_with_session(&CompileSession::new(device), scale)
 }
@@ -169,7 +165,7 @@ mod tests {
     #[test]
     fn heatmap_shape_matches_paper() {
         let dev = Device::h100_sxm5();
-        let maps = run(&dev, Scale::Quick);
+        let maps = run_with_session(&CompileSession::in_memory(&dev), Scale::Quick);
         for map in &maps {
             // Infeasible upper triangle (D < P) is zero.
             assert_eq!(map.values[0][1], 0.0);

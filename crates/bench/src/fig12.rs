@@ -3,7 +3,6 @@
 //! (paper: 104 → 393 → 395 → 572 → 632 → 718 TFLOP/s for GEMM and
 //! 209 → 232 → 593 → 645 → 654 for MHA).
 
-use gpu_sim::Device;
 use tawa_core::autotune::{autotune_with_session, TuneSpace};
 use tawa_core::{CompileOptions, CompileSession};
 use tawa_frontend::config::{AttentionConfig, GemmConfig, Tile};
@@ -207,16 +206,6 @@ pub fn run_mha_with_session(session: &CompileSession, scale: Scale) -> Ablation 
     }
 }
 
-/// The GEMM ablation (Fig. 12 left) over a throwaway session.
-pub fn run_gemm(device: &Device, scale: Scale) -> Ablation {
-    run_gemm_with_session(&CompileSession::new(device), scale)
-}
-
-/// The MHA ablation (Fig. 12 right) over a throwaway session.
-pub fn run_mha(device: &Device, scale: Scale) -> Ablation {
-    run_mha_with_session(&CompileSession::new(device), scale)
-}
-
 /// Both ablations over a caller-provided session. A disk-backed session
 /// (`CompileSession::with_disk_cache`, or `TAWA_DISK_CACHE` in the
 /// environment) lets a regenerated figure reuse every kernel compiled by
@@ -228,20 +217,15 @@ pub fn run_with_session(session: &CompileSession, scale: Scale) -> Vec<Ablation>
     ]
 }
 
-/// Both ablations, sharing one compile session (disk-backed when
-/// `TAWA_DISK_CACHE` is set — see [`tawa_core::session::DISK_CACHE_ENV`]).
-pub fn run(device: &Device, scale: Scale) -> Vec<Ablation> {
-    run_with_session(&CompileSession::new(device), scale)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::Device;
 
     #[test]
     fn gemm_ablation_is_monotone_enough() {
         let dev = Device::h100_sxm5();
-        let abl = run_gemm(&dev, Scale::Quick);
+        let abl = run_gemm_with_session(&CompileSession::in_memory(&dev), Scale::Quick);
         assert_eq!(abl.steps.len(), 6);
         let t: Vec<f64> = abl.steps.iter().map(|s| s.tflops).collect();
         // Key paper shape: WS is a big jump; coop alone ~flat; large tile
@@ -256,7 +240,7 @@ mod tests {
     #[test]
     fn mha_ablation_shape() {
         let dev = Device::h100_sxm5();
-        let abl = run_mha(&dev, Scale::Quick);
+        let abl = run_mha_with_session(&CompileSession::in_memory(&dev), Scale::Quick);
         assert_eq!(abl.steps.len(), 5);
         let t: Vec<f64> = abl.steps.iter().map(|s| s.tflops).collect();
         assert!(t[1] > t[0], "+Auto WS: {t:?}");

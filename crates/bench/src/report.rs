@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 
-/// How exhaustively to sweep (tests use `Quick`; the binaries use `Full`).
+/// How exhaustively to sweep (tests use `Quick`; `all_figures` uses `Full`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// A few representative points per sweep.
@@ -130,9 +130,8 @@ fn fmt_x(x: f64) -> String {
     }
 }
 
-/// One-line summary of a session's disk-cache activity for the figure
-/// binaries, or `None` when no disk cache is attached (shared by the
-/// fig11/fig12 bins so the reported fields cannot drift apart).
+/// One-line summary of a session's disk-cache activity, or `None` when no
+/// disk cache is attached (`all_figures` prints it after Figs. 11–12).
 pub fn disk_cache_summary(session: &tawa_core::CompileSession) -> Option<String> {
     let disk = session.disk_cache()?;
     let d = session.cache_stats().disk;

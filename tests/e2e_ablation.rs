@@ -2,12 +2,13 @@
 //! and the Fig. 11 feasibility frontier must match the paper's.
 
 use gpu_sim::Device;
+use tawa::CompileSession;
 use tawa_bench::{fig11, fig12, Scale};
 
 #[test]
 fn gemm_ablation_reproduces_paper_ordering() {
     let dev = Device::h100_sxm5();
-    let abl = fig12::run_gemm(&dev, Scale::Quick);
+    let abl = fig12::run_gemm_with_session(&CompileSession::in_memory(&dev), Scale::Quick);
     let labels: Vec<&str> = abl.steps.iter().map(|s| s.label.as_str()).collect();
     assert_eq!(
         labels,
@@ -36,7 +37,7 @@ fn gemm_ablation_reproduces_paper_ordering() {
 #[test]
 fn mha_ablation_reproduces_paper_ordering() {
     let dev = Device::h100_sxm5();
-    let abl = fig12::run_mha(&dev, Scale::Quick);
+    let abl = fig12::run_mha_with_session(&CompileSession::in_memory(&dev), Scale::Quick);
     let t: Vec<f64> = abl.steps.iter().map(|s| s.tflops).collect();
     let total = t[4] / t[0];
     assert!(total > 1.5, "total MHA ablation gain {total}: {t:?}");
@@ -52,7 +53,7 @@ fn mha_ablation_reproduces_paper_ordering() {
 #[test]
 fn fig11_feasibility_frontier() {
     let dev = Device::h100_sxm5();
-    let map = fig11::run_panel(&dev, false, Scale::Quick);
+    let map = fig11::run_panel_with_session(&CompileSession::in_memory(&dev), false, Scale::Quick);
     for d in 1..=3usize {
         for p in 1..=3usize {
             let v = map.values[d - 1][p - 1];

@@ -2,6 +2,7 @@
 //! scale and renders non-empty tables.
 
 use gpu_sim::Device;
+use tawa::CompileSession;
 use tawa_bench::{fig10, fig11, fig12, fig8, fig9, Scale};
 
 #[test]
@@ -40,7 +41,7 @@ fn fig10_renders_four_panels() {
 #[test]
 fn fig11_renders_heatmaps() {
     let dev = Device::h100_sxm5();
-    let maps = fig11::run(&dev, Scale::Quick);
+    let maps = fig11::run_with_session(&CompileSession::in_memory(&dev), Scale::Quick);
     assert_eq!(maps.len(), 2);
     for m in &maps {
         let md = m.to_markdown();
@@ -51,7 +52,7 @@ fn fig11_renders_heatmaps() {
 #[test]
 fn fig12_renders_ablations() {
     let dev = Device::h100_sxm5();
-    let abls = fig12::run(&dev, Scale::Quick);
+    let abls = fig12::run_with_session(&CompileSession::in_memory(&dev), Scale::Quick);
     assert_eq!(abls.len(), 2);
     assert!(abls[0].to_markdown().contains("+Auto WS"));
     assert!(abls[1].to_markdown().contains("+Pipeline"));
