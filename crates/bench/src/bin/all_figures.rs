@@ -4,9 +4,11 @@
 //! cell of each heatmap.
 //!
 //! `--csv` renders the Fig. 8–10 panels as CSV instead of Markdown.
-//! Set `TAWA_DISK_CACHE=<dir>` to persist kernels and simulation reports
+//! All five figures run over one `CompileSession::new`, so the Tawa and
+//! Triton baselines share its caches with Figs. 11–12. Set
+//! `TAWA_DISK_CACHE=<dir>` to persist kernels and simulation reports
 //! across invocations: a rerun serves them from disk, and the last line
-//! reports the hit counts of the one session Figs. 11–12 share.
+//! reports the hit counts of that one session.
 
 use std::fmt::Write as _;
 use std::io::{ErrorKind, Write as _};
@@ -43,11 +45,12 @@ fn evaluation(csv: bool) -> String {
             fig.to_markdown()
         }
     };
+    let session = CompileSession::new(&device);
     let mut out = String::new();
     let _ = writeln!(out, "# Tawa reproduction — full evaluation\n");
     let _ = writeln!(out, "Device: {} | scale: {scale:?}\n", device.name);
 
-    for fig in fig8::run(&device, scale) {
+    for fig in fig8::run_with_session(&session, scale) {
         let _ = writeln!(out, "{}", panel(&fig));
         let _ = writeln!(out, "Average Tawa speedups ({}):", fig.title);
         for other in ["cuBLAS", "Triton", "TileLang", "ThunderKittens"] {
@@ -57,10 +60,10 @@ fn evaluation(csv: bool) -> String {
         }
         let _ = writeln!(out);
     }
-    for fig in fig9::run(&device, scale) {
+    for fig in fig9::run_with_session(&session, scale) {
         let _ = writeln!(out, "{}", panel(&fig));
     }
-    for fig in fig10::run(&device, scale) {
+    for fig in fig10::run_with_session(&session, scale) {
         let _ = writeln!(out, "{}", panel(&fig));
         if let Some(ratio) = fig.geomean_speedup("Tawa", "FA3 (CUTLASS)") {
             let _ = writeln!(
@@ -78,7 +81,6 @@ fn evaluation(csv: bool) -> String {
         let _ = writeln!(out);
     }
 
-    let session = CompileSession::new(&device);
     for map in fig11::run_with_session(&session, scale) {
         let (d, p, v) = map.argmax();
         let _ = writeln!(out, "{}", map.to_markdown());

@@ -3,6 +3,7 @@
 //! Triton, TileLang and ThunderKittens.
 
 use gpu_sim::Device;
+use tawa_core::CompileSession;
 use tawa_frontend::config::AttentionConfig;
 use tawa_ir::types::DType;
 use tawa_kernels::frameworks as fw;
@@ -17,8 +18,10 @@ pub fn seq_lens(scale: Scale) -> Vec<usize> {
     }
 }
 
-/// Runs one (precision, causality) panel.
-pub fn run_panel(device: &Device, dtype: DType, causal: bool, scale: Scale) -> Figure {
+/// Runs one (precision, causality) panel; Tawa and Triton compile
+/// through `session`.
+pub fn run_panel(session: &CompileSession, dtype: DType, causal: bool, scale: Scale) -> Figure {
+    let device = session.device();
     let ls = seq_lens(scale);
     let mk = |l: usize| AttentionConfig::paper(l, causal, dtype);
     let series_for = |label: &str, f: &dyn Fn(&AttentionConfig) -> fw::BenchOutcome| Series {
@@ -41,8 +44,8 @@ pub fn run_panel(device: &Device, dtype: DType, causal: bool, scale: Scale) -> F
         x_label: "L".into(),
         series: vec![
             series_for("FA3 (CUTLASS)", &|c| fw::fa3_attention(c, device)),
-            series_for("Tawa", &|c| fw::tawa_attention(c, device)),
-            series_for("Triton", &|c| fw::triton_attention(c, device)),
+            series_for("Tawa", &|c| fw::tawa_attention(c, session)),
+            series_for("Triton", &|c| fw::triton_attention(c, session)),
             series_for("TileLang", &|c| fw::tilelang_attention(c, device)),
             series_for("ThunderKittens", &|c| {
                 fw::thunderkittens_attention(c, device)
@@ -51,15 +54,21 @@ pub fn run_panel(device: &Device, dtype: DType, causal: bool, scale: Scale) -> F
     }
 }
 
-/// All four panels of Fig. 10.
-pub fn run(device: &Device, scale: Scale) -> Vec<Figure> {
+/// All four panels of Fig. 10 over a caller-provided session.
+pub fn run_with_session(session: &CompileSession, scale: Scale) -> Vec<Figure> {
     let mut out = Vec::new();
     for dtype in [DType::F16, DType::F8E4M3] {
         for causal in [false, true] {
-            out.push(run_panel(device, dtype, causal, scale));
+            out.push(run_panel(session, dtype, causal, scale));
         }
     }
     out
+}
+
+/// All four panels over an in-memory session.
+/// Kept only for the frozen `benchmark/`; it retires with ROADMAP 1(c).
+pub fn run(device: &Device, scale: Scale) -> Vec<Figure> {
+    run_with_session(&CompileSession::in_memory(device), scale)
 }
 
 #[cfg(test)]
@@ -68,8 +77,8 @@ mod tests {
 
     #[test]
     fn fp16_panel_ordering() {
-        let dev = Device::h100_sxm5();
-        let fig = run_panel(&dev, DType::F16, false, Scale::Quick);
+        let session = CompileSession::in_memory(&Device::h100_sxm5());
+        let fig = run_panel(&session, DType::F16, false, Scale::Quick);
         // At the longest L: FA3 ≥ Tawa > Triton; Tawa ≥ 85% of FA3.
         let last = |label: &str| {
             fig.series
@@ -88,8 +97,8 @@ mod tests {
 
     #[test]
     fn fp8_panel_has_tk_gap() {
-        let dev = Device::h100_sxm5();
-        let fig = run_panel(&dev, DType::F8E4M3, false, Scale::Quick);
+        let session = CompileSession::in_memory(&Device::h100_sxm5());
+        let fig = run_panel(&session, DType::F8E4M3, false, Scale::Quick);
         let tk = fig
             .series
             .iter()

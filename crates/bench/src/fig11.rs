@@ -104,11 +104,10 @@ pub fn run_with_session(session: &CompileSession, scale: Scale) -> Vec<Heatmap> 
     ]
 }
 
-/// Both panels, sharing one compile session (disk-backed when
-/// `TAWA_DISK_CACHE` is set — see [`tawa_core::session::DISK_CACHE_ENV`]).
+/// Both panels over an in-memory session.
 /// Kept only for the frozen `benchmark/`; it retires with ROADMAP 1(c).
 pub fn run(device: &Device, scale: Scale) -> Vec<Heatmap> {
-    run_with_session(&CompileSession::new(device), scale)
+    run_with_session(&CompileSession::in_memory(device), scale)
 }
 
 #[cfg(test)]

@@ -2,6 +2,7 @@
 //! FP16 and FP8, against cuBLAS / Triton / TileLang / ThunderKittens.
 
 use gpu_sim::Device;
+use tawa_core::CompileSession;
 use tawa_frontend::config::GemmConfig;
 use tawa_ir::types::DType;
 use tawa_kernels::frameworks as fw;
@@ -20,8 +21,9 @@ pub fn k_values(scale: Scale) -> Vec<usize> {
     }
 }
 
-/// Runs one precision panel.
-pub fn run_panel(device: &Device, dtype: DType, scale: Scale) -> Figure {
+/// Runs one precision panel; Tawa and Triton compile through `session`.
+pub fn run_panel(session: &CompileSession, dtype: DType, scale: Scale) -> Figure {
+    let device = session.device();
     let ks = k_values(scale);
     let mma = if dtype == DType::F8E4M3 {
         MmaDtype::F8
@@ -36,10 +38,10 @@ pub fn run_panel(device: &Device, dtype: DType, scale: Scale) -> Figure {
             "cuBLAS",
             Box::new(|c: &GemmConfig| fw::cublas_gemm(c, device)),
         ),
-        ("Tawa", Box::new(|c: &GemmConfig| fw::tawa_gemm(c, device))),
+        ("Tawa", Box::new(|c: &GemmConfig| fw::tawa_gemm(c, session))),
         (
             "Triton",
-            Box::new(|c: &GemmConfig| fw::triton_gemm(c, device)),
+            Box::new(|c: &GemmConfig| fw::triton_gemm(c, session)),
         ),
         (
             "TileLang",
@@ -82,12 +84,18 @@ pub fn run_panel(device: &Device, dtype: DType, scale: Scale) -> Figure {
     }
 }
 
-/// Runs both precision panels.
-pub fn run(device: &Device, scale: Scale) -> Vec<Figure> {
+/// Runs both precision panels over a caller-provided session.
+pub fn run_with_session(session: &CompileSession, scale: Scale) -> Vec<Figure> {
     vec![
-        run_panel(device, DType::F16, scale),
-        run_panel(device, DType::F8E4M3, scale),
+        run_panel(session, DType::F16, scale),
+        run_panel(session, DType::F8E4M3, scale),
     ]
+}
+
+/// Both panels over an in-memory session.
+/// Kept only for the frozen `benchmark/`; it retires with ROADMAP 1(c).
+pub fn run(device: &Device, scale: Scale) -> Vec<Figure> {
+    run_with_session(&CompileSession::in_memory(device), scale)
 }
 
 #[cfg(test)]
@@ -96,8 +104,8 @@ mod tests {
 
     #[test]
     fn quick_panel_has_expected_shape() {
-        let dev = Device::h100_sxm5();
-        let fig = run_panel(&dev, DType::F16, Scale::Quick);
+        let session = CompileSession::in_memory(&Device::h100_sxm5());
+        let fig = run_panel(&session, DType::F16, Scale::Quick);
         assert_eq!(fig.series.len(), 6);
         assert_eq!(fig.series[0].points.len(), 3);
         // Everyone below peak; Tawa beats Triton on geomean.

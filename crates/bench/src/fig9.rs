@@ -1,7 +1,7 @@
 //! Fig. 9: FP16 batched GEMM (B=8, square sizes 1K..16K) and grouped GEMM
 //! (G ∈ 2..6, M_g multiples of 512) — Tawa vs Triton vs TileLang.
 
-use gpu_sim::Device;
+use tawa_core::CompileSession;
 use tawa_frontend::config::{GemmConfig, GroupedGemmConfig, Tile};
 use tawa_kernels::frameworks as fw;
 
@@ -23,8 +23,9 @@ pub fn group_counts(scale: Scale) -> Vec<usize> {
     }
 }
 
-/// Batched-GEMM panel.
-pub fn run_batched(device: &Device, scale: Scale) -> Figure {
+/// Batched-GEMM panel; Tawa and Triton compile through `session`.
+pub fn run_batched(session: &CompileSession, scale: Scale) -> Figure {
+    let device = session.device();
     let sizes = batched_sizes(scale);
     let mk = |s: usize| GemmConfig::new(s, s, s).with_batch(8);
     let run_fw = |label: &str, f: &dyn Fn(&GemmConfig) -> fw::BenchOutcome| Series {
@@ -38,8 +39,8 @@ pub fn run_batched(device: &Device, scale: Scale) -> Figure {
         title: "Fig. 9 (left): FP16 batched GEMM (B=8)".into(),
         x_label: "M=N=K".into(),
         series: vec![
-            run_fw("Tawa", &|c| fw::tawa_batched_gemm(c, device)),
-            run_fw("Triton", &|c| fw::triton_gemm(c, device)),
+            run_fw("Tawa", &|c| fw::tawa_batched_gemm(c, session)),
+            run_fw("Triton", &|c| fw::triton_gemm(c, session)),
             run_fw("TileLang", &|c| {
                 // TileLang runs batched shapes through its WS template too.
                 fw::tilelang_gemm(
@@ -54,8 +55,8 @@ pub fn run_batched(device: &Device, scale: Scale) -> Figure {
     }
 }
 
-/// Grouped-GEMM panel.
-pub fn run_grouped(device: &Device, scale: Scale) -> Figure {
+/// Grouped-GEMM panel; Tawa and Triton compile through `session`.
+pub fn run_grouped(session: &CompileSession, scale: Scale) -> Figure {
     let gs = group_counts(scale);
     Figure {
         title: "Fig. 9 (right): FP16 grouped GEMM".into(),
@@ -69,7 +70,7 @@ pub fn run_grouped(device: &Device, scale: Scale) -> Figure {
                         let cfg = GroupedGemmConfig::paper_sweep(g);
                         (
                             g as f64,
-                            fw::tawa_grouped_gemm(&cfg, device).ok().map(|r| r.tflops),
+                            fw::tawa_grouped_gemm(&cfg, session).ok().map(|r| r.tflops),
                         )
                     })
                     .collect(),
@@ -82,7 +83,9 @@ pub fn run_grouped(device: &Device, scale: Scale) -> Figure {
                         let cfg = GroupedGemmConfig::paper_sweep(g);
                         (
                             g as f64,
-                            fw::triton_grouped_gemm(&cfg, device).ok().map(|r| r.tflops),
+                            fw::triton_grouped_gemm(&cfg, session)
+                                .ok()
+                                .map(|r| r.tflops),
                         )
                     })
                     .collect(),
@@ -95,7 +98,7 @@ pub fn run_grouped(device: &Device, scale: Scale) -> Figure {
                         let cfg = GroupedGemmConfig::paper_sweep(g);
                         (
                             g as f64,
-                            fw::tilelang_grouped_gemm(&cfg, device)
+                            fw::tilelang_grouped_gemm(&cfg, session.device())
                                 .ok()
                                 .map(|r| r.tflops),
                         )
@@ -106,27 +109,28 @@ pub fn run_grouped(device: &Device, scale: Scale) -> Figure {
     }
 }
 
-/// Both panels.
-pub fn run(device: &Device, scale: Scale) -> Vec<Figure> {
-    vec![run_batched(device, scale), run_grouped(device, scale)]
+/// Both panels over a caller-provided session.
+pub fn run_with_session(session: &CompileSession, scale: Scale) -> Vec<Figure> {
+    vec![run_batched(session, scale), run_grouped(session, scale)]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::Device;
 
     #[test]
     fn batched_tawa_beats_triton() {
-        let dev = Device::h100_sxm5();
-        let fig = run_batched(&dev, Scale::Quick);
+        let session = CompileSession::in_memory(&Device::h100_sxm5());
+        let fig = run_batched(&session, Scale::Quick);
         let s = fig.geomean_speedup("Tawa", "Triton").unwrap();
         assert!(s > 1.0, "batched speedup {s}");
     }
 
     #[test]
     fn grouped_tilelang_degrades_with_group_count() {
-        let dev = Device::h100_sxm5();
-        let fig = run_grouped(&dev, Scale::Quick);
+        let session = CompileSession::in_memory(&Device::h100_sxm5());
+        let fig = run_grouped(&session, Scale::Quick);
         let tl = &fig.series[2];
         let first = tl.points.first().and_then(|p| p.1).unwrap();
         let last = tl.points.last().and_then(|p| p.1).unwrap();

@@ -6,10 +6,10 @@
 //! MMA-depth heatmaps) and Fig. 12 (optimization ablations), plus the
 //! speedup summaries quoted in the text.
 //!
-//! Figs. 8–10 expose `run(&Device, Scale)`; Figs. 11–12 run over a
-//! caller's `CompileSession` (`run_with_session`). The one binary,
-//! `all_figures`, prints every table with its summaries (`--csv` renders
-//! the Fig. 8–10 panels as CSV).
+//! Every figure runs over a caller's `CompileSession`
+//! (`run_with_session`). The one binary, `all_figures`, prints every
+//! table with its summaries over one session (`--csv` renders the
+//! Fig. 8–10 panels as CSV).
 
 #![warn(missing_docs)]
 

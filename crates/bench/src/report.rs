@@ -131,7 +131,8 @@ fn fmt_x(x: f64) -> String {
 }
 
 /// One-line summary of a session's disk-cache activity, or `None` when no
-/// disk cache is attached (`all_figures` prints it after Figs. 11–12).
+/// disk cache is attached (`all_figures` prints it after all five
+/// figures, which share its one session).
 pub fn disk_cache_summary(session: &tawa_core::CompileSession) -> Option<String> {
     let disk = session.disk_cache()?;
     let d = session.cache_stats().disk;

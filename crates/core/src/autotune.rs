@@ -15,7 +15,6 @@
 
 use std::time::{Duration, Instant};
 
-use gpu_sim::Device;
 use tawa_ir::fingerprint::module_fingerprint;
 use tawa_ir::func::Module;
 use tawa_ir::spec::LaunchSpec;
@@ -49,7 +48,7 @@ pub struct TunePoint {
     pub analytic_tflops: Option<f64>,
 }
 
-/// Search-space bounds for [`autotune`].
+/// Search-space bounds for [`autotune_with_session`].
 #[derive(Debug, Clone)]
 pub struct TuneSpace {
     /// Candidate aref depths.
@@ -252,24 +251,10 @@ pub fn autotune_with_session_strategy(
     autotune_with_session(session, module, spec, base, space)
 }
 
-/// Sweeps `space`, compiling and simulating each feasible configuration
-/// over a throwaway [`CompileSession`]. Callers running multiple sweeps
-/// (figure harnesses, serving loops) should hold their own session and use
-/// [`autotune_with_session`] so the caches carry across sweeps.
-pub fn autotune(
-    module: &Module,
-    spec: &LaunchSpec,
-    base: &CompileOptions,
-    space: &TuneSpace,
-    device: &Device,
-) -> TuneResult {
-    let session = CompileSession::new(device);
-    autotune_with_session(&session, module, spec, base, space)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::Device;
     use tawa_frontend::config::GemmConfig;
     use tawa_frontend::kernels::gemm;
 
@@ -311,12 +296,13 @@ mod tests {
     fn best_point_is_feasible_and_deepest_helps() {
         let (m, spec) = gemm(&GemmConfig::new(8192, 8192, 8192)).into_parts();
         let dev = Device::h100_sxm5();
-        let r = autotune(
+        let session = CompileSession::in_memory(&dev);
+        let r = autotune_with_session(
+            &session,
             &m,
             &spec,
             &CompileOptions::default(),
             &TuneSpace::fig11(true),
-            &dev,
         );
         let best = &r.points[r.best.expect("a feasible point")];
         assert!(best.tflops.is_some());
@@ -331,12 +317,13 @@ mod tests {
     fn full_space_includes_cooperation() {
         let (m, spec) = gemm(&GemmConfig::new(2048, 2048, 2048)).into_parts();
         let dev = Device::h100_sxm5();
-        let r = autotune(
+        let session = CompileSession::in_memory(&dev);
+        let r = autotune_with_session(
+            &session,
             &m,
             &spec,
             &CompileOptions::default(),
             &TuneSpace::default(),
-            &dev,
         );
         assert_eq!(r.points.len(), 3 * 3 * 2 * 2);
         assert!(r.best_tflops().unwrap() > 100.0);
@@ -443,7 +430,7 @@ mod tests {
         let dev = Device::h100_sxm5();
         let base = CompileOptions::default();
         let space = TuneSpace::fig11(false);
-        let r = autotune(&m, &spec, &base, &space, &dev);
+        let r = autotune_with_session(&CompileSession::in_memory(&dev), &m, &spec, &base, &space);
         let fresh = CompileSession::in_memory(&dev);
         for (p, opts) in r.points.iter().zip(candidates(&base, &space)) {
             let direct = fresh.compile_and_simulate(&m, &spec, &opts).ok();

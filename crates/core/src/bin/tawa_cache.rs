@@ -23,6 +23,7 @@ use std::time::SystemTime;
 
 use tawa_core::cache::{CacheEntry, DiskCache, EntryKind, SimOutcome};
 use tawa_core::remote::{RemoteAddr, RemoteCache, REMOTE_CACHE_ENV};
+use tawa_core::CacheEnv;
 
 const USAGE: &str = "usage:
   tawa-cache ls <dir>                 list entries (oldest first)
@@ -65,13 +66,13 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             if let Some(i) = rest.iter().position(|a| a == "--remote") {
                 rest.remove(i);
                 let addr = match rest.as_slice() {
-                    [] => std::env::var(REMOTE_CACHE_ENV).map_err(|_| {
+                    [] => CacheEnv::from_env().remote.ok_or_else(|| {
                         format!("stats --remote needs an address or {REMOTE_CACHE_ENV} set")
                     })?,
-                    [addr] => addr.clone(),
+                    [addr] => RemoteAddr::parse(addr),
                     _ => return Err("stats --remote takes at most one address".into()),
                 };
-                remote_stats(&addr)?;
+                remote_stats(addr)?;
                 return Ok(ExitCode::SUCCESS);
             }
             let dir = one_dir(&rest)?;
@@ -204,8 +205,8 @@ fn stats(cache: &DiskCache) {
 
 /// `stats --remote`: asks a live `tawa-cached` daemon for its counters
 /// over the wire protocol instead of reading a directory.
-fn remote_stats(addr: &str) -> Result<(), String> {
-    let client = RemoteCache::new(RemoteAddr::parse(addr));
+fn remote_stats(addr: RemoteAddr) -> Result<(), String> {
+    let client = RemoteCache::new(addr);
     let stats = client
         .fetch_stats()
         .ok_or_else(|| format!("no tawa-cached daemon answering at {}", client.addr()))?;

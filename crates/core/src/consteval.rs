@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 
 use tawa_ir::func::{Func, ValueDef};
-use tawa_ir::op::{OpKind, ValueId};
+use tawa_ir::op::{CmpPred, OpKind, ValueId};
 use tawa_ir::spec::{LaunchSpec, ParamValue};
 
 /// Evaluates scalar integer values of `f` under a launch binding.
@@ -55,18 +55,9 @@ impl<'f> ConstEval<'f> {
             k if k.is_binary_arith() => {
                 let a = self.eval(data.operands[0])?;
                 let b = self.eval(data.operands[1])?;
-                match k {
-                    OpKind::Add => Some(a.wrapping_add(b)),
-                    OpKind::Sub => Some(a.wrapping_sub(b)),
-                    OpKind::Mul => Some(a.wrapping_mul(b)),
-                    OpKind::Div if b != 0 => Some(a.wrapping_div(b)),
-                    OpKind::Rem if b != 0 => Some(a.wrapping_rem(b)),
-                    OpKind::Min => Some(a.min(b)),
-                    OpKind::Max => Some(a.max(b)),
-                    _ => None,
-                }
+                k.eval_int(a, b)
             }
-            OpKind::Neg => self.eval(data.operands[0]).map(|a| -a),
+            OpKind::Neg => self.eval(data.operands[0]).map(i64::wrapping_neg),
             OpKind::Cast => self.eval(data.operands[0]),
             OpKind::Select => {
                 // Only fold selects with a foldable comparison condition.
@@ -77,17 +68,8 @@ impl<'f> ConstEval<'f> {
                 }
                 let a = self.eval(cond.operands[0])?;
                 let b = self.eval(cond.operands[1])?;
-                let pred = cond.attrs.str("pred")?;
-                let taken = match pred {
-                    "lt" => a < b,
-                    "le" => a <= b,
-                    "gt" => a > b,
-                    "ge" => a >= b,
-                    "eq" => a == b,
-                    "ne" => a != b,
-                    _ => return None,
-                };
-                let pick = if taken {
+                let pred = cond.attrs.str("pred").and_then(CmpPred::parse)?;
+                let pick = if pred.holds(a, b) {
                     data.operands[1]
                 } else {
                     data.operands[2]

@@ -1,37 +1,28 @@
-//! Shared resolution of the cache and analysis environment variables.
+//! Shared resolution of the two deployment settings.
 //!
-//! [`DISK_CACHE_ENV`] (`TAWA_DISK_CACHE`) and
-//! [`REMOTE_CACHE_ENV`] (`TAWA_CACHED`) configure the session's local
-//! disk and remote daemon tiers; [`ANALYZE_FUEL_ENV`]
-//! (`TAWA_ANALYZE_FUEL`) overrides the instruction budget of the static
-//! analyzer's abstract interpreter. Every consumer — `CompileSession`
-//! construction, `tawa-serve run`, `tawa-cache stats --remote`, the
-//! examples — resolves them through [`CacheEnv`] so the empty-value and
-//! `tcp:` conventions are interpreted exactly once.
+//! [`DISK_CACHE_ENV`] (`TAWA_DISK_CACHE`) and [`REMOTE_CACHE_ENV`]
+//! (`TAWA_CACHED`) configure the session's local disk and remote daemon
+//! tiers. Every consumer — [`CompileSession::new`](crate::CompileSession::new),
+//! `tawa-serve run` and `tawa-cache stats --remote` — resolves them
+//! through [`CacheEnv`], so the empty-value and `tcp:` conventions are
+//! interpreted exactly once. No other library code reads the environment.
 
 use std::path::PathBuf;
 
 use crate::remote::{RemoteAddr, REMOTE_CACHE_ENV};
-use crate::session::{ANALYZE_FUEL_ENV, DISK_CACHE_ENV};
+use crate::session::DISK_CACHE_ENV;
 
 /// The resolved cache configuration from the process environment.
 ///
 /// An unset or empty (after trimming) variable disables that tier —
 /// `TAWA_DISK_CACHE= tawa-serve run ...` is a supported way to switch a
-/// tier off in a wrapper script without unsetting anything. The same
-/// convention applies to [`ANALYZE_FUEL_ENV`]: unset, empty or
-/// unparsable values keep the analyzer's built-in default
-/// ([`tawa_wsir::DEFAULT_ANALYSIS_FUEL`]).
+/// tier off in a wrapper script without unsetting anything.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheEnv {
     /// Local persistent cache directory ([`DISK_CACHE_ENV`]).
     pub disk: Option<PathBuf>,
     /// Remote `tawa-cached` daemon endpoint ([`REMOTE_CACHE_ENV`]).
     pub remote: Option<RemoteAddr>,
-    /// Abstract-interpretation fuel override ([`ANALYZE_FUEL_ENV`]): the
-    /// per-CTA-class instruction budget the static analyzer spends
-    /// before giving up with an `analysis-budget` lint.
-    pub analyze_fuel: Option<u64>,
 }
 
 impl CacheEnv {
@@ -40,28 +31,18 @@ impl CacheEnv {
         CacheEnv::from_values(
             std::env::var(DISK_CACHE_ENV).ok(),
             std::env::var(REMOTE_CACHE_ENV).ok(),
-            std::env::var(ANALYZE_FUEL_ENV).ok(),
         )
     }
 
     /// Resolves raw variable values (testable without touching the
     /// process environment).
-    pub fn from_values(
-        disk: Option<String>,
-        remote: Option<String>,
-        analyze_fuel: Option<String>,
-    ) -> CacheEnv {
+    pub fn from_values(disk: Option<String>, remote: Option<String>) -> CacheEnv {
         fn nonempty(v: Option<String>) -> Option<String> {
             v.filter(|s| !s.trim().is_empty())
         }
         CacheEnv {
             disk: nonempty(disk).map(PathBuf::from),
             remote: nonempty(remote).map(|s| RemoteAddr::parse(&s)),
-            // Zero would make every kernel exhaust its budget instantly;
-            // treat it like garbage and keep the default.
-            analyze_fuel: nonempty(analyze_fuel)
-                .and_then(|v| v.trim().parse::<u64>().ok())
-                .filter(|&n| n > 0),
         }
     }
 }
@@ -72,8 +53,8 @@ mod tests {
 
     #[test]
     fn unset_and_empty_values_disable_tiers() {
-        assert_eq!(CacheEnv::from_values(None, None, None), CacheEnv::default());
-        let env = CacheEnv::from_values(Some("  ".into()), Some(String::new()), Some("  ".into()));
+        assert_eq!(CacheEnv::from_values(None, None), CacheEnv::default());
+        let env = CacheEnv::from_values(Some("  ".into()), Some(String::new()));
         assert_eq!(env, CacheEnv::default());
     }
 
@@ -82,24 +63,13 @@ mod tests {
         let env = CacheEnv::from_values(
             Some("/var/cache/tawa".into()),
             Some("tcp:127.0.0.1:7450".into()),
-            None,
         );
         assert_eq!(
             env.disk.as_deref(),
             Some(std::path::Path::new("/var/cache/tawa"))
         );
         assert_eq!(env.remote, Some(RemoteAddr::Tcp("127.0.0.1:7450".into())));
-        let env = CacheEnv::from_values(None, Some("/run/tawa.sock".into()), None);
+        let env = CacheEnv::from_values(None, Some("/run/tawa.sock".into()));
         assert_eq!(env.remote, Some(RemoteAddr::Unix("/run/tawa.sock".into())));
-    }
-
-    #[test]
-    fn analyze_fuel_parses_positive_integers_only() {
-        let fuel = |v: &str| CacheEnv::from_values(None, None, Some(v.into())).analyze_fuel;
-        assert_eq!(fuel("500000"), Some(500_000));
-        assert_eq!(fuel("  64  "), Some(64));
-        assert_eq!(fuel("0"), None, "zero fuel would reject every kernel");
-        assert_eq!(fuel("lots"), None);
-        assert_eq!(fuel(""), None);
     }
 }

@@ -477,25 +477,10 @@ fn scalar_binop(kind: OpKind, a: &Val, b: &Val) -> Result<Val, InterpError> {
 }
 
 fn int_binop(kind: OpKind, x: i64, y: i64) -> Result<i64, InterpError> {
-    Ok(match kind {
-        OpKind::Add => x.wrapping_add(y),
-        OpKind::Sub => x.wrapping_sub(y),
-        OpKind::Mul => x.wrapping_mul(y),
-        OpKind::Div => {
-            if y == 0 {
-                return Err(ierr("integer division by zero"));
-            }
-            x / y
-        }
-        OpKind::Rem => {
-            if y == 0 {
-                return Err(ierr("integer remainder by zero"));
-            }
-            x % y
-        }
-        OpKind::Min => x.min(y),
-        OpKind::Max => x.max(y),
-        other => return Err(ierr(format!("not an int binop: {other}"))),
+    kind.eval_int(x, y).ok_or_else(|| match kind {
+        OpKind::Div => ierr("integer division by zero"),
+        OpKind::Rem => ierr("integer remainder by zero"),
+        other => ierr(format!("not an int binop: {other}")),
     })
 }
 
@@ -593,7 +578,7 @@ fn exec_op(
             Some(broadcast_pair(k, &a, &b)?)
         }
         OpKind::Neg => match it.get(operands[0])? {
-            Val::I(v) => Some(Val::I(-v)),
+            Val::I(v) => Some(Val::I(v.wrapping_neg())),
             Val::F(v) => Some(Val::F(-v)),
             Val::T(mut t) => {
                 for v in &mut t.data {
@@ -624,27 +609,17 @@ fn exec_op(
                 .ok_or_else(|| ierr("cmp without pred"))?;
             let a = it.get(operands[0])?;
             let b = it.get(operands[1])?;
-            let cmp_f = |x: f32, y: f32| -> bool {
-                match pred {
-                    CmpPred::Lt => x < y,
-                    CmpPred::Le => x <= y,
-                    CmpPred::Gt => x > y,
-                    CmpPred::Ge => x >= y,
-                    CmpPred::Eq => x == y,
-                    CmpPred::Ne => x != y,
-                }
-            };
             match (a, b) {
                 (Val::T(ta), Val::T(tb)) => {
                     let mut out = TensorVal::zeros(ta.shape.clone(), DType::Bool);
                     for (o, (&x, &y)) in out.data.iter_mut().zip(ta.data.iter().zip(tb.data.iter()))
                     {
-                        *o = f32::from(cmp_f(x, y));
+                        *o = f32::from(pred.holds(x, y));
                     }
                     Some(Val::T(out))
                 }
-                (Val::I(x), Val::I(y)) => Some(Val::B(cmp_f(x as f32, y as f32))),
-                (Val::F(x), Val::F(y)) => Some(Val::B(cmp_f(x as f32, y as f32))),
+                (Val::I(x), Val::I(y)) => Some(Val::B(pred.holds(x, y))),
+                (Val::F(x), Val::F(y)) => Some(Val::B(pred.holds(x as f32, y as f32))),
                 other => return Err(ierr(format!("cmp on {other:?}"))),
             }
         }
@@ -1118,5 +1093,90 @@ mod tests {
         let mut mem = DeviceMemory::from_spec(&spec);
         let err = run_grid(&m.funcs[0], &spec, &mut mem).unwrap_err();
         assert!(err.msg.contains("deadlock"), "{err}");
+    }
+
+    #[test]
+    fn integer_overflow_wraps_and_agrees_with_const_fold() {
+        use tawa_ir::builder::build_module;
+        let mut vals = None;
+        let m = build_module("wrap", &[], |b, _| {
+            let min = b.const_i64(i64::MIN);
+            let minus_one = b.const_i64(-1);
+            let zero = b.const_i64(0);
+            let q = b.div(min, minus_one);
+            let r = b.rem(min, minus_one);
+            let n = b.neg(min);
+            let by_zero = b.div(min, zero);
+            vals = Some((q, r, n, by_zero));
+        });
+        let (q, r, n, by_zero) = vals.unwrap();
+        let f = &m.funcs[0];
+        let spec = LaunchSpec::uniform(vec![], 1, 0.0);
+        let mut mem = DeviceMemory::from_spec(&spec);
+        let mut it = Interp {
+            f,
+            spec: &spec,
+            pid: [0; 3],
+            env: HashMap::new(),
+        };
+        let ops = f.block(f.body_block()).ops.clone();
+        let (last, wrapping) = ops.split_last().unwrap();
+        for &op in wrapping {
+            exec_op(&mut it, op, &mut mem, &mut HashMap::new()).expect("no panic, no error");
+        }
+        // Division by zero stays an error.
+        let err = exec_op(&mut it, *last, &mut mem, &mut HashMap::new()).unwrap_err();
+        assert!(err.msg.contains("division by zero"), "{err}");
+        let int = |v| it.get(v).unwrap().as_i();
+        assert_eq!((int(q), int(r), int(n)), (i64::MIN, 0, i64::MIN));
+
+        // Launch-constant evaluation gives the same values...
+        let mut ce = crate::consteval::ConstEval::new(f, &spec, [0; 3]);
+        assert_eq!(
+            (ce.eval(q), ce.eval(r), ce.eval(n), ce.eval(by_zero)),
+            (Some(i64::MIN), Some(0), Some(i64::MIN), None)
+        );
+        // ...and so does const-fold, which leaves `/ 0` alone.
+        let mut folded = f.clone();
+        assert_eq!(tawa_ir::transforms::run_const_fold(&mut folded), 2);
+        let consts: Vec<i64> = folded
+            .walk()
+            .into_iter()
+            .filter(|&op| folded.op(op).kind == OpKind::ConstInt)
+            .filter_map(|op| folded.op(op).attrs.int("value"))
+            .collect();
+        assert_eq!(consts, [i64::MIN, -1, 0, i64::MIN, 0]);
+    }
+
+    #[test]
+    fn integer_cmp_is_exact_above_f32_precision() {
+        use tawa_ir::builder::build_module;
+        // 2^24 and 2^24 + 1 round to the same f32.
+        let (lo, hi) = (1_i64 << 24, (1_i64 << 24) + 1);
+        assert_eq!(lo as f32, hi as f32);
+        let mut cmps = Vec::new();
+        let m = build_module("cmp", &[], |b, _| {
+            let x = b.const_i64(hi);
+            let y = b.const_i64(lo);
+            for p in [CmpPred::Gt, CmpPred::Eq, CmpPred::Ne] {
+                cmps.push((p, b.cmp(p, x, y)));
+            }
+        });
+        let f = &m.funcs[0];
+        let spec = LaunchSpec::uniform(vec![], 1, 0.0);
+        let mut mem = DeviceMemory::from_spec(&spec);
+        let mut it = Interp {
+            f,
+            spec: &spec,
+            pid: [0; 3],
+            env: HashMap::new(),
+        };
+        for op in f.block(f.body_block()).ops.clone() {
+            exec_op(&mut it, op, &mut mem, &mut HashMap::new()).unwrap();
+        }
+        for (p, v) in cmps {
+            let got = matches!(it.get(v).unwrap(), Val::B(true));
+            assert_eq!(got, p.holds(hi, lo), "{hi} {} {lo}", p.name());
+        }
     }
 }

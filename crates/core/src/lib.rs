@@ -18,13 +18,16 @@
 //!    including the cooperative-warp-group and persistent-kernel
 //!    optimizations of §IV.
 //!
-//! [`compile::compile`] is the `enable_warp_specialization=True` entry
-//! point; [`session::CompileSession`] is the production entry point —
-//! declarative pass pipelines, a content-addressed compile cache, a
-//! thread-scoped batch API and an optional **persistent on-disk kernel
-//! cache** ([`cache::DiskCache`]) that survives process restarts and
-//! negatively caches infeasible configurations; [`autotune`] sweeps the
-//! (D, P, persistence, cooperation) space of §V-E over one session.
+//! [`session::CompileSession`] is the one entry point: every compile —
+//! the `enable_warp_specialization=True` flow of Fig. 2a — goes through a
+//! session its caller holds. It brings declarative pass pipelines, a
+//! content-addressed compile cache, a thread-scoped batch API and an
+//! optional **persistent on-disk kernel cache** ([`cache::DiskCache`])
+//! that survives process restarts and negatively caches infeasible
+//! configurations; [`autotune`] sweeps the (D, P, persistence,
+//! cooperation) space of §V-E over one session.
+//! [`CompileSession::new`] is the only constructor that reads the
+//! environment ([`envcfg`]); [`CompileSession::in_memory`] reads nothing.
 //!
 //! ## Example
 //!
@@ -52,7 +55,6 @@
 pub mod aref;
 pub mod autotune;
 pub mod cache;
-pub mod compile;
 pub mod consteval;
 pub mod envcfg;
 pub mod lower;
@@ -64,7 +66,6 @@ pub mod session;
 pub mod tier;
 
 pub use cache::{CacheEntry, DiskCache, DiskCacheStats, EntryKind, SimOutcome};
-pub use compile::{compile, compile_and_simulate};
 pub use envcfg::CacheEnv;
 pub use lower::{CompileError, CompileOptions};
 pub use remote::{DaemonStats, RemoteAddr, RemoteCache, RemoteCacheStats, REMOTE_CACHE_ENV};

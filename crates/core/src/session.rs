@@ -125,25 +125,18 @@ pub const CLEANUP_PIPELINE: &str = "fixpoint(const-fold,dce)";
 /// [`CompileSession::with_disk_cache`] calls override it.
 pub const DISK_CACHE_ENV: &str = "TAWA_DISK_CACHE";
 
-/// Environment variable overriding the [`CompileSession::compile_batch`]
-/// worker cap: a positive integer read by [`CompileSession::new`] and
-/// [`CompileSession::in_memory`]. Explicit
-/// [`CompileSession::with_workers`] calls override it; unset, empty or
-/// unparsable values fall back to the default `min(cores, 8)`.
+/// Name of the retired batch-worker override. Nothing reads it: the
+/// worker cap is set with [`CompileSession::with_workers`]. It stays
+/// public only because the benchmark clears it from its environment.
 pub const COMPILE_WORKERS_ENV: &str = "TAWA_COMPILE_WORKERS";
 
-/// Environment variable overriding the static analyzer's abstract-
-/// interpretation fuel: the per-CTA-class instruction budget spent
-/// proving the mbarrier protocol before the analyzer gives up with an
-/// `analysis-budget` lint. A positive integer read by
-/// [`CompileSession::new`] and [`CompileSession::in_memory`]; explicit
-/// [`CompileSession::with_analyze_fuel`] calls override it; unset, empty,
-/// zero or unparsable values keep
-/// [`tawa_wsir::DEFAULT_ANALYSIS_FUEL`].
+/// Name of the retired static-analyzer fuel override. Nothing reads it:
+/// the gate runs at [`tawa_wsir::DEFAULT_ANALYSIS_FUEL`]. It stays public
+/// only because the benchmark clears it from its environment.
 pub const ANALYZE_FUEL_ENV: &str = "TAWA_ANALYZE_FUEL";
 
-/// Default ceiling on batch workers when neither
-/// [`CompileSession::with_workers`] nor [`COMPILE_WORKERS_ENV`] set one.
+/// Default ceiling on batch workers when
+/// [`CompileSession::with_workers`] sets none.
 const DEFAULT_WORKER_CAP: usize = 8;
 
 fn env_fingerprint(spec: &LaunchSpec, opts: &CompileOptions, device: &Device) -> u64 {
@@ -309,7 +302,6 @@ pub struct CompileSession {
     /// daemon when attached. Rebuilt by [`CompileSession::retiered`].
     tiers: Vec<Arc<dyn Tier>>,
     workers: Option<usize>,
-    analyze_fuel: u64,
     counters: SessionCounters,
 }
 
@@ -325,6 +317,7 @@ impl std::fmt::Debug for CompileSession {
 impl CompileSession {
     /// Creates a session for `device` with the full Tawa pass registry.
     ///
+    /// This is the one place the library reads the process environment.
     /// The cache environment ([`crate::envcfg::CacheEnv`]) is honored:
     /// when [`DISK_CACHE_ENV`] names a directory, a [`DiskCache`] rooted
     /// there is attached automatically (silently skipped if the directory
@@ -353,17 +346,9 @@ impl CompileSession {
         self
     }
 
-    /// Resolves the [`ANALYZE_FUEL_ENV`] override through [`CacheEnv`],
-    /// falling back to the analyzer's built-in default.
-    fn analyze_fuel_from_env() -> u64 {
-        CacheEnv::from_values(None, None, std::env::var(ANALYZE_FUEL_ENV).ok())
-            .analyze_fuel
-            .unwrap_or(tawa_wsir::DEFAULT_ANALYSIS_FUEL)
-    }
-
-    /// Creates a session with no disk or remote tier, ignoring
-    /// [`DISK_CACHE_ENV`] and [`crate::remote::REMOTE_CACHE_ENV`] (the
-    /// [`COMPILE_WORKERS_ENV`] worker override still applies).
+    /// Creates a session with no disk or remote tier. It reads nothing
+    /// from the environment; [`CompileSession::new`] is the one
+    /// constructor that does.
     pub fn in_memory(device: &Device) -> CompileSession {
         let memory = Arc::new(MemoryTier::new());
         CompileSession {
@@ -374,49 +359,24 @@ impl CompileSession {
             cleaned: Mutex::new(HashMap::new()),
             disk: None,
             remote: None,
-            workers: workers_from_env(std::env::var(COMPILE_WORKERS_ENV).ok()),
-            analyze_fuel: Self::analyze_fuel_from_env(),
+            workers: None,
             counters: SessionCounters::default(),
         }
     }
 
     /// Caps [`CompileSession::compile_batch`] at `workers` OS threads
-    /// (instead of the default `min(cores, 8)`), overriding any
-    /// [`COMPILE_WORKERS_ENV`] setting. `0` restores the default. Large
-    /// sweeps on many-core machines want this raised; contended CI
-    /// machines want it lowered.
+    /// (instead of the default `min(cores, 8)`). `0` restores the
+    /// default. Large sweeps on many-core machines want this raised;
+    /// contended CI machines want it lowered.
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> CompileSession {
         self.workers = (workers > 0).then_some(workers);
         self
     }
 
-    /// The configured batch worker cap, if any (session builder or env).
+    /// The configured batch worker cap, if any.
     pub fn workers(&self) -> Option<usize> {
         self.workers
-    }
-
-    /// Sets the static analyzer's abstract-interpretation fuel — the
-    /// per-CTA-class instruction budget spent proving the mbarrier
-    /// protocol before the analyzer gives up with an `analysis-budget`
-    /// lint — overriding any [`ANALYZE_FUEL_ENV`] setting. `0` restores
-    /// the default ([`tawa_wsir::DEFAULT_ANALYSIS_FUEL`]). Kernels with
-    /// very long static loop trip counts may need this raised; fast
-    /// pre-merge lint bots may want it lowered.
-    #[must_use]
-    pub fn with_analyze_fuel(mut self, fuel: u64) -> CompileSession {
-        self.analyze_fuel = if fuel > 0 {
-            fuel
-        } else {
-            tawa_wsir::DEFAULT_ANALYSIS_FUEL
-        };
-        self
-    }
-
-    /// The abstract-interpretation fuel budget the session's static gate
-    /// and [`CompileSession::perf_summary`] run under.
-    pub fn analyze_fuel(&self) -> u64 {
-        self.analyze_fuel
     }
 
     /// Attaches a persistent kernel cache rooted at `path` (replacing any
@@ -781,7 +741,7 @@ impl CompileSession {
     /// not a single simulated cycle is spent — else the simulator's
     /// report or its deterministic failure.
     fn gate_and_simulate(&self, kernel: &Kernel) -> SimOutcome {
-        let lints = tawa_wsir::analyze_with_budget(kernel, self.analyze_fuel);
+        let lints = tawa_wsir::analyze(kernel);
         if let Some(verdict) = tawa_wsir::deadlock_verdict(&lints) {
             // Not a sim miss: `sim_misses` counts simulator runs.
             self.counters.static_rejections.add(1);
@@ -959,16 +919,6 @@ fn pipeline_without_ws_error() -> Diagnostic {
 /// without mutating the process-global environment.
 fn default_disk_cache(path: Option<std::path::PathBuf>) -> Option<DiskCache> {
     path.and_then(|p| DiskCache::open(p).ok())
-}
-
-/// Resolves the [`COMPILE_WORKERS_ENV`] override: a positive integer caps
-/// the batch workers; anything else (unset, empty, garbage, zero) keeps
-/// the default. Factored out so the policy is testable without mutating
-/// the process-global environment.
-fn workers_from_env(env_value: Option<String>) -> Option<usize> {
-    env_value
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
 }
 
 /// The full Tawa pass registry: generic cleanups plus the paper's
@@ -1397,16 +1347,15 @@ mod tests {
     #[test]
     fn env_default_attaches_disk_cache() {
         // The env-resolution policy is tested on the factored-out helper
-        // rather than via set_var: mutating the process environment races
-        // with every parallel test that calls `CompileSession::new`.
+        // rather than via set_var: mutating the process environment
+        // races with every other test thread.
         let dir = tmp_dir("env");
-        let env = CacheEnv::from_values(Some(dir.to_string_lossy().into_owned()), None, None);
+        let env = CacheEnv::from_values(Some(dir.to_string_lossy().into_owned()), None);
         let disk = default_disk_cache(env.disk).expect("a usable directory must attach a cache");
         assert_eq!(disk.root(), dir.as_path());
-        assert!(default_disk_cache(CacheEnv::from_values(None, None, None).disk).is_none());
+        assert!(default_disk_cache(CacheEnv::from_values(None, None).disk).is_none());
         assert!(
-            default_disk_cache(CacheEnv::from_values(Some(String::new()), None, None).disk)
-                .is_none()
+            default_disk_cache(CacheEnv::from_values(Some(String::new()), None).disk).is_none()
         );
         // An unusable path is skipped, not fatal.
         assert!(default_disk_cache(Some("/proc/no/such/dir".into())).is_none());
@@ -1604,10 +1553,9 @@ mod tests {
     #[test]
     fn high_worker_batches_match_serial_and_preserve_counters() {
         // Contention probe for the sharded cache maps: a 16-worker batch
-        // (the TAWA_COMPILE_WORKERS=16 regime) over a sweep-shaped job
-        // list must produce the same kernels and the same counter totals
-        // as a serial session — sharding changes lock granularity, never
-        // semantics.
+        // (`with_workers(16)`) over a sweep-shaped job list must produce
+        // the same kernels and the same counter totals as a serial
+        // session — sharding changes lock granularity, never semantics.
         let (m, spec) = gemm(&GemmConfig::new(2048, 2048, 1024)).into_parts();
         let mut all_opts = Vec::new();
         for d in 1..=3usize {
@@ -1680,16 +1628,6 @@ mod tests {
         let stats = session.cache_stats();
         assert_eq!(stats.kernel_misses, 2, "{stats:?}");
         assert_eq!((stats.kernel_entries, stats.module_entries), (1, 1));
-    }
-
-    #[test]
-    fn workers_env_parsing() {
-        assert_eq!(workers_from_env(None), None);
-        assert_eq!(workers_from_env(Some(String::new())), None);
-        assert_eq!(workers_from_env(Some("garbage".into())), None);
-        assert_eq!(workers_from_env(Some("0".into())), None);
-        assert_eq!(workers_from_env(Some("12".into())), Some(12));
-        assert_eq!(workers_from_env(Some(" 3 ".into())), Some(3));
     }
 
     #[test]

@@ -171,7 +171,7 @@ struct Shard {
 ///
 /// The memory tier is consulted on *every* compile and simulate call;
 /// behind a single `Mutex` it would serialize
-/// high-`TAWA_COMPILE_WORKERS` batches even though the work between
+/// many-worker batches even though the work between
 /// lookups is perfectly parallel. Sharding by key hash narrows each lock
 /// to 1/16th of the key space; operations on one key still observe a
 /// consistent map because a key lives in exactly one shard. Aggregates

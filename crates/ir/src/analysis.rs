@@ -1,101 +1,22 @@
-//! IR analyses used by the Tawa passes: use-def maps, backward slices,
-//! loop structure queries, and a generic worklist dataflow framework.
+//! IR analyses used by the Tawa passes: loop structure queries and a
+//! generic worklist dataflow framework. (The backward traversal from the
+//! side-effecting sinks that the paper's task-aware partitioning starts
+//! with, §III-C, is the partition pass's own closure.)
 //!
-//! The paper's task-aware partitioning (§III-C) starts "a backward traversal
-//! along the use-def chains starting at the kernel's side-effecting sinks" —
-//! [`backward_slice`] implements exactly that primitive.
-//!
-//! The dataflow layer ([`DataflowAnalysis`] + [`run_dataflow`]) generalizes
-//! it: forward or backward monotone analyses over the structured op tree,
+//! The dataflow layer ([`DataflowAnalysis`] + [`run_dataflow`]) runs
+//! forward or backward monotone analyses over the structured op tree,
 //! with `scf.for` bodies iterated to a fixpoint across the back edge and
 //! `tawa.warp_group` sibling partitions joined to a common fixpoint (they
 //! run in parallel and exchange tiles through aref channels). [`Liveness`]
 //! and [`ReachingDefs`] are the two instances the static performance
-//! analyzer (`tawa_wsir::analyze::perf`) builds its IR-level lints on;
-//! [`use_counts`] rounds out the suite for pass heuristics. All results are
-//! keyed by [`OpId`], so source locations survive: `f.loc(op)` maps any
-//! finding back to the DSL line that produced it.
+//! analyzer (`tawa_wsir::analyze::perf`) builds its IR-level lints on.
+//! All results are keyed by [`OpId`], so source locations survive:
+//! `f.loc(op)` maps any finding back to the DSL line that produced it.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
-use crate::func::{Func, ValueDef};
+use crate::func::Func;
 use crate::op::{BlockId, OpId, OpKind, ValueId};
-
-/// Precomputed use lists for every value in a function.
-#[derive(Debug, Default)]
-pub struct UseDef {
-    uses: HashMap<ValueId, Vec<(OpId, usize)>>,
-}
-
-impl UseDef {
-    /// Builds the use-def map over all live ops.
-    pub fn build(f: &Func) -> UseDef {
-        let mut uses: HashMap<ValueId, Vec<(OpId, usize)>> = HashMap::new();
-        for op in f.walk() {
-            for (i, &v) in f.op(op).operands.iter().enumerate() {
-                uses.entry(v).or_default().push((op, i));
-            }
-        }
-        UseDef { uses }
-    }
-
-    /// Users of `v` as `(op, operand_index)` pairs.
-    pub fn uses(&self, v: ValueId) -> &[(OpId, usize)] {
-        self.uses.get(&v).map(|u| u.as_slice()).unwrap_or(&[])
-    }
-
-    /// True if `v` has no users.
-    pub fn is_unused(&self, v: ValueId) -> bool {
-        self.uses(v).is_empty()
-    }
-}
-
-/// Computes the transitive backward slice (all ops whose results flow into
-/// `roots`), restricted to ops inside the function. Block arguments stop the
-/// traversal (loop-carried values are handled by the caller).
-pub fn backward_slice(f: &Func, roots: &[OpId]) -> HashSet<OpId> {
-    let mut seen: HashSet<OpId> = HashSet::new();
-    let mut queue: VecDeque<OpId> = roots.iter().copied().collect();
-    while let Some(op) = queue.pop_front() {
-        if !seen.insert(op) {
-            continue;
-        }
-        for &v in &f.op(op).operands {
-            if let ValueDef::OpResult { op: def, .. } = f.value(v).def {
-                if !seen.contains(&def) {
-                    queue.push_back(def);
-                }
-            }
-        }
-        // Regions: operands used inside nested blocks also count.
-        for &r in &f.op(op).regions {
-            f.walk_region(r, &mut |inner| {
-                for &v in &f.op(inner).operands {
-                    if let ValueDef::OpResult { op: def, .. } = f.value(v).def {
-                        if !seen.contains(&def) && f.op(def).parent != f.op(inner).parent {
-                            queue.push_back(def);
-                        }
-                    }
-                }
-            });
-        }
-    }
-    seen
-}
-
-/// All side-effecting sink ops of a function (stores, puts), the anchors of
-/// the partitioning traversal.
-pub fn side_effect_sinks(f: &Func) -> Vec<OpId> {
-    f.walk()
-        .into_iter()
-        .filter(|&op| {
-            matches!(
-                f.op(op).kind,
-                OpKind::Store | OpKind::TmaStore | OpKind::ArefPut
-            )
-        })
-        .collect()
-}
 
 /// Finds the outermost `scf.for` loops in the function body (not nested in
 /// another loop or warp group).
@@ -679,22 +600,6 @@ impl DataflowAnalysis for ReachingDefs {
     }
 }
 
-// ---- use counts -------------------------------------------------------------
-
-/// Number of uses of every value across the live ops of `f`, nested regions
-/// included. Values that are never used are absent (probe with
-/// `counts.get(&v).copied().unwrap_or(0)`). Pass heuristics and the perf
-/// lints use this to rank how contended a tile or handle is.
-pub fn use_counts(f: &Func) -> HashMap<ValueId, usize> {
-    let mut counts: HashMap<ValueId, usize> = HashMap::new();
-    for op in f.walk() {
-        for &v in &f.op(op).operands {
-            *counts.entry(v).or_insert(0) += 1;
-        }
-    }
-    counts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -718,39 +623,6 @@ mod tests {
         let addrs = b.addptr(ptr, offs);
         b.store(addrs, res[0]);
         f
-    }
-
-    #[test]
-    fn use_def_collects_all_uses() {
-        let f = loop_func();
-        let ud = UseDef::build(&f);
-        let loops = top_level_loops(&f);
-        assert_eq!(loops.len(), 1);
-        let res = f.results(loops[0])[0];
-        assert_eq!(ud.uses(res).len(), 1); // used by store
-    }
-
-    #[test]
-    fn sinks_found() {
-        let f = loop_func();
-        let sinks = side_effect_sinks(&f);
-        assert_eq!(sinks.len(), 1);
-        assert_eq!(f.op(sinks[0]).kind, OpKind::Store);
-    }
-
-    #[test]
-    fn backward_slice_reaches_constants() {
-        let f = loop_func();
-        let sinks = side_effect_sinks(&f);
-        let slice = backward_slice(&f, &sinks);
-        // The slice must include the loop (result feeds store), the addptr,
-        // arange, and transitively the loop bounds.
-        let loops = top_level_loops(&f);
-        assert!(slice.contains(&loops[0]));
-        let kinds: Vec<OpKind> = slice.iter().map(|&o| f.op(o).kind).collect();
-        assert!(kinds.contains(&OpKind::AddPtr));
-        assert!(kinds.contains(&OpKind::Arange));
-        assert!(kinds.contains(&OpKind::ConstInt));
     }
 
     #[test]
@@ -896,18 +768,5 @@ mod tests {
             Some(1),
             "back-edge put must reach the get"
         );
-    }
-
-    #[test]
-    fn use_counts_cover_nested_regions() {
-        let f = loop_func();
-        let counts = use_counts(&f);
-        let loops = top_level_loops(&f);
-        let info = loop_info(&f, loops[0]);
-        // The carried iter arg is used once (by the add in the body).
-        assert_eq!(counts.get(&info.iter_args[0]).copied(), Some(1));
-        // The loop result is used once (by the store).
-        assert_eq!(counts.get(&f.results(loops[0])[0]).copied(), Some(1));
-        assert_eq!(counts.get(&info.iv).copied(), None, "iv unused");
     }
 }

@@ -65,8 +65,8 @@ pub mod types;
 pub mod verify;
 
 pub use analysis::{
-    dead_result_ops, run_dataflow, use_counts, DataflowAnalysis, DataflowResults, Direction,
-    Liveness, ReachingDefs,
+    dead_result_ops, run_dataflow, DataflowAnalysis, DataflowResults, Direction, Liveness,
+    ReachingDefs,
 };
 pub use builder::Builder;
 pub use diag::{Diagnostic, Severity};

@@ -249,6 +249,18 @@ impl CmpPred {
             _ => return None,
         })
     }
+
+    /// Whether `x <pred> y` holds.
+    pub fn holds<T: PartialOrd>(self, x: T, y: T) -> bool {
+        match self {
+            CmpPred::Lt => x < y,
+            CmpPred::Le => x <= y,
+            CmpPred::Gt => x > y,
+            CmpPred::Ge => x >= y,
+            CmpPred::Eq => x == y,
+            CmpPred::Ne => x != y,
+        }
+    }
 }
 
 /// The operation catalogue. See module docs for dialect grouping.
@@ -527,6 +539,24 @@ impl OpKind {
         )
     }
 
+    /// The integer semantics of a binary arith op, the one definition
+    /// const-fold, launch-constant evaluation and the interpreter share:
+    /// two's-complement wrapping, so `i64::MIN / -1` is `i64::MIN` and
+    /// `i64::MIN % -1` is 0. `None` for division or remainder by zero and
+    /// for kinds that are not binary arith.
+    pub fn eval_int(self, x: i64, y: i64) -> Option<i64> {
+        match self {
+            OpKind::Add => Some(x.wrapping_add(y)),
+            OpKind::Sub => Some(x.wrapping_sub(y)),
+            OpKind::Mul => Some(x.wrapping_mul(y)),
+            OpKind::Div => (y != 0).then(|| x.wrapping_div(y)),
+            OpKind::Rem => (y != 0).then(|| x.wrapping_rem(y)),
+            OpKind::Min => Some(x.min(y)),
+            OpKind::Max => Some(x.max(y)),
+            _ => None,
+        }
+    }
+
     /// Pure elementwise unary ops.
     pub fn is_unary_arith(self) -> bool {
         matches!(self, OpKind::Neg | OpKind::Exp | OpKind::Exp2)
@@ -592,6 +622,50 @@ mod tests {
             assert_eq!(CmpPred::parse(p.name()), Some(p));
         }
         assert_eq!(CmpPred::parse("xx"), None);
+    }
+
+    #[test]
+    fn cmp_pred_holds_matches_operators() {
+        // (pred, holds for 1 vs 2, 2 vs 2, 3 vs 2)
+        for (p, expect) in [
+            (CmpPred::Lt, [true, false, false]),
+            (CmpPred::Le, [true, true, false]),
+            (CmpPred::Gt, [false, false, true]),
+            (CmpPred::Ge, [false, true, true]),
+            (CmpPred::Eq, [false, true, false]),
+            (CmpPred::Ne, [true, false, true]),
+        ] {
+            let got = [1, 2, 3].map(|x: i64| p.holds(x, 2));
+            assert_eq!(got, expect, "{}", p.name());
+            let got = [1.0, 2.0, 3.0].map(|x: f32| p.holds(x, 2.0));
+            assert_eq!(got, expect, "{} on f32", p.name());
+            // NaN is unordered: only `ne` holds.
+            assert_eq!(p.holds(f32::NAN, 2.0), p == CmpPred::Ne, "{}", p.name());
+        }
+    }
+
+    #[test]
+    fn eval_int_wraps_and_rejects_zero_divisors() {
+        assert_eq!(OpKind::Add.eval_int(i64::MAX, 1), Some(i64::MIN));
+        assert_eq!(OpKind::Sub.eval_int(i64::MIN, 1), Some(i64::MAX));
+        assert_eq!(OpKind::Mul.eval_int(i64::MIN, -1), Some(i64::MIN));
+        assert_eq!(OpKind::Div.eval_int(i64::MIN, -1), Some(i64::MIN));
+        assert_eq!(OpKind::Rem.eval_int(i64::MIN, -1), Some(0));
+        // Division truncates toward zero; the remainder takes the
+        // dividend's sign.
+        assert_eq!(OpKind::Div.eval_int(-7, 2), Some(-3));
+        assert_eq!(OpKind::Rem.eval_int(-7, 2), Some(-1));
+        assert_eq!(OpKind::Min.eval_int(-3, 2), Some(-3));
+        assert_eq!(OpKind::Max.eval_int(-3, 2), Some(2));
+        assert_eq!(OpKind::Div.eval_int(1, 0), None);
+        assert_eq!(OpKind::Rem.eval_int(1, 0), None);
+        for &k in OpKind::all() {
+            assert_eq!(
+                k.eval_int(6, 3).is_some(),
+                k.is_binary_arith(),
+                "eval_int defined exactly on binary arith, {k}"
+            );
+        }
     }
 
     #[test]

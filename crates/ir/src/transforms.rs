@@ -122,17 +122,7 @@ pub fn run_const_fold(f: &mut Func) -> usize {
             let (ca, cb) = (const_int_of(f, a), const_int_of(f, b));
             // Full fold when both sides are constants.
             if let (Some(x), Some(y)) = (ca, cb) {
-                let folded = match kind {
-                    OpKind::Add => Some(x.wrapping_add(y)),
-                    OpKind::Sub => Some(x.wrapping_sub(y)),
-                    OpKind::Mul => Some(x.wrapping_mul(y)),
-                    OpKind::Div if y != 0 => Some(x.wrapping_div(y)),
-                    OpKind::Rem if y != 0 => Some(x.wrapping_rem(y)),
-                    OpKind::Min => Some(x.min(y)),
-                    OpKind::Max => Some(x.max(y)),
-                    _ => None,
-                };
-                if let Some(value) = folded {
+                if let Some(value) = kind.eval_int(x, y) {
                     let ty = f.ty(result).clone();
                     let new_op = f.insert_op_before(
                         op,

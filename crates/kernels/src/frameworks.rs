@@ -6,12 +6,18 @@
 //! the Tawa compiler itself with `warp_specialize = false` (the paper
 //! compares against "the baseline Triton under the same commit", i.e. the
 //! same stack minus this work).
+//!
+//! The compiler-backed baselines — Tawa and Triton — compile through the
+//! [`CompileSession`] their caller passes in, so both run on the same
+//! session, with its caches and cache tiers, as the rest of the
+//! caller's work. The template-backed baselines take only a [`Device`].
 
 use gpu_sim::{simulate, Device, SimReport};
 use tawa_core::autotune::autotune_with_session;
-use tawa_core::{compile_and_simulate, CompileOptions, CompileSession};
+use tawa_core::{CompileOptions, CompileSession};
 use tawa_frontend::config::{AttentionConfig, GemmConfig, GroupedGemmConfig, Tile};
 use tawa_frontend::kernels as zoo;
+use tawa_frontend::Program;
 
 use crate::templates::{ws_attention, ws_gemm, AttentionStrategy, GemmStrategy};
 
@@ -82,7 +88,7 @@ pub fn cublas_gemm(cfg: &GemmConfig, device: &Device) -> BenchOutcome {
 /// Tawa: the automatic compiler with autotuned (D, P, persistence) — the
 /// paper's methodology ("the size of the aref and the depth of the MMA
 /// pipeline are selected manually to maximize performance").
-pub fn tawa_gemm(cfg: &GemmConfig, device: &Device) -> BenchOutcome {
+pub fn tawa_gemm(cfg: &GemmConfig, session: &CompileSession) -> BenchOutcome {
     let cfg = GemmConfig {
         tile: Tile::LARGE,
         ..*cfg
@@ -103,22 +109,19 @@ pub fn tawa_gemm(cfg: &GemmConfig, device: &Device) -> BenchOutcome {
         cooperative: vec![2],
         persistent: vec![false, true],
     };
-    // One session for the sweep and the final measurement: the winning
-    // configuration's report comes straight from the sweep's cache.
-    let session = CompileSession::new(device);
-    let tuned = autotune_with_session(&session, program.module(), program.spec(), &base, &space);
+    // The winning configuration's report comes straight from the sweep's
+    // cache.
+    let tuned = autotune_with_session(session, program.module(), program.spec(), &base, &space);
     let opts = tuned
         .best_options(&base)
         .ok_or_else(|| "no feasible configuration".to_string())?;
-    session
-        .compile_and_simulate_program(&program, &opts)
-        .map_err(|e| e.to_string())
+    measure(session, &program, &opts)
 }
 
 /// Triton baseline: same compiler, warp specialization off (Ampere-style
 /// `cp.async` software pipelining). Hand-tuned tiles like every baseline
 /// in §V-A (the large 128×256 tile at num_warps=8).
-pub fn triton_gemm(cfg: &GemmConfig, device: &Device) -> BenchOutcome {
+pub fn triton_gemm(cfg: &GemmConfig, session: &CompileSession) -> BenchOutcome {
     let cfg = GemmConfig {
         tile: Tile::LARGE,
         ..*cfg
@@ -133,7 +136,7 @@ pub fn triton_gemm(cfg: &GemmConfig, device: &Device) -> BenchOutcome {
         launch_overhead_ns: maturity::DSL_LAUNCH_NS,
         ..CompileOptions::default()
     };
-    compile_and_simulate(program.module(), program.spec(), &opts, device).map_err(|e| e.to_string())
+    measure(session, &program, &opts)
 }
 
 /// TileLang: warp-specialized, but with a fixed coarse pipeline (P=1 — no
@@ -195,12 +198,12 @@ pub fn thunderkittens_gemm(cfg: &GemmConfig, device: &Device) -> BenchOutcome {
 }
 
 /// Tawa on batched GEMM (fused, one launch).
-pub fn tawa_batched_gemm(cfg: &GemmConfig, device: &Device) -> BenchOutcome {
-    tawa_gemm(cfg, device)
+pub fn tawa_batched_gemm(cfg: &GemmConfig, session: &CompileSession) -> BenchOutcome {
+    tawa_gemm(cfg, session)
 }
 
 /// Grouped GEMM on Tawa: one fused persistent launch over all groups.
-pub fn tawa_grouped_gemm(cfg: &GroupedGemmConfig, device: &Device) -> BenchOutcome {
+pub fn tawa_grouped_gemm(cfg: &GroupedGemmConfig, session: &CompileSession) -> BenchOutcome {
     let opts = CompileOptions {
         cooperative: 2,
         aref_depth: 3,
@@ -215,17 +218,24 @@ pub fn tawa_grouped_gemm(cfg: &GroupedGemmConfig, device: &Device) -> BenchOutco
         ..cfg.clone()
     };
     let program = zoo::grouped_gemm(&cfg_large);
-    compile_and_simulate(program.module(), program.spec(), &opts, device).map_err(|e| e.to_string())
+    measure(session, &program, &opts)
 }
 
 /// Grouped GEMM on Triton: one software-pipelined launch per group.
-pub fn triton_grouped_gemm(cfg: &GroupedGemmConfig, device: &Device) -> BenchOutcome {
-    per_group_sum(cfg, |g| triton_gemm(g, device))
+pub fn triton_grouped_gemm(cfg: &GroupedGemmConfig, session: &CompileSession) -> BenchOutcome {
+    per_group_sum(cfg, |g| triton_gemm(g, session))
 }
 
 /// Grouped GEMM on TileLang: one warp-specialized launch per group.
 pub fn tilelang_grouped_gemm(cfg: &GroupedGemmConfig, device: &Device) -> BenchOutcome {
     per_group_sum(cfg, |g| tilelang_gemm(g, device))
+}
+
+/// Compiles and simulates `program` through the caller's session.
+fn measure(session: &CompileSession, program: &Program, opts: &CompileOptions) -> BenchOutcome {
+    session
+        .compile_and_simulate_program(program, opts)
+        .map_err(|e| e.to_string())
 }
 
 /// Sums per-group launches into a single aggregate report.
@@ -265,7 +275,7 @@ pub fn fa3_attention(cfg: &AttentionConfig, device: &Device) -> BenchOutcome {
 
 /// Tawa attention: the compiler's coarse-grained T/C/U pipeline with
 /// cooperative consumer warp groups.
-pub fn tawa_attention(cfg: &AttentionConfig, device: &Device) -> BenchOutcome {
+pub fn tawa_attention(cfg: &AttentionConfig, session: &CompileSession) -> BenchOutcome {
     let program = zoo::attention(cfg);
     let opts = CompileOptions {
         cooperative: 2,
@@ -273,20 +283,20 @@ pub fn tawa_attention(cfg: &AttentionConfig, device: &Device) -> BenchOutcome {
         launch_overhead_ns: maturity::DSL_LAUNCH_NS,
         ..CompileOptions::default()
     };
-    compile_and_simulate(program.module(), program.spec(), &opts, device).map_err(|e| e.to_string())
+    measure(session, &program, &opts)
 }
 
 /// Triton attention baseline: FA2-style, no warp specialization (§V-D:
 /// "the Triton baseline being effectively a FlashAttention-2 style
 /// implementation").
-pub fn triton_attention(cfg: &AttentionConfig, device: &Device) -> BenchOutcome {
+pub fn triton_attention(cfg: &AttentionConfig, session: &CompileSession) -> BenchOutcome {
     let program = zoo::attention(cfg);
     let opts = CompileOptions {
         warp_specialize: false,
         launch_overhead_ns: maturity::DSL_LAUNCH_NS,
         ..CompileOptions::default()
     };
-    compile_and_simulate(program.module(), program.spec(), &opts, device).map_err(|e| e.to_string())
+    measure(session, &program, &opts)
 }
 
 /// TileLang attention: warp-specialized but with the softmax largely
@@ -342,10 +352,11 @@ mod tests {
     fn all_gemm_frameworks_run_fp16() {
         let cfg = GemmConfig::new(8192, 8192, 4096);
         let d = dev();
+        let session = CompileSession::in_memory(&d);
         for (name, r) in [
             ("cublas", cublas_gemm(&cfg, &d)),
-            ("tawa", tawa_gemm(&cfg, &d)),
-            ("triton", triton_gemm(&cfg, &d)),
+            ("tawa", tawa_gemm(&cfg, &session)),
+            ("triton", triton_gemm(&cfg, &session)),
             ("tilelang", tilelang_gemm(&cfg, &d)),
             ("tk", thunderkittens_gemm(&cfg, &d)),
         ] {
@@ -359,7 +370,9 @@ mod tests {
     fn tawa_competitive_with_cublas() {
         let d = dev();
         let cfg = GemmConfig::new(8192, 8192, 8192);
-        let tawa = tawa_gemm(&cfg, &d).unwrap().tflops;
+        let tawa = tawa_gemm(&cfg, &CompileSession::in_memory(&d))
+            .unwrap()
+            .tflops;
         let cublas = cublas_gemm(&cfg, &d).unwrap().tflops;
         let ratio = tawa / cublas;
         assert!(
@@ -372,11 +385,29 @@ mod tests {
 
     #[test]
     fn tawa_beats_triton_gemm() {
-        let d = dev();
+        let session = CompileSession::in_memory(&dev());
         let cfg = GemmConfig::new(8192, 8192, 4096);
-        let tawa = tawa_gemm(&cfg, &d).unwrap().tflops;
-        let triton = triton_gemm(&cfg, &d).unwrap().tflops;
+        let tawa = tawa_gemm(&cfg, &session).unwrap().tflops;
+        let triton = triton_gemm(&cfg, &session).unwrap().tflops;
         assert!(tawa > triton, "tawa {} vs triton {}", tawa, triton);
+    }
+
+    #[test]
+    fn repeat_baseline_on_one_session_is_served_from_cache() {
+        let session = CompileSession::in_memory(&dev());
+        let cfg = GemmConfig::new(4096, 4096, 4096);
+        let cold = tawa_gemm(&cfg, &session).unwrap().tflops;
+        let after_cold = session.cache_stats();
+        assert!(after_cold.misses() > 0);
+        let warm = tawa_gemm(&cfg, &session).unwrap().tflops;
+        let after_warm = session.cache_stats();
+        assert_eq!(warm, cold);
+        assert_eq!(
+            after_warm.misses(),
+            after_cold.misses(),
+            "nothing recompiled"
+        );
+        assert!(after_warm.hits() > after_cold.hits());
     }
 
     #[test]
@@ -385,7 +416,9 @@ mod tests {
         // Triton becomes relatively significant".
         let d = dev();
         let cfg = GemmConfig::new(8192, 8192, 256);
-        let tawa = tawa_gemm(&cfg, &d).unwrap().tflops;
+        let tawa = tawa_gemm(&cfg, &CompileSession::in_memory(&d))
+            .unwrap()
+            .tflops;
         let cublas = cublas_gemm(&cfg, &d).unwrap().tflops;
         assert!(cublas > tawa, "cublas {} vs tawa {}", cublas, tawa);
     }
@@ -403,10 +436,11 @@ mod tests {
     fn attention_ordering_matches_paper() {
         // FA3 ≥ Tawa > Triton at long sequences (§V-D).
         let d = dev();
+        let session = CompileSession::in_memory(&d);
         let cfg = AttentionConfig::paper(8192, false, DType::F16);
         let fa3 = fa3_attention(&cfg, &d).unwrap().tflops;
-        let tawa = tawa_attention(&cfg, &d).unwrap().tflops;
-        let triton = triton_attention(&cfg, &d).unwrap().tflops;
+        let tawa = tawa_attention(&cfg, &session).unwrap().tflops;
+        let triton = triton_attention(&cfg, &session).unwrap().tflops;
         assert!(fa3 >= tawa * 0.99, "fa3 {} vs tawa {}", fa3, tawa);
         assert!(
             tawa / fa3 > 0.85,
@@ -421,7 +455,9 @@ mod tests {
     fn grouped_gemm_fusion_wins() {
         let d = dev();
         let cfg = GroupedGemmConfig::paper_sweep(5);
-        let tawa = tawa_grouped_gemm(&cfg, &d).unwrap().tflops;
+        let tawa = tawa_grouped_gemm(&cfg, &CompileSession::in_memory(&d))
+            .unwrap()
+            .tflops;
         let tilelang = tilelang_grouped_gemm(&cfg, &d).unwrap().tflops;
         assert!(
             tawa > tilelang,

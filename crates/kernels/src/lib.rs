@@ -10,14 +10,16 @@
 //!
 //! ```
 //! use gpu_sim::Device;
+//! use tawa_core::CompileSession;
 //! use tawa_frontend::config::GemmConfig;
 //! use tawa_kernels::frameworks::{cublas_gemm, tawa_gemm};
 //!
 //! # fn main() -> Result<(), String> {
 //! let device = Device::h100_sxm5();
+//! let session = CompileSession::in_memory(&device);
 //! let cfg = GemmConfig::new(4096, 4096, 4096);
 //! let expert = cublas_gemm(&cfg, &device)?;
-//! let compiled = tawa_gemm(&cfg, &device)?;
+//! let compiled = tawa_gemm(&cfg, &session)?;
 //! println!("cuBLAS {:.0} vs Tawa {:.0} TFLOP/s", expert.tflops, compiled.tflops);
 //! # Ok(())
 //! # }

@@ -642,13 +642,9 @@ mod tests {
         let k = ws_gemm(&cfg, &s, &dev()).unwrap();
         let expert = simulate(&k, &dev()).unwrap();
         let (m, spec) = tawa_frontend::kernels::gemm(&cfg).into_parts();
-        let compiled = tawa_core::compile_and_simulate(
-            &m,
-            &spec,
-            &tawa_core::CompileOptions::default(),
-            &dev(),
-        )
-        .unwrap();
+        let compiled = tawa_core::CompileSession::in_memory(&dev())
+            .compile_and_simulate(&m, &spec, &tawa_core::CompileOptions::default())
+            .unwrap();
         let ratio = compiled.tflops / expert.tflops;
         assert!(
             (0.9..=1.1).contains(&ratio),

@@ -53,7 +53,7 @@
 //! use tawa::CompileSession;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let session = CompileSession::new(&Device::h100_sxm5());
+//! let session = CompileSession::in_memory(&Device::h100_sxm5());
 //! // A DSL-authored Program: verified tile IR + launch specialization.
 //! let program = gemm(&GemmConfig::new(4096, 4096, 4096));
 //! let report = session.compile_and_simulate_program(
@@ -84,8 +84,7 @@ pub use tawa_wsir as wsir;
 
 pub use tawa_core::{
     CacheEnv, CacheStats, CompileJob, CompileSession, DiskCache, DiskCacheStats, PerfSummary,
-    RemoteAddr, RemoteCache, SimOutcome, ANALYZE_FUEL_ENV, COMPILE_WORKERS_ENV, DISK_CACHE_ENV,
-    REMOTE_CACHE_ENV,
+    RemoteAddr, RemoteCache, SimOutcome, DISK_CACHE_ENV, REMOTE_CACHE_ENV,
 };
 pub use tawa_frontend::{dsl, KernelBuilder, Program};
 pub use tawa_ir::{Diagnostic, Loc, PassRegistry, PipelineSpec, Severity};

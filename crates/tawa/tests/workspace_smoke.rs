@@ -1,12 +1,14 @@
 //! Workspace smoke test: every kernel family in the frontend zoo must
-//! compile through `tawa_core::compile` into non-empty WSIR.
+//! compile through an in-memory `CompileSession` into non-empty WSIR.
 //!
 //! This is deliberately shallow — it asserts only that the frontend →
 //! compiler → WSIR path stays wired together for each family, so a
 //! refactor that silently breaks a whole kernel family fails fast here
 //! even if no deeper numeric or performance test happens to cover it.
 
-use tawa::core::{compile, CompileOptions};
+use std::sync::Arc;
+
+use tawa::core::{CompileOptions, CompileSession};
 use tawa::frontend::config::{AttentionConfig, GemmConfig, GroupedGemmConfig};
 use tawa::frontend::kernels::{attention, batched_gemm, gemm, grouped_gemm};
 use tawa::ir::func::Module;
@@ -15,7 +17,7 @@ use tawa::sim::Device;
 use tawa::wsir::Kernel;
 
 /// Compile one frontend module and assert the resulting WSIR is usable.
-fn compile_nonempty(family: &str, module: &Module, spec: &LaunchSpec) -> Kernel {
+fn compile_nonempty(family: &str, module: &Module, spec: &LaunchSpec) -> Arc<Kernel> {
     compile_nonempty_with(family, module, spec, &CompileOptions::default())
 }
 
@@ -25,9 +27,9 @@ fn compile_nonempty_with(
     module: &Module,
     spec: &LaunchSpec,
     opts: &CompileOptions,
-) -> Kernel {
-    let device = Device::h100_sxm5();
-    let kernel = compile(module, spec, opts, &device)
+) -> Arc<Kernel> {
+    let kernel = CompileSession::in_memory(&Device::h100_sxm5())
+        .compile(module, spec, opts)
         .unwrap_or_else(|e| panic!("{family}: compilation failed: {e}"));
     assert!(
         !kernel.warp_groups.is_empty(),

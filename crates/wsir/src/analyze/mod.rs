@@ -630,9 +630,9 @@ pub fn validate(k: &Kernel) -> Result<(), Vec<Lint>> {
 
 /// Default instruction budget for the abstract interpreter. Real kernels
 /// execute a few thousand abstract steps; the bound only exists so
-/// adversarial trip counts cannot hang the compiler. Override per call
-/// with [`analyze_with_budget`], or process-wide through
-/// `TAWA_ANALYZE_FUEL` (resolved by `tawa-core`'s `CacheEnv`).
+/// adversarial trip counts cannot hang the compiler. The compile
+/// session's static gate always runs at this budget; override it per call
+/// with [`analyze_with_budget`].
 pub const DEFAULT_ANALYSIS_FUEL: u64 = 2_000_000;
 
 /// Full static analysis — both tiers, at the default interpretation

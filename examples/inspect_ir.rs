@@ -8,7 +8,7 @@
 
 use tawa::core::partition::warp_specialize_func;
 use tawa::core::session::tawa_pass_registry;
-use tawa::core::{compile, CompileOptions};
+use tawa::core::CompileOptions;
 use tawa::frontend::config::AttentionConfig;
 use tawa::frontend::kernels::attention;
 use tawa::ir::print::print_module;
@@ -67,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "// full driver pipeline: {}\n",
         CompileSession::pipeline_spec(&opts)?
     );
-    let kernel = compile(&module, &spec, &opts, &device)?;
+    let kernel = CompileSession::new(&device).compile(&module, &spec, &opts)?;
     println!("========== 4. Final warp-specialized WSIR ==========\n");
     println!("{}", tawa::wsir::print_kernel(&kernel));
     Ok(())

@@ -1,7 +1,7 @@
 //! End-to-end attention: the coarse-grained pipeline, causal classes and
 //! the FA3 comparison (paper §V-D).
 
-use tawa::core::{compile, compile_and_simulate, CompileOptions};
+use tawa::core::{CompileOptions, CompileSession};
 use tawa::frontend::config::AttentionConfig;
 use tawa::frontend::kernels::attention;
 use tawa::ir::types::DType;
@@ -22,7 +22,9 @@ fn coop() -> CompileOptions {
 #[test]
 fn attention_compiles_to_three_warp_groups() {
     let (m, spec) = attention(&AttentionConfig::paper(2048, false, DType::F16)).into_parts();
-    let k = compile(&m, &spec, &coop(), &dev()).unwrap();
+    let k = CompileSession::in_memory(&dev())
+        .compile(&m, &spec, &coop())
+        .unwrap();
     assert_eq!(k.warp_groups.len(), 3); // producer + 2 cooperative consumers
     assert!(k.barriers.len() >= 8, "K and V rings need 2·2·D barriers");
 }
@@ -31,12 +33,13 @@ fn attention_compiles_to_three_warp_groups() {
 fn causal_attention_runs_all_classes() {
     let cfg = AttentionConfig::paper(4096, true, DType::F16);
     let (m, spec) = attention(&cfg).into_parts();
-    let r = compile_and_simulate(&m, &spec, &coop(), &dev()).unwrap();
+    let session = CompileSession::in_memory(&dev());
+    let r = session.compile_and_simulate(&m, &spec, &coop()).unwrap();
     assert!(r.tflops > 100.0, "{}", r.tflops);
     // Causal throughput (counting only visited tiles) lands in the same
     // band as non-causal, slightly lower (mask work + short rows).
     let (mn, sn) = attention(&AttentionConfig::paper(4096, false, DType::F16)).into_parts();
-    let rn = compile_and_simulate(&mn, &sn, &coop(), &dev()).unwrap();
+    let rn = session.compile_and_simulate(&mn, &sn, &coop()).unwrap();
     assert!(
         r.tflops < rn.tflops,
         "causal {} should trail non-causal {}",
@@ -54,9 +57,10 @@ fn causal_attention_runs_all_classes() {
 #[test]
 fn tawa_attains_high_fraction_of_fa3() {
     let d = dev();
+    let session = CompileSession::in_memory(&d);
     for (dtype, floor) in [(DType::F16, 0.85), (DType::F8E4M3, 0.75)] {
         let cfg = AttentionConfig::paper(16384, false, dtype);
-        let tawa = fw::tawa_attention(&cfg, &d).unwrap().tflops;
+        let tawa = fw::tawa_attention(&cfg, &session).unwrap().tflops;
         let fa3 = fw::fa3_attention(&cfg, &d).unwrap().tflops;
         let frac = tawa / fa3;
         assert!(
@@ -68,10 +72,10 @@ fn tawa_attains_high_fraction_of_fa3() {
 
 #[test]
 fn tawa_beats_triton_attention_at_long_sequences() {
-    let d = dev();
+    let session = CompileSession::in_memory(&dev());
     let cfg = AttentionConfig::paper(16384, false, DType::F16);
-    let tawa = fw::tawa_attention(&cfg, &d).unwrap().tflops;
-    let triton = fw::triton_attention(&cfg, &d).unwrap().tflops;
+    let tawa = fw::tawa_attention(&cfg, &session).unwrap().tflops;
+    let triton = fw::triton_attention(&cfg, &session).unwrap().tflops;
     let speedup = tawa / triton;
     assert!(
         speedup > 1.05,
@@ -84,11 +88,11 @@ fn short_sequences_mute_warp_specialization() {
     // §V-D: "At short sequences, the advantage of warp specialization is
     // muted because prologue, epilogue, and barrier costs are not yet
     // amortized."
-    let d = dev();
+    let session = CompileSession::in_memory(&dev());
     let speedup_at = |l: usize| {
         let cfg = AttentionConfig::paper(l, false, DType::F16);
-        let tawa = fw::tawa_attention(&cfg, &d).unwrap().tflops;
-        let triton = fw::triton_attention(&cfg, &d).unwrap().tflops;
+        let tawa = fw::tawa_attention(&cfg, &session).unwrap().tflops;
+        let triton = fw::triton_attention(&cfg, &session).unwrap().tflops;
         tawa / triton
     };
     let short = speedup_at(1024);
@@ -101,12 +105,15 @@ fn short_sequences_mute_warp_specialization() {
 
 #[test]
 fn fp8_attention_exceeds_fp16() {
-    let d = dev();
-    let f16 = fw::tawa_attention(&AttentionConfig::paper(16384, false, DType::F16), &d)
+    let session = CompileSession::in_memory(&dev());
+    let f16 = fw::tawa_attention(&AttentionConfig::paper(16384, false, DType::F16), &session)
         .unwrap()
         .tflops;
-    let f8 = fw::tawa_attention(&AttentionConfig::paper(16384, false, DType::F8E4M3), &d)
-        .unwrap()
-        .tflops;
+    let f8 = fw::tawa_attention(
+        &AttentionConfig::paper(16384, false, DType::F8E4M3),
+        &session,
+    )
+    .unwrap()
+    .tflops;
     assert!(f8 > f16, "fp8 {f8} vs fp16 {f16}");
 }

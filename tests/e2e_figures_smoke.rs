@@ -8,7 +8,7 @@ use tawa_bench::{fig10, fig11, fig12, fig8, fig9, Scale};
 #[test]
 fn fig8_renders_both_panels() {
     let dev = Device::h100_sxm5();
-    let figs = fig8::run(&dev, Scale::Quick);
+    let figs = fig8::run_with_session(&CompileSession::in_memory(&dev), Scale::Quick);
     assert_eq!(figs.len(), 2);
     for f in &figs {
         let md = f.to_markdown();
@@ -22,7 +22,7 @@ fn fig8_renders_both_panels() {
 #[test]
 fn fig9_renders_both_panels() {
     let dev = Device::h100_sxm5();
-    let figs = fig9::run(&dev, Scale::Quick);
+    let figs = fig9::run_with_session(&CompileSession::in_memory(&dev), Scale::Quick);
     assert_eq!(figs.len(), 2);
     assert!(figs[0].title.contains("batched"));
     assert!(figs[1].title.contains("grouped"));
@@ -31,7 +31,7 @@ fn fig9_renders_both_panels() {
 #[test]
 fn fig10_renders_four_panels() {
     let dev = Device::h100_sxm5();
-    let figs = fig10::run(&dev, Scale::Quick);
+    let figs = fig10::run_with_session(&CompileSession::in_memory(&dev), Scale::Quick);
     assert_eq!(figs.len(), 4);
     for f in &figs {
         assert_eq!(f.series.len(), 5);

@@ -1,7 +1,7 @@
 //! End-to-end GEMM: frontend → Tawa compiler → simulator, checking the
 //! paper's headline GEMM claims hold across shapes and precisions.
 
-use tawa::core::{compile, compile_and_simulate, CompileOptions};
+use tawa::core::{CompileOptions, CompileSession};
 use tawa::frontend::config::{GemmConfig, Tile};
 use tawa::frontend::kernels::{batched_gemm, gemm};
 use tawa::ir::types::DType;
@@ -15,7 +15,9 @@ fn dev() -> Device {
 #[test]
 fn full_pipeline_produces_valid_wsir() {
     let (m, spec) = gemm(&GemmConfig::new(4096, 4096, 4096)).into_parts();
-    let k = compile(&m, &spec, &CompileOptions::default(), &dev()).unwrap();
+    let k = CompileSession::in_memory(&dev())
+        .compile(&m, &spec, &CompileOptions::default())
+        .unwrap();
     tawa::wsir::validate(&k).unwrap();
     assert_eq!(k.warp_groups.len(), 2); // producer + 1 consumer
     let r = simulate(&k, &dev()).unwrap();
@@ -24,31 +26,31 @@ fn full_pipeline_produces_valid_wsir() {
 
 #[test]
 fn warp_specialization_beats_software_pipelining_across_k() {
-    let d = dev();
+    let session = CompileSession::in_memory(&dev());
     for k in [1024usize, 4096, 16384] {
         let cfg = GemmConfig::new(8192, 8192, k).with_tile(Tile::LARGE);
         let (m, spec) = gemm(&cfg).into_parts();
-        let ws = compile_and_simulate(
-            &m,
-            &spec,
-            &CompileOptions {
-                cooperative: 2,
-                aref_depth: 3,
-                ..CompileOptions::default()
-            },
-            &d,
-        )
-        .unwrap();
-        let simt = compile_and_simulate(
-            &m,
-            &spec,
-            &CompileOptions {
-                warp_specialize: false,
-                ..CompileOptions::default()
-            },
-            &d,
-        )
-        .unwrap();
+        let ws = session
+            .compile_and_simulate(
+                &m,
+                &spec,
+                &CompileOptions {
+                    cooperative: 2,
+                    aref_depth: 3,
+                    ..CompileOptions::default()
+                },
+            )
+            .unwrap();
+        let simt = session
+            .compile_and_simulate(
+                &m,
+                &spec,
+                &CompileOptions {
+                    warp_specialize: false,
+                    ..CompileOptions::default()
+                },
+            )
+            .unwrap();
         assert!(
             ws.tflops > simt.tflops,
             "K={k}: ws {} vs simt {}",
@@ -61,8 +63,9 @@ fn warp_specialization_beats_software_pipelining_across_k() {
 #[test]
 fn tawa_matches_cublas_at_large_k_within_10pct() {
     let d = dev();
+    let session = CompileSession::in_memory(&d);
     let cfg = GemmConfig::new(8192, 8192, 16384);
-    let tawa = fw::tawa_gemm(&cfg, &d).unwrap().tflops;
+    let tawa = fw::tawa_gemm(&cfg, &session).unwrap().tflops;
     let cublas = fw::cublas_gemm(&cfg, &d).unwrap().tflops;
     let ratio = tawa / cublas;
     assert!(
@@ -73,13 +76,13 @@ fn tawa_matches_cublas_at_large_k_within_10pct() {
 
 #[test]
 fn fp8_roughly_doubles_large_k_throughput() {
-    let d = dev();
-    let f16 = fw::tawa_gemm(&GemmConfig::new(8192, 8192, 16384), &d)
+    let session = CompileSession::in_memory(&dev());
+    let f16 = fw::tawa_gemm(&GemmConfig::new(8192, 8192, 16384), &session)
         .unwrap()
         .tflops;
     let f8 = fw::tawa_gemm(
         &GemmConfig::new(8192, 8192, 16384).with_dtype(DType::F8E4M3),
-        &d,
+        &session,
     )
     .unwrap()
     .tflops;
@@ -92,10 +95,11 @@ fn fp8_roughly_doubles_large_k_throughput() {
 
 #[test]
 fn batched_gemm_full_pipeline() {
-    let d = dev();
     let cfg = GemmConfig::new(2048, 2048, 2048).with_batch(8);
     let (m, spec) = batched_gemm(&cfg).into_parts();
-    let r = compile_and_simulate(&m, &spec, &CompileOptions::default(), &d).unwrap();
+    let r = CompileSession::in_memory(&dev())
+        .compile_and_simulate(&m, &spec, &CompileOptions::default())
+        .unwrap();
     assert!(r.tflops > 100.0, "{}", r.tflops);
     // Conservation: loaded bytes = batch × k-tiles × (A tile + B tile).
     let expected = 8 * (2048 / 64) * (128 * 64 + 128 * 64) * 2 * (cfg.grid() / 8);
@@ -107,9 +111,10 @@ fn hardware_utilization_is_plausible() {
     // The paper reports up to ~79% utilization; the simulator must keep
     // every framework in a physically sensible band.
     let d = dev();
+    let session = CompileSession::in_memory(&d);
     let cfg = GemmConfig::new(8192, 8192, 8192);
     for (name, r) in [
-        ("tawa", fw::tawa_gemm(&cfg, &d)),
+        ("tawa", fw::tawa_gemm(&cfg, &session)),
         ("cublas", fw::cublas_gemm(&cfg, &d)),
     ] {
         let util = r.unwrap().tflops / 989.4;

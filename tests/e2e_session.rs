@@ -8,7 +8,7 @@ use std::time::Instant;
 use proptest::prelude::*;
 
 use tawa::core::autotune::{autotune_with_session, TuneSpace};
-use tawa::core::{compile, CompileError, CompileOptions};
+use tawa::core::{CompileError, CompileOptions};
 use tawa::frontend::config::{GemmConfig, Tile};
 use tawa::frontend::kernels::gemm;
 use tawa::sim::Device;
@@ -61,8 +61,9 @@ proptest! {
     ) {
         let device = dev();
         let (m, spec) = gemm(&cfg).into_parts();
+        let cold = CompileSession::in_memory(&device).compile(&m, &spec, &opts);
         let session = CompileSession::in_memory(&device);
-        match (compile(&m, &spec, &opts, &device), session.compile(&m, &spec, &opts)) {
+        match (cold, session.compile(&m, &spec, &opts)) {
             (Ok(cold), Ok(warm_miss)) => {
                 // Second session compile: guaranteed cache hit.
                 let hit = session.compile(&m, &spec, &opts).unwrap();
@@ -76,7 +77,7 @@ proptest! {
                 prop_assert!(matches!(e, Err(CompileError::Infeasible(_))));
             }
             (a, b) => {
-                return Err(format!("outcome diverged: free fn {a:?} vs session {b:?}"));
+                return Err(format!("outcome diverged: fresh session {a:?} vs session {b:?}"));
             }
         }
     }
