@@ -111,7 +111,7 @@ mod tests {
         let (m, spec) = gemm(&GemmConfig::new(8192, 8192, 4096)).into_parts();
         let f = &m.funcs[0];
         let loops = top_level_loops(f);
-        let info = loop_info(f, loops[0]);
+        let info = loop_info(f, loops[0]).unwrap();
         let mut ev = ConstEval::new(f, &spec, [0, 0, 0]);
         assert_eq!(ev.trip_count(info.lo, info.hi, info.step), Some(64));
     }
@@ -122,7 +122,7 @@ mod tests {
         let (m, spec) = attention(&cfg).into_parts();
         let f = &m.funcs[0];
         let loops = top_level_loops(f);
-        let info = loop_info(f, loops[0]);
+        let info = loop_info(f, loops[0]).unwrap();
         for qt in 0..cfg.q_tiles() {
             let mut ev = ConstEval::new(f, &spec, [qt as i64, 0, 0]);
             let trips = ev.trip_count(info.lo, info.hi, info.step);
@@ -136,7 +136,7 @@ mod tests {
         let (m, spec) = attention(&cfg).into_parts();
         let f = &m.funcs[0];
         let loops = top_level_loops(f);
-        let info = loop_info(f, loops[0]);
+        let info = loop_info(f, loops[0]).unwrap();
         let mut ev = ConstEval::new(f, &spec, [17, 3, 0]);
         assert_eq!(ev.trip_count(info.lo, info.hi, info.step), Some(32));
     }
@@ -146,7 +146,7 @@ mod tests {
         let (m, spec) = gemm(&GemmConfig::new(512, 512, 256)).into_parts();
         let f = &m.funcs[0];
         let loops = top_level_loops(f);
-        let info = loop_info(f, loops[0]);
+        let info = loop_info(f, loops[0]).unwrap();
         let mut ev = ConstEval::new(f, &spec, [0, 0, 0]);
         assert_eq!(ev.eval(info.iter_args[1]), None, "o_k is loop-carried");
         assert_eq!(ev.eval(info.iv), None, "induction variable is dynamic");

@@ -1010,6 +1010,7 @@ mod tests {
     use super::*;
     use tawa_frontend::config::GemmConfig;
     use tawa_frontend::kernels::gemm;
+    use tawa_ir::parse::parse_module;
 
     fn reference_gemm(a: &TensorVal, b: &TensorVal, m: usize, n: usize, k: usize) -> Vec<f32> {
         // C = A · Bᵀ with A: MxK, B: NxK.
@@ -1080,15 +1081,17 @@ mod tests {
     fn deadlock_detection_reports_misuse() {
         // A consumer-only function (get without any put) must be reported
         // as a deadlock, not hang.
-        use tawa_ir::builder::build_module;
-        use tawa_ir::types::Type as T;
-        let m = build_module("bad", &[], |b, _| {
-            let aref = b.create_aref(1, vec![T::tensor(vec![2, 2], DType::F16)]);
-            b.warp_group(0, "consumer", |b| {
-                let idx = b.const_i32(0);
-                let _ = b.aref_get(aref, idx);
-            });
-        });
+        let m = parse_module(
+            r#"module { func @bad() {
+                 %0 = tawa.create_aref() {depth = 1} : aref<1, tuple<tensor<2x2xf16>>>
+                 tawa.warp_group() {partition = 0, role = "consumer"} {
+                   ^bb():
+                     %1 = arith.const_int() {value = 0} : i32
+                     %2 = tawa.get(%0, %1) : tensor<2x2xf16>
+                 }
+               } }"#,
+        )
+        .unwrap();
         let spec = LaunchSpec::uniform(vec![], 1, 0.0);
         let mut mem = DeviceMemory::from_spec(&spec);
         let err = run_grid(&m.funcs[0], &spec, &mut mem).unwrap_err();
@@ -1097,20 +1100,27 @@ mod tests {
 
     #[test]
     fn integer_overflow_wraps_and_agrees_with_const_fold() {
-        use tawa_ir::builder::build_module;
-        let mut vals = None;
-        let m = build_module("wrap", &[], |b, _| {
-            let min = b.const_i64(i64::MIN);
-            let minus_one = b.const_i64(-1);
-            let zero = b.const_i64(0);
-            let q = b.div(min, minus_one);
-            let r = b.rem(min, minus_one);
-            let n = b.neg(min);
-            let by_zero = b.div(min, zero);
-            vals = Some((q, r, n, by_zero));
-        });
-        let (q, r, n, by_zero) = vals.unwrap();
+        let m = parse_module(&format!(
+            "module {{ func @wrap() {{
+               %min = arith.const_int() {{value = {}}} : i64
+               %minus_one = arith.const_int() {{value = -1}} : i64
+               %zero = arith.const_int() {{value = 0}} : i64
+               %q = arith.div(%min, %minus_one) : i64
+               %r = arith.rem(%min, %minus_one) : i64
+               %n = arith.neg(%min) : i64
+               %by_zero = arith.div(%min, %zero) : i64
+             }} }}",
+            i64::MIN
+        ))
+        .unwrap();
         let f = &m.funcs[0];
+        let ops = f.block(f.body_block()).ops.clone();
+        let (q, r, n, by_zero) = (
+            f.result(ops[3]),
+            f.result(ops[4]),
+            f.result(ops[5]),
+            f.result(ops[6]),
+        );
         let spec = LaunchSpec::uniform(vec![], 1, 0.0);
         let mut mem = DeviceMemory::from_spec(&spec);
         let mut it = Interp {
@@ -1119,7 +1129,6 @@ mod tests {
             pid: [0; 3],
             env: HashMap::new(),
         };
-        let ops = f.block(f.body_block()).ops.clone();
         let (last, wrapping) = ops.split_last().unwrap();
         for &op in wrapping {
             exec_op(&mut it, op, &mut mem, &mut HashMap::new()).expect("no panic, no error");
@@ -1150,19 +1159,25 @@ mod tests {
 
     #[test]
     fn integer_cmp_is_exact_above_f32_precision() {
-        use tawa_ir::builder::build_module;
         // 2^24 and 2^24 + 1 round to the same f32.
         let (lo, hi) = (1_i64 << 24, (1_i64 << 24) + 1);
         assert_eq!(lo as f32, hi as f32);
-        let mut cmps = Vec::new();
-        let m = build_module("cmp", &[], |b, _| {
-            let x = b.const_i64(hi);
-            let y = b.const_i64(lo);
-            for p in [CmpPred::Gt, CmpPred::Eq, CmpPred::Ne] {
-                cmps.push((p, b.cmp(p, x, y)));
-            }
-        });
+        let m = parse_module(&format!(
+            r#"module {{ func @cmp() {{
+                 %x = arith.const_int() {{value = {hi}}} : i64
+                 %y = arith.const_int() {{value = {lo}}} : i64
+                 %gt = arith.cmp(%x, %y) {{pred = "gt"}} : bool
+                 %eq = arith.cmp(%x, %y) {{pred = "eq"}} : bool
+                 %ne = arith.cmp(%x, %y) {{pred = "ne"}} : bool
+               }} }}"#
+        ))
+        .unwrap();
         let f = &m.funcs[0];
+        let ops = &f.block(f.body_block()).ops;
+        let cmps: Vec<(CmpPred, ValueId)> = [CmpPred::Gt, CmpPred::Eq, CmpPred::Ne]
+            .into_iter()
+            .zip(ops[2..].iter().map(|&op| f.result(op)))
+            .collect();
         let spec = LaunchSpec::uniform(vec![], 1, 0.0);
         let mut mem = DeviceMemory::from_spec(&spec);
         let mut it = Interp {

@@ -335,7 +335,7 @@ fn analyse_ws(f: &Func) -> Result<WsAnalysis, CompileError> {
 
     // ---- producer ----
     let p_loop = warp_group_loop(f, producer).ok_or_else(|| err("producer has no loop"))?;
-    let p_info = loop_info(f, p_loop);
+    let p_info = loop_info(f, p_loop).ok_or_else(|| err("malformed producer loop"))?;
     let p_block = f.entry_block(f.op(producer).regions[0]);
     let producer_prologue_ops = f
         .block(p_block)
@@ -351,7 +351,7 @@ fn analyse_ws(f: &Func) -> Result<WsAnalysis, CompileError> {
 
     // ---- consumer ----
     let c_loop = warp_group_loop(f, consumer).ok_or_else(|| err("consumer has no loop"))?;
-    let c_info = loop_info(f, c_loop);
+    let c_info = loop_info(f, c_loop).ok_or_else(|| err("malformed consumer loop"))?;
     let c_block = f.entry_block(f.op(consumer).regions[0]);
     let stages = identify_stages(f, c_loop)
         .ok_or_else(|| unsupported_at(f, c_loop, "consumer loop has no dot"))?;
@@ -359,12 +359,6 @@ fn analyse_ws(f: &Func) -> Result<WsAnalysis, CompileError> {
     let u_shape = stages.u_dot.map(|u| dot_shape(f, u));
 
     // Map each dot to the aref feeding it (via its get).
-    let gets: Vec<OpId> = c_info
-        .body_ops
-        .iter()
-        .copied()
-        .filter(|&o| f.op(o).kind == OpKind::ArefGet)
-        .collect();
     let dot_aref = |dot: OpId| -> Option<usize> {
         // Backward from the dot's first two operands to a get result.
         let mut frontier: Vec<ValueId> = f.op(dot).operands[..2].to_vec();
@@ -392,7 +386,6 @@ fn analyse_ws(f: &Func) -> Result<WsAnalysis, CompileError> {
     let t_aref =
         dot_aref(stages.t_dot).ok_or_else(|| err("T dot does not consume an aref payload"))?;
     let u_aref = stages.u_dot.and_then(dot_aref);
-    let _ = gets;
 
     // Per-iteration CUDA work: everything in the body that is not a dot,
     // get, consumed or slot arithmetic.
@@ -910,11 +903,7 @@ pub fn lower_ws(
                 "persistent kernels require uniform trip counts".into(),
             ));
         }
-        let regs_per_cta = kernel.regs_per_cta();
-        let by_smem = device.smem_per_sm / kernel.smem_bytes.max(1);
-        let by_regs = device.regs_per_sm / regs_per_cta.max(1);
-        let by_threads = (device.max_threads_per_sm / kernel.threads_per_cta().max(1)) as u64;
-        let occ = by_smem.min(by_regs).min(by_threads).max(1);
+        let occ = device.occupancy(&kernel).max(1) as u64;
         let resident = (device.sms as u64 * occ).min(spec.grid_size()).max(1);
         let grid = spec.grid_size();
         let full = grid / resident;
@@ -976,7 +965,7 @@ pub fn lower_simt(
     let err = |m: &str| CompileError::Unsupported(m.to_string());
     let main_loop =
         top_level_loops_with_loads(f).ok_or_else(|| err("no TMA-load-bearing loop in kernel"))?;
-    let info = loop_info(f, main_loop);
+    let info = loop_info(f, main_loop).ok_or_else(|| err("malformed main loop"))?;
 
     let loads: Vec<u64> = info
         .body_ops

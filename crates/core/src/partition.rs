@@ -86,13 +86,15 @@ pub fn warp_specialize_func(f: &mut Func, depth: usize) -> Result<PartitionRepor
         .into_iter()
         .find(|&l| {
             let mut has_load = false;
-            f.walk_region(f.op(l).regions[0], &mut |o| {
-                has_load |= f.op(o).kind == OpKind::TmaLoad;
-            });
+            for &r in &f.op(l).regions {
+                f.walk_region(r, &mut |o| {
+                    has_load |= f.op(o).kind == OpKind::TmaLoad;
+                });
+            }
             has_load
         })
         .ok_or_else(|| "no TMA-load-bearing top-level loop to specialize".to_string())?;
-    let info = loop_info(f, main_loop);
+    let info = loop_info(f, main_loop).ok_or("malformed scf.for: no body ending in scf.yield")?;
 
     // ---- 1+2. semantic tagging + graph cut ------------------------------
     let body = f.entry_block(f.op(main_loop).regions[0]);
@@ -270,20 +272,22 @@ pub fn warp_specialize_func(f: &mut Func, depth: usize) -> Result<PartitionRepor
 
     // Allocate arefs (shared between the two warp groups).
     let mut aref_vals: Vec<ValueId> = Vec::new();
-    {
-        for (_, group) in &groups {
-            let payload: Vec<Type> = group.iter().map(|&l| f.ty(f.result(l)).clone()).collect();
-            // The aref inherits the span of the load it transports, so the
-            // barriers lowered from it can point diagnostics at the tile
-            // program's `file:line` rather than at this rewrite.
-            let loc = f.loc(group[0]);
-            let mut b = tawa_ir::Builder::new(f, body_block);
-            let aref = b.create_aref(depth, payload);
-            aref_vals.push(aref);
-            if let Some(op) = f.defining_op(aref) {
-                f.set_loc(op, loc);
-            }
-        }
+    for (_, group) in &groups {
+        let payload: Vec<Type> = group.iter().map(|&l| f.ty(f.result(l)).clone()).collect();
+        let mut attrs = AttrMap::new();
+        attrs.set("depth", Attr::Int(depth as i64));
+        let aref = f.push_op(
+            body_block,
+            OpKind::CreateAref,
+            vec![],
+            vec![Type::Aref(depth, payload)],
+            attrs,
+        );
+        // The aref inherits the span of the load it transports, so the
+        // barriers lowered from it can point diagnostics at the tile
+        // program's `file:line` rather than at this rewrite.
+        f.set_loc(aref, f.loc(group[0]));
+        aref_vals.push(f.result(aref));
     }
 
     let report = PartitionReport {
@@ -736,9 +740,28 @@ mod tests {
 
     #[test]
     fn kernel_without_loads_rejected() {
-        let mut m = tawa_ir::builder::build_module("f", &[], |b, _| {
-            let _ = b.const_i32(3);
-        });
+        let mut m = tawa_ir::parse::parse_module(
+            "module {
+               func @f() {
+                 %0 = arith.const_int() {value = 3} : i32
+               }
+             }",
+        )
+        .unwrap();
+        assert!(warp_specialize_func(&mut m.funcs[0], 2).is_err());
+    }
+
+    #[test]
+    fn loop_without_a_region_is_an_error_not_a_panic() {
+        let mut m = tawa_ir::parse::parse_module(
+            "module {
+               func @f() {
+                 %0 = arith.const_int() {value = 0} : i32
+                 scf.for(%0, %0, %0)
+               }
+             }",
+        )
+        .unwrap();
         assert!(warp_specialize_func(&mut m.funcs[0], 2).is_err());
     }
 }

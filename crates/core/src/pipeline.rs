@@ -64,7 +64,7 @@ pub fn warp_group_loop(f: &Func, wg: OpId) -> Option<OpId> {
 /// output; `U` is a second dot reading `C`'s results. Returns `None` if the
 /// body contains no dot.
 pub fn identify_stages(f: &Func, loop_op: OpId) -> Option<Stages> {
-    let info = loop_info(f, loop_op);
+    let info = loop_info(f, loop_op)?;
     let dots: Vec<OpId> = info
         .body_ops
         .iter()

@@ -219,6 +219,28 @@ fn persistent_kernel_single_wave() {
 }
 
 #[test]
+fn persistent_grid_fills_each_sm_to_its_occupancy() {
+    let (m, spec) = gemm(&GemmConfig::new(8192, 8192, 4096)).into_parts();
+    let opts = CompileOptions {
+        persistent: true,
+        aref_depth: 3,
+        ..CompileOptions::default()
+    };
+    let kernel = session().compile(&m, &spec, &opts).expect("persistent");
+    let d = dev();
+    let resident = (d.sms as u64 * u64::from(d.occupancy(&kernel))).min(spec.grid_size());
+    let ctas: u64 = kernel.classes.iter().map(|c| c.multiplicity).sum();
+    assert_eq!(ctas, resident);
+    // The resident CTAs loop over the grid's tiles between them.
+    let tiles: u64 = kernel
+        .classes
+        .iter()
+        .map(|c| c.params[0] * c.multiplicity)
+        .sum();
+    assert_eq!(tiles, spec.grid_size());
+}
+
+#[test]
 fn deeper_aref_rings_help() {
     let (m, spec) = gemm(&GemmConfig::new(8192, 8192, 8192)).into_parts();
     let session = session();

@@ -7,7 +7,9 @@
 //! keeps serving (module fingerprints are bit-identical), and the pass
 //! manager makes the same decisions it made when it re-printed the module
 //! around every pass (same `changed` bits, so the same fixpoint rounds and
-//! verifier runs).
+//! verifier runs). The zoo rows after `grouped_gemm_f16` were captured
+//! later, on the last commit that still checked the DSL zoo byte for byte
+//! against hand-built reference modules, so they pin that equality too.
 
 use gpu_sim::Device;
 use tawa_core::partition::WarpSpecialize;
@@ -44,15 +46,33 @@ fn zoo() -> Vec<(&'static str, Program)> {
             "grouped_gemm_f16",
             grouped_gemm(&GroupedGemmConfig::paper_sweep(4)),
         ),
+        // The configurations the DSL zoo was first checked against, byte
+        // for byte, when it replaced hand-built modules.
+        ("gemm_512_f16", gemm(&GemmConfig::new(512, 512, 256))),
+        ("gemm_4096_f16", gemm(&GemmConfig::new(4096, 4096, 4096))),
+        (
+            "gemm_1024_f8",
+            gemm(&GemmConfig::new(1024, 1024, 512).with_dtype(DType::F8E4M3)),
+        ),
+        (
+            "batched_gemm_b8_f16",
+            batched_gemm(&GemmConfig::new(1024, 1024, 1024).with_batch(8)),
+        ),
+        (
+            "grouped_gemm_3_f16",
+            grouped_gemm(&GroupedGemmConfig::paper_sweep(3)),
+        ),
     ]
 }
 
 #[test]
 fn zoo_module_fingerprints_are_the_parents() {
     // Persistence, depths and cooperation are `CompileOptions`, hashed
-    // into `env_fp` (pinned in `session.rs`); the grouped GEMM re-binds
-    // the fused GEMM body, hence the shared value.
-    let golden: [(&str, u64); 8] = [
+    // into `env_fp` (pinned in `session.rs`); problem sizes are kernel
+    // arguments, so every GEMM of one dtype and tile shares a module, and
+    // the grouped GEMM re-binds the fused GEMM body, hence the shared
+    // values.
+    let golden: [(&str, u64); 13] = [
         ("gemm_f16", 0xbd2abd278d866b2f),
         ("gemm_f8", 0x328e02ccb4afda3f),
         ("batched_gemm_f16", 0x34802cb93422b167),
@@ -61,7 +81,13 @@ fn zoo_module_fingerprints_are_the_parents() {
         ("attention_f8", 0x074fe747abf30b45),
         ("attention_causal_f8", 0xdc56ca3fce038478),
         ("grouped_gemm_f16", 0xbd2abd278d866b2f),
+        ("gemm_512_f16", 0xbd2abd278d866b2f),
+        ("gemm_4096_f16", 0xbd2abd278d866b2f),
+        ("gemm_1024_f8", 0x328e02ccb4afda3f),
+        ("batched_gemm_b8_f16", 0x34802cb93422b167),
+        ("grouped_gemm_3_f16", 0xbd2abd278d866b2f),
     ];
+    assert_eq!(zoo().len(), golden.len());
     for ((name, program), (golden_name, fp)) in zoo().into_iter().zip(golden) {
         assert_eq!(name, golden_name);
         let module = program.module();
@@ -69,6 +95,23 @@ fn zoo_module_fingerprints_are_the_parents() {
         // The streamed hash is the hash of the printed text.
         assert_eq!(fnv1a(print_module(module).as_bytes()), fp, "{name}");
     }
+}
+
+#[test]
+fn grouped_gemm_shares_the_fused_gemm_module() {
+    let cfg = GroupedGemmConfig::paper_sweep(3);
+    let fused = GemmConfig {
+        m: cfg.group_ms.iter().sum(),
+        n: cfg.n,
+        k: cfg.k,
+        batch: 1,
+        dtype: cfg.dtype,
+        tile: cfg.tile,
+    };
+    assert_eq!(
+        print_module(grouped_gemm(&cfg).module()),
+        print_module(gemm(&fused).module())
+    );
 }
 
 #[test]

@@ -1285,3 +1285,94 @@ impl KernelBuilder {
         ))
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dsl::elem::F16;
+
+    /// The inferred IR type of a handle.
+    fn ty(k: &KernelBuilder, v: impl Value) -> Type {
+        k.ty_of(v.value_id())
+    }
+
+    #[test]
+    fn arithmetic_type_inference() {
+        let mut k = KernelBuilder::new("t");
+        let x = k.i32(3);
+        let t = k.zeros::<F32>([4, 4]);
+        let s = k.f32(1.0);
+        let y = k.add(x, x);
+        assert_eq!(ty(&k, y), Type::i32());
+        let z = k.mul(t, s);
+        assert_eq!(ty(&k, z), Type::tensor(vec![4, 4], DType::F32));
+        let c = k.cmp(CmpPred::Lt, x, y);
+        assert_eq!(ty(&k, c), Type::bool());
+        let ct = k.cmp(CmpPred::Gt, t, s);
+        assert_eq!(ty(&k, ct), Type::tensor(vec![4, 4], DType::Bool));
+        assert!(k.diagnostics().is_empty(), "{:?}", k.diagnostics());
+    }
+
+    #[test]
+    fn cdiv_expansion() {
+        let mut k = KernelBuilder::new("t");
+        let a = k.i32(10);
+        let c = k.i32(4);
+        let q = k.cdiv(a, c);
+        assert_eq!(ty(&k, q), Type::i32());
+        // const(10), const(4), const(1), sub, add, div
+        let kinds: Vec<OpKind> = k.func.walk().iter().map(|&o| k.func.op(o).kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                OpKind::ConstInt,
+                OpKind::ConstInt,
+                OpKind::ConstInt,
+                OpKind::Sub,
+                OpKind::Add,
+                OpKind::Div
+            ]
+        );
+    }
+
+    #[test]
+    fn shape_ops() {
+        let mut k = KernelBuilder::new("t");
+        let r = k.arange(0, 128);
+        assert_eq!(ty(&k, r), Type::tensor(vec![128], DType::I32));
+        let e = k.expand_dims(r, 1);
+        assert_eq!(ty(&k, e), Type::tensor(vec![128, 1], DType::I32));
+        let w = k.broadcast_to(e, [128, 64]);
+        assert_eq!(ty(&k, w), Type::tensor(vec![128, 64], DType::I32));
+        let t = k.transpose(w);
+        assert_eq!(ty(&k, t), Type::tensor(vec![64, 128], DType::I32));
+        let m = k.reduce_max(w, 1);
+        assert_eq!(ty(&k, m), Type::tensor(vec![128], DType::I32));
+        assert!(k.diagnostics().is_empty(), "{:?}", k.diagnostics());
+    }
+
+    #[test]
+    fn dot_shape_check() {
+        let mut k = KernelBuilder::new("t");
+        let a = k.zeros::<F16>([128, 64]);
+        let b = k.zeros::<F16>([64, 128]);
+        let acc = k.zeros::<F32>([128, 128]);
+        let d = k.dot(a, b, acc);
+        assert_eq!(ty(&k, d), Type::tensor(vec![128, 128], DType::F32));
+        assert!(k.diagnostics().is_empty(), "{:?}", k.diagnostics());
+    }
+
+    #[test]
+    fn for_loop_structure() {
+        let mut k = KernelBuilder::new("t");
+        let lo = k.i32(0);
+        let hi = k.i32(8);
+        let step = k.i32(1);
+        let init = k.i32(0);
+        let res = k.for_range(lo, hi, step, init, |k, iv, acc| k.add(acc, iv));
+        assert_eq!(ty(&k, res), Type::i32());
+        // 4 consts + for + add + yield
+        assert_eq!(k.func.walk().len(), 7);
+        assert!(k.diagnostics().is_empty(), "{:?}", k.diagnostics());
+    }
+}

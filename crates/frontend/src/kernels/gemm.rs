@@ -154,7 +154,7 @@ mod tests {
         let p = gemm(&GemmConfig::new(512, 512, 256));
         verify_module(p.module()).expect("gemm IR must verify");
         assert_eq!(p.spec().grid_size(), 4 * 4);
-        assert_eq!(p.spec().int(5), 256);
+        assert_eq!(p.spec().int(5), Some(256));
     }
 
     #[test]

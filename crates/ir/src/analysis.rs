@@ -55,30 +55,29 @@ pub struct LoopInfo {
     pub yield_op: OpId,
 }
 
-/// Extracts structured information about a `scf.for` op.
-///
-/// # Panics
-/// Panics if `op` is not a well-formed `scf.for` (run the verifier first).
-pub fn loop_info(f: &Func, op: OpId) -> LoopInfo {
+/// Extracts structured information about a `scf.for` op, or `None` if
+/// `op` is not one the verifier would accept: bounds, a body block with
+/// an induction variable, and a trailing `scf.yield`.
+pub fn loop_info(f: &Func, op: OpId) -> Option<LoopInfo> {
     let data = f.op(op);
-    assert_eq!(data.kind, OpKind::For, "loop_info requires scf.for");
-    let body = f.entry_block(data.regions[0]);
-    let args = f.block(body).args.clone();
-    let ops = f.block(body).ops.clone();
-    let (&yield_op, rest) = ops.split_last().expect("loop body has a terminator");
-    assert_eq!(f.op(yield_op).kind, OpKind::Yield);
-    LoopInfo {
+    let (OpKind::For, [lo, hi, step, inits @ ..]) = (data.kind, data.operands.as_slice()) else {
+        return None;
+    };
+    let body = *f.region(*data.regions.first()?).blocks.first()?;
+    let (&iv, iter_args) = f.block(body).args.split_first()?;
+    let (&yield_op, rest) = f.block(body).ops.split_last()?;
+    (f.op(yield_op).kind == OpKind::Yield).then(|| LoopInfo {
         op,
-        lo: data.operands[0],
-        hi: data.operands[1],
-        step: data.operands[2],
-        inits: data.operands[3..].to_vec(),
-        iv: args[0],
-        iter_args: args[1..].to_vec(),
+        lo: *lo,
+        hi: *hi,
+        step: *step,
+        inits: inits.to_vec(),
+        iv,
+        iter_args: iter_args.to_vec(),
         yields: f.op(yield_op).operands.clone(),
         body_ops: rest.to_vec(),
         yield_op,
-    }
+    })
 }
 
 /// Returns ops of `f`'s body block in order (no recursion into regions).
@@ -603,33 +602,43 @@ impl DataflowAnalysis for ReachingDefs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::Builder;
-    use crate::types::{DType, Type};
+    use crate::parse::parse_func_str;
+
+    /// An accumulator carried through a 16-trip loop, as `%4`.
+    const ACC_LOOP: &str = "
+        %0 = arith.const_int() {value = 0} : i32
+        %1 = arith.const_int() {value = 16} : i32
+        %2 = arith.const_int() {value = 1} : i32
+        %3 = tile.const_tensor() {value = 0.0} : tensor<8xf32>
+        %4 = scf.for(%0, %1, %2, %3) : tensor<8xf32> {
+          ^bb(%5: i32, %6: tensor<8xf32>):
+            %7 = arith.const_float() {value = 1.0} : f32
+            %8 = arith.add(%6, %7) : tensor<8xf32>
+            scf.yield(%8)
+        }";
 
     fn loop_func() -> Func {
-        let mut f = Func::new("f", &[Type::Ptr(DType::F32)]);
-        let ptr = f.params()[0];
-        let mut b = Builder::at_body(&mut f);
-        let lo = b.const_i32(0);
-        let hi = b.const_i32(16);
-        let st = b.const_i32(1);
-        let init = b.zeros(vec![8], DType::F32);
-        let res = b.for_loop(lo, hi, st, &[init], |b, _iv, iters| {
-            let one = b.const_float(1.0, DType::F32);
-            let bumped = b.add(iters[0], one);
-            vec![bumped]
-        });
-        let offs = b.arange(0, 8);
-        let addrs = b.addptr(ptr, offs);
-        b.store(addrs, res[0]);
-        f
+        parse_func_str(&format!(
+            "func @f(%arg0: ptr<f32>) {{ {ACC_LOOP}
+               %9 = tile.arange() {{start = 0, end = 8}} : tensor<8xi32>
+               %10 = tile.addptr(%arg0, %9) : tensor<8xi64>
+               tile.store(%10, %4)
+             }}"
+        ))
+        .unwrap()
+    }
+
+    /// The result of `f`'s first top-level op: the aref handle in the
+    /// reaching-definition tests.
+    fn first_value(f: &Func) -> ValueId {
+        f.result(f.block(f.body_block()).ops[0])
     }
 
     #[test]
     fn loop_info_extracts_structure() {
         let f = loop_func();
         let loops = top_level_loops(&f);
-        let info = loop_info(&f, loops[0]);
+        let info = loop_info(&f, loops[0]).unwrap();
         assert_eq!(info.inits.len(), 1);
         assert_eq!(info.iter_args.len(), 1);
         assert_eq!(info.yields.len(), 1);
@@ -637,23 +646,43 @@ mod tests {
         assert_eq!(f.op(info.yield_op).kind, OpKind::Yield);
     }
 
+    #[test]
+    fn loop_info_is_none_for_malformed_loops() {
+        // A body without its `scf.yield`, and an op that is no loop.
+        let f = parse_func_str(
+            "func @f() {
+               %0 = arith.const_int() {value = 0} : i32
+               scf.for(%0, %0, %0) {
+                 ^bb(%1: i32):
+                   %2 = arith.add(%1, %1) : i32
+               }
+             }",
+        )
+        .unwrap();
+        let ops = &f.block(f.body_block()).ops;
+        assert!(loop_info(&f, ops[1]).is_none());
+        assert!(loop_info(&f, ops[0]).is_none());
+    }
+
     /// A function with one stored dot and one dot whose result feeds only a
     /// dead add chain — nothing downstream consumes it.
     fn dead_dot_func() -> (Func, OpId, OpId) {
-        let mut f = Func::new("f", &[Type::Ptr(DType::F32)]);
-        let ptr = f.params()[0];
-        let mut b = Builder::at_body(&mut f);
-        let a = b.zeros(vec![16, 16], DType::F16);
-        let w = b.zeros(vec![16, 16], DType::F16);
-        let acc = b.zeros(vec![16, 16], DType::F32);
-        let live = b.dot(a, w, acc);
-        let dead = b.dot(a, w, acc);
-        let _dead_chain = b.add(dead, dead);
-        let offs = b.arange(0, 16);
-        let addrs = b.addptr(ptr, offs);
-        b.store(addrs, live);
-        let live_op = f.defining_op(live).unwrap();
-        let dead_op = f.defining_op(dead).unwrap();
+        let f = parse_func_str(
+            "func @f(%arg0: ptr<f32>) {
+               %0 = tile.const_tensor() {value = 0.0} : tensor<16x16xf16>
+               %1 = tile.const_tensor() {value = 0.0} : tensor<16x16xf16>
+               %2 = tile.const_tensor() {value = 0.0} : tensor<16x16xf32>
+               %live = tile.dot(%0, %1, %2) : tensor<16x16xf32>
+               %dead = tile.dot(%0, %1, %2) : tensor<16x16xf32>
+               %3 = arith.add(%dead, %dead) : tensor<16x16xf32>
+               %4 = tile.arange() {start = 0, end = 16} : tensor<16xi32>
+               %5 = tile.addptr(%arg0, %4) : tensor<16xi64>
+               tile.store(%5, %live)
+             }",
+        )
+        .unwrap();
+        let ops = &f.block(f.body_block()).ops;
+        let (live_op, dead_op) = (ops[3], ops[4]);
         (f, live_op, dead_op)
     }
 
@@ -676,17 +705,7 @@ mod tests {
 
         // Same loop, result never stored: the whole chain is dead,
         // including the const_float and add inside the loop body.
-        let mut g = Func::new("g", &[Type::Ptr(DType::F32)]);
-        let mut b = Builder::at_body(&mut g);
-        let lo = b.const_i32(0);
-        let hi = b.const_i32(16);
-        let st = b.const_i32(1);
-        let init = b.zeros(vec![8], DType::F32);
-        let _res = b.for_loop(lo, hi, st, &[init], |b, _iv, iters| {
-            let one = b.const_float(1.0, DType::F32);
-            let bumped = b.add(iters[0], one);
-            vec![bumped]
-        });
+        let g = parse_func_str(&format!("func @g(%arg0: ptr<f32>) {{ {ACC_LOOP} }}")).unwrap();
         let dead = dead_result_ops(&g);
         let kinds: Vec<OpKind> = dead.iter().map(|&o| g.op(o).kind).collect();
         assert!(kinds.contains(&OpKind::For), "{kinds:?}");
@@ -697,17 +716,23 @@ mod tests {
     fn reaching_defs_cross_warp_group_partitions() {
         // Producer partition puts into the ring, consumer partition gets:
         // the put must reach the get through the parallel-region fixpoint.
-        let mut f = Func::new("ws", &[]);
-        let mut b = Builder::at_body(&mut f);
-        let aref = b.create_aref(2, vec![Type::tensor(vec![16, 16], DType::F16)]);
-        let slot = b.const_i32(0);
-        b.warp_group(0, "producer", |b| {
-            let tile = b.zeros(vec![16, 16], DType::F16);
-            b.aref_put(aref, slot, &[tile]);
-        });
-        b.warp_group(1, "consumer", |b| {
-            let _payload = b.aref_get(aref, slot);
-        });
+        let f = parse_func_str(
+            r#"func @ws() {
+                 %0 = tawa.create_aref() {depth = 2} : aref<2, tuple<tensor<16x16xf16>>>
+                 %1 = arith.const_int() {value = 0} : i32
+                 tawa.warp_group() {partition = 0, role = "producer"} {
+                   ^bb():
+                     %2 = tile.const_tensor() {value = 0.0} : tensor<16x16xf16>
+                     tawa.put(%0, %1, %2)
+                 }
+                 tawa.warp_group() {partition = 1, role = "consumer"} {
+                   ^bb():
+                     %3 = tawa.get(%0, %1) : tensor<16x16xf16>
+                 }
+               }"#,
+        )
+        .unwrap();
+        let aref = first_value(&f);
         let analysis = ReachingDefs::aref_slots();
         let results = run_dataflow(&f, &analysis);
         let get_op = f
@@ -725,13 +750,17 @@ mod tests {
 
     #[test]
     fn reaching_defs_flag_unwritten_handles() {
-        let mut f = Func::new("cold", &[]);
-        let mut b = Builder::at_body(&mut f);
-        let aref = b.create_aref(2, vec![Type::tensor(vec![16, 16], DType::F16)]);
-        let slot = b.const_i32(0);
-        let _payload = b.aref_get(aref, slot);
-        let tile = b.zeros(vec![16, 16], DType::F16);
-        b.aref_put(aref, slot, &[tile]);
+        let f = parse_func_str(
+            "func @cold() {
+               %0 = tawa.create_aref() {depth = 2} : aref<2, tuple<tensor<16x16xf16>>>
+               %1 = arith.const_int() {value = 0} : i32
+               %2 = tawa.get(%0, %1) : tensor<16x16xf16>
+               %3 = tile.const_tensor() {value = 0.0} : tensor<16x16xf16>
+               tawa.put(%0, %1, %3)
+             }",
+        )
+        .unwrap();
+        let aref = first_value(&f);
         let results = run_dataflow(&f, &ReachingDefs::aref_slots());
         let get_op = f
             .walk()
@@ -745,18 +774,23 @@ mod tests {
     #[test]
     fn reaching_defs_loop_back_edge_counts() {
         // put after the get, but inside a loop: iteration 2 sees it.
-        let mut f = Func::new("ring", &[]);
-        let mut b = Builder::at_body(&mut f);
-        let aref = b.create_aref(2, vec![Type::tensor(vec![16, 16], DType::F16)]);
-        let lo = b.const_i32(0);
-        let hi = b.const_i32(8);
-        let st = b.const_i32(1);
-        b.for_loop(lo, hi, st, &[], |b, iv, _| {
-            let _payload = b.aref_get(aref, iv);
-            let tile = b.zeros(vec![16, 16], DType::F16);
-            b.aref_put(aref, iv, &[tile]);
-            vec![]
-        });
+        let f = parse_func_str(
+            "func @ring() {
+               %0 = tawa.create_aref() {depth = 2} : aref<2, tuple<tensor<16x16xf16>>>
+               %1 = arith.const_int() {value = 0} : i32
+               %2 = arith.const_int() {value = 8} : i32
+               %3 = arith.const_int() {value = 1} : i32
+               scf.for(%1, %2, %3) {
+                 ^bb(%4: i32):
+                   %5 = tawa.get(%0, %4) : tensor<16x16xf16>
+                   %6 = tile.const_tensor() {value = 0.0} : tensor<16x16xf16>
+                   tawa.put(%0, %4, %6)
+                   scf.yield()
+               }
+             }",
+        )
+        .unwrap();
+        let aref = first_value(&f);
         let results = run_dataflow(&f, &ReachingDefs::aref_slots());
         let get_op = f
             .walk()

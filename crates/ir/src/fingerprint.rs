@@ -79,39 +79,35 @@ pub fn module_fingerprint(m: &Module) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::build_module;
-    use crate::types::Type;
+    use crate::parse::parse_module;
+
+    /// `f(x) = x * c`.
+    fn scale_by(c: i64) -> Module {
+        parse_module(&format!(
+            "module {{ func @f(%arg0: i32) {{
+               %0 = arith.const_int() {{value = {c}}} : i32
+               %1 = arith.mul(%arg0, %0) : i32
+             }} }}"
+        ))
+        .unwrap()
+    }
 
     #[test]
     fn equal_modules_equal_fingerprints() {
-        let mk = || {
-            build_module("f", &[Type::i32()], |b, args| {
-                let two = b.const_i32(2);
-                let _ = b.mul(args[0], two);
-            })
-        };
+        let mk = || scale_by(2);
         assert_eq!(module_fingerprint(&mk()), module_fingerprint(&mk()));
     }
 
     #[test]
     fn different_modules_differ() {
-        let a = build_module("f", &[Type::i32()], |b, args| {
-            let two = b.const_i32(2);
-            let _ = b.mul(args[0], two);
-        });
-        let b_ = build_module("f", &[Type::i32()], |b, args| {
-            let three = b.const_i32(3);
-            let _ = b.mul(args[0], three);
-        });
+        let a = scale_by(2);
+        let b_ = scale_by(3);
         assert_ne!(module_fingerprint(&a), module_fingerprint(&b_));
     }
 
     #[test]
     fn fingerprint_tracks_mutation() {
-        let mut m = build_module("f", &[Type::i32()], |b, args| {
-            let two = b.const_i32(2);
-            let _ = b.mul(args[0], two);
-        });
+        let mut m = scale_by(2);
         let before = module_fingerprint(&m);
         crate::transforms::run_dce(&mut m.funcs[0]);
         assert_ne!(before, module_fingerprint(&m), "DCE must change the print");

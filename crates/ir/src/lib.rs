@@ -10,8 +10,9 @@
 //! * an operation catalogue spanning `arith`, `tile`, `scf` and the paper's
 //!   `tawa` dialect ([`op`]),
 //! * the function/module arena with use-def manipulation ([`func`]),
-//! * a typed [`builder`],
-//! * a textual [`mod@print`]er and [`parse`]r that round-trip,
+//! * a textual [`mod@print`]er and [`parse`]r that round-trip — the text
+//!   is how tests and tools write IR by hand; kernels are authored in
+//!   `tawa-frontend`'s DSL, and passes rewrite through the [`func`] API,
 //! * a [`verify`]er,
 //! * a [`pass`] framework with structured [`diag`]nostics, fixpoint stages
 //!   and fingerprint-based change tracking ([`fingerprint`]), declarative
@@ -27,21 +28,24 @@
 //! ## Example
 //!
 //! ```
-//! use tawa_ir::builder::build_module;
-//! use tawa_ir::print::print_module;
 //! use tawa_ir::parse::parse_module;
-//! use tawa_ir::types::Type;
+//! use tawa_ir::print::print_module;
 //! use tawa_ir::verify::verify_module;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let module = build_module("axpy", &[Type::i32()], |b, args| {
-//!     let two = b.const_i32(2);
-//!     let _ = b.mul(args[0], two);
-//! });
+//! let module = parse_module(
+//!     "module {
+//!        func @axpy(%x: i32) {
+//!          %two = arith.const_int() {value = 2} : i32
+//!          %0 = arith.mul(%x, %two) : i32
+//!        }
+//!      }",
+//! )?;
 //! verify_module(&module).map_err(|e| format!("{e:?}"))?;
+//! // The printer's canonical form parses back to itself.
 //! let text = print_module(&module);
-//! let reparsed = parse_module(&text)?;
-//! assert_eq!(print_module(&reparsed), text);
+//! assert!(text.contains("%0 = arith.mul(%x, %two) : i32"));
+//! assert_eq!(print_module(&parse_module(&text)?), text);
 //! # Ok(())
 //! # }
 //! ```
@@ -49,7 +53,6 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod builder;
 pub mod diag;
 pub mod fingerprint;
 pub mod func;
@@ -68,7 +71,6 @@ pub use analysis::{
     dead_result_ops, run_dataflow, DataflowAnalysis, DataflowResults, Direction, Liveness,
     ReachingDefs,
 };
-pub use builder::Builder;
 pub use diag::{Diagnostic, Severity};
 pub use fingerprint::module_fingerprint;
 pub use func::{Func, Module};

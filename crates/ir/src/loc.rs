@@ -4,7 +4,7 @@
 //! from. Frontends capture it with [`Loc::caller`] (a `#[track_caller]`
 //! constructor, so the location is the DSL call site, not the frontend
 //! internals) and attach it to ops through
-//! [`crate::builder::Builder::set_loc`]. Locations ride in a side channel
+//! [`crate::func::Func::set_loc`]. Locations ride in a side channel
 //! of [`crate::func::OpData`] — they are **not** attributes, are never
 //! printed by [`crate::print`] and therefore never perturb the canonical
 //! IR text or the [`crate::fingerprint::module_fingerprint`] caches key

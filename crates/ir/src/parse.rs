@@ -611,7 +611,6 @@ fn parse_dtype(lx: &mut Lexer) -> Result<DType, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::build_module;
     use crate::print::print_module;
     use crate::types::Type as T;
 
@@ -628,57 +627,78 @@ mod tests {
 
     #[test]
     fn parse_print_fixpoint_simple() {
-        let m = build_module("f", &[T::i32()], |b, args| {
-            let c = b.const_i32(7);
-            let _ = b.add(args[0], c);
-        });
-        let s1 = print_module(&m);
+        let s1 = roundtrip(
+            "module { func @f(%arg0: i32) {
+               %0 = arith.const_int() {value = 7} : i32
+               %1 = arith.add(%arg0, %0) : i32
+             } }",
+        );
         let s2 = roundtrip(&s1);
         assert_eq!(s1, s2);
     }
 
     #[test]
     fn parse_print_fixpoint_loop() {
-        let m = build_module("f", &[], |b, _| {
-            let lo = b.const_i32(0);
-            let hi = b.const_i32(4);
-            let st = b.const_i32(1);
-            let init = b.const_float(0.0, crate::types::DType::F32);
-            let _ = b.for_loop(lo, hi, st, &[init], |b, _iv, iters| {
-                let e = b.exp(iters[0]);
-                vec![e]
-            });
-        });
-        let s1 = print_module(&m);
+        let s1 = roundtrip(
+            "module { func @f() {
+               %0 = arith.const_int() {value = 0} : i32
+               %1 = arith.const_int() {value = 4} : i32
+               %2 = arith.const_int() {value = 1} : i32
+               %3 = arith.const_float() {value = 0.0} : f32
+               %4 = scf.for(%0, %1, %2, %3) : f32 {
+                 ^bb(%5: i32, %6: f32):
+                   %7 = math.exp(%6) : f32
+                   scf.yield(%7)
+               }
+             } }",
+        );
         let s2 = roundtrip(&s1);
         assert_eq!(s1, s2);
     }
 
     #[test]
     fn parse_print_fixpoint_aref_and_warp_groups() {
-        let m = build_module(
-            "k",
-            &[T::TensorDesc(crate::types::DType::F16)],
-            |b, args| {
-                let desc = args[0];
-                let payload = vec![T::tensor(vec![128, 64], crate::types::DType::F16)];
-                let aref = b.create_aref(2, payload);
-                b.warp_group(0, "producer", |b| {
-                    let c0 = b.const_i32(0);
-                    let t = b.tma_load(desc, &[c0, c0], vec![128, 64]);
-                    b.aref_put(aref, c0, &[t]);
-                });
-                b.warp_group(1, "consumer", |b| {
-                    let c0 = b.const_i32(0);
-                    let got = b.aref_get(aref, c0);
-                    b.aref_consumed(aref, c0);
-                    let _ = got;
-                });
-            },
+        let s1 = roundtrip(
+            "module { func @k(%arg0: desc<f16>) {
+               %0 = tawa.create_aref() {depth = 2} : aref<2, tuple<tensor<128x64xf16>>>
+               tawa.warp_group() {partition = 0, role = \"producer\"} {
+                 ^bb():
+                   %1 = arith.const_int() {value = 0} : i32
+                   %2 = tile.tma_load(%arg0, %1, %1) : tensor<128x64xf16>
+                   tawa.put(%0, %1, %2)
+               }
+               tawa.warp_group() {partition = 1, role = \"consumer\"} {
+                 ^bb():
+                   %3 = arith.const_int() {value = 0} : i32
+                   %4 = tawa.get(%0, %3) : tensor<128x64xf16>
+                   tawa.consumed(%0, %3)
+               }
+             } }",
         );
-        let s1 = print_module(&m);
         let s2 = roundtrip(&s1);
         assert_eq!(s1, s2);
+    }
+
+    #[test]
+    fn parses_warp_group_region_and_attrs() {
+        let m = parse_module(
+            "module { func @f() {
+               tawa.warp_group() {partition = 0, role = \"producer\"} {
+                 ^bb():
+                   %0 = arith.const_int() {value = 1} : i32
+               }
+             } }",
+        )
+        .unwrap();
+        let f = &m.funcs[0];
+        let wg = f.block(f.body_block()).ops[0];
+        assert_eq!(f.op(wg).kind, OpKind::WarpGroup);
+        assert_eq!(f.op(wg).regions.len(), 1);
+        assert_eq!(f.op(wg).attrs.int("partition"), Some(0));
+        assert_eq!(f.op(wg).attrs.str("role"), Some("producer"));
+        let inner = f.entry_block(f.op(wg).regions[0]);
+        assert_eq!(f.block(inner).ops.len(), 1);
+        assert!(crate::verify::verify_module(&m).is_ok());
     }
 
     #[test]
@@ -733,7 +753,8 @@ mod tests {
     /// Prints a module whose function `name` carries string attr `s`,
     /// parses it back, and returns the text and the attr it read.
     fn str_attr_roundtrip(name: &str, s: &str) -> (String, String, Option<String>) {
-        let mut m = build_module(name, &[], |_, _| {});
+        let mut m = Module::new();
+        m.add_func(Func::new(name, &[]));
         m.funcs[0].attrs.set("note", Attr::Str(s.to_string()));
         let printed = print_module(&m);
         let back = parse_module(&printed).expect("parse");

@@ -311,8 +311,13 @@ fn run_one(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::build_module;
     use crate::op::Attr;
+    use crate::parse::parse_module;
+
+    /// A module holding one empty function `@f`.
+    fn empty_module() -> Module {
+        parse_module("module { func @f() { } }").unwrap()
+    }
 
     struct TagPass(&'static str);
 
@@ -394,7 +399,7 @@ mod tests {
 
     #[test]
     fn runs_passes_in_order_with_stats() {
-        let mut m = build_module("f", &[], |_, _| {});
+        let mut m = empty_module();
         let mut pm = PassManager::new();
         pm.add(Box::new(TagPass("a"))).add(Box::new(TagPass("b")));
         pm.run(&mut m).unwrap();
@@ -407,7 +412,7 @@ mod tests {
 
     #[test]
     fn stops_on_failure_but_keeps_stats() {
-        let mut m = build_module("f", &[], |_, _| {});
+        let mut m = empty_module();
         let mut pm = PassManager::new();
         pm.add(Box::new(TagPass("before")))
             .add(Box::new(FailPass))
@@ -423,7 +428,7 @@ mod tests {
 
     #[test]
     fn failure_diagnostic_is_attributed() {
-        let mut m = build_module("f", &[], |_, _| {});
+        let mut m = empty_module();
         let mut pm = PassManager::new();
         pm.add(Box::new(FailPass));
         let err = pm.run(&mut m).unwrap_err();
@@ -436,7 +441,7 @@ mod tests {
 
     #[test]
     fn verification_catches_corruption() {
-        let mut m = build_module("f", &[], |_, _| {});
+        let mut m = empty_module();
         let mut pm = PassManager::new();
         pm.add(Box::new(CorruptPass));
         let err = pm.run(&mut m).unwrap_err();
@@ -445,7 +450,7 @@ mod tests {
 
     #[test]
     fn verification_can_be_disabled() {
-        let mut m = build_module("f", &[], |_, _| {});
+        let mut m = empty_module();
         let mut pm = PassManager::new();
         pm.add(Box::new(CorruptPass)).verify_each(false);
         assert!(pm.run(&mut m).is_ok());
@@ -456,7 +461,7 @@ mod tests {
         // Corrupt the module first with verification off; a no-op pass run
         // afterwards must not re-verify (the fingerprint did not move), so
         // the pre-existing corruption goes unnoticed — by design.
-        let mut m = build_module("f", &[], |_, _| {});
+        let mut m = empty_module();
         let mut pm0 = PassManager::new();
         pm0.add(Box::new(CorruptPass)).verify_each(false);
         pm0.run(&mut m).unwrap();
@@ -477,7 +482,7 @@ mod tests {
 
     #[test]
     fn fixpoint_iterates_until_stable() {
-        let mut m = build_module("f", &[], |_, _| {});
+        let mut m = empty_module();
         let mut pm = PassManager::new();
         pm.add_fixpoint(vec![Box::new(CountTo(3))], DEFAULT_FIXPOINT_ITERS);
         pm.run(&mut m).unwrap();
@@ -489,7 +494,7 @@ mod tests {
 
     #[test]
     fn fixpoint_respects_iteration_cap() {
-        let mut m = build_module("f", &[], |_, _| {});
+        let mut m = empty_module();
         let mut pm = PassManager::new();
         pm.add_fixpoint(vec![Box::new(CountTo(100))], 2);
         pm.run(&mut m).unwrap();
@@ -527,7 +532,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "pass `liar` reported the module unchanged")]
     fn under_reporting_pass_trips_the_debug_cross_check() {
-        let mut m = build_module("f", &[], |_, _| {});
+        let mut m = empty_module();
         let mut pm = PassManager::new();
         pm.add(Box::new(LyingPass));
         let _ = pm.run(&mut m);
@@ -535,9 +540,12 @@ mod tests {
 
     #[test]
     fn over_reporting_pass_stops_at_the_iteration_cap() {
-        let mut m = build_module("f", &[], |b, _| {
-            let _ = b.const_i32(1);
-        });
+        let mut m = parse_module(
+            "module { func @f() {
+               %0 = arith.const_int() {value = 1} : i32
+             } }",
+        )
+        .unwrap();
         let before = crate::print::print_module(&m);
         let mut pm = PassManager::new();
         pm.add_fixpoint(vec![Box::new(CryWolf), Box::new(NopPass)], 3);

@@ -396,9 +396,7 @@ fn parse_options(text: &str) -> Result<AttrMap, Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::Builder;
-    use crate::func::Func;
-    use crate::types::{DType, Type};
+    use crate::parse::parse_module;
 
     fn registry() -> PassRegistry {
         PassRegistry::with_builtins()
@@ -460,15 +458,16 @@ mod tests {
     fn built_pipeline_runs_cleanup_to_fixpoint() {
         // Two rounds of folding are needed: (6*7) feeds an add, whose fold
         // exposes further dead code for DCE.
-        let mut f = Func::new("f", &[]);
-        let mut b = Builder::at_body(&mut f);
-        let x = b.const_i32(6);
-        let y = b.const_i32(7);
-        let m_ = b.mul(x, y);
-        let one = b.const_i32(1);
-        let _sum = b.add(m_, one);
-        let mut module = crate::func::Module::new();
-        module.funcs.push(f);
+        let mut module = parse_module(
+            "module { func @f() {
+               %0 = arith.const_int() {value = 6} : i32
+               %1 = arith.const_int() {value = 7} : i32
+               %2 = arith.mul(%0, %1) : i32
+               %3 = arith.const_int() {value = 1} : i32
+               %4 = arith.add(%2, %3) : i32
+             } }",
+        )
+        .unwrap();
 
         let spec = PipelineSpec::parse("fixpoint(const-fold,dce)").unwrap();
         let mut pm = spec.build(&registry()).unwrap();
@@ -502,7 +501,7 @@ mod tests {
         });
         let spec = PipelineSpec::parse("depth-probe{depth=5}").unwrap();
         let mut pm = spec.build(&reg).unwrap();
-        let mut m = crate::builder::build_module("f", &[Type::Scalar(DType::I32)], |_, _| {});
+        let mut m = parse_module("module { func @f(%arg0: i32) { } }").unwrap();
         pm.run(&mut m).unwrap();
         assert_eq!(m.attrs.int("probed-depth"), Some(5));
 

@@ -231,16 +231,17 @@ fn write_op<W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{build_module, Builder};
-    use crate::func::Func;
-    use crate::types::{DType, Type};
+    use crate::parse::{parse_func_str, parse_module};
 
     #[test]
     fn prints_simple_func() {
-        let m = build_module("f", &[Type::i32()], |b, args| {
-            let c = b.const_i32(7);
-            let _ = b.add(args[0], c);
-        });
+        let m = parse_module(
+            "module { func @f(%arg0: i32) {
+               %0 = arith.const_int() {value = 7} : i32
+               %1 = arith.add(%arg0, %0) : i32
+             } }",
+        )
+        .unwrap();
         let s = print_module(&m);
         assert!(s.contains("module {"), "{s}");
         assert!(s.contains("func @f(%arg0: i32) {"), "{s}");
@@ -250,19 +251,20 @@ mod tests {
 
     #[test]
     fn prints_loop_with_region() {
-        let m = build_module("f", &[], |b, _| {
-            let lo = b.const_i32(0);
-            let hi = b.const_i32(4);
-            let st = b.const_i32(1);
-            let init = b.const_i32(0);
-            let _ = b.for_loop(
-                lo,
-                hi,
-                st,
-                &[init],
-                |b, iv, iters| vec![b.add(iters[0], iv)],
-            );
-        });
+        let m = parse_module(
+            "module { func @f() {
+               %0 = arith.const_int() {value = 0} : i32
+               %1 = arith.const_int() {value = 4} : i32
+               %2 = arith.const_int() {value = 1} : i32
+               %3 = arith.const_int() {value = 0} : i32
+               %4 = scf.for(%0, %1, %2, %3) : i32 {
+                 ^bb(%5: i32, %6: i32):
+                   %7 = arith.add(%6, %5) : i32
+                   scf.yield(%7)
+               }
+             } }",
+        )
+        .unwrap();
         let s = print_module(&m);
         assert!(s.contains("scf.for("), "{s}");
         assert!(s.contains("^bb(%"), "{s}");
@@ -271,10 +273,15 @@ mod tests {
 
     #[test]
     fn name_hints_are_used_and_deduped() {
-        let mut f = Func::new("f", &[]);
-        let mut b = Builder::at_body(&mut f);
-        let x = b.const_i32(1);
-        let y = b.const_i32(2);
+        let mut f = parse_func_str(
+            "func @f() {
+               %0 = arith.const_int() {value = 1} : i32
+               %1 = arith.const_int() {value = 2} : i32
+             }",
+        )
+        .unwrap();
+        let ops = f.block(f.body_block()).ops.clone();
+        let (x, y) = (f.result(ops[0]), f.result(ops[1]));
         f.set_name_hint(x, "acc");
         f.set_name_hint(y, "acc");
         let s = print_func(&f);
@@ -284,22 +291,22 @@ mod tests {
 
     #[test]
     fn prints_multi_result_ops() {
-        let mut f = Func::new("f", &[]);
-        let mut b = Builder::at_body(&mut f);
-        let payload = vec![
-            Type::tensor(vec![8, 8], DType::F16),
-            Type::tensor(vec![8, 8], DType::F16),
-        ];
-        let aref = b.create_aref(2, payload);
-        let idx = b.const_i32(0);
-        let _ = b.aref_get(aref, idx);
+        let f = parse_func_str(
+            "func @f() {
+               %a = tawa.create_aref() {depth = 2}
+                 : aref<2, tuple<tensor<8x8xf16>, tensor<8x8xf16>>>
+               %i = arith.const_int() {value = 0} : i32
+               %x, %y = tawa.get(%a, %i) : (tensor<8x8xf16>, tensor<8x8xf16>)
+             }",
+        )
+        .unwrap();
         let s = print_func(&f);
         assert!(s.contains(": (tensor<8x8xf16>, tensor<8x8xf16>)"), "{s}");
     }
 
     #[test]
     fn prints_module_attrs() {
-        let mut m = build_module("f", &[], |_, _| {});
+        let mut m = parse_module("module { func @f() { } }").unwrap();
         m.attrs.set("num_warps", crate::op::Attr::Int(8));
         let s = print_module(&m);
         assert!(s.starts_with("module attributes {num_warps = 8} {"), "{s}");

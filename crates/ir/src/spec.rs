@@ -69,14 +69,12 @@ impl LaunchSpec {
         }
     }
 
-    /// Integer value of parameter `i`.
-    ///
-    /// # Panics
-    /// Panics if the parameter is not an [`ParamValue::Int`].
-    pub fn int(&self, i: usize) -> i64 {
-        match &self.params[i] {
-            ParamValue::Int(v) => *v,
-            other => panic!("param {i} is not an int: {other:?}"),
+    /// Integer value of parameter `i`, or `None` if there is no such
+    /// parameter or it is not a [`ParamValue::Int`].
+    pub fn int(&self, i: usize) -> Option<i64> {
+        match self.params.get(i)? {
+            ParamValue::Int(v) => Some(*v),
+            ParamValue::Global { .. } => None,
         }
     }
 }
@@ -89,7 +87,7 @@ mod tests {
     fn uniform_spec() {
         let s = LaunchSpec::uniform(vec![ParamValue::Int(8192)], 4096, 1e12);
         assert_eq!(s.grid_size(), 4096);
-        assert_eq!(s.int(0), 8192);
+        assert_eq!(s.int(0), Some(8192));
         assert_eq!(s.classes.len(), 1);
     }
 
@@ -114,8 +112,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not an int")]
-    fn int_accessor_panics_on_global() {
+    fn int_accessor_is_none_on_global() {
         let s = LaunchSpec::uniform(
             vec![ParamValue::Global {
                 shape: vec![4, 4],
@@ -124,6 +121,7 @@ mod tests {
             1,
             0.0,
         );
-        let _ = s.int(0);
+        assert_eq!(s.int(0), None);
+        assert_eq!(s.int(1), None);
     }
 }

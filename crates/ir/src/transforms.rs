@@ -167,20 +167,21 @@ pub fn run_const_fold(f: &mut Func) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::Builder;
-    use crate::types::{DType, Type};
+    use crate::parse::{parse_func_str, parse_module};
     use crate::verify::verify_func;
 
     #[test]
     fn dce_removes_unused_pure_ops() {
-        let mut f = Func::new("f", &[Type::Ptr(DType::F32)]);
-        let ptr = f.params()[0];
-        let mut b = Builder::at_body(&mut f);
-        let _dead = b.const_i32(42);
-        let offs = b.arange(0, 4);
-        let addrs = b.addptr(ptr, offs);
-        let v = b.zeros(vec![4], DType::F32);
-        b.store(addrs, v);
+        let mut f = parse_func_str(
+            "func @f(%arg0: ptr<f32>) {
+               %0 = arith.const_int() {value = 42} : i32
+               %1 = tile.arange() {start = 0, end = 4} : tensor<4xi32>
+               %2 = tile.addptr(%arg0, %1) : tensor<4xi64>
+               %3 = tile.const_tensor() {value = 0.0} : tensor<4xf32>
+               tile.store(%2, %3)
+             }",
+        )
+        .unwrap();
         let before = f.walk().len();
         let erased = run_dce(&mut f);
         assert_eq!(erased, 1);
@@ -190,19 +191,22 @@ mod tests {
 
     #[test]
     fn dce_keeps_loops_with_effects() {
-        let mut f = Func::new("f", &[Type::Ptr(DType::F32)]);
-        let ptr = f.params()[0];
-        let mut b = Builder::at_body(&mut f);
-        let lo = b.const_i32(0);
-        let hi = b.const_i32(4);
-        let st = b.const_i32(1);
-        b.for_loop(lo, hi, st, &[], |b, _iv, _| {
-            let offs = b.arange(0, 4);
-            let addrs = b.addptr(ptr, offs);
-            let v = b.zeros(vec![4], DType::F32);
-            b.store(addrs, v);
-            vec![]
-        });
+        let mut f = parse_func_str(
+            "func @f(%arg0: ptr<f32>) {
+               %0 = arith.const_int() {value = 0} : i32
+               %1 = arith.const_int() {value = 4} : i32
+               %2 = arith.const_int() {value = 1} : i32
+               scf.for(%0, %1, %2) {
+                 ^bb(%3: i32):
+                   %4 = tile.arange() {start = 0, end = 4} : tensor<4xi32>
+                   %5 = tile.addptr(%arg0, %4) : tensor<4xi64>
+                   %6 = tile.const_tensor() {value = 0.0} : tensor<4xf32>
+                   tile.store(%5, %6)
+                   scf.yield()
+               }
+             }",
+        )
+        .unwrap();
         let before = f.walk().len();
         run_dce(&mut f);
         assert_eq!(f.walk().len(), before);
@@ -210,36 +214,39 @@ mod tests {
 
     #[test]
     fn dce_removes_unused_result_loops() {
-        let mut f = Func::new("f", &[]);
-        let mut b = Builder::at_body(&mut f);
-        let lo = b.const_i32(0);
-        let hi = b.const_i32(4);
-        let st = b.const_i32(1);
-        let init = b.const_i32(0);
-        b.for_loop(
-            lo,
-            hi,
-            st,
-            &[init],
-            |b, iv, iters| vec![b.add(iters[0], iv)],
-        );
+        let mut f = parse_func_str(
+            "func @f() {
+               %0 = arith.const_int() {value = 0} : i32
+               %1 = arith.const_int() {value = 4} : i32
+               %2 = arith.const_int() {value = 1} : i32
+               %3 = arith.const_int() {value = 0} : i32
+               %4 = scf.for(%0, %1, %2, %3) : i32 {
+                 ^bb(%5: i32, %6: i32):
+                   %7 = arith.add(%6, %5) : i32
+                   scf.yield(%7)
+               }
+             }",
+        )
+        .unwrap();
         run_dce(&mut f);
         assert_eq!(f.walk().len(), 0);
     }
 
     #[test]
     fn const_fold_binary() {
-        let mut f = Func::new("f", &[Type::Ptr(DType::F32)]);
-        let ptr = f.params()[0];
-        let mut b = Builder::at_body(&mut f);
-        let x = b.const_i32(6);
-        let y = b.const_i32(7);
-        let m = b.mul(x, y);
-        let offs = b.arange(0, 4);
-        let addrs = b.addptr(ptr, offs);
-        let sp = b.splat(m, vec![4]);
-        let spf = b.cast(sp, DType::F32);
-        b.store(addrs, spf);
+        let mut f = parse_func_str(
+            "func @f(%arg0: ptr<f32>) {
+               %0 = arith.const_int() {value = 6} : i32
+               %1 = arith.const_int() {value = 7} : i32
+               %2 = arith.mul(%0, %1) : i32
+               %3 = tile.arange() {start = 0, end = 4} : tensor<4xi32>
+               %4 = tile.addptr(%arg0, %3) : tensor<4xi64>
+               %5 = tile.splat(%2) : tensor<4xi32>
+               %6 = arith.cast(%5) : tensor<4xf32>
+               tile.store(%4, %6)
+             }",
+        )
+        .unwrap();
         run_const_fold(&mut f);
         run_dce(&mut f);
         verify_func(&f).unwrap();
@@ -255,18 +262,19 @@ mod tests {
 
     #[test]
     fn const_fold_identities() {
-        let mut f = Func::new("f", &[Type::i32()]);
-        let x = f.params()[0];
-        let mut b = Builder::at_body(&mut f);
-        let zero = b.const_i32(0);
-        let one = b.const_i32(1);
-        let a = b.add(x, zero);
-        let m = b.mul(a, one);
-        let offs = b.arange(0, 1);
-        // Keep m alive through a store-like sink via splat/store on a ptr param-less trick:
-        let sp = b.splat(m, vec![1]);
-        let sum = b.add(offs, sp);
-        let _keep = sum;
+        // `(x + 0) * 1`, kept alive by nothing: both identities fold.
+        let mut f = parse_func_str(
+            "func @f(%arg0: i32) {
+               %0 = arith.const_int() {value = 0} : i32
+               %1 = arith.const_int() {value = 1} : i32
+               %2 = arith.add(%arg0, %0) : i32
+               %3 = arith.mul(%2, %1) : i32
+               %4 = tile.arange() {start = 0, end = 1} : tensor<1xi32>
+               %5 = tile.splat(%3) : tensor<1xi32>
+               %6 = arith.add(%4, %5) : tensor<1xi32>
+             }",
+        )
+        .unwrap();
         let folds = run_const_fold(&mut f);
         assert!(
             folds >= 2,
@@ -276,11 +284,14 @@ mod tests {
 
     #[test]
     fn passes_implement_trait() {
-        let mut m = crate::builder::build_module("f", &[], |b, _| {
-            let x = b.const_i32(1);
-            let y = b.const_i32(2);
-            let _ = b.add(x, y);
-        });
+        let mut m = parse_module(
+            "module { func @f() {
+               %0 = arith.const_int() {value = 1} : i32
+               %1 = arith.const_int() {value = 2} : i32
+               %2 = arith.add(%0, %1) : i32
+             } }",
+        )
+        .unwrap();
         let mut pm = crate::pass::PassManager::new();
         pm.add(Box::new(ConstFold)).add(Box::new(Dce));
         pm.run(&mut m).unwrap();

@@ -1,7 +1,7 @@
 //! IR verifier.
 //!
 //! Checks structural invariants (SSA scoping, terminators, region shapes)
-//! and per-op typing rules matching what [`crate::builder`] infers. Run
+//! and per-op typing rules (the result types the DSL infers). Run
 //! between passes by the [`crate::pass::PassManager`], after every pass
 //! that changed the module, in every build: it borrows from the function
 //! it checks and keeps its scope in a table indexed by value id (an id
@@ -597,19 +597,35 @@ impl<'f> Verifier<'f> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{build_module, Builder};
-    use crate::op::{Attr, AttrMap};
+    use crate::op::AttrMap;
+    use crate::parse::{parse_func_str, parse_module};
     use crate::types::DType;
+
+    /// The results of `f`'s top-level ops, in order.
+    fn body_values(f: &Func) -> Vec<ValueId> {
+        f.block(f.body_block())
+            .ops
+            .iter()
+            .flat_map(|&op| f.results(op).to_vec())
+            .collect()
+    }
 
     #[test]
     fn accepts_wellformed_ir() {
-        let m = build_module("f", &[Type::i32()], |b, args| {
-            let c = b.const_i32(2);
-            let s = b.add(args[0], c);
-            let lo = b.const_i32(0);
-            let st = b.const_i32(1);
-            let _ = b.for_loop(lo, s, st, &[c], |b, iv, iters| vec![b.add(iters[0], iv)]);
-        });
+        let m = parse_module(
+            "module { func @f(%arg0: i32) {
+               %0 = arith.const_int() {value = 2} : i32
+               %1 = arith.add(%arg0, %0) : i32
+               %2 = arith.const_int() {value = 0} : i32
+               %3 = arith.const_int() {value = 1} : i32
+               %4 = scf.for(%2, %1, %3, %0) : i32 {
+                 ^bb(%5: i32, %6: i32):
+                   %7 = arith.add(%6, %5) : i32
+                   scf.yield(%7)
+               }
+             } }",
+        )
+        .unwrap();
         assert!(verify_module(&m).is_ok());
     }
 
@@ -666,14 +682,18 @@ mod tests {
 
     #[test]
     fn rejects_bad_dot_shapes() {
-        let mut f = Func::new("f", &[]);
-        let mut bb = Builder::at_body(&mut f);
-        let a = bb.zeros(vec![16, 8], DType::F16);
-        let c = bb.zeros(vec![16, 16], DType::F32);
-        // Build raw op to bypass builder assertion.
-        let b_ = bb.zeros(vec![4, 16], DType::F16);
-        let blk = bb.block();
-        bb.func().push_op(
+        let mut f = parse_func_str(
+            "func @f() {
+               %0 = tile.const_tensor() {value = 0.0} : tensor<16x8xf16>
+               %1 = tile.const_tensor() {value = 0.0} : tensor<16x16xf32>
+               %2 = tile.const_tensor() {value = 0.0} : tensor<4x16xf16>
+             }",
+        )
+        .unwrap();
+        let v = body_values(&f);
+        let (a, c, b_) = (v[0], v[1], v[2]);
+        let blk = f.body_block();
+        f.push_op(
             blk,
             OpKind::Dot,
             vec![a, b_, c],
@@ -685,14 +705,45 @@ mod tests {
     }
 
     #[test]
+    fn accepts_tma_and_aref_ops() {
+        let src = "module { func @f(%arg0: desc<f16>) {
+               %0 = arith.const_int() {value = 0} : i32
+               %1 = tile.tma_load(%arg0, %0, %0) : tensor<128x64xf16>
+               %2 = tawa.create_aref() {depth = 2} : aref<2, tuple<tensor<128x64xf16>>>
+               tawa.put(%2, %0, %1)
+               %3 = tawa.get(%2, %0) : tensor<128x64xf16>
+               tawa.consumed(%2, %0)
+             } }";
+        let m = parse_module(src).unwrap();
+        assert!(verify_module(&m).is_ok(), "{:?}", verify_module(&m));
+        let f = &m.funcs[0];
+        let v = body_values(f);
+        let tile = Type::tensor(vec![128, 64], DType::F16);
+        assert_eq!(f.ty(v[1]), &tile);
+        assert_eq!(f.ty(v[3]), &tile);
+        // A TMA tile takes its descriptor's element type.
+        let m = parse_module(&src.replacen("tensor<128x64xf16>", "tensor<128x64xf32>", 1)).unwrap();
+        let errs = verify_module(&m).unwrap_err();
+        assert!(
+            errs.iter().any(|e| e.msg.contains("match desc")),
+            "{errs:?}"
+        );
+    }
+
+    #[test]
     fn rejects_aref_payload_mismatch() {
-        let mut f = Func::new("f", &[]);
-        let mut b = Builder::at_body(&mut f);
-        let aref = b.create_aref(2, vec![Type::tensor(vec![8, 8], DType::F16)]);
-        let idx = b.const_i32(0);
-        let wrong = b.zeros(vec![4, 4], DType::F16);
-        let blk = b.block();
-        b.func().push_op(
+        let mut f = parse_func_str(
+            "func @f() {
+               %0 = tawa.create_aref() {depth = 2} : aref<2, tuple<tensor<8x8xf16>>>
+               %1 = arith.const_int() {value = 0} : i32
+               %2 = tile.const_tensor() {value = 0.0} : tensor<4x4xf16>
+             }",
+        )
+        .unwrap();
+        let v = body_values(&f);
+        let (aref, idx, wrong) = (v[0], v[1], v[2]);
+        let blk = f.body_block();
+        f.push_op(
             blk,
             OpKind::ArefPut,
             vec![aref, idx, wrong],
@@ -763,19 +814,13 @@ mod tests {
 
     #[test]
     fn dot_wait_requires_pendings() {
-        let mut f = Func::new("f", &[]);
-        let mut b = Builder::at_body(&mut f);
-        let t = b.zeros(vec![8, 8], DType::F32);
-        let blk = b.block();
-        let mut attrs = AttrMap::new();
-        attrs.set("pendings", Attr::Int(1));
-        b.func().push_op(
-            blk,
-            OpKind::DotWait,
-            vec![t],
-            vec![Type::tensor(vec![8, 8], DType::F32)],
-            attrs,
-        );
+        let f = parse_func_str(
+            "func @f() {
+               %0 = tile.const_tensor() {value = 0.0} : tensor<8x8xf32>
+               %1 = tawa.dot_wait(%0) {pendings = 1} : tensor<8x8xf32>
+             }",
+        )
+        .unwrap();
         assert!(verify_func(&f).is_ok());
     }
 
@@ -787,16 +832,18 @@ mod tests {
 
     #[test]
     fn rejects_loop_body_value_used_after_the_loop() {
-        let m = build_module("f", &[], |b, _| {
-            let lo = b.const_i32(0);
-            let mut inner = None;
-            b.for_loop(lo, lo, lo, &[], |b, iv, _| {
-                inner = Some(b.add(iv, iv));
-                vec![]
-            });
-            let inner = inner.unwrap();
-            b.add(inner, lo);
-        });
+        let m = parse_module(
+            "module { func @f() {
+               %0 = arith.const_int() {value = 0} : i32
+               scf.for(%0, %0, %0) {
+                 ^bb(%1: i32):
+                   %2 = arith.add(%1, %1) : i32
+                   scf.yield()
+               }
+               %3 = arith.add(%2, %0) : i32
+             } }",
+        )
+        .unwrap();
         let msgs = messages(&m);
         assert_eq!(msgs.len(), 1, "{msgs:?}");
         assert!(msgs[0].contains("does not dominate"), "{msgs:?}");
@@ -804,15 +851,17 @@ mod tests {
 
     #[test]
     fn rejects_loop_block_argument_used_outside_the_loop() {
-        let m = build_module("f", &[], |b, _| {
-            let lo = b.const_i32(0);
-            let mut leaked = None;
-            b.for_loop(lo, lo, lo, &[lo], |_, iv, iters| {
-                leaked = Some(iv);
-                vec![iters[0]]
-            });
-            b.add(leaked.unwrap(), lo);
-        });
+        let m = parse_module(
+            "module { func @f() {
+               %0 = arith.const_int() {value = 0} : i32
+               %1 = scf.for(%0, %0, %0, %0) : i32 {
+                 ^bb(%2: i32, %3: i32):
+                   scf.yield(%3)
+               }
+               %4 = arith.add(%2, %0) : i32
+             } }",
+        )
+        .unwrap();
         let msgs = messages(&m);
         assert_eq!(msgs.len(), 1, "{msgs:?}");
         assert!(msgs[0].contains("does not dominate"), "{msgs:?}");
@@ -821,14 +870,20 @@ mod tests {
     #[test]
     fn rejects_ssa_edge_between_warp_groups() {
         // The partitioner's invariant: warp groups talk only through arefs.
-        let m = build_module("f", &[], |b, _| {
-            let mut produced = None;
-            b.warp_group(0, "producer", |b| produced = Some(b.const_i32(1)));
-            b.warp_group(1, "consumer", |b| {
-                let one = b.const_i32(1);
-                b.add(produced.unwrap(), one);
-            });
-        });
+        let m = parse_module(
+            r#"module { func @f() {
+                 tawa.warp_group() {partition = 0, role = "producer"} {
+                   ^bb():
+                     %0 = arith.const_int() {value = 1} : i32
+                 }
+                 tawa.warp_group() {partition = 1, role = "consumer"} {
+                   ^bb():
+                     %1 = arith.const_int() {value = 1} : i32
+                     %2 = arith.add(%0, %1) : i32
+                 }
+               } }"#,
+        )
+        .unwrap();
         let msgs = messages(&m);
         assert_eq!(msgs.len(), 1, "{msgs:?}");
         assert!(msgs[0].contains("does not dominate"), "{msgs:?}");

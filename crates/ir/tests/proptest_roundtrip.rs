@@ -1,19 +1,19 @@
-//! Property tests: random well-typed modules must verify, print, re-parse
+//! Property tests: random well-typed modules, built op by op through
+//! `Func::push_op` with explicit result types, must verify, print, re-parse
 //! and re-print to a fixpoint, preserving structure; the streamed module
 //! hash must equal the hash of the printed text; and the cleanup passes
 //! must report `changed` exactly.
 
 use proptest::prelude::*;
 
-use tawa_ir::builder::Builder;
 use tawa_ir::fingerprint::{fnv1a, module_fingerprint};
 use tawa_ir::func::{Func, Module};
-use tawa_ir::op::{Attr, CmpPred, ValueId};
+use tawa_ir::op::{Attr, AttrMap, BlockId, CmpPred, OpKind, ValueId};
 use tawa_ir::parse::parse_module;
 use tawa_ir::pass::Pass;
 use tawa_ir::print::print_module;
 use tawa_ir::transforms::{ConstFold, Dce};
-use tawa_ir::types::Type;
+use tawa_ir::types::{DType, Type};
 use tawa_ir::verify::verify_module;
 
 /// A recipe for one random op, interpreted against the current stack of
@@ -41,23 +41,56 @@ fn step_strategy(depth: u32) -> impl Strategy<Value = Step> {
     })
 }
 
-fn apply_steps(b: &mut Builder<'_>, stack: &mut Vec<tawa_ir::ValueId>, steps: &[Step]) {
+/// Appends a one-result op to `block`.
+fn emit(
+    f: &mut Func,
+    block: BlockId,
+    kind: OpKind,
+    operands: Vec<ValueId>,
+    ty: Type,
+    attrs: AttrMap,
+) -> ValueId {
+    let op = f.push_op(block, kind, operands, vec![ty], attrs);
+    f.result(op)
+}
+
+fn attr(key: &str, value: i64) -> AttrMap {
+    let mut attrs = AttrMap::new();
+    attrs.set(key, Attr::Int(value));
+    attrs
+}
+
+/// Reduces a rank-1 `i32` tile to a rank-0 one (the result is unused;
+/// the step pushes a constant instead, to keep the stack scalar).
+fn reduce(f: &mut Func, block: BlockId, kind: OpKind, tile: ValueId) {
+    let rank0 = Type::tensor(Vec::<usize>::new(), DType::I32);
+    emit(f, block, kind, vec![tile], rank0, attr("axis", 0));
+}
+
+fn apply_steps(f: &mut Func, block: BlockId, stack: &mut Vec<ValueId>, steps: &[Step]) {
     for s in steps {
         match s {
-            Step::Const(v) => stack.push(b.const_i32(*v)),
+            Step::Const(v) => stack.push(f.const_int(block, *v, Type::i32())),
             Step::Bin(k, ia, ib) => {
                 let a = stack[ia % stack.len()];
                 let c = stack[ib % stack.len()];
-                let r = match k % 7 {
-                    0 => b.add(a, c),
-                    1 => b.sub(a, c),
-                    2 => b.mul(a, c),
-                    3 => b.min(a, c),
-                    4 => b.max(a, c),
-                    5 => b.div(a, c),
-                    _ => b.rem(a, c),
-                };
-                stack.push(r);
+                let kind = [
+                    OpKind::Add,
+                    OpKind::Sub,
+                    OpKind::Mul,
+                    OpKind::Min,
+                    OpKind::Max,
+                    OpKind::Div,
+                    OpKind::Rem,
+                ][*k as usize % 7];
+                stack.push(emit(
+                    f,
+                    block,
+                    kind,
+                    vec![a, c],
+                    Type::i32(),
+                    AttrMap::new(),
+                ));
             }
             Step::Cmp(k, ia, ib) => {
                 let a = stack[ia % stack.len()];
@@ -70,38 +103,55 @@ fn apply_steps(b: &mut Builder<'_>, stack: &mut Vec<tawa_ir::ValueId>, steps: &[
                     CmpPred::Eq,
                     CmpPred::Ne,
                 ][*k as usize % 6];
-                let cond = b.cmp(pred, a, c);
-                let r = b.select(cond, a, c);
+                let mut attrs = AttrMap::new();
+                attrs.set("pred", Attr::Str(pred.name().into()));
+                let cond = emit(f, block, OpKind::Cmp, vec![a, c], Type::bool(), attrs);
+                let r = emit(
+                    f,
+                    block,
+                    OpKind::Select,
+                    vec![cond, a, c],
+                    Type::i32(),
+                    AttrMap::new(),
+                );
                 stack.push(r);
             }
             Step::Loop(trip, body) => {
-                let lo = b.const_i32(0);
-                let hi = b.const_i32(*trip as i64);
-                let st = b.const_i32(1);
+                let lo = f.const_int(block, 0, Type::i32());
+                let hi = f.const_int(block, *trip as i64, Type::i32());
+                let st = f.const_int(block, 1, Type::i32());
                 let init = *stack.last().expect("stack nonempty");
-                let res = b.for_loop(lo, hi, st, &[init], |b, iv, iters| {
-                    let mut inner_stack = vec![iv, iters[0]];
-                    apply_steps(b, &mut inner_stack, body);
-                    let out = *inner_stack.last().unwrap();
-                    // Ensure the yielded value is i32 (all our steps produce i32).
-                    vec![out]
-                });
-                stack.push(res[0]);
+                let for_op = f.push_op(
+                    block,
+                    OpKind::For,
+                    vec![lo, hi, st, init],
+                    vec![Type::i32()],
+                    AttrMap::new(),
+                );
+                let (_, body_block) = f.add_region(for_op);
+                let iv = f.add_block_arg(body_block, Type::i32());
+                let iter = f.add_block_arg(body_block, Type::i32());
+                let mut inner_stack = vec![iv, iter];
+                apply_steps(f, body_block, &mut inner_stack, body);
+                // Every step leaves an i32 on top, so the yield type-checks.
+                let out = *inner_stack.last().unwrap();
+                f.push_op(body_block, OpKind::Yield, vec![out], vec![], AttrMap::new());
+                stack.push(f.result(for_op));
             }
             Step::Arange(n) => {
-                let t = b.arange(0, *n as i64);
-                let r = b.reduce_sum(t, 0);
-                // reduce of rank-1 gives rank-0 tensor; keep scalar land by
-                // pushing a const instead to avoid mixing types.
-                let _ = r;
-                stack.push(b.const_i32(*n as i64));
+                let mut attrs = attr("start", 0);
+                attrs.set("end", Attr::Int(*n as i64));
+                let ty = Type::tensor(vec![*n as usize], DType::I32);
+                let t = emit(f, block, OpKind::Arange, vec![], ty, attrs);
+                reduce(f, block, OpKind::ReduceSum, t);
+                stack.push(f.const_int(block, *n as i64, Type::i32()));
             }
             Step::SplatAndReduce(v, n) => {
                 let s = stack[v % stack.len()];
-                let t = b.splat(s, vec![*n as usize]);
-                let red = b.reduce_max(t, 0);
-                let _ = red;
-                stack.push(b.const_i32(*n as i64));
+                let ty = Type::tensor(vec![*n as usize], DType::I32);
+                let t = emit(f, block, OpKind::Splat, vec![s], ty, AttrMap::new());
+                reduce(f, block, OpKind::ReduceMax, t);
+                stack.push(f.const_int(block, *n as i64, Type::i32()));
             }
         }
     }
@@ -109,12 +159,9 @@ fn apply_steps(b: &mut Builder<'_>, stack: &mut Vec<tawa_ir::ValueId>, steps: &[
 
 fn build_random_module(steps: &[Step], attrs: &[(String, i64)]) -> Module {
     let mut f = Func::new("rand_kernel", &[Type::i32(), Type::i32()]);
-    let params = f.params().to_vec();
-    {
-        let mut b = Builder::at_body(&mut f);
-        let mut stack = params;
-        apply_steps(&mut b, &mut stack, steps);
-    }
+    let mut stack = f.params().to_vec();
+    let body = f.body_block();
+    apply_steps(&mut f, body, &mut stack, steps);
     let mut m = Module::new();
     for (k, v) in attrs {
         m.attrs.set(k, Attr::Int(*v));

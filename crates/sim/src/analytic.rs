@@ -50,6 +50,7 @@
 use tawa_wsir::{BarId, Count, Instr, Kernel, PerfModel, Role};
 
 use crate::device::Device;
+use crate::engine::EngineCfg;
 
 /// Version of the analytic cost model. Bump when the estimate changes
 /// enough to alter a bound or a perf-lint verdict. Deliberately
@@ -150,8 +151,7 @@ struct ClassWork {
 /// engine would provision for this launch.
 struct Ctx<'d> {
     device: &'d Device,
-    load_bw: f64,
-    store_bw: f64,
+    bw: EngineCfg,
 }
 
 /// [`Count::resolve`] that tolerates out-of-range parameter indices
@@ -259,7 +259,7 @@ fn serial_cycles(body: &[Instr], params: &[u64], ctx: &Ctx<'_>) -> f64 {
             Instr::GlobalStore { bytes } => clock += (bytes as f64 / 512.0).ceil(),
             Instr::GlobalLoad { bytes } => {
                 clock += issue
-                    + (bytes as f64 / ctx.load_bw).ceil()
+                    + (bytes as f64 / ctx.bw.load_bw).ceil()
                     + ctx.device.global_load_latency_cycles as f64;
             }
             Instr::SetMaxNReg { .. } => {}
@@ -391,7 +391,7 @@ fn ring_bound(kernel: &Kernel, params: &[u64], ctx: &Ctx<'_>) -> f64 {
             // Transfer time of this slot's payload plus the transaction
             // latency: the full barrier cannot complete earlier.
             let tma =
-                issue + (ring.bytes / ctx.load_bw).ceil() + ctx.device.tma_latency_cycles as f64;
+                issue + (ring.bytes / ctx.bw.load_bw).ceil() + ctx.device.tma_latency_cycles as f64;
             for (b, _) in kernel.warp_groups.iter().enumerate() {
                 if b == a {
                     continue;
@@ -449,21 +449,10 @@ pub fn estimate(kernel: &Kernel, device: &Device) -> AnalyticEstimate {
         };
     }
 
-    let grid = kernel.grid_size();
-    let active_sms = grid.min(device.sms as u64).max(1) as f64;
-    let l2_bonus = if kernel.persistent {
-        device.persistent_l2_bonus
-    } else {
-        1.0
-    };
-    // The same per-SM provisioning the scheduler hands the engine
-    // (crate::run): the analytic bounds and the simulation agree on what
-    // bandwidth exists.
+    let active_sms = device.active_sms(kernel);
     let ctx = Ctx {
         device,
-        load_bw: (device.l2_bytes_per_cycle / active_sms).min(device.tma_engine_bytes_per_cycle)
-            * l2_bonus,
-        store_bw: device.hbm_bytes_per_cycle / active_sms,
+        bw: device.provision(kernel),
     };
 
     let slots_per_wave = device.sms as u64 * occ as u64;
@@ -478,8 +467,8 @@ pub fn estimate(kernel: &Kernel, device: &Device) -> AnalyticEstimate {
         }
         let mult = class.multiplicity as f64;
         tc_bound += mult * work.tc_cycles / active_sms;
-        mem_bound +=
-            mult * (work.load_bytes / ctx.load_bw + work.store_bytes / ctx.store_bw) / active_sms;
+        mem_bound += mult * (work.load_bytes / ctx.bw.load_bw + work.store_bytes / ctx.bw.store_bw)
+            / active_sms;
 
         let per_cta_serial = kernel
             .warp_groups
@@ -536,20 +525,11 @@ pub const OVERLAP_WINDOW: f64 = 1.5;
 /// the smallest per-SM budget quotient (`smem`, `regs`, `threads` or
 /// hardware CTA `slots`).
 fn occupancy_limiter(kernel: &Kernel, device: &Device) -> &'static str {
-    let quotients = [
-        ("smem", device.smem_per_sm / kernel.smem_bytes.max(1)),
-        ("regs", device.regs_per_sm / kernel.regs_per_cta().max(1)),
-        (
-            "threads",
-            device.max_threads_per_sm as u64 / kernel.threads_per_cta().max(1) as u64,
-        ),
-        ("slots", device.max_ctas_per_sm as u64),
-    ];
-    quotients
-        .iter()
-        .min_by_key(|(_, q)| *q)
-        .map(|(name, _)| *name)
-        .unwrap_or("slots")
+    device
+        .occupancy_quotients(kernel)
+        .into_iter()
+        .min_by_key(|&(_, q)| q)
+        .map_or("slots", |(name, _)| name)
 }
 
 /// Per-iteration cost of a warp group's steady loop (the loop with the
@@ -570,7 +550,7 @@ fn stage_cost_per_iter(body: &[Instr], params: &[u64], ctx: &Ctx<'_>) -> f64 {
     // One steady-body execution moves the bytes and issues the WGMMAs of
     // all slots it unrolls; its trip count already excludes the unroll.
     let throughput =
-        (work.load_bytes / ctx.load_bw + work.store_bytes / ctx.store_bw).max(work.tc_cycles);
+        (work.load_bytes / ctx.bw.load_bw + work.store_bytes / ctx.bw.store_bw).max(work.tc_cycles);
     serial_cycles(steady.body, params, ctx).max(throughput)
 }
 
@@ -586,18 +566,9 @@ pub fn perf_model(kernel: &Kernel, device: &Device) -> PerfModel {
     let est = estimate(kernel, device);
     let bottleneck = est.bottleneck();
 
-    let grid = kernel.grid_size();
-    let active_sms = grid.min(device.sms as u64).max(1) as f64;
-    let l2_bonus = if kernel.persistent {
-        device.persistent_l2_bonus
-    } else {
-        1.0
-    };
     let ctx = Ctx {
         device,
-        load_bw: (device.l2_bytes_per_cycle / active_sms).min(device.tma_engine_bytes_per_cycle)
-            * l2_bonus,
-        store_bw: device.hbm_bytes_per_cycle / active_sms,
+        bw: device.provision(kernel),
     };
 
     let params: &[u64] = kernel
@@ -816,6 +787,23 @@ mod tests {
         assert!(!deep.ring_is_bottleneck, "{deep:?}");
         assert_eq!(deep.saturation_ctas_per_sm, 2); // one consumer WG
         assert_eq!(deep.smem_per_sm, dev.smem_per_sm);
+    }
+
+    #[test]
+    fn occupancy_limiter_names_the_first_tied_budget() {
+        let dev = Device::h100_sxm5();
+        let mut k = ws_kernel(132, 16, 2, 1);
+        k.smem_bytes = 1024;
+        assert_eq!(occupancy_limiter(&k, &dev), "regs");
+        // Shared memory admitting exactly as many CTAs as the registers
+        // ties with them; the tie names the budget listed first.
+        let regs_q = dev.regs_per_sm / k.regs_per_cta();
+        k.smem_bytes = dev.smem_per_sm / regs_q;
+        assert_eq!(
+            dev.occupancy_quotients(&k)[..2],
+            [("smem", regs_q), ("regs", regs_q)]
+        );
+        assert_eq!(occupancy_limiter(&k, &dev), "smem");
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Device model: calibration constants for a Hopper-class GPU and the
-//! occupancy calculator.
+//! Device model: calibration constants for a Hopper-class GPU, the
+//! occupancy calculator and the per-SM bandwidth a launch is provisioned
+//! with.
 //!
 //! All absolute performance in the reproduction derives from these numbers
 //! (see the `gpu_sim` row of ARCHITECTURE.md's "Crate → paper-section
@@ -7,6 +8,8 @@
 //! framework — relative results emerge from scheduling behaviour.
 
 use tawa_wsir::{Kernel, MmaDtype};
+
+use crate::engine::EngineCfg;
 
 /// Calibration constants for the simulated GPU.
 #[derive(Debug, Clone)]
@@ -146,20 +149,55 @@ impl Device {
         cycles / self.clock_ghz
     }
 
+    /// How many CTAs of `kernel` each per-SM budget admits: shared
+    /// memory, registers, threads and hardware CTA slots, in that order
+    /// (the order names the limiter on a tie).
+    pub(crate) fn occupancy_quotients(&self, kernel: &Kernel) -> [(&'static str, u64); 4] {
+        [
+            ("smem", self.smem_per_sm / kernel.smem_bytes.max(1)),
+            ("regs", self.regs_per_sm / kernel.regs_per_cta().max(1)),
+            (
+                "threads",
+                self.max_threads_per_sm as u64 / kernel.threads_per_cta().max(1) as u64,
+            ),
+            ("slots", self.max_ctas_per_sm as u64),
+        ]
+    }
+
     /// Resident CTAs per SM for `kernel`, limited by shared memory,
-    /// registers, threads and hardware CTA slots. Returns 0 if the kernel
-    /// cannot be placed at all.
+    /// registers, threads and hardware CTA slots (the smallest of
+    /// `occupancy_quotients`). Returns 0 if the kernel cannot be placed at
+    /// all.
     pub fn occupancy(&self, kernel: &Kernel) -> u32 {
-        let smem = kernel.smem_bytes.max(1);
-        let by_smem = self.smem_per_sm / smem;
-        let regs = kernel.regs_per_cta().max(1);
-        let by_regs = self.regs_per_sm / regs;
-        let threads = kernel.threads_per_cta().max(1) as u64;
-        let by_threads = self.max_threads_per_sm as u64 / threads;
-        by_smem
-            .min(by_regs)
-            .min(by_threads)
-            .min(self.max_ctas_per_sm as u64) as u32
+        self.occupancy_quotients(kernel)
+            .iter()
+            .map(|&(_, q)| q)
+            .min()
+            .unwrap_or(0) as u32
+    }
+
+    /// SMs a launch of `kernel` occupies (at least one).
+    pub(crate) fn active_sms(&self, kernel: &Kernel) -> f64 {
+        kernel.grid_size().min(self.sms as u64).max(1) as f64
+    }
+
+    /// The bandwidth each SM is provisioned with while `kernel` runs: the
+    /// L2 and HBM rates shared by the active SMs, loads capped by one TMA
+    /// engine and raised by the persistent-kernel L2 bonus. The engine
+    /// runs with it and the analytic bounds assume it, so both agree on
+    /// what bandwidth exists.
+    pub(crate) fn provision(&self, kernel: &Kernel) -> EngineCfg {
+        let active_sms = self.active_sms(kernel);
+        let l2_bonus = if kernel.persistent {
+            self.persistent_l2_bonus
+        } else {
+            1.0
+        };
+        EngineCfg {
+            load_bw: (self.l2_bytes_per_cycle / active_sms).min(self.tma_engine_bytes_per_cycle)
+                * l2_bonus,
+            store_bw: self.hbm_bytes_per_cycle / active_sms,
+        }
     }
 }
 
@@ -222,6 +260,44 @@ mod tests {
         // 4 WGs = 512 threads, tiny smem/regs → limited to 4 CTAs by threads? 2048/512 = 4.
         let k = kernel_with(1024, &[32, 32, 32, 32]);
         assert_eq!(d.occupancy(&k), 4);
+    }
+
+    #[test]
+    fn occupancy_is_the_least_quotient() {
+        let d = Device::h100_sxm5();
+        // 4 WGs × 128 threads × 32 regs = 16384 regs and 512 threads: both
+        // admit 4 CTAs, below the smem and slot budgets.
+        let k = kernel_with(1024, &[32, 32, 32, 32]);
+        assert_eq!(
+            d.occupancy_quotients(&k),
+            [("smem", 228), ("regs", 4), ("threads", 4), ("slots", 32)]
+        );
+        assert_eq!(d.occupancy(&k), 4);
+    }
+
+    #[test]
+    fn provision_shares_bandwidth_over_active_sms() {
+        let d = Device::h100_sxm5();
+        let sms = d.sms as f64;
+        // A full wave shares L2 and HBM over every SM.
+        let mut k = kernel_with(1024, &[32]);
+        let full = d.provision(&k);
+        assert_eq!(
+            full.load_bw,
+            (d.l2_bytes_per_cycle / sms).min(d.tma_engine_bytes_per_cycle)
+        );
+        assert_eq!(full.store_bw, d.hbm_bytes_per_cycle / sms);
+        // A lone CTA has L2 and HBM to itself; one TMA engine caps its loads.
+        k.uniform_grid(1);
+        let solo = d.provision(&k);
+        assert_eq!(solo.load_bw, d.tma_engine_bytes_per_cycle);
+        assert_eq!(solo.store_bw, d.hbm_bytes_per_cycle);
+        // A persistent launch gets the L2 bonus on loads only.
+        k.uniform_grid(1024);
+        k.persistent = true;
+        let pers = d.provision(&k);
+        assert_eq!(pers.load_bw, full.load_bw * d.persistent_l2_bonus);
+        assert_eq!(pers.store_bw, full.store_bw);
     }
 
     #[test]

@@ -180,19 +180,7 @@ pub fn wave_setup(kernel: &Kernel, device: &Device) -> Result<(u32, EngineCfg), 
         });
     }
 
-    let grid = kernel.grid_size();
-    let active_sms = grid.min(device.sms as u64).max(1) as f64;
-    let l2_bonus = if kernel.persistent {
-        device.persistent_l2_bonus
-    } else {
-        1.0
-    };
-    let cfg = EngineCfg {
-        load_bw: (device.l2_bytes_per_cycle / active_sms).min(device.tma_engine_bytes_per_cycle)
-            * l2_bonus,
-        store_bw: device.hbm_bytes_per_cycle / active_sms,
-    };
-    Ok((occ, cfg))
+    Ok((occ, device.provision(kernel)))
 }
 
 /// Simulates `kernel` on `device` with explicit execution options, none

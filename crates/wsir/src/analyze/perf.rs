@@ -265,8 +265,7 @@ fn over_synchronized(k: &Kernel, pairs: &interp::Pairs, lints: &mut Vec<Lint>) {
 mod tests {
     use super::*;
     use crate::instr::Role;
-    use tawa_ir::builder::build_module;
-    use tawa_ir::types::{DType, Type};
+    use tawa_ir::parse::parse_module;
 
     fn model() -> PerfModel {
         PerfModel {
@@ -395,19 +394,22 @@ mod tests {
 
     #[test]
     fn dead_dot_and_uninitialized_get_are_reported_with_locs() {
-        let module = build_module("k", &[Type::Ptr(DType::F16)], |b, args| {
-            let a = b.zeros(vec![128, 64], DType::F16);
-            let c = b.zeros(vec![64, 128], DType::F16);
-            let acc = b.zeros(vec![128, 128], DType::F32);
-            let kept = b.dot(a, c, acc);
-            let _dead = b.dot(a, c, acc);
-            let aref = b.create_aref(2, vec![Type::tensor(vec![128, 64], DType::F16)]);
-            let idx = b.const_i32(0);
-            let _early = b.aref_get(aref, idx);
-            let offs = b.arange(0, 128);
-            let addrs = b.addptr(args[0], offs);
-            b.store(addrs, kept);
-        });
+        let module = parse_module(
+            "module { func @k(%arg0: ptr<f16>) {
+               %0 = tile.const_tensor() {value = 0.0} : tensor<128x64xf16>
+               %1 = tile.const_tensor() {value = 0.0} : tensor<64x128xf16>
+               %2 = tile.const_tensor() {value = 0.0} : tensor<128x128xf32>
+               %kept = tile.dot(%0, %1, %2) : tensor<128x128xf32>
+               %dead = tile.dot(%0, %1, %2) : tensor<128x128xf32>
+               %3 = tawa.create_aref() {depth = 2} : aref<2, tuple<tensor<128x64xf16>>>
+               %4 = arith.const_int() {value = 0} : i32
+               %early = tawa.get(%3, %4) : tensor<128x64xf16>
+               %5 = tile.arange() {start = 0, end = 128} : tensor<128xi32>
+               %6 = tile.addptr(%arg0, %5) : tensor<128xi64>
+               tile.store(%6, %kept)
+             } }",
+        )
+        .unwrap();
         let lints = analyze_ir(&module);
         let dead = lints
             .iter()
@@ -424,13 +426,16 @@ mod tests {
 
     #[test]
     fn written_slot_is_not_uninitialized() {
-        let module = build_module("k", &[], |b, _| {
-            let aref = b.create_aref(2, vec![Type::tensor(vec![16, 16], DType::F16)]);
-            let idx = b.const_i32(0);
-            let tile = b.zeros(vec![16, 16], DType::F16);
-            b.aref_put(aref, idx, &[tile]);
-            let _tile = b.aref_get(aref, idx);
-        });
+        let module = parse_module(
+            "module { func @k() {
+               %0 = tawa.create_aref() {depth = 2} : aref<2, tuple<tensor<16x16xf16>>>
+               %1 = arith.const_int() {value = 0} : i32
+               %2 = tile.const_tensor() {value = 0.0} : tensor<16x16xf16>
+               tawa.put(%0, %1, %2)
+               %3 = tawa.get(%0, %1) : tensor<16x16xf16>
+             } }",
+        )
+        .unwrap();
         let lints = analyze_ir(&module);
         assert!(
             lints.iter().all(|l| l.id() != "uninitialized-tile-read"),
