@@ -57,9 +57,8 @@ pub fn run_gemm_with_session(session: &CompileSession, scale: Scale) -> Ablation
     let large = small.with_tile(Tile::LARGE);
     let mut steps = Vec::new();
     let mut run = |label: &str, cfg: &GemmConfig, opts: &CompileOptions| {
-        let (m, spec) = gemm(cfg).into_parts();
         let t = session
-            .compile_and_simulate(&m, &spec, opts)
+            .compile_and_simulate_program(&gemm(cfg), opts)
             .map(|r| r.tflops)
             .unwrap_or(0.0);
         steps.push(Step {
@@ -102,11 +101,11 @@ pub fn run_gemm_with_session(session: &CompileSession, scale: Scale) -> Ablation
     run("+Persistent Kernel", &large, &persistent);
     // +Better Aref Size: autotune D and P over the same session, so the
     // persistent-kernel bar above seeded the cache for the sweep.
-    let (m, spec) = gemm(&large).into_parts();
+    let program = gemm(&large);
     let tuned = autotune_with_session(
         session,
-        &m,
-        &spec,
+        program.module(),
+        program.spec(),
         &persistent,
         &TuneSpace {
             aref_depths: vec![2, 3, 4],
@@ -139,9 +138,8 @@ pub fn run_mha_with_session(session: &CompileSession, scale: Scale) -> Ablation 
     let large = AttentionConfig::paper(l, false, DType::F16);
     let mut steps = Vec::new();
     let mut run = |label: &str, cfg: &AttentionConfig, opts: &CompileOptions| {
-        let (m, spec) = attention(cfg).into_parts();
         let t = session
-            .compile_and_simulate(&m, &spec, opts)
+            .compile_and_simulate_program(&attention(cfg), opts)
             .map(|r| r.tflops)
             .unwrap_or(0.0);
         steps.push(Step {
@@ -178,14 +176,13 @@ pub fn run_mha_with_session(session: &CompileSession, scale: Scale) -> Ablation 
     };
     run("+Pipeline", &large, &pipelined);
     // +Better Aref Size: sweep D for the K/V rings.
-    let (m, spec) = attention(&large).into_parts();
+    let program = attention(&large);
     let best = [2usize, 3]
         .iter()
         .filter_map(|&d| {
             session
-                .compile_and_simulate(
-                    &m,
-                    &spec,
+                .compile_and_simulate_program(
+                    &program,
                     &CompileOptions {
                         aref_depth: d,
                         ..pipelined.clone()

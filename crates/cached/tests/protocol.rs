@@ -4,7 +4,7 @@
 //! greeting, truncated frames, oversized payload lengths, mid-stream
 //! disconnects, garbage — must degrade to its local tiers with one
 //! counted error and *never* surface a failure through
-//! `compile_and_simulate`, returning results identical to a session
+//! `compile_and_simulate_program`, returning results identical to a session
 //! that never had a remote tier.
 //!
 //! Server side: a daemon fed the same classes of garbage must stay up,

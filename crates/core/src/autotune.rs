@@ -20,7 +20,7 @@ use tawa_ir::func::Module;
 use tawa_ir::spec::LaunchSpec;
 
 use crate::lower::{CompileError, CompileOptions};
-use crate::session::{CompileJob, CompileSession};
+use crate::session::CompileSession;
 
 /// Kept only for the frozen `benchmark/` crate; retires with ROADMAP 1(c).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -89,9 +89,10 @@ impl TuneSpace {
 pub struct SweepStats {
     /// Candidates enumerated from the tune space.
     pub candidates: usize,
-    /// `compile_and_simulate` calls issued (cache hits included — this
-    /// counts sweep-side work requests, not simulator invocations; on a
-    /// cold session the two coincide up to static rejections).
+    /// Compile-and-simulate requests issued, one per candidate (cache
+    /// hits included — this counts sweep-side work requests, not
+    /// simulator invocations; on a cold session the two coincide up to
+    /// static rejections).
     pub simulate_calls: usize,
     /// Always 0. Kept only for the frozen `benchmark/` crate; retires with ROADMAP 1(c).
     pub analytic_pruned: usize,
@@ -189,6 +190,10 @@ fn select_best(points: &[TunePoint]) -> Option<usize> {
 /// Sweeps `space` over `session`'s device: batch-compiles and simulates
 /// every configuration and keeps the best (see [`TuneResult::best`]).
 /// Infeasible configurations become points with `tflops: None`.
+///
+/// The one session path that still takes `(module, spec)` rather than a
+/// [`tawa_frontend::dsl::Program`]: the frozen `benchmark/` crate calls
+/// it in this form. It retires to a `&Program` form with ROADMAP 1(c).
 pub fn autotune_with_session(
     session: &CompileSession,
     module: &Module,
@@ -200,16 +205,8 @@ pub fn autotune_with_session(
     let opts = candidates(base, space);
     // Every candidate compiles the same module: hash it once per sweep.
     let module_fp = module_fingerprint(module);
-    let jobs: Vec<CompileJob<'_>> = opts
-        .iter()
-        .map(|o| CompileJob {
-            module,
-            spec,
-            opts: o.clone(),
-        })
-        .collect();
-    let reports = session.run_batch(&jobs, |job| {
-        session.compile_and_simulate_fp(module_fp, job.module, job.spec, &job.opts)
+    let reports = session.run_batch(&opts, |o| {
+        session.compile_and_simulate_fp(module_fp, module, spec, o)
     });
 
     let mut stats = SweepStats {
@@ -426,14 +423,20 @@ mod tests {
 
     #[test]
     fn every_point_is_its_own_compile_and_simulate_outcome() {
-        let (m, spec) = gemm(&GemmConfig::new(4096, 4096, 4096)).into_parts();
+        let program = gemm(&GemmConfig::new(4096, 4096, 4096));
         let dev = Device::h100_sxm5();
         let base = CompileOptions::default();
         let space = TuneSpace::fig11(false);
-        let r = autotune_with_session(&CompileSession::in_memory(&dev), &m, &spec, &base, &space);
+        let r = autotune_with_session(
+            &CompileSession::in_memory(&dev),
+            program.module(),
+            program.spec(),
+            &base,
+            &space,
+        );
         let fresh = CompileSession::in_memory(&dev);
         for (p, opts) in r.points.iter().zip(candidates(&base, &space)) {
-            let direct = fresh.compile_and_simulate(&m, &spec, &opts).ok();
+            let direct = fresh.compile_and_simulate_program(&program, &opts).ok();
             assert_eq!(
                 p.tflops.map(f64::to_bits),
                 direct.map(|rep| rep.tflops.to_bits()),

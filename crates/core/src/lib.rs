@@ -70,8 +70,7 @@ pub use envcfg::CacheEnv;
 pub use lower::{CompileError, CompileOptions};
 pub use remote::{DaemonStats, RemoteAddr, RemoteCache, RemoteCacheStats, REMOTE_CACHE_ENV};
 pub use session::{
-    CacheStats, CompileJob, CompileSession, PerfSummary, ANALYZE_FUEL_ENV, COMPILE_WORKERS_ENV,
-    DISK_CACHE_ENV,
+    CacheStats, CompileSession, PerfSummary, ANALYZE_FUEL_ENV, COMPILE_WORKERS_ENV, DISK_CACHE_ENV,
 };
 pub use tier::{KernelSlot, Tier};
 pub mod interp;

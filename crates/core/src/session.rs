@@ -1,5 +1,5 @@
-//! Staged compiler sessions: declarative pipelines, a content-addressed
-//! compile cache and batch compilation.
+//! Staged compiler sessions: declarative pipelines and a
+//! content-addressed compile cache.
 //!
 //! A [`CompileSession`] owns everything one device's compilations share:
 //!
@@ -29,11 +29,11 @@
 //!
 //! Every tier is addressed by the same [`CacheKey`]: `module_fp` is the
 //! FNV-1a fingerprint of the module's canonical printed IR
-//! ([`module_fingerprint`], streamed into the hash — no text is
-//! buffered), computed **once per public call**: the raw-module entry
-//! points hash on entry, the `*_program` ones read the fingerprint the
-//! [`Program`] remembers, an autotune sweep hashes once for all its
-//! candidates, and everything below takes `module_fp` as an argument.
+//! ([`tawa_ir::fingerprint::module_fingerprint`], streamed into the hash
+//! — no text is buffered). Every entry point takes a [`Program`] and
+//! reads the fingerprint it remembers ([`Program::fingerprint`]); an
+//! autotune sweep hashes its module once for all its candidates, and
+//! everything below takes `module_fp` as an argument.
 //! `env_fp` hashes the `Debug` form of the
 //! remaining compilation inputs — [`CompileOptions`] (every knob,
 //! including the [`CompileOptions::pipeline`] override), the
@@ -53,9 +53,10 @@
 //! the first hit wins and is *promoted* into every faster tier (never
 //! published downward), and on a miss everywhere the value is computed
 //! and [`publish`]ed — *written back* — to every
-//! tier. [`CompileSession::compile`] is "kernel slot, else run the
-//! compiler"; [`CompileSession::compile_and_simulate`] is "sim slot,
-//! else the kernel slot as above, then the **static analysis gate**
+//! tier. [`CompileSession::compile_program`] is "kernel slot, else run
+//! the compiler"; [`CompileSession::compile_and_simulate_program`] is
+//! "sim slot, else the kernel slot as above, then the **static analysis
+//! gate**
 //! ([`tawa_wsir::analyze()`] — a definite-deadlock verdict fills the sim
 //! slot without a single simulated cycle, see
 //! [`CacheStats::static_rejections`]), then the simulator". A sim-slot
@@ -63,7 +64,7 @@
 //!
 //! Four rules ride on the cascade, each stated once in the code:
 //!
-//! 1. `compile_and_simulate` asks the *memory* kernel slot for an
+//! 1. `compile_and_simulate_program` asks the *memory* kernel slot for an
 //!    infeasibility verdict before any lower tier's sim slot: a sweep
 //!    retries infeasible points, and a retry must not cost a `.sim`
 //!    probe or a daemon round trip.
@@ -88,11 +89,9 @@
 //! [`CompileSession::clear_cache`] drops the in-memory tier only; use
 //! [`crate::cache::DiskCache::clear`] to wipe the directory.
 //!
-//! [`CompileSession::compile_batch`] fans a set of jobs out across OS
-//! threads with [`std::thread::scope`]; the caches are shared, so
-//! concurrent jobs over the same module reuse one cleaned prefix. This is
-//! the serving-oriented entry point: an autotune sweep, a figure
-//! regeneration or a multi-tenant compile service all become one session.
+//! An autotune sweep ([`crate::autotune`]) fans its candidate
+//! configurations out across OS threads with [`std::thread::scope`]; the
+//! caches are shared, so concurrent candidates reuse one cleaned prefix.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -101,7 +100,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use gpu_sim::{Device, SimReport};
 use tawa_frontend::dsl::Program;
 use tawa_ir::diag::Diagnostic;
-use tawa_ir::fingerprint::{fnv1a_fmt, module_fingerprint};
+use tawa_ir::fingerprint::fnv1a_fmt;
 use tawa_ir::func::Module;
 use tawa_ir::pass::PassError;
 use tawa_ir::pipeline_spec::{PassRegistry, PipelineSpec};
@@ -272,17 +271,6 @@ impl std::fmt::Display for PerfSummary {
     }
 }
 
-/// One batch-compilation job.
-#[derive(Debug, Clone)]
-pub struct CompileJob<'a> {
-    /// Tile-IR module to compile.
-    pub module: &'a Module,
-    /// Launch specialization.
-    pub spec: &'a LaunchSpec,
-    /// Compilation knobs.
-    pub opts: CompileOptions,
-}
-
 /// A compilation session: device + pass registry + caches.
 ///
 /// See the module docs for what is shared. All entry points take `&self`;
@@ -364,19 +352,14 @@ impl CompileSession {
         }
     }
 
-    /// Caps [`CompileSession::compile_batch`] at `workers` OS threads
-    /// (instead of the default `min(cores, 8)`). `0` restores the
-    /// default. Large sweeps on many-core machines want this raised;
-    /// contended CI machines want it lowered.
+    /// Caps an autotune sweep's fan-out at `workers` OS threads (instead
+    /// of the default `min(cores, 8)`). `0` restores the default. Large
+    /// sweeps on many-core machines want this raised; contended CI
+    /// machines want it lowered.
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> CompileSession {
         self.workers = (workers > 0).then_some(workers);
         self
-    }
-
-    /// The configured batch worker cap, if any.
-    pub fn workers(&self) -> Option<usize> {
-        self.workers
     }
 
     /// Attaches a persistent kernel cache rooted at `path` (replacing any
@@ -495,31 +478,38 @@ impl CompileSession {
         lock(&self.cleaned).clear();
     }
 
-    /// Compiles a module for the given launch, consulting the kernel cache.
+    /// Compiles a [`Program`] — a DSL-authored kernel, or a module read
+    /// from IR text and wrapped with [`Program::from_parts`] — consulting
+    /// the kernel cache.
     ///
     /// A cache hit returns the previously compiled kernel (byte-identical:
-    /// the key is the module's content fingerprint plus every compilation
-    /// input). On a miss, the cleanup prefix is fetched from — or inserted
-    /// into — the shared prefix cache before the configuration-specific
-    /// passes run.
+    /// the key is [`Program::fingerprint`] — the module's content hash
+    /// over the canonical printed IR, which source locations never
+    /// perturb — plus every compilation input). On a miss, the cleanup
+    /// prefix is fetched from — or inserted into — the shared prefix
+    /// cache before the configuration-specific passes run.
     ///
     /// # Errors
     /// Resource infeasibilities (P > D, registers, shared memory) as
     /// [`CompileError::Infeasible`]; pass failures as
     /// [`CompileError::Pass`] with structured diagnostics; unsupported
     /// kernel shapes as [`CompileError::Unsupported`].
-    pub fn compile(
+    pub fn compile_program(
         &self,
-        module: &Module,
-        spec: &LaunchSpec,
+        program: &Program,
         opts: &CompileOptions,
     ) -> Result<Arc<Kernel>, CompileError> {
-        self.compile_fp(module_fingerprint(module), module, spec, opts)
+        self.compile_fp(
+            program.fingerprint(),
+            program.module(),
+            program.spec(),
+            opts,
+        )
     }
 
-    /// [`CompileSession::compile`] for a caller that already holds
-    /// `module`'s fingerprint (a [`Program`], a sweep over one module):
-    /// the module is not printed again.
+    /// The kernel slot for a caller that already holds `module`'s
+    /// fingerprint (a [`Program`], a sweep over one module): the module
+    /// is not printed again.
     pub(crate) fn compile_fp(
         &self,
         module_fp: u64,
@@ -584,96 +574,33 @@ impl CompileSession {
         }
     }
 
-    /// Compiles a DSL-authored [`Program`] — the typed-frontend entry
-    /// point. The program's module is fingerprinted exactly like a raw
-    /// module ([`Program::fingerprint`] over the canonical printed IR,
-    /// which source locations never perturb), so DSL programs share every
-    /// cache tier — memory, disk and remote — with modules compiled
-    /// through [`CompileSession::compile`], including entries written
-    /// before the kernel was ported to the DSL.
-    ///
-    /// # Errors
-    /// Same as [`CompileSession::compile`].
-    pub fn compile_program(
-        &self,
-        program: &Program,
-        opts: &CompileOptions,
-    ) -> Result<Arc<Kernel>, CompileError> {
-        self.compile_fp(
-            program.fingerprint(),
-            program.module(),
-            program.spec(),
-            opts,
-        )
-    }
-
-    /// Compiles and simulates a DSL-authored [`Program`]
-    /// (see [`CompileSession::compile_and_simulate`]).
-    ///
-    /// # Errors
-    /// Same as [`CompileSession::compile_and_simulate`].
-    pub fn compile_and_simulate_program(
-        &self,
-        program: &Program,
-        opts: &CompileOptions,
-    ) -> Result<SimReport, CompileError> {
-        self.compile_and_simulate_fp(
-            program.fingerprint(),
-            program.module(),
-            program.spec(),
-            opts,
-        )
-    }
-
-    /// Compiles `module` (through every cache tier) and collects its
+    /// Compiles `program` (through every cache tier) and collects its
     /// [`PerfSummary`]: IR-level dataflow lints over the raw input module
-    /// plus WSIR-level lints judged against [`gpu_sim::perf_model`] on
-    /// this session's device. Purely advisory — a summary full of
-    /// warnings still compiles, simulates and serves.
+    /// — the cleaned (post-DCE) form no longer contains the dead compute
+    /// those lints report — plus WSIR-level lints judged against
+    /// [`gpu_sim::perf_model`] on this session's device. Purely advisory:
+    /// a summary full of warnings still compiles, simulates and serves.
     ///
     /// # Errors
-    /// Same as [`CompileSession::compile`] — the summary needs a compiled
-    /// kernel to analyze.
-    pub fn perf_summary(
-        &self,
-        module: &Module,
-        spec: &LaunchSpec,
-        opts: &CompileOptions,
-    ) -> Result<PerfSummary, CompileError> {
-        let kernel = self.compile(module, spec, opts)?;
-        Ok(self.perf_summary_of(module, &kernel))
-    }
-
-    /// [`CompileSession::perf_summary`] for a DSL-authored [`Program`].
-    ///
-    /// # Errors
-    /// Same as [`CompileSession::compile`].
+    /// Same as [`CompileSession::compile_program`] — the summary needs a
+    /// compiled kernel to analyze.
     pub fn perf_summary_program(
         &self,
         program: &Program,
         opts: &CompileOptions,
     ) -> Result<PerfSummary, CompileError> {
         let kernel = self.compile_program(program, opts)?;
-        Ok(self.perf_summary_of(program.module(), &kernel))
-    }
-
-    /// The [`PerfSummary`] of an already compiled kernel. `module` must
-    /// be the **raw** tile-IR input the kernel was compiled from: the
-    /// IR-level lints run reaching-definitions and liveness over it, and
-    /// the cleaned (post-DCE) form no longer contains the dead compute
-    /// the lints report.
-    pub fn perf_summary_of(&self, module: &Module, kernel: &Kernel) -> PerfSummary {
-        let mut lints = tawa_wsir::analyze_ir(module);
+        let mut lints = tawa_wsir::analyze_ir(program.module());
         lints.extend(tawa_wsir::analyze_kernel(
-            kernel,
-            &gpu_sim::perf_model(kernel, &self.device),
+            &kernel,
+            &gpu_sim::perf_model(&kernel, &self.device),
         ));
-        PerfSummary { lints }
+        Ok(PerfSummary { lints })
     }
 
-    /// Compiles and immediately simulates — the sim slot through the
-    /// cascade (see the module docs): every attached tier is asked for the
-    /// key's [`SimOutcome`] (keyed by [`gpu_sim::COST_MODEL_VERSION`],
+    /// Compiles and immediately simulates `program` — the sim slot through
+    /// the cascade (see the module docs): every attached tier is asked for
+    /// the key's [`SimOutcome`] (keyed by [`gpu_sim::COST_MODEL_VERSION`],
     /// promoted into the faster tiers on a hit), and only a miss in all
     /// of them reaches the compiler and simulator. A hit skips *both*: a
     /// restart-warm or fleet-warm sweep never invokes the simulator.
@@ -694,21 +621,26 @@ impl CompileSession {
     /// retry.
     ///
     /// # Errors
-    /// Compilation errors from [`CompileSession::compile`]; simulation
-    /// failures (deadlock, placement) as [`CompileError::Simulation`] —
-    /// distinct from [`CompileError::Infeasible`] so autotuners do not
-    /// silently prune what is actually a scheduling bug.
-    pub fn compile_and_simulate(
+    /// Compilation errors from [`CompileSession::compile_program`];
+    /// simulation failures (deadlock, placement) as
+    /// [`CompileError::Simulation`] — distinct from
+    /// [`CompileError::Infeasible`] so autotuners do not silently prune
+    /// what is actually a scheduling bug.
+    pub fn compile_and_simulate_program(
         &self,
-        module: &Module,
-        spec: &LaunchSpec,
+        program: &Program,
         opts: &CompileOptions,
     ) -> Result<SimReport, CompileError> {
-        self.compile_and_simulate_fp(module_fingerprint(module), module, spec, opts)
+        self.compile_and_simulate_fp(
+            program.fingerprint(),
+            program.module(),
+            program.spec(),
+            opts,
+        )
     }
 
-    /// [`CompileSession::compile_and_simulate`] for a caller that already
-    /// holds `module`'s fingerprint (see [`CompileSession::compile_fp`]).
+    /// The sim slot for a caller that already holds `module`'s
+    /// fingerprint (see [`CompileSession::compile_fp`]).
     pub(crate) fn compile_and_simulate_fp(
         &self,
         module_fp: u64,
@@ -754,37 +686,22 @@ impl CompileSession {
         }
     }
 
-    /// Compiles many jobs concurrently over the shared caches, returning
-    /// results in job order. Jobs over the same module reuse one cleaned
-    /// prefix. Identical jobs running *concurrently* may both compile
-    /// (last insert wins — the result is identical either way); once one
-    /// finishes, later duplicates are cache hits.
-    pub fn compile_batch(&self, jobs: &[CompileJob<'_>]) -> Vec<Result<Arc<Kernel>, CompileError>> {
-        self.run_batch(jobs, |job| self.compile(job.module, job.spec, &job.opts))
-    }
-
-    /// Batch variant of [`CompileSession::compile_and_simulate`].
-    pub fn compile_and_simulate_batch(
-        &self,
-        jobs: &[CompileJob<'_>],
-    ) -> Vec<Result<SimReport, CompileError>> {
-        self.run_batch(jobs, |job| {
-            self.compile_and_simulate(job.module, job.spec, &job.opts)
-        })
-    }
-
-    /// Fans `jobs` out across `std::thread::scope` workers, preserving
-    /// input order in the results.
+    /// Fans `f` out over the configurations `opts` across
+    /// `std::thread::scope` workers, preserving input order in the
+    /// results. Configurations over the same module reuse one cleaned
+    /// prefix. Identical configurations running *concurrently* may both
+    /// compile (last insert wins — the result is identical either way);
+    /// once one finishes, later duplicates are cache hits.
     pub(crate) fn run_batch<T, F>(
         &self,
-        jobs: &[CompileJob<'_>],
+        opts: &[CompileOptions],
         f: F,
     ) -> Vec<Result<T, CompileError>>
     where
         T: Send,
-        F: Fn(&CompileJob<'_>) -> Result<T, CompileError> + Sync,
+        F: Fn(&CompileOptions) -> Result<T, CompileError> + Sync,
     {
-        if jobs.is_empty() {
+        if opts.is_empty() {
             return Vec::new();
         }
         let cap = self.workers.unwrap_or_else(|| {
@@ -793,18 +710,18 @@ impl CompileSession {
                 .unwrap_or(4)
                 .min(DEFAULT_WORKER_CAP)
         });
-        let workers = cap.max(1).min(jobs.len());
+        let workers = cap.max(1).min(opts.len());
         let slots: Vec<Mutex<Option<Result<T, CompileError>>>> =
-            jobs.iter().map(|_| Mutex::new(None)).collect();
+            opts.iter().map(|_| Mutex::new(None)).collect();
         let next = AtomicU64::new(0);
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed) as usize;
-                    if i >= jobs.len() {
+                    if i >= opts.len() {
                         break;
                     }
-                    *lock(&slots[i]) = Some(f(&jobs[i]));
+                    *lock(&slots[i]) = Some(f(&opts[i]));
                 });
             }
         });
@@ -965,10 +882,10 @@ mod tests {
     #[test]
     fn cache_hits_return_identical_kernels() {
         let session = CompileSession::in_memory(&dev());
-        let (m, spec) = gemm(&GemmConfig::new(1024, 1024, 512)).into_parts();
+        let p = gemm(&GemmConfig::new(1024, 1024, 512));
         let opts = CompileOptions::default();
-        let cold = session.compile(&m, &spec, &opts).unwrap();
-        let hit = session.compile(&m, &spec, &opts).unwrap();
+        let cold = session.compile_program(&p, &opts).unwrap();
+        let hit = session.compile_program(&p, &opts).unwrap();
         assert!(Arc::ptr_eq(&cold, &hit), "hit must come from the cache");
         assert_eq!(print_kernel(&cold), print_kernel(&hit));
         let stats = session.cache_stats();
@@ -981,14 +898,14 @@ mod tests {
     #[test]
     fn distinct_options_are_distinct_entries() {
         let session = CompileSession::in_memory(&dev());
-        let (m, spec) = gemm(&GemmConfig::new(1024, 1024, 512)).into_parts();
+        let p = gemm(&GemmConfig::new(1024, 1024, 512));
         let a = CompileOptions::default();
         let b = CompileOptions {
             aref_depth: 3,
             ..CompileOptions::default()
         };
-        let ka = session.compile(&m, &spec, &a).unwrap();
-        let kb = session.compile(&m, &spec, &b).unwrap();
+        let ka = session.compile_program(&p, &a).unwrap();
+        let kb = session.compile_program(&p, &b).unwrap();
         assert_ne!(print_kernel(&ka), print_kernel(&kb));
         let stats = session.cache_stats();
         assert_eq!(stats.kernel_hits, 0);
@@ -999,7 +916,7 @@ mod tests {
 
     #[test]
     fn batch_matches_sequential_and_preserves_order() {
-        let (m, spec) = gemm(&GemmConfig::new(1024, 1024, 512)).into_parts();
+        let p = gemm(&GemmConfig::new(1024, 1024, 512));
         let all_opts: Vec<CompileOptions> = (1..=3)
             .map(|d| CompileOptions {
                 aref_depth: d,
@@ -1011,19 +928,11 @@ mod tests {
         let sequential = CompileSession::in_memory(&dev());
         let seq: Vec<_> = all_opts
             .iter()
-            .map(|o| sequential.compile(&m, &spec, o).unwrap())
+            .map(|o| sequential.compile_program(&p, o).unwrap())
             .collect();
 
         let batched = CompileSession::in_memory(&dev());
-        let jobs: Vec<CompileJob<'_>> = all_opts
-            .iter()
-            .map(|o| CompileJob {
-                module: &m,
-                spec: &spec,
-                opts: o.clone(),
-            })
-            .collect();
-        let batch = batched.compile_batch(&jobs);
+        let batch = batched.run_batch(&all_opts, |o| batched.compile_program(&p, o));
         assert_eq!(batch.len(), seq.len());
         for (s, b) in seq.iter().zip(&batch) {
             assert_eq!(print_kernel(s), print_kernel(b.as_ref().unwrap()));
@@ -1033,24 +942,16 @@ mod tests {
     #[test]
     fn infeasible_jobs_fail_in_batch_without_poisoning() {
         let session = CompileSession::in_memory(&dev());
-        let (m, spec) = gemm(&GemmConfig::new(1024, 1024, 512)).into_parts();
-        let jobs = vec![
-            CompileJob {
-                module: &m,
-                spec: &spec,
-                opts: CompileOptions {
-                    aref_depth: 1,
-                    mma_depth: 3,
-                    ..CompileOptions::default()
-                },
+        let p = gemm(&GemmConfig::new(1024, 1024, 512));
+        let all_opts = [
+            CompileOptions {
+                aref_depth: 1,
+                mma_depth: 3,
+                ..CompileOptions::default()
             },
-            CompileJob {
-                module: &m,
-                spec: &spec,
-                opts: CompileOptions::default(),
-            },
+            CompileOptions::default(),
         ];
-        let results = session.compile_batch(&jobs);
+        let results = session.run_batch(&all_opts, |o| session.compile_program(&p, o));
         assert!(matches!(results[0], Err(CompileError::Infeasible(_))));
         assert!(results[1].is_ok());
     }
@@ -1058,10 +959,10 @@ mod tests {
     #[test]
     fn simulation_reports_are_cached() {
         let session = CompileSession::in_memory(&dev());
-        let (m, spec) = gemm(&GemmConfig::new(1024, 1024, 512)).into_parts();
+        let p = gemm(&GemmConfig::new(1024, 1024, 512));
         let opts = CompileOptions::default();
-        let r1 = session.compile_and_simulate(&m, &spec, &opts).unwrap();
-        let r2 = session.compile_and_simulate(&m, &spec, &opts).unwrap();
+        let r1 = session.compile_and_simulate_program(&p, &opts).unwrap();
+        let r2 = session.compile_and_simulate_program(&p, &opts).unwrap();
         assert_eq!(r1.tflops, r2.tflops);
         let stats = session.cache_stats();
         assert_eq!(stats.sim_hits, 1);
@@ -1076,7 +977,7 @@ mod tests {
             ..CompileOptions::default()
         };
         assert!(session
-            .compile_and_simulate(&m, &spec, &infeasible)
+            .compile_and_simulate_program(&p, &infeasible)
             .is_err());
         assert_eq!(session.cache_stats().sim_misses, 1);
     }
@@ -1094,10 +995,10 @@ mod tests {
     #[test]
     fn failed_simulations_are_cached_not_recounted() {
         let session = CompileSession::in_memory(&unplaceable_dev());
-        let (m, spec) = gemm(&GemmConfig::new(1024, 1024, 512)).into_parts();
+        let p = gemm(&GemmConfig::new(1024, 1024, 512));
         let opts = CompileOptions::default();
 
-        let first = session.compile_and_simulate(&m, &spec, &opts).unwrap_err();
+        let first = session.compile_and_simulate_program(&p, &opts).unwrap_err();
         assert!(matches!(first, CompileError::Simulation(_)), "{first:?}");
         let stats = session.cache_stats();
         assert_eq!(stats.sim_misses, 1);
@@ -1105,7 +1006,7 @@ mod tests {
 
         // A sweep retrying the same configuration must be served from the
         // negative tier: same verdict, still exactly one simulator run.
-        let second = session.compile_and_simulate(&m, &spec, &opts).unwrap_err();
+        let second = session.compile_and_simulate_program(&p, &opts).unwrap_err();
         assert_eq!(first.to_string(), second.to_string());
         let stats = session.cache_stats();
         assert_eq!(stats.sim_misses, 1, "{stats:?}");
@@ -1113,19 +1014,19 @@ mod tests {
 
         // The verdict gates simulation only — the compiled kernel stays
         // obtainable (here from the kernel cache filled by the first try).
-        assert!(session.compile(&m, &spec, &opts).is_ok());
+        assert!(session.compile_program(&p, &opts).is_ok());
     }
 
     #[test]
     fn sim_outcomes_persist_to_disk() {
         let dir = tmp_dir("sim-tier");
-        let (m, spec) = gemm(&GemmConfig::new(1024, 1024, 512)).into_parts();
+        let p = gemm(&GemmConfig::new(1024, 1024, 512));
         let opts = CompileOptions::default();
 
         let cold = CompileSession::in_memory(&dev())
             .with_disk_cache(&dir)
             .unwrap();
-        let report = cold.compile_and_simulate(&m, &spec, &opts).unwrap();
+        let report = cold.compile_and_simulate_program(&p, &opts).unwrap();
         // One kernel entry plus one sim entry.
         assert_eq!(cold.cache_stats().disk.writes, 2);
 
@@ -1134,33 +1035,33 @@ mod tests {
         let warm = CompileSession::in_memory(&dev())
             .with_disk_cache(&dir)
             .unwrap();
-        let replay = warm.compile_and_simulate(&m, &spec, &opts).unwrap();
+        let replay = warm.compile_and_simulate_program(&p, &opts).unwrap();
         assert_eq!(report, replay, "disk-served report must be identical");
         let stats = warm.cache_stats();
         assert_eq!(stats.disk.sim_hits, 1, "{stats:?}");
         assert_eq!(stats.sim_misses, 0, "{stats:?}");
         assert_eq!(stats.kernel_misses, 0, "{stats:?}");
         // And the promoted report serves in-memory thereafter.
-        warm.compile_and_simulate(&m, &spec, &opts).unwrap();
+        warm.compile_and_simulate_program(&p, &opts).unwrap();
         assert_eq!(warm.cache_stats().sim_hits, 1);
     }
 
     #[test]
     fn sim_failures_persist_to_disk() {
         let dir = tmp_dir("sim-negative");
-        let (m, spec) = gemm(&GemmConfig::new(1024, 1024, 512)).into_parts();
+        let p = gemm(&GemmConfig::new(1024, 1024, 512));
         let opts = CompileOptions::default();
 
         let cold = CompileSession::in_memory(&unplaceable_dev())
             .with_disk_cache(&dir)
             .unwrap();
-        let first = cold.compile_and_simulate(&m, &spec, &opts).unwrap_err();
+        let first = cold.compile_and_simulate_program(&p, &opts).unwrap_err();
         assert_eq!(cold.cache_stats().sim_misses, 1);
 
         let warm = CompileSession::in_memory(&unplaceable_dev())
             .with_disk_cache(&dir)
             .unwrap();
-        let replay = warm.compile_and_simulate(&m, &spec, &opts).unwrap_err();
+        let replay = warm.compile_and_simulate_program(&p, &opts).unwrap_err();
         assert!(matches!(replay, CompileError::Simulation(_)), "{replay:?}");
         assert_eq!(first.to_string(), replay.to_string());
         let stats = warm.cache_stats();
@@ -1205,13 +1106,13 @@ mod tests {
     #[test]
     fn static_gate_rejects_poisoned_kernels_without_simulating() {
         let dir = tmp_dir("static-gate");
-        let (m, spec) = gemm(&GemmConfig::new(1024, 1024, 512)).into_parts();
+        let p = gemm(&GemmConfig::new(1024, 1024, 512));
         let opts = CompileOptions::default();
 
         let cold = CompileSession::in_memory(&dev())
             .with_disk_cache(&dir)
             .unwrap();
-        cold.compile(&m, &spec, &opts).unwrap();
+        cold.compile_program(&p, &opts).unwrap();
 
         // Replace the cached kernel with a protocol-deadlocking one — the
         // shape of a miscompiled or hand-damaged cache entry. The gate
@@ -1228,7 +1129,7 @@ mod tests {
         let warm = CompileSession::in_memory(&dev())
             .with_disk_cache(&dir)
             .unwrap();
-        match warm.compile_and_simulate(&m, &spec, &opts).unwrap_err() {
+        match warm.compile_and_simulate_program(&p, &opts).unwrap_err() {
             CompileError::Simulation(msg) => {
                 assert!(msg.contains("static deadlock"), "{msg}")
             }
@@ -1239,7 +1140,7 @@ mod tests {
         assert_eq!(stats.sim_misses, 0, "simulator must never run: {stats:?}");
 
         // In-memory retry: served from the negative tier as a report hit.
-        warm.compile_and_simulate(&m, &spec, &opts).unwrap_err();
+        warm.compile_and_simulate_program(&p, &opts).unwrap_err();
         let stats = warm.cache_stats();
         assert_eq!(stats.static_rejections, 1, "{stats:?}");
         assert_eq!(stats.sim_hits, 1, "{stats:?}");
@@ -1249,7 +1150,7 @@ mod tests {
         let third = CompileSession::in_memory(&dev())
             .with_disk_cache(&dir)
             .unwrap();
-        third.compile_and_simulate(&m, &spec, &opts).unwrap_err();
+        third.compile_and_simulate_program(&p, &opts).unwrap_err();
         let stats = third.cache_stats();
         assert_eq!(stats.disk.static_rejections, 1, "{stats:?}");
         assert_eq!(stats.static_rejections, 0, "{stats:?}");
@@ -1284,13 +1185,13 @@ mod tests {
     #[test]
     fn fresh_session_serves_disk_hits_byte_identical() {
         let dir = tmp_dir("warm");
-        let (m, spec) = gemm(&GemmConfig::new(1024, 1024, 512)).into_parts();
+        let p = gemm(&GemmConfig::new(1024, 1024, 512));
         let opts = CompileOptions::default();
 
         let cold_session = CompileSession::in_memory(&dev())
             .with_disk_cache(&dir)
             .unwrap();
-        let cold = cold_session.compile(&m, &spec, &opts).unwrap();
+        let cold = cold_session.compile_program(&p, &opts).unwrap();
         assert_eq!(cold_session.cache_stats().disk.writes, 1);
 
         // A brand-new session (simulating a process restart) must serve
@@ -1298,7 +1199,7 @@ mod tests {
         let warm_session = CompileSession::in_memory(&dev())
             .with_disk_cache(&dir)
             .unwrap();
-        let warm = warm_session.compile(&m, &spec, &opts).unwrap();
+        let warm = warm_session.compile_program(&p, &opts).unwrap();
         let stats = warm_session.cache_stats();
         assert_eq!(stats.disk.hits, 1, "{stats:?}");
         assert_eq!(stats.kernel_misses, 0, "disk hit must skip the compile");
@@ -1309,7 +1210,7 @@ mod tests {
     #[test]
     fn infeasible_verdicts_are_negatively_cached() {
         let dir = tmp_dir("negative");
-        let (m, spec) = gemm(&GemmConfig::new(1024, 1024, 512)).into_parts();
+        let p = gemm(&GemmConfig::new(1024, 1024, 512));
         let infeasible = CompileOptions {
             aref_depth: 1,
             mma_depth: 3,
@@ -1320,11 +1221,11 @@ mod tests {
             .with_disk_cache(&dir)
             .unwrap();
         assert!(matches!(
-            first.compile(&m, &spec, &infeasible),
+            first.compile_program(&p, &infeasible),
             Err(CompileError::Infeasible(_))
         ));
         // In-process repeat: served from the in-memory negative cache.
-        assert!(first.compile(&m, &spec, &infeasible).is_err());
+        assert!(first.compile_program(&p, &infeasible).is_err());
         assert_eq!(first.cache_stats().kernel_misses, 1);
         assert_eq!(first.cache_stats().negative_entries, 1);
 
@@ -1333,7 +1234,7 @@ mod tests {
         let second = CompileSession::in_memory(&dev())
             .with_disk_cache(&dir)
             .unwrap();
-        match second.compile(&m, &spec, &infeasible) {
+        match second.compile_program(&p, &infeasible) {
             Err(CompileError::Infeasible(msg)) => {
                 assert!(msg.contains("exceeds"), "{msg}");
             }
@@ -1364,13 +1265,13 @@ mod tests {
     #[test]
     fn pipeline_override_on_simt_path_is_rejected() {
         let session = CompileSession::in_memory(&dev());
-        let (m, spec) = gemm(&GemmConfig::new(1024, 1024, 512)).into_parts();
+        let p = gemm(&GemmConfig::new(1024, 1024, 512));
         let opts = CompileOptions {
             warp_specialize: false,
             pipeline: Some("dce".to_string()),
             ..CompileOptions::default()
         };
-        match session.compile(&m, &spec, &opts) {
+        match session.compile_program(&p, &opts) {
             Err(CompileError::Pass(e)) => assert_eq!(e.pass(), "pipeline-override"),
             other => panic!("expected rejection, got {other:?}"),
         }
@@ -1380,7 +1281,7 @@ mod tests {
     #[test]
     fn pipeline_override_matches_equivalent_default() {
         let session = CompileSession::in_memory(&dev());
-        let (m, spec) = gemm(&GemmConfig::new(1024, 1024, 512)).into_parts();
+        let p = gemm(&GemmConfig::new(1024, 1024, 512));
         let explicit = CompileOptions {
             pipeline: Some(
                 "warp-specialize{depth=2},fine-grained-pipeline{depth=2},coarse-pipeline,dce"
@@ -1389,8 +1290,8 @@ mod tests {
             ..CompileOptions::default()
         };
         let derived = CompileOptions::default();
-        let a = session.compile(&m, &spec, &explicit).unwrap();
-        let b = session.compile(&m, &spec, &derived).unwrap();
+        let a = session.compile_program(&p, &explicit).unwrap();
+        let b = session.compile_program(&p, &derived).unwrap();
         // Equivalent pipelines, distinct cache entries (the override is
         // part of the environment fingerprint).
         assert_eq!(print_kernel(&a), print_kernel(&b));
@@ -1408,13 +1309,13 @@ mod tests {
     #[test]
     fn bad_pipeline_override_is_a_pass_error_not_a_panic() {
         let session = CompileSession::in_memory(&dev());
-        let (m, spec) = gemm(&GemmConfig::new(1024, 1024, 512)).into_parts();
+        let p = gemm(&GemmConfig::new(1024, 1024, 512));
         for bad in ["fixpoint(", "no-such-pass"] {
             let opts = CompileOptions {
                 pipeline: Some(bad.to_string()),
                 ..CompileOptions::default()
             };
-            match session.compile(&m, &spec, &opts) {
+            match session.compile_program(&p, &opts) {
                 Err(CompileError::Pass(e)) => {
                     assert_eq!(e.pass(), "pipeline-override");
                 }
@@ -1438,7 +1339,7 @@ mod tests {
         session
             .registry_mut()
             .register("nop-probe", |_| Ok(Box::new(NopProbe)));
-        let (m, spec) = gemm(&GemmConfig::new(1024, 1024, 512)).into_parts();
+        let p = gemm(&GemmConfig::new(1024, 1024, 512));
         let opts = CompileOptions {
             pipeline: Some(
                 "nop-probe,warp-specialize{depth=2},fine-grained-pipeline{depth=2},\
@@ -1447,12 +1348,12 @@ mod tests {
             ),
             ..CompileOptions::default()
         };
-        let k = session.compile(&m, &spec, &opts).unwrap();
+        let k = session.compile_program(&p, &opts).unwrap();
         assert_eq!(
             print_kernel(&k),
             print_kernel(
                 &session
-                    .compile(&m, &spec, &CompileOptions::default())
+                    .compile_program(&p, &CompileOptions::default())
                     .unwrap()
             ),
             "a no-op extra pass must not change the kernel"
@@ -1486,12 +1387,12 @@ mod tests {
         session
             .registry_mut()
             .register("foreign-operand", |_| Ok(Box::new(ForeignOperand)));
-        let (m, spec) = gemm(&GemmConfig::new(1024, 1024, 512)).into_parts();
+        let p = gemm(&GemmConfig::new(1024, 1024, 512));
         let opts = CompileOptions {
             pipeline: Some("foreign-operand,warp-specialize{depth=2}".to_string()),
             ..CompileOptions::default()
         };
-        match session.compile(&m, &spec, &opts) {
+        match session.compile_program(&p, &opts) {
             Err(CompileError::Pass(PassError::VerifyFailed { pass, errors })) => {
                 assert_eq!(pass, "foreign-operand");
                 let msgs: Vec<&str> = errors.iter().map(|e| e.msg.as_str()).collect();
@@ -1505,41 +1406,54 @@ mod tests {
     }
 
     #[test]
-    fn compile_program_shares_cache_keys_with_raw_modules() {
-        // A DSL Program and its decomposed (module, spec) must address the
-        // SAME cache entry: compiling one then the other is a hit, not a
-        // second compile.
+    fn compile_program_shares_cache_keys_with_parsed_ir_text() {
+        // A DSL Program and the same module printed, parsed back and
+        // wrapped with `Program::from_parts` must address the SAME cache
+        // entries: both slots of the second are served from the first's
+        // memory tier, with no new miss.
         let session = CompileSession::in_memory(&dev());
         let program = gemm(&GemmConfig::new(1024, 1024, 512));
         let opts = CompileOptions::default();
-        let via_program = session.compile_program(&program, &opts).unwrap();
-        let (m, spec) = program.clone().into_parts();
-        let via_parts = session.compile(&m, &spec, &opts).unwrap();
-        assert!(Arc::ptr_eq(&via_program, &via_parts));
-        let stats = session.cache_stats();
-        assert_eq!(stats.kernel_misses, 1);
-        assert_eq!(stats.kernel_hits, 1);
+        let kernel = session.compile_program(&program, &opts).unwrap();
+        let report = session
+            .compile_and_simulate_program(&program, &opts)
+            .unwrap();
+        let text = tawa_ir::print::print_module(program.module());
+        let parsed = Program::from_parts(
+            tawa_ir::parse::parse_module(&text).unwrap(),
+            program.spec().clone(),
+        );
+        let before = session.cache_stats();
+        let via_text = session.compile_program(&parsed, &opts).unwrap();
+        assert!(Arc::ptr_eq(&kernel, &via_text));
+        assert_eq!(
+            session
+                .compile_and_simulate_program(&parsed, &opts)
+                .unwrap(),
+            report
+        );
+        let after = session.cache_stats();
+        assert_eq!(after.misses(), before.misses(), "{after:?}");
+        assert_eq!(after.kernel_hits, before.kernel_hits + 1);
+        assert_eq!(after.sim_hits, before.sim_hits + 1);
+        assert_eq!(after.module_entries, 1);
     }
 
     #[test]
     fn with_workers_caps_batch_and_matches_default() {
-        let (m, spec) = gemm(&GemmConfig::new(1024, 1024, 512)).into_parts();
-        let jobs: Vec<CompileJob<'_>> = (1..=4)
-            .map(|d| CompileJob {
-                module: &m,
-                spec: &spec,
-                opts: CompileOptions {
-                    aref_depth: d,
-                    mma_depth: 1,
-                    ..CompileOptions::default()
-                },
+        let p = gemm(&GemmConfig::new(1024, 1024, 512));
+        let all_opts: Vec<CompileOptions> = (1..=4)
+            .map(|d| CompileOptions {
+                aref_depth: d,
+                mma_depth: 1,
+                ..CompileOptions::default()
             })
             .collect();
         let serial = CompileSession::in_memory(&dev()).with_workers(1);
-        assert_eq!(serial.workers(), Some(1));
+        assert_eq!(serial.workers, Some(1));
         let wide = CompileSession::in_memory(&dev()).with_workers(32);
-        let a = serial.compile_batch(&jobs);
-        let b = wide.compile_batch(&jobs);
+        let a = serial.run_batch(&all_opts, |o| serial.compile_program(&p, o));
+        let b = wide.run_batch(&all_opts, |o| wide.compile_program(&p, o));
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(
                 print_kernel(x.as_ref().unwrap()),
@@ -1547,7 +1461,7 @@ mod tests {
             );
         }
         // with_workers(0) restores the default cap.
-        assert_eq!(serial.with_workers(0).workers(), None);
+        assert_eq!(serial.with_workers(0).workers, None);
     }
 
     #[test]
@@ -1556,7 +1470,7 @@ mod tests {
         // (`with_workers(16)`) over a sweep-shaped job list must produce
         // the same kernels and the same counter totals as a serial
         // session — sharding changes lock granularity, never semantics.
-        let (m, spec) = gemm(&GemmConfig::new(2048, 2048, 1024)).into_parts();
+        let p = gemm(&GemmConfig::new(2048, 2048, 1024));
         let mut all_opts = Vec::new();
         for d in 1..=3usize {
             for p in 1..=3usize {
@@ -1567,19 +1481,10 @@ mod tests {
                 });
             }
         }
-        let jobs: Vec<CompileJob<'_>> = all_opts
-            .iter()
-            .map(|o| CompileJob {
-                module: &m,
-                spec: &spec,
-                opts: o.clone(),
-            })
-            .collect();
-
         let serial = CompileSession::in_memory(&dev()).with_workers(1);
         let wide = CompileSession::in_memory(&dev()).with_workers(16);
-        let a = serial.compile_and_simulate_batch(&jobs);
-        let b = wide.compile_and_simulate_batch(&jobs);
+        let a = serial.run_batch(&all_opts, |o| serial.compile_and_simulate_program(&p, o));
+        let b = wide.run_batch(&all_opts, |o| wide.compile_and_simulate_program(&p, o));
         for (x, y) in a.iter().zip(&b) {
             match (x, y) {
                 (Ok(rx), Ok(ry)) => assert_eq!(rx, ry),
@@ -1616,15 +1521,15 @@ mod tests {
         session
             .registry_mut()
             .register("dce", |_| Ok(Box::new(PanicsOnce)));
-        let (m, spec) = gemm(&GemmConfig::new(1024, 1024, 512)).into_parts();
+        let p = gemm(&GemmConfig::new(1024, 1024, 512));
         let opts = CompileOptions::default();
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = session.compile(&m, &spec, &opts);
+            let _ = session.compile_program(&p, &opts);
         }));
         assert!(unwound.is_err(), "the first compile must hit the pass bug");
         assert!(session.cleaned.is_poisoned(), "the panic held the lock");
 
-        session.compile(&m, &spec, &opts).unwrap();
+        session.compile_program(&p, &opts).unwrap();
         let stats = session.cache_stats();
         assert_eq!(stats.kernel_misses, 2, "{stats:?}");
         assert_eq!((stats.kernel_entries, stats.module_entries), (1, 1));
@@ -1633,9 +1538,9 @@ mod tests {
     #[test]
     fn clear_cache_drops_entries_keeps_counters() {
         let session = CompileSession::in_memory(&dev());
-        let (m, spec) = gemm(&GemmConfig::new(1024, 1024, 512)).into_parts();
+        let p = gemm(&GemmConfig::new(1024, 1024, 512));
         session
-            .compile(&m, &spec, &CompileOptions::default())
+            .compile_program(&p, &CompileOptions::default())
             .unwrap();
         session.clear_cache();
         let stats = session.cache_stats();
@@ -1683,8 +1588,8 @@ mod tests {
     fn a_registry_without_dce_is_an_error_not_a_panic() {
         let mut session = CompileSession::in_memory(&dev());
         let opts = CompileOptions::default();
-        let (served, served_spec) = gemm(&GemmConfig::new(1024, 1024, 512)).into_parts();
-        session.compile(&served, &served_spec, &opts).unwrap();
+        let served = gemm(&GemmConfig::new(1024, 1024, 512));
+        session.compile_program(&served, &opts).unwrap();
 
         // The caller owns the registry: nothing stops it from dropping a
         // cleanup pass.
@@ -1694,10 +1599,9 @@ mod tests {
         });
         *session.registry_mut() = without_dce;
 
-        let (cold, cold_spec) =
-            gemm(&GemmConfig::new(1024, 1024, 512).with_dtype(tawa_ir::types::DType::F8E4M3))
-                .into_parts();
-        let err = session.compile(&cold, &cold_spec, &opts).unwrap_err();
+        let cold =
+            gemm(&GemmConfig::new(1024, 1024, 512).with_dtype(tawa_ir::types::DType::F8E4M3));
+        let err = session.compile_program(&cold, &opts).unwrap_err();
         let CompileError::Pass(err) = err else {
             panic!("expected a pass error, got {err}");
         };
@@ -1705,9 +1609,9 @@ mod tests {
 
         // Cached work is still served, and the cold module compiles once
         // the registry is whole again.
-        session.compile(&served, &served_spec, &opts).unwrap();
+        session.compile_program(&served, &opts).unwrap();
         assert_eq!(session.cache_stats().kernel_hits, 1);
         *session.registry_mut() = tawa_pass_registry();
-        session.compile(&cold, &cold_spec, &opts).unwrap();
+        session.compile_program(&cold, &opts).unwrap();
     }
 }

@@ -149,7 +149,7 @@ pub fn shard_index(key: &CacheKey) -> usize {
 /// own: each guards a map that is consistent after any single insert, so
 /// a panic mid-critical-section (a registered pass blowing up inside
 /// the cleanup prefix) leaves nothing half-updated — and must not turn
-/// every later `compile` and `cache_stats` call into a panic too.
+/// every later `compile_program` and `cache_stats` call into a panic too.
 pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }

@@ -20,10 +20,10 @@ fn session() -> CompileSession {
 
 #[test]
 fn gemm_compiles_and_runs_ws() {
-    let (m, spec) = gemm(&GemmConfig::new(2048, 2048, 2048)).into_parts();
+    let p = gemm(&GemmConfig::new(2048, 2048, 2048));
     let opts = CompileOptions::default();
     let report = session()
-        .compile_and_simulate(&m, &spec, &opts)
+        .compile_and_simulate_program(&p, &opts)
         .expect("compile+sim");
     assert!(report.tflops > 100.0, "ws gemm too slow: {}", report.tflops);
     assert!(report.tflops < 989.0, "faster than peak: {}", report.tflops);
@@ -31,28 +31,27 @@ fn gemm_compiles_and_runs_ws() {
 
 #[test]
 fn gemm_compiles_and_runs_simt() {
-    let (m, spec) = gemm(&GemmConfig::new(2048, 2048, 2048)).into_parts();
+    let p = gemm(&GemmConfig::new(2048, 2048, 2048));
     let opts = CompileOptions {
         warp_specialize: false,
         ..CompileOptions::default()
     };
     let report = session()
-        .compile_and_simulate(&m, &spec, &opts)
+        .compile_and_simulate_program(&p, &opts)
         .expect("simt path");
     assert!(report.tflops > 10.0);
 }
 
 #[test]
 fn ws_beats_simt_on_gemm() {
-    let (m, spec) = gemm(&GemmConfig::new(4096, 4096, 8192)).into_parts();
+    let p = gemm(&GemmConfig::new(4096, 4096, 8192));
     let session = session();
     let ws = session
-        .compile_and_simulate(&m, &spec, &CompileOptions::default())
+        .compile_and_simulate_program(&p, &CompileOptions::default())
         .unwrap();
     let simt = session
-        .compile_and_simulate(
-            &m,
-            &spec,
+        .compile_and_simulate_program(
+            &p,
             &CompileOptions {
                 warp_specialize: false,
                 ..CompileOptions::default()
@@ -75,9 +74,9 @@ fn attention_compiles_causal_and_noncausal() {
             block_m: 64,
             ..AttentionConfig::paper(2048, causal, DType::F16)
         };
-        let (m, spec) = attention(&cfg).into_parts();
+        let p = attention(&cfg);
         let report = session
-            .compile_and_simulate(&m, &spec, &CompileOptions::default())
+            .compile_and_simulate_program(&p, &CompileOptions::default())
             .unwrap_or_else(|e| panic!("causal={causal}: {e}"));
         assert!(report.tflops > 20.0, "causal={causal}: {}", report.tflops);
     }
@@ -88,17 +87,16 @@ fn coarse_pipeline_beats_serial_attention() {
     // FA3-style configuration: Br=128 with two cooperative consumer
     // warp groups (the register-feasible large tile).
     let cfg = AttentionConfig::paper(4096, false, DType::F16);
-    let (m, spec) = attention(&cfg).into_parts();
+    let p = attention(&cfg);
     let coop = CompileOptions {
         cooperative: 2,
         ..CompileOptions::default()
     };
     let session = session();
-    let coarse = session.compile_and_simulate(&m, &spec, &coop).unwrap();
+    let coarse = session.compile_and_simulate_program(&p, &coop).unwrap();
     let serial = session
-        .compile_and_simulate(
-            &m,
-            &spec,
+        .compile_and_simulate_program(
+            &p,
             &CompileOptions {
                 coarse_pipeline: false,
                 ..coop
@@ -123,16 +121,15 @@ fn small_qtile_attention_is_load_bound() {
         ..AttentionConfig::paper(4096, false, DType::F16)
     };
     let large = AttentionConfig::paper(4096, false, DType::F16);
-    let (ms, ss) = attention(&small).into_parts();
-    let (ml, sl) = attention(&large).into_parts();
+    let small = attention(&small);
+    let large = attention(&large);
     let session = session();
     let r_small = session
-        .compile_and_simulate(&ms, &ss, &CompileOptions::default())
+        .compile_and_simulate_program(&small, &CompileOptions::default())
         .unwrap();
     let r_large = session
-        .compile_and_simulate(
-            &ml,
-            &sl,
+        .compile_and_simulate_program(
+            &large,
             &CompileOptions {
                 cooperative: 2,
                 ..CompileOptions::default()
@@ -149,13 +146,13 @@ fn small_qtile_attention_is_load_bound() {
 
 #[test]
 fn p_greater_than_d_is_infeasible() {
-    let (m, spec) = gemm(&GemmConfig::new(2048, 2048, 2048)).into_parts();
+    let p = gemm(&GemmConfig::new(2048, 2048, 2048));
     let opts = CompileOptions {
         aref_depth: 1,
         mma_depth: 2,
         ..CompileOptions::default()
     };
-    match session().compile(&m, &spec, &opts) {
+    match session().compile_program(&p, &opts) {
         Err(CompileError::Infeasible(msg)) => assert!(msg.contains("exceeds"), "{msg}"),
         other => panic!("expected infeasible, got {other:?}"),
     }
@@ -163,7 +160,7 @@ fn p_greater_than_d_is_infeasible() {
 
 #[test]
 fn large_tile_needs_cooperative_warp_groups() {
-    let (m, spec) = gemm(&GemmConfig::new(2048, 2048, 2048).with_tile(Tile::LARGE)).into_parts();
+    let p = gemm(&GemmConfig::new(2048, 2048, 2048).with_tile(Tile::LARGE));
     let single = CompileOptions {
         cooperative: 1,
         ..CompileOptions::default()
@@ -171,7 +168,7 @@ fn large_tile_needs_cooperative_warp_groups() {
     let session = session();
     assert!(
         matches!(
-            session.compile(&m, &spec, &single),
+            session.compile_program(&p, &single),
             Err(CompileError::Infeasible(_))
         ),
         "128x256 tile must blow the register budget for one warp group"
@@ -181,14 +178,14 @@ fn large_tile_needs_cooperative_warp_groups() {
         ..CompileOptions::default()
     };
     let report = session
-        .compile_and_simulate(&m, &spec, &coop)
+        .compile_and_simulate_program(&p, &coop)
         .expect("coop path");
     assert!(report.tflops > 100.0);
 }
 
 #[test]
 fn persistent_kernel_single_wave() {
-    let (m, spec) = gemm(&GemmConfig::new(8192, 8192, 4096)).into_parts();
+    let p = gemm(&GemmConfig::new(8192, 8192, 4096));
     let opts = CompileOptions {
         persistent: true,
         aref_depth: 3,
@@ -196,13 +193,12 @@ fn persistent_kernel_single_wave() {
     };
     let session = session();
     let report = session
-        .compile_and_simulate(&m, &spec, &opts)
+        .compile_and_simulate_program(&p, &opts)
         .expect("persistent");
     assert_eq!(report.waves, 1);
     let non = session
-        .compile_and_simulate(
-            &m,
-            &spec,
+        .compile_and_simulate_program(
+            &p,
             &CompileOptions {
                 persistent: false,
                 aref_depth: 3,
@@ -220,15 +216,15 @@ fn persistent_kernel_single_wave() {
 
 #[test]
 fn persistent_grid_fills_each_sm_to_its_occupancy() {
-    let (m, spec) = gemm(&GemmConfig::new(8192, 8192, 4096)).into_parts();
+    let p = gemm(&GemmConfig::new(8192, 8192, 4096));
     let opts = CompileOptions {
         persistent: true,
         aref_depth: 3,
         ..CompileOptions::default()
     };
-    let kernel = session().compile(&m, &spec, &opts).expect("persistent");
+    let kernel = session().compile_program(&p, &opts).expect("persistent");
     let d = dev();
-    let resident = (d.sms as u64 * u64::from(d.occupancy(&kernel))).min(spec.grid_size());
+    let resident = (d.sms as u64 * u64::from(d.occupancy(&kernel))).min(p.spec().grid_size());
     let ctas: u64 = kernel.classes.iter().map(|c| c.multiplicity).sum();
     assert_eq!(ctas, resident);
     // The resident CTAs loop over the grid's tiles between them.
@@ -237,18 +233,17 @@ fn persistent_grid_fills_each_sm_to_its_occupancy() {
         .iter()
         .map(|c| c.params[0] * c.multiplicity)
         .sum();
-    assert_eq!(tiles, spec.grid_size());
+    assert_eq!(tiles, p.spec().grid_size());
 }
 
 #[test]
 fn deeper_aref_rings_help() {
-    let (m, spec) = gemm(&GemmConfig::new(8192, 8192, 8192)).into_parts();
+    let p = gemm(&GemmConfig::new(8192, 8192, 8192));
     let session = session();
     let t = |d: usize| {
         session
-            .compile_and_simulate(
-                &m,
-                &spec,
+            .compile_and_simulate_program(
+                &p,
                 &CompileOptions {
                     aref_depth: d,
                     mma_depth: 1,
@@ -275,14 +270,14 @@ fn deeper_aref_rings_help() {
 #[test]
 fn batched_and_grouped_compile() {
     let session = session();
-    let (m, spec) = batched_gemm(&GemmConfig::new(1024, 1024, 1024).with_batch(8)).into_parts();
+    let p = batched_gemm(&GemmConfig::new(1024, 1024, 1024).with_batch(8));
     let r = session
-        .compile_and_simulate(&m, &spec, &CompileOptions::default())
+        .compile_and_simulate_program(&p, &CompileOptions::default())
         .unwrap();
     assert!(r.tflops > 50.0);
-    let (m2, spec2) = grouped_gemm(&tawa_frontend::GroupedGemmConfig::paper_sweep(4)).into_parts();
+    let p2 = grouped_gemm(&tawa_frontend::GroupedGemmConfig::paper_sweep(4));
     let r2 = session
-        .compile_and_simulate(&m2, &spec2, &CompileOptions::default())
+        .compile_and_simulate_program(&p2, &CompileOptions::default())
         .unwrap();
     assert!(r2.tflops > 50.0);
 }
@@ -291,12 +286,12 @@ fn batched_and_grouped_compile() {
 fn fp8_doubles_headroom() {
     let cfg16 = GemmConfig::new(4096, 4096, 8192);
     let cfg8 = cfg16.with_dtype(DType::F8E4M3);
-    let (m16, s16) = gemm(&cfg16).into_parts();
-    let (m8, s8) = gemm(&cfg8).into_parts();
+    let p16 = gemm(&cfg16);
+    let p8 = gemm(&cfg8);
     let opts = CompileOptions::default();
     let session = session();
-    let r16 = session.compile_and_simulate(&m16, &s16, &opts).unwrap();
-    let r8 = session.compile_and_simulate(&m8, &s8, &opts).unwrap();
+    let r16 = session.compile_and_simulate_program(&p16, &opts).unwrap();
+    let r8 = session.compile_and_simulate_program(&p8, &opts).unwrap();
     assert!(
         r8.tflops > r16.tflops * 1.2,
         "fp8 ({}) must clearly beat fp16 ({})",
@@ -309,16 +304,16 @@ fn fp8_doubles_headroom() {
 fn aref_programs_port_to_blackwell_projection() {
     // §VI: the same aref program should carry to newer architectures —
     // only the device model changes, not the compiler output shape.
-    let (m, spec) = gemm(&GemmConfig::new(8192, 8192, 8192)).into_parts();
+    let p = gemm(&GemmConfig::new(8192, 8192, 8192));
     let opts = CompileOptions {
         aref_depth: 3,
         ..CompileOptions::default()
     };
     let h100 = CompileSession::in_memory(&Device::h100_sxm5())
-        .compile_and_simulate(&m, &spec, &opts)
+        .compile_and_simulate_program(&p, &opts)
         .unwrap();
     let b200 = CompileSession::in_memory(&Device::b200_projection())
-        .compile_and_simulate(&m, &spec, &opts)
+        .compile_and_simulate_program(&p, &opts)
         .unwrap();
     assert!(
         b200.tflops > h100.tflops * 1.3,
@@ -330,9 +325,9 @@ fn aref_programs_port_to_blackwell_projection() {
 
 #[test]
 fn generated_wsir_prints() {
-    let (m, spec) = gemm(&GemmConfig::new(1024, 1024, 512)).into_parts();
+    let p = gemm(&GemmConfig::new(1024, 1024, 512));
     let k = session()
-        .compile(&m, &spec, &CompileOptions::default())
+        .compile_program(&p, &CompileOptions::default())
         .unwrap();
     let s = print_kernel(&k);
     assert!(s.contains("wgmma.mma_async"), "{s}");

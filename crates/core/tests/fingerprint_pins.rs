@@ -249,8 +249,10 @@ fn a_memoized_program_on_a_warm_session_moves_only_sim_hits() {
         .unwrap();
     assert_eq!(counters(&session), (0, 1, 1, 1));
     assert_eq!(cold, warm);
-    // A raw-module call lands on the same key.
+    // A program rebuilt from its parts lands on the same key.
     let (module, spec) = program.clone().into_parts();
-    session.compile_and_simulate(&module, &spec, &opts).unwrap();
+    session
+        .compile_and_simulate_program(&Program::from_parts(module, spec), &opts)
+        .unwrap();
     assert_eq!(counters(&session), (0, 1, 2, 1));
 }

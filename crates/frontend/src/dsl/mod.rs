@@ -87,9 +87,9 @@ use tawa_ir::spec::LaunchSpec;
 
 /// A finished tile program: a verified `tawa_ir` module plus the launch
 /// specialization that binds its parameters — everything the compiler
-/// needs. Produced by [`KernelBuilder::finish`]; consumed by
-/// `CompileSession::compile_program` (and, decomposed via
-/// [`Program::into_parts`], by every lower-level entry point).
+/// needs, and the one input of every `CompileSession` compile entry
+/// point. Produced by [`KernelBuilder::finish`], or wrapped around a
+/// module read from IR text with [`Program::from_parts`].
 #[derive(Debug, Clone)]
 pub struct Program {
     module: Module,
@@ -100,9 +100,9 @@ pub struct Program {
 }
 
 impl Program {
-    /// Reassembles a program from a module and launch spec (used by
-    /// harnesses that re-specialize one kernel body for a different
-    /// launch, e.g. grouped GEMM re-binding the fused GEMM module).
+    /// Assembles a program from a module and launch spec: a module
+    /// parsed from IR text, or one kernel body re-specialized for a
+    /// different launch (grouped GEMM re-binding the fused GEMM module).
     pub fn from_parts(module: Module, spec: LaunchSpec) -> Program {
         Program {
             module,

@@ -641,9 +641,11 @@ mod tests {
         };
         let k = ws_gemm(&cfg, &s, &dev()).unwrap();
         let expert = simulate(&k, &dev()).unwrap();
-        let (m, spec) = tawa_frontend::kernels::gemm(&cfg).into_parts();
         let compiled = tawa_core::CompileSession::in_memory(&dev())
-            .compile_and_simulate(&m, &spec, &tawa_core::CompileOptions::default())
+            .compile_and_simulate_program(
+                &tawa_frontend::kernels::gemm(&cfg),
+                &tawa_core::CompileOptions::default(),
+            )
             .unwrap();
         let ratio = compiled.tflops / expert.tflops;
         assert!(

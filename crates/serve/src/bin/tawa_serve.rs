@@ -166,7 +166,9 @@ fn cmd_run(mut args: Vec<String>) -> Result<(), String> {
         }
         last = Some(report);
     }
-    let report = last.expect("at least one session ran");
+    let Some(report) = last else {
+        return Err("no session ran".to_string());
+    };
     if let Some(out) = out {
         std::fs::write(&out, serialize_fleet_report(&report))
             .map_err(|e| format!("writing {out}: {e}"))?;

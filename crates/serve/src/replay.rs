@@ -291,8 +291,9 @@ impl<'s> Replay<'s> {
                 source,
             })?;
         // Perf lints of the winning kernel, memoized per shape like the
-        // winner itself. Computed after compile_and_simulate, so the
-        // kernel compile inside perf_summary is always a cache hit.
+        // winner itself. Computed after compile_and_simulate_program, so
+        // the kernel compile inside perf_summary_program is always a
+        // cache hit.
         let perf_lints = match self.perf.get(&shape_key) {
             Some(ids) => ids.clone(),
             None => {

@@ -83,8 +83,8 @@ pub use tawa_serve as serve;
 pub use tawa_wsir as wsir;
 
 pub use tawa_core::{
-    CacheEnv, CacheStats, CompileJob, CompileSession, DiskCache, DiskCacheStats, PerfSummary,
-    RemoteAddr, RemoteCache, SimOutcome, DISK_CACHE_ENV, REMOTE_CACHE_ENV,
+    CacheEnv, CacheStats, CompileSession, DiskCache, DiskCacheStats, PerfSummary, RemoteAddr,
+    RemoteCache, SimOutcome, DISK_CACHE_ENV, REMOTE_CACHE_ENV,
 };
 pub use tawa_frontend::{dsl, KernelBuilder, Program};
 pub use tawa_ir::{Diagnostic, Loc, PassRegistry, PipelineSpec, Severity};

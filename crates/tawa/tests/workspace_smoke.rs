@@ -11,25 +11,19 @@ use std::sync::Arc;
 use tawa::core::{CompileOptions, CompileSession};
 use tawa::frontend::config::{AttentionConfig, GemmConfig, GroupedGemmConfig};
 use tawa::frontend::kernels::{attention, batched_gemm, gemm, grouped_gemm};
-use tawa::ir::func::Module;
-use tawa::ir::spec::LaunchSpec;
 use tawa::sim::Device;
 use tawa::wsir::Kernel;
+use tawa::Program;
 
-/// Compile one frontend module and assert the resulting WSIR is usable.
-fn compile_nonempty(family: &str, module: &Module, spec: &LaunchSpec) -> Arc<Kernel> {
-    compile_nonempty_with(family, module, spec, &CompileOptions::default())
+/// Compile one frontend program and assert the resulting WSIR is usable.
+fn compile_nonempty(family: &str, program: &Program) -> Arc<Kernel> {
+    compile_nonempty_with(family, program, &CompileOptions::default())
 }
 
 /// [`compile_nonempty`] with explicit compile options.
-fn compile_nonempty_with(
-    family: &str,
-    module: &Module,
-    spec: &LaunchSpec,
-    opts: &CompileOptions,
-) -> Arc<Kernel> {
+fn compile_nonempty_with(family: &str, program: &Program, opts: &CompileOptions) -> Arc<Kernel> {
     let kernel = CompileSession::in_memory(&Device::h100_sxm5())
-        .compile(module, spec, opts)
+        .compile_program(program, opts)
         .unwrap_or_else(|e| panic!("{family}: compilation failed: {e}"));
     assert!(
         !kernel.warp_groups.is_empty(),
@@ -48,24 +42,23 @@ fn compile_nonempty_with(
 
 #[test]
 fn gemm_family_compiles_to_nonempty_wsir() {
-    let (module, spec) = gemm(&GemmConfig::new(4096, 4096, 1024)).into_parts();
-    compile_nonempty("gemm", &module, &spec);
+    let program = gemm(&GemmConfig::new(4096, 4096, 1024));
+    compile_nonempty("gemm", &program);
 }
 
 #[test]
 fn batched_gemm_family_compiles_to_nonempty_wsir() {
     let mut cfg = GemmConfig::new(2048, 2048, 1024);
     cfg.batch = 4;
-    let (module, spec) = batched_gemm(&cfg).into_parts();
-    compile_nonempty("batched_gemm", &module, &spec);
+    let program = batched_gemm(&cfg);
+    compile_nonempty("batched_gemm", &program);
 }
 
 #[test]
 fn attention_family_compiles_to_nonempty_wsir() {
     use tawa::ir::types::DType;
     for causal in [false, true] {
-        let (module, spec) =
-            attention(&AttentionConfig::paper(2048, causal, DType::F16)).into_parts();
+        let program = attention(&AttentionConfig::paper(2048, causal, DType::F16));
         // Attention's register pressure requires the paper's cooperative
         // warp groups (§IV-A); a single consumer group does not fit.
         let coop = CompileOptions {
@@ -78,8 +71,7 @@ fn attention_family_compiles_to_nonempty_wsir() {
             } else {
                 "attention"
             },
-            &module,
-            &spec,
+            &program,
             &coop,
         );
     }
@@ -87,15 +79,15 @@ fn attention_family_compiles_to_nonempty_wsir() {
 
 #[test]
 fn grouped_gemm_family_compiles_to_nonempty_wsir() {
-    let (module, spec) = grouped_gemm(&GroupedGemmConfig::paper_sweep(4)).into_parts();
-    compile_nonempty("grouped_gemm", &module, &spec);
+    let program = grouped_gemm(&GroupedGemmConfig::paper_sweep(4));
+    compile_nonempty("grouped_gemm", &program);
 }
 
 #[test]
 fn warp_specialization_produces_specialized_roles() {
     use tawa::wsir::Role;
-    let (module, spec) = gemm(&GemmConfig::new(4096, 4096, 1024)).into_parts();
-    let kernel = compile_nonempty("gemm", &module, &spec);
+    let program = gemm(&GemmConfig::new(4096, 4096, 1024));
+    let kernel = compile_nonempty("gemm", &program);
     let has_producer = kernel
         .warp_groups
         .iter()

@@ -33,7 +33,7 @@
 //! author's `file:line` instead of a WSIR index.
 //!
 //! `tawa-core` runs [`analyze`] as a gate inside
-//! `CompileSession::compile_and_simulate*`: a definite-deadlock verdict
+//! `CompileSession::compile_and_simulate_program`: a definite-deadlock verdict
 //! ([`deadlock_verdict`]) becomes a typed negative cache entry without the
 //! simulator ever being invoked. The `tawa-lint` binary exposes the same
 //! checks over serialized `.wsir` files and cache directories.
@@ -631,8 +631,7 @@ pub fn validate(k: &Kernel) -> Result<(), Vec<Lint>> {
 /// Default instruction budget for the abstract interpreter. Real kernels
 /// execute a few thousand abstract steps; the bound only exists so
 /// adversarial trip counts cannot hang the compiler. The compile
-/// session's static gate always runs at this budget; override it per call
-/// with [`analyze_with_budget`].
+/// session's static gate always runs at this budget.
 pub const DEFAULT_ANALYSIS_FUEL: u64 = 2_000_000;
 
 /// Full static analysis — both tiers, at the default interpretation
@@ -640,25 +639,21 @@ pub const DEFAULT_ANALYSIS_FUEL: u64 = 2_000_000;
 /// kernel cannot be interpreted); otherwise the abstract interpreter's
 /// findings are appended.
 pub fn analyze(k: &Kernel) -> Vec<Lint> {
-    analyze_with_budget(k, DEFAULT_ANALYSIS_FUEL)
+    analyze_counted(k, DEFAULT_ANALYSIS_FUEL).0
 }
 
-/// [`analyze`] with an explicit per-class interpretation budget. A class
-/// that exhausts `fuel` abstract steps reports
+/// [`analyze`] with an explicit per-class interpretation budget, also
+/// returning the abstract steps the interpreter executed over all
+/// classes — its deterministic unit of host work, which the tests pin. A
+/// class that exhausts `fuel` abstract steps reports
 /// [`LintKind::AnalysisBudget`] carrying the budget instead of a verdict.
-pub fn analyze_with_budget(k: &Kernel, fuel: u64) -> Vec<Lint> {
-    analyze_counted(k, fuel).0
-}
-
-/// [`analyze_with_budget`], also returning the abstract steps the
-/// interpreter executed over all classes — its deterministic unit of host
-/// work, which the tests pin. Not part of the product's surface.
+/// Not part of the product's surface.
 #[doc(hidden)]
 pub fn analyze_counted(k: &Kernel, fuel: u64) -> (Vec<Lint>, u64) {
     analyze_impl(k, fuel, true)
 }
 
-/// [`analyze_with_budget`] with the interpreter walking every trip of
+/// [`analyze_counted`] with the interpreter walking every trip of
 /// every loop instead of skipping its steady state: the reference the
 /// differential tests hold the shipped analyzer against. Not a mode of
 /// the product — nothing outside tests calls it.

@@ -203,7 +203,9 @@ fn single_buffered(k: &Kernel, model: &PerfModel, pairs: &interp::Pairs, lints: 
             if slots.len() != 1 {
                 continue;
             }
-            let (&full, &slot_bytes) = slots.iter().next().unwrap();
+            let Some((&full, &slot_bytes)) = slots.iter().next() else {
+                continue;
+            };
             if slot_bytes == 0 || !flagged.insert(full) {
                 continue;
             }

@@ -67,8 +67,8 @@ pub mod walk;
 
 pub use analyze::perf::{analyze_ir, analyze_kernel, PerfModel};
 pub use analyze::{
-    analyze, analyze_with_budget, deadlock_verdict, validate, InstrPath, Lint, LintKind, Severity,
-    ALL_LINT_IDS, DEFAULT_ANALYSIS_FUEL,
+    analyze, deadlock_verdict, validate, InstrPath, Lint, LintKind, Severity, ALL_LINT_IDS,
+    DEFAULT_ANALYSIS_FUEL,
 };
 pub use doc::DocError;
 pub use instr::{BarId, Count, Instr, MmaDtype, Role};

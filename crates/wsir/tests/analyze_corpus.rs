@@ -10,10 +10,10 @@
 //! running a single simulated cycle.
 
 use proptest::prelude::*;
-use tawa_wsir::analyze::analyze_reference;
+use tawa_wsir::analyze::{analyze_counted, analyze_reference};
 use tawa_wsir::{
-    analyze, analyze_with_budget, deadlock_verdict, validate, BarId, Instr, Kernel, Lint, LintKind,
-    MmaDtype, Role, Severity, DEFAULT_ANALYSIS_FUEL,
+    analyze, deadlock_verdict, validate, BarId, Instr, Kernel, Lint, LintKind, MmaDtype, Role,
+    Severity, DEFAULT_ANALYSIS_FUEL,
 };
 
 /// The paper's Fig. 4 producer/consumer handshake over one tile slot.
@@ -646,13 +646,13 @@ fn corpus_budget_verdicts_are_identical() {
         // A 400-trip handshake takes 2400 abstract steps.
         for fuel in [1, 2, 9, 50, 333, 1000, 2399, 2400, 2401, 2500, 100_000] {
             assert_eq!(
-                analyze_with_budget(&k, fuel),
+                analyze_counted(&k, fuel).0,
                 analyze_reference(&k, fuel),
                 "{what} at fuel {fuel}"
             );
         }
     }
-    let starved = analyze_with_budget(&handshake(400, 1), 1000);
+    let starved = analyze_counted(&handshake(400, 1), 1000).0;
     assert!(
         starved
             .iter()

@@ -18,10 +18,11 @@ use tawa::{CompileSession, PipelineSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = AttentionConfig::paper(1024, true, DType::F16);
-    let (module, spec) = attention(&cfg).into_parts();
+    let program = attention(&cfg);
+    let module = program.module();
 
     println!("========== 1. Frontend tile IR (annotation-free) ==========\n");
-    println!("{}", print_module(&module));
+    println!("{}", print_module(module));
 
     // Every op carries the DSL author's source span (outside the printed
     // IR, so fingerprints and cache keys never see it). Show a few.
@@ -67,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "// full driver pipeline: {}\n",
         CompileSession::pipeline_spec(&opts)?
     );
-    let kernel = CompileSession::new(&device).compile(&module, &spec, &opts)?;
+    let kernel = CompileSession::new(&device).compile_program(&program, &opts)?;
     println!("========== 4. Final warp-specialized WSIR ==========\n");
     println!("{}", tawa::wsir::print_kernel(&kernel));
     Ok(())

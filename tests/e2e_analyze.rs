@@ -249,7 +249,7 @@ fn race_diagnostic_names_the_dsl_authors_line() {
 #[test]
 fn static_gate_keeps_autotune_best_config_bit_identical() {
     let device = dev();
-    let (m, spec) = gemm(&GemmConfig::new(2048, 2048, 2048)).into_parts();
+    let program = gemm(&GemmConfig::new(2048, 2048, 2048));
     let base = CompileOptions::default();
     let space = TuneSpace::fig11(false);
 
@@ -257,7 +257,13 @@ fn static_gate_keeps_autotune_best_config_bit_identical() {
     // Every sweep simulates every candidate, so the gate sees the
     // deliberately-worst configurations too.
     let reference_session = CompileSession::in_memory(&device);
-    let reference = autotune_with_session(&reference_session, &m, &spec, &base, &space);
+    let reference = autotune_with_session(
+        &reference_session,
+        program.module(),
+        program.spec(),
+        &base,
+        &space,
+    );
     let best = reference.best.expect("fig11 has feasible points");
 
     // Seed a disk cache one configuration at a time (compile only — no
@@ -293,7 +299,7 @@ fn static_gate_keeps_autotune_best_config_bit_identical() {
             persistent: p.persistent,
             ..base.clone()
         };
-        if seeder.compile(&m, &spec, &opts).is_err() {
+        if seeder.compile_program(&program, &opts).is_err() {
             continue; // infeasible: only a .neg entry, nothing to poison
         }
         let key = disk
@@ -317,7 +323,7 @@ fn static_gate_keeps_autotune_best_config_bit_identical() {
     let swept = CompileSession::in_memory(&device)
         .with_disk_cache(&dir)
         .unwrap();
-    let checked = autotune_with_session(&swept, &m, &spec, &base, &space);
+    let checked = autotune_with_session(&swept, program.module(), program.spec(), &base, &space);
     let stats = swept.cache_stats();
     assert_eq!(stats.static_rejections, 2, "{stats:?}");
     assert_eq!(
@@ -361,7 +367,7 @@ fn static_gate_keeps_autotune_best_config_bit_identical() {
     let warm = CompileSession::in_memory(&device)
         .with_disk_cache(&dir)
         .unwrap();
-    let rerun = autotune_with_session(&warm, &m, &spec, &base, &space);
+    let rerun = autotune_with_session(&warm, program.module(), program.spec(), &base, &space);
     let warm_stats = warm.cache_stats();
     assert_eq!(warm_stats.disk.static_rejections, 2, "{warm_stats:?}");
     assert_eq!(warm_stats.static_rejections, 0, "{warm_stats:?}");

@@ -21,9 +21,9 @@ fn coop() -> CompileOptions {
 
 #[test]
 fn attention_compiles_to_three_warp_groups() {
-    let (m, spec) = attention(&AttentionConfig::paper(2048, false, DType::F16)).into_parts();
+    let p = attention(&AttentionConfig::paper(2048, false, DType::F16));
     let k = CompileSession::in_memory(&dev())
-        .compile(&m, &spec, &coop())
+        .compile_program(&p, &coop())
         .unwrap();
     assert_eq!(k.warp_groups.len(), 3); // producer + 2 cooperative consumers
     assert!(k.barriers.len() >= 8, "K and V rings need 2·2·D barriers");
@@ -32,14 +32,14 @@ fn attention_compiles_to_three_warp_groups() {
 #[test]
 fn causal_attention_runs_all_classes() {
     let cfg = AttentionConfig::paper(4096, true, DType::F16);
-    let (m, spec) = attention(&cfg).into_parts();
+    let p = attention(&cfg);
     let session = CompileSession::in_memory(&dev());
-    let r = session.compile_and_simulate(&m, &spec, &coop()).unwrap();
+    let r = session.compile_and_simulate_program(&p, &coop()).unwrap();
     assert!(r.tflops > 100.0, "{}", r.tflops);
     // Causal throughput (counting only visited tiles) lands in the same
     // band as non-causal, slightly lower (mask work + short rows).
-    let (mn, sn) = attention(&AttentionConfig::paper(4096, false, DType::F16)).into_parts();
-    let rn = session.compile_and_simulate(&mn, &sn, &coop()).unwrap();
+    let pn = attention(&AttentionConfig::paper(4096, false, DType::F16));
+    let rn = session.compile_and_simulate_program(&pn, &coop()).unwrap();
     assert!(
         r.tflops < rn.tflops,
         "causal {} should trail non-causal {}",

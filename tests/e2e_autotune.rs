@@ -153,8 +153,8 @@ proptest! {
     ) {
         let device = dev();
         let session = CompileSession::in_memory(&device);
-        let (module, spec) = gemm(&cfg).into_parts();
-        let Ok(kernel) = session.compile(&module, &spec, &opts) else {
+        let program = gemm(&cfg);
+        let Ok(kernel) = session.compile_program(&program, &opts) else {
             return Ok(()); // infeasible shapes are out of scope here
         };
         let seq = simulate_with(&kernel, &device, &SimOptions { parallel_classes: false });
@@ -190,9 +190,15 @@ proptest! {
     ) {
         let device = dev();
         let session = CompileSession::in_memory(&device);
-        let (module, spec) = gemm(&cfg).into_parts();
+        let program = gemm(&cfg);
         let base = CompileOptions::default();
-        let r = autotune_with_session(&session, &module, &spec, &base, &TuneSpace::fig11(persistent));
+        let r = autotune_with_session(
+            &session,
+            program.module(),
+            program.spec(),
+            &base,
+            &TuneSpace::fig11(persistent),
+        );
         prop_assert_eq!(r.points.len(), 9);
         let Some(best) = r.best else {
             prop_assert!(r.points.iter().all(|p| p.tflops.is_none()));
@@ -207,7 +213,7 @@ proptest! {
         }
         let opts = r.best_options(&base).unwrap();
         let fresh = CompileSession::in_memory(&device);
-        let report = fresh.compile_and_simulate(&module, &spec, &opts);
+        let report = fresh.compile_and_simulate_program(&program, &opts);
         prop_assert_eq!(report.map(|rep| rep.tflops.to_bits()).ok(), Some(top.to_bits()));
     }
 }

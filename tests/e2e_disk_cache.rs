@@ -13,12 +13,10 @@ use tawa::core::{CompileError, CompileOptions};
 use tawa::frontend::config::{AttentionConfig, GemmConfig};
 use tawa::frontend::kernels::{attention, batched_gemm, gemm, grouped_gemm};
 use tawa::frontend::GroupedGemmConfig;
-use tawa::ir::func::Module;
-use tawa::ir::spec::LaunchSpec;
 use tawa::ir::types::DType;
 use tawa::sim::Device;
 use tawa::wsir::print_kernel;
-use tawa::CompileSession;
+use tawa::{CompileSession, Program};
 
 fn dev() -> Device {
     Device::h100_sxm5()
@@ -39,21 +37,20 @@ fn disk_session(dir: &PathBuf) -> CompileSession {
 }
 
 /// One feasible compile job per kernel family.
-fn family_jobs() -> Vec<(Module, LaunchSpec, CompileOptions)> {
-    let (g_m, g_s) = gemm(&GemmConfig::new(1024, 1024, 512)).into_parts();
-    let (b_m, b_s) = batched_gemm(&GemmConfig::new(1024, 1024, 1024).with_batch(4)).into_parts();
-    let (gr_m, gr_s) = grouped_gemm(&GroupedGemmConfig::paper_sweep(4)).into_parts();
-    let (a_m, a_s) = attention(&AttentionConfig {
+fn family_jobs() -> Vec<(Program, CompileOptions)> {
+    let attn = attention(&AttentionConfig {
         block_m: 64,
         ..AttentionConfig::paper(2048, false, DType::F16)
-    })
-    .into_parts();
+    });
     vec![
-        (g_m, g_s, CompileOptions::default()),
-        (b_m, b_s, CompileOptions::default()),
-        (gr_m, gr_s, CompileOptions::default()),
-        (a_m, a_s, CompileOptions::default()),
+        gemm(&GemmConfig::new(1024, 1024, 512)),
+        batched_gemm(&GemmConfig::new(1024, 1024, 1024).with_batch(4)),
+        grouped_gemm(&GroupedGemmConfig::paper_sweep(4)),
+        attn,
     ]
+    .into_iter()
+    .map(|p| (p, CompileOptions::default()))
+    .collect()
 }
 
 #[test]
@@ -65,7 +62,7 @@ fn fresh_session_over_warm_dir_serves_byte_identical_kernels() {
     let cold_session = disk_session(&dir);
     let cold: Vec<String> = jobs
         .iter()
-        .map(|(m, s, o)| print_kernel(&cold_session.compile(m, s, o).unwrap()))
+        .map(|(p, o)| print_kernel(&cold_session.compile_program(p, o).unwrap()))
         .collect();
     let cold_stats = cold_session.cache_stats();
     assert_eq!(cold_stats.disk.writes, jobs.len() as u64);
@@ -75,8 +72,8 @@ fn fresh_session_over_warm_dir_serves_byte_identical_kernels() {
     // must serve every kernel from disk, byte-identical to the cold
     // compile, with zero compiles.
     let warm_session = disk_session(&dir);
-    for ((m, s, o), cold_text) in jobs.iter().zip(&cold) {
-        let warm = warm_session.compile(m, s, o).unwrap();
+    for ((p, o), cold_text) in jobs.iter().zip(&cold) {
+        let warm = warm_session.compile_program(p, o).unwrap();
         assert_eq!(&print_kernel(&warm), cold_text);
     }
     let warm_stats = warm_session.cache_stats();
@@ -89,13 +86,13 @@ fn fresh_session_over_warm_dir_serves_byte_identical_kernels() {
 #[test]
 fn warm_autotune_sweep_skips_pruning_via_negative_cache() {
     let dir = cache_dir("negative-sweep");
-    let (m, spec) = gemm(&GemmConfig::new(2048, 2048, 2048)).into_parts();
+    let p = gemm(&GemmConfig::new(2048, 2048, 2048));
     let base = CompileOptions::default();
     // The fig11 D × P grid contains the infeasible P > D triangle.
     let space = TuneSpace::fig11(false);
 
     let cold_session = disk_session(&dir);
-    let cold = autotune_with_session(&cold_session, &m, &spec, &base, &space);
+    let cold = autotune_with_session(&cold_session, p.module(), p.spec(), &base, &space);
     let infeasible = cold.points.iter().filter(|p| p.tflops.is_none()).count();
     assert!(infeasible > 0, "the grid must contain infeasible points");
 
@@ -104,7 +101,7 @@ fn warm_autotune_sweep_skips_pruning_via_negative_cache() {
     // AND the simulator), infeasible points negative hits, and nothing
     // is compiled or simulated (pruning included).
     let warm_session = disk_session(&dir);
-    let warm = autotune_with_session(&warm_session, &m, &spec, &base, &space);
+    let warm = autotune_with_session(&warm_session, p.module(), p.spec(), &base, &space);
     let stats = warm_session.cache_stats();
     assert_eq!(stats.disk.negative_hits, infeasible as u64, "{stats:?}");
     assert!(stats.disk.sim_hits > 0, "{stats:?}");
@@ -125,7 +122,7 @@ fn corrupted_entries_degrade_to_recompile() {
     let cold_session = disk_session(&dir);
     let cold: Vec<String> = jobs
         .iter()
-        .map(|(m, s, o)| print_kernel(&cold_session.compile(m, s, o).unwrap()))
+        .map(|(p, o)| print_kernel(&cold_session.compile_program(p, o).unwrap()))
         .collect();
 
     // Vandalize every entry a different way: truncation, garbage, and
@@ -149,8 +146,8 @@ fn corrupted_entries_degrade_to_recompile() {
     // A fresh session must recompile everything, producing identical
     // kernels, and count the defective entries as invalidations.
     let recovered_session = disk_session(&dir);
-    for ((m, s, o), cold_text) in jobs.iter().zip(&cold) {
-        let k = recovered_session.compile(m, s, o).unwrap();
+    for ((p, o), cold_text) in jobs.iter().zip(&cold) {
+        let k = recovered_session.compile_program(p, o).unwrap();
         assert_eq!(&print_kernel(&k), cold_text);
     }
     let stats = recovered_session.cache_stats();
@@ -159,8 +156,8 @@ fn corrupted_entries_degrade_to_recompile() {
 
     // And the repaired entries serve the next restart from disk again.
     let warm_session = disk_session(&dir);
-    for (m, s, o) in &jobs {
-        warm_session.compile(m, s, o).unwrap();
+    for (p, o) in &jobs {
+        warm_session.compile_program(p, o).unwrap();
     }
     assert_eq!(warm_session.cache_stats().kernel_misses, 0);
 
@@ -170,11 +167,11 @@ fn corrupted_entries_degrade_to_recompile() {
 #[test]
 fn format_version_bump_degrades_to_recompile() {
     let dir = cache_dir("version-bump");
-    let (m, spec) = gemm(&GemmConfig::new(1024, 1024, 512)).into_parts();
+    let p = gemm(&GemmConfig::new(1024, 1024, 512));
     let opts = CompileOptions::default();
 
     let cold_session = disk_session(&dir);
-    let cold = print_kernel(&cold_session.compile(&m, &spec, &opts).unwrap());
+    let cold = print_kernel(&cold_session.compile_program(&p, &opts).unwrap());
 
     // Simulate entries written by a future (or past) build: bump the
     // disk-format version inside every entry header.
@@ -191,7 +188,7 @@ fn format_version_bump_degrades_to_recompile() {
     }
 
     let fresh_session = disk_session(&dir);
-    let k = fresh_session.compile(&m, &spec, &opts).unwrap();
+    let k = fresh_session.compile_program(&p, &opts).unwrap();
     assert_eq!(print_kernel(&k), cold);
     let stats = fresh_session.cache_stats();
     assert_eq!(stats.kernel_misses, 1, "{stats:?}");
@@ -209,7 +206,7 @@ fn concurrent_sessions_share_one_cache_dir() {
     let reference: Vec<String> = {
         let session = CompileSession::in_memory(&dev());
         jobs.iter()
-            .map(|(m, s, o)| print_kernel(&session.compile(m, s, o).unwrap()))
+            .map(|(p, o)| print_kernel(&session.compile_program(p, o).unwrap()))
             .collect()
     };
 
@@ -221,8 +218,8 @@ fn concurrent_sessions_share_one_cache_dir() {
         for _ in 0..4 {
             scope.spawn(|| {
                 let session = disk_session(&dir);
-                for ((m, s, o), expected) in jobs.iter().zip(&reference) {
-                    let k = session.compile(m, s, o).unwrap();
+                for ((p, o), expected) in jobs.iter().zip(&reference) {
+                    let k = session.compile_program(p, o).unwrap();
                     assert_eq!(&print_kernel(&k), expected);
                 }
             });
@@ -232,8 +229,8 @@ fn concurrent_sessions_share_one_cache_dir() {
     // Afterwards the directory holds exactly one entry per job and a
     // fifth session is fully warm.
     let warm_session = disk_session(&dir);
-    for (m, s, o) in &jobs {
-        warm_session.compile(m, s, o).unwrap();
+    for (p, o) in &jobs {
+        warm_session.compile_program(p, o).unwrap();
     }
     let stats = warm_session.cache_stats();
     assert_eq!(stats.kernel_misses, 0, "{stats:?}");
@@ -250,7 +247,7 @@ fn eviction_bounds_disk_usage_without_breaking_compiles() {
         .with_disk(tawa::DiskCache::open(&dir).unwrap().with_max_bytes(budget));
 
     // Compile more distinct configurations than the budget can hold.
-    let (m, spec) = gemm(&GemmConfig::new(2048, 2048, 2048)).into_parts();
+    let program = gemm(&GemmConfig::new(2048, 2048, 2048));
     for d in 1..=3usize {
         for p in 1..=d {
             for persistent in [false, true] {
@@ -260,7 +257,7 @@ fn eviction_bounds_disk_usage_without_breaking_compiles() {
                     persistent,
                     ..CompileOptions::default()
                 };
-                session.compile(&m, &spec, &opts).unwrap();
+                session.compile_program(&program, &opts).unwrap();
             }
         }
     }
@@ -272,7 +269,7 @@ fn eviction_bounds_disk_usage_without_breaking_compiles() {
     // cache is an accelerator, never a requirement.
     let fresh = disk_session(&dir);
     let k = fresh
-        .compile(&m, &spec, &CompileOptions::default())
+        .compile_program(&program, &CompileOptions::default())
         .unwrap();
     assert!(!print_kernel(&k).is_empty());
 
@@ -282,7 +279,7 @@ fn eviction_bounds_disk_usage_without_breaking_compiles() {
 #[test]
 fn pipeline_override_is_part_of_the_disk_key() {
     let dir = cache_dir("pipeline-key");
-    let (m, spec) = gemm(&GemmConfig::new(1024, 1024, 512)).into_parts();
+    let p = gemm(&GemmConfig::new(1024, 1024, 512));
     let default_opts = CompileOptions::default();
     let override_opts = CompileOptions {
         pipeline: Some(
@@ -293,8 +290,8 @@ fn pipeline_override_is_part_of_the_disk_key() {
     };
 
     let cold_session = disk_session(&dir);
-    cold_session.compile(&m, &spec, &default_opts).unwrap();
-    cold_session.compile(&m, &spec, &override_opts).unwrap();
+    cold_session.compile_program(&p, &default_opts).unwrap();
+    cold_session.compile_program(&p, &override_opts).unwrap();
     // Equivalent output, but two distinct entries: the override is part
     // of the environment fingerprint.
     assert_eq!(cold_session.cache_stats().disk.entries, 2);
@@ -306,7 +303,7 @@ fn pipeline_override_is_part_of_the_disk_key() {
         ..CompileOptions::default()
     };
     assert!(matches!(
-        cold_session.compile(&m, &spec, &bad),
+        cold_session.compile_program(&p, &bad),
         Err(CompileError::Pass(_))
     ));
     assert_eq!(cold_session.cache_stats().disk.entries, 2);

@@ -1,7 +1,8 @@
 //! End-to-end coverage of the `tawa::dsl` redesign:
 //!
-//! * DSL-authored zoo programs hit the *same* cache entries as their
-//!   decomposed (module, spec) form — fingerprints ignore source spans;
+//! * DSL-authored zoo programs hit the *same* cache entries as a program
+//!   reassembled from their (module, spec) parts — fingerprints ignore
+//!   source spans;
 //! * a DSL-authored kernel that is NOT in the zoo (fused bias+GELU GEMM,
 //!   mirroring `examples/dsl_custom_kernel.rs`) compiles, simulates, and
 //!   round-trips the disk cache across a session restart byte-for-byte;
@@ -47,13 +48,15 @@ fn cache_dir(name: &str) -> PathBuf {
 }
 
 #[test]
-fn programs_and_raw_modules_share_cache_entries() {
+fn programs_and_reassembled_parts_share_cache_entries() {
     let session = CompileSession::in_memory(&dev());
     let program = gemm(&GemmConfig::new(1024, 1024, 512));
     let opts = CompileOptions::default();
     let a = session.compile_program(&program, &opts).unwrap();
     let (module, spec) = program.into_parts();
-    let b = session.compile(&module, &spec, &opts).unwrap();
+    let b = session
+        .compile_program(&Program::from_parts(module, spec), &opts)
+        .unwrap();
     assert_eq!(print_kernel(&a), print_kernel(&b));
     let stats = session.cache_stats();
     assert_eq!(

@@ -33,8 +33,7 @@ use tawa::sim::run::wave_setup;
 use tawa::sim::{estimate, simulate, Device};
 use tawa::wsir::analyze::{analyze_counted, analyze_reference};
 use tawa::wsir::{
-    analyze, analyze_with_budget, validate, BarId, Count, CtaClass, Instr, Kernel, MmaDtype, Role,
-    DEFAULT_ANALYSIS_FUEL,
+    analyze, validate, BarId, Count, CtaClass, Instr, Kernel, MmaDtype, Role, DEFAULT_ANALYSIS_FUEL,
 };
 use tawa::CompileSession;
 
@@ -344,10 +343,10 @@ fn every_fig11_candidate_is_exact_and_sweeps_need_5x_fewer_events() {
     let mut swept_steps = 0;
     for (what, program, persistent) in fig11_sweeps() {
         let session = CompileSession::in_memory(&device);
-        let (module, spec) = program.into_parts();
         let base = serving_options();
         let space = TuneSpace::fig11(persistent);
-        let result = autotune_with_session(&session, &module, &spec, &base, &space);
+        let result =
+            autotune_with_session(&session, program.module(), program.spec(), &base, &space);
         assert!(result.best.is_some(), "{what}: no feasible point");
         for p in &result.points {
             let opts = CompileOptions {
@@ -357,7 +356,7 @@ fn every_fig11_candidate_is_exact_and_sweeps_need_5x_fewer_events() {
                 persistent: p.persistent,
                 ..base.clone()
             };
-            let Ok(kernel) = session.compile(&module, &spec, &opts) else {
+            let Ok(kernel) = session.compile_program(&program, &opts) else {
                 continue; // infeasible cell
             };
             let label = format!("{what} D={} P={}", p.aref_depth, p.mma_depth);
@@ -841,8 +840,8 @@ proptest! {
     #[test]
     fn random_dsl_programs_are_exact((cfg, opts) in dsl_gemm_cases()) {
         let session = CompileSession::in_memory(&dev());
-        let (module, spec) = gemm(&cfg).into_parts();
-        if let Ok(kernel) = session.compile(&module, &spec, &opts) {
+        let program = gemm(&cfg);
+        if let Ok(kernel) = session.compile_program(&program, &opts) {
             assert_exact(&kernel, "dsl gemm")?;
         }
     }
@@ -871,7 +870,7 @@ proptest! {
     #[test]
     fn analysis_budget_fires_identically(p in pipelines(), fuel in 1u64..6000) {
         let k = pipeline_kernel(&p);
-        prop_assert_eq!(analyze_with_budget(&k, fuel), analyze_reference(&k, fuel));
+        prop_assert_eq!(analyze_counted(&k, fuel).0, analyze_reference(&k, fuel));
     }
 
     /// Class families: every class of a random multi-class kernel gets the
@@ -888,6 +887,6 @@ proptest! {
     #[test]
     fn analysis_budget_fires_identically_in_a_family(c in family_cases(), fuel in 1u64..6000) {
         let k = family_kernel(&c);
-        prop_assert_eq!(analyze_with_budget(&k, fuel), analyze_reference(&k, fuel));
+        prop_assert_eq!(analyze_counted(&k, fuel).0, analyze_reference(&k, fuel));
     }
 }

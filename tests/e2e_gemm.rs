@@ -14,9 +14,9 @@ fn dev() -> Device {
 
 #[test]
 fn full_pipeline_produces_valid_wsir() {
-    let (m, spec) = gemm(&GemmConfig::new(4096, 4096, 4096)).into_parts();
+    let p = gemm(&GemmConfig::new(4096, 4096, 4096));
     let k = CompileSession::in_memory(&dev())
-        .compile(&m, &spec, &CompileOptions::default())
+        .compile_program(&p, &CompileOptions::default())
         .unwrap();
     tawa::wsir::validate(&k).unwrap();
     assert_eq!(k.warp_groups.len(), 2); // producer + 1 consumer
@@ -29,11 +29,10 @@ fn warp_specialization_beats_software_pipelining_across_k() {
     let session = CompileSession::in_memory(&dev());
     for k in [1024usize, 4096, 16384] {
         let cfg = GemmConfig::new(8192, 8192, k).with_tile(Tile::LARGE);
-        let (m, spec) = gemm(&cfg).into_parts();
+        let p = gemm(&cfg);
         let ws = session
-            .compile_and_simulate(
-                &m,
-                &spec,
+            .compile_and_simulate_program(
+                &p,
                 &CompileOptions {
                     cooperative: 2,
                     aref_depth: 3,
@@ -42,9 +41,8 @@ fn warp_specialization_beats_software_pipelining_across_k() {
             )
             .unwrap();
         let simt = session
-            .compile_and_simulate(
-                &m,
-                &spec,
+            .compile_and_simulate_program(
+                &p,
                 &CompileOptions {
                     warp_specialize: false,
                     ..CompileOptions::default()
@@ -96,9 +94,9 @@ fn fp8_roughly_doubles_large_k_throughput() {
 #[test]
 fn batched_gemm_full_pipeline() {
     let cfg = GemmConfig::new(2048, 2048, 2048).with_batch(8);
-    let (m, spec) = batched_gemm(&cfg).into_parts();
+    let p = batched_gemm(&cfg);
     let r = CompileSession::in_memory(&dev())
-        .compile_and_simulate(&m, &spec, &CompileOptions::default())
+        .compile_and_simulate_program(&p, &CompileOptions::default())
         .unwrap();
     assert!(r.tflops > 100.0, "{}", r.tflops);
     // Conservation: loaded bytes = batch × k-tiles × (A tile + B tile).

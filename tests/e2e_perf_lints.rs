@@ -159,7 +159,7 @@ fn dead_compute_strips_to_a_bit_identical_simulation() {
 #[test]
 fn single_buffered_suggested_depth_wins_the_sweep() {
     let session = CompileSession::in_memory(&dev());
-    let (module, spec) = gemm(&GemmConfig::new(4096, 4096, 4096)).into_parts();
+    let program = gemm(&GemmConfig::new(4096, 4096, 4096));
     let single = CompileOptions {
         aref_depth: 1,
         mma_depth: 1,
@@ -167,7 +167,7 @@ fn single_buffered_suggested_depth_wins_the_sweep() {
     };
 
     let summary = session
-        .perf_summary(&module, &spec, &single)
+        .perf_summary_program(&program, &single)
         .expect("D=1 compiles");
     let admissible = summary
         .lints
@@ -180,7 +180,7 @@ fn single_buffered_suggested_depth_wins_the_sweep() {
     assert!(admissible >= 2, "suggested depth must deepen the ring");
 
     let slow = session
-        .compile_and_simulate(&module, &spec, &single)
+        .compile_and_simulate_program(&program, &single)
         .expect("D=1 simulates");
 
     let space = TuneSpace {
@@ -189,8 +189,13 @@ fn single_buffered_suggested_depth_wins_the_sweep() {
         cooperative: vec![1],
         persistent: vec![false],
     };
-    let result =
-        autotune_with_session(&session, &module, &spec, &CompileOptions::default(), &space);
+    let result = autotune_with_session(
+        &session,
+        program.module(),
+        program.spec(),
+        &CompileOptions::default(),
+        &space,
+    );
     let best = &result.points[result.best.expect("a feasible winner")];
     assert_eq!(
         best.aref_depth, admissible,

@@ -10,34 +10,28 @@ use tawa::core::CompileOptions;
 use tawa::frontend::config::{AttentionConfig, GemmConfig};
 use tawa::frontend::kernels::{attention, batched_gemm, gemm, grouped_gemm};
 use tawa::frontend::GroupedGemmConfig;
-use tawa::ir::func::Module;
-use tawa::ir::spec::LaunchSpec;
 use tawa::ir::types::DType;
 use tawa::sim::Device;
 use tawa::wsir::{deserialize_kernel, print_kernel, serialize_kernel};
-use tawa::CompileSession;
+use tawa::{CompileSession, Program};
 
-/// Strategy over (family name, module, launch spec) covering all four
-/// kernel families at a mix of shapes.
-fn families() -> impl Strategy<Value = (&'static str, Module, LaunchSpec)> {
+/// Strategy over (family name, program) covering all four kernel
+/// families at a mix of shapes.
+fn families() -> impl Strategy<Value = (&'static str, Program)> {
     prop_oneof![
         (
             prop_oneof![Just(1024usize), Just(2048)],
             prop_oneof![Just(512usize), Just(2048)],
         )
-            .prop_map(|(mn, k)| {
-                let (m, s) = gemm(&GemmConfig::new(mn, mn, k)).into_parts();
-                ("gemm", m, s)
-            }),
-        prop_oneof![Just(2usize), Just(8)].prop_map(|b| {
-            let (m, s) =
-                batched_gemm(&GemmConfig::new(1024, 1024, 1024).with_batch(b)).into_parts();
-            ("batched_gemm", m, s)
-        }),
-        prop_oneof![Just(2usize), Just(4)].prop_map(|g| {
-            let (m, s) = grouped_gemm(&GroupedGemmConfig::paper_sweep(g)).into_parts();
-            ("grouped_gemm", m, s)
-        }),
+            .prop_map(|(mn, k)| ("gemm", gemm(&GemmConfig::new(mn, mn, k)))),
+        prop_oneof![Just(2usize), Just(8)].prop_map(|b| (
+            "batched_gemm",
+            batched_gemm(&GemmConfig::new(1024, 1024, 1024).with_batch(b)),
+        )),
+        prop_oneof![Just(2usize), Just(4)].prop_map(|g| (
+            "grouped_gemm",
+            grouped_gemm(&GroupedGemmConfig::paper_sweep(g)),
+        )),
         (
             prop_oneof![Just(1024usize), Just(4096)],
             prop_oneof![Just(false), Just(true)],
@@ -47,8 +41,7 @@ fn families() -> impl Strategy<Value = (&'static str, Module, LaunchSpec)> {
                     block_m: 64,
                     ..AttentionConfig::paper(l, causal, DType::F16)
                 };
-                let (m, s) = attention(&cfg).into_parts();
-                ("attention", m, s)
+                ("attention", attention(&cfg))
             }),
     ]
 }
@@ -76,11 +69,11 @@ proptest! {
 
     #[test]
     fn compiled_kernels_round_trip_through_serialization(
-        (family, module, spec) in families(),
+        (family, program) in families(),
         opts in feasible_options(),
     ) {
         let session = CompileSession::in_memory(&Device::h100_sxm5());
-        let kernel = match session.compile(&module, &spec, &opts) {
+        let kernel = match session.compile_program(&program, &opts) {
             Ok(k) => k,
             // Legitimately pruned points (e.g. persistent causal
             // attention has non-uniform trip counts) are skipped: the

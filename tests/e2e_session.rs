@@ -1,6 +1,6 @@
 //! End-to-end tests of the staged compile-session layer: content-addressed
 //! cache correctness (a hit is byte-identical to a cold compile, property-
-//! tested over random configurations), batch-vs-sequential equivalence, and
+//! tested over random configurations), sweep-vs-sequential equivalence, and
 //! the warm-sweep speedup the cache exists for.
 
 use std::time::Instant;
@@ -13,7 +13,7 @@ use tawa::frontend::config::{GemmConfig, Tile};
 use tawa::frontend::kernels::gemm;
 use tawa::sim::Device;
 use tawa::wsir::print_kernel;
-use tawa::{CompileJob, CompileSession};
+use tawa::CompileSession;
 
 fn dev() -> Device {
     Device::h100_sxm5()
@@ -60,13 +60,13 @@ proptest! {
         opts in compile_options(),
     ) {
         let device = dev();
-        let (m, spec) = gemm(&cfg).into_parts();
-        let cold = CompileSession::in_memory(&device).compile(&m, &spec, &opts);
+        let p = gemm(&cfg);
+        let cold = CompileSession::in_memory(&device).compile_program(&p, &opts);
         let session = CompileSession::in_memory(&device);
-        match (cold, session.compile(&m, &spec, &opts)) {
+        match (cold, session.compile_program(&p, &opts)) {
             (Ok(cold), Ok(warm_miss)) => {
                 // Second session compile: guaranteed cache hit.
-                let hit = session.compile(&m, &spec, &opts).unwrap();
+                let hit = session.compile_program(&p, &opts).unwrap();
                 prop_assert_eq!(session.cache_stats().kernel_hits, 1);
                 let cold_text = print_kernel(&cold);
                 prop_assert_eq!(&cold_text, &print_kernel(&warm_miss));
@@ -84,59 +84,74 @@ proptest! {
 }
 
 #[test]
-fn compile_batch_equals_sequential_compiles() {
+fn autotune_sweeps_equal_sequential_compiles() {
     let device = dev();
-    let (m, spec) = gemm(&GemmConfig::new(2048, 2048, 2048)).into_parts();
-    let (m_large, spec_large) =
-        gemm(&GemmConfig::new(2048, 2048, 2048).with_tile(Tile::LARGE)).into_parts();
-    // N heterogeneous jobs: two modules, several option points, one
-    // infeasible (P > D) and one register-infeasible (large tile, coop 1).
-    let mut jobs = Vec::new();
-    for d in 1..=3usize {
-        for p in 1..=2usize {
-            jobs.push(CompileJob {
-                module: &m,
-                spec: &spec,
-                opts: CompileOptions {
-                    aref_depth: d,
-                    mma_depth: p,
-                    ..CompileOptions::default()
-                },
-            });
-        }
-    }
-    jobs.push(CompileJob {
-        module: &m_large,
-        spec: &spec_large,
-        opts: CompileOptions {
-            cooperative: 2,
-            ..CompileOptions::default()
-        },
-    });
-    jobs.push(CompileJob {
-        module: &m_large,
-        spec: &spec_large,
-        opts: CompileOptions {
-            cooperative: 1,
-            ..CompileOptions::default()
-        },
-    });
-
+    let small = gemm(&GemmConfig::new(2048, 2048, 2048));
+    let large = gemm(&GemmConfig::new(2048, 2048, 2048).with_tile(Tile::LARGE));
+    // Two sweeps over one session: the small tile's grid holds a P > D
+    // point, the large tile's a register-infeasible single consumer.
+    let sweeps = [
+        (
+            &small,
+            TuneSpace {
+                aref_depths: vec![1, 2, 3],
+                mma_depths: vec![1, 2],
+                cooperative: vec![1],
+                persistent: vec![false],
+            },
+        ),
+        (
+            &large,
+            TuneSpace {
+                aref_depths: vec![2],
+                mma_depths: vec![2],
+                cooperative: vec![2, 1],
+                persistent: vec![false],
+            },
+        ),
+    ];
+    let base = CompileOptions::default();
     let batch_session = CompileSession::in_memory(&device);
-    let batch = batch_session.compile_batch(&jobs);
-
     let seq_session = CompileSession::in_memory(&device);
-    assert_eq!(batch.len(), jobs.len());
-    for (job, outcome) in jobs.iter().zip(&batch) {
-        let sequential = seq_session.compile(job.module, job.spec, &job.opts);
-        match (outcome, sequential) {
-            (Ok(b), Ok(s)) => assert_eq!(print_kernel(b), print_kernel(&s)),
-            (Err(CompileError::Infeasible(_)), Err(CompileError::Infeasible(_))) => {}
-            (b, s) => panic!("batch/sequential diverged: {b:?} vs {s:?}"),
+    let mut infeasible = 0;
+    for (program, space) in &sweeps {
+        let result = autotune_with_session(
+            &batch_session,
+            program.module(),
+            program.spec(),
+            &base,
+            space,
+        );
+        for point in &result.points {
+            let opts = CompileOptions {
+                aref_depth: point.aref_depth,
+                mma_depth: point.mma_depth,
+                cooperative: point.cooperative,
+                persistent: point.persistent,
+                ..base.clone()
+            };
+            let sequential = seq_session
+                .compile_and_simulate_program(program, &opts)
+                .ok()
+                .map(|r| r.tflops.to_bits());
+            assert_eq!(
+                point.tflops.map(f64::to_bits),
+                sequential,
+                "{} D={} P={} coop={}",
+                program.name(),
+                point.aref_depth,
+                point.mma_depth,
+                point.cooperative
+            );
         }
+        infeasible += result.stats.infeasible;
     }
-    // Both large-tile jobs and all six small-tile jobs share one module
-    // fingerprint each: exactly two cleanup-prefix entries.
+    assert_eq!(
+        infeasible, 2,
+        "one P > D point and one register-infeasible point"
+    );
+    // All six small-tile points and both large-tile points share one
+    // module fingerprint each: exactly two cleanup-prefix entries.
     assert_eq!(batch_session.cache_stats().module_entries, 2);
 }
 
@@ -145,7 +160,7 @@ fn warm_autotune_sweep_hits_cache_and_is_faster() {
     let device = dev();
     let session = CompileSession::in_memory(&device);
     let cfg = GemmConfig::new(4096, 4096, 4096).with_tile(Tile::LARGE);
-    let (m, spec) = gemm(&cfg).into_parts();
+    let p = gemm(&cfg);
     let base = CompileOptions {
         cooperative: 2,
         ..CompileOptions::default()
@@ -153,12 +168,12 @@ fn warm_autotune_sweep_hits_cache_and_is_faster() {
     let space = TuneSpace::fig11(false);
 
     let cold_start = Instant::now();
-    let cold = autotune_with_session(&session, &m, &spec, &base, &space);
+    let cold = autotune_with_session(&session, p.module(), p.spec(), &base, &space);
     let cold_time = cold_start.elapsed();
     let stats_after_cold = session.cache_stats();
 
     let warm_start = Instant::now();
-    let warm = autotune_with_session(&session, &m, &spec, &base, &space);
+    let warm = autotune_with_session(&session, p.module(), p.spec(), &base, &space);
     let warm_time = warm_start.elapsed();
     let stats_after_warm = session.cache_stats();
 
@@ -192,11 +207,10 @@ fn simulation_failures_are_not_reported_as_infeasible() {
     // Infeasible — the variants are distinct by construction.
     let device = dev();
     let session = CompileSession::in_memory(&device);
-    let (m, spec) = gemm(&GemmConfig::new(2048, 2048, 2048).with_tile(Tile::LARGE)).into_parts();
+    let p = gemm(&GemmConfig::new(2048, 2048, 2048).with_tile(Tile::LARGE));
     let compile_err = session
-        .compile(
-            &m,
-            &spec,
+        .compile_program(
+            &p,
             &CompileOptions {
                 cooperative: 1,
                 ..CompileOptions::default()
@@ -204,9 +218,8 @@ fn simulation_failures_are_not_reported_as_infeasible() {
         )
         .unwrap_err();
     assert!(matches!(compile_err, CompileError::Infeasible(_)));
-    let ok = session.compile_and_simulate(
-        &m,
-        &spec,
+    let ok = session.compile_and_simulate_program(
+        &p,
         &CompileOptions {
             cooperative: 2,
             ..CompileOptions::default()

@@ -16,11 +16,9 @@ use tawa::core::CompileOptions;
 use tawa::frontend::config::{AttentionConfig, GemmConfig};
 use tawa::frontend::kernels::{attention, batched_gemm, gemm, grouped_gemm};
 use tawa::frontend::GroupedGemmConfig;
-use tawa::ir::func::Module;
-use tawa::ir::spec::LaunchSpec;
 use tawa::ir::types::DType;
 use tawa::sim::{deserialize_report, serialize_report, Device, COST_MODEL_VERSION};
-use tawa::CompileSession;
+use tawa::{CompileSession, Program};
 
 fn dev() -> Device {
     Device::h100_sxm5()
@@ -48,14 +46,14 @@ fn disk_session(dir: &PathBuf) -> CompileSession {
 #[test]
 fn restart_warm_sweep_never_invokes_the_simulator() {
     let dir = cache_dir("warm-sweep");
-    let (m, spec) = gemm(&GemmConfig::new(2048, 2048, 2048)).into_parts();
+    let p = gemm(&GemmConfig::new(2048, 2048, 2048));
     let base = CompileOptions::default();
     // The full tuning space: D × P × cooperation × persistence, with the
     // infeasible P > D triangle included.
     let space = TuneSpace::default();
 
     let cold_session = disk_session(&dir);
-    let cold = autotune_with_session(&cold_session, &m, &spec, &base, &space);
+    let cold = autotune_with_session(&cold_session, p.module(), p.spec(), &base, &space);
     let cold_stats = cold_session.cache_stats();
     let feasible = cold.points.iter().filter(|p| p.tflops.is_some()).count();
     assert!(feasible > 0, "the sweep must contain feasible points");
@@ -63,7 +61,7 @@ fn restart_warm_sweep_never_invokes_the_simulator() {
 
     // Simulated restart.
     let warm_session = disk_session(&dir);
-    let warm = autotune_with_session(&warm_session, &m, &spec, &base, &space);
+    let warm = autotune_with_session(&warm_session, p.module(), p.spec(), &base, &space);
     let stats = warm_session.cache_stats();
     assert_eq!(
         stats.sim_misses, 0,
@@ -90,11 +88,13 @@ fn restart_warm_sweep_never_invokes_the_simulator() {
 #[test]
 fn cost_model_bump_invalidates_reports_but_not_kernels() {
     let dir = cache_dir("cost-model-bump");
-    let (m, spec) = gemm(&GemmConfig::new(1024, 1024, 512)).into_parts();
+    let p = gemm(&GemmConfig::new(1024, 1024, 512));
     let opts = CompileOptions::default();
 
     let cold_session = disk_session(&dir);
-    let cold = cold_session.compile_and_simulate(&m, &spec, &opts).unwrap();
+    let cold = cold_session
+        .compile_and_simulate_program(&p, &opts)
+        .unwrap();
 
     // Rewrite the cost-model echo in every .sim entry, simulating
     // reports persisted by a build with an older timing model.
@@ -118,7 +118,7 @@ fn cost_model_bump_invalidates_reports_but_not_kernels() {
     // A fresh session re-simulates (the stale report is invalidated)
     // but does NOT recompile: the kernel entry still serves.
     let fresh = disk_session(&dir);
-    let replay = fresh.compile_and_simulate(&m, &spec, &opts).unwrap();
+    let replay = fresh.compile_and_simulate_program(&p, &opts).unwrap();
     assert_eq!(cold, replay, "same cost model, same numbers");
     let stats = fresh.cache_stats();
     assert_eq!(stats.sim_misses, 1, "{stats:?}");
@@ -132,7 +132,7 @@ fn cost_model_bump_invalidates_reports_but_not_kernels() {
     // The re-simulated report was written back: the next restart is
     // fully warm again.
     let warm = disk_session(&dir);
-    warm.compile_and_simulate(&m, &spec, &opts).unwrap();
+    warm.compile_and_simulate_program(&p, &opts).unwrap();
     let stats = warm.cache_stats();
     assert_eq!(stats.disk.sim_hits, 1, "{stats:?}");
     assert_eq!(stats.sim_misses, 0, "{stats:?}");
@@ -143,11 +143,13 @@ fn cost_model_bump_invalidates_reports_but_not_kernels() {
 #[test]
 fn vandalized_sim_entries_degrade_to_resimulation() {
     let dir = cache_dir("sim-corruption");
-    let (m, spec) = gemm(&GemmConfig::new(1024, 1024, 512)).into_parts();
+    let p = gemm(&GemmConfig::new(1024, 1024, 512));
     let opts = CompileOptions::default();
 
     let cold_session = disk_session(&dir);
-    let cold = cold_session.compile_and_simulate(&m, &spec, &opts).unwrap();
+    let cold = cold_session
+        .compile_and_simulate_program(&p, &opts)
+        .unwrap();
 
     for entry in fs::read_dir(&dir).unwrap().flatten() {
         let path = entry.path();
@@ -158,7 +160,7 @@ fn vandalized_sim_entries_degrade_to_resimulation() {
     }
 
     let recovered = disk_session(&dir);
-    let replay = recovered.compile_and_simulate(&m, &spec, &opts).unwrap();
+    let replay = recovered.compile_and_simulate_program(&p, &opts).unwrap();
     assert_eq!(cold, replay);
     let stats = recovered.cache_stats();
     assert_eq!(stats.sim_misses, 1, "{stats:?}");
@@ -167,34 +169,29 @@ fn vandalized_sim_entries_degrade_to_resimulation() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Strategy over (family name, module, launch spec) covering all four
-/// kernel families, mirroring `e2e_serialize.rs`.
-fn families() -> impl Strategy<Value = (&'static str, Module, LaunchSpec)> {
+/// Strategy over (family name, program) covering all four kernel
+/// families, mirroring `e2e_serialize.rs`.
+fn families() -> impl Strategy<Value = (&'static str, Program)> {
     prop_oneof![
         (
             prop_oneof![Just(1024usize), Just(2048)],
             prop_oneof![Just(512usize), Just(2048)],
         )
-            .prop_map(|(mn, k)| {
-                let (m, s) = gemm(&GemmConfig::new(mn, mn, k)).into_parts();
-                ("gemm", m, s)
-            }),
-        prop_oneof![Just(2usize), Just(8)].prop_map(|b| {
-            let (m, s) =
-                batched_gemm(&GemmConfig::new(1024, 1024, 1024).with_batch(b)).into_parts();
-            ("batched_gemm", m, s)
-        }),
-        prop_oneof![Just(2usize), Just(4)].prop_map(|g| {
-            let (m, s) = grouped_gemm(&GroupedGemmConfig::paper_sweep(g)).into_parts();
-            ("grouped_gemm", m, s)
-        }),
+            .prop_map(|(mn, k)| ("gemm", gemm(&GemmConfig::new(mn, mn, k)))),
+        prop_oneof![Just(2usize), Just(8)].prop_map(|b| (
+            "batched_gemm",
+            batched_gemm(&GemmConfig::new(1024, 1024, 1024).with_batch(b)),
+        )),
+        prop_oneof![Just(2usize), Just(4)].prop_map(|g| (
+            "grouped_gemm",
+            grouped_gemm(&GroupedGemmConfig::paper_sweep(g)),
+        )),
         prop_oneof![Just(1024usize), Just(4096)].prop_map(|l| {
             let cfg = AttentionConfig {
                 block_m: 64,
                 ..AttentionConfig::paper(l, false, DType::F16)
             };
-            let (m, s) = attention(&cfg).into_parts();
-            ("attention", m, s)
+            ("attention", attention(&cfg))
         }),
     ]
 }
@@ -208,7 +205,7 @@ proptest! {
     /// disk tier can never corrupt a report it faithfully wrote.
     #[test]
     fn real_reports_round_trip_byte_identically(
-        (family, module, spec) in families(),
+        (family, program) in families(),
         aref_depth in 1usize..4,
     ) {
         let session = CompileSession::in_memory(&dev());
@@ -218,7 +215,7 @@ proptest! {
             ..CompileOptions::default()
         };
         let report = session
-            .compile_and_simulate(&module, &spec, &opts)
+            .compile_and_simulate_program(&program, &opts)
             .map_err(|e| format!("{family}: {e}"))?;
         let text = serialize_report(&report);
         let back = deserialize_report(&text)
