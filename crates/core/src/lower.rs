@@ -25,7 +25,7 @@
 use gpu_sim::Device;
 use tawa_ir::analysis::loop_info;
 use tawa_ir::func::{Func, Module, ValueDef};
-use tawa_ir::op::{OpId, OpKind, ValueId};
+use tawa_ir::op::{OpClass, OpId, OpKind, ValueId};
 use tawa_ir::spec::LaunchSpec;
 use tawa_ir::types::{DType, Type};
 use tawa_wsir::{BarId, Count, CtaClass, Instr, Kernel, MmaDtype, Role};
@@ -195,48 +195,35 @@ struct DotShape {
     dtype: MmaDtype,
 }
 
-fn dot_shape(f: &Func, dot: OpId) -> DotShape {
-    let a = f.ty(f.op(dot).operands[0]);
-    let b = f.ty(f.op(dot).operands[1]);
-    let sa = a.shape().expect("dot lhs is a tensor");
-    let sb = b.shape().expect("dot rhs is a tensor");
-    DotShape {
-        m: sa.dim(0) as u32,
-        n: sb.dim(1) as u32,
-        k: sa.dim(1) as u32,
-        dtype: mma_dtype(a.elem().expect("dot lhs has elem type")),
+fn dot_shape(f: &Func, dot: OpId) -> Result<DotShape, CompileError> {
+    let operand = |i: usize| match f.op(dot).operands.get(i).map(|&v| f.ty(v)) {
+        Some(Type::Tensor(s, d)) if s.rank() == 2 => Some((s.dim(0) as u32, s.dim(1) as u32, *d)),
+        _ => None,
+    };
+    match (operand(0), operand(1)) {
+        (Some((m, k, dt)), Some((_, n, _))) => Ok(DotShape {
+            m,
+            n,
+            k,
+            dtype: mma_dtype(dt),
+        }),
+        _ => Err(unsupported_at(f, dot, "dot operands must be rank-2 tiles")),
     }
 }
 
-/// CUDA-core work in a set of ops: `(fp32 flops, sfu ops)`.
+/// CUDA-core work in a set of ops: `(fp32 flops, sfu ops)`, the sum of
+/// each op's schema cost rule ([`tawa_ir::op::Cost`]).
 fn cuda_cost(f: &Func, ops: &[OpId]) -> (u64, u64) {
-    let mut flops = 0u64;
-    let mut sfu = 0u64;
-    for &op in ops {
+    let numel = |v: Option<&ValueId>| v.and_then(|&v| f.ty(v).shape()).map(|s| s.numel() as u64);
+    ops.iter().fold((0, 0), |(flops, sfu), &op| {
         let data = f.op(op);
-        let numel = data
-            .results
-            .first()
-            .and_then(|&r| f.ty(r).shape().map(|s| s.numel() as u64));
-        match data.kind {
-            OpKind::Exp | OpKind::Exp2 => sfu += numel.unwrap_or(1),
-            k if k.is_binary_arith() || matches!(k, OpKind::Select | OpKind::Cmp | OpKind::Neg) => {
-                flops += numel.unwrap_or(1).max(1)
-            }
-            OpKind::ReduceMax | OpKind::ReduceSum => {
-                // Reduction reads the operand's full extent.
-                let in_numel = f
-                    .ty(data.operands[0])
-                    .shape()
-                    .map(|s| s.numel() as u64)
-                    .unwrap_or(1);
-                flops += in_numel;
-            }
-            OpKind::Cast => flops += numel.unwrap_or(1) / 2,
-            _ => {}
-        }
-    }
-    (flops, sfu)
+        let (fl, sf) = data
+            .kind
+            .spec()
+            .cost
+            .of(numel(data.results.first()), numel(data.operands.first()));
+        (flops + fl, sfu + sf)
+    })
 }
 
 /// Result of analysing one warp-specialized function.
@@ -312,10 +299,10 @@ fn analyse_ws(f: &Func) -> Result<WsAnalysis, CompileError> {
     let aref_payloads: Vec<Vec<u64>> = aref_vals
         .iter()
         .map(|&a| match f.ty(a) {
-            Type::Aref(_, p) => p.iter().map(|t| t.size_bytes() as u64).collect(),
-            _ => unreachable!("aref type"),
+            Type::Aref(_, p) => Ok(p.iter().map(|t| t.size_bytes() as u64).collect()),
+            t => Err(err(&format!("create_aref result {a} has type {t}"))),
         })
-        .collect();
+        .collect::<Result<_, _>>()?;
 
     let wgs: Vec<OpId> = f
         .block(body)
@@ -355,8 +342,8 @@ fn analyse_ws(f: &Func) -> Result<WsAnalysis, CompileError> {
     let c_block = f.entry_block(f.op(consumer).regions[0]);
     let stages = identify_stages(f, c_loop)
         .ok_or_else(|| unsupported_at(f, c_loop, "consumer loop has no dot"))?;
-    let t_shape = dot_shape(f, stages.t_dot);
-    let u_shape = stages.u_dot.map(|u| dot_shape(f, u));
+    let t_shape = dot_shape(f, stages.t_dot)?;
+    let u_shape = stages.u_dot.map(|u| dot_shape(f, u)).transpose()?;
 
     // Map each dot to the aref feeding it (via its get).
     let dot_aref = |dot: OpId| -> Option<usize> {
@@ -373,10 +360,7 @@ fn analyse_ws(f: &Func) -> Result<WsAnalysis, CompileError> {
                     let aref = f.op(op).operands[0];
                     return aref_vals.iter().position(|&a| a == aref);
                 }
-                if matches!(
-                    f.op(op).kind,
-                    OpKind::Transpose | OpKind::Cast | OpKind::ExpandDims | OpKind::BroadcastTo
-                ) {
+                if f.op(op).kind.class() == OpClass::View {
                     frontier.push(f.op(op).operands[0]);
                 }
             }
@@ -978,7 +962,7 @@ pub fn lower_simt(
         .iter()
         .filter(|&&o| f.op(o).kind == OpKind::Dot)
         .map(|&o| dot_shape(f, o))
-        .collect();
+        .collect::<Result<_, _>>()?;
     if dots.is_empty() {
         return Err(err("loop has no dot"));
     }
@@ -1206,4 +1190,50 @@ fn top_level_loops_with_loads(f: &Func) -> Option<OpId> {
             });
             has
         })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::partition::WarpSpecialize;
+    use crate::pipeline::{CoarsePipeline, FineGrainedPipeline};
+    use tawa_frontend::config::GemmConfig;
+    use tawa_frontend::kernels::gemm;
+    use tawa_ir::pass::Pass;
+    use tawa_ir::transforms::{ConstFold, Dce};
+
+    #[test]
+    fn a_dot_over_a_non_tile_is_an_error_not_a_panic() {
+        let program = gemm(&GemmConfig::new(512, 512, 256));
+        let opts = CompileOptions::default();
+        let passes: [Box<dyn Pass>; 5] = [
+            Box::new(ConstFold),
+            Box::new(Dce),
+            Box::new(WarpSpecialize {
+                depth: opts.aref_depth,
+            }),
+            Box::new(FineGrainedPipeline {
+                depth: opts.mma_depth,
+            }),
+            Box::new(CoarsePipeline),
+        ];
+        let mut module = program.module().clone();
+        for pass in &passes {
+            pass.run(&mut module).unwrap();
+        }
+        let dev = Device::h100_sxm5();
+        assert!(lower_ws(&module, program.spec(), &opts, &dev).is_ok());
+        let f = &mut module.funcs[0];
+        let dot = f
+            .walk()
+            .into_iter()
+            .find(|&o| f.op(o).kind == OpKind::Dot)
+            .unwrap();
+        let lhs = f.op(dot).operands[0];
+        f.value_mut(lhs).ty = Type::f32();
+        match lower_ws(&module, program.spec(), &opts, &dev) {
+            Err(CompileError::Unsupported(msg)) => assert!(msg.contains("rank-2"), "{msg}"),
+            other => panic!("expected Unsupported, got {:?}", other.map(|_| ())),
+        }
+    }
 }

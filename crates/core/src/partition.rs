@@ -27,7 +27,7 @@
 use tawa_ir::analysis::{loop_info, top_level_loops, LoopInfo};
 use tawa_ir::diag::Diagnostic;
 use tawa_ir::func::{Func, Module, ValueDef};
-use tawa_ir::op::{Attr, AttrMap, BlockId, OpId, OpKind, ValueId};
+use tawa_ir::op::{Attr, AttrMap, BlockId, OpClass, OpId, OpKind, ValueId};
 use tawa_ir::pass::Pass;
 use tawa_ir::types::Type;
 
@@ -204,9 +204,7 @@ pub fn warp_specialize_func(f: &mut Func, depth: usize) -> Result<PartitionRepor
                 }
                 match f.op(user).kind {
                     OpKind::Dot => return Some(user),
-                    OpKind::Transpose | OpKind::Cast | OpKind::ExpandDims | OpKind::BroadcastTo => {
-                        frontier.push(f.results(user)[0])
-                    }
+                    k if k.class() == OpClass::View => frontier.push(f.results(user)[0]),
                     _ => {}
                 }
             }

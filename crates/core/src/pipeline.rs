@@ -87,6 +87,10 @@ pub fn identify_stages(f: &Func, loop_op: OpId) -> Option<Stages> {
                 continue;
             }
             let k = f.op(user).kind;
+            // The elementwise and reduction work of the paper's C stage.
+            // Not a schema class: it takes `splat` but not `transpose`, and
+            // moving a kind in or out of it changes which ops the coarse
+            // pipeline reorders.
             let is_transform = k.is_binary_arith()
                 || k.is_unary_arith()
                 || matches!(

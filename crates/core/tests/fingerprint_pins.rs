@@ -12,10 +12,11 @@
 //! against hand-built reference modules, so they pin that equality too.
 
 use gpu_sim::Device;
+use tawa_core::autotune::TuneSpace;
 use tawa_core::partition::WarpSpecialize;
 use tawa_core::pipeline::{CoarsePipeline, FineGrainedPipeline};
 use tawa_core::session::{tawa_pass_registry, CLEANUP_PIPELINE};
-use tawa_core::{CompileOptions, CompileSession};
+use tawa_core::{CompileError, CompileOptions, CompileSession};
 use tawa_frontend::config::{AttentionConfig, GemmConfig, GroupedGemmConfig};
 use tawa_frontend::dsl::Program;
 use tawa_frontend::kernels::{attention, batched_gemm, gemm, grouped_gemm};
@@ -255,4 +256,36 @@ fn a_memoized_program_on_a_warm_session_moves_only_sim_hits() {
         .compile_and_simulate_program(&Program::from_parts(module, spec), &opts)
         .unwrap();
     assert_eq!(counters(&session), (0, 1, 2, 1));
+}
+
+/// Every Fig. 11 candidate of every zoo program runs, or is pruned as
+/// infeasible or unsupported. A `Pass` or `Simulation` error is a compiler
+/// bug — a pass output the verifier rejects, a schedule that deadlocks —
+/// which a sweep would otherwise show only as a zero cell.
+#[test]
+fn fig11_candidates_run_or_are_pruned_never_fail() {
+    let session = CompileSession::in_memory(&Device::h100_sxm5());
+    let space = TuneSpace::fig11(false);
+    for (name, program) in zoo() {
+        for &persistent in &space.persistent {
+            for &cooperative in &space.cooperative {
+                for &aref_depth in &space.aref_depths {
+                    for &mma_depth in &space.mma_depths {
+                        let opts = CompileOptions {
+                            aref_depth,
+                            mma_depth,
+                            cooperative,
+                            persistent,
+                            ..CompileOptions::default()
+                        };
+                        match session.compile_and_simulate_program(&program, &opts) {
+                            Ok(_)
+                            | Err(CompileError::Infeasible(_) | CompileError::Unsupported(_)) => {}
+                            Err(e) => panic!("{name} D={aref_depth} P={mma_depth}: {e}"),
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

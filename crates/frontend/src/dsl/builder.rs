@@ -7,9 +7,14 @@
 //! element mismatch, a value escaping the region it was defined in, a
 //! kernel that never stores — is collected as source-located
 //! [`Diagnostic`]s and reported by [`KernelBuilder::finish`]; nothing in
-//! the DSL panics on bad kernels, and a kernel that finishes successfully
-//! is well-formed by construction (the IR verifier runs as a final belt
-//! and suspenders).
+//! the DSL panics on bad kernels. Every result type comes from
+//! [`OpKind::infer`], the rule the IR verifier checks, and a shape or
+//! element mismatch is its message, prefixed with the op's mnemonic. What
+//! stays here is what is not a type rule: values from another builder or
+//! escaping their region, descriptor rank against coordinate count, and a
+//! kernel that never stores. A kernel that finishes successfully is
+//! well-formed by construction (the IR verifier runs as a final belt and
+//! suspenders).
 
 use std::marker::PhantomData;
 
@@ -51,6 +56,16 @@ pub struct KernelBuilder {
     launch: Option<(Vec<SpecClass>, [u64; 3], f64)>,
     has_store: bool,
     def_loc: Loc,
+}
+
+/// What the builder knows of an op's one result before typing it.
+enum Given {
+    /// The IR states the type (see [`OpKind::infer`]); poison takes it too.
+    Stated(Type),
+    /// The rule derives the type; poison takes this value's.
+    Like(ValueId),
+    /// The rule derives the type; poison takes this one.
+    Or(Type),
 }
 
 /// Source of process-unique builder ids (see `KernelBuilder::builder_id`).
@@ -99,14 +114,20 @@ impl KernelBuilder {
 
     // ---- internals --------------------------------------------------------
 
+    // The block and scope stacks start with the function body and the
+    // root scope, and a region closes only what it opened, so neither
+    // runs empty; the fallbacks name the bottom of each.
     fn cur_block(&self) -> BlockId {
-        *self.blocks.last().expect("block stack nonempty")
+        self.blocks
+            .last()
+            .copied()
+            .unwrap_or_else(|| self.func.body_block())
     }
 
     fn cur_scope(&self) -> ScopeId {
         ScopeId {
             builder: self.builder_id,
-            region: *self.scopes.last().expect("scope stack nonempty"),
+            region: self.scopes.last().copied().unwrap_or(0),
         }
     }
 
@@ -137,16 +158,61 @@ impl KernelBuilder {
         op
     }
 
-    fn emit1(
+    /// The result types [`OpKind::infer`] gives `kind` over `operands`,
+    /// or `None` once its message is recorded as the located diagnostic
+    /// `"{kind}: {msg}"`.
+    fn infer(
+        &mut self,
+        kind: OpKind,
+        operands: &[ValueId],
+        attrs: &AttrMap,
+        stated: Option<&Type>,
+        loc: Loc,
+    ) -> Option<Vec<Type>> {
+        let tys: Vec<&Type> = operands.iter().map(|&v| self.func.ty(v)).collect();
+        match kind.infer(&tys, attrs, stated) {
+            Ok(results) => Some(results.into_vec()),
+            Err(msg) => {
+                self.diag(loc, format!("{kind}: {msg}"));
+                None
+            }
+        }
+    }
+
+    /// Emits a one-result `kind` typed by [`OpKind::infer`]; on a type
+    /// error, records it and returns poison typed as `given` says.
+    fn typed(
         &mut self,
         kind: OpKind,
         operands: Vec<ValueId>,
-        result: Type,
         attrs: AttrMap,
+        given: Given,
         loc: Loc,
     ) -> ValueId {
-        let op = self.emit(kind, operands, vec![result], attrs, loc);
-        self.func.result(op)
+        let stated = match &given {
+            Given::Stated(t) => Some(t),
+            Given::Like(_) | Given::Or(_) => None,
+        };
+        match self.infer(kind, &operands, &attrs, stated, loc) {
+            Some(results) => {
+                let op = self.emit(kind, operands, results, attrs, loc);
+                self.func.result(op)
+            }
+            None => {
+                let ty = match given {
+                    Given::Stated(t) | Given::Or(t) => t,
+                    Given::Like(v) => self.ty_of(v),
+                };
+                self.poison(ty, loc)
+            }
+        }
+    }
+
+    /// A constant of `kind` holding `value`, of type `ty`.
+    fn constant(&mut self, kind: OpKind, value: Attr, ty: Type, loc: Loc) -> ValueId {
+        let mut a = AttrMap::new();
+        a.set("value", value);
+        self.typed(kind, vec![], a, Given::Stated(ty), loc)
     }
 
     /// A placeholder value of type `ty`, emitted after an error so kernel
@@ -163,7 +229,8 @@ impl KernelBuilder {
             OpKind::ConstTensor => attrs.set("value", Attr::Float(0.0)),
             _ => attrs.set("value", Attr::Int(0)),
         }
-        self.emit1(kind, vec![], ty, attrs, loc)
+        let op = self.emit(kind, vec![], vec![ty], attrs, loc);
+        self.func.result(op)
     }
 
     /// Registers a use of `v`, checking it belongs to this kernel and that
@@ -195,15 +262,9 @@ impl KernelBuilder {
         self.func.ty(id).clone()
     }
 
-    /// Tensor shape and element of `id`, or a diagnostic.
-    fn tile_ty(&mut self, id: ValueId, what: &str, loc: Loc) -> Option<(Shape, DType)> {
-        match self.ty_of(id) {
-            Type::Tensor(s, d) => Some((s, d)),
-            other => {
-                self.diag(loc, format!("{what}: expected a tile, got {other}"));
-                None
-            }
-        }
+    /// Element type of `id`, or `or` when it has none.
+    fn elem_of(&self, id: ValueId, or: DType) -> DType {
+        self.func.ty(id).elem().unwrap_or(or)
     }
 
     fn open_region(&mut self, block: BlockId) -> ScopeId {
@@ -356,9 +417,7 @@ impl KernelBuilder {
     #[track_caller]
     pub fn i32(&mut self, v: i64) -> Scalar<I32> {
         let loc = Loc::caller();
-        let mut a = AttrMap::new();
-        a.set("value", Attr::Int(v));
-        let id = self.emit1(OpKind::ConstInt, vec![], Type::i32(), a, loc);
+        let id = self.constant(OpKind::ConstInt, Attr::Int(v), Type::i32(), loc);
         wrap_scalar(id, self.cur_scope())
     }
 
@@ -366,9 +425,7 @@ impl KernelBuilder {
     #[track_caller]
     pub fn i64(&mut self, v: i64) -> Scalar<I64> {
         let loc = Loc::caller();
-        let mut a = AttrMap::new();
-        a.set("value", Attr::Int(v));
-        let id = self.emit1(OpKind::ConstInt, vec![], Type::i64(), a, loc);
+        let id = self.constant(OpKind::ConstInt, Attr::Int(v), Type::i64(), loc);
         wrap_scalar(id, self.cur_scope())
     }
 
@@ -376,9 +433,7 @@ impl KernelBuilder {
     #[track_caller]
     pub fn f32(&mut self, v: f64) -> Scalar<F32> {
         let loc = Loc::caller();
-        let mut a = AttrMap::new();
-        a.set("value", Attr::Float(v));
-        let id = self.emit1(OpKind::ConstFloat, vec![], Type::Scalar(DType::F32), a, loc);
+        let id = self.constant(OpKind::ConstFloat, Attr::Float(v), Type::f32(), loc);
         wrap_scalar(id, self.cur_scope())
     }
 
@@ -386,22 +441,13 @@ impl KernelBuilder {
     #[track_caller]
     pub fn float_dt(&mut self, v: f64, dt: DType) -> Scalar<Any> {
         let loc = Loc::caller();
-        if !dt.is_float() {
-            self.diag(
-                loc,
-                format!("float constant requires a float type, got {dt}"),
-            );
-        }
-        let mut a = AttrMap::new();
-        a.set("value", Attr::Float(v));
-        let id = self.emit1(OpKind::ConstFloat, vec![], Type::Scalar(dt), a, loc);
+        let id = self.constant(OpKind::ConstFloat, Attr::Float(v), Type::Scalar(dt), loc);
         wrap_scalar(id, self.cur_scope())
     }
 
     fn full_impl(&mut self, shape: Shape, value: f64, dt: DType, loc: Loc) -> ValueId {
-        let mut a = AttrMap::new();
-        a.set("value", Attr::Float(value));
-        self.emit1(OpKind::ConstTensor, vec![], Type::Tensor(shape, dt), a, loc)
+        let ty = Type::Tensor(shape, dt);
+        self.constant(OpKind::ConstTensor, Attr::Float(value), ty, loc)
     }
 
     /// Splat-constant tile with element type from the marker.
@@ -438,13 +484,10 @@ impl KernelBuilder {
 
     // ---- program structure ------------------------------------------------
 
-    fn axis_op(&mut self, kind: OpKind, axis: usize, what: &str, loc: Loc) -> Scalar<I32> {
-        if axis > 2 {
-            self.diag(loc, format!("{what}: axis must be 0, 1 or 2, got {axis}"));
-        }
+    fn axis_op(&mut self, kind: OpKind, axis: usize, loc: Loc) -> Scalar<I32> {
         let mut a = AttrMap::new();
-        a.set("axis", Attr::Int(axis.min(2) as i64));
-        let id = self.emit1(kind, vec![], Type::i32(), a, loc);
+        a.set("axis", Attr::Int(i64::try_from(axis).unwrap_or(i64::MAX)));
+        let id = self.typed(kind, vec![], a, Given::Or(Type::i32()), loc);
         wrap_scalar(id, self.cur_scope())
     }
 
@@ -452,14 +495,14 @@ impl KernelBuilder {
     #[track_caller]
     pub fn program_id(&mut self, axis: usize) -> Scalar<I32> {
         let loc = Loc::caller();
-        self.axis_op(OpKind::ProgramId, axis, "program_id", loc)
+        self.axis_op(OpKind::ProgramId, axis, loc)
     }
 
     /// Grid extent along `axis` (`tl.num_programs`).
     #[track_caller]
     pub fn num_programs(&mut self, axis: usize) -> Scalar<I32> {
         let loc = Loc::caller();
-        self.axis_op(OpKind::NumPrograms, axis, "num_programs", loc)
+        self.axis_op(OpKind::NumPrograms, axis, loc)
     }
 
     // ---- arithmetic -------------------------------------------------------
@@ -472,18 +515,7 @@ impl KernelBuilder {
         let what = kind.name();
         let ia = self.use_val(a, what, Type::i32(), loc);
         let ib = self.use_val(b, what, Type::i32(), loc);
-        let ta = self.ty_of(ia);
-        let tb = self.ty_of(ib);
-        let id = match ta.broadcast_with(&tb) {
-            Some(rt) => self.emit1(kind, vec![ia, ib], rt, AttrMap::new(), loc),
-            None => {
-                self.diag(
-                    loc,
-                    format!("{what}: incompatible operand types {ta} and {tb}"),
-                );
-                self.poison(ta, loc)
-            }
-        };
+        let id = self.typed(kind, vec![ia, ib], AttrMap::new(), Given::Like(ia), loc);
         A::wrap_out(id, self.cur_scope())
     }
 
@@ -540,11 +572,7 @@ impl KernelBuilder {
     #[track_caller]
     pub fn cdiv(&mut self, a: Scalar<I32>, b: Scalar<I32>) -> Scalar<I32> {
         let loc = Loc::caller();
-        let one = {
-            let mut attrs = AttrMap::new();
-            attrs.set("value", Attr::Int(1));
-            self.emit1(OpKind::ConstInt, vec![], Type::i32(), attrs, loc)
-        };
+        let one = self.constant(OpKind::ConstInt, Attr::Int(1), Type::i32(), loc);
         let one = wrap_scalar::<I32>(one, self.cur_scope());
         let bm1 = self.binop(OpKind::Sub, b, one, loc);
         let sum = self.binop(OpKind::Add, a, bm1, loc);
@@ -557,37 +585,15 @@ impl KernelBuilder {
         let loc = Loc::caller();
         let ia = self.use_val(a, "cmp", Type::i32(), loc);
         let ib = self.use_val(b, "cmp", Type::i32(), loc);
-        let ta = self.ty_of(ia);
-        let tb = self.ty_of(ib);
-        let id = match ta.broadcast_with(&tb) {
-            Some(Type::Tensor(s, _)) => {
-                let mut attrs = AttrMap::new();
-                attrs.set("pred", Attr::Str(pred.name().into()));
-                self.emit1(
-                    OpKind::Cmp,
-                    vec![ia, ib],
-                    Type::Tensor(s, DType::Bool),
-                    attrs,
-                    loc,
-                )
-            }
-            Some(Type::Scalar(_)) => {
-                let mut attrs = AttrMap::new();
-                attrs.set("pred", Attr::Str(pred.name().into()));
-                self.emit1(OpKind::Cmp, vec![ia, ib], Type::bool(), attrs, loc)
-            }
-            Some(other) => {
-                self.diag(loc, format!("cmp: unsupported operand type {other}"));
-                self.poison(Type::bool(), loc)
-            }
-            None => {
-                self.diag(
-                    loc,
-                    format!("cmp: incompatible operand types {ta} and {tb}"),
-                );
-                self.poison(Type::bool(), loc)
-            }
-        };
+        let mut attrs = AttrMap::new();
+        attrs.set("pred", Attr::Str(pred.name().into()));
+        let id = self.typed(
+            OpKind::Cmp,
+            vec![ia, ib],
+            attrs,
+            Given::Or(Type::bool()),
+            loc,
+        );
         A::wrap_pred(id, self.cur_scope())
     }
 
@@ -626,25 +632,18 @@ impl KernelBuilder {
             Type::tensor(vec![1], DType::F32),
             loc,
         );
-        let tt = self.ty_of(it);
-        let te = self.ty_of(ie);
-        if tt != te {
-            self.diag(loc, format!("select: arms differ: {tt} vs {te}"));
-            return self.poison(tt, loc);
-        }
-        if let (Some(sc), Some(st)) = (self.ty_of(ic).shape(), tt.shape()) {
-            if sc != st {
-                let msg = format!("select: condition shape {sc} does not match arms {st}");
-                self.diag(loc, msg);
-            }
-        }
-        self.emit1(OpKind::Select, vec![ic, it, ie], tt, AttrMap::new(), loc)
+        self.typed(
+            OpKind::Select,
+            vec![ic, it, ie],
+            AttrMap::new(),
+            Given::Like(it),
+            loc,
+        )
     }
 
     fn unary<A: Join<A>>(&mut self, kind: OpKind, a: A, loc: Loc) -> A::Out {
         let ia = self.use_val(a, kind.name(), Type::i32(), loc);
-        let rt = self.ty_of(ia);
-        let id = self.emit1(kind, vec![ia], rt, AttrMap::new(), loc);
+        let id = self.typed(kind, vec![ia], AttrMap::new(), Given::Like(ia), loc);
         A::wrap_out(id, self.cur_scope())
     }
 
@@ -670,15 +669,17 @@ impl KernelBuilder {
     }
 
     fn cast_impl(&mut self, id: ValueId, dt: DType, loc: Loc) -> ValueId {
-        let rt = match self.ty_of(id) {
-            Type::Tensor(s, _) => Type::Tensor(s, dt),
-            Type::Scalar(_) => Type::Scalar(dt),
-            other => {
-                self.diag(loc, format!("cast: unsupported operand type {other}"));
-                other
-            }
+        let to = match self.func.ty(id).shape() {
+            Some(s) => Type::Tensor(s.clone(), dt),
+            None => Type::Scalar(dt),
         };
-        self.emit1(OpKind::Cast, vec![id], rt, AttrMap::new(), loc)
+        self.typed(
+            OpKind::Cast,
+            vec![id],
+            AttrMap::new(),
+            Given::Stated(to),
+            loc,
+        )
     }
 
     /// Shape-preserving cast to the marker's element type.
@@ -705,25 +706,14 @@ impl KernelBuilder {
     #[track_caller]
     pub fn arange(&mut self, start: i64, end: i64) -> TileExpr<I32> {
         let loc = Loc::caller();
-        let len = match end.checked_sub(start) {
-            Some(n) if n > 0 => n as usize,
-            _ => {
-                // Empty or overflowing range: both are misuse, neither may
-                // panic (the DSL's no-panics contract).
-                self.diag(loc, format!("arange: empty range [{start}, {end})"));
-                let id = self.poison(Type::tensor(vec![1], DType::I32), loc);
-                return wrap_tile(id, self.cur_scope());
-            }
-        };
         let mut a = AttrMap::new();
         a.set("start", Attr::Int(start));
         a.set("end", Attr::Int(end));
-        let n = len;
-        let id = self.emit1(
+        let id = self.typed(
             OpKind::Arange,
             vec![],
-            Type::tensor(vec![n], DType::I32),
             a,
+            Given::Or(Type::tensor(vec![1], DType::I32)),
             loc,
         );
         wrap_tile(id, self.cur_scope())
@@ -734,18 +724,12 @@ impl KernelBuilder {
     pub fn splat<E: Elem>(&mut self, v: Scalar<E>, shape: impl Into<Shape>) -> TileExpr<E> {
         let loc = Loc::caller();
         let iv = self.use_val(v, "splat", Type::i32(), loc);
-        let dt = match self.ty_of(iv) {
-            Type::Scalar(d) => d,
-            other => {
-                self.diag(loc, format!("splat: operand must be scalar, got {other}"));
-                DType::F32
-            }
-        };
-        let id = self.emit1(
+        let to = Type::Tensor(shape.into(), self.elem_of(iv, DType::F32));
+        let id = self.typed(
             OpKind::Splat,
             vec![iv],
-            Type::Tensor(shape.into(), dt),
             AttrMap::new(),
+            Given::Stated(to),
             loc,
         );
         wrap_tile(id, self.cur_scope())
@@ -756,23 +740,9 @@ impl KernelBuilder {
     pub fn expand_dims<E: Elem>(&mut self, t: TileExpr<E>, axis: usize) -> TileExpr<E> {
         let loc = Loc::caller();
         let it = self.use_val(t, "expand_dims", Type::tensor(vec![1], DType::F32), loc);
-        let id = match self.tile_ty(it, "expand_dims", loc) {
-            Some((shape, dt)) if axis <= shape.rank() => {
-                let mut s = shape.0;
-                s.insert(axis, 1);
-                let mut a = AttrMap::new();
-                a.set("axis", Attr::Int(axis as i64));
-                self.emit1(OpKind::ExpandDims, vec![it], Type::tensor(s, dt), a, loc)
-            }
-            Some((shape, dt)) => {
-                self.diag(
-                    loc,
-                    format!("expand_dims: axis {axis} out of range for {shape}"),
-                );
-                self.poison(Type::Tensor(shape, dt), loc)
-            }
-            None => self.poison(Type::tensor(vec![1], DType::F32), loc),
-        };
+        let mut a = AttrMap::new();
+        a.set("axis", Attr::Int(i64::try_from(axis).unwrap_or(i64::MAX)));
+        let id = self.typed(OpKind::ExpandDims, vec![it], a, Given::Like(it), loc);
         wrap_tile(id, self.cur_scope())
     }
 
@@ -784,32 +754,15 @@ impl KernelBuilder {
         shape: impl Into<Shape>,
     ) -> TileExpr<E> {
         let loc = Loc::caller();
-        let target: Shape = shape.into();
         let it = self.use_val(t, "broadcast_to", Type::tensor(vec![1], DType::F32), loc);
-        let id = match self.tile_ty(it, "broadcast_to", loc) {
-            Some((src, dt)) => {
-                let compatible = src.rank() == target.rank()
-                    && src
-                        .0
-                        .iter()
-                        .zip(target.0.iter())
-                        .all(|(&s, &d)| s == d || s == 1);
-                if !compatible {
-                    self.diag(
-                        loc,
-                        format!("broadcast_to: cannot broadcast {src} to {target}"),
-                    );
-                }
-                self.emit1(
-                    OpKind::BroadcastTo,
-                    vec![it],
-                    Type::Tensor(target, dt),
-                    AttrMap::new(),
-                    loc,
-                )
-            }
-            None => self.poison(Type::Tensor(target, DType::F32), loc),
-        };
+        let to = Type::Tensor(shape.into(), self.elem_of(it, DType::F32));
+        let id = self.typed(
+            OpKind::BroadcastTo,
+            vec![it],
+            AttrMap::new(),
+            Given::Stated(to),
+            loc,
+        );
         wrap_tile(id, self.cur_scope())
     }
 
@@ -818,23 +771,13 @@ impl KernelBuilder {
     pub fn transpose<E: Elem>(&mut self, t: TileExpr<E>) -> TileExpr<E> {
         let loc = Loc::caller();
         let it = self.use_val(t, "transpose", Type::tensor(vec![1, 1], DType::F32), loc);
-        let id = match self.tile_ty(it, "transpose", loc) {
-            Some((shape, dt)) if shape.rank() == 2 => {
-                let s = vec![shape.dim(1), shape.dim(0)];
-                self.emit1(
-                    OpKind::Transpose,
-                    vec![it],
-                    Type::tensor(s, dt),
-                    AttrMap::new(),
-                    loc,
-                )
-            }
-            Some((shape, dt)) => {
-                self.diag(loc, format!("transpose: rank-2 only, got {shape}"));
-                self.poison(Type::Tensor(shape, dt), loc)
-            }
-            None => self.poison(Type::tensor(vec![1, 1], DType::F32), loc),
-        };
+        let id = self.typed(
+            OpKind::Transpose,
+            vec![it],
+            AttrMap::new(),
+            Given::Like(it),
+            loc,
+        );
         wrap_tile(id, self.cur_scope())
     }
 
@@ -845,22 +788,10 @@ impl KernelBuilder {
         axis: usize,
         loc: Loc,
     ) -> TileExpr<E> {
-        let what = kind.name();
-        let it = self.use_val(t, what, Type::tensor(vec![1], DType::F32), loc);
-        let id = match self.tile_ty(it, what, loc) {
-            Some((shape, dt)) if axis < shape.rank() => {
-                let mut s = shape.0;
-                s.remove(axis);
-                let mut a = AttrMap::new();
-                a.set("axis", Attr::Int(axis as i64));
-                self.emit1(kind, vec![it], Type::tensor(s, dt), a, loc)
-            }
-            Some((shape, dt)) => {
-                self.diag(loc, format!("{what}: axis {axis} out of range for {shape}"));
-                self.poison(Type::Tensor(shape, dt), loc)
-            }
-            None => self.poison(Type::tensor(vec![1], DType::F32), loc),
-        };
+        let it = self.use_val(t, kind.name(), Type::tensor(vec![1], DType::F32), loc);
+        let mut a = AttrMap::new();
+        a.set("axis", Attr::Int(i64::try_from(axis).unwrap_or(i64::MAX)));
+        let id = self.typed(kind, vec![it], a, Given::Like(it), loc);
         wrap_tile(id, self.cur_scope())
     }
 
@@ -892,44 +823,13 @@ impl KernelBuilder {
         let ia = self.use_val(a, "dot", Type::tensor(vec![1, 1], DType::F16), loc);
         let ib = self.use_val(b, "dot", Type::tensor(vec![1, 1], DType::F16), loc);
         let ic = self.use_val(acc, "dot", Type::tensor(vec![1, 1], DType::F32), loc);
-        let sa = self.tile_ty(ia, "dot lhs", loc);
-        let sb = self.tile_ty(ib, "dot rhs", loc);
-        let sc = self.tile_ty(ic, "dot accumulator", loc);
-        let acc_ty = self.ty_of(ic);
-        let id = match (sa, sb, sc) {
-            (Some((sa, da)), Some((sb, db)), Some((sc, _))) => {
-                let mut ok = true;
-                if sa.rank() != 2 || sb.rank() != 2 || sc.rank() != 2 {
-                    self.diag(loc, "dot: all operands must be rank-2 tiles".to_string());
-                    ok = false;
-                } else {
-                    if da != db {
-                        self.diag(
-                            loc,
-                            format!("dot: input element types differ: {da} vs {db}"),
-                        );
-                        ok = false;
-                    }
-                    if sa.dim(1) != sb.dim(0) {
-                        self.diag(loc, format!("dot: contraction mismatch {sa} · {sb}"));
-                        ok = false;
-                    }
-                    if sc.dim(0) != sa.dim(0) || sc.dim(1) != sb.dim(1) {
-                        self.diag(
-                            loc,
-                            format!("dot: accumulator {sc} does not fit {sa} · {sb}"),
-                        );
-                        ok = false;
-                    }
-                }
-                if ok {
-                    self.emit1(OpKind::Dot, vec![ia, ib, ic], acc_ty, AttrMap::new(), loc)
-                } else {
-                    self.poison(acc_ty, loc)
-                }
-            }
-            _ => self.poison(acc_ty, loc),
-        };
+        let id = self.typed(
+            OpKind::Dot,
+            vec![ia, ib, ic],
+            AttrMap::new(),
+            Given::Like(ic),
+            loc,
+        );
         wrap_tile(id, self.cur_scope())
     }
 
@@ -946,26 +846,17 @@ impl KernelBuilder {
     ) -> TileExpr<E> {
         let loc = Loc::caller();
         let idesc = self.use_val(desc, "tma_load", Type::TensorDesc(DType::F16), loc);
-        let dt = match self.ty_of(idesc) {
-            Type::TensorDesc(d) => d,
-            other => {
-                self.diag(
-                    loc,
-                    format!("tma_load: first operand must be a descriptor, got {other}"),
-                );
-                DType::F16
-            }
-        };
         self.check_desc_rank(idesc, coords.len(), "tma_load", loc);
         let mut operands = vec![idesc];
         for &c in coords {
             operands.push(self.use_val(c, "tma_load coordinate", Type::i32(), loc));
         }
-        let id = self.emit1(
+        let to = Type::Tensor(tile.into(), self.elem_of(idesc, DType::F16));
+        let id = self.typed(
             OpKind::TmaLoad,
             operands,
-            Type::Tensor(tile.into(), dt),
             AttrMap::new(),
+            Given::Stated(to),
             loc,
         );
         wrap_tile(id, self.cur_scope())
@@ -987,29 +878,30 @@ impl KernelBuilder {
         }
     }
 
+    /// Emits `kind`, which has no results, when [`OpKind::infer`] accepts
+    /// its operands.
+    fn effect(&mut self, kind: OpKind, operands: Vec<ValueId>, loc: Loc) {
+        if self
+            .infer(kind, &operands, &AttrMap::new(), None, loc)
+            .is_some()
+        {
+            self.emit(kind, operands, vec![], AttrMap::new(), loc);
+        }
+    }
+
     /// Asynchronous TMA tile store of `tile` to `desc` at `coords`.
     #[track_caller]
     pub fn tma_store<E: Elem>(&mut self, desc: Desc<E>, coords: &[Scalar<I32>], tile: TileExpr<E>) {
         let loc = Loc::caller();
         let idesc = self.use_val(desc, "tma_store", Type::TensorDesc(DType::F16), loc);
         let itile = self.use_val(tile, "tma_store", Type::tensor(vec![1], DType::F16), loc);
-        if let (Type::TensorDesc(dd), Some((_, dt))) =
-            (self.ty_of(idesc), self.tile_ty(itile, "tma_store", loc))
-        {
-            if dd != dt {
-                self.diag(
-                    loc,
-                    format!("tma_store: tile element {dt} does not match descriptor {dd}"),
-                );
-            }
-        }
         self.check_desc_rank(idesc, coords.len(), "tma_store", loc);
         let mut operands = vec![idesc];
         for &c in coords {
             operands.push(self.use_val(c, "tma_store coordinate", Type::i32(), loc));
         }
         operands.push(itile);
-        self.emit(OpKind::TmaStore, operands, vec![], AttrMap::new(), loc);
+        self.effect(OpKind::TmaStore, operands, loc);
         self.has_store = true;
     }
 
@@ -1020,21 +912,13 @@ impl KernelBuilder {
         let loc = Loc::caller();
         let ip = self.use_val(ptr, "addptr", Type::Ptr(DType::F16), loc);
         let io = self.use_val(offsets, "addptr", Type::tensor(vec![1], DType::I32), loc);
-        let id = match self.tile_ty(io, "addptr offsets", loc) {
-            Some((shape, dt)) => {
-                if !dt.is_int() {
-                    self.diag(loc, format!("addptr: offsets must be integers, got {dt}"));
-                }
-                self.emit1(
-                    OpKind::AddPtr,
-                    vec![ip, io],
-                    Type::Tensor(shape, DType::I64),
-                    AttrMap::new(),
-                    loc,
-                )
-            }
-            None => self.poison(Type::tensor(vec![1], DType::I64), loc),
-        };
+        let id = self.typed(
+            OpKind::AddPtr,
+            vec![ip, io],
+            AttrMap::new(),
+            Given::Or(Type::tensor(vec![1], DType::I64)),
+            loc,
+        );
         wrap_tile(id, self.cur_scope())
     }
 
@@ -1043,16 +927,15 @@ impl KernelBuilder {
     pub fn load_dt(&mut self, addrs: Addrs, dt: DType) -> TileExpr<Any> {
         let loc = Loc::caller();
         let ia = self.use_val(addrs, "load", Type::tensor(vec![1], DType::I64), loc);
-        let id = match self.tile_ty(ia, "load addresses", loc) {
-            Some((shape, _)) => self.emit1(
-                OpKind::Load,
-                vec![ia],
-                Type::Tensor(shape, dt),
-                AttrMap::new(),
-                loc,
-            ),
-            None => self.poison(Type::tensor(vec![1], dt), loc),
-        };
+        let shape = self.func.ty(ia).shape().cloned();
+        let to = Type::Tensor(shape.unwrap_or_else(|| Shape(vec![1])), dt);
+        let id = self.typed(
+            OpKind::Load,
+            vec![ia],
+            AttrMap::new(),
+            Given::Stated(to),
+            loc,
+        );
         wrap_tile(id, self.cur_scope())
     }
 
@@ -1062,17 +945,7 @@ impl KernelBuilder {
         let loc = Loc::caller();
         let ia = self.use_val(addrs, "store", Type::tensor(vec![1], DType::I64), loc);
         let iv = self.use_val(value, "store", Type::tensor(vec![1], DType::F16), loc);
-        let sa = self.ty_of(ia).shape().cloned();
-        let sv = self.ty_of(iv).shape().cloned();
-        if let (Some(sa), Some(sv)) = (&sa, &sv) {
-            if sa != sv {
-                self.diag(
-                    loc,
-                    format!("store: value shape {sv} does not match addresses {sa}"),
-                );
-            }
-        }
-        self.emit(OpKind::Store, vec![ia, iv], vec![], AttrMap::new(), loc);
+        self.effect(OpKind::Store, vec![ia, iv], loc);
         self.has_store = true;
     }
 
@@ -1100,17 +973,20 @@ impl KernelBuilder {
         let mut init_uses = Vec::new();
         inits.push_uses(&mut init_uses);
         let mut operands = vec![il, ih, is];
-        let mut result_tys = Vec::with_capacity(init_uses.len());
         for &(id, scope) in &init_uses {
-            let id = self.use_val(
+            operands.push(self.use_val(
                 wrap_scalar::<Any>(id, scope),
                 "for_range initial value",
                 Type::i32(),
                 loc,
-            );
-            operands.push(id);
-            result_tys.push(self.ty_of(id));
+            ));
         }
+        // Three bounds are always there, so this cannot fail; an empty
+        // result list would leave the carried values unbound, which their
+        // first use reports.
+        let result_tys = self
+            .infer(OpKind::For, &operands, &AttrMap::new(), None, loc)
+            .unwrap_or_default();
         let for_op = self.emit(
             OpKind::For,
             operands,
@@ -1138,16 +1014,13 @@ impl KernelBuilder {
                 Type::i32(),
                 loc,
             );
-            let ty = self.ty_of(id);
-            if ty != result_tys[i] {
-                self.diag(
-                    loc,
-                    format!(
-                        "for_range: iteration value {i} changed type across the loop: \
-                         starts as {} but is yielded as {ty}",
-                        result_tys[i]
-                    ),
+            let ty = self.func.ty(id);
+            if let Some(init) = result_tys.get(i).filter(|&init| init != ty) {
+                let msg = format!(
+                    "for_range: iteration value {i} changed type across the loop: \
+                     starts as {init} but is yielded as {ty}"
                 );
+                self.diag(loc, msg);
             }
             yield_ids.push(id);
         }
@@ -1248,7 +1121,8 @@ impl KernelBuilder {
                  a store or tma_store (dead kernels would be eliminated whole)",
             );
         }
-        if self.launch.is_none() {
+        let launch = self.launch.take();
+        if launch.is_none() {
             let loc = self.def_loc;
             self.diag(
                 loc,
@@ -1256,9 +1130,10 @@ impl KernelBuilder {
                  or launch before finish",
             );
         }
-        if !self.errors.is_empty() {
+        let Some((classes, grid_dims, useful_flops)) = launch.filter(|_| self.errors.is_empty())
+        else {
             return Err(self.errors);
-        }
+        };
         let mut module = Module::new();
         module.add_func(self.func);
         if let Err(verrs) = verify_module(&module) {
@@ -1273,7 +1148,6 @@ impl KernelBuilder {
                 })
                 .collect());
         }
-        let (classes, grid_dims, useful_flops) = self.launch.expect("launch checked above");
         Ok(Program::from_parts(
             module,
             LaunchSpec {

@@ -219,6 +219,13 @@ pub trait Carried: Copy {
     fn all_tiles() -> bool;
 }
 
+/// The next of the ids a [`Carried::rebind`] caller passes, one per leaf.
+/// Should one be missing, the leaf gets an id no builder owns, and its
+/// first use is diagnosed as foreign rather than panicking here.
+fn next_id(ids: &mut dyn Iterator<Item = ValueId>) -> ValueId {
+    ids.next().unwrap_or(ValueId(u32::MAX))
+}
+
 impl<E: Elem> Carried for TileExpr<E> {
     fn push_uses(&self, out: &mut Vec<(ValueId, ScopeId)>) {
         out.push((self.id, self.scope));
@@ -227,7 +234,7 @@ impl<E: Elem> Carried for TileExpr<E> {
         1
     }
     fn rebind(ids: &mut dyn Iterator<Item = ValueId>, scope: ScopeId) -> Self {
-        wrap_tile(ids.next().expect("rebind: missing value"), scope)
+        wrap_tile(next_id(ids), scope)
     }
     fn all_tiles() -> bool {
         true
@@ -242,7 +249,7 @@ impl<E: Elem> Carried for Scalar<E> {
         1
     }
     fn rebind(ids: &mut dyn Iterator<Item = ValueId>, scope: ScopeId) -> Self {
-        wrap_scalar(ids.next().expect("rebind: missing value"), scope)
+        wrap_scalar(next_id(ids), scope)
     }
     fn all_tiles() -> bool {
         false

@@ -16,7 +16,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use crate::func::Func;
-use crate::op::{BlockId, OpId, OpKind, ValueId};
+use crate::op::{BlockId, OpClass, OpId, OpKind, ValueId};
 
 /// Finds the outermost `scf.for` loops in the function body (not nested in
 /// another loop or warp group).
@@ -402,12 +402,11 @@ pub struct Liveness {
 /// Sink ops that anchor liveness: they must execute for the kernel to have
 /// its effect. `scf.yield` is deliberately absent — yielded values are
 /// renamed across the loop boundary by the runner and become live only when
-/// the corresponding loop result (or a carried use) is.
+/// the corresponding loop result (or a carried use) is. The sinks are the
+/// `Write` class plus `tawa.get`, whose slot acquisition keeps the aref
+/// ring in step even when its payload is dead.
 fn is_liveness_sink(kind: OpKind) -> bool {
-    matches!(
-        kind,
-        OpKind::Store | OpKind::TmaStore | OpKind::ArefPut | OpKind::ArefGet | OpKind::ArefConsumed
-    )
+    kind.class() == OpClass::Write || kind == OpKind::ArefGet
 }
 
 impl Liveness {

@@ -24,6 +24,14 @@ use crate::func::{Func, Module};
 use crate::op::{Attr, AttrMap, BlockId, OpKind, ValueId};
 use crate::types::{DType, Type};
 
+/// Ceiling on region nesting in a module, and on aref payload nesting in
+/// a type. The parser recurses once per level, and so do the printer, the
+/// verifier and the fingerprint, so without a bound a few kilobytes of
+/// nested `scf.for`s overflow the stack: an abort, not an error. Deeper
+/// input is a [`ParseError`]. Mirrors WSIR's `MAX_LOOP_DEPTH`; the
+/// compiler nests two regions deep (a warp group around its loop).
+pub const MAX_REGION_DEPTH: usize = 64;
+
 /// Error produced by the parser, with a 1-based line number.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParseError {
@@ -342,7 +350,7 @@ fn parse_func(lx: &mut Lexer) -> Result<Func, ParseError> {
     }
     lx.expect_punct('{')?;
     let entry = func.body_block();
-    parse_ops_until_brace(lx, &mut func, entry, &mut values)?;
+    parse_ops_until_brace(lx, &mut func, entry, &mut values, 0)?;
     Ok(func)
 }
 
@@ -351,20 +359,23 @@ fn parse_ops_until_brace(
     func: &mut Func,
     block: BlockId,
     values: &mut HashMap<String, ValueId>,
+    depth: usize,
 ) -> Result<(), ParseError> {
     loop {
         if lx.eat_punct('}') {
             return Ok(());
         }
-        parse_op(lx, func, block, values)?;
+        parse_op(lx, func, block, values, depth)?;
     }
 }
 
+/// Parses one op into `block`, which is `depth` regions deep.
 fn parse_op(
     lx: &mut Lexer,
     func: &mut Func,
     block: BlockId,
     values: &mut HashMap<String, ValueId>,
+    depth: usize,
 ) -> Result<(), ParseError> {
     // result list
     let mut result_names = Vec::new();
@@ -440,6 +451,11 @@ fn parse_op(
     }
     // regions
     while matches!(lx.peek(), Tok::Punct('{')) {
+        if depth >= MAX_REGION_DEPTH {
+            return Err(lx.err(format!(
+                "regions nest deeper than {MAX_REGION_DEPTH} levels"
+            )));
+        }
         lx.next();
         let (_, rblock) = func.add_region(op);
         // ^bb(%a: t, ...):
@@ -468,7 +484,7 @@ fn parse_op(
             }
         }
         lx.expect_punct(':')?;
-        parse_ops_until_brace(lx, func, rblock, values)?;
+        parse_ops_until_brace(lx, func, rblock, values, depth + 1)?;
     }
     Ok(())
 }
@@ -526,6 +542,11 @@ fn parse_attrs(lx: &mut Lexer) -> Result<AttrMap, ParseError> {
 }
 
 fn parse_type(lx: &mut Lexer) -> Result<Type, ParseError> {
+    parse_type_at(lx, 0)
+}
+
+/// Parses a type nested in `nesting` enclosing aref payloads.
+fn parse_type_at(lx: &mut Lexer, nesting: usize) -> Result<Type, ParseError> {
     let head = match lx.next() {
         Tok::Ident(s) => s,
         other => return Err(lx.err(format!("expected type, got {other:?}"))),
@@ -584,9 +605,14 @@ fn parse_type(lx: &mut Lexer) -> Result<Type, ParseError> {
             lx.expect_punct(',')?;
             lx.expect_ident("tuple")?;
             lx.expect_punct('<')?;
+            if nesting >= MAX_REGION_DEPTH {
+                return Err(lx.err(format!(
+                    "aref payloads nest deeper than {MAX_REGION_DEPTH} levels"
+                )));
+            }
             let mut payload = Vec::new();
             loop {
-                payload.push(parse_type(lx)?);
+                payload.push(parse_type_at(lx, nesting + 1)?);
                 if lx.eat_punct('>') {
                     break;
                 }
@@ -797,6 +823,69 @@ mod tests {
         ] {
             assert!(parse_module(src).is_err(), "{src}");
         }
+    }
+
+    /// A module of `levels` nested `scf.for`s.
+    fn nested_loops(levels: usize) -> String {
+        let mut src =
+            String::from("module { func @f() {\n%c = arith.const_int() {value = 0} : i32\n");
+        for i in 0..levels {
+            src.push_str(&format!("scf.for(%c, %c, %c) {{\n^bb(%i{i}: i32):\n"));
+        }
+        for _ in 0..levels {
+            src.push_str("scf.yield()\n}\n");
+        }
+        src.push_str("} }");
+        src
+    }
+
+    /// Runs `f` on a thread with a 2 MB stack, as a small worker has:
+    /// a deep input must be an error there, not a stack overflow.
+    fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .unwrap()
+            .join()
+            .unwrap()
+    }
+
+    #[test]
+    fn region_nesting_up_to_the_ceiling_parses_and_verifies() {
+        on_small_stack(|| {
+            let m = parse_module(&nested_loops(MAX_REGION_DEPTH)).unwrap();
+            crate::verify::verify_module(&m).unwrap();
+            assert_eq!(
+                parse_module(&crate::print::print_module(&m))
+                    .unwrap()
+                    .funcs
+                    .len(),
+                1
+            );
+        });
+    }
+
+    #[test]
+    fn region_nesting_past_the_ceiling_is_an_error() {
+        for levels in [MAX_REGION_DEPTH + 1, 2_000, 10_000] {
+            let err = on_small_stack(move || parse_module(&nested_loops(levels)).unwrap_err());
+            assert!(err.msg.contains("nest deeper than 64"), "{levels}: {err}");
+        }
+    }
+
+    #[test]
+    fn aref_payload_nesting_past_the_ceiling_is_an_error() {
+        let nested = |levels: usize| {
+            let ty = "aref<1, tuple<".repeat(levels) + "i32" + &">>".repeat(levels);
+            format!("module {{ func @f(%a: {ty}) {{ }} }}")
+        };
+        on_small_stack(move || {
+            assert!(parse_module(&nested(MAX_REGION_DEPTH)).is_ok());
+            for levels in [MAX_REGION_DEPTH + 1, 10_000] {
+                let err = parse_module(&nested(levels)).unwrap_err();
+                assert!(err.msg.contains("nest deeper"), "{levels}: {err}");
+            }
+        });
     }
 
     #[test]

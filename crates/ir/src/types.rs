@@ -228,16 +228,17 @@ impl Type {
         }
     }
 
-    /// Result type of a broadcasted elementwise combination of two types.
+    /// Result type of a broadcasted elementwise combination of two types:
+    /// whichever of the two it equals.
     ///
     /// Scalars broadcast against tensors; tensors must agree in shape.
     /// Returns `None` if the types cannot be combined.
-    pub fn broadcast_with(&self, other: &Type) -> Option<Type> {
+    pub fn broadcast_with<'a>(&'a self, other: &'a Type) -> Option<&'a Type> {
         match (self, other) {
-            (Type::Scalar(a), Type::Scalar(b)) if a == b => Some(self.clone()),
-            (Type::Tensor(s, a), Type::Scalar(b)) if a == b => Some(Type::Tensor(s.clone(), *a)),
-            (Type::Scalar(a), Type::Tensor(s, b)) if a == b => Some(Type::Tensor(s.clone(), *b)),
-            (Type::Tensor(s1, a), Type::Tensor(s2, b)) if a == b && s1 == s2 => Some(self.clone()),
+            (Type::Scalar(a), Type::Scalar(b)) if a == b => Some(self),
+            (Type::Tensor(_, a), Type::Scalar(b)) if a == b => Some(self),
+            (Type::Scalar(a), Type::Tensor(_, b)) if a == b => Some(other),
+            (Type::Tensor(s1, a), Type::Tensor(s2, b)) if a == b && s1 == s2 => Some(self),
             _ => None,
         }
     }
@@ -339,9 +340,9 @@ mod tests {
     fn broadcast_rules() {
         let t = Type::tensor(vec![4, 4], DType::F32);
         let s = Type::f32();
-        assert_eq!(t.broadcast_with(&s), Some(t.clone()));
-        assert_eq!(s.broadcast_with(&t), Some(t.clone()));
-        assert_eq!(t.broadcast_with(&t), Some(t.clone()));
+        assert_eq!(t.broadcast_with(&s), Some(&t));
+        assert_eq!(s.broadcast_with(&t), Some(&t));
+        assert_eq!(t.broadcast_with(&t), Some(&t));
         let u = Type::tensor(vec![8, 4], DType::F32);
         assert_eq!(t.broadcast_with(&u), None);
         let i = Type::i32();

@@ -1,7 +1,10 @@
 //! IR verifier.
 //!
-//! Checks structural invariants (SSA scoping, terminators, region shapes)
-//! and per-op typing rules (the result types the DSL infers). Run
+//! Checks structural invariants (SSA scoping, foreign ids, terminators,
+//! region shapes, the `scf.for` body and yield, `warp_group`'s partition)
+//! and each op's arity and result types against the op schema
+//! ([`OpKind::spec`], [`OpKind::infer`]) — the same rule the DSL emits
+//! its result types from. Run
 //! between passes by the [`crate::pass::PassManager`], after every pass
 //! that changed the module, in every build: it borrows from the function
 //! it checks and keeps its scope in a table indexed by value id (an id
@@ -11,7 +14,7 @@ use std::fmt;
 
 use crate::func::{Func, Module};
 use crate::loc::Loc;
-use crate::op::{CmpPred, OpId, OpKind, RegionId, ValueId};
+use crate::op::{OpId, OpKind, RegionId, ValueId};
 use crate::types::Type;
 
 /// A single verifier diagnostic.
@@ -62,6 +65,7 @@ pub fn verify_func(f: &Func) -> Result<(), Vec<VerifyError>> {
         errs: Vec::new(),
         defined: Vec::new(),
         in_scope: vec![false; f.num_values()],
+        operand_tys: Vec::new(),
     };
     for &p in f.params() {
         v.define(p);
@@ -82,6 +86,8 @@ struct Verifier<'f> {
     defined: Vec<ValueId>,
     /// `in_scope[v]`: `v` is in `defined`.
     in_scope: Vec<bool>,
+    /// The operand types of the op being typed, kept to reuse its buffer.
+    operand_tys: Vec<&'f Type>,
 }
 
 impl<'f> Verifier<'f> {
@@ -152,34 +158,14 @@ impl<'f> Verifier<'f> {
         self.f.ty(v)
     }
 
-    fn check_operand_count(&mut self, op: OpId, want: usize) -> bool {
-        let got = self.f.op(op).operands.len();
-        if got != want {
-            self.error(Some(op), format!("expected {want} operands, got {got}"));
-            false
-        } else {
-            true
-        }
-    }
-
-    fn check_result_count(&mut self, op: OpId, want: usize) -> bool {
-        let got = self.f.op(op).results.len();
-        if got != want {
-            self.error(Some(op), format!("expected {want} results, got {got}"));
-            false
-        } else {
-            true
-        }
-    }
-
     fn verify_op(&mut self, op: OpId) {
         let f = self.f;
         let data = f.op(op);
         let kind = data.kind;
         let operands = &data.operands[..];
         let results = &data.results[..];
-        // Ids first: a pass may push any `ValueId`, and the type rules
-        // below index the value arena.
+        // Ids first: a pass may push any `ValueId`, and the type rule
+        // below indexes the value arena.
         let mut foreign = false;
         for &o in operands {
             if !self.is_value(o) {
@@ -216,380 +202,117 @@ impl<'f> Verifier<'f> {
         if foreign {
             return;
         }
+        let spec = kind.spec();
+        let arity_ok = spec.operands.admits(operands.len());
+        if !arity_ok {
+            let (want, got) = (spec.operands, operands.len());
+            self.error(Some(op), format!("expected {want} operands, got {got}"));
+        }
+        if !spec.results.admits(results.len()) {
+            let (want, got) = (spec.results, results.len());
+            self.error(Some(op), format!("expected {want} results, got {got}"));
+        } else if arity_ok {
+            self.check_types(op);
+        }
         match kind {
-            OpKind::ConstInt => {
-                self.check_operand_count(op, 0);
-                if self.check_result_count(op, 1) {
-                    if data.attrs.int("value").is_none() {
-                        self.error(Some(op), "const_int requires integer `value` attr".into());
-                    }
-                    let t = self.ty(results[0]);
-                    if !matches!(t, Type::Scalar(d) if d.is_int()) {
-                        self.error(Some(op), format!("const_int result must be int, got {t}"));
-                    }
-                }
-            }
-            OpKind::ConstFloat => {
-                self.check_operand_count(op, 0);
-                if self.check_result_count(op, 1) {
-                    if data.attrs.float("value").is_none() {
-                        self.error(Some(op), "const_float requires float `value` attr".into());
-                    }
-                    let t = self.ty(results[0]);
-                    if !matches!(t, Type::Scalar(d) if d.is_float()) {
-                        self.error(
-                            Some(op),
-                            format!("const_float result must be float, got {t}"),
-                        );
-                    }
-                }
-            }
-            OpKind::ConstTensor => {
-                self.check_operand_count(op, 0);
-                if self.check_result_count(op, 1) && !self.ty(results[0]).is_tensor() {
-                    self.error(Some(op), "const_tensor result must be tensor".into());
-                }
-            }
-            OpKind::ProgramId | OpKind::NumPrograms => {
-                self.check_operand_count(op, 0);
-                if self.check_result_count(op, 1) {
-                    let axis = data.attrs.int("axis");
-                    if !matches!(axis, Some(0..=2)) {
-                        self.error(Some(op), "axis attr must be 0, 1 or 2".into());
-                    }
-                }
-            }
-            k if k.is_binary_arith()
-                && self.check_operand_count(op, 2)
-                && self.check_result_count(op, 1) =>
-            {
-                let ta = self.ty(operands[0]);
-                let tb = self.ty(operands[1]);
-                match ta.broadcast_with(tb) {
-                    Some(rt) => {
-                        let tr = self.ty(results[0]);
-                        if *tr != rt {
-                            self.error(
-                                Some(op),
-                                format!("result type {tr} does not match inferred {rt}"),
-                            );
-                        }
-                    }
-                    None => self.error(
-                        Some(op),
-                        format!("incompatible operand types {ta} and {tb}"),
-                    ),
-                }
-            }
-            k if k.is_unary_arith()
-                && self.check_operand_count(op, 1)
-                && self.check_result_count(op, 1) =>
-            {
-                let ta = self.ty(operands[0]);
-                let tr = self.ty(results[0]);
-                if ta != tr {
-                    self.error(Some(op), format!("unary op type mismatch {ta} vs {tr}"));
-                }
-            }
-            OpKind::Cmp if self.check_operand_count(op, 2) && self.check_result_count(op, 1) => {
-                match data.attrs.str("pred").and_then(CmpPred::parse) {
-                    Some(_) => {}
-                    None => self.error(Some(op), "cmp requires valid `pred` attr".into()),
-                }
-            }
-            OpKind::Select if self.check_operand_count(op, 3) && self.check_result_count(op, 1) => {
-                let tt = self.ty(operands[1]);
-                let te = self.ty(operands[2]);
-                if tt != te {
-                    self.error(Some(op), format!("select arms differ: {tt} vs {te}"));
-                }
-            }
-            OpKind::Cast
-                if self.check_operand_count(op, 1)
-                    && self.check_result_count(op, 1)
-                    && self.ty(operands[0]).shape() != self.ty(results[0]).shape() =>
-            {
-                self.error(Some(op), "cast must preserve shape".into());
-            }
-            OpKind::Arange => {
-                self.check_operand_count(op, 0);
-                if self.check_result_count(op, 1) {
-                    let a = data.attrs.int("start");
-                    let b = data.attrs.int("end");
-                    match (a, b, self.ty(results[0]).shape()) {
-                        (Some(s), Some(e), Some(shape)) if e > s => {
-                            if shape.rank() != 1 || shape.dim(0) != (e - s) as usize {
-                                self.error(
-                                    Some(op),
-                                    format!("arange result shape {shape} != {}", e - s),
-                                );
-                            }
-                        }
-                        _ => self.error(Some(op), "arange requires start < end attrs".into()),
-                    }
-                }
-            }
-            OpKind::Splat if self.check_operand_count(op, 1) && self.check_result_count(op, 1) => {
-                if !self.ty(operands[0]).is_scalar() {
-                    self.error(Some(op), "splat operand must be scalar".into());
-                }
-                if !self.ty(results[0]).is_tensor() {
-                    self.error(Some(op), "splat result must be tensor".into());
-                }
-            }
-            OpKind::ExpandDims | OpKind::BroadcastTo | OpKind::Transpose
-                if self.check_operand_count(op, 1)
-                    && self.check_result_count(op, 1)
-                    && (!self.ty(operands[0]).is_tensor() || !self.ty(results[0]).is_tensor()) =>
-            {
-                self.error(Some(op), format!("{kind} requires tensor in/out"));
-            }
-            OpKind::ReduceMax | OpKind::ReduceSum
-                if self.check_operand_count(op, 1) && self.check_result_count(op, 1) =>
-            {
-                let axis = data.attrs.int("axis");
-                match (axis, self.ty(operands[0]).shape()) {
-                    (Some(a), Some(s)) if (a as usize) < s.rank() => {
-                        let mut want = s.0.clone();
-                        want.remove(a as usize);
-                        if self.ty(results[0]).shape().map(|r| &r.0) != Some(&want) {
-                            self.error(Some(op), "reduce result shape mismatch".into());
-                        }
-                    }
-                    _ => self.error(Some(op), "reduce requires valid axis attr".into()),
-                }
-            }
-            OpKind::Dot if self.check_operand_count(op, 3) && self.check_result_count(op, 1) => {
-                let sa = self.ty(operands[0]).shape();
-                let sb = self.ty(operands[1]).shape();
-                let sc = self.ty(operands[2]).shape();
-                match (sa, sb, sc) {
-                    (Some(a), Some(b), Some(c))
-                        if a.rank() == 2 && b.rank() == 2 && c.rank() == 2 =>
-                    {
-                        if a.dim(1) != b.dim(0) || c.dim(0) != a.dim(0) || c.dim(1) != b.dim(1) {
-                            self.error(Some(op), format!("dot shape mismatch {a} · {b} -> {c}"));
-                        }
-                    }
-                    _ => self.error(Some(op), "dot requires rank-2 tensors".into()),
-                }
-                if self.ty(operands[2]) != self.ty(results[0]) {
-                    self.error(Some(op), "dot result type must equal acc type".into());
-                }
-            }
-            OpKind::TmaLoad => {
-                if results.len() != 1 {
-                    self.error(Some(op), "tma_load has exactly one result".into());
-                } else if operands.is_empty()
-                    || !matches!(self.ty(operands[0]), Type::TensorDesc(_))
-                {
-                    self.error(Some(op), "tma_load first operand must be desc".into());
-                } else {
-                    let desc_dt = self.ty(operands[0]).elem();
-                    let res_dt = self.ty(results[0]).elem();
-                    if desc_dt != res_dt {
-                        self.error(Some(op), "tma_load result dtype must match desc".into());
-                    }
-                    for &c in &operands[1..] {
-                        if *self.ty(c) != Type::i32() {
-                            self.error(Some(op), "tma_load coords must be i32".into());
-                        }
-                    }
-                }
-            }
-            OpKind::TmaStore => {
-                if operands.len() < 2 {
-                    self.error(Some(op), "tma_store needs desc, coords..., tile".into());
-                } else if !matches!(self.ty(operands[0]), Type::TensorDesc(_)) {
-                    self.error(Some(op), "tma_store first operand must be desc".into());
-                }
-                self.check_result_count(op, 0);
-            }
-            OpKind::AddPtr
-                if self.check_operand_count(op, 2)
-                    && self.check_result_count(op, 1)
-                    && !matches!(self.ty(operands[0]), Type::Ptr(_)) =>
-            {
-                self.error(Some(op), "addptr base must be ptr".into());
-            }
-            OpKind::Load
-                if self.check_operand_count(op, 1)
-                    && self.check_result_count(op, 1)
-                    && self.ty(operands[0]).shape() != self.ty(results[0]).shape() =>
-            {
-                self.error(Some(op), "load result shape must match addrs".into());
-            }
-            OpKind::Store => {
-                if self.check_operand_count(op, 2)
-                    && self.ty(operands[0]).shape() != self.ty(operands[1]).shape()
-                {
-                    self.error(Some(op), "store value shape must match addrs".into());
-                }
-                self.check_result_count(op, 0);
-            }
-            OpKind::For => {
-                if operands.len() < 3 {
-                    self.error(Some(op), "for needs (lo, hi, step, inits...)".into());
-                } else {
-                    let n_iter = operands.len() - 3;
-                    if results.len() != n_iter {
-                        self.error(
-                            Some(op),
-                            format!("for has {n_iter} iter args but {} results", results.len()),
-                        );
-                    }
-                    let body = data
-                        .regions
-                        .first()
-                        .and_then(|&r| f.region(r).blocks.first());
-                    if let Some(&body) = body {
-                        let args = &f.block(body).args;
-                        if args.len() != n_iter + 1 {
-                            self.error(
-                                Some(op),
-                                format!(
-                                    "for body must take iv + {n_iter} args, takes {}",
-                                    args.len()
-                                ),
-                            );
-                        } else {
-                            for (i, (&a, &init)) in
-                                args[1..].iter().zip(operands[3..].iter()).enumerate()
-                            {
-                                if self.ty(a) != self.ty(init) {
-                                    self.error(
-                                        Some(op),
-                                        format!("iter arg {i} type mismatch with init"),
-                                    );
-                                }
-                            }
-                        }
-                        // Body must end in a yield of the iter types.
-                        match f.block(body).ops.last() {
-                            Some(&last) if f.op(last).kind == OpKind::Yield => {
-                                let yops = &f.op(last).operands;
-                                if yops.len() != n_iter {
-                                    self.error(
-                                        Some(op),
-                                        format!(
-                                            "for body yields {} values, expected {n_iter}",
-                                            yops.len()
-                                        ),
-                                    );
-                                } else {
-                                    // A foreign yield operand is the
-                                    // yield's own error, reported below.
-                                    for (i, (&y, &r)) in yops.iter().zip(results).enumerate() {
-                                        if self.is_value(y) && self.ty(y) != self.ty(r) {
-                                            self.error(
-                                                Some(op),
-                                                format!("yield value {i} type mismatch"),
-                                            );
-                                        }
-                                    }
-                                }
-                            }
-                            _ => self.error(Some(op), "for body must end with scf.yield".into()),
-                        }
-                    }
-                }
-                // verify the nested region with the loop scope
-                for &r in &data.regions {
-                    self.verify_region(r, Some(op));
-                }
-            }
-            OpKind::Yield => {
-                self.check_result_count(op, 0);
-            }
-            OpKind::CreateAref => {
-                self.check_operand_count(op, 0);
-                if self.check_result_count(op, 1) {
-                    match self.ty(results[0]) {
-                        Type::Aref(depth, payload) => {
-                            if data.attrs.int("depth") != Some(*depth as i64) {
-                                self.error(
-                                    Some(op),
-                                    "create_aref depth attr must match type".into(),
-                                );
-                            }
-                            if payload.is_empty() {
-                                self.error(Some(op), "aref payload must be nonempty".into());
-                            }
-                        }
-                        t => self.error(
-                            Some(op),
-                            format!("create_aref result must be aref, got {t}"),
-                        ),
-                    }
-                }
-            }
-            OpKind::ArefPut => {
-                if operands.len() < 3 {
-                    self.error(Some(op), "put needs (aref, slot, payload...)".into());
-                } else if let Type::Aref(_, payload) = self.ty(operands[0]) {
-                    let given = &operands[2..];
-                    if given.len() != payload.len() {
-                        self.error(
-                            Some(op),
-                            format!(
-                                "put payload arity {} != aref payload {}",
-                                given.len(),
-                                payload.len()
-                            ),
-                        );
-                    } else {
-                        for (i, (&g, p)) in given.iter().zip(payload).enumerate() {
-                            if self.ty(g) != p {
-                                self.error(Some(op), format!("put payload {i} type mismatch"));
-                            }
-                        }
-                    }
-                } else {
-                    self.error(Some(op), "put first operand must be aref".into());
-                }
-            }
-            OpKind::ArefGet if self.check_operand_count(op, 2) => {
-                if let Type::Aref(_, payload) = self.ty(operands[0]) {
-                    if results.len() != payload.len() {
-                        self.error(Some(op), "get result arity != aref payload".into());
-                    } else {
-                        for (i, (&r, p)) in results.iter().zip(payload).enumerate() {
-                            if self.ty(r) != p {
-                                self.error(Some(op), format!("get result {i} type mismatch"));
-                            }
-                        }
-                    }
-                } else {
-                    self.error(Some(op), "get first operand must be aref".into());
-                }
-            }
-            OpKind::ArefConsumed
-                if self.check_operand_count(op, 2)
-                    && !matches!(self.ty(operands[0]), Type::Aref(..)) =>
-            {
-                self.error(Some(op), "consumed first operand must be aref".into());
-            }
-            OpKind::WarpGroup => {
-                self.check_operand_count(op, 0);
-                self.check_result_count(op, 0);
-                if data.attrs.int("partition").is_none() {
-                    self.error(Some(op), "warp_group requires partition attr".into());
-                }
-                for &r in &data.regions {
-                    self.verify_region(r, Some(op));
-                }
-            }
-            OpKind::DotWait
-                if self.check_operand_count(op, 1) && self.check_result_count(op, 1) =>
-            {
-                if data.attrs.int("pendings").is_none() {
-                    self.error(Some(op), "dot_wait requires pendings attr".into());
-                }
-                if self.ty(operands[0]) != self.ty(results[0]) {
-                    self.error(Some(op), "dot_wait is type-preserving".into());
-                }
+            OpKind::For if operands.len() >= 3 => self.verify_for_body(op),
+            OpKind::WarpGroup if data.attrs.int("partition").is_none() => {
+                self.error(Some(op), "warp_group requires partition attr".into());
             }
             _ => {}
+        }
+        for &r in &data.regions {
+            self.verify_region(r, Some(op));
+        }
+    }
+
+    /// The per-kind typing: `op`'s results are what [`OpKind::infer`]
+    /// derives from its operands, attributes and first result.
+    fn check_types(&mut self, op: OpId) {
+        let f = self.f;
+        let data = f.op(op);
+        let mut tys = std::mem::take(&mut self.operand_tys);
+        tys.clear();
+        tys.extend(data.operands.iter().map(|&o| f.ty(o)));
+        let stated = data.results.first().map(|&r| f.ty(r));
+        let kind = data.kind;
+        match kind.infer(&tys, &data.attrs, stated) {
+            Err(msg) => self.error(Some(op), format!("{kind}: {msg}")),
+            Ok(want) if want.len() != data.results.len() => self.error(
+                Some(op),
+                format!(
+                    "{kind}: expected {} results, got {}",
+                    want.len(),
+                    data.results.len()
+                ),
+            ),
+            Ok(want) => {
+                for (i, &r) in data.results.iter().enumerate() {
+                    let got = f.ty(r);
+                    // A stated result comes back as the very same type.
+                    let differs = |&w: &&Type| !std::ptr::eq(got, w) && got != w;
+                    if let Some(w) = want.get(i).filter(differs) {
+                        self.error(
+                            Some(op),
+                            format!("{kind}: result {i} type {got} does not match inferred {w}"),
+                        );
+                    }
+                }
+            }
+        }
+        self.operand_tys = tys;
+    }
+
+    /// An `scf.for`'s body block takes the induction variable and one
+    /// argument per init, typed like it, and ends in a yield of values
+    /// typed like the loop's results.
+    fn verify_for_body(&mut self, op: OpId) {
+        let f = self.f;
+        let data = f.op(op);
+        let inits = &data.operands[3..];
+        let n_iter = inits.len();
+        let Some(&body) = data
+            .regions
+            .first()
+            .and_then(|&r| f.region(r).blocks.first())
+        else {
+            return;
+        };
+        let args = &f.block(body).args;
+        if args.len() != n_iter + 1 {
+            self.error(
+                Some(op),
+                format!(
+                    "for body must take iv + {n_iter} args, takes {}",
+                    args.len()
+                ),
+            );
+        } else {
+            for (i, (&a, &init)) in args[1..].iter().zip(inits).enumerate() {
+                if self.ty(a) != self.ty(init) {
+                    self.error(Some(op), format!("iter arg {i} type mismatch with init"));
+                }
+            }
+        }
+        match f.block(body).ops.last() {
+            Some(&last) if f.op(last).kind == OpKind::Yield => {
+                let yops = &f.op(last).operands;
+                if yops.len() != n_iter {
+                    self.error(
+                        Some(op),
+                        format!("for body yields {} values, expected {n_iter}", yops.len()),
+                    );
+                } else {
+                    // A foreign yield operand is the yield's own error,
+                    // reported when its block is verified.
+                    for (i, (&y, &r)) in yops.iter().zip(&data.results).enumerate() {
+                        if self.is_value(y) && self.ty(y) != self.ty(r) {
+                            self.error(Some(op), format!("yield value {i} type mismatch"));
+                        }
+                    }
+                }
+            }
+            _ => self.error(Some(op), "for body must end with scf.yield".into()),
         }
     }
 }
@@ -887,6 +610,70 @@ mod tests {
         let msgs = messages(&m);
         assert_eq!(msgs.len(), 1, "{msgs:?}");
         assert!(msgs[0].contains("does not dominate"), "{msgs:?}");
+    }
+
+    /// Verifies `body` as the body of a parameterless function and
+    /// returns the messages, asserting it failed.
+    fn rejected(body: &str) -> Vec<String> {
+        messages(&parse_module(&format!("module {{ func @f() {{ {body} }} }}")).unwrap())
+    }
+
+    #[test]
+    fn rejects_transpose_that_does_not_swap() {
+        let msgs = rejected(
+            "%0 = tile.const_tensor() {value = 0.0} : tensor<16x8xf16>
+             %1 = tile.transpose(%0) : tensor<16x8xf16>",
+        );
+        assert_eq!(
+            msgs,
+            ["tile.transpose: result 0 type tensor<16x8xf16> does not match inferred tensor<8x16xf16>"]
+        );
+    }
+
+    #[test]
+    fn rejects_incompatible_broadcast_to() {
+        let msgs = rejected(
+            "%0 = tile.const_tensor() {value = 0.0} : tensor<8x2xf32>
+             %1 = tile.broadcast_to(%0) : tensor<8x64xf32>",
+        );
+        assert_eq!(msgs.len(), 1, "{msgs:?}");
+        assert!(msgs[0].contains("cannot broadcast"), "{msgs:?}");
+    }
+
+    #[test]
+    fn rejects_cmp_without_bool_result() {
+        let msgs = rejected(
+            r#"%0 = arith.const_int() {value = 1} : i32
+               %1 = arith.cmp(%0, %0) {pred = "lt"} : i32"#,
+        );
+        assert_eq!(
+            msgs,
+            ["arith.cmp: result 0 type i32 does not match inferred bool"]
+        );
+    }
+
+    #[test]
+    fn rejects_dot_with_mixed_input_elements() {
+        let msgs = rejected(
+            "%0 = tile.const_tensor() {value = 0.0} : tensor<16x8xf16>
+             %1 = tile.const_tensor() {value = 0.0} : tensor<8x16xf8e4m3>
+             %2 = tile.const_tensor() {value = 0.0} : tensor<16x16xf32>
+             %3 = tile.dot(%0, %1, %2) : tensor<16x16xf32>",
+        );
+        assert_eq!(msgs.len(), 1, "{msgs:?}");
+        assert!(msgs[0].contains("input element types differ"), "{msgs:?}");
+    }
+
+    #[test]
+    fn rejects_expand_dims_with_wrong_shape() {
+        let msgs = rejected(
+            "%0 = tile.const_tensor() {value = 0.0} : tensor<128xi32>
+             %1 = tile.expand_dims(%0) {axis = 1} : tensor<1x128xi32>",
+        );
+        assert_eq!(
+            msgs,
+            ["tile.expand_dims: result 0 type tensor<1x128xi32> does not match inferred tensor<128x1xi32>"]
+        );
     }
 
     #[test]
