@@ -27,6 +27,7 @@ use tawa_ir::pipeline_spec::PipelineSpec;
 use tawa_ir::print::print_module;
 use tawa_ir::transforms::{ConstFold, Dce};
 use tawa_ir::types::DType;
+use tawa_wsir::serialize_kernel;
 
 /// One program per kernel family and dtype.
 fn zoo() -> Vec<(&'static str, Program)> {
@@ -286,6 +287,90 @@ fn fig11_candidates_run_or_are_pruned_never_fail() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// The lowering of every zoo program over the whole option grid — warp
+/// specialization, persistence, cooperation, both depths and the coarse
+/// pipeline — on two devices, folded into one FNV-1a digest per (program,
+/// device): each configuration contributes its `wsir 1` text, or the
+/// `CompileError` message when it does not compile. The literals were
+/// captured before `lower.rs` was rewritten as a per-op translation, so
+/// they pin that every kernel and every refusal stayed byte for byte.
+#[test]
+fn zoo_lowerings_are_the_parents() {
+    let golden: [(&str, u64, u64); 13] = [
+        ("gemm_f16", 0x09620c51ced38923, 0x095cf5cc353d8249),
+        ("gemm_f8", 0xc4f9ebc01f977f89, 0xc868c6547fcea2a1),
+        ("batched_gemm_f16", 0x7ce27d77407884d5, 0x13e0b516f785b475),
+        ("attention_f16", 0xcc1152e0708521d3, 0x1a5d25194ce411a3),
+        (
+            "attention_causal_f16",
+            0x2157913d4bbe0ea7,
+            0x927bf30c2139997f,
+        ),
+        ("attention_f8", 0x789779118f0e8fc7, 0xcd55b333273d2059),
+        (
+            "attention_causal_f8",
+            0x77ea2cd23ed54b05,
+            0x77ea2cd23ed54b05,
+        ),
+        ("grouped_gemm_f16", 0x0c5370c61dd391b9, 0x30d3b7fc04174beb),
+        ("gemm_512_f16", 0xa63ff122c8a5ce9b, 0xa63ff122c8a5ce9b),
+        ("gemm_4096_f16", 0x1948a997675d12cd, 0xc5ad5a869871d151),
+        ("gemm_1024_f8", 0x28b73d2148b796d5, 0x28b73d2148b796d5),
+        (
+            "batched_gemm_b8_f16",
+            0xf1bcb3e0a4f461cf,
+            0xa54562f4558ba877,
+        ),
+        ("grouped_gemm_3_f16", 0x5dd296614f49a34f, 0xb5d4de3d6623507f),
+    ];
+    let devices = [Device::h100_sxm5(), Device::b200_projection()];
+    let sessions = devices.each_ref().map(CompileSession::in_memory);
+    assert_eq!(zoo().len(), golden.len());
+    for ((name, program), (golden_name, h100, b200)) in zoo().into_iter().zip(golden) {
+        assert_eq!(name, golden_name);
+        for (session, want) in sessions.iter().zip([h100, b200]) {
+            let mut texts = String::new();
+            for warp_specialize in [true, false] {
+                for persistent in [false, true] {
+                    for cooperative in [1, 2] {
+                        for aref_depth in 1..=3 {
+                            for mma_depth in 1..=3 {
+                                for coarse_pipeline in [true, false] {
+                                    let opts = CompileOptions {
+                                        warp_specialize,
+                                        persistent,
+                                        cooperative,
+                                        aref_depth,
+                                        mma_depth,
+                                        coarse_pipeline,
+                                        ..CompileOptions::default()
+                                    };
+                                    texts.push_str(&format!(
+                                        "ws={warp_specialize} persistent={persistent} \
+                                         coop={cooperative} D={aref_depth} P={mma_depth} \
+                                         coarse={coarse_pipeline}\n"
+                                    ));
+                                    match session.compile_program(&program, &opts) {
+                                        Ok(k) => texts.push_str(&serialize_kernel(&k)),
+                                        Err(e) => texts.push_str(&format!("{e}\n")),
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            let digest = fnv1a(texts.as_bytes());
+            assert_eq!(
+                digest,
+                want,
+                "{name} on {}: a lowering moved",
+                session.device().name
+            );
         }
     }
 }
