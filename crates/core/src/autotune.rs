@@ -257,7 +257,8 @@ mod tests {
 
     #[test]
     fn fig11_grid_has_infeasible_triangle() {
-        let (m, spec) = gemm(&GemmConfig::new(4096, 4096, 8192)).into_parts();
+        let program = gemm(&GemmConfig::new(4096, 4096, 8192));
+        let (m, spec) = program.clone().into_parts();
         let dev = Device::h100_sxm5();
         let session = CompileSession::in_memory(&dev);
         let r = autotune_with_session(
@@ -278,6 +279,21 @@ mod tests {
                     p.aref_depth,
                     p.mma_depth
                 );
+                // Empty because the lowering refuses to recycle a slot
+                // whose WGMMA is still in flight, not for any other reason.
+                let opts = CompileOptions {
+                    aref_depth: p.aref_depth,
+                    mma_depth: p.mma_depth,
+                    cooperative: p.cooperative,
+                    persistent: p.persistent,
+                    ..CompileOptions::default()
+                };
+                match session.compile_program(&program, &opts) {
+                    Err(CompileError::Infeasible(msg)) => {
+                        assert!(msg.contains("exceeds aref depth"), "{msg}");
+                    }
+                    other => panic!("expected Infeasible, got {:?}", other.map(|_| ())),
+                }
             } else {
                 assert!(
                     p.tflops.is_some(),

@@ -1,29 +1,56 @@
 //! WSIR code generation (paper §III-E plus §IV optimizations).
 //!
-//! Lowers a warp-specialized tile-IR function to a [`tawa_wsir::Kernel`]:
-//! `aref` rings become `D`-slot `full`/`empty` mbarrier pairs with the
-//! iteration-parity wait discipline; `put` becomes *wait-empty → TMA-load →
-//! arrive-full-with-tx*; `get` becomes a full-barrier wait; `consumed`
-//! becomes an empty-barrier arrival. Slot indices are made static by
-//! unrolling cyclic loops by `D` (exactly why Triton unrolls pipelined
-//! loops by `num_stages`), with parameterized trip counts for CTA classes
-//! whose loops differ (causal attention).
+//! [`lower_ws`] translates a warp-specialized tile-IR function op by op.
+//! Each warp group's region is cut at its loop into a prologue, a loop
+//! body and an epilogue, and each op becomes WSIR:
 //!
-//! Two consumer templates implement the multi-granularity pipelines of
-//! §III-D: the **fine-grained** template (single-dot loops) keeps up to `P`
-//! WGMMA groups in flight and releases the aref slot of iteration `k-P+1`
-//! after its MMA retires; the **coarse-grained** template instantiates
-//! Algorithm 1's prologue/steady-state/epilogue for T/C/U loops, keeping
-//! the CUDA-core softmax of iteration `j` overlapped with the downstream
-//! Tensor Core stage of iteration `j-1`.
+//! | tile IR | WSIR |
+//! |---|---|
+//! | `tawa.create_aref` | a ring: `D` `full` and `D` `empty` mbarriers, and its payload bytes |
+//! | `tawa.put` | `mbarrier.wait empty[s]`, then one `tma.load → full[s]` per payload |
+//! | `tawa.get` feeding a dot | the dot's stage *acquire*: `mbarrier.wait full[s]` |
+//! | `tile.dot` | the stage *issue*: `wgmma` over the warp group's share of the rows |
+//! | `tawa.dot_wait` | the stage *wait*: `wgmma.wait` with `P-1` groups left in flight |
+//! | `tawa.consumed` | the stage *release*: `mbarrier.arrive empty[s]` |
+//! | prologue `tile.tma_load` | `tma.load → sync_i`, `mbarrier.wait sync_i` |
+//! | other producer ops | one `cuda.op` of 32 flops per op, before and in the loop |
+//! | other consumer ops | one `cuda.op` per prologue, loop body and epilogue, summed from each op's schema cost rule |
+//! | consumer epilogue stores | one `tma.store` of the stored bytes |
 //!
-//! The same module also contains the **non-warp-specialized** code
-//! generator used for the Triton baseline: Ampere-style `cp.async`
-//! software pipelining executed by uniform warp groups (§II-B), which is
-//! what Triton emits without this work.
+//! A dot's ring is the aref whose `get` feeds it, traced back through view
+//! ops. Slot indices are made static by unrolling cyclic loops by `D`
+//! (exactly why Triton unrolls pipelined loops by `num_stages`), with
+//! parameterized trip counts for CTA classes whose loops differ (causal
+//! attention).
+//!
+//! The consumer schedules are orderings of the same stage fragments, one
+//! per multi-granularity pipeline of §III-D:
+//!
+//! * **fine-grained** (single-dot loops): acquire, issue, wait with `P-1`
+//!   pending, release the slot of iteration `k-P+1`; the first `P-1`
+//!   iterations are peeled without wait or release and drained at the end;
+//! * **coarse-grained T/C/U** (Algorithm 1): T₀ and C₀ run ahead, then each
+//!   steady-state iteration issues `U_{j-1}` before `T_j`, so the CUDA-core
+//!   softmax of iteration `j` overlaps the downstream Tensor Core stage of
+//!   iteration `j-1`, and `U_{N-1}` drains last;
+//! * **serial T/C/U** (the ablation with the coarse pipeline off): each
+//!   stage runs to completion in program order.
+//!
+//! Known defect (ROADMAP 13(a)): every cooperative consumer warp group
+//! runs the same program, so a `coop = 2` kernel loads its prologue tiles
+//! (attention's Q) once per warp group. Fixing it changes the simulated
+//! reports of every cooperative attention kernel, which the benchmark's
+//! golden reports pin, so it lands together with their re-bless; the fix
+//! touches only the prologue-load translation in [`lower_ws`].
+//!
+//! [`lower_simt`] is the **non-warp-specialized** code generator used for
+//! the Triton baseline: Ampere-style `cp.async` software pipelining
+//! executed by uniform warp groups (§II-B), which is what Triton emits
+//! without this work. It shares the region split, the trip-count
+//! evaluation and the CTA-class assembly.
 
 use gpu_sim::Device;
-use tawa_ir::analysis::loop_info;
+use tawa_ir::analysis::{loop_info, LoopInfo};
 use tawa_ir::func::{Func, Module, ValueDef};
 use tawa_ir::op::{OpClass, OpId, OpKind, ValueId};
 use tawa_ir::spec::LaunchSpec;
@@ -31,7 +58,7 @@ use tawa_ir::types::{DType, Type};
 use tawa_wsir::{BarId, Count, CtaClass, Instr, Kernel, MmaDtype, Role};
 
 use crate::consteval::ConstEval;
-use crate::pipeline::{identify_stages, warp_group_loop};
+use crate::pipeline::warp_group_loop;
 
 /// Compilation error.
 #[derive(Debug, Clone)]
@@ -138,6 +165,18 @@ impl ClassParams {
         }
         Count::Param(idx)
     }
+
+    /// One CTA class per launch class, carrying its interned parameters.
+    fn classes(self, spec: &LaunchSpec) -> Vec<CtaClass> {
+        spec.classes
+            .iter()
+            .zip(self.values)
+            .map(|(c, params)| CtaClass {
+                params,
+                multiplicity: c.multiplicity,
+            })
+            .collect()
+    }
 }
 
 /// Emits `trips[class]` iterations of a slot-cyclic body starting at
@@ -195,6 +234,18 @@ struct DotShape {
     dtype: MmaDtype,
 }
 
+impl DotShape {
+    /// The WGMMA computing `m` of the dot's rows.
+    fn issue(self, m: u32) -> Instr {
+        Instr::WgmmaIssue {
+            m,
+            n: self.n,
+            k: self.k,
+            dtype: self.dtype,
+        }
+    }
+}
+
 fn dot_shape(f: &Func, dot: OpId) -> Result<DotShape, CompileError> {
     let operand = |i: usize| match f.op(dot).operands.get(i).map(|&v| f.ty(v)) {
         Some(Type::Tensor(s, d)) if s.rank() == 2 => Some((s.dim(0) as u32, s.dim(1) as u32, *d)),
@@ -211,55 +262,106 @@ fn dot_shape(f: &Func, dot: OpId) -> Result<DotShape, CompileError> {
     }
 }
 
-/// CUDA-core work in a set of ops: `(fp32 flops, sfu ops)`, the sum of
-/// each op's schema cost rule ([`tawa_ir::op::Cost`]).
-fn cuda_cost(f: &Func, ops: &[OpId]) -> (u64, u64) {
-    let numel = |v: Option<&ValueId>| v.and_then(|&v| f.ty(v).shape()).map(|s| s.numel() as u64);
-    ops.iter().fold((0, 0), |(flops, sfu), &op| {
-        let data = f.op(op);
-        let (fl, sf) = data
-            .kind
-            .spec()
-            .cost
-            .of(numel(data.results.first()), numel(data.operands.first()));
-        (flops + fl, sfu + sf)
-    })
+/// Bytes of the tile `op` loads.
+fn result_bytes(f: &Func, op: OpId) -> u64 {
+    f.results(op)
+        .first()
+        .map_or(0, |&v| f.ty(v).size_bytes() as u64)
 }
 
-/// Result of analysing one warp-specialized function.
-struct WsAnalysis {
-    /// Per aref: payload tensor byte sizes.
-    aref_payloads: Vec<Vec<u64>>,
-    /// Per aref: the authoring span of its `CreateAref` op, when the
-    /// frontend recorded one — threaded onto the lowered barriers so
-    /// static-analysis diagnostics point at tile-program source.
-    aref_locs: Vec<Option<tawa_ir::loc::Loc>>,
-    /// Aref index of the ring consumed by the T dot / the U dot.
-    t_aref: usize,
-    u_aref: Option<usize>,
-    /// Producer per-iteration scalar op count.
-    producer_iter_ops: u64,
-    producer_prologue_ops: u64,
-    /// Consumer loop geometry.
-    t_shape: DotShape,
-    u_shape: Option<DotShape>,
-    /// Per-iteration CUDA work in the consumer.
-    iter_flops: u64,
-    iter_sfu: u64,
-    /// Consumer prologue: synchronous tile loads (Q) and scalar work.
-    prologue_load_bytes: Vec<u64>,
-    /// Authoring spans of the prologue loads, parallel to
-    /// `prologue_load_bytes`.
-    prologue_load_locs: Vec<Option<tawa_ir::loc::Loc>>,
-    prologue_flops: u64,
-    /// Consumer epilogue.
-    epilogue_flops: u64,
-    epilogue_sfu: u64,
+/// A straight-line run of ops — a prologue, a loop body, an epilogue —
+/// translated op by op into what its instructions need: the CUDA-core
+/// work of each op's schema cost rule ([`tawa_ir::op::Cost`]), its
+/// `tile.tma_load`s and dots, and the bytes it stores.
+#[derive(Default)]
+struct Tally {
+    flops: u64,
+    sfu: u64,
+    loads: Vec<OpId>,
+    dots: Vec<OpId>,
     store_bytes: u64,
-    /// Loop bounds for trip-count evaluation (consumer clone).
-    loop_bounds: (ValueId, ValueId, ValueId),
-    mma_depth: Option<usize>,
-    coarse: bool,
+}
+
+impl Tally {
+    /// Tallies `ops`; in a loop body (`tiles_only`), only ops producing a
+    /// tile are CUDA-core work, so scalar index math is free.
+    fn of(f: &Func, ops: &[OpId], tiles_only: bool) -> Tally {
+        let numel =
+            |v: Option<&ValueId>| v.and_then(|&v| f.ty(v).shape()).map(|s| s.numel() as u64);
+        let mut t = Tally::default();
+        for &op in ops {
+            let data = f.op(op);
+            match data.kind {
+                OpKind::TmaLoad => t.loads.push(op),
+                OpKind::Dot => t.dots.push(op),
+                OpKind::Store | OpKind::TmaStore => {
+                    t.store_bytes += data
+                        .operands
+                        .last()
+                        .map_or(0, |&v| f.ty(v).size_bytes() as u64);
+                }
+                _ => {}
+            }
+            let result = data.results.first();
+            if !tiles_only || result.is_some_and(|&r| f.ty(r).is_tensor()) {
+                let (flops, sfu) = data
+                    .kind
+                    .spec()
+                    .cost
+                    .of(numel(result), numel(data.operands.first()));
+                t.flops += flops;
+                t.sfu += sfu;
+            }
+        }
+        t
+    }
+
+    fn load_bytes(&self, f: &Func) -> u64 {
+        self.loads.iter().map(|&o| result_bytes(f, o)).sum()
+    }
+}
+
+/// A region cut at its main loop: the ops before it, the loop and the
+/// ops after it. Both lowerings translate these three parts.
+struct Split {
+    pro: Vec<OpId>,
+    lp: LoopInfo,
+    epi: Vec<OpId>,
+}
+
+impl Split {
+    /// Cuts the block holding `lp` around it; `malformed` is the error
+    /// when `lp` is not a loop [`loop_info`] can read.
+    fn at(f: &Func, lp: OpId, malformed: &str) -> Result<Split, CompileError> {
+        let info = loop_info(f, lp).ok_or_else(|| unsupported(malformed))?;
+        let ops = f.op(lp).parent.map_or(&[][..], |b| &f.block(b).ops[..]);
+        let at = ops.iter().position(|&o| o == lp).unwrap_or(ops.len());
+        Ok(Split {
+            pro: ops[..at].to_vec(),
+            lp: info,
+            epi: ops.get(at + 1..).unwrap_or_default().to_vec(),
+        })
+    }
+
+    /// The loop's trip count in each CTA class.
+    fn trips(&self, f: &Func, spec: &LaunchSpec) -> Result<Vec<u64>, CompileError> {
+        let (lo, hi, step) = (self.lp.lo, self.lp.hi, self.lp.step);
+        spec.classes
+            .iter()
+            .map(|c| {
+                ConstEval::new(f, spec, c.pid)
+                    .trip_count(lo, hi, step)
+                    .ok_or_else(|| {
+                        // Blame the author's loop bound when it carries a span.
+                        let msg = "loop bounds are not launch-constant";
+                        unsupported(match f.value_loc(hi) {
+                            Some(loc) => format!("{msg} (bound defined at {loc})"),
+                            None => msg.into(),
+                        })
+                    })
+            })
+            .collect()
+    }
 }
 
 /// Converts a frontend [`tawa_ir::loc::Loc`] into the WSIR diagnostic
@@ -272,201 +374,79 @@ fn src_loc(loc: tawa_ir::loc::Loc) -> tawa_wsir::SrcLoc {
     }
 }
 
+fn unsupported(msg: impl Into<String>) -> CompileError {
+    CompileError::Unsupported(msg.into())
+}
+
 /// Formats an unsupported-construct error, pointing at the tile-program
 /// source line when the op (or its clone lineage) carries a frontend
 /// [`tawa_ir::loc::Loc`].
 fn unsupported_at(f: &Func, op: OpId, msg: &str) -> CompileError {
     match f.loc(op) {
-        Some(loc) => CompileError::Unsupported(format!("{msg} (at {loc})")),
-        None => CompileError::Unsupported(msg.to_string()),
+        Some(loc) => unsupported(format!("{msg} (at {loc})")),
+        None => unsupported(msg),
     }
 }
 
-fn analyse_ws(f: &Func) -> Result<WsAnalysis, CompileError> {
-    let err = |m: &str| CompileError::Unsupported(m.to_string());
-    let body = f.body_block();
-    let creates: Vec<OpId> = f
-        .block(body)
-        .ops
-        .iter()
-        .copied()
-        .filter(|&o| !f.op(o).dead && f.op(o).kind == OpKind::CreateAref)
-        .collect();
-    if creates.is_empty() {
-        return Err(err("no arefs: run warp-specialize first"));
-    }
-    let aref_vals: Vec<ValueId> = creates.iter().map(|&c| f.result(c)).collect();
-    let aref_payloads: Vec<Vec<u64>> = aref_vals
-        .iter()
-        .map(|&a| match f.ty(a) {
-            Type::Aref(_, p) => Ok(p.iter().map(|t| t.size_bytes() as u64).collect()),
-            t => Err(err(&format!("create_aref result {a} has type {t}"))),
-        })
-        .collect::<Result<_, _>>()?;
+/// An aref lowered to a ring: `D` full and `D` empty barriers, and the
+/// bytes of each payload tensor.
+struct Ring {
+    aref: ValueId,
+    full: Vec<BarId>,
+    empty: Vec<BarId>,
+    payload: Vec<u64>,
+}
 
-    let wgs: Vec<OpId> = f
-        .block(body)
-        .ops
-        .iter()
-        .copied()
-        .filter(|&o| !f.op(o).dead && f.op(o).kind == OpKind::WarpGroup)
-        .collect();
-    let producer = *wgs
-        .iter()
-        .find(|&&w| f.op(w).attrs.str("role") == Some("producer"))
-        .ok_or_else(|| err("missing producer warp group"))?;
-    let consumer = *wgs
-        .iter()
-        .find(|&&w| f.op(w).attrs.str("role") == Some("consumer"))
-        .ok_or_else(|| err("missing consumer warp group"))?;
-
-    // ---- producer ----
-    let p_loop = warp_group_loop(f, producer).ok_or_else(|| err("producer has no loop"))?;
-    let p_info = loop_info(f, p_loop).ok_or_else(|| err("malformed producer loop"))?;
-    let p_block = f.entry_block(f.op(producer).regions[0]);
-    let producer_prologue_ops = f
-        .block(p_block)
-        .ops
-        .iter()
-        .filter(|&&o| !f.op(o).dead && o != p_loop)
-        .count() as u64;
-    let producer_iter_ops = p_info
-        .body_ops
-        .iter()
-        .filter(|&&o| !matches!(f.op(o).kind, OpKind::TmaLoad | OpKind::ArefPut))
-        .count() as u64;
-
-    // ---- consumer ----
-    let c_loop = warp_group_loop(f, consumer).ok_or_else(|| err("consumer has no loop"))?;
-    let c_info = loop_info(f, c_loop).ok_or_else(|| err("malformed consumer loop"))?;
-    let c_block = f.entry_block(f.op(consumer).regions[0]);
-    let stages = identify_stages(f, c_loop)
-        .ok_or_else(|| unsupported_at(f, c_loop, "consumer loop has no dot"))?;
-    let t_shape = dot_shape(f, stages.t_dot)?;
-    let u_shape = stages.u_dot.map(|u| dot_shape(f, u)).transpose()?;
-
-    // Map each dot to the aref feeding it (via its get).
-    let dot_aref = |dot: OpId| -> Option<usize> {
-        // Backward from the dot's first two operands to a get result.
-        let mut frontier: Vec<ValueId> = f.op(dot).operands[..2].to_vec();
-        let mut hops = 0;
-        while let Some(v) = frontier.pop() {
-            hops += 1;
-            if hops > 64 {
-                return None;
+/// The ring whose `get` feeds `dot`, traced back through view ops.
+fn feeding_ring<'r>(f: &Func, rings: &'r [Ring], dot: OpId) -> Option<&'r Ring> {
+    let mut frontier: Vec<ValueId> = f.op(dot).operands.get(..2)?.to_vec();
+    for _ in 0..64 {
+        if let ValueDef::OpResult { op, .. } = f.value(frontier.pop()?).def {
+            let data = f.op(op);
+            if data.kind == OpKind::ArefGet {
+                return rings
+                    .iter()
+                    .find(|r| Some(&r.aref) == data.operands.first());
             }
-            if let ValueDef::OpResult { op, .. } = f.value(v).def {
-                if f.op(op).kind == OpKind::ArefGet {
-                    let aref = f.op(op).operands[0];
-                    return aref_vals.iter().position(|&a| a == aref);
-                }
-                if f.op(op).kind.class() == OpClass::View {
-                    frontier.push(f.op(op).operands[0]);
-                }
+            if data.kind.class() == OpClass::View {
+                frontier.extend(data.operands.first());
             }
         }
-        None
-    };
-    let t_aref =
-        dot_aref(stages.t_dot).ok_or_else(|| err("T dot does not consume an aref payload"))?;
-    let u_aref = stages.u_dot.and_then(dot_aref);
+    }
+    None
+}
 
-    // Per-iteration CUDA work: everything in the body that is not a dot,
-    // get, consumed or slot arithmetic.
-    let cuda_ops: Vec<OpId> = c_info
-        .body_ops
-        .iter()
-        .copied()
-        .filter(|&o| {
-            !matches!(
-                f.op(o).kind,
-                OpKind::Dot | OpKind::ArefGet | OpKind::ArefConsumed | OpKind::DotWait
-            )
-        })
-        .filter(|&o| {
-            f.results(o)
-                .first()
-                .map(|&r| f.ty(r).is_tensor())
-                .unwrap_or(false)
-        })
-        .collect();
-    let (iter_flops, iter_sfu) = cuda_cost(f, &cuda_ops);
+/// A Tensor Core stage of the consumer loop bound to its ring: the
+/// fragments — acquire, issue, wait, release — every schedule orders.
+struct Stage<'r> {
+    ring: &'r Ring,
+    issue: Instr,
+}
 
-    // Consumer prologue: ops before the loop.
-    let c_pro: Vec<OpId> = f
-        .block(c_block)
-        .ops
-        .iter()
-        .copied()
-        .take_while(|&o| o != c_loop)
-        .filter(|&o| !f.op(o).dead)
-        .collect();
-    let prologue_loads: Vec<OpId> = c_pro
-        .iter()
-        .copied()
-        .filter(|&o| f.op(o).kind == OpKind::TmaLoad)
-        .collect();
-    let prologue_load_bytes: Vec<u64> = prologue_loads
-        .iter()
-        .map(|&o| f.ty(f.result(o)).size_bytes() as u64)
-        .collect();
-    let prologue_load_locs: Vec<Option<tawa_ir::loc::Loc>> =
-        prologue_loads.iter().map(|&o| f.loc(o)).collect();
-    let (prologue_flops, _) = cuda_cost(f, &c_pro);
+impl Stage<'_> {
+    /// `tawa.get`: wait until slot `s` is full.
+    fn acquire(&self, s: usize) -> Instr {
+        Instr::MbarWait {
+            bar: self.ring.full[s],
+        }
+    }
 
-    // Consumer epilogue: ops after the loop.
-    let c_epi: Vec<OpId> = f
-        .block(c_block)
-        .ops
-        .iter()
-        .copied()
-        .skip_while(|&o| o != c_loop)
-        .skip(1)
-        .filter(|&o| !f.op(o).dead)
-        .collect();
-    let (epilogue_flops, epilogue_sfu) = cuda_cost(f, &c_epi);
-    let store_bytes: u64 = c_epi
-        .iter()
-        .filter(|&&o| matches!(f.op(o).kind, OpKind::Store | OpKind::TmaStore))
-        .map(|&o| {
-            let v = *f.op(o).operands.last().expect("store has a value");
-            f.ty(v).size_bytes() as u64
-        })
-        .sum();
+    /// `tawa.consumed`: hand slot `s` back to the producer.
+    fn release(&self, s: usize) -> Instr {
+        Instr::MbarArrive {
+            bar: self.ring.empty[s],
+        }
+    }
 
-    let mma_depth = f
-        .walk()
-        .into_iter()
-        .find(|&o| f.op(o).kind == OpKind::WarpGroup && f.op(o).attrs.int("mma_depth").is_some())
-        .and_then(|o| f.op(o).attrs.int("mma_depth"))
-        .map(|d| d as usize);
-    let coarse = f.walk().into_iter().any(|o| {
-        f.op(o).kind == OpKind::WarpGroup && f.op(o).attrs.str("pipeline") == Some("coarse")
-    });
-
-    let aref_locs: Vec<Option<tawa_ir::loc::Loc>> = creates.iter().map(|&c| f.loc(c)).collect();
-
-    Ok(WsAnalysis {
-        aref_payloads,
-        aref_locs,
-        t_aref,
-        u_aref,
-        producer_iter_ops,
-        producer_prologue_ops,
-        t_shape,
-        u_shape,
-        iter_flops,
-        iter_sfu,
-        prologue_load_bytes,
-        prologue_load_locs,
-        prologue_flops,
-        epilogue_flops,
-        epilogue_sfu,
-        store_bytes,
-        loop_bounds: (c_info.lo, c_info.hi, c_info.step),
-        mma_depth,
-        coarse,
-    })
+    /// The stage run to completion on slot `s`.
+    fn sync(&self, s: usize) -> [Instr; 4] {
+        [
+            self.acquire(s),
+            self.issue.clone(),
+            Instr::WgmmaWait { pending: 0 },
+            self.release(s),
+        ]
+    }
 }
 
 /// Estimated registers per thread for a consumer warp group holding
@@ -483,6 +463,22 @@ fn consumer_regs(acc_elems: u64, extra_elems: u64) -> Result<u32, CompileError> 
     Ok(regs)
 }
 
+/// The last step of both lowerings: the launch header and CTA classes,
+/// then the structural check.
+fn finish(
+    mut kernel: Kernel,
+    spec: &LaunchSpec,
+    opts: &CompileOptions,
+    classes: Vec<CtaClass>,
+) -> Result<Kernel, CompileError> {
+    kernel.launch_overhead_ns = opts.launch_overhead_ns;
+    kernel.useful_flops = spec.useful_flops;
+    kernel.classes = classes;
+    tawa_wsir::validate(&kernel)
+        .map_err(|e| unsupported(format!("generated invalid WSIR: {e:?}")))?;
+    Ok(kernel)
+}
+
 /// Lowers a warp-specialized module to a WSIR kernel.
 ///
 /// # Errors
@@ -496,438 +492,341 @@ pub fn lower_ws(
     device: &Device,
 ) -> Result<Kernel, CompileError> {
     let f = &module.funcs[0];
-    let a = analyse_ws(f)?;
     let d = opts.aref_depth;
+    let coop = opts.cooperative.clamp(1, 2);
+    let per_wg = |x: u64| x / coop as u64;
+    let mut kernel = Kernel::new(&f.name);
+
+    // ---- rings: one per `tawa.create_aref` --------------------------------
+    let top = &f.block(f.body_block()).ops;
+    let mut rings = Vec::new();
+    for &create in top.iter().filter(|&&o| f.op(o).kind == OpKind::CreateAref) {
+        let Some(&aref) = f.results(create).first() else {
+            continue;
+        };
+        let Type::Aref(_, payload) = f.ty(aref) else {
+            let ty = f.ty(aref);
+            return Err(unsupported(format!(
+                "create_aref result {aref} has type {ty}"
+            )));
+        };
+        let ai = rings.len();
+        let (mut full, mut empty) = (Vec::new(), Vec::new());
+        for s in 0..d {
+            full.push(kernel.add_barrier(&format!("full{ai}_{s}"), payload.len() as u32));
+            empty.push(kernel.add_barrier_init(&format!("empty{ai}_{s}"), coop as u32, 1));
+        }
+        // Thread the authoring span onto the barriers so static-analysis
+        // diagnostics (races, deadlocks) point at the tile program's
+        // `file:line`, not at the lowering.
+        if let Some(loc) = f.loc(create) {
+            for &bar in full.iter().chain(&empty) {
+                kernel.set_bar_loc(bar, src_loc(loc));
+            }
+        }
+        let payload = payload.iter().map(|t| t.size_bytes() as u64).collect();
+        rings.push(Ring {
+            aref,
+            full,
+            empty,
+            payload,
+        });
+    }
+    if rings.is_empty() {
+        return Err(unsupported("no arefs: run warp-specialize first"));
+    }
+
+    // ---- the two warp groups, each cut at its loop -------------------------
+    let warp_group = |role: &str| {
+        top.iter()
+            .copied()
+            .find(|&o| f.op(o).kind == OpKind::WarpGroup && f.op(o).attrs.str("role") == Some(role))
+            .ok_or_else(|| unsupported(format!("missing {role} warp group")))
+    };
+    let (producer, consumer) = (warp_group("producer")?, warp_group("consumer")?);
+    let split = |wg: OpId, role: &str| {
+        let lp =
+            warp_group_loop(f, wg).ok_or_else(|| unsupported(format!("{role} has no loop")))?;
+        Split::at(f, lp, &format!("malformed {role} loop"))
+    };
+    let (prod, cons) = (split(producer, "producer")?, split(consumer, "consumer")?);
+
+    // ---- the consumer loop's stages: its first dot T and second dot U ------
+    let body = Tally::of(f, &cons.lp.body_ops, true);
+    if body.dots.is_empty() {
+        return Err(unsupported_at(f, cons.lp.op, "consumer loop has no dot"));
+    }
+    let shapes: Vec<DotShape> = body
+        .dots
+        .iter()
+        .map(|&dot| dot_shape(f, dot))
+        .collect::<Result<_, _>>()?;
+    let (t, u) = (shapes[0], shapes.get(1).copied());
+    let t_ring = feeding_ring(f, &rings, body.dots[0])
+        .ok_or_else(|| unsupported("T dot does not consume an aref payload"))?;
+    let u_ring = body
+        .dots
+        .get(1)
+        .and_then(|&dot| feeding_ring(f, &rings, dot));
+
     // Prefer the pipeline depth recorded in the IR by the fine-grained
     // pipelining pass (paper Fig. 2c's `pendings` annotation).
-    let p = a.mma_depth.unwrap_or(opts.mma_depth);
+    let attrs = &f.op(consumer).attrs;
+    let p = attrs
+        .int("mma_depth")
+        .map_or(opts.mma_depth, |p| p as usize);
     if p > d {
         return Err(CompileError::Infeasible(format!(
             "MMA pipeline depth P={p} exceeds aref depth D={d}: a slot would \
              be recycled while its WGMMA is still in flight"
         )));
     }
-    let coop = opts.cooperative.clamp(1, 2);
-    if a.t_shape.m % coop as u32 != 0 {
-        return Err(CompileError::Unsupported(format!(
+    if t.m % coop as u32 != 0 {
+        return Err(unsupported(format!(
             "tile rows {} not divisible among {coop} cooperative warp groups",
-            a.t_shape.m
+            t.m
         )));
     }
-
-    // Trip counts per CTA class.
-    let trips: Vec<u64> = spec
-        .classes
-        .iter()
-        .map(|c| {
-            let mut ev = ConstEval::new(f, spec, c.pid);
-            ev.trip_count(a.loop_bounds.0, a.loop_bounds.1, a.loop_bounds.2)
-                .ok_or_else(|| {
-                    // Blame the author's loop bound when it carries a span.
-                    let msg = "loop bounds are not launch-constant";
-                    match f.value_loc(a.loop_bounds.1) {
-                        Some(loc) => {
-                            CompileError::Unsupported(format!("{msg} (bound defined at {loc})"))
-                        }
-                        None => CompileError::Unsupported(msg.into()),
-                    }
-                })
-        })
-        .collect::<Result<_, _>>()?;
+    let trips = cons.trips(f, spec)?;
     let uniform_n = trips.windows(2).all(|w| w[0] == w[1]);
-
-    let mut kernel = Kernel::new(&f.name);
-    kernel.launch_overhead_ns = opts.launch_overhead_ns;
-    kernel.useful_flops = spec.useful_flops;
-
-    // ---- barriers -------------------------------------------------------
-    // Per aref: D full + D empty barriers.
-    let mut full_bars: Vec<Vec<BarId>> = Vec::new();
-    let mut empty_bars: Vec<Vec<BarId>> = Vec::new();
-    for (ai, payload) in a.aref_payloads.iter().enumerate() {
-        let mut fulls = Vec::new();
-        let mut empties = Vec::new();
-        for s in 0..d {
-            fulls.push(kernel.add_barrier(&format!("full{ai}_{s}"), payload.len() as u32));
-            empties.push(kernel.add_barrier_init(&format!("empty{ai}_{s}"), coop as u32, 1));
-        }
-        full_bars.push(fulls);
-        empty_bars.push(empties);
-    }
-    // Barriers for synchronous prologue loads (Q).
-    let sync_bars: Vec<BarId> = (0..a.prologue_load_bytes.len())
-        .map(|i| kernel.add_barrier(&format!("sync{i}"), 1))
-        .collect();
-
-    // Thread the authoring spans onto the barriers so static-analysis
-    // diagnostics (races, deadlocks) point at the tile program's
-    // `file:line`, not at the lowering.
-    for (ai, loc) in a.aref_locs.iter().enumerate() {
-        if let Some(loc) = loc {
-            let src = src_loc(*loc);
-            for s in 0..d {
-                kernel.set_bar_loc(full_bars[ai][s], src);
-                kernel.set_bar_loc(empty_bars[ai][s], src);
-            }
-        }
-    }
-    for (bar, loc) in sync_bars.iter().zip(&a.prologue_load_locs) {
-        if let Some(loc) = loc {
-            kernel.set_bar_loc(*bar, src_loc(*loc));
-        }
-    }
-
     let mut params = ClassParams::new(spec.classes.len());
 
-    // ---- producer program -------------------------------------------------
-    let mut prod = Vec::new();
-    prod.push(Instr::SetMaxNReg { regs: 24 });
-    if a.producer_prologue_ops > 0 {
-        prod.push(Instr::CudaOp {
-            flops: a.producer_prologue_ops * 32,
+    // ---- producer: each `tawa.put` fills its ring's slot -------------------
+    let (mut puts, mut addr_ops) = (Vec::new(), 0u64);
+    for &op in &prod.lp.body_ops {
+        match f.op(op).kind {
+            OpKind::ArefPut => {
+                let aref = f.op(op).operands.first();
+                puts.extend(rings.iter().find(|r| Some(&r.aref) == aref));
+            }
+            // A put's payload load is the TMA the put issues.
+            OpKind::TmaLoad => {}
+            _ => addr_ops += 1,
+        }
+    }
+    let mut prod_prog = vec![Instr::SetMaxNReg { regs: 24 }];
+    let setup_ops = (prod.pro.len() + prod.epi.len()) as u64;
+    if setup_ops > 0 {
+        prod_prog.push(Instr::CudaOp {
+            flops: setup_ops * 32,
             sfu: 0,
             label: "producer-prologue",
         });
     }
-    let payloads = a.aref_payloads.clone();
-    emit_cyclic(&mut prod, &trips, d, 0, &mut params, |s, out| {
-        if a.producer_iter_ops > 0 {
+    emit_cyclic(&mut prod_prog, &trips, d, 0, &mut params, |s, out| {
+        if addr_ops > 0 {
             out.push(Instr::CudaOp {
-                flops: a.producer_iter_ops * 32,
+                flops: addr_ops * 32,
                 sfu: 0,
                 label: "addr-gen",
             });
         }
-        for (ai, payload) in payloads.iter().enumerate() {
-            out.push(Instr::MbarWait {
-                bar: empty_bars[ai][s],
-            });
-            for &bytes in payload {
-                out.push(Instr::TmaLoad {
-                    bytes,
-                    bar: full_bars[ai][s],
-                });
-            }
+        for ring in &puts {
+            out.push(Instr::MbarWait { bar: ring.empty[s] });
+            let bar = ring.full[s];
+            out.extend(
+                ring.payload
+                    .iter()
+                    .map(|&bytes| Instr::TmaLoad { bytes, bar }),
+            );
         }
     });
 
-    // ---- consumer program(s) ---------------------------------------------
-    let m_wg = a.t_shape.m / coop as u32;
-    let store_wg = a.store_bytes / coop as u64;
-    let iter_flops_wg = a.iter_flops / coop as u64;
-    let iter_sfu_wg = a.iter_sfu / coop as u64;
-    let epi_flops_wg = a.epilogue_flops / coop as u64;
-    let epi_sfu_wg = a.epilogue_sfu / coop as u64;
-
-    let mut cons = Vec::new();
-    for (&bytes, bar) in a.prologue_load_bytes.iter().zip(sync_bars.iter()) {
-        cons.push(Instr::TmaLoad { bytes, bar: *bar });
-        cons.push(Instr::MbarWait { bar: *bar });
+    // ---- consumer prologue -------------------------------------------------
+    let mut cons_prog = Vec::new();
+    let pro = Tally::of(f, &cons.pro, false);
+    // Each prologue `tile.tma_load` is a synchronous load on its own
+    // barrier. Every cooperative warp group runs this program, so with
+    // `coop = 2` each tile is loaded twice (ROADMAP 13(a), see the module
+    // docs); the fix belongs here, together with a re-bless of the golden
+    // simulation reports it moves.
+    for (i, &load) in pro.loads.iter().enumerate() {
+        let bar = kernel.add_barrier(&format!("sync{i}"), 1);
+        if let Some(loc) = f.loc(load) {
+            kernel.set_bar_loc(bar, src_loc(loc));
+        }
+        let bytes = result_bytes(f, load);
+        cons_prog.extend([Instr::TmaLoad { bytes, bar }, Instr::MbarWait { bar }]);
     }
-    if a.prologue_flops > 0 {
-        cons.push(Instr::CudaOp {
-            flops: a.prologue_flops / coop as u64,
+    if pro.flops > 0 {
+        cons_prog.push(Instr::CudaOp {
+            flops: per_wg(pro.flops),
             sfu: 0,
             label: "consumer-prologue",
         });
     }
 
-    let use_coarse = a.coarse && a.u_shape.is_some() && opts.coarse_pipeline;
-    if let (Some(u_shape), Some(u_aref), true) = (a.u_shape, a.u_aref, use_coarse) {
-        // ---- coarse-grained T/C/U template (Algorithm 1) ----
-        let t = a.t_shape;
-        let ta = a.t_aref;
-        if trips.contains(&0) {
-            return Err(CompileError::Unsupported(
-                "coarse pipeline requires at least one iteration per class".into(),
-            ));
-        }
-        // Prologue: T0 to completion, then C0.
-        cons.push(Instr::MbarWait {
-            bar: full_bars[ta][0],
-        });
-        cons.push(Instr::WgmmaIssue {
-            m: m_wg,
-            n: t.n,
-            k: t.k,
-            dtype: t.dtype,
-        });
-        cons.push(Instr::WgmmaWait { pending: 0 });
-        cons.push(Instr::MbarArrive {
-            bar: empty_bars[ta][0],
-        });
-        cons.push(Instr::CudaOp {
-            flops: iter_flops_wg,
-            sfu: iter_sfu_wg,
-            label: "softmax",
-        });
-        // Steady state over iterations 1..N.
-        let steady_trips: Vec<u64> = trips.iter().map(|&n| n - 1).collect();
-        emit_cyclic(&mut cons, &steady_trips, d, 1 % d, &mut params, |s, out| {
-            let prev = (s + d - 1) % d;
-            // U_{j-1}'s operands (P_{j-1} and V_{j-1}) are ready before
-            // T_j's K tile, so U is enqueued first: its aref slot frees one
-            // WGMMA earlier, keeping the producer's V prefetch unstalled.
-            out.push(Instr::MbarWait {
-                bar: full_bars[u_aref][prev],
-            });
-            out.push(Instr::WgmmaIssue {
-                m: m_wg,
-                n: u_shape.n,
-                k: u_shape.k,
-                dtype: u_shape.dtype,
-            });
-            out.push(Instr::MbarWait {
-                bar: full_bars[ta][s],
-            });
-            out.push(Instr::WgmmaIssue {
-                m: m_wg,
-                n: t.n,
-                k: t.k,
-                dtype: t.dtype,
-            });
-            out.push(Instr::WgmmaWait { pending: 1 });
-            out.push(Instr::MbarArrive {
-                bar: empty_bars[u_aref][prev],
-            });
-            out.push(Instr::WgmmaWait { pending: 0 });
-            out.push(Instr::MbarArrive {
-                bar: empty_bars[ta][s],
-            });
-            out.push(Instr::CudaOp {
-                flops: iter_flops_wg,
-                sfu: iter_sfu_wg,
-                label: "softmax",
-            });
-        });
-        // Epilogue: U_{N-1}; its slot (N-1) mod D differs per class, so emit
-        // D guarded variants of which exactly one runs.
-        for v in 0..d {
-            let guard: Vec<u64> = trips
-                .iter()
-                .map(|&n| u64::from((n - 1) % d as u64 == v as u64))
-                .collect();
-            if guard.iter().all(|&g| g == 0) {
-                continue;
+    // ---- consumer loop: a schedule of the stages' fragments ----------------
+    let m_wg = t.m / coop as u32;
+    let t_st = Stage {
+        ring: t_ring,
+        issue: t.issue(m_wg),
+    };
+    let u_st = u.zip(u_ring).map(|(u, ring)| Stage {
+        ring,
+        issue: u.issue(m_wg),
+    });
+    let transform = |label| Instr::CudaOp {
+        flops: per_wg(body.flops),
+        sfu: per_wg(body.sfu),
+        label,
+    };
+    let wait = |pending| Instr::WgmmaWait { pending };
+    let coarse = opts.coarse_pipeline && attrs.str("pipeline") == Some("coarse");
+    match u_st {
+        Some(u_st) if coarse => {
+            // Coarse-grained T/C/U (Algorithm 1).
+            if trips.contains(&0) {
+                return Err(unsupported(
+                    "coarse pipeline requires at least one iteration per class",
+                ));
             }
-            let body = vec![
-                Instr::MbarWait {
-                    bar: full_bars[u_aref][v],
-                },
-                Instr::WgmmaIssue {
-                    m: m_wg,
-                    n: u_shape.n,
-                    k: u_shape.k,
-                    dtype: u_shape.dtype,
-                },
-                Instr::WgmmaWait { pending: 0 },
-                Instr::MbarArrive {
-                    bar: empty_bars[u_aref][v],
-                },
-            ];
-            cons.push(Instr::Loop {
-                count: params.alloc(&guard),
-                body,
+            // Prologue: T0 to completion, then C0.
+            cons_prog.extend(t_st.sync(0));
+            cons_prog.push(transform("softmax"));
+            // Steady state over iterations 1..N.
+            let steady: Vec<u64> = trips.iter().map(|&n| n - 1).collect();
+            emit_cyclic(&mut cons_prog, &steady, d, 1 % d, &mut params, |s, out| {
+                let prev = (s + d - 1) % d;
+                // U_{j-1}'s operands (P_{j-1} and V_{j-1}) are ready before
+                // T_j's K tile, so U is enqueued first: its aref slot frees
+                // one WGMMA earlier, keeping the producer's V prefetch
+                // unstalled.
+                out.extend([u_st.acquire(prev), u_st.issue.clone()]);
+                out.extend([t_st.acquire(s), t_st.issue.clone(), wait(1)]);
+                out.extend([u_st.release(prev), wait(0), t_st.release(s)]);
+                out.push(transform("softmax"));
             });
-        }
-    } else if let (Some(u_shape), Some(u_aref)) = (a.u_shape, a.u_aref) {
-        // ---- serial T/C/U (coarse pipeline disabled: ablation) ----
-        let t = a.t_shape;
-        let ta = a.t_aref;
-        emit_cyclic(&mut cons, &trips, d, 0, &mut params, |s, out| {
-            out.push(Instr::MbarWait {
-                bar: full_bars[ta][s],
-            });
-            out.push(Instr::WgmmaIssue {
-                m: m_wg,
-                n: t.n,
-                k: t.k,
-                dtype: t.dtype,
-            });
-            out.push(Instr::WgmmaWait { pending: 0 });
-            out.push(Instr::MbarArrive {
-                bar: empty_bars[ta][s],
-            });
-            out.push(Instr::CudaOp {
-                flops: iter_flops_wg,
-                sfu: iter_sfu_wg,
-                label: "softmax",
-            });
-            out.push(Instr::MbarWait {
-                bar: full_bars[u_aref][s],
-            });
-            out.push(Instr::WgmmaIssue {
-                m: m_wg,
-                n: u_shape.n,
-                k: u_shape.k,
-                dtype: u_shape.dtype,
-            });
-            out.push(Instr::WgmmaWait { pending: 0 });
-            out.push(Instr::MbarArrive {
-                bar: empty_bars[u_aref][s],
-            });
-        });
-    } else {
-        // ---- fine-grained single-dot template ----
-        if !uniform_n {
-            return Err(CompileError::Unsupported(
-                "fine-grained pipeline requires a uniform trip count".into(),
-            ));
-        }
-        let n = trips[0];
-        let t = a.t_shape;
-        let ta = a.t_aref;
-        let p_eff = p.min(n.max(1) as usize).max(1);
-        let peel = (p_eff - 1) as u64;
-        // Peeled head: fill the MMA pipeline without waits/releases.
-        for k in 0..peel.min(n) {
-            let s = (k % d as u64) as usize;
-            cons.push(Instr::MbarWait {
-                bar: full_bars[ta][s],
-            });
-            if iter_flops_wg + iter_sfu_wg > 0 {
-                cons.push(Instr::CudaOp {
-                    flops: iter_flops_wg,
-                    sfu: iter_sfu_wg,
-                    label: "iter-transform",
-                });
+            // Epilogue: U_{N-1}; its slot (N-1) mod D differs per class, so
+            // emit D guarded variants of which exactly one runs.
+            for v in 0..d {
+                let guard: Vec<u64> = trips
+                    .iter()
+                    .map(|&n| u64::from((n - 1) % d as u64 == v as u64))
+                    .collect();
+                if guard.iter().any(|&g| g > 0) {
+                    cons_prog.push(Instr::Loop {
+                        count: params.alloc(&guard),
+                        body: u_st.sync(v).to_vec(),
+                    });
+                }
             }
-            cons.push(Instr::WgmmaIssue {
-                m: m_wg,
-                n: t.n,
-                k: t.k,
-                dtype: t.dtype,
-            });
         }
-        // Steady state: issue, bounded wait, release slot k-P+1.
-        let steady: Vec<u64> = trips.iter().map(|&x| x - peel.min(x)).collect();
-        let start = (peel % d as u64) as usize;
-        emit_cyclic(&mut cons, &steady, d, start, &mut params, |s, out| {
-            out.push(Instr::MbarWait {
-                bar: full_bars[ta][s],
-            });
-            if iter_flops_wg + iter_sfu_wg > 0 {
-                out.push(Instr::CudaOp {
-                    flops: iter_flops_wg,
-                    sfu: iter_sfu_wg,
-                    label: "iter-transform",
-                });
+        // Serial T/C/U (coarse pipeline disabled: the ablation).
+        Some(u_st) => emit_cyclic(&mut cons_prog, &trips, d, 0, &mut params, |s, out| {
+            out.extend(t_st.sync(s));
+            out.push(transform("softmax"));
+            out.extend(u_st.sync(s));
+        }),
+        // Fine-grained: up to P WGMMA groups in flight.
+        None => {
+            if !uniform_n {
+                return Err(unsupported(
+                    "fine-grained pipeline requires a uniform trip count",
+                ));
             }
-            out.push(Instr::WgmmaIssue {
-                m: m_wg,
-                n: t.n,
-                k: t.k,
-                dtype: t.dtype,
+            let n = trips.first().copied().unwrap_or(0);
+            let peel = (p.min(n.max(1) as usize).max(1) - 1) as u64;
+            let head = |s: usize, out: &mut Vec<Instr>| {
+                out.push(t_st.acquire(s));
+                if per_wg(body.flops) + per_wg(body.sfu) > 0 {
+                    out.push(transform("iter-transform"));
+                }
+                out.push(t_st.issue.clone());
+            };
+            // Peeled head: fill the MMA pipeline without waits/releases.
+            for k in 0..peel.min(n) {
+                head((k % d as u64) as usize, &mut cons_prog);
+            }
+            // Steady state: issue, bounded wait, release slot k-P+1.
+            let steady: Vec<u64> = trips.iter().map(|&x| x - peel.min(x)).collect();
+            let start = (peel % d as u64) as usize;
+            emit_cyclic(&mut cons_prog, &steady, d, start, &mut params, |s, out| {
+                head(s, out);
+                out.push(wait(peel as u32));
+                out.push(t_st.release((s + d - (peel as usize % d)) % d));
             });
-            out.push(Instr::WgmmaWait {
-                pending: peel as u32,
-            });
-            let rel = (s + d - (peel as usize % d)) % d;
-            out.push(Instr::MbarArrive {
-                bar: empty_bars[ta][rel],
-            });
-        });
-        // Drain: wait for the last P-1 MMAs and release their slots.
-        cons.push(Instr::WgmmaWait { pending: 0 });
-        for i in 0..peel.min(n) {
-            let k = n - peel + i;
-            let s = (k % d as u64) as usize;
-            cons.push(Instr::MbarArrive {
-                bar: empty_bars[ta][s],
-            });
+            // Drain: wait for the last P-1 MMAs and release their slots.
+            cons_prog.push(wait(0));
+            for k in n - peel.min(n)..n {
+                cons_prog.push(t_st.release((k % d as u64) as usize));
+            }
         }
     }
 
-    if epi_flops_wg + epi_sfu_wg > 0 {
-        cons.push(Instr::CudaOp {
-            flops: epi_flops_wg,
-            sfu: epi_sfu_wg,
+    // ---- consumer epilogue -------------------------------------------------
+    let epi = Tally::of(f, &cons.epi, false);
+    if per_wg(epi.flops) + per_wg(epi.sfu) > 0 {
+        cons_prog.push(Instr::CudaOp {
+            flops: per_wg(epi.flops),
+            sfu: per_wg(epi.sfu),
             label: "epilogue",
         });
     }
-    if store_wg > 0 {
-        cons.push(Instr::TmaStore { bytes: store_wg });
+    if per_wg(epi.store_bytes) > 0 {
+        cons_prog.push(Instr::TmaStore {
+            bytes: per_wg(epi.store_bytes),
+        });
     }
 
     // ---- resources -----------------------------------------------------------
-    let aref_smem: u64 = a
-        .aref_payloads
+    let aref_smem: u64 = rings
         .iter()
-        .map(|p| p.iter().sum::<u64>() * d as u64)
+        .map(|r| r.payload.iter().sum::<u64>() * d as u64)
         .sum();
-    let sync_smem: u64 = a.prologue_load_bytes.iter().sum();
     let barrier_smem = (kernel.barriers.len() * 8) as u64;
-    kernel.smem_bytes = aref_smem + sync_smem + a.store_bytes + barrier_smem;
+    kernel.smem_bytes = aref_smem + pro.load_bytes(f) + epi.store_bytes + barrier_smem;
     if kernel.smem_bytes > device.smem_per_sm {
         return Err(CompileError::Infeasible(format!(
             "shared memory {} B exceeds the SM's {} B (D too deep for this tile)",
             kernel.smem_bytes, device.smem_per_sm
         )));
     }
-
-    let acc_elems = (m_wg as u64) * a.t_shape.n as u64;
-    let extra = a.u_shape.map(|u| m_wg as u64 * u.k as u64).unwrap_or(0);
-    let c_regs = consumer_regs(
-        match a.u_shape {
-            Some(u) => m_wg as u64 * u.n as u64,
-            None => acc_elems,
-        },
-        extra,
-    )?;
-
-    kernel.add_warp_group(Role::Producer, 24, prod);
+    let rows = m_wg as u64;
+    let c_regs = match u {
+        Some(u) => consumer_regs(rows * u.n as u64, rows * u.k as u64)?,
+        None => consumer_regs(rows * t.n as u64, 0)?,
+    };
+    kernel.add_warp_group(Role::Producer, 24, prod_prog);
     for _ in 0..coop {
-        kernel.add_warp_group(Role::Consumer, c_regs, cons.clone());
+        kernel.add_warp_group(Role::Consumer, c_regs, cons_prog.clone());
+    }
+    if !opts.persistent {
+        return finish(kernel, spec, opts, params.classes(spec));
     }
 
-    // ---- classes / persistence -------------------------------------------------
-    if opts.persistent {
-        if !uniform_n {
-            return Err(CompileError::Unsupported(
-                "persistent kernels require uniform trip counts".into(),
-            ));
-        }
-        let occ = device.occupancy(&kernel).max(1) as u64;
-        let resident = (device.sms as u64 * occ).min(spec.grid_size()).max(1);
-        let grid = spec.grid_size();
-        let full = grid / resident;
-        let rem = grid % resident;
-        for wg in &mut kernel.warp_groups {
-            let body = std::mem::take(&mut wg.body);
-            wg.body = vec![Instr::Loop {
-                count: Count::Param(0),
-                body,
-            }];
-        }
-        kernel.persistent = true;
-        kernel.classes = Vec::new();
-        if rem > 0 {
-            kernel.classes.push(CtaClass {
-                params: vec![full + 1],
-                multiplicity: rem,
-            });
-        }
-        if resident - rem > 0 && full > 0 {
-            kernel.classes.push(CtaClass {
-                params: vec![full],
-                multiplicity: resident - rem,
-            });
-        }
-    } else {
-        kernel.classes = spec
-            .classes
-            .iter()
-            .zip(params.values.iter())
-            .map(|(c, vals)| CtaClass {
-                params: vals.clone(),
-                multiplicity: c.multiplicity,
-            })
-            .collect();
+    // ---- persistence: each resident CTA loops over its share of the grid ----
+    if !uniform_n {
+        return Err(unsupported(
+            "persistent kernels require uniform trip counts",
+        ));
     }
-
-    tawa_wsir::validate(&kernel)
-        .map_err(|e| CompileError::Unsupported(format!("generated invalid WSIR: {e:?}")))?;
-    Ok(kernel)
+    let occ = device.occupancy(&kernel).max(1) as u64;
+    let grid = spec.grid_size();
+    let resident = (device.sms as u64 * occ).min(grid).max(1);
+    let (full, rem) = (grid / resident, grid % resident);
+    for wg in &mut kernel.warp_groups {
+        let body = std::mem::take(&mut wg.body);
+        wg.body = vec![Instr::Loop {
+            count: Count::Param(0),
+            body,
+        }];
+    }
+    kernel.persistent = true;
+    let mut classes = Vec::new();
+    if rem > 0 {
+        classes.push(CtaClass {
+            params: vec![full + 1],
+            multiplicity: rem,
+        });
+    }
+    if resident - rem > 0 && full > 0 {
+        classes.push(CtaClass {
+            params: vec![full],
+            multiplicity: resident - rem,
+        });
+    }
+    finish(kernel, spec, opts, classes)
 }
 
 /// Lowers an **unspecialized** tile-IR module the way pre-Tawa Triton does
@@ -946,90 +845,57 @@ pub fn lower_simt(
     device: &Device,
 ) -> Result<Kernel, CompileError> {
     let f = &module.funcs[0];
-    let err = |m: &str| CompileError::Unsupported(m.to_string());
-    let main_loop =
-        top_level_loops_with_loads(f).ok_or_else(|| err("no TMA-load-bearing loop in kernel"))?;
-    let info = loop_info(f, main_loop).ok_or_else(|| err("malformed main loop"))?;
-
-    let loads: Vec<u64> = info
-        .body_ops
+    let main_loop = top_level_loops_with_loads(f)
+        .ok_or_else(|| unsupported("no TMA-load-bearing loop in kernel"))?;
+    let split = Split::at(f, main_loop, "malformed main loop")?;
+    let body = Tally::of(f, &split.lp.body_ops, true);
+    let dots: Vec<DotShape> = body
+        .dots
         .iter()
-        .filter(|&&o| f.op(o).kind == OpKind::TmaLoad)
-        .map(|&o| f.ty(f.result(o)).size_bytes() as u64)
-        .collect();
-    let dots: Vec<DotShape> = info
-        .body_ops
-        .iter()
-        .filter(|&&o| f.op(o).kind == OpKind::Dot)
         .map(|&o| dot_shape(f, o))
         .collect::<Result<_, _>>()?;
     if dots.is_empty() {
-        return Err(err("loop has no dot"));
+        return Err(unsupported("loop has no dot"));
     }
-    let cuda_ops: Vec<OpId> = info
-        .body_ops
+    let loads = body.load_bytes(f);
+    let prologue_loads: Vec<u64> = Tally::of(f, &split.pro, false)
+        .loads
         .iter()
-        .copied()
-        .filter(|&o| !matches!(f.op(o).kind, OpKind::Dot | OpKind::TmaLoad))
-        .filter(|&o| {
-            f.results(o)
-                .first()
-                .map(|&r| f.ty(r).is_tensor())
-                .unwrap_or(false)
-        })
+        .map(|&o| result_bytes(f, o))
         .collect();
-    let (iter_flops, iter_sfu) = cuda_cost(f, &cuda_ops);
-
-    let body_block = f.body_block();
-    let all: Vec<OpId> = f.block(body_block).ops.clone();
-    let pos = all.iter().position(|&o| o == main_loop).expect("loop");
-    let prologue = &all[..pos];
-    let epilogue = &all[pos + 1..];
-    let prologue_loads: Vec<u64> = prologue
-        .iter()
-        .filter(|&&o| f.op(o).kind == OpKind::TmaLoad)
-        .map(|&o| f.ty(f.result(o)).size_bytes() as u64)
-        .collect();
-    let (epi_flops, epi_sfu) = cuda_cost(f, epilogue);
-    let store_bytes: u64 = epilogue
-        .iter()
-        .filter(|&&o| matches!(f.op(o).kind, OpKind::Store | OpKind::TmaStore))
-        .map(|&o| {
-            let v = *f.op(o).operands.last().expect("store value");
-            f.ty(v).size_bytes() as u64
-        })
-        .sum();
-
-    let trips: Vec<u64> = spec
-        .classes
-        .iter()
-        .map(|c| {
-            let mut ev = ConstEval::new(f, spec, c.pid);
-            ev.trip_count(info.lo, info.hi, info.step)
-                .ok_or_else(|| err("loop bounds are not launch-constant"))
-        })
-        .collect::<Result<_, _>>()?;
+    let epi = Tally::of(f, &split.epi, false);
+    let trips = split.trips(f, spec)?;
     let min_n = trips.iter().copied().min().unwrap_or(0);
     let stages = opts.sw_stages.max(1).min(min_n.max(1) as usize);
-
-    let mut kernel = Kernel::new(&format!("{}_simt", f.name));
-    kernel.launch_overhead_ns = opts.launch_overhead_ns;
-    kernel.useful_flops = spec.useful_flops;
     let mut params = ClassParams::new(spec.classes.len());
 
     // Two uniform warp groups split the tile rows (num_warps = 8).
     const WGS: u64 = 2;
-    let iter_load_bytes: u64 = loads.iter().sum::<u64>() / WGS;
+    let (iter_flops, iter_sfu) = (body.flops, body.sfu);
+    let iter_load_bytes = loads / WGS;
     // Without TMA, Triton materializes a per-element pointer tensor (and
     // bounds masks) for every tile it copies: ~3 integer ops per element.
-    let esz = dots[0].dtype.size_bytes();
-    let addr_flops = 3 * loads.iter().sum::<u64>() / esz / WGS;
+    let addr_flops = 3 * loads / dots[0].dtype.size_bytes() / WGS;
+    let addr_gen = || Instr::CudaOp {
+        flops: addr_flops.max(512),
+        sfu: 0,
+        label: "addr-gen",
+    };
+    let transform = |label| Instr::CudaOp {
+        flops: iter_flops / WGS,
+        sfu: iter_sfu / WGS,
+        label,
+    };
+    let mmas = |out: &mut Vec<Instr>, dots: &[DotShape]| {
+        for dot in dots {
+            out.extend([
+                dot.issue(dot.m / WGS as u32),
+                Instr::WgmmaWait { pending: 0 },
+            ]);
+        }
+    };
     let mut body = vec![
-        Instr::CudaOp {
-            flops: addr_flops.max(512),
-            sfu: 0,
-            label: "addr-gen",
-        },
+        addr_gen(),
         Instr::CpAsync {
             bytes: iter_load_bytes,
         },
@@ -1040,42 +906,14 @@ pub fn lower_simt(
     ];
     if iter_flops + iter_sfu > 0 && dots.len() > 1 {
         // Attention-like: T, softmax, U — fully serial in the SIMT model.
-        body.push(Instr::WgmmaIssue {
-            m: dots[0].m / WGS as u32,
-            n: dots[0].n,
-            k: dots[0].k,
-            dtype: dots[0].dtype,
-        });
-        body.push(Instr::WgmmaWait { pending: 0 });
-        body.push(Instr::CudaOp {
-            flops: iter_flops / WGS,
-            sfu: iter_sfu / WGS,
-            label: "softmax",
-        });
-        body.push(Instr::WgmmaIssue {
-            m: dots[1].m / WGS as u32,
-            n: dots[1].n,
-            k: dots[1].k,
-            dtype: dots[1].dtype,
-        });
-        body.push(Instr::WgmmaWait { pending: 0 });
+        mmas(&mut body, &dots[..1]);
+        body.push(transform("softmax"));
+        mmas(&mut body, &dots[1..2]);
     } else {
         if iter_flops + iter_sfu > 0 {
-            body.push(Instr::CudaOp {
-                flops: iter_flops / WGS,
-                sfu: iter_sfu / WGS,
-                label: "iter-transform",
-            });
+            body.push(transform("iter-transform"));
         }
-        for dsh in &dots {
-            body.push(Instr::WgmmaIssue {
-                m: dsh.m / WGS as u32,
-                n: dsh.n,
-                k: dsh.k,
-                dtype: dsh.dtype,
-            });
-            body.push(Instr::WgmmaWait { pending: 0 });
-        }
+        mmas(&mut body, &dots);
     }
     body.push(Instr::Syncthreads);
 
@@ -1088,11 +926,7 @@ pub fn lower_simt(
     wg.push(Instr::Syncthreads);
     // Software-pipeline prologue: prefetch stages-1 tiles.
     for _ in 0..stages - 1 {
-        wg.push(Instr::CudaOp {
-            flops: addr_flops.max(512),
-            sfu: 0,
-            label: "addr-gen",
-        });
+        wg.push(addr_gen());
         wg.push(Instr::CpAsync {
             bytes: iter_load_bytes,
         });
@@ -1108,38 +942,24 @@ pub fn lower_simt(
         });
     }
     // Drain: the last stages-1 iterations compute without new prefetches.
-    let mut drain = Vec::new();
-    drain.push(Instr::CpAsyncWait { pending: 0 });
-    drain.push(Instr::Syncthreads);
-    for dsh in &dots {
-        drain.push(Instr::WgmmaIssue {
-            m: dsh.m / WGS as u32,
-            n: dsh.n,
-            k: dsh.k,
-            dtype: dsh.dtype,
-        });
-        drain.push(Instr::WgmmaWait { pending: 0 });
-    }
+    let mut drain = vec![Instr::CpAsyncWait { pending: 0 }, Instr::Syncthreads];
+    mmas(&mut drain, &dots);
     if iter_flops + iter_sfu > 0 {
-        drain.push(Instr::CudaOp {
-            flops: iter_flops / WGS,
-            sfu: iter_sfu / WGS,
-            label: "drain-transform",
-        });
+        drain.push(transform("drain-transform"));
     }
     if stages > 1 {
         wg.push(Instr::loop_const(stages as u64 - 1, drain));
     }
-    if epi_flops + epi_sfu > 0 {
+    if epi.flops + epi.sfu > 0 {
         wg.push(Instr::CudaOp {
-            flops: epi_flops / WGS,
-            sfu: epi_sfu / WGS,
+            flops: epi.flops / WGS,
+            sfu: epi.sfu / WGS,
             label: "epilogue",
         });
     }
-    if store_bytes > 0 {
+    if epi.store_bytes > 0 {
         wg.push(Instr::GlobalStore {
-            bytes: store_bytes / WGS,
+            bytes: epi.store_bytes / WGS,
         });
     }
 
@@ -1152,42 +972,30 @@ pub fn lower_simt(
         .unwrap_or(0)
         / WGS;
     let regs = ((acc / 128) + 80).min(255) as u32;
+    let mut kernel = Kernel::new(&format!("{}_simt", f.name));
     kernel.add_warp_group(Role::Uniform, regs, wg.clone());
     kernel.add_warp_group(Role::Uniform, regs, wg);
 
-    kernel.smem_bytes =
-        stages as u64 * loads.iter().sum::<u64>() + prologue_loads.iter().sum::<u64>() + 1024;
+    kernel.smem_bytes = stages as u64 * loads + prologue_loads.iter().sum::<u64>() + 1024;
     if kernel.smem_bytes > device.smem_per_sm {
         return Err(CompileError::Infeasible(format!(
             "shared memory {} B exceeds the SM's {} B",
             kernel.smem_bytes, device.smem_per_sm
         )));
     }
-
-    kernel.classes = spec
-        .classes
-        .iter()
-        .zip(params.values.iter())
-        .map(|(c, vals)| CtaClass {
-            params: vals.clone(),
-            multiplicity: c.multiplicity,
-        })
-        .collect();
-
-    tawa_wsir::validate(&kernel)
-        .map_err(|e| CompileError::Unsupported(format!("generated invalid WSIR: {e:?}")))?;
-    Ok(kernel)
+    finish(kernel, spec, opts, params.classes(spec))
 }
 
-/// First top-level loop containing a TMA load.
+/// First top-level loop containing a TMA load. A loop without a region (a
+/// malformed module) contains none.
 fn top_level_loops_with_loads(f: &Func) -> Option<OpId> {
     tawa_ir::analysis::top_level_loops(f)
         .into_iter()
         .find(|&l| {
             let mut has = false;
-            f.walk_region(f.op(l).regions[0], &mut |o| {
-                has |= f.op(o).kind == OpKind::TmaLoad;
-            });
+            for &region in &f.op(l).regions {
+                f.walk_region(region, &mut |o| has |= f.op(o).kind == OpKind::TmaLoad);
+            }
             has
         })
 }
@@ -1233,6 +1041,67 @@ mod tests {
         f.value_mut(lhs).ty = Type::f32();
         match lower_ws(&module, program.spec(), &opts, &dev) {
             Err(CompileError::Unsupported(msg)) => assert!(msg.contains("rank-2"), "{msg}"),
+            other => panic!("expected Unsupported, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn the_pipeline_depth_recorded_in_the_ir_is_checked_against_d() {
+        let program = gemm(&GemmConfig::new(512, 512, 256));
+        let mut module = program.module().clone();
+        WarpSpecialize { depth: 2 }.run(&mut module).unwrap();
+        FineGrainedPipeline { depth: 3 }.run(&mut module).unwrap();
+        // The options say P = 2, but the IR's `mma_depth = 3` wins.
+        let opts = CompileOptions::default();
+        match lower_ws(&module, program.spec(), &opts, &Device::h100_sxm5()) {
+            Err(CompileError::Infeasible(msg)) => {
+                assert!(
+                    msg.starts_with("MMA pipeline depth P=3 exceeds aref depth D=2"),
+                    "{msg}"
+                );
+            }
+            other => panic!("expected Infeasible, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn a_loop_without_a_region_is_an_error_not_a_panic() {
+        let parse = |text: &str| tawa_ir::parse::parse_module(text).unwrap();
+        let spec = LaunchSpec::uniform(Vec::new(), 1, 0.0);
+        let (opts, dev) = (CompileOptions::default(), Device::h100_sxm5());
+        let simt = parse(
+            "module {
+               func @f() {
+                 %0 = arith.const_int() {value = 0} : i32
+                 scf.for(%0, %0, %0)
+               }
+             }",
+        );
+        match lower_simt(&simt, &spec, &opts, &dev) {
+            Err(CompileError::Unsupported(msg)) => assert!(msg.contains("no TMA"), "{msg}"),
+            other => panic!("expected Unsupported, got {:?}", other.map(|_| ())),
+        }
+        let ws = parse(
+            "module {
+               func @f() {
+                 %0 = tawa.create_aref() {depth = 2} : aref<2, tuple<tensor<64x64xf16>>>
+                 tawa.warp_group() {partition = 0, role = \"producer\"} {
+                   ^bb():
+                     %1 = arith.const_int() {value = 0} : i32
+                     scf.for(%1, %1, %1)
+                 }
+                 tawa.warp_group() {partition = 1, role = \"consumer\"} {
+                   ^bb():
+                     %2 = arith.const_int() {value = 0} : i32
+                     scf.for(%2, %2, %2)
+                 }
+               }
+             }",
+        );
+        match lower_ws(&ws, &spec, &opts, &dev) {
+            Err(CompileError::Unsupported(msg)) => {
+                assert_eq!(msg, "malformed producer loop");
+            }
             other => panic!("expected Unsupported, got {:?}", other.map(|_| ())),
         }
     }

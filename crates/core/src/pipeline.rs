@@ -150,6 +150,15 @@ impl Pass for FineGrainedPipeline {
                     continue; // multi-dot loops take the coarse pipeline
                 }
                 let dot = stages.t_dot;
+                // The dot_wait goes immediately after the dot: before the
+                // next op of its block, which a loop body's yield ensures.
+                let Some(next) = f.op(dot).parent.and_then(|block| {
+                    let ops = &f.block(block).ops;
+                    let pos = ops.iter().position(|&o| o == dot)?;
+                    ops.get(pos + 1).copied()
+                }) else {
+                    continue;
+                };
                 // Mark the dot asynchronous and splice a dot_wait between
                 // the dot and its users.
                 f.op_mut(dot).attrs.set("async", Attr::Bool(true));
@@ -158,16 +167,6 @@ impl Pass for FineGrainedPipeline {
                 let ty = f.ty(dot_res).clone();
                 let mut attrs = AttrMap::new();
                 attrs.set("pendings", Attr::Int(self.depth as i64 - 1));
-                // Insert immediately after the dot: before the next op in
-                // the block (the dot is never the terminator).
-                let block = f.op(dot).parent.expect("dot is in a block");
-                let pos = f
-                    .block(block)
-                    .ops
-                    .iter()
-                    .position(|&o| o == dot)
-                    .expect("dot in parent");
-                let next = f.block(block).ops[pos + 1];
                 let wait =
                     f.insert_op_before(next, OpKind::DotWait, vec![dot_res], vec![ty], attrs);
                 let wait_res = f.result(wait);

@@ -22,6 +22,7 @@ use tawa_ir::diag::Diagnostic;
 use tawa_ir::func::{Func, Module};
 use tawa_ir::loc::Loc;
 use tawa_ir::op::{Attr, AttrMap, BlockId, CmpPred, OpId, OpKind, ValueId};
+use tawa_ir::parse::MAX_REGION_DEPTH;
 use tawa_ir::spec::{LaunchSpec, ParamValue, SpecClass};
 use tawa_ir::types::{DType, Shape, Type};
 use tawa_ir::verify::verify_module;
@@ -1001,6 +1002,15 @@ impl KernelBuilder {
             .map(|ty| self.func.add_block_arg(body_block, ty.clone()))
             .collect();
         let body_scope = self.open_region(body_block);
+        // The text form caps region nesting, so a deeper loop nest would
+        // print but never parse back: refuse it at the first loop past
+        // the cap (the block stack holds the body and each open loop).
+        if self.blocks.len() == MAX_REGION_DEPTH + 2 {
+            self.diag(
+                loc,
+                format!("for_range: loops nest deeper than {MAX_REGION_DEPTH} levels"),
+            );
+        }
         let iv = wrap_scalar::<I32>(iv_id, body_scope);
         let iters = C::rebind(&mut iter_ids.into_iter(), body_scope);
         let yields = body(self, iv, iters);
@@ -1110,8 +1120,10 @@ impl KernelBuilder {
     ///
     /// # Errors
     /// Every diagnostic collected during construction (source-located at
-    /// the offending DSL call), plus structural errors located at the
-    /// [`KernelBuilder::new`] call site.
+    /// the offending DSL call, such as a loop nest deeper than
+    /// [`MAX_REGION_DEPTH`], whose printed module would not parse back),
+    /// plus structural errors located at the [`KernelBuilder::new`] call
+    /// site.
     pub fn finish(mut self) -> Result<Program, Vec<Diagnostic>> {
         if !self.has_store {
             let loc = self.def_loc;

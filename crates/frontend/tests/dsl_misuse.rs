@@ -4,9 +4,11 @@
 //! Each test checks the diagnostic's `loc` points into *this file* at the
 //! offending line.
 
-use tawa_frontend::dsl::elem::{F16, F32};
-use tawa_frontend::dsl::{KernelBuilder, TileExpr};
+use tawa_frontend::dsl::elem::{F16, F32, I32};
+use tawa_frontend::dsl::{KernelBuilder, Program, Scalar, TileExpr};
 use tawa_ir::diag::Diagnostic;
+use tawa_ir::parse::{parse_module, MAX_REGION_DEPTH};
+use tawa_ir::print::print_module;
 use tawa_ir::types::DType;
 
 fn here_file() -> &'static str {
@@ -250,4 +252,53 @@ fn if_rejects_scalar_carried_values() {
     let _ = k.if_(mask, |k| k.i32(1), |k| k.i32(2));
     let err = k.finish().expect_err("scalar if_ must fail");
     assert_located(&err, bad_line, "tile values only");
+}
+
+/// Nests `levels` loops, each carrying `x`; every one is the `for_range`
+/// call on the line this returns.
+fn nest(k: &mut KernelBuilder, levels: usize, x: Scalar<I32>) -> (Scalar<I32>, u32) {
+    let (lo, hi, step) = (k.i32(0), k.i32(1), k.i32(1));
+    let line = line!() + 1;
+    let x = k.for_range(lo, hi, step, x, |k, _iv, x| match levels {
+        0 | 1 => x,
+        _ => nest(k, levels - 1, x).0,
+    });
+    (x, line)
+}
+
+/// A storing, launched kernel around `levels` nested loops, and the line
+/// of their `for_range` call.
+fn nested_kernel(levels: usize) -> (Result<Program, Vec<Diagnostic>>, u32) {
+    let mut k = KernelBuilder::new("deep");
+    let dst = k.typed_ptr_param::<F32>([16]);
+    let zero = k.i32(0);
+    let (_, line) = nest(&mut k, levels, zero);
+    let t = k.zeros::<F32>([16]);
+    let offs = k.arange(0, 16);
+    let addrs = k.addptr(dst, offs);
+    k.store(addrs, t);
+    k.launch_uniform(1, 0.0);
+    (k.finish(), line)
+}
+
+#[test]
+fn loops_nest_only_as_deep_as_the_parser_reads_back() {
+    // Building, printing and parsing recurse once per level.
+    std::thread::Builder::new()
+        .stack_size(256 << 20)
+        .spawn(|| {
+            let (program, _) = nested_kernel(MAX_REGION_DEPTH);
+            let printed = print_module(program.unwrap().module());
+            let reparsed = parse_module(&printed).unwrap();
+            assert_eq!(print_module(&reparsed), printed);
+            for levels in [MAX_REGION_DEPTH + 1, 2_000] {
+                let (program, line) = nested_kernel(levels);
+                let err = program.expect_err("too deep a nest must fail");
+                assert_located(&err, line, "nest deeper than 64 levels");
+                assert_eq!(err.len(), 1, "{levels}: one diagnostic per nest: {err:?}");
+            }
+        })
+        .unwrap()
+        .join()
+        .unwrap();
 }

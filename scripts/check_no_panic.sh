@@ -11,9 +11,10 @@
 # kernels that may come from a cache directory or a daemon: the shared
 # cursor, barrier and class-family driver, the period detector, the
 # engine, the static gate and the fold over classes. `remote.rs` and `server.rs` are the two ends of the
-# `tawa-cached 1` protocol and parse bytes from a peer. `verify.rs` and
-# `partition.rs` take modules that registered passes may have written:
-# a bad id is a diagnostic or an `Err`, never a panic. Every file under
+# `tawa-cached 1` protocol and parse bytes from a peer. `verify.rs`,
+# `partition.rs`, `pipeline.rs` and `lower.rs` take modules that
+# registered passes may have written: a bad id is a diagnostic or an
+# `Err`, never a panic. Every file under
 # the TREES below is covered too (ROADMAP 10(e)): the IR crate, the
 # DSL (`crates/frontend/src/dsl`; the zoo kernels in
 # `crates/frontend/src/kernels` are not covered yet), the evaluation
@@ -35,6 +36,8 @@ FILES=(
     crates/core/src/remote.rs
     crates/ir/src/verify.rs
     crates/core/src/partition.rs
+    crates/core/src/pipeline.rs
+    crates/core/src/lower.rs
 )
 TREES=(
     crates/ir/src
