@@ -22,6 +22,7 @@ use tawa_frontend::dsl::Program;
 use tawa_frontend::kernels::{attention, batched_gemm, gemm, grouped_gemm};
 use tawa_ir::fingerprint::{fnv1a, module_fingerprint};
 use tawa_ir::func::Module;
+use tawa_ir::op::OpKind;
 use tawa_ir::pass::Pass;
 use tawa_ir::pipeline_spec::PipelineSpec;
 use tawa_ir::print::print_module;
@@ -372,5 +373,94 @@ fn zoo_lowerings_are_the_parents() {
                 session.device().name
             );
         }
+    }
+}
+
+/// The IR perf lints (`dead-compute`, `uninitialized-tile-read`) over
+/// every zoo program, folded into one FNV-1a digest per program: the raw
+/// module and the module after the default warp-specialization pipeline
+/// at each aref depth, each as built and again with every `tile.store`,
+/// `tile.tma_store` and `tawa.put` erased in turn — the erasures are what
+/// make dots dead and gets unwritten. Each lint contributes its `Display`
+/// and its source location. The literals were captured before the
+/// analyses behind `analyze_ir` were rewritten as direct def-use queries,
+/// so they pin that every verdict and every span stayed the same.
+#[test]
+fn zoo_ir_lints_are_the_parents() {
+    let golden: [(&str, u64); 13] = [
+        ("gemm_f16", 0x1d498ad9136958e7),
+        ("gemm_f8", 0x1d498ad9136958e7),
+        ("batched_gemm_f16", 0xf916fd10411c6f7f),
+        ("attention_f16", 0xb5508d94e087ebb8),
+        ("attention_causal_f16", 0x8c272fb89663e4df),
+        ("attention_f8", 0xb5508d94e087ebb8),
+        ("attention_causal_f8", 0x8c272fb89663e4df),
+        ("grouped_gemm_f16", 0x1d498ad9136958e7),
+        ("gemm_512_f16", 0x1d498ad9136958e7),
+        ("gemm_4096_f16", 0x1d498ad9136958e7),
+        ("gemm_1024_f8", 0x1d498ad9136958e7),
+        ("batched_gemm_b8_f16", 0xf916fd10411c6f7f),
+        ("grouped_gemm_3_f16", 0x1d498ad9136958e7),
+    ];
+    let registry = tawa_pass_registry();
+    let mut seen = std::collections::BTreeSet::new();
+    let mut fold = |text: &mut String, label: &str, module: &Module| {
+        text.push_str(label);
+        text.push('\n');
+        for lint in tawa_wsir::analyze_ir(module) {
+            seen.insert(lint.id());
+            text.push_str(&format!("{lint}\t{:?}\n", lint.loc));
+        }
+    };
+    assert_eq!(zoo().len(), golden.len());
+    let mut digests = Vec::new();
+    for ((name, program), (golden_name, _)) in zoo().into_iter().zip(golden) {
+        assert_eq!(name, golden_name);
+        let mut modules = vec![("raw".to_string(), Ok(program.module().clone()))];
+        for aref_depth in 1..=3 {
+            let opts = CompileOptions {
+                aref_depth,
+                ..CompileOptions::default()
+            };
+            let mut module = program.module().clone();
+            let mut pm = CompileSession::pipeline_spec(&opts)
+                .unwrap()
+                .build(&registry)
+                .unwrap();
+            let ran = pm.run(&mut module).map(|_| module);
+            modules.push((format!("D={aref_depth}"), ran.map_err(|e| e.to_string())));
+        }
+        let mut text = String::new();
+        for (label, module) in modules {
+            let module = match module {
+                Ok(m) => m,
+                Err(e) => {
+                    text.push_str(&format!("{label}: {e}\n"));
+                    continue;
+                }
+            };
+            fold(&mut text, &label, &module);
+            for (fi, f) in module.funcs.iter().enumerate() {
+                for op in f.walk() {
+                    let kind = f.op(op).kind;
+                    if !matches!(kind, OpKind::Store | OpKind::TmaStore | OpKind::ArefPut) {
+                        continue;
+                    }
+                    let mut erased = module.clone();
+                    erased.funcs[fi].erase_op(op);
+                    fold(
+                        &mut text,
+                        &format!("{label} erase {fi}:{op:?} {kind:?}"),
+                        &erased,
+                    );
+                }
+            }
+        }
+        digests.push((name, fnv1a(text.as_bytes())));
+    }
+    assert!(seen.contains("dead-compute"), "{seen:?}");
+    assert!(seen.contains("uninitialized-tile-read"), "{seen:?}");
+    for ((name, digest), (_, want)) in digests.into_iter().zip(golden) {
+        assert_eq!(digest, want, "{name}: an IR lint moved ({digest:#018x})");
     }
 }
