@@ -114,11 +114,12 @@ impl<T> Aref<T> {
     /// # Errors
     /// [`ArefError::GetWithoutCredit`] if the slot is not full.
     pub fn get(&mut self) -> Result<&T, ArefError> {
-        if self.state != SlotState::Full {
+        // `put` fills the buffer as it enters the full state.
+        let (SlotState::Full, Some(v)) = (self.state, self.buf.as_ref()) else {
             return Err(ArefError::GetWithoutCredit);
-        }
+        };
         self.state = SlotState::Borrowed;
-        Ok(self.buf.as_ref().expect("full slot holds a value"))
+        Ok(v)
     }
 
     /// CONSUMED rule: releases the borrow, restoring the empty credit and

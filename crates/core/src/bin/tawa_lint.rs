@@ -20,7 +20,7 @@
 //! `--perf` adds the advisory performance tier: every kernel is judged
 //! against the analytic performance model ([`gpu_sim::perf_model`], H100
 //! SXM5 calibration), and zoo programs additionally get the tile-IR
-//! dataflow lints ([`tawa_wsir::analyze_ir`]) over their raw modules.
+//! lints ([`tawa_wsir::analyze_ir`]) over their raw modules.
 //! `--json` emits one machine-readable JSON document instead of lines.
 //!
 //! Exit codes are stable so CI can gate on them: `0` clean, `1` lint
@@ -311,7 +311,7 @@ fn lint_cache_dir(
 
 /// Compiles the built-in kernel zoo (warp-specialized and SIMT baseline
 /// paths) and lints every kernel fresh out of the compiler. Under
-/// `--perf` the raw tile-IR modules are also run through the dataflow
+/// `--perf` the raw tile-IR modules are also run through the tile-IR
 /// lints — the compile pipeline's DCE would hide dead compute from the
 /// kernel-level view.
 fn lint_zoo(tally: &mut Tally, perf_device: Option<&Device>) -> Result<(), String> {

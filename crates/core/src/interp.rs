@@ -62,17 +62,17 @@ pub enum Val {
 }
 
 impl Val {
-    fn as_i(&self) -> i64 {
+    fn as_i(&self) -> Result<i64, InterpError> {
         match self {
-            Val::I(v) => *v,
-            other => panic!("expected int scalar, got {other:?}"),
+            Val::I(v) => Ok(*v),
+            other => Err(ierr(format!("expected int scalar, got {other:?}"))),
         }
     }
 
-    fn as_tensor(&self) -> &TensorVal {
+    fn as_tensor(&self) -> Result<&TensorVal, InterpError> {
         match self {
-            Val::T(t) => t,
-            other => panic!("expected tensor, got {other:?}"),
+            Val::T(t) => Ok(t),
+            other => Err(ierr(format!("expected tensor, got {other:?}"))),
         }
     }
 }
@@ -222,7 +222,11 @@ pub fn run_cta(
         }
         match f.op(op).kind {
             OpKind::CreateAref => {
-                let depth = f.op(op).attrs.int("depth").unwrap_or(1) as usize;
+                let depth = f.op(op).attrs.int("depth").unwrap_or(1);
+                let depth = usize::try_from(depth)
+                    .ok()
+                    .filter(|&d| d > 0)
+                    .ok_or_else(|| ierr(format!("aref depth {depth} is not positive")))?;
                 rings.insert(f.result(op), ArefRing::new(depth));
             }
             OpKind::WarpGroup => wg_ops.push(op),
@@ -309,7 +313,7 @@ impl WgThread {
             if frame.pc >= ops.len() {
                 // Block exhausted: loop backedge or frame pop.
                 if let Some((loop_op, iv, remaining)) = frame.looping {
-                    let step = it.get(it.f.op(loop_op).operands[2])?.as_i();
+                    let step = it.get(it.f.op(loop_op).operands[2])?.as_i()?;
                     if remaining > 1 {
                         let new_iv = iv + step;
                         frame.pc = 0;
@@ -334,9 +338,9 @@ impl WgThread {
             }
             match it.f.op(op).kind {
                 OpKind::For => {
-                    let lo = it.get(it.f.op(op).operands[0])?.as_i();
-                    let hi = it.get(it.f.op(op).operands[1])?.as_i();
-                    let step = it.get(it.f.op(op).operands[2])?.as_i();
+                    let lo = it.get(it.f.op(op).operands[0])?.as_i()?;
+                    let hi = it.get(it.f.op(op).operands[1])?.as_i()?;
+                    let step = it.get(it.f.op(op).operands[2])?.as_i()?;
                     let trips = if step > 0 && hi > lo {
                         ((hi - lo + step - 1) / step) as u64
                     } else {
@@ -380,9 +384,9 @@ impl WgThread {
                     }
                     let payload: Vec<TensorVal> = it.f.op(op).operands[2..]
                         .iter()
-                        .map(|&v| Ok(it.get(v)?.as_tensor().clone()))
+                        .map(|&v| it.get(v)?.as_tensor().cloned())
                         .collect::<Result<_, InterpError>>()?;
-                    let ring = rings.get_mut(&aref).expect("ring exists");
+                    let ring = rings.get_mut(&aref).ok_or_else(|| ierr("unknown aref"))?;
                     ring.put(payload)
                         .map_err(|e| ierr(format!("aref put: {e}")))?;
                     frame.pc += 1;
@@ -694,22 +698,20 @@ fn exec_op(
             Some(Val::T(t))
         }
         OpKind::ExpandDims => {
-            let t = it.get(operands[0])?.as_tensor().clone();
-            let ty = f.ty(f.result(op));
-            let shape = ty.shape().expect("expand_dims result").0.clone();
+            let t = it.get(operands[0])?.as_tensor()?.clone();
             Some(Val::T(TensorVal {
-                shape,
+                shape: result_shape(f, op)?,
                 dtype: t.dtype,
                 data: t.data,
             }))
         }
         OpKind::BroadcastTo => {
-            let t = it.get(operands[0])?.as_tensor().clone();
-            let out_shape = f.ty(f.result(op)).shape().expect("bcast result").0.clone();
+            let t = it.get(operands[0])?.as_tensor()?.clone();
+            let out_shape = result_shape(f, op)?;
             Some(Val::T(broadcast_to(&t, &out_shape)?))
         }
         OpKind::Transpose => {
-            let t = it.get(operands[0])?.as_tensor().clone();
+            let t = it.get(operands[0])?.as_tensor()?.clone();
             let (r, c) = (t.shape[0], t.shape[1]);
             let mut out = TensorVal::zeros(vec![c, r], t.dtype);
             for i in 0..r {
@@ -720,14 +722,14 @@ fn exec_op(
             Some(Val::T(out))
         }
         OpKind::ReduceMax | OpKind::ReduceSum => {
-            let t = it.get(operands[0])?.as_tensor().clone();
+            let t = it.get(operands[0])?.as_tensor()?.clone();
             let axis = data.attrs.int("axis").unwrap_or(0) as usize;
             Some(Val::T(reduce(&t, axis, kind == OpKind::ReduceMax)))
         }
         OpKind::Dot => {
-            let a = it.get(operands[0])?.as_tensor().clone();
-            let b = it.get(operands[1])?.as_tensor().clone();
-            let acc = it.get(operands[2])?.as_tensor().clone();
+            let a = it.get(operands[0])?.as_tensor()?.clone();
+            let b = it.get(operands[1])?.as_tensor()?.clone();
+            let acc = it.get(operands[2])?.as_tensor()?.clone();
             let (m, k) = (a.shape[0], a.shape[1]);
             let n = b.shape[1];
             let mut out = acc.clone();
@@ -744,26 +746,31 @@ fn exec_op(
         }
         OpKind::DotWait => Some(it.get(operands[0])?),
         OpKind::TmaLoad => {
-            let param = it.get(operands[0])?.as_i() as usize;
+            let param = it.get(operands[0])?.as_i()? as usize;
             let coords: Vec<i64> = operands[1..]
                 .iter()
-                .map(|&c| Ok(it.get(c)?.as_i()))
+                .map(|&c| it.get(c)?.as_i())
                 .collect::<Result<_, InterpError>>()?;
-            let out_shape = f.ty(f.result(op)).shape().expect("tma result").0.clone();
-            let dtype = f.ty(f.result(op)).elem().expect("tma elem");
+            let out_shape = result_shape(f, op)?;
+            let dtype = result_elem(f, op)?;
             Some(Val::T(tma_read(
-                mem.buffer(param),
+                mem.buffers
+                    .get(&param)
+                    .ok_or_else(|| ierr("tma_load from unknown buffer"))?,
                 &coords,
                 &out_shape,
                 dtype,
             )?))
         }
         OpKind::TmaStore => {
-            let param = it.get(operands[0])?.as_i() as usize;
-            let tile = it.get(*operands.last().expect("tile"))?.as_tensor().clone();
+            let param = it.get(operands[0])?.as_i()? as usize;
+            let tile = operands
+                .last()
+                .ok_or_else(|| ierr("tma_store without a tile"))?;
+            let tile = it.get(*tile)?.as_tensor()?.clone();
             let coords: Vec<i64> = operands[1..operands.len() - 1]
                 .iter()
-                .map(|&c| Ok(it.get(c)?.as_i()))
+                .map(|&c| it.get(c)?.as_i())
                 .collect::<Result<_, InterpError>>()?;
             let buf = mem
                 .buffers
@@ -776,7 +783,7 @@ fn exec_op(
             // Addresses encode (param index, element offset) as
             // `param · PARAM_STRIDE + offset`, exact in f32 for the
             // functional test sizes enforced by `run_grid`.
-            let param = it.get(operands[0])?.as_i();
+            let param = it.get(operands[0])?.as_i()?;
             match it.get(operands[1])? {
                 Val::T(offs) => {
                     let mut out = offs.clone();
@@ -791,12 +798,15 @@ fn exec_op(
             }
         }
         OpKind::Load => {
-            let addrs = it.get(operands[0])?.as_tensor().clone();
-            let dtype = f.ty(f.result(op)).elem().expect("load elem");
+            let addrs = it.get(operands[0])?.as_tensor()?.clone();
+            let dtype = result_elem(f, op)?;
             let mut out = TensorVal::zeros(addrs.shape.clone(), dtype);
             for (o, &a) in out.data.iter_mut().zip(addrs.data.iter()) {
                 let (param, off) = decode_addr(a);
-                let buf = mem.buffer(param);
+                let buf = mem
+                    .buffers
+                    .get(&param)
+                    .ok_or_else(|| ierr("load from unknown buffer"))?;
                 *o = *buf
                     .data
                     .get(off)
@@ -805,8 +815,8 @@ fn exec_op(
             Some(Val::T(out))
         }
         OpKind::Store => {
-            let addrs = it.get(operands[0])?.as_tensor().clone();
-            let vals = it.get(operands[1])?.as_tensor().clone();
+            let addrs = it.get(operands[0])?.as_tensor()?.clone();
+            let vals = it.get(operands[1])?.as_tensor()?.clone();
             for (&a, &v) in addrs.data.iter().zip(vals.data.iter()) {
                 let (param, off) = decode_addr(a);
                 let buf = mem
@@ -855,6 +865,19 @@ fn quantize(v: f32, dt: DType) -> f32 {
         }
         _ => v,
     }
+}
+
+/// The shape of `op`'s tensor result.
+fn result_shape(f: &Func, op: OpId) -> Result<Vec<usize>, InterpError> {
+    let shape = f.ty(f.result(op)).shape();
+    let shape = shape.ok_or_else(|| ierr(format!("{} yields no tensor", f.op(op).kind.name())))?;
+    Ok(shape.0.clone())
+}
+
+/// The element type of `op`'s result.
+fn result_elem(f: &Func, op: OpId) -> Result<DType, InterpError> {
+    let elem = f.ty(f.result(op)).elem();
+    elem.ok_or_else(|| ierr(format!("{} yields no element type", f.op(op).kind.name())))
 }
 
 fn broadcast_to(t: &TensorVal, out_shape: &[usize]) -> Result<TensorVal, InterpError> {
@@ -1099,6 +1122,22 @@ mod tests {
     }
 
     #[test]
+    fn non_positive_aref_depth_is_an_error() {
+        for depth in [0, -1] {
+            let m = parse_module(&format!(
+                "module {{ func @zero() {{
+                   %0 = tawa.create_aref() {{depth = {depth}}} : aref<1, tuple<tensor<2x2xf16>>>
+                 }} }}"
+            ))
+            .unwrap();
+            let spec = LaunchSpec::uniform(vec![], 1, 0.0);
+            let mut mem = DeviceMemory::from_spec(&spec);
+            let err = run_grid(&m.funcs[0], &spec, &mut mem).unwrap_err();
+            assert!(err.msg.contains("not positive"), "{err}");
+        }
+    }
+
+    #[test]
     fn integer_overflow_wraps_and_agrees_with_const_fold() {
         let m = parse_module(&format!(
             "module {{ func @wrap() {{
@@ -1136,7 +1175,7 @@ mod tests {
         // Division by zero stays an error.
         let err = exec_op(&mut it, *last, &mut mem, &mut HashMap::new()).unwrap_err();
         assert!(err.msg.contains("division by zero"), "{err}");
-        let int = |v| it.get(v).unwrap().as_i();
+        let int = |v| it.get(v).unwrap().as_i().unwrap();
         assert_eq!((int(q), int(r), int(n)), (i64::MIN, 0, i64::MIN));
 
         // Launch-constant evaluation gives the same values...

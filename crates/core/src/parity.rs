@@ -94,9 +94,11 @@ impl<T: Clone> ParityChannel<T> {
         if self.full[s].completed_phases() <= self.c_phase[s] {
             return None;
         }
+        // A completed full phase means `try_put` filled the slot.
+        let value = self.bufs[s].clone()?;
         self.c_phase[s] += 1;
         self.get_iter += 1;
-        Some(self.bufs[s].clone().expect("full slot holds a value"))
+        Some(value)
     }
 
     /// The lowered `consumed`: arrive on `empty[s]` for the oldest

@@ -215,7 +215,7 @@ impl CacheStats {
 }
 
 /// Performance-lint findings for one compiled kernel: the IR-level
-/// dataflow lints (`dead-compute`, `uninitialized-tile-read`), computed
+/// lints (`dead-compute`, `uninitialized-tile-read`), computed
 /// over the **raw input module** — the cleanup prefix's DCE would strip
 /// the very dead ops those lints exist to report — merged with the
 /// WSIR-level lints judged against the analytic performance model
@@ -575,7 +575,7 @@ impl CompileSession {
     }
 
     /// Compiles `program` (through every cache tier) and collects its
-    /// [`PerfSummary`]: IR-level dataflow lints over the raw input module
+    /// [`PerfSummary`]: IR-level lints over the raw input module
     /// — the cleaned (post-DCE) form no longer contains the dead compute
     /// those lints report — plus WSIR-level lints judged against
     /// [`gpu_sim::perf_model`] on this session's device. Purely advisory:

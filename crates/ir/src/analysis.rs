@@ -1,22 +1,19 @@
-//! IR analyses used by the Tawa passes: loop structure queries and a
-//! generic worklist dataflow framework. (The backward traversal from the
-//! side-effecting sinks that the paper's task-aware partitioning starts
-//! with, §III-C, is the partition pass's own closure.)
+//! IR analyses over the structured op tree: loop structure queries
+//! ([`top_level_loops`], [`loop_info`]) and the two queries behind the
+//! IR-level performance lints of `tawa_wsir::analyze::perf`.
 //!
-//! The dataflow layer ([`DataflowAnalysis`] + [`run_dataflow`]) runs
-//! forward or backward monotone analyses over the structured op tree,
-//! with `scf.for` bodies iterated to a fixpoint across the back edge and
-//! `tawa.warp_group` sibling partitions joined to a common fixpoint (they
-//! run in parallel and exchange tiles through aref channels). [`Liveness`]
-//! and [`ReachingDefs`] are the two instances the static performance
-//! analyzer (`tawa_wsir::analyze::perf`) builds its IR-level lints on.
-//! All results are keyed by [`OpId`], so source locations survive:
-//! `f.loc(op)` maps any finding back to the DSL line that produced it.
+//! [`dead_result_ops`] is the backward walk from the side-effecting sinks
+//! that the paper's task-aware partitioning starts with (§III-C; the
+//! partition pass keeps its own closure): one mark over the def-use graph,
+//! with loop-carried values followed through their loop. Ops it leaves
+//! unmarked feed no sink. [`uninitialized_gets`] finds aref reads that no
+//! write reaches, by one put-before-get rule over pre-order and the
+//! enclosing loops and warp groups. Both return [`OpId`]s, so source
+//! locations survive: `f.loc(op)` maps any finding back to the DSL line
+//! that produced it.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-
-use crate::func::Func;
-use crate::op::{BlockId, OpClass, OpId, OpKind, ValueId};
+use crate::func::{Func, ValueDef};
+use crate::op::{OpClass, OpId, OpKind, ValueId};
 
 /// Finds the outermost `scf.for` loops in the function body (not nested in
 /// another loop or warp group).
@@ -80,522 +77,131 @@ pub fn loop_info(f: &Func, op: OpId) -> Option<LoopInfo> {
     })
 }
 
-/// Returns ops of `f`'s body block in order (no recursion into regions).
-pub fn body_ops(f: &Func) -> Vec<OpId> {
-    f.block(f.body_block()).ops.clone()
+/// The region op whose body holds `op`, if `op` is nested in one.
+fn enclosing_op(f: &Func, op: OpId) -> Option<OpId> {
+    f.region(f.block(f.op(op).parent?).parent?).parent_op
 }
 
-// ---- generic dataflow framework --------------------------------------------
-
-/// Traversal direction of a [`DataflowAnalysis`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Facts flow from function entry toward the end (reaching definitions).
-    Forward,
-    /// Facts flow from the end toward the entry (liveness).
-    Backward,
+/// Sets `marks[id]`, returning `true` if it was clear (`false` for an id
+/// out of range, which is then never marked).
+fn mark(marks: &mut [bool], id: u32) -> bool {
+    match marks.get_mut(id as usize) {
+        Some(m) if !*m => {
+            *m = true;
+            true
+        }
+        _ => false,
+    }
 }
 
-/// A monotone dataflow problem over the structured op tree of a [`Func`].
+/// Ops computing values nothing ever needs, in pre-order; pair with
+/// [`Func::loc`] for source spans.
 ///
-/// [`run_dataflow`] walks blocks in execution order (or reverse), applies
-/// [`DataflowAnalysis::transfer`] per op, and handles the two region ops of
-/// the tile dialect structurally: `scf.for` bodies iterate to a fixpoint
-/// with loop-carried values renamed across the back edge
-/// ([`DataflowAnalysis::substitute`]), and `tawa.warp_group` sibling
-/// partitions — which execute in parallel and exchange tiles through aref
-/// channels — are joined to a common fixpoint so facts established in one
-/// partition reach its siblings.
-///
-/// Facts must form a join-semilattice of finite height: `join` reports
-/// whether anything changed and the runner iterates until nothing does.
-pub trait DataflowAnalysis {
-    /// Lattice element attached to every program point.
-    type Fact: Clone;
-
-    /// Which way facts propagate.
-    fn direction(&self) -> Direction;
-
-    /// The fact at the boundary: function entry for forward analyses,
-    /// function exit for backward ones.
-    fn boundary(&self, f: &Func) -> Self::Fact;
-
-    /// Joins `other` into `into`, returning `true` if `into` changed.
-    fn join(&self, into: &mut Self::Fact, other: &Self::Fact) -> bool;
-
-    /// Applies the effect of `op` to `fact` (in the analysis direction:
-    /// backward transfers see the *after* fact and produce the *before*).
-    fn transfer(&self, f: &Func, op: OpId, fact: &mut Self::Fact);
-
-    /// Renames values across a region boundary: every occurrence of
-    /// `from[i]` becomes `to[i]`; a `from[i]` with no counterpart in `to`
-    /// is dropped. The default keeps the fact unchanged, which is correct
-    /// for analyses whose facts never mention loop-carried values.
-    fn substitute(&self, _fact: &mut Self::Fact, _from: &[ValueId], _to: &[ValueId]) {}
-}
-
-/// Per-op facts computed by [`run_dataflow`].
-///
-/// `before` and `after` are in *execution* order regardless of the analysis
-/// direction: `before[op]` is the fact at the program point immediately
-/// preceding `op`. Keys are [`OpId`]s, so [`Func::loc`] recovers the source
-/// span of any op a finding points at.
-#[derive(Debug)]
-pub struct DataflowResults<F> {
-    /// Fact immediately before each op (execution order).
-    pub before: HashMap<OpId, F>,
-    /// Fact immediately after each op (execution order).
-    pub after: HashMap<OpId, F>,
-}
-
-/// Fixpoint iteration cap for loop and warp-group bodies. Set lattices over
-/// a function's values converge in a handful of passes; the cap only bounds
-/// a hypothetical non-monotone instance.
-const MAX_FIXPOINT_ITERS: usize = 64;
-
-/// Runs `analysis` over the body of `f` to a fixpoint.
-pub fn run_dataflow<A: DataflowAnalysis>(f: &Func, analysis: &A) -> DataflowResults<A::Fact> {
-    let mut results = DataflowResults {
-        before: HashMap::new(),
-        after: HashMap::new(),
-    };
-    let entry = f.body_block();
-    let boundary = analysis.boundary(f);
-    match analysis.direction() {
-        Direction::Forward => {
-            flow_forward(f, analysis, entry, boundary, &mut results);
-        }
-        Direction::Backward => {
-            flow_backward(f, analysis, entry, boundary, &mut results);
-        }
-    }
-    results
-}
-
-/// The structural pieces of an `scf.for` the runner renames across region
-/// boundaries. `None` for malformed loops, which are then treated as opaque.
-struct ForParts {
-    inits: Vec<ValueId>,
-    iv: ValueId,
-    iter_args: Vec<ValueId>,
-    yields: Vec<ValueId>,
-    results: Vec<ValueId>,
-    body: BlockId,
-}
-
-fn for_parts(f: &Func, op: OpId) -> Option<ForParts> {
-    let data = f.op(op);
-    let region = *data.regions.first()?;
-    let body = *f.region(region).blocks.first()?;
-    let args = f.block(body).args.clone();
-    let (&yield_op, _) = f.block(body).ops.split_last()?;
-    if f.op(yield_op).kind != OpKind::Yield {
-        return None;
-    }
-    Some(ForParts {
-        inits: data.operands.get(3..).unwrap_or(&[]).to_vec(),
-        iv: *args.first()?,
-        iter_args: args.get(1..).unwrap_or(&[]).to_vec(),
-        yields: f.op(yield_op).operands.clone(),
-        results: data.results.clone(),
-        body,
-    })
-}
-
-fn flow_forward<A: DataflowAnalysis>(
-    f: &Func,
-    a: &A,
-    block: BlockId,
-    entry: A::Fact,
-    results: &mut DataflowResults<A::Fact>,
-) -> A::Fact {
-    let mut fact = entry;
-    for &op in &f.block(block).ops.clone() {
-        if f.op(op).dead {
-            continue;
-        }
-        results.before.insert(op, fact.clone());
-        let after = match f.op(op).kind {
-            OpKind::For => flow_for_forward(f, a, op, &fact, results),
-            OpKind::WarpGroup => flow_wg_forward(f, a, op, &fact, results),
-            _ => {
-                let mut t = fact.clone();
-                a.transfer(f, op, &mut t);
-                t
-            }
-        };
-        results.after.insert(op, after.clone());
-        fact = after;
-    }
-    fact
-}
-
-fn flow_for_forward<A: DataflowAnalysis>(
-    f: &Func,
-    a: &A,
-    op: OpId,
-    fact: &A::Fact,
-    results: &mut DataflowResults<A::Fact>,
-) -> A::Fact {
-    let Some(p) = for_parts(f, op) else {
-        let mut t = fact.clone();
-        a.transfer(f, op, &mut t);
-        return t;
-    };
-    let mut entry = fact.clone();
-    a.substitute(&mut entry, &p.inits, &p.iter_args);
-    let mut exit = entry.clone();
-    for _ in 0..MAX_FIXPOINT_ITERS {
-        exit = flow_forward(f, a, p.body, entry.clone(), results);
-        let mut back = exit.clone();
-        a.substitute(&mut back, &p.yields, &p.iter_args);
-        a.substitute(&mut back, &[p.iv], &[]);
-        if !a.join(&mut entry, &back) {
-            break;
-        }
-    }
-    // After the loop: its own effect, joined with the body exit (the
-    // incoming fact stays joined in for the zero-trip path).
-    let mut after = fact.clone();
-    a.transfer(f, op, &mut after);
-    let mut out = exit;
-    a.substitute(&mut out, &p.yields, &p.results);
-    a.substitute(&mut out, &[p.iv], &[]);
-    a.join(&mut after, &out);
-    after
-}
-
-fn flow_wg_forward<A: DataflowAnalysis>(
-    f: &Func,
-    a: &A,
-    op: OpId,
-    fact: &A::Fact,
-    results: &mut DataflowResults<A::Fact>,
-) -> A::Fact {
-    let regions = f.op(op).regions.clone();
-    let mut joined = fact.clone();
-    for _ in 0..MAX_FIXPOINT_ITERS {
-        let mut next = joined.clone();
-        let mut changed = false;
-        for &r in &regions {
-            if f.region(r).blocks.is_empty() {
-                continue;
-            }
-            let out = flow_forward(f, a, f.entry_block(r), joined.clone(), results);
-            changed |= a.join(&mut next, &out);
-        }
-        joined = next;
-        if !changed {
-            break;
-        }
-    }
-    a.transfer(f, op, &mut joined);
-    joined
-}
-
-fn flow_backward<A: DataflowAnalysis>(
-    f: &Func,
-    a: &A,
-    block: BlockId,
-    exit: A::Fact,
-    results: &mut DataflowResults<A::Fact>,
-) -> A::Fact {
-    let mut fact = exit;
-    for &op in f.block(block).ops.clone().iter().rev() {
-        if f.op(op).dead {
-            continue;
-        }
-        results.after.insert(op, fact.clone());
-        let before = match f.op(op).kind {
-            OpKind::For => flow_for_backward(f, a, op, &fact, results),
-            OpKind::WarpGroup => flow_wg_backward(f, a, op, &fact, results),
-            _ => {
-                let mut t = fact.clone();
-                a.transfer(f, op, &mut t);
-                t
-            }
-        };
-        results.before.insert(op, before.clone());
-        fact = before;
-    }
-    fact
-}
-
-fn flow_for_backward<A: DataflowAnalysis>(
-    f: &Func,
-    a: &A,
-    op: OpId,
-    fact: &A::Fact,
-    results: &mut DataflowResults<A::Fact>,
-) -> A::Fact {
-    let Some(p) = for_parts(f, op) else {
-        let mut t = fact.clone();
-        a.transfer(f, op, &mut t);
-        return t;
-    };
-    // Loop results observed downstream map onto the yielded values at the
-    // body's exit point.
-    let mut body_exit = fact.clone();
-    a.substitute(&mut body_exit, &p.results, &p.yields);
-    let mut head = body_exit.clone();
-    for _ in 0..MAX_FIXPOINT_ITERS {
-        head = flow_backward(f, a, p.body, body_exit.clone(), results);
-        let mut back = head.clone();
-        a.substitute(&mut back, &p.iter_args, &p.yields);
-        a.substitute(&mut back, &[p.iv], &[]);
-        if !a.join(&mut body_exit, &back) {
-            break;
-        }
-    }
-    // Before the loop: its own effect (computed against the after fact,
-    // where the loop results are still visible), minus the values the loop
-    // defines, plus the body head with iter args renamed to inits.
-    let mut before = fact.clone();
-    a.transfer(f, op, &mut before);
-    a.substitute(&mut before, &p.results, &[]);
-    let mut pre = head;
-    a.substitute(&mut pre, &p.iter_args, &p.inits);
-    a.substitute(&mut pre, &[p.iv], &[]);
-    a.join(&mut before, &pre);
-    before
-}
-
-fn flow_wg_backward<A: DataflowAnalysis>(
-    f: &Func,
-    a: &A,
-    op: OpId,
-    fact: &A::Fact,
-    results: &mut DataflowResults<A::Fact>,
-) -> A::Fact {
-    // Parallel partitions: each region's exit sees the after fact; their
-    // heads join into the before fact. SSA scoping keeps sibling values
-    // out of each other's facts, so one pass per region suffices.
-    let regions = f.op(op).regions.clone();
-    let mut before = fact.clone();
-    a.transfer(f, op, &mut before);
-    for &r in &regions {
-        if f.region(r).blocks.is_empty() {
-            continue;
-        }
-        let head = flow_backward(f, a, f.entry_block(r), fact.clone(), results);
-        a.join(&mut before, &head);
-    }
-    before
-}
-
-// ---- liveness ---------------------------------------------------------------
-
-/// Backward liveness over a function: which SSA values may still be needed
-/// at each program point.
-///
-/// An op *generates* its operands when it is a root (a side-effecting sink
-/// that must execute — see [`Liveness::is_root`]) or when any of its
-/// results is live downstream. Pure ops whose results are never consumed
-/// contribute nothing, so whole dead computation chains — including loops
-/// whose carried accumulators feed no sink — stay dead. This is the
-/// property the `dead-compute` perf lint keys on; [`dead_result_ops`]
-/// packages the query.
-pub struct Liveness {
-    roots: HashSet<OpId>,
-}
-
-/// Sink ops that anchor liveness: they must execute for the kernel to have
-/// its effect. `scf.yield` is deliberately absent — yielded values are
-/// renamed across the loop boundary by the runner and become live only when
-/// the corresponding loop result (or a carried use) is. The sinks are the
-/// `Write` class plus `tawa.get`, whose slot acquisition keeps the aref
-/// ring in step even when its payload is dead.
-fn is_liveness_sink(kind: OpKind) -> bool {
-    kind.class() == OpClass::Write || kind == OpKind::ArefGet
-}
-
-impl Liveness {
-    /// Prepares liveness over `f`, precomputing the root set: sink ops plus
-    /// every region op transitively containing one (the region must run for
-    /// its sinks to run).
-    pub fn new(f: &Func) -> Liveness {
-        let mut roots = HashSet::new();
-        for op in f.walk() {
-            if !is_liveness_sink(f.op(op).kind) {
-                continue;
-            }
-            roots.insert(op);
-            let mut block = f.op(op).parent;
-            while let Some(b) = block {
-                let Some(region) = f.block(b).parent else {
-                    break;
-                };
-                let Some(parent_op) = f.region(region).parent_op else {
-                    break;
-                };
-                roots.insert(parent_op);
-                block = f.op(parent_op).parent;
-            }
-        }
-        Liveness { roots }
-    }
-
-    /// True if `op` anchors liveness by itself (a sink, or a region op
-    /// containing one).
-    pub fn is_root(&self, op: OpId) -> bool {
-        self.roots.contains(&op)
-    }
-}
-
-impl DataflowAnalysis for Liveness {
-    type Fact = HashSet<ValueId>;
-
-    fn direction(&self) -> Direction {
-        Direction::Backward
-    }
-
-    fn boundary(&self, _f: &Func) -> Self::Fact {
-        HashSet::new()
-    }
-
-    fn join(&self, into: &mut Self::Fact, other: &Self::Fact) -> bool {
-        let before = into.len();
-        into.extend(other.iter().copied());
-        into.len() != before
-    }
-
-    fn transfer(&self, f: &Func, op: OpId, fact: &mut Self::Fact) {
-        let data = f.op(op);
-        if data.kind == OpKind::Yield {
-            return; // handled by the runner's region renaming
-        }
-        if self.roots.contains(&op) || data.results.iter().any(|r| fact.contains(r)) {
-            fact.extend(data.operands.iter().copied());
-        }
-        for r in &data.results {
-            fact.remove(r);
-        }
-    }
-
-    fn substitute(&self, fact: &mut Self::Fact, from: &[ValueId], to: &[ValueId]) {
-        let present: Vec<usize> = (0..from.len())
-            .filter(|&i| fact.contains(&from[i]))
-            .collect();
-        for v in from {
-            fact.remove(v);
-        }
-        for i in present {
-            if let Some(&t) = to.get(i) {
-                fact.insert(t);
-            }
-        }
-    }
-}
-
-/// Ops computing values nothing ever needs: not a liveness root, at least
-/// one result, and no result live immediately after the op. Detection is
-/// transitive — an op feeding only dead ops is itself dead. Returned in
-/// pre-order; pair with [`Func::loc`] for source spans.
+/// One mark over the def-use graph from the roots: the side-effecting
+/// sinks (`Write`-class ops, and `tawa.get`, whose slot acquisition keeps
+/// the aref ring in step even when its payload is dead) and every region
+/// op enclosing one. A marked op marks its operands, and a marked value
+/// marks its defining op. Loop-carried values follow the loop: result `i`
+/// marks yield operand `i`, iter-arg `i` marks init `i` and yield operand
+/// `i`, and a marked loop marks its bounds and every init. An op with
+/// results is dead when it is unmarked, so whole chains feeding no sink
+/// are dead — including loops whose carried accumulators reach none.
 pub fn dead_result_ops(f: &Func) -> Vec<OpId> {
-    let liveness = Liveness::new(f);
-    let results = run_dataflow(f, &liveness);
-    f.walk()
-        .into_iter()
-        .filter(|&op| {
-            let data = f.op(op);
-            !liveness.is_root(op)
-                && data.kind != OpKind::Yield
-                && !data.results.is_empty()
-                && results
-                    .after
-                    .get(&op)
-                    .is_none_or(|fact| data.results.iter().all(|r| !fact.contains(r)))
-        })
-        .collect()
-}
-
-// ---- reaching definitions ---------------------------------------------------
-
-/// Forward may-analysis mapping storage *handles* (aref rings, pointers) to
-/// the set of write ops that may have executed before each program point.
-///
-/// Two hooks shape an instance: `decls` introduces a tracked handle with an
-/// empty definition set, `writes` records a definition through one. A read
-/// whose handle maps to the empty set is provably uninitialized on every
-/// path — the `uninitialized-tile-read` perf lint. Loop back edges and
-/// parallel warp-group siblings count as reaching (the runner's fixpoints),
-/// so the verdict is conservative: no false positives from pipelined
-/// producers that fill a slot in a different partition or iteration.
-pub struct ReachingDefs {
-    decls: fn(&Func, OpId) -> Option<ValueId>,
-    writes: fn(&Func, OpId) -> Option<ValueId>,
-}
-
-impl ReachingDefs {
-    /// Builds an instance from the two hooks.
-    pub fn new(
-        decls: fn(&Func, OpId) -> Option<ValueId>,
-        writes: fn(&Func, OpId) -> Option<ValueId>,
-    ) -> ReachingDefs {
-        ReachingDefs { decls, writes }
-    }
-
-    /// Tracks aref rings: `tawa.create_aref` declares a handle,
-    /// `tawa.put` writes a slot through it.
-    pub fn aref_slots() -> ReachingDefs {
-        ReachingDefs::new(
-            |f, op| {
-                (f.op(op).kind == OpKind::CreateAref)
-                    .then(|| f.results(op).first().copied())
-                    .flatten()
-            },
-            |f, op| {
-                (f.op(op).kind == OpKind::ArefPut)
-                    .then(|| f.op(op).operands.first().copied())
-                    .flatten()
-            },
-        )
-    }
-}
-
-impl DataflowAnalysis for ReachingDefs {
-    type Fact = BTreeMap<ValueId, BTreeSet<OpId>>;
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
-
-    fn boundary(&self, _f: &Func) -> Self::Fact {
-        BTreeMap::new()
-    }
-
-    fn join(&self, into: &mut Self::Fact, other: &Self::Fact) -> bool {
-        let mut changed = false;
-        for (handle, defs) in other {
-            let entry = into.entry(*handle).or_insert_with(|| {
-                changed = true;
-                BTreeSet::new()
-            });
-            for &d in defs {
-                changed |= entry.insert(d);
+    let ops = f.walk();
+    let mut live_ops = vec![false; f.num_ops()];
+    let mut live_values = vec![false; f.num_values()];
+    let mut work = Vec::new();
+    let mut mark_op = |op: OpId, work: &mut Vec<ValueId>| {
+        if mark(&mut live_ops, op.0) {
+            work.extend_from_slice(&f.op(op).operands);
+        }
+    };
+    for &op in &ops {
+        let kind = f.op(op).kind;
+        if kind.class() == OpClass::Write || kind == OpKind::ArefGet {
+            let mut root = Some(op);
+            while let Some(r) = root {
+                mark_op(r, &mut work);
+                root = enclosing_op(f, r);
             }
         }
-        changed
     }
-
-    fn transfer(&self, f: &Func, op: OpId, fact: &mut Self::Fact) {
-        if let Some(handle) = (self.decls)(f, op) {
-            fact.entry(handle).or_default();
+    while let Some(v) = work.pop() {
+        if !mark(&mut live_values, v.0) {
+            continue;
         }
-        if let Some(handle) = (self.writes)(f, op) {
-            fact.entry(handle).or_default().insert(op);
-        }
-    }
-
-    fn substitute(&self, fact: &mut Self::Fact, from: &[ValueId], to: &[ValueId]) {
-        for (i, v) in from.iter().enumerate() {
-            if let Some(defs) = fact.remove(v) {
-                if let Some(&t) = to.get(i) {
-                    fact.entry(t).or_default().extend(defs);
+        match f.value(v).def {
+            ValueDef::OpResult { op, idx } => {
+                mark_op(op, &mut work);
+                if let Some(l) = loop_info(f, op) {
+                    work.extend(l.yields.get(idx));
+                }
+            }
+            ValueDef::BlockArg { block, .. } => {
+                let owner = f.block(block).parent.and_then(|r| f.region(r).parent_op);
+                let Some(l) = owner.and_then(|op| loop_info(f, op)) else {
+                    continue;
+                };
+                if let Some(i) = l.iter_args.iter().position(|&a| a == v) {
+                    work.extend(l.inits.get(i));
+                    work.extend(l.yields.get(i));
                 }
             }
         }
     }
+    ops.into_iter()
+        .filter(|&op| {
+            !live_ops.get(op.0 as usize).is_some_and(|&m| m) && !f.op(op).results.is_empty()
+        })
+        .collect()
+}
+
+/// `tawa.get` ops that read a `tawa.create_aref` ring no `tawa.put` on the
+/// same handle reaches, in pre-order. A put reaches a get when it comes
+/// first in pre-order, or when an `scf.for` or `tawa.warp_group` encloses
+/// both: the loop's back edge, or the sibling partitions of one warp
+/// group, which run in parallel, carry the put around to the get. So the
+/// verdict is conservative — a pipelined producer that fills a slot in
+/// another partition or iteration is never flagged.
+pub fn uninitialized_gets(f: &Func) -> Vec<OpId> {
+    // Every region op is an `scf.for` or a `tawa.warp_group`, so two ops
+    // share an enclosing one exactly when they share the outermost.
+    let outermost = |op: OpId| {
+        let mut outer = None;
+        let mut at = enclosing_op(f, op);
+        while let Some(o) = at {
+            outer = Some(o);
+            at = enclosing_op(f, o);
+        }
+        outer
+    };
+    let ops = f.walk();
+    let handle = |op: OpId, kind: OpKind| {
+        let data = f.op(op);
+        data.operands.first().copied().filter(|_| data.kind == kind)
+    };
+    let puts: Vec<(usize, ValueId, Option<OpId>)> = ops
+        .iter()
+        .enumerate()
+        .filter_map(|(i, &op)| Some((i, handle(op, OpKind::ArefPut)?, outermost(op))))
+        .collect();
+    let mut out = Vec::new();
+    for (i, &op) in ops.iter().enumerate() {
+        let Some(ring) = handle(op, OpKind::ArefGet) else {
+            continue;
+        };
+        let created = f
+            .defining_op(ring)
+            .is_some_and(|d| f.op(d).kind == OpKind::CreateAref);
+        let outer = outermost(op);
+        let reached = puts
+            .iter()
+            .any(|&(j, h, o)| h == ring && (j < i || (o.is_some() && o == outer)));
+        if created && !reached {
+            out.push(op);
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -625,12 +231,6 @@ mod tests {
              }}"
         ))
         .unwrap()
-    }
-
-    /// The result of `f`'s first top-level op: the aref handle in the
-    /// reaching-definition tests.
-    fn first_value(f: &Func) -> ValueId {
-        f.result(f.block(f.body_block()).ops[0])
     }
 
     #[test]
@@ -714,7 +314,7 @@ mod tests {
     #[test]
     fn reaching_defs_cross_warp_group_partitions() {
         // Producer partition puts into the ring, consumer partition gets:
-        // the put must reach the get through the parallel-region fixpoint.
+        // the put comes first in pre-order, so it reaches the get.
         let f = parse_func_str(
             r#"func @ws() {
                  %0 = tawa.create_aref() {depth = 2} : aref<2, tuple<tensor<16x16xf16>>>
@@ -731,18 +331,9 @@ mod tests {
                }"#,
         )
         .unwrap();
-        let aref = first_value(&f);
-        let analysis = ReachingDefs::aref_slots();
-        let results = run_dataflow(&f, &analysis);
-        let get_op = f
-            .walk()
-            .into_iter()
-            .find(|&o| f.op(o).kind == OpKind::ArefGet)
-            .unwrap();
-        let before = &results.before[&get_op];
         assert_eq!(
-            before.get(&aref).map(|d| d.len()),
-            Some(1),
+            uninitialized_gets(&f),
+            vec![],
             "sibling-partition put must reach the get"
         );
     }
@@ -759,15 +350,10 @@ mod tests {
              }",
         )
         .unwrap();
-        let aref = first_value(&f);
-        let results = run_dataflow(&f, &ReachingDefs::aref_slots());
-        let get_op = f
-            .walk()
-            .into_iter()
-            .find(|&o| f.op(o).kind == OpKind::ArefGet)
-            .unwrap();
-        // Straight-line get before any put: tracked handle, zero defs.
-        assert_eq!(results.before[&get_op].get(&aref).map(|d| d.len()), Some(0));
+        // Straight-line get before any put: nothing reaches it.
+        let get = f.block(f.body_block()).ops[2];
+        assert_eq!(f.op(get).kind, OpKind::ArefGet);
+        assert_eq!(uninitialized_gets(&f), vec![get]);
     }
 
     #[test]
@@ -789,16 +375,9 @@ mod tests {
              }",
         )
         .unwrap();
-        let aref = first_value(&f);
-        let results = run_dataflow(&f, &ReachingDefs::aref_slots());
-        let get_op = f
-            .walk()
-            .into_iter()
-            .find(|&o| f.op(o).kind == OpKind::ArefGet)
-            .unwrap();
         assert_eq!(
-            results.before[&get_op].get(&aref).map(|d| d.len()),
-            Some(1),
+            uninitialized_gets(&f),
+            vec![],
             "back-edge put must reach the get"
         );
     }

@@ -18,12 +18,11 @@
 //!   and fingerprint-based change tracking ([`fingerprint`]), declarative
 //!   pipelines ([`pipeline_spec`]), plus generic [`transforms`] (DCE,
 //!   constant folding), and
-//! * [`analysis`] helpers (backward slices, loop structure) used by the
-//!   task-aware partitioning pass in `tawa-core`, plus a generic
-//!   forward/backward worklist dataflow framework
-//!   ([`analysis::DataflowAnalysis`]) with liveness, reaching-definitions
-//!   and use-count instances backing the static performance analyzer in
-//!   `tawa-wsir`.
+//! * [`analysis`] queries: loop structure, used by the passes in
+//!   `tawa-core`, and the two IR queries behind the static performance
+//!   analyzer in `tawa-wsir` — dead computation
+//!   ([`analysis::dead_result_ops`]) and aref reads no write reaches
+//!   ([`analysis::uninitialized_gets`]).
 //!
 //! ## Example
 //!
@@ -67,10 +66,7 @@ pub mod transforms;
 pub mod types;
 pub mod verify;
 
-pub use analysis::{
-    dead_result_ops, run_dataflow, DataflowAnalysis, DataflowResults, Direction, Liveness,
-    ReachingDefs,
-};
+pub use analysis::{dead_result_ops, uninitialized_gets};
 pub use diag::{Diagnostic, Severity};
 pub use fingerprint::module_fingerprint;
 pub use func::{Func, Module};

@@ -248,7 +248,7 @@ pub enum LintKind {
         budget: u64,
     },
     /// A tile computation whose result never reaches a store or epilogue
-    /// (performance tier, from tile-IR liveness — see [`perf`]).
+    /// (performance tier, from the tile-IR def-use mark — see [`perf`]).
     DeadCompute {
         /// Mnemonic of the dead operation (e.g. `tile.dot`).
         op: String,
@@ -290,8 +290,9 @@ pub enum LintKind {
         /// Resource capping occupancy (`smem`, `regs`, `threads`, `slots`).
         limiter: String,
     },
-    /// Reaching definitions prove an aref slot is read before any TMA or
-    /// compute write could populate it.
+    /// An aref slot is read where no `tawa.put` on its ring reaches
+    /// (performance tier, from the tile-IR put-before-get rule — see
+    /// [`perf`]).
     UninitializedTileRead {
         /// Printable name of the slot value read too early.
         slot: String,

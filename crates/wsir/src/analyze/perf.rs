@@ -5,10 +5,10 @@
 //! explains why a safe kernel is slow before the simulator says *that* it
 //! is. It draws on two fact sources:
 //!
-//! * **Tile-IR dataflow** ([`analyze_ir`]) — liveness and reaching
-//!   definitions from `tawa_ir`'s generic dataflow framework, run over the
-//!   *raw* input module (the cleanup pipeline's DCE would strip the very
-//!   dead compute we want to report). Produces `dead-compute` and
+//! * **Tile IR** ([`analyze_ir`]) — `tawa_ir::analysis`'s def-use mark
+//!   from the sinks and its put-before-get rule, run over the *raw* input
+//!   module (the cleanup pipeline's DCE would strip the very dead compute
+//!   we want to report). Produces `dead-compute` and
 //!   `uninitialized-tile-read`.
 //! * **Lowered WSIR + analytic bounds** ([`analyze_kernel`]) — the barrier
 //!   ownership map the protocol interpreter derives (paper Fig. 4) joined
@@ -25,7 +25,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use tawa_ir::analysis::{dead_result_ops, run_dataflow, ReachingDefs};
+use tawa_ir::analysis::{dead_result_ops, uninitialized_gets};
 use tawa_ir::op::OpKind;
 use tawa_ir::{Loc, Module};
 
@@ -77,43 +77,28 @@ fn srcloc(loc: Loc) -> SrcLoc {
 }
 
 /// IR-level performance lints over the **raw** (pre-cleanup) tile-IR
-/// module: `dead-compute` from liveness, `uninitialized-tile-read` from
-/// reaching definitions. Loc-preserving: each lint carries the DSL span
-/// of the offending op when the frontend recorded one.
+/// module: `dead-compute` for each dot no sink needs, and
+/// `uninitialized-tile-read` for each aref read no write reaches.
+/// Loc-preserving: each lint carries the DSL span of the offending op when
+/// the frontend recorded one.
 pub fn analyze_ir(module: &Module) -> Vec<Lint> {
     let mut lints = Vec::new();
     for f in &module.funcs {
-        for op in dead_result_ops(f) {
-            if f.op(op).kind != OpKind::Dot {
-                continue;
-            }
-            let mut lint = Lint::new(LintKind::DeadCompute {
-                op: OpKind::Dot.name().to_string(),
-            });
+        let mut push = |op, kind| {
+            let mut lint = Lint::new(kind);
             lint.loc = f.loc(op).map(srcloc);
             lints.push(lint);
+        };
+        for op in dead_result_ops(f) {
+            if f.op(op).kind == OpKind::Dot {
+                let name = OpKind::Dot.name().to_string();
+                push(op, LintKind::DeadCompute { op: name });
+            }
         }
-
-        let defs = run_dataflow(f, &ReachingDefs::aref_slots());
-        for op in f.walk() {
-            if f.op(op).kind != OpKind::ArefGet {
-                continue;
-            }
-            let Some(&handle) = f.op(op).operands.first() else {
-                continue;
-            };
-            let uninit = defs
-                .before
-                .get(&op)
-                .and_then(|fact| fact.get(&handle))
-                .is_some_and(BTreeSet::is_empty);
-            if uninit {
-                let mut lint = Lint::new(LintKind::UninitializedTileRead {
-                    slot: handle.to_string(),
-                });
-                lint.loc = f.loc(op).map(srcloc);
-                lints.push(lint);
-            }
+        for op in uninitialized_gets(f) {
+            let slot = f.op(op).operands.first().map(ToString::to_string);
+            let slot = slot.unwrap_or_default();
+            push(op, LintKind::UninitializedTileRead { slot });
         }
     }
     lints
@@ -424,6 +409,55 @@ mod tests {
         );
         // Exactly one dot is dead: the stored one must not be flagged.
         assert_eq!(lints.iter().filter(|l| l.id() == "dead-compute").count(), 1);
+    }
+
+    /// A dot that reaches the store only after `hops` trips around a
+    /// rotating iter-arg chain: the dot feeds yield 0, iter-arg `i` feeds
+    /// yield `i + 1`, and the loop's last result is stored.
+    fn rotating_chain(hops: usize) -> Module {
+        let ty = "tensor<16x16xf32>";
+        let args: Vec<String> = (0..hops).map(|i| format!("%a{i}")).collect();
+        let params: Vec<String> = args.iter().map(|a| format!("{a}: {ty}")).collect();
+        let results: Vec<String> = (0..hops).map(|i| format!("%r{i}")).collect();
+        let yields = ["%d"]
+            .into_iter()
+            .chain(args[..hops - 1].iter().map(String::as_str));
+        let src = format!(
+            "module {{ func @k(%arg0: ptr<f32>) {{
+               %lo = arith.const_int() {{value = 0}} : i32
+               %hi = arith.const_int() {{value = 128}} : i32
+               %one = arith.const_int() {{value = 1}} : i32
+               %x = tile.const_tensor() {{value = 0.0}} : tensor<16x16xf16>
+               %z = tile.const_tensor() {{value = 0.0}} : {ty}
+               {} = scf.for(%lo, %hi, %one, {}) : ({}) {{
+                 ^bb(%iv: i32, {}):
+                   %d = tile.dot(%x, %x, %z) : {ty}
+                   scf.yield({})
+               }}
+               %p = tile.arange() {{start = 0, end = 16}} : tensor<16xi32>
+               %q = tile.addptr(%arg0, %p) : tensor<16xi64>
+               tile.store(%q, {})
+             }} }}",
+            results.join(", "),
+            vec!["%z"; hops].join(", "),
+            vec![ty; hops].join(", "),
+            params.join(", "),
+            yields.collect::<Vec<_>>().join(", "),
+            results[hops - 1],
+        );
+        parse_module(&src).unwrap()
+    }
+
+    #[test]
+    fn dot_reaching_a_store_through_66_carried_hops_is_live() {
+        // A fixpoint capped at 64 rounds stopped short of this chain and
+        // called the dot dead.
+        for hops in [1, 2, 66, 80] {
+            let module = rotating_chain(hops);
+            let f = &module.funcs[0];
+            assert_eq!(dead_result_ops(f), vec![], "{hops} hops");
+            assert_eq!(analyze_ir(&module), vec![], "{hops} hops");
+        }
     }
 
     #[test]
