@@ -28,7 +28,7 @@ use tawa_ir::pipeline_spec::PipelineSpec;
 use tawa_ir::print::print_module;
 use tawa_ir::transforms::{ConstFold, Dce};
 use tawa_ir::types::DType;
-use tawa_wsir::serialize_kernel;
+use tawa_wsir::{serialize_kernel, Instr, Kernel};
 
 /// One program per kernel family and dtype.
 fn zoo() -> Vec<(&'static str, Program)> {
@@ -462,5 +462,121 @@ fn zoo_ir_lints_are_the_parents() {
     assert!(seen.contains("uninitialized-tile-read"), "{seen:?}");
     for ((name, digest), (_, want)) in digests.into_iter().zip(golden) {
         assert_eq!(digest, want, "{name}: an IR lint moved ({digest:#018x})");
+    }
+}
+
+/// The WSIR lints — the static gate's ([`tawa_wsir::analyze`]) and the
+/// perf tier's ([`tawa_wsir::analyze_kernel`] under the analytic model) —
+/// over every zoo program on the H100 at each aref depth D, each MMA depth
+/// up to D and both cooperation widths, folded into one FNV-1a digest per
+/// program. Each kernel is analyzed as lowered and again with every
+/// barrier instruction (`mbar.wait`, `mbar.arrive`, `tma.load`) erased in
+/// turn — the erasures are what break the protocol. Every lint
+/// contributes its `Display` (severity, id, message, path and source
+/// span); a configuration that does not compile contributes its
+/// `CompileError` message. The literals were captured before the lints
+/// were declared in one table and the three barrier-use walks became one,
+/// so they pin that every verdict and every text stayed the same.
+#[test]
+fn zoo_wsir_lints_are_the_parents() {
+    let golden: [(&str, u64); 13] = [
+        ("gemm_f16", 0x4bb65615860063b4),
+        ("gemm_f8", 0x36fc01fcdbc806ba),
+        ("batched_gemm_f16", 0x967deefaf8450efc),
+        ("attention_f16", 0x7257a10dc92d86ae),
+        ("attention_causal_f16", 0xb4d2049fed241daa),
+        ("attention_f8", 0x5cb24b6d6c27666a),
+        ("attention_causal_f8", 0x86b91ce4d1f55135),
+        ("grouped_gemm_f16", 0x217caeb2c83651c8),
+        ("gemm_512_f16", 0x7542edd0aed10355),
+        ("gemm_4096_f16", 0x217caeb2c83651c8),
+        ("gemm_1024_f8", 0x36fc01fcdbc806ba),
+        ("batched_gemm_b8_f16", 0x23da3922ab666576),
+        ("grouped_gemm_3_f16", 0x217caeb2c83651c8),
+    ];
+    /// Paths of every barrier instruction in `body`, in program order.
+    fn barrier_sites(body: &[Instr], prefix: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+        for (i, instr) in body.iter().enumerate() {
+            prefix.push(i);
+            match instr {
+                Instr::MbarWait { .. } | Instr::MbarArrive { .. } | Instr::TmaLoad { .. } => {
+                    out.push(prefix.clone())
+                }
+                Instr::Loop { body, .. } => barrier_sites(body, prefix, out),
+                _ => {}
+            }
+            prefix.pop();
+        }
+    }
+    fn erase(body: &mut Vec<Instr>, path: &[usize]) {
+        match path {
+            [i] => {
+                body.remove(*i);
+            }
+            [i, rest @ ..] => match &mut body[*i] {
+                Instr::Loop { body, .. } => erase(body, rest),
+                other => panic!("{other:?} has no body"),
+            },
+            [] => {}
+        }
+    }
+    let device = Device::h100_sxm5();
+    let session = CompileSession::in_memory(&device);
+    let mut seen = std::collections::BTreeSet::new();
+    let mut fold = |text: &mut String, label: &str, k: &Kernel| {
+        text.push_str(label);
+        text.push('\n');
+        let perf = tawa_wsir::analyze_kernel(k, &gpu_sim::perf_model(k, &device));
+        for lint in tawa_wsir::analyze(k).into_iter().chain(perf) {
+            seen.insert(lint.id());
+            text.push_str(&format!("{lint}\n"));
+        }
+    };
+    assert_eq!(zoo().len(), golden.len());
+    let mut digests = Vec::new();
+    for ((name, program), (golden_name, _)) in zoo().into_iter().zip(golden) {
+        assert_eq!(name, golden_name);
+        let mut text = String::new();
+        for cooperative in [1, 2] {
+            for aref_depth in 1..=3 {
+                for mma_depth in 1..=aref_depth {
+                    let opts = CompileOptions {
+                        cooperative,
+                        aref_depth,
+                        mma_depth,
+                        ..CompileOptions::default()
+                    };
+                    let label = format!("coop={cooperative} D={aref_depth} P={mma_depth}");
+                    let k = match session.compile_program(&program, &opts) {
+                        Ok(k) => k,
+                        Err(e) => {
+                            text.push_str(&format!("{label}: {e}\n"));
+                            continue;
+                        }
+                    };
+                    fold(&mut text, &label, &k);
+                    for (wi, wg) in k.warp_groups.iter().enumerate() {
+                        let mut sites = Vec::new();
+                        barrier_sites(&wg.body, &mut Vec::new(), &mut sites);
+                        for site in sites {
+                            let mut erased = Kernel::clone(&k);
+                            erase(&mut erased.warp_groups[wi].body, &site);
+                            fold(&mut text, &format!("{label} erase wg{wi}{site:?}"), &erased);
+                        }
+                    }
+                }
+            }
+        }
+        digests.push((name, fnv1a(text.as_bytes())));
+    }
+    for id in [
+        "static-deadlock",
+        "wait-never-signalled",
+        "single-buffered-pipeline",
+    ] {
+        assert!(seen.contains(id), "{id} never fired: {seen:?}");
+    }
+    for ((name, digest), (_, want)) in digests.into_iter().zip(golden) {
+        assert_eq!(digest, want, "{name}: a WSIR lint moved ({digest:#018x})");
     }
 }

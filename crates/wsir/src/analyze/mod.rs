@@ -836,111 +836,251 @@ mod tests {
 
     #[test]
     fn all_lint_ids_is_exhaustive_and_kebab_case() {
-        // One exemplar per variant, in declaration order. Adding a
-        // LintKind variant forces an `id()` arm (exhaustive match) and
-        // this test forces the ALL_LINT_IDS entry alongside it.
-        let exemplars = vec![
-            LintKind::NoWarpGroups,
-            LintKind::NoCtaClasses,
-            LintKind::ZeroMultiplicity { class: 0 },
-            LintKind::EmptyBody {
-                role: Role::Producer,
-            },
-            LintKind::BarOutOfRange { bar: BarId(0) },
-            LintKind::ZeroByteTma,
-            LintKind::LoopParamOutOfRange { param: 0, max: 0 },
-            LintKind::EmptyLoopBody,
-            LintKind::DegenerateWgmma { m: 0, n: 0, k: 0 },
-            LintKind::ZeroArriveCount {
-                bar: BarId(0),
-                name: "b".into(),
-            },
-            LintKind::WaitNeverSignalled {
-                bar: BarId(0),
-                name: "b".into(),
-            },
-            LintKind::StaticDeadlock {
-                class: 0,
-                role: Role::Consumer,
-                bar: BarId(0),
-                name: "b".into(),
-                waiting_phase: 0,
-                completed_phases: 0,
-                arrivals: 0,
-                arrive_count: 1,
-            },
-            LintKind::SyncDeadlock {
-                class: 0,
-                role: Role::Consumer,
-                arrived: 0,
-                expected: 1,
-            },
-            LintKind::SharedMemRace {
-                data: BarId(0),
-                name: "b".into(),
-                guard: BarId(1),
-                role: Role::Producer,
-                generation: 0,
-                write: true,
-            },
-            LintKind::DoubleArrive {
-                bar: BarId(0),
-                name: "b".into(),
-                residue: 1,
-            },
-            LintKind::DeadBarrier {
-                bar: BarId(0),
-                name: "b".into(),
-            },
-            LintKind::UnawaitedBarrier {
-                bar: BarId(0),
-                name: "b".into(),
-            },
-            LintKind::SmemOverflow {
-                max_in_flight: 1,
-                smem_bytes: 0,
-            },
-            LintKind::OversizedTma {
-                bytes: 1,
-                smem_bytes: 0,
-            },
-            LintKind::AnalysisBudget {
-                class: 0,
-                budget: 1,
-            },
-            LintKind::DeadCompute {
-                op: "tile.dot".into(),
-            },
-            LintKind::SingleBufferedPipeline {
-                slot_bytes: 1,
-                admissible: 2,
-            },
-            LintKind::OverSynchronized {
-                bar: BarId(0),
-                name: "b".into(),
-            },
-            LintKind::UnbalancedStages {
-                producer_cycles: 2,
-                consumer_cycles: 1,
-                window: 1.5,
-            },
-            LintKind::OccupancyCapped {
-                occupancy: 1,
-                saturation: 2,
-                limiter: "smem".into(),
-            },
-            LintKind::UninitializedTileRead { slot: "v0".into() },
+        // One exemplar per variant, in declaration order, with its
+        // rendering (severity, id and message) and whether it is a
+        // definite deadlock. The messages were captured before the lint
+        // table replaced the hand-written matches, so they pin every text.
+        let b = || "b".to_string();
+        let exemplars: Vec<(LintKind, &str, bool)> = vec![
+            (
+                LintKind::NoWarpGroups,
+                "error[no-warp-groups]: kernel has no warp groups",
+                false,
+            ),
+            (
+                LintKind::NoCtaClasses,
+                "error[no-cta-classes]: kernel has no CTA classes (empty grid)",
+                false,
+            ),
+            (
+                LintKind::ZeroMultiplicity { class: 0 },
+                "error[zero-multiplicity]: CTA class 0 has zero multiplicity",
+                false,
+            ),
+            (
+                LintKind::EmptyBody {
+                    role: Role::Producer,
+                },
+                "error[empty-body]: warp group (producer) has an empty body",
+                false,
+            ),
+            (
+                LintKind::BarOutOfRange { bar: BarId(0) },
+                "error[bar-out-of-range]: bar0 out of range",
+                false,
+            ),
+            (
+                LintKind::ZeroByteTma,
+                "error[zero-byte-tma]: zero-byte TMA load",
+                false,
+            ),
+            (
+                LintKind::LoopParamOutOfRange { param: 0, max: 0 },
+                "error[loop-param-out-of-range]: loop param $0 exceeds class params (0)",
+                false,
+            ),
+            (
+                LintKind::EmptyLoopBody,
+                "error[empty-loop-body]: empty loop body",
+                false,
+            ),
+            (
+                LintKind::DegenerateWgmma { m: 0, n: 0, k: 0 },
+                "error[degenerate-wgmma]: degenerate WGMMA 0x0x0",
+                false,
+            ),
+            (
+                LintKind::ZeroArriveCount {
+                    bar: BarId(0),
+                    name: b(),
+                },
+                "error[zero-arrive-count]: bar0 (b) has zero arrive count",
+                false,
+            ),
+            (
+                LintKind::WaitNeverSignalled {
+                    bar: BarId(0),
+                    name: b(),
+                },
+                "error[wait-never-signalled]: bar0 (b) is waited on but never signalled — \
+                 guaranteed deadlock",
+                true,
+            ),
+            (
+                LintKind::StaticDeadlock {
+                    class: 0,
+                    role: Role::Consumer,
+                    bar: BarId(0),
+                    name: b(),
+                    waiting_phase: 0,
+                    completed_phases: 0,
+                    arrivals: 0,
+                    arrive_count: 1,
+                },
+                "error[static-deadlock]: class 0: consumer warp group waits forever on bar0 (b) \
+                 phase 0 — barrier stuck at 0 completed phases with 0/1 arrivals",
+                true,
+            ),
+            (
+                LintKind::SyncDeadlock {
+                    class: 0,
+                    role: Role::Consumer,
+                    arrived: 0,
+                    expected: 1,
+                },
+                "error[sync-deadlock]: class 0: consumer warp group blocks at syncthreads — only \
+                 0 of 1 warp groups can reach the rendezvous",
+                true,
+            ),
+            (
+                LintKind::SharedMemRace {
+                    data: BarId(0),
+                    name: b(),
+                    guard: BarId(1),
+                    role: Role::Producer,
+                    generation: 0,
+                    write: true,
+                },
+                "error[shared-mem-race]: producer warp group overwrites the tile slot of bar0 (b) \
+                 in parity 0 without consuming a release on bar1 — a prior read may still be in \
+                 flight",
+                false,
+            ),
+            (
+                LintKind::DoubleArrive {
+                    bar: BarId(0),
+                    name: b(),
+                    residue: 1,
+                },
+                "warning[double-arrive]: bar0 (b) exits with 1 stranded arrival(s) mid-phase — \
+                 double-arrive on a phase or a missing wait",
+                false,
+            ),
+            (
+                LintKind::DeadBarrier {
+                    bar: BarId(0),
+                    name: b(),
+                },
+                "warning[dead-barrier]: bar0 (b) is never waited on or signalled",
+                false,
+            ),
+            (
+                LintKind::UnawaitedBarrier {
+                    bar: BarId(0),
+                    name: b(),
+                },
+                "warning[unawaited-barrier]: bar0 (b) is signalled but never waited on",
+                false,
+            ),
+            (
+                LintKind::SmemOverflow {
+                    max_in_flight: 1,
+                    smem_bytes: 0,
+                },
+                "warning[smem-overflow]: deepest in-flight pipeline stage holds 1 bytes but only \
+                 0 bytes of shared memory are declared",
+                false,
+            ),
+            (
+                LintKind::OversizedTma {
+                    bytes: 1,
+                    smem_bytes: 0,
+                },
+                "warning[oversized-tma]: TMA transfer of 1 bytes cannot fit the 0-byte shared \
+                 memory staging buffer",
+                false,
+            ),
+            (
+                LintKind::AnalysisBudget {
+                    class: 0,
+                    budget: 1,
+                },
+                "warning[analysis-budget]: class 0: interpretation budget of 1 instructions \
+                 exhausted before the protocol was proven",
+                false,
+            ),
+            (
+                LintKind::DeadCompute {
+                    op: "tile.dot".into(),
+                },
+                "warning[dead-compute]: result of tile.dot is never consumed by a store or \
+                 epilogue — dead compute",
+                false,
+            ),
+            (
+                LintKind::SingleBufferedPipeline {
+                    slot_bytes: 1,
+                    admissible: 2,
+                },
+                "warning[single-buffered-pipeline]: aref ring is single-buffered (1-byte slot) \
+                 but shared memory admits depth 2 — producer and consumer serialize on one slot",
+                false,
+            ),
+            (
+                LintKind::OverSynchronized {
+                    bar: BarId(0),
+                    name: b(),
+                },
+                "warning[over-synchronized]: bar0 (b) orders no tile access — the barrier edge \
+                 only serializes warp groups",
+                false,
+            ),
+            (
+                LintKind::UnbalancedStages {
+                    producer_cycles: 2,
+                    consumer_cycles: 1,
+                    window: 1.5,
+                },
+                "warning[unbalanced-stages]: producer stage costs 2 cycles/iteration against the \
+                 consumer's 1 — outside the 1.5x overlap window, no ring depth hides the loads",
+                false,
+            ),
+            (
+                LintKind::OccupancyCapped {
+                    occupancy: 1,
+                    saturation: 2,
+                    limiter: "smem".into(),
+                },
+                "warning[occupancy-capped]: occupancy capped at 1 CTA/SM by smem — 2 CTA/SM \
+                 needed to saturate the tensor cores",
+                false,
+            ),
+            (
+                LintKind::UninitializedTileRead { slot: "v0".into() },
+                "warning[uninitialized-tile-read]: aref slot v0 is read before any TMA or \
+                 compute write reaches it",
+                false,
+            ),
         ];
-        let ids: Vec<&str> = exemplars.iter().map(LintKind::id).collect();
+        for (kind, text, deadlock) in &exemplars {
+            let lint = Lint::new(kind.clone());
+            assert_eq!(lint.to_string(), *text);
+            assert_eq!(lint.is_definite_deadlock(), *deadlock, "{text}");
+        }
+        // The second branch of the race message.
+        let read = LintKind::SharedMemRace {
+            data: BarId(0),
+            name: b(),
+            guard: BarId(1),
+            role: Role::Consumer,
+            generation: 2,
+            write: false,
+        };
+        assert_eq!(
+            read.to_string(),
+            "consumer warp group releases the tile slot of bar0 (b) via bar1 in parity 2 \
+             without having waited for the write — the read is unordered against the producer"
+        );
+        let ids: Vec<&str> = exemplars.iter().map(|(kind, ..)| kind.id()).collect();
         assert_eq!(
             ids, ALL_LINT_IDS,
             "ALL_LINT_IDS must track LintKind declaration order"
         );
-        let mut unique = ids.clone();
+        let mut unique = ALL_LINT_IDS.to_vec();
         unique.sort_unstable();
         unique.dedup();
-        assert_eq!(unique.len(), ids.len(), "duplicate lint id");
-        for id in ids {
+        assert_eq!(unique.len(), ALL_LINT_IDS.len(), "duplicate lint id");
+        for id in ALL_LINT_IDS {
             assert!(
                 !id.is_empty()
                     && id.chars().all(|c| c.is_ascii_lowercase() || c == '-')
