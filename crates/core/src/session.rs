@@ -873,7 +873,7 @@ mod tests {
     use super::*;
     use tawa_frontend::config::GemmConfig;
     use tawa_frontend::kernels::gemm;
-    use tawa_wsir::print_kernel;
+    use tawa_wsir::serialize_kernel;
 
     fn dev() -> Device {
         Device::h100_sxm5()
@@ -887,7 +887,7 @@ mod tests {
         let cold = session.compile_program(&p, &opts).unwrap();
         let hit = session.compile_program(&p, &opts).unwrap();
         assert!(Arc::ptr_eq(&cold, &hit), "hit must come from the cache");
-        assert_eq!(print_kernel(&cold), print_kernel(&hit));
+        assert_eq!(serialize_kernel(&cold), serialize_kernel(&hit));
         let stats = session.cache_stats();
         assert_eq!(stats.kernel_hits, 1);
         assert_eq!(stats.kernel_misses, 1);
@@ -906,7 +906,7 @@ mod tests {
         };
         let ka = session.compile_program(&p, &a).unwrap();
         let kb = session.compile_program(&p, &b).unwrap();
-        assert_ne!(print_kernel(&ka), print_kernel(&kb));
+        assert_ne!(serialize_kernel(&ka), serialize_kernel(&kb));
         let stats = session.cache_stats();
         assert_eq!(stats.kernel_hits, 0);
         assert_eq!(stats.kernel_misses, 2);
@@ -935,7 +935,7 @@ mod tests {
         let batch = batched.run_batch(&all_opts, |o| batched.compile_program(&p, o));
         assert_eq!(batch.len(), seq.len());
         for (s, b) in seq.iter().zip(&batch) {
-            assert_eq!(print_kernel(s), print_kernel(b.as_ref().unwrap()));
+            assert_eq!(serialize_kernel(s), serialize_kernel(b.as_ref().unwrap()));
         }
     }
 
@@ -1203,7 +1203,7 @@ mod tests {
         let stats = warm_session.cache_stats();
         assert_eq!(stats.disk.hits, 1, "{stats:?}");
         assert_eq!(stats.kernel_misses, 0, "disk hit must skip the compile");
-        assert_eq!(print_kernel(&cold), print_kernel(&warm));
+        assert_eq!(serialize_kernel(&cold), serialize_kernel(&warm));
         assert_eq!(*cold, *warm);
     }
 
@@ -1294,7 +1294,7 @@ mod tests {
         let b = session.compile_program(&p, &derived).unwrap();
         // Equivalent pipelines, distinct cache entries (the override is
         // part of the environment fingerprint).
-        assert_eq!(print_kernel(&a), print_kernel(&b));
+        assert_eq!(serialize_kernel(&a), serialize_kernel(&b));
         assert_eq!(session.cache_stats().kernel_entries, 2);
         // And pipeline_spec reflects the override.
         let spec_text = CompileSession::pipeline_spec(&explicit)
@@ -1350,8 +1350,8 @@ mod tests {
         };
         let k = session.compile_program(&p, &opts).unwrap();
         assert_eq!(
-            print_kernel(&k),
-            print_kernel(
+            serialize_kernel(&k),
+            serialize_kernel(
                 &session
                     .compile_program(&p, &CompileOptions::default())
                     .unwrap()
@@ -1456,8 +1456,8 @@ mod tests {
         let b = wide.run_batch(&all_opts, |o| wide.compile_program(&p, o));
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(
-                print_kernel(x.as_ref().unwrap()),
-                print_kernel(y.as_ref().unwrap())
+                serialize_kernel(x.as_ref().unwrap()),
+                serialize_kernel(y.as_ref().unwrap())
             );
         }
         // with_workers(0) restores the default cap.

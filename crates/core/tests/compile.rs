@@ -8,7 +8,7 @@ use tawa_core::{CompileError, CompileOptions, CompileSession};
 use tawa_frontend::config::{AttentionConfig, GemmConfig, Tile};
 use tawa_frontend::kernels::{attention, batched_gemm, gemm, grouped_gemm};
 use tawa_ir::types::DType;
-use tawa_wsir::print_kernel;
+use tawa_wsir::serialize_kernel;
 
 fn dev() -> Device {
     Device::h100_sxm5()
@@ -329,8 +329,8 @@ fn generated_wsir_prints() {
     let k = session()
         .compile_program(&p, &CompileOptions::default())
         .unwrap();
-    let s = print_kernel(&k);
-    assert!(s.contains("wgmma.mma_async"), "{s}");
+    let s = serialize_kernel(&k);
+    assert!(s.contains("wgmma.issue"), "{s}");
     assert!(s.contains("tma.load"), "{s}");
-    assert!(s.contains("mbarrier.wait"), "{s}");
+    assert!(s.contains("mbar.wait"), "{s}");
 }

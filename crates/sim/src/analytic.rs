@@ -47,7 +47,7 @@
 //! `.sim` disk-cache key: refining the analytic model must not invalidate
 //! byte-identical simulation reports.
 
-use tawa_wsir::{BarId, Count, Instr, Kernel, PerfModel, Role};
+use tawa_wsir::{BarId, Instr, Kernel, PerfModel, Role};
 
 use crate::device::Device;
 use crate::engine::EngineCfg;
@@ -154,23 +154,13 @@ struct Ctx<'d> {
     bw: EngineCfg,
 }
 
-/// [`Count::resolve`] that tolerates out-of-range parameter indices
-/// (returns 0) — the estimator must never panic on a kernel the
-/// validator would reject anyway.
-fn resolve(count: Count, params: &[u64]) -> u64 {
-    match count {
-        Count::Const(c) => c,
-        Count::Param(i) => params.get(i).copied().unwrap_or(0),
-    }
-}
-
 /// Accumulates per-CTA bytes moved and tensor-core cycles for one
 /// instruction stream (loop bodies weighted by resolved trip counts).
 fn class_work(body: &[Instr], params: &[u64], device: &Device, out: &mut ClassWork) {
     for instr in body {
         match *instr {
             Instr::Loop { count, ref body } => {
-                let trips = resolve(count, params) as f64;
+                let trips = count.resolve(params) as f64;
                 let mut inner = ClassWork::default();
                 class_work(body, params, device, &mut inner);
                 out.load_bytes += trips * inner.load_bytes;
@@ -212,7 +202,7 @@ fn serial_cycles(body: &[Instr], params: &[u64], ctx: &Ctx<'_>) -> f64 {
     for instr in body {
         match *instr {
             Instr::Loop { count, ref body } => {
-                let trips = resolve(count, params) as f64;
+                let trips = count.resolve(params) as f64;
                 clock += ctx.device.loop_overhead_cycles as f64
                     + trips * serial_cycles(body, params, ctx);
             }
@@ -279,7 +269,7 @@ struct LoopSite<'k> {
 fn collect_loops<'k>(body: &'k [Instr], params: &[u64], outer: f64, out: &mut Vec<LoopSite<'k>>) {
     for instr in body {
         if let Instr::Loop { count, body } = instr {
-            let trips = resolve(*count, params) as f64;
+            let trips = count.resolve(params) as f64;
             out.push(LoopSite {
                 body,
                 total_execs: outer * trips,

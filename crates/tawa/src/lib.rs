@@ -107,3 +107,33 @@ pub struct DslDocTests;
 #[cfg(doctest)]
 #[doc = include_str!("../../../docs/lints.md")]
 pub struct LintsDocTests;
+
+#[cfg(test)]
+mod tests {
+    use tawa_wsir::ALL_LINT_IDS;
+
+    /// Every lint id has a catalog entry in `docs/lints.md` — a heading or
+    /// a lint-table row carrying the backticked id — and every id a table
+    /// row names is one the analyzer can emit.
+    #[test]
+    fn lint_catalog_matches_the_lint_table() {
+        let doc = include_str!("../../../docs/lints.md");
+        let entries: Vec<&str> = (doc.lines())
+            .filter(|l| l.starts_with('#') || l.starts_with('|'))
+            .collect();
+        for id in ALL_LINT_IDS {
+            let needle = format!("`{id}`");
+            assert!(
+                entries.iter().any(|l| l.contains(&needle)),
+                "lint id `{id}` has no heading or table row in docs/lints.md"
+            );
+        }
+        for row in doc.lines().filter(|l| l.starts_with("| `")) {
+            let id = row.split('`').nth(1).unwrap_or_default();
+            assert!(
+                ALL_LINT_IDS.contains(&id),
+                "docs/lints.md has a row for `{id}`, which is no lint id"
+            );
+        }
+    }
+}

@@ -39,7 +39,7 @@
 
 use std::collections::{HashSet, VecDeque};
 
-use super::{InstrPath, Lint, LintKind};
+use super::{BarrierUse, InstrPath, Lint, LintKind};
 use crate::instr::{BarId, Instr, Role};
 use crate::kernel::Kernel;
 use crate::period::waited_barriers;
@@ -49,9 +49,14 @@ use crate::walk::{walk_classes, Classes, Halt, Mbarrier, Walk, Walker};
 /// them. `fast_forward = false` walks every trip of every loop of every
 /// class (no anchor): the reference the differential tests hold the
 /// skipping interpreter against.
-pub(super) fn check(k: &Kernel, fuel: u64, fast_forward: bool) -> (Vec<Lint>, u64) {
+pub(super) fn check(
+    k: &Kernel,
+    uses: &[BarrierUse],
+    fuel: u64,
+    fast_forward: bool,
+) -> (Vec<Lint>, u64) {
     let mut lints = Vec::new();
-    scan_static(k, &mut lints);
+    scan_static(k, uses, &mut lints);
     let pairs = derive_pairs(k);
     let reach: Vec<Reach> = k
         .warp_groups
@@ -107,38 +112,28 @@ fn dedup_key(l: &Lint) -> String {
 /// Whole-kernel scans that need no interpretation: barriers nobody uses,
 /// barriers that are signalled into the void, transfers that cannot fit
 /// shared memory at all.
-fn scan_static(k: &Kernel, lints: &mut Vec<Lint>) {
-    let nbars = k.barriers.len() as u32;
-    let mut waited = vec![false; k.barriers.len()];
-    let mut signalled = vec![false; k.barriers.len()];
+fn scan_static(k: &Kernel, uses: &[BarrierUse], lints: &mut Vec<Lint>) {
     for (wi, wg) in k.warp_groups.iter().enumerate() {
         let mut path = Vec::new();
         super::visit_with_path(&wg.body, &mut path, &mut |i, p| match i {
-            Instr::MbarWait { bar } if bar.0 < nbars => waited[bar.0 as usize] = true,
-            Instr::MbarArrive { bar } if bar.0 < nbars => signalled[bar.0 as usize] = true,
-            Instr::TmaLoad { bar, bytes } => {
-                if bar.0 < nbars {
-                    signalled[bar.0 as usize] = true;
-                }
-                if k.smem_bytes > 0 && *bytes > k.smem_bytes {
-                    lints.push(Lint::at(
-                        LintKind::OversizedTma {
-                            bytes: *bytes,
-                            smem_bytes: k.smem_bytes,
-                        },
-                        InstrPath {
-                            wg: wi,
-                            indices: p.to_vec(),
-                        },
-                    ));
-                }
+            Instr::TmaLoad { bytes, .. } if k.smem_bytes > 0 && *bytes > k.smem_bytes => {
+                lints.push(Lint::at(
+                    LintKind::OversizedTma {
+                        bytes: *bytes,
+                        smem_bytes: k.smem_bytes,
+                    },
+                    InstrPath {
+                        wg: wi,
+                        indices: p.to_vec(),
+                    },
+                ));
             }
             _ => {}
         });
     }
-    for (b, decl) in k.barriers.iter().enumerate() {
+    for (b, (decl, u)) in k.barriers.iter().zip(uses).enumerate() {
         let bar = BarId(b as u32);
-        let kind = match (waited[b], signalled[b]) {
+        let kind = match (u.waited, u.signalled()) {
             (false, false) => LintKind::DeadBarrier {
                 bar,
                 name: decl.name.clone(),

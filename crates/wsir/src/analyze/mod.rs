@@ -32,13 +32,25 @@
 //! DSL line that created the barrier involved, so a race report names the
 //! author's `file:line` instead of a WSIR index.
 //!
+//! Every lint is declared once, as a row of the `lint_table!` below: its
+//! fields and docs, stable id, severity, whether it is a definite
+//! deadlock, and its message. [`LintKind`], [`ALL_LINT_IDS`],
+//! [`LintKind::id`], [`LintKind::severity`], [`Lint::is_definite_deadlock`]
+//! and the `Display` text are generated from it. Adding a lint is one row
+//! there plus one row in `docs/lints.md`; a test in the `tawa` crate holds
+//! the two lists to each other.
+//!
+//! What each barrier is used for — waited on, arrived on, fed by TMA, and
+//! its first wait — is taken in one walk per kernel (`BarrierUse`), which
+//! every entry point computes once and the structural, protocol and
+//! performance tiers share. Lints drawn from it come in barrier-id order.
+//!
 //! `tawa-core` runs [`analyze`] as a gate inside
 //! `CompileSession::compile_and_simulate_program`: a definite-deadlock verdict
 //! ([`deadlock_verdict`]) becomes a typed negative cache entry without the
 //! simulator ever being invoked. The `tawa-lint` binary exposes the same
 //! checks over serialized `.wsir` files and cache directories.
 
-use std::collections::HashSet;
 use std::fmt;
 
 use crate::instr::{BarId, Count, Instr, Role};
@@ -92,40 +104,111 @@ impl fmt::Display for InstrPath {
     }
 }
 
-/// What a lint found. Every variant carries the data needed to render its
-/// message; severity and a stable kebab-case id derive from the variant.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LintKind {
+/// Declares [`LintKind`] and everything derived from it from one list, a
+/// row per kind:
+///
+/// ```text
+/// /// docs
+/// Kind { /// docs
+///        field: Type, .. } = "stable-id", Severity [+ deadlock], message;
+/// ```
+///
+/// `+ deadlock` marks a definite deadlock ([`Lint::is_definite_deadlock`]).
+/// The message is a format string over the fields, or `{ if flag "…" else
+/// "…" }` for a two-branch message on a `bool` field.
+macro_rules! lint_table {
+    ($(
+        $(#[$doc:meta])*
+        $kind:ident $({ $($(#[$fdoc:meta])* $field:ident: $ty:ty,)+ })?
+            = $id:literal, $severity:ident $(+ $deadlock:ident)?, $msg:tt;
+    )+) => {
+        /// What a lint found. Every variant carries the data needed to
+        /// render its message; its id, severity and deadlock class are
+        /// declared beside it in the lint table.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum LintKind {
+            $($(#[$doc])* $kind $({ $($(#[$fdoc])* $field: $ty,)+ })?,)+
+        }
+
+        /// Every stable lint id the analyzer can emit, in [`LintKind`]
+        /// declaration order. `tawa-lint --deny` validates requested ids
+        /// against this list (a typo in a CI gate must fail loudly, not
+        /// silently match nothing), and a test checks every id has a
+        /// catalog entry in `docs/lints.md`.
+        pub const ALL_LINT_IDS: &[&str] = &[$($id,)+];
+
+        impl LintKind {
+            /// Stable kebab-case lint id (used by `tawa-lint` and docs/lints.md).
+            pub fn id(&self) -> &'static str {
+                match self {
+                    $(LintKind::$kind { .. } => $id,)+
+                }
+            }
+
+            /// Severity of this lint kind.
+            pub fn severity(&self) -> Severity {
+                match self {
+                    $(LintKind::$kind { .. } => Severity::$severity,)+
+                }
+            }
+        }
+
+        impl Lint {
+            /// True if this lint proves the kernel cannot terminate.
+            pub fn is_definite_deadlock(&self) -> bool {
+                match self.kind {
+                    $(LintKind::$kind { .. } => lint_table!(@deadlock $($deadlock)?),)+
+                }
+            }
+        }
+
+        impl fmt::Display for LintKind {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                match self {
+                    $(LintKind::$kind $({ $($field),+ })? => lint_table!(@write f, $msg),)+
+                }
+            }
+        }
+    };
+    (@deadlock) => { false };
+    (@deadlock deadlock) => { true };
+    (@write $f:ident, $msg:literal) => { write!($f, $msg) };
+    (@write $f:ident, { if $flag:ident $yes:literal else $no:literal }) => {
+        if *$flag { write!($f, $yes) } else { write!($f, $no) }
+    };
+}
+
+lint_table! {
     /// Kernel has no warp groups.
-    NoWarpGroups,
+    NoWarpGroups = "no-warp-groups", Error, "kernel has no warp groups";
     /// Kernel has no CTA classes (empty grid).
-    NoCtaClasses,
+    NoCtaClasses = "no-cta-classes", Error, "kernel has no CTA classes (empty grid)";
     /// A CTA class with zero multiplicity.
     ZeroMultiplicity {
         /// Class index.
         class: usize,
-    },
+    } = "zero-multiplicity", Error, "CTA class {class} has zero multiplicity";
     /// A warp group with an empty instruction stream.
     EmptyBody {
         /// Role of the empty warp group.
         role: Role,
-    },
+    } = "empty-body", Error, "warp group ({role}) has an empty body";
     /// A barrier id with no matching declaration.
     BarOutOfRange {
         /// The dangling id.
         bar: BarId,
-    },
+    } = "bar-out-of-range", Error, "{bar} out of range";
     /// A TMA load of zero bytes.
-    ZeroByteTma,
+    ZeroByteTma = "zero-byte-tma", Error, "zero-byte TMA load";
     /// A loop trip count reading past the class parameter vector.
     LoopParamOutOfRange {
         /// Parameter index used by the loop.
         param: usize,
         /// Smallest parameter count across classes.
         max: usize,
-    },
+    } = "loop-param-out-of-range", Error, "loop param ${param} exceeds class params ({max})";
     /// A loop with no body.
-    EmptyLoopBody,
+    EmptyLoopBody = "empty-loop-body", Error, "empty loop body";
     /// A WGMMA with a zero dimension.
     DegenerateWgmma {
         /// M dimension.
@@ -134,21 +217,22 @@ pub enum LintKind {
         n: u32,
         /// K dimension.
         k: u32,
-    },
+    } = "degenerate-wgmma", Error, "degenerate WGMMA {m}x{n}x{k}";
     /// A barrier declared with `arrive_count == 0`.
     ZeroArriveCount {
         /// Barrier id.
         bar: BarId,
         /// Barrier name.
         name: String,
-    },
+    } = "zero-arrive-count", Error, "{bar} ({name}) has zero arrive count";
     /// A barrier that is waited on but never signalled.
     WaitNeverSignalled {
         /// Barrier id.
         bar: BarId,
         /// Barrier name.
         name: String,
-    },
+    } = "wait-never-signalled", Error + deadlock,
+        "{bar} ({name}) is waited on but never signalled — guaranteed deadlock";
     /// A wait that can never be satisfied: in CTA class `class`, warp
     /// group execution reaches a wait on `bar` for a phase whose matching
     /// arrivals can never fire.
@@ -169,7 +253,10 @@ pub enum LintKind {
         arrivals: u32,
         /// Arrivals needed to complete a phase.
         arrive_count: u32,
-    },
+    } = "static-deadlock", Error + deadlock,
+        "class {class}: {role} warp group waits forever on {bar} ({name}) phase \
+         {waiting_phase} — barrier stuck at {completed_phases} completed phases with \
+         {arrivals}/{arrive_count} arrivals";
     /// A `Syncthreads` rendezvous that can never complete because at least
     /// one warp group exits (or blocks) without reaching it.
     SyncDeadlock {
@@ -181,7 +268,9 @@ pub enum LintKind {
         arrived: usize,
         /// Warp groups that must reach it.
         expected: usize,
-    },
+    } = "sync-deadlock", Error + deadlock,
+        "class {class}: {role} warp group blocks at syncthreads — only {arrived} of \
+         {expected} warp groups can reach the rendezvous";
     /// A tile slot access with no barrier edge ordering it against the
     /// other role's access in the same parity.
     SharedMemRace {
@@ -198,7 +287,16 @@ pub enum LintKind {
         /// True when an overwrite races a possibly in-flight read; false
         /// when a read races a possibly unfinished write.
         write: bool,
-    },
+    } = "shared-mem-race", Error, {
+        if write
+            "{role} warp group overwrites the tile slot of {data} ({name}) in parity \
+             {generation} without consuming a release on {guard} — a prior read may still be \
+             in flight"
+        else
+            "{role} warp group releases the tile slot of {data} ({name}) via {guard} in parity \
+             {generation} without having waited for the write — the read is unordered against \
+             the producer"
+    };
     /// Arrivals stranded mid-phase at kernel exit: some warp group arrived
     /// more often than waits consumed (double-arrive on a phase).
     DoubleArrive {
@@ -208,21 +306,23 @@ pub enum LintKind {
         name: String,
         /// Stranded arrivals.
         residue: u32,
-    },
+    } = "double-arrive", Warning,
+        "{bar} ({name}) exits with {residue} stranded arrival(s) mid-phase — double-arrive on \
+         a phase or a missing wait";
     /// A barrier that is never waited on and never signalled.
     DeadBarrier {
         /// Barrier id.
         bar: BarId,
         /// Barrier name.
         name: String,
-    },
+    } = "dead-barrier", Warning, "{bar} ({name}) is never waited on or signalled";
     /// A barrier that is signalled but never waited on.
     UnawaitedBarrier {
         /// Barrier id.
         bar: BarId,
         /// Barrier name.
         name: String,
-    },
+    } = "unawaited-barrier", Warning, "{bar} ({name}) is signalled but never waited on";
     /// In-flight staged bytes exceed the declared shared-memory footprint:
     /// buffer slots are sized below the deepest in-flight pipeline stage.
     SmemOverflow {
@@ -230,7 +330,9 @@ pub enum LintKind {
         max_in_flight: u64,
         /// Declared shared memory per CTA.
         smem_bytes: u64,
-    },
+    } = "smem-overflow", Warning,
+        "deepest in-flight pipeline stage holds {max_in_flight} bytes but only {smem_bytes} \
+         bytes of shared memory are declared";
     /// A single TMA transfer larger than all of shared memory — its
     /// destination coordinates cannot lie inside the staging buffer.
     OversizedTma {
@@ -238,7 +340,9 @@ pub enum LintKind {
         bytes: u64,
         /// Declared shared memory per CTA.
         smem_bytes: u64,
-    },
+    } = "oversized-tma", Warning,
+        "TMA transfer of {bytes} bytes cannot fit the {smem_bytes}-byte shared memory staging \
+         buffer";
     /// The interpreter ran out of fuel before proving the protocol; no
     /// verdict for this class.
     AnalysisBudget {
@@ -246,13 +350,16 @@ pub enum LintKind {
         class: usize,
         /// The instruction budget that was exhausted.
         budget: u64,
-    },
+    } = "analysis-budget", Warning,
+        "class {class}: interpretation budget of {budget} instructions exhausted before the \
+         protocol was proven";
     /// A tile computation whose result never reaches a store or epilogue
     /// (performance tier, from the tile-IR def-use mark — see [`perf`]).
     DeadCompute {
         /// Mnemonic of the dead operation (e.g. `tile.dot`).
         op: String,
-    },
+    } = "dead-compute", Warning,
+        "result of {op} is never consumed by a store or epilogue — dead compute";
     /// An aref ring of depth 1 although the shared-memory budget admits a
     /// deeper ring: the producer and consumer serialize on one slot.
     SingleBufferedPipeline {
@@ -260,7 +367,9 @@ pub enum LintKind {
         slot_bytes: u64,
         /// Ring depth the shared-memory budget admits.
         admissible: u64,
-    },
+    } = "single-buffered-pipeline", Warning,
+        "aref ring is single-buffered ({slot_bytes}-byte slot) but shared memory admits depth \
+         {admissible} — producer and consumer serialize on one slot";
     /// A barrier edge that orders no tile access: it is not part of any
     /// aref slot's full/empty pair and no TMA transfer posts to it, so the
     /// handshake only serializes warp groups.
@@ -269,7 +378,8 @@ pub enum LintKind {
         bar: BarId,
         /// Barrier name.
         name: String,
-    },
+    } = "over-synchronized", Warning,
+        "{bar} ({name}) orders no tile access — the barrier edge only serializes warp groups";
     /// Producer/consumer per-iteration cost ratio outside the analytic
     /// model's overlap window: no ring depth can hide the loads.
     UnbalancedStages {
@@ -279,7 +389,9 @@ pub enum LintKind {
         consumer_cycles: u64,
         /// Admissible producer/consumer ratio for full overlap.
         window: f64,
-    },
+    } = "unbalanced-stages", Warning,
+        "producer stage costs {producer_cycles} cycles/iteration against the consumer's \
+         {consumer_cycles} — outside the {window}x overlap window, no ring depth hides the loads";
     /// The resource budget caps occupancy below the device's tensor-core
     /// saturation point while per-CTA serialization is the bottleneck.
     OccupancyCapped {
@@ -289,265 +401,17 @@ pub enum LintKind {
         saturation: u32,
         /// Resource capping occupancy (`smem`, `regs`, `threads`, `slots`).
         limiter: String,
-    },
+    } = "occupancy-capped", Warning,
+        "occupancy capped at {occupancy} CTA/SM by {limiter} — {saturation} CTA/SM needed to \
+         saturate the tensor cores";
     /// An aref slot is read where no `tawa.put` on its ring reaches
     /// (performance tier, from the tile-IR put-before-get rule — see
     /// [`perf`]).
     UninitializedTileRead {
         /// Printable name of the slot value read too early.
         slot: String,
-    },
-}
-
-/// Every stable lint id the analyzer can emit, in [`LintKind`]
-/// declaration order. `tawa-lint --deny` validates requested ids against
-/// this list (a typo in a CI gate must fail loudly, not silently match
-/// nothing), and the docs job checks every id has a catalog section in
-/// `docs/lints.md`. Kept exhaustive by a unit test that constructs one
-/// exemplar of every variant.
-pub const ALL_LINT_IDS: &[&str] = &[
-    "no-warp-groups",
-    "no-cta-classes",
-    "zero-multiplicity",
-    "empty-body",
-    "bar-out-of-range",
-    "zero-byte-tma",
-    "loop-param-out-of-range",
-    "empty-loop-body",
-    "degenerate-wgmma",
-    "zero-arrive-count",
-    "wait-never-signalled",
-    "static-deadlock",
-    "sync-deadlock",
-    "shared-mem-race",
-    "double-arrive",
-    "dead-barrier",
-    "unawaited-barrier",
-    "smem-overflow",
-    "oversized-tma",
-    "analysis-budget",
-    "dead-compute",
-    "single-buffered-pipeline",
-    "over-synchronized",
-    "unbalanced-stages",
-    "occupancy-capped",
-    "uninitialized-tile-read",
-];
-
-impl LintKind {
-    /// Stable kebab-case lint id (used by `tawa-lint` and docs/lints.md).
-    pub fn id(&self) -> &'static str {
-        match self {
-            LintKind::NoWarpGroups => "no-warp-groups",
-            LintKind::NoCtaClasses => "no-cta-classes",
-            LintKind::ZeroMultiplicity { .. } => "zero-multiplicity",
-            LintKind::EmptyBody { .. } => "empty-body",
-            LintKind::BarOutOfRange { .. } => "bar-out-of-range",
-            LintKind::ZeroByteTma => "zero-byte-tma",
-            LintKind::LoopParamOutOfRange { .. } => "loop-param-out-of-range",
-            LintKind::EmptyLoopBody => "empty-loop-body",
-            LintKind::DegenerateWgmma { .. } => "degenerate-wgmma",
-            LintKind::ZeroArriveCount { .. } => "zero-arrive-count",
-            LintKind::WaitNeverSignalled { .. } => "wait-never-signalled",
-            LintKind::StaticDeadlock { .. } => "static-deadlock",
-            LintKind::SyncDeadlock { .. } => "sync-deadlock",
-            LintKind::SharedMemRace { .. } => "shared-mem-race",
-            LintKind::DoubleArrive { .. } => "double-arrive",
-            LintKind::DeadBarrier { .. } => "dead-barrier",
-            LintKind::UnawaitedBarrier { .. } => "unawaited-barrier",
-            LintKind::SmemOverflow { .. } => "smem-overflow",
-            LintKind::OversizedTma { .. } => "oversized-tma",
-            LintKind::AnalysisBudget { .. } => "analysis-budget",
-            LintKind::DeadCompute { .. } => "dead-compute",
-            LintKind::SingleBufferedPipeline { .. } => "single-buffered-pipeline",
-            LintKind::OverSynchronized { .. } => "over-synchronized",
-            LintKind::UnbalancedStages { .. } => "unbalanced-stages",
-            LintKind::OccupancyCapped { .. } => "occupancy-capped",
-            LintKind::UninitializedTileRead { .. } => "uninitialized-tile-read",
-        }
-    }
-
-    /// Severity of this lint kind.
-    pub fn severity(&self) -> Severity {
-        match self {
-            LintKind::DoubleArrive { .. }
-            | LintKind::DeadBarrier { .. }
-            | LintKind::UnawaitedBarrier { .. }
-            | LintKind::SmemOverflow { .. }
-            | LintKind::OversizedTma { .. }
-            | LintKind::AnalysisBudget { .. }
-            | LintKind::DeadCompute { .. }
-            | LintKind::SingleBufferedPipeline { .. }
-            | LintKind::OverSynchronized { .. }
-            | LintKind::UnbalancedStages { .. }
-            | LintKind::OccupancyCapped { .. }
-            | LintKind::UninitializedTileRead { .. } => Severity::Warning,
-            _ => Severity::Error,
-        }
-    }
-
-    /// True for the performance tier ([`perf`]): lints that never gate
-    /// compilation and describe throughput, not correctness.
-    pub fn is_perf(&self) -> bool {
-        matches!(
-            self,
-            LintKind::DeadCompute { .. }
-                | LintKind::SingleBufferedPipeline { .. }
-                | LintKind::OverSynchronized { .. }
-                | LintKind::UnbalancedStages { .. }
-                | LintKind::OccupancyCapped { .. }
-                | LintKind::UninitializedTileRead { .. }
-        )
-    }
-}
-
-impl fmt::Display for LintKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LintKind::NoWarpGroups => write!(f, "kernel has no warp groups"),
-            LintKind::NoCtaClasses => write!(f, "kernel has no CTA classes (empty grid)"),
-            LintKind::ZeroMultiplicity { class } => {
-                write!(f, "CTA class {class} has zero multiplicity")
-            }
-            LintKind::EmptyBody { role } => write!(f, "warp group ({role}) has an empty body"),
-            LintKind::BarOutOfRange { bar } => write!(f, "{bar} out of range"),
-            LintKind::ZeroByteTma => write!(f, "zero-byte TMA load"),
-            LintKind::LoopParamOutOfRange { param, max } => {
-                write!(f, "loop param ${param} exceeds class params ({max})")
-            }
-            LintKind::EmptyLoopBody => write!(f, "empty loop body"),
-            LintKind::DegenerateWgmma { m, n, k } => {
-                write!(f, "degenerate WGMMA {m}x{n}x{k}")
-            }
-            LintKind::ZeroArriveCount { bar, name } => {
-                write!(f, "{bar} ({name}) has zero arrive count")
-            }
-            LintKind::WaitNeverSignalled { bar, name } => {
-                write!(
-                    f,
-                    "{bar} ({name}) is waited on but never signalled — guaranteed deadlock"
-                )
-            }
-            LintKind::StaticDeadlock {
-                class,
-                role,
-                bar,
-                name,
-                waiting_phase,
-                completed_phases,
-                arrivals,
-                arrive_count,
-            } => write!(
-                f,
-                "class {class}: {role} warp group waits forever on {bar} ({name}) phase \
-                 {waiting_phase} — barrier stuck at {completed_phases} completed phases with \
-                 {arrivals}/{arrive_count} arrivals"
-            ),
-            LintKind::SyncDeadlock {
-                class,
-                role,
-                arrived,
-                expected,
-            } => write!(
-                f,
-                "class {class}: {role} warp group blocks at syncthreads — only {arrived} of \
-                 {expected} warp groups can reach the rendezvous"
-            ),
-            LintKind::SharedMemRace {
-                data,
-                name,
-                guard,
-                role,
-                generation,
-                write,
-            } => {
-                if *write {
-                    write!(
-                        f,
-                        "{role} warp group overwrites the tile slot of {data} ({name}) in \
-                         parity {generation} without consuming a release on {guard} — a prior \
-                         read may still be in flight"
-                    )
-                } else {
-                    write!(
-                        f,
-                        "{role} warp group releases the tile slot of {data} ({name}) via \
-                         {guard} in parity {generation} without having waited for the write \
-                         — the read is unordered against the producer"
-                    )
-                }
-            }
-            LintKind::DoubleArrive { bar, name, residue } => write!(
-                f,
-                "{bar} ({name}) exits with {residue} stranded arrival(s) mid-phase — \
-                 double-arrive on a phase or a missing wait"
-            ),
-            LintKind::DeadBarrier { bar, name } => {
-                write!(f, "{bar} ({name}) is never waited on or signalled")
-            }
-            LintKind::UnawaitedBarrier { bar, name } => {
-                write!(f, "{bar} ({name}) is signalled but never waited on")
-            }
-            LintKind::SmemOverflow {
-                max_in_flight,
-                smem_bytes,
-            } => write!(
-                f,
-                "deepest in-flight pipeline stage holds {max_in_flight} bytes but only \
-                 {smem_bytes} bytes of shared memory are declared"
-            ),
-            LintKind::OversizedTma { bytes, smem_bytes } => write!(
-                f,
-                "TMA transfer of {bytes} bytes cannot fit the {smem_bytes}-byte shared \
-                 memory staging buffer"
-            ),
-            LintKind::AnalysisBudget { class, budget } => write!(
-                f,
-                "class {class}: interpretation budget of {budget} instructions exhausted \
-                 before the protocol was proven"
-            ),
-            LintKind::DeadCompute { op } => write!(
-                f,
-                "result of {op} is never consumed by a store or epilogue — dead compute"
-            ),
-            LintKind::SingleBufferedPipeline {
-                slot_bytes,
-                admissible,
-            } => write!(
-                f,
-                "aref ring is single-buffered ({slot_bytes}-byte slot) but shared memory \
-                 admits depth {admissible} — producer and consumer serialize on one slot"
-            ),
-            LintKind::OverSynchronized { bar, name } => write!(
-                f,
-                "{bar} ({name}) orders no tile access — the barrier edge only serializes \
-                 warp groups"
-            ),
-            LintKind::UnbalancedStages {
-                producer_cycles,
-                consumer_cycles,
-                window,
-            } => write!(
-                f,
-                "producer stage costs {producer_cycles} cycles/iteration against the \
-                 consumer's {consumer_cycles} — outside the {window}x overlap window, no \
-                 ring depth hides the loads"
-            ),
-            LintKind::OccupancyCapped {
-                occupancy,
-                saturation,
-                limiter,
-            } => write!(
-                f,
-                "occupancy capped at {occupancy} CTA/SM by {limiter} — {saturation} CTA/SM \
-                 needed to saturate the tensor cores"
-            ),
-            LintKind::UninitializedTileRead { slot } => write!(
-                f,
-                "aref slot {slot} is read before any TMA or compute write reaches it"
-            ),
-        }
-    }
+    } = "uninitialized-tile-read", Warning,
+        "aref slot {slot} is read before any TMA or compute write reaches it";
 }
 
 /// One static-analysis diagnostic: a structured kind, an optional path to
@@ -590,16 +454,6 @@ impl Lint {
     pub fn severity(&self) -> Severity {
         self.kind.severity()
     }
-
-    /// True if this lint proves the kernel cannot terminate.
-    pub fn is_definite_deadlock(&self) -> bool {
-        matches!(
-            self.kind,
-            LintKind::WaitNeverSignalled { .. }
-                | LintKind::StaticDeadlock { .. }
-                | LintKind::SyncDeadlock { .. }
-        )
-    }
 }
 
 impl fmt::Display for Lint {
@@ -621,7 +475,7 @@ impl std::error::Error for Lint {}
 /// found; a kernel that passes is well-formed enough to simulate (dynamic
 /// liveness is the simulator's or [`analyze`]'s job).
 pub fn validate(k: &Kernel) -> Result<(), Vec<Lint>> {
-    let errs = structural(k);
+    let errs = structural(k, &barrier_use(k));
     if errs.is_empty() {
         Ok(())
     } else {
@@ -664,11 +518,12 @@ pub fn analyze_reference(k: &Kernel, fuel: u64) -> Vec<Lint> {
 }
 
 fn analyze_impl(k: &Kernel, fuel: u64, fast_forward: bool) -> (Vec<Lint>, u64) {
-    let mut lints = structural(k);
+    let uses = barrier_use(k);
+    let mut lints = structural(k, &uses);
     if lints.iter().any(|l| l.severity() == Severity::Error) {
         return (lints, 0);
     }
-    let (protocol, steps) = interp::check(k, fuel, fast_forward);
+    let (protocol, steps) = interp::check(k, &uses, fuel, fast_forward);
     lints.extend(protocol);
     lints.sort_by_key(|l| std::cmp::Reverse(l.severity()));
     (lints, steps)
@@ -706,7 +561,60 @@ fn visit_with_path<'a>(
     }
 }
 
-fn structural(k: &Kernel) -> Vec<Lint> {
+/// What a kernel's instruction streams do with one declared barrier: the
+/// facts the structural, protocol and performance tiers share.
+/// [`barrier_use`] takes them in one walk, indexed by barrier id.
+#[derive(Clone, Default)]
+struct BarrierUse {
+    /// Some warp group waits on it.
+    waited: bool,
+    /// Some warp group arrives on it.
+    arrived: bool,
+    /// Some TMA load posts to it.
+    tma_fed: bool,
+    /// Its first wait, in warp-group then program order.
+    first_wait: Option<InstrPath>,
+}
+
+impl BarrierUse {
+    /// Some instruction can complete its phases.
+    fn signalled(&self) -> bool {
+        self.arrived || self.tma_fed
+    }
+}
+
+/// Every declared barrier's [`BarrierUse`], by barrier id. Undeclared ids
+/// are `bar-out-of-range`'s business and are skipped.
+fn barrier_use(k: &Kernel) -> Vec<BarrierUse> {
+    let mut uses = vec![BarrierUse::default(); k.barriers.len()];
+    for (wi, wg) in k.warp_groups.iter().enumerate() {
+        visit_with_path(&wg.body, &mut Vec::new(), &mut |i, p| match i {
+            Instr::MbarWait { bar } => {
+                if let Some(u) = uses.get_mut(bar.0 as usize) {
+                    u.waited = true;
+                    u.first_wait.get_or_insert_with(|| InstrPath {
+                        wg: wi,
+                        indices: p.to_vec(),
+                    });
+                }
+            }
+            Instr::MbarArrive { bar } => {
+                if let Some(u) = uses.get_mut(bar.0 as usize) {
+                    u.arrived = true;
+                }
+            }
+            Instr::TmaLoad { bar, .. } => {
+                if let Some(u) = uses.get_mut(bar.0 as usize) {
+                    u.tma_fed = true;
+                }
+            }
+            _ => {}
+        });
+    }
+    uses
+}
+
+fn structural(k: &Kernel, uses: &[BarrierUse]) -> Vec<Lint> {
     let mut lints = Vec::new();
 
     if k.warp_groups.is_empty() {
@@ -723,10 +631,6 @@ fn structural(k: &Kernel) -> Vec<Lint> {
     let min_params = k.classes.iter().map(|c| c.params.len()).min().unwrap_or(0);
 
     let nbars = k.barriers.len() as u32;
-    let mut waited: HashSet<BarId> = HashSet::new();
-    let mut signalled: HashSet<BarId> = HashSet::new();
-    // First wait site per barrier, for attributing wait-never-signalled.
-    let mut wait_site: Vec<Option<InstrPath>> = vec![None; k.barriers.len()];
 
     for (wi, wg) in k.warp_groups.iter().enumerate() {
         if wg.body.is_empty() {
@@ -752,21 +656,9 @@ fn structural(k: &Kernel) -> Vec<Lint> {
                     if *bytes == 0 {
                         lints.push(Lint::at(LintKind::ZeroByteTma, here()));
                     }
-                    signalled.insert(*bar);
                 }
-                Instr::MbarArrive { bar } => {
-                    if bar.0 >= nbars {
-                        lints.push(Lint::at(LintKind::BarOutOfRange { bar: *bar }, here()));
-                    }
-                    signalled.insert(*bar);
-                }
-                Instr::MbarWait { bar } => {
-                    if bar.0 >= nbars {
-                        lints.push(Lint::at(LintKind::BarOutOfRange { bar: *bar }, here()));
-                    } else if wait_site[bar.0 as usize].is_none() {
-                        wait_site[bar.0 as usize] = Some(here());
-                    }
-                    waited.insert(*bar);
+                Instr::MbarArrive { bar } | Instr::MbarWait { bar } if bar.0 >= nbars => {
+                    lints.push(Lint::at(LintKind::BarOutOfRange { bar: *bar }, here()));
                 }
                 Instr::Loop { count, body } => {
                     if let Count::Param(p) = count {
@@ -799,15 +691,17 @@ fn structural(k: &Kernel) -> Vec<Lint> {
         });
     }
 
-    for bar in &waited {
-        if !signalled.contains(bar) && bar.0 < nbars {
-            let mut lint = Lint::new(LintKind::WaitNeverSignalled {
-                bar: *bar,
-                name: k.barriers[bar.0 as usize].name.clone(),
+    for (b, u) in uses.iter().enumerate() {
+        if u.waited && !u.signalled() {
+            let bar = BarId(b as u32);
+            lints.push(Lint {
+                kind: LintKind::WaitNeverSignalled {
+                    bar,
+                    name: k.barriers[b].name.clone(),
+                },
+                path: u.first_wait.clone(),
+                loc: k.bar_loc(bar),
             });
-            lint.path = wait_site[bar.0 as usize].clone();
-            lint.loc = k.bar_loc(*bar);
-            lints.push(lint);
         }
     }
     for (i, b) in k.barriers.iter().enumerate() {
@@ -1155,6 +1049,30 @@ mod tests {
         // The full analysis short-circuits on structural errors but still
         // produces a deadlock verdict.
         assert!(deadlock_verdict(&analyze(&k)).is_some());
+    }
+
+    #[test]
+    fn unsignalled_waits_are_reported_in_barrier_order() {
+        let mut k = skeleton();
+        let bars: Vec<BarId> = (0..6).map(|i| k.add_barrier(&format!("b{i}"), 1)).collect();
+        let waits = bars.iter().rev().map(|&bar| Instr::MbarWait { bar });
+        k.add_warp_group(Role::Consumer, 240, waits.collect());
+        for _ in 0..2 {
+            let lints = analyze(&k);
+            let order: Vec<BarId> = (lints.iter())
+                .filter_map(|l| match l.kind {
+                    LintKind::WaitNeverSignalled { bar, .. } => Some(bar),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(order, bars);
+            let verdict = deadlock_verdict(&lints).unwrap();
+            assert!(
+                verdict.starts_with("static deadlock: bar0 (b0) is waited on"),
+                "{verdict}"
+            );
+            assert!(verdict.ends_with("(+5 more)"), "{verdict}");
+        }
     }
 
     #[test]

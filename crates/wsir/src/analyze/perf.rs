@@ -29,7 +29,7 @@ use tawa_ir::analysis::{dead_result_ops, uninitialized_gets};
 use tawa_ir::op::OpKind;
 use tawa_ir::{Loc, Module};
 
-use super::{interp, Lint, LintKind};
+use super::{barrier_use, interp, BarrierUse, Lint, LintKind};
 use crate::instr::{BarId, Instr};
 use crate::kernel::{Kernel, SrcLoc};
 
@@ -126,7 +126,7 @@ pub fn analyze_kernel(k: &Kernel, model: &PerfModel) -> Vec<Lint> {
     let pairs = interp::derive_pairs(k);
 
     single_buffered(k, model, &pairs, &mut lints);
-    over_synchronized(k, &pairs, &mut lints);
+    over_synchronized(k, &barrier_use(k), &pairs, &mut lints);
 
     let has_split_roles = k
         .warp_groups
@@ -215,29 +215,15 @@ fn single_buffered(k: &Kernel, model: &PerfModel, pairs: &interp::Pairs, lints: 
 /// that guards no tile slot in the derived ownership map and is never
 /// posted to by a TMA transfer — the edge orders no tile access, it only
 /// serializes warp groups.
-fn over_synchronized(k: &Kernel, pairs: &interp::Pairs, lints: &mut Vec<Lint>) {
-    let nbars = k.barriers.len();
-    let mut waited = vec![false; nbars];
-    let mut arrived = vec![false; nbars];
-    let mut tma_fed = vec![false; nbars];
-    for wg in &k.warp_groups {
-        let mut path = Vec::new();
-        super::visit_with_path(&wg.body, &mut path, &mut |i, _| match i {
-            Instr::MbarWait { bar } if (bar.0 as usize) < nbars => {
-                waited[bar.0 as usize] = true;
-            }
-            Instr::MbarArrive { bar } if (bar.0 as usize) < nbars => {
-                arrived[bar.0 as usize] = true;
-            }
-            Instr::TmaLoad { bar, .. } if (bar.0 as usize) < nbars => {
-                tma_fed[bar.0 as usize] = true;
-            }
-            _ => {}
-        });
-    }
-    for b in 0..nbars {
+fn over_synchronized(
+    k: &Kernel,
+    uses: &[BarrierUse],
+    pairs: &interp::Pairs,
+    lints: &mut Vec<Lint>,
+) {
+    for (b, u) in uses.iter().enumerate() {
         let guards_slot = pairs.guard_of[b].is_some() || pairs.data_of[b].is_some();
-        if waited[b] && arrived[b] && !tma_fed[b] && !guards_slot {
+        if u.waited && u.arrived && !u.tma_fed && !guards_slot {
             let mut lint = Lint::new(LintKind::OverSynchronized {
                 bar: BarId(b as u32),
                 name: k.barriers[b].name.clone(),

@@ -60,14 +60,14 @@ pub enum Count {
 }
 
 impl Count {
-    /// Resolves the count against a CTA class's parameters.
-    ///
-    /// # Panics
-    /// Panics if a `Param` index is out of range.
+    /// Resolves the count against a CTA class's parameters. A `Param`
+    /// index past the end resolves to 0 trips: [`crate::validate`] reports
+    /// it as `loop-param-out-of-range`, and nothing that walks a kernel
+    /// may panic on one.
     pub fn resolve(self, params: &[u64]) -> u64 {
         match self {
             Count::Const(c) => c,
-            Count::Param(i) => params[i],
+            Count::Param(i) => params.get(i).copied().unwrap_or(0),
         }
     }
 }
@@ -249,9 +249,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn count_param_out_of_range_panics() {
-        let _ = Count::Param(2).resolve(&[1]);
+    fn count_param_out_of_range_resolves_to_zero() {
+        assert_eq!(Count::Param(2).resolve(&[1]), 0);
     }
 
     #[test]

@@ -51,7 +51,7 @@
 //!     ]),
 //! ]);
 //! assert!(tawa_wsir::validate(&k).is_ok());
-//! println!("{}", tawa_wsir::print_kernel(&k));
+//! println!("{}", tawa_wsir::serialize_kernel(&k));
 //! ```
 
 #![warn(missing_docs)]
@@ -61,7 +61,6 @@ pub mod doc;
 pub mod instr;
 pub mod kernel;
 pub mod period;
-pub mod print;
 pub mod serialize;
 pub mod walk;
 
@@ -73,5 +72,4 @@ pub use analyze::{
 pub use doc::DocError;
 pub use instr::{BarId, Count, Instr, MmaDtype, Role};
 pub use kernel::{BarrierDecl, CtaClass, Kernel, SrcLoc, WarpGroup};
-pub use print::print_kernel;
 pub use serialize::{deserialize_kernel, serialize_kernel, FORMAT_VERSION};

@@ -289,12 +289,7 @@ fn dynamic_trips(body: &[Instr], params: &[u64]) -> u64 {
     let mut total = 0u64;
     for i in body {
         if let Instr::Loop { count, body } = i {
-            // Lenient where `Count::resolve` panics: a loop no walker ever
-            // reaches must not fail the scan.
-            let trips = match *count {
-                Count::Const(c) => c,
-                Count::Param(p) => params.get(p).copied().unwrap_or(0),
-            };
+            let trips = count.resolve(params);
             if trips > 0 && !body.is_empty() {
                 let inner = dynamic_trips(body, params).saturating_add(1);
                 total = total.saturating_add(trips.saturating_mul(inner));

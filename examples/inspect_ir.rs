@@ -70,6 +70,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let kernel = CompileSession::new(&device).compile_program(&program, &opts)?;
     println!("========== 4. Final warp-specialized WSIR ==========\n");
-    println!("{}", tawa::wsir::print_kernel(&kernel));
+    print!("{}", tawa::wsir::serialize_kernel(&kernel));
     Ok(())
 }

@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let kernel = session.compile_program(&program, &opts)?;
     println!("== Generated warp-specialized WSIR ==\n");
-    println!("{}", tawa::wsir::print_kernel(&kernel));
+    print!("{}", tawa::wsir::serialize_kernel(&kernel));
 
     // 3. Simulate through the session, so the report lands in the
     //    session's report cache — and, when `TAWA_DISK_CACHE` is set, in

@@ -15,7 +15,7 @@ use tawa::frontend::kernels::{attention, batched_gemm, gemm, grouped_gemm};
 use tawa::frontend::GroupedGemmConfig;
 use tawa::ir::types::DType;
 use tawa::sim::Device;
-use tawa::wsir::print_kernel;
+use tawa::wsir::serialize_kernel;
 use tawa::{CompileSession, Program};
 
 fn dev() -> Device {
@@ -62,7 +62,7 @@ fn fresh_session_over_warm_dir_serves_byte_identical_kernels() {
     let cold_session = disk_session(&dir);
     let cold: Vec<String> = jobs
         .iter()
-        .map(|(p, o)| print_kernel(&cold_session.compile_program(p, o).unwrap()))
+        .map(|(p, o)| serialize_kernel(&cold_session.compile_program(p, o).unwrap()))
         .collect();
     let cold_stats = cold_session.cache_stats();
     assert_eq!(cold_stats.disk.writes, jobs.len() as u64);
@@ -74,7 +74,7 @@ fn fresh_session_over_warm_dir_serves_byte_identical_kernels() {
     let warm_session = disk_session(&dir);
     for ((p, o), cold_text) in jobs.iter().zip(&cold) {
         let warm = warm_session.compile_program(p, o).unwrap();
-        assert_eq!(&print_kernel(&warm), cold_text);
+        assert_eq!(&serialize_kernel(&warm), cold_text);
     }
     let warm_stats = warm_session.cache_stats();
     assert_eq!(warm_stats.disk.hits, jobs.len() as u64, "{warm_stats:?}");
@@ -122,7 +122,7 @@ fn corrupted_entries_degrade_to_recompile() {
     let cold_session = disk_session(&dir);
     let cold: Vec<String> = jobs
         .iter()
-        .map(|(p, o)| print_kernel(&cold_session.compile_program(p, o).unwrap()))
+        .map(|(p, o)| serialize_kernel(&cold_session.compile_program(p, o).unwrap()))
         .collect();
 
     // Vandalize every entry a different way: truncation, garbage, and
@@ -148,7 +148,7 @@ fn corrupted_entries_degrade_to_recompile() {
     let recovered_session = disk_session(&dir);
     for ((p, o), cold_text) in jobs.iter().zip(&cold) {
         let k = recovered_session.compile_program(p, o).unwrap();
-        assert_eq!(&print_kernel(&k), cold_text);
+        assert_eq!(&serialize_kernel(&k), cold_text);
     }
     let stats = recovered_session.cache_stats();
     assert!(stats.disk.invalidations > 0, "{stats:?}");
@@ -171,7 +171,7 @@ fn format_version_bump_degrades_to_recompile() {
     let opts = CompileOptions::default();
 
     let cold_session = disk_session(&dir);
-    let cold = print_kernel(&cold_session.compile_program(&p, &opts).unwrap());
+    let cold = serialize_kernel(&cold_session.compile_program(&p, &opts).unwrap());
 
     // Simulate entries written by a future (or past) build: bump the
     // disk-format version inside every entry header.
@@ -189,7 +189,7 @@ fn format_version_bump_degrades_to_recompile() {
 
     let fresh_session = disk_session(&dir);
     let k = fresh_session.compile_program(&p, &opts).unwrap();
-    assert_eq!(print_kernel(&k), cold);
+    assert_eq!(serialize_kernel(&k), cold);
     let stats = fresh_session.cache_stats();
     assert_eq!(stats.kernel_misses, 1, "{stats:?}");
     assert!(stats.disk.invalidations > 0, "{stats:?}");
@@ -206,7 +206,7 @@ fn concurrent_sessions_share_one_cache_dir() {
     let reference: Vec<String> = {
         let session = CompileSession::in_memory(&dev());
         jobs.iter()
-            .map(|(p, o)| print_kernel(&session.compile_program(p, o).unwrap()))
+            .map(|(p, o)| serialize_kernel(&session.compile_program(p, o).unwrap()))
             .collect()
     };
 
@@ -220,7 +220,7 @@ fn concurrent_sessions_share_one_cache_dir() {
                 let session = disk_session(&dir);
                 for ((p, o), expected) in jobs.iter().zip(&reference) {
                     let k = session.compile_program(p, o).unwrap();
-                    assert_eq!(&print_kernel(&k), expected);
+                    assert_eq!(&serialize_kernel(&k), expected);
                 }
             });
         }
@@ -271,7 +271,7 @@ fn eviction_bounds_disk_usage_without_breaking_compiles() {
     let k = fresh
         .compile_program(&program, &CompileOptions::default())
         .unwrap();
-    assert!(!print_kernel(&k).is_empty());
+    assert!(!serialize_kernel(&k).is_empty());
 
     let _ = fs::remove_dir_all(&dir);
 }

@@ -17,7 +17,7 @@ use tawa::frontend::config::GemmConfig;
 use tawa::frontend::kernels::gemm;
 use tawa::ir::types::DType;
 use tawa::sim::Device;
-use tawa::wsir::print_kernel;
+use tawa::wsir::serialize_kernel;
 use tawa::CompileSession;
 
 /// The fused kernel under test IS the shipped example — included by
@@ -57,7 +57,7 @@ fn programs_and_reassembled_parts_share_cache_entries() {
     let b = session
         .compile_program(&Program::from_parts(module, spec), &opts)
         .unwrap();
-    assert_eq!(print_kernel(&a), print_kernel(&b));
+    assert_eq!(serialize_kernel(&a), serialize_kernel(&b));
     let stats = session.cache_stats();
     assert_eq!(
         (stats.kernel_misses, stats.kernel_hits),
@@ -115,7 +115,7 @@ fn custom_kernel_round_trips_the_disk_cache() {
     let stats = warm_session.cache_stats();
     assert_eq!(stats.disk.hits, 1, "{stats:?}");
     assert_eq!(stats.kernel_misses, 0, "disk hit must skip the compile");
-    assert_eq!(print_kernel(&cold), print_kernel(&warm));
+    assert_eq!(serialize_kernel(&cold), serialize_kernel(&warm));
     assert_eq!(*cold, *warm);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -12,7 +12,7 @@ use tawa::core::{CompileError, CompileOptions};
 use tawa::frontend::config::{GemmConfig, Tile};
 use tawa::frontend::kernels::gemm;
 use tawa::sim::Device;
-use tawa::wsir::print_kernel;
+use tawa::wsir::serialize_kernel;
 use tawa::CompileSession;
 
 fn dev() -> Device {
@@ -51,7 +51,7 @@ fn compile_options() -> impl Strategy<Value = CompileOptions> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// A cache hit returns a kernel byte-identical (via `print_kernel`) to
+    /// A cache hit returns a kernel byte-identical (via `serialize_kernel`) to
     /// a cold compile of the same inputs — across random shapes and
     /// options, and with the session's cleanup prefix shared in between.
     #[test]
@@ -68,9 +68,9 @@ proptest! {
                 // Second session compile: guaranteed cache hit.
                 let hit = session.compile_program(&p, &opts).unwrap();
                 prop_assert_eq!(session.cache_stats().kernel_hits, 1);
-                let cold_text = print_kernel(&cold);
-                prop_assert_eq!(&cold_text, &print_kernel(&warm_miss));
-                prop_assert_eq!(&cold_text, &print_kernel(&hit));
+                let cold_text = serialize_kernel(&cold);
+                prop_assert_eq!(&cold_text, &serialize_kernel(&warm_miss));
+                prop_assert_eq!(&cold_text, &serialize_kernel(&hit));
             }
             // Infeasible configurations must be infeasible both ways.
             (Err(CompileError::Infeasible(_)), e) => {
